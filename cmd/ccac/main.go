@@ -263,16 +263,17 @@ func buildScope(tool string, sp scenario.Spec, tracePath string, traceSample int
 			return nil, nil, err
 		}
 		runLog, err = obs.NewRunLogWriter(logF, obs.Manifest{
-			Tool:       "ccac/" + tool,
-			Seed:       sp.Seed,
-			FaultSeed:  sp.FaultSeed,
-			Profile:    sp.FaultProfile,
-			RateBps:    sp.RateBps,
-			RTTSeconds: sp.RTT().Seconds(),
-			Queue:      sp.Queue,
-			BufferBDP:  sp.BufferBDP,
-			Phases:     sp.Phases,
-			Extra:      map[string]string{"spec_hash": sp.Hash()},
+			Tool:        "ccac/" + tool,
+			Seed:        sp.Seed,
+			FaultSeed:   sp.FaultSeed,
+			Profile:     sp.FaultProfile,
+			RateBps:     sp.RateBps,
+			RTTSeconds:  sp.RTT().Seconds(),
+			Queue:       sp.Queue,
+			BufferBDP:   sp.BufferBDP,
+			Phases:      sp.Phases,
+			PulseFreqHz: sp.PulseFreqHz,
+			Extra:       map[string]string{"spec_hash": sp.Hash()},
 		})
 		if err != nil {
 			logF.Close()

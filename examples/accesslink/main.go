@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cca"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 	"repro/internal/transport"
 )
@@ -24,14 +25,11 @@ func run(bulkCC string, queue core.QueueKind) {
 	})
 	rng := rand.New(rand.NewSource(42))
 
-	video := traffic.NewVideo(d.Eng, transport.FlowConfig{
-		ID: 1, UserID: 1, Path: d.FlowConfig(0, 0, nil).Path,
-		ReturnDelay: d.Spec.OneWayDelay, CC: cca.NewCubicCC(),
-	}, traffic.VideoConfig{})
+	video := traffic.NewVideo(d.Eng, d.FlowConfig(1, 1, cca.NewCubicCC()), traffic.VideoConfig{})
 
 	web := traffic.NewShortFlows(d.Eng, traffic.ShortFlowsConfig{
 		ArrivalRate: 3,
-		Path:        d.FlowConfig(0, 0, nil).Path,
+		Path:        []*sim.Link{d.Link},
 		ReturnDelay: d.Spec.OneWayDelay,
 		UserID:      1,
 		NewCC:       func() transport.CCA { return cca.NewCubicCC() },

@@ -30,11 +30,7 @@ func measure(crossName string, cross transport.CCA) {
 	})
 	probe := d.AddBulk(1, 1, probeCC)
 
-	f := transport.NewFlow(d.Eng, transport.FlowConfig{
-		ID: 2, UserID: 1, Path: d.FlowConfig(0, 0, nil).Path,
-		ReturnDelay: d.Spec.OneWayDelay, CC: cross, Backlogged: true,
-	})
-	f.Start()
+	f := d.AddBulk(2, 1, cross)
 
 	const dur = 40 * time.Second
 	d.Run(dur)

@@ -2,7 +2,7 @@
 // management (fair queueing, per-user throttling + isolation) removes
 // CCA identity from bandwidth allocation, while FIFO queues let
 // aggressive CCAs dominate. This drives the same harness as
-// `ccabench -experiment fig1`.
+// `ccac run fig1`.
 package main
 
 import (

@@ -64,15 +64,10 @@ type PulseSweepResult struct {
 // why the pulse period must exceed the loaded RTT.
 func RunPulseSweep(cfg PulseSweepConfig) (*PulseSweepResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	res := &PulseSweepResult{Config: cfg}
 	for _, f := range cfg.Freqs {
 		for _, a := range cfg.Amps {
-			etaR, err := pulseCell(cfg, f, a, "reno")
-			if err != nil {
-				return nil, err
-			}
-			etaC, err := pulseCell(cfg, f, a, "cbr")
+			etaR, etaC, err := separation(nimbus.Config{PulseFreq: f, PulseAmp: a}, 1, cfg.Duration, cfg.Obs)
 			if err != nil {
 				return nil, err
 			}
@@ -84,34 +79,29 @@ func RunPulseSweep(cfg PulseSweepConfig) (*PulseSweepResult, error) {
 	return res, nil
 }
 
-func pulseCell(cfg PulseSweepConfig, freq, amp float64, cross string) (float64, error) {
+// separation measures the detector's margin in one configuration of
+// the Figure 3 link (48 Mbit/s, 100 ms): the probe's mean elasticity
+// against a backlogged Reno flow and against a 0.4-rate CBR flow, each
+// in its own run, scored after a 10 s settle.
+func separation(probe nimbus.Config, bufferBDP float64, dur time.Duration, sc *obs.Scope) (etaReno, etaCBR float64, err error) {
 	const rate = 48e6
-	d := NewDumbbell(LinkSpec{
-		RateBps: rate, OneWayDelay: 50 * time.Millisecond, BufferBDP: 1, Obs: cfg.Obs,
-	})
-	probeCC := nimbus.NewCCA(nimbus.Config{
-		Mu: rate, PulseFreq: freq, PulseAmp: amp,
-	})
-	d.AddBulk(1, 1, probeCC)
-	var cc transport.CCA
-	switch cross {
-	case "reno":
-		cc = cca.NewRenoCC()
-	case "cbr":
-		cc = cca.NewCBR(0.4 * rate)
-	default:
-		return 0, fmt.Errorf("core: unknown pulse-sweep cross %q", cross)
+	probe.Mu = rate
+	var etas [2]float64
+	for i, kind := range []string{"reno", "cbr"} {
+		d := NewDumbbell(LinkSpec{
+			RateBps: rate, OneWayDelay: 50 * time.Millisecond, BufferBDP: bufferBDP, Obs: sc,
+		})
+		probeCC := nimbus.NewCCA(probe)
+		d.AddBulk(1, 1, probeCC)
+		g, err := d.installCross(crossSpec{kind: kind, flowID: 2, cbrBps: 0.4 * rate})
+		if err != nil {
+			return 0, 0, err
+		}
+		g.start()
+		d.Run(dur)
+		etas[i] = probeVerdict(probeCC.Est, 10*time.Second, dur).mean
 	}
-	fc := d.FlowConfig(2, 1, cc)
-	fc.Backlogged = true
-	f := transport.NewFlow(d.Eng, fc)
-	f.Start()
-	d.Run(cfg.Duration)
-	etas := probeCC.Est.Elasticity.Window(10*time.Second, cfg.Duration)
-	if len(etas) == 0 {
-		return 0, nil
-	}
-	return stats.Mean(etas), nil
+	return etas[0], etas[1], nil
 }
 
 // WriteTable renders the ablation table.
@@ -166,14 +156,9 @@ type BufferSweepResult struct {
 // Very shallow buffers clip the oscillation; bufferbloat dilutes it.
 func RunBufferSweep(cfg BufferSweepConfig) (*BufferSweepResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	res := &BufferSweepResult{Config: cfg}
 	for _, bdp := range cfg.BDPs {
-		etaR, err := bufferCell(cfg, bdp, "reno")
-		if err != nil {
-			return nil, err
-		}
-		etaC, err := bufferCell(cfg, bdp, "cbr")
+		etaR, etaC, err := separation(nimbus.Config{PulseFreq: 2}, bdp, cfg.Duration, cfg.Obs)
 		if err != nil {
 			return nil, err
 		}
@@ -182,34 +167,6 @@ func RunBufferSweep(cfg BufferSweepConfig) (*BufferSweepResult, error) {
 		})
 	}
 	return res, nil
-}
-
-func bufferCell(cfg BufferSweepConfig, bdp float64, cross string) (float64, error) {
-	const rate = 48e6
-	d := NewDumbbell(LinkSpec{
-		RateBps: rate, OneWayDelay: 50 * time.Millisecond, BufferBDP: bdp, Obs: cfg.Obs,
-	})
-	probeCC := nimbus.NewCCA(nimbus.Config{Mu: rate, PulseFreq: 2})
-	d.AddBulk(1, 1, probeCC)
-	var cc transport.CCA
-	switch cross {
-	case "reno":
-		cc = cca.NewRenoCC()
-	case "cbr":
-		cc = cca.NewCBR(0.4 * rate)
-	default:
-		return 0, fmt.Errorf("core: unknown buffer-sweep cross %q", cross)
-	}
-	fc := d.FlowConfig(2, 1, cc)
-	fc.Backlogged = true
-	f := transport.NewFlow(d.Eng, fc)
-	f.Start()
-	d.Run(cfg.Duration)
-	etas := probeCC.Est.Elasticity.Window(10*time.Second, cfg.Duration)
-	if len(etas) == 0 {
-		return 0, nil
-	}
-	return stats.Mean(etas), nil
 }
 
 // WriteTable renders the ablation table.
@@ -274,13 +231,12 @@ type SubPacketResult struct {
 // starvation over short timescales.
 func RunSubPacket(cfg SubPacketConfig) (*SubPacketResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	res := &SubPacketResult{Config: cfg}
 	for _, rate := range cfg.Rates {
 		eng := &sim.Engine{}
 		// 200ms one-way: a long, thin path.
 		link := sim.NewLink(eng, "thin", rate, 100*time.Millisecond, qdisc.NewDropTail(8*sim.MSS))
-		wireEngineObs(cfg.Obs, eng, link)
+		wireObs(cfg.Obs, eng, link)
 		var fl []*transport.Flow
 		for i := 0; i < cfg.Flows; i++ {
 			f := transport.NewFlow(eng, transport.FlowConfig{
@@ -364,7 +320,6 @@ type JitterResult struct {
 // is protected, token-bucket bursts inflate the smooth flow's delay.
 func RunJitter(cfg JitterConfig) (*JitterResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	res := &JitterResult{Config: cfg}
 	for _, mode := range []string{"fifo", "shaper", "fq"} {
 		const rate = 20e6
@@ -421,23 +376,5 @@ func (r *JitterResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "%-8s %9s %9s %10s\n", "queue", "p50-rtt", "p99-rtt", "jitter")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-8s %7.1fms %7.1fms %8.1fms\n", row.Shaping, row.P50Ms, row.P99Ms, row.JitterMs)
-	}
-}
-
-// wireEngineObs attaches a scope's tracer and registry to an engine
-// and its links, for experiments that assemble topologies without
-// NewDumbbell.
-func wireEngineObs(sc *obs.Scope, eng *sim.Engine, links ...*sim.Link) {
-	if sc == nil {
-		return
-	}
-	if sc.R() != nil {
-		eng.RegisterMetrics(sc.R(), "")
-	}
-	for _, l := range links {
-		l.Trace = sc.T()
-		if sc.R() != nil {
-			l.RegisterMetrics(sc.R())
-		}
 	}
 }

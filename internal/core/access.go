@@ -72,12 +72,11 @@ type AccessResult struct {
 // registered scenarios.
 func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	eng := &sim.Engine{}
 
 	core := sim.NewLink(eng, "core", cfg.CoreRateBps, 5*time.Millisecond,
 		qdisc.NewDropTailBDP(cfg.CoreRateBps, 30*time.Millisecond, 1))
-	wireEngineObs(cfg.Obs, eng, core)
+	wireObs(cfg.Obs, eng, core)
 
 	type flowInfo struct {
 		flow *transport.Flow
@@ -88,10 +87,7 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 	for u := 0; u < cfg.Users; u++ {
 		access := sim.NewLink(eng, fmt.Sprintf("access-%d", u), cfg.AccessRateBps,
 			10*time.Millisecond, qdisc.NewDropTailBDP(cfg.AccessRateBps, 30*time.Millisecond, 1))
-		access.Trace = cfg.Obs.T()
-		if cfg.Obs.R() != nil {
-			access.RegisterMetrics(cfg.Obs.R())
-		}
+		wireObs(cfg.Obs, nil, access)
 		for k := 0; k < 2; k++ {
 			id := u*10 + k + 1
 			var cc transport.CCA

@@ -82,7 +82,6 @@ type CellularResult struct {
 // isolation means no competition) on an identical fading-rate trace.
 func RunCellular(cfg CellularConfig) (*CellularResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	res := &CellularResult{Config: cfg}
 	for _, name := range cfg.CCAs {
 		row, err := runCellularOne(cfg, name)
@@ -99,7 +98,7 @@ func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
 	// Deep buffer, as cellular base stations have: 8 mean BDPs.
 	buf := int(cfg.MeanRateBps / 8 * (2 * cfg.OneWayDelay).Seconds() * 8)
 	link := sim.NewLink(eng, "cell", cfg.MeanRateBps, cfg.OneWayDelay, qdisc.NewDropTail(buf))
-	wireEngineObs(cfg.Obs, eng, link)
+	wireObs(cfg.Obs, eng, link)
 	rng := rand.New(rand.NewSource(cfg.Seed + 17))
 	driver := sim.DriveRate(eng, link, 100*time.Millisecond, sim.CellularTrace(rng, cfg.MeanRateBps, cfg.Sigma))
 

@@ -18,27 +18,6 @@ import (
 	"repro/internal/transport"
 )
 
-// DefaultObs, when non-nil, is the observability scope scenarios fall
-// back to when their LinkSpec carries none. It exists for command-line
-// tools that set it exactly once at startup, before any scenario is
-// constructed; it is read a single time when a topology is normalized
-// (LinkSpec.norm) and never consulted again during a run. It must NOT
-// be mutated after the first scenario starts: parallel sweep runners
-// never touch it and instead thread a per-run *obs.Scope through every
-// config's Obs field, which always takes precedence. A nil scope (the
-// default) disables all tracing and metrics at a branch per event.
-var DefaultObs *obs.Scope
-
-// fallbackScope resolves an explicit per-run scope against the
-// CLI-set package fallback. Every Run* entry point calls this once at
-// run start so the global is read exactly once per run.
-func fallbackScope(sc *obs.Scope) *obs.Scope {
-	if sc != nil {
-		return sc
-	}
-	return DefaultObs
-}
-
 // QueueKind selects the bottleneck queue discipline.
 type QueueKind string
 
@@ -74,16 +53,11 @@ type LinkSpec struct {
 	Faults    *faults.Profile
 	FaultSeed int64
 	// Obs, when non-nil, receives the scenario's trace events and
-	// metrics registrations. When nil, DefaultObs is captured once at
-	// normalization time. Excluded from JSON so declarative scenario
-	// specs and results stay serializable.
+	// metrics registrations; nil disables both at a branch per event.
+	// Excluded from JSON so declarative scenario specs and results stay
+	// serializable.
 	Obs *obs.Scope `json:"-"`
 }
-
-// scope returns the spec's observability scope (possibly nil). The
-// DefaultObs fallback is resolved once in norm(), not here, so a run's
-// scope is fixed at construction.
-func (s LinkSpec) scope() *obs.Scope { return s.Obs }
 
 func (s LinkSpec) norm() LinkSpec {
 	if s.Queue == "" {
@@ -94,9 +68,6 @@ func (s LinkSpec) norm() LinkSpec {
 	}
 	if s.ShapeRateBps <= 0 {
 		s.ShapeRateBps = s.RateBps / 2
-	}
-	if s.Obs == nil {
-		s.Obs = DefaultObs
 	}
 	return s
 }
@@ -111,7 +82,7 @@ func (s LinkSpec) RTT() time.Duration { return 2 * s.OneWayDelay }
 func BuildQdisc(s LinkSpec) sim.Qdisc {
 	s = s.norm()
 	q := buildDiscipline(s)
-	if tr := s.scope().T(); tr != nil {
+	if tr := s.Obs.T(); tr != nil {
 		switch d := q.(type) {
 		case *qdisc.CoDel:
 			d.Trace = tr
@@ -123,7 +94,7 @@ func BuildQdisc(s LinkSpec) sim.Qdisc {
 	}
 	if s.Faults != nil {
 		ch := s.Faults.Build(q, s.FaultSeed)
-		ch.SetTracer(s.scope().T())
+		ch.SetTracer(s.Obs.T())
 		q = ch.Qdisc()
 	}
 	return q
@@ -161,31 +132,30 @@ type Dumbbell struct {
 	Eng  *sim.Engine
 	Link *sim.Link
 	Spec LinkSpec
+
+	// path is the one-hop route every flow shares.
+	path []*sim.Link
 }
 
-// NewDumbbell constructs the scenario. When the spec (or DefaultObs)
-// carries an observability scope, the engine, link, and every flow
-// built through FlowConfig are wired into it.
+// NewDumbbell constructs the scenario. When the spec carries an
+// observability scope, the engine, link, and every flow built through
+// FlowConfig are wired into it.
 func NewDumbbell(spec LinkSpec) *Dumbbell {
 	spec = spec.norm()
 	eng := &sim.Engine{}
 	link := sim.NewLink(eng, "bottleneck", spec.RateBps, spec.OneWayDelay, BuildQdisc(spec))
-	if sc := spec.scope(); sc != nil {
-		link.Trace = sc.T()
-		eng.RegisterMetrics(sc.R(), "")
-		link.RegisterMetrics(sc.R())
-	}
-	return &Dumbbell{Eng: eng, Link: link, Spec: spec}
+	wireObs(spec.Obs, eng, link)
+	return &Dumbbell{Eng: eng, Link: link, Spec: spec, path: []*sim.Link{link}}
 }
 
 // FlowConfig returns a transport config for a flow through the
 // bottleneck with the given controller.
 func (d *Dumbbell) FlowConfig(id, userID int, cc transport.CCA) transport.FlowConfig {
-	sc := d.Spec.scope()
+	sc := d.Spec.Obs
 	return transport.FlowConfig{
 		ID:          id,
 		UserID:      userID,
-		Path:        []*sim.Link{d.Link},
+		Path:        d.path,
 		ReturnDelay: d.Spec.OneWayDelay,
 		CC:          cc,
 		Trace:       sc.T(),

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cca"
-	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -84,7 +83,6 @@ type DuelResult struct {
 // RunDuel executes one contention cell.
 func RunDuel(cfg DuelConfig) (*DuelResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	cc1, err := cca.New(cfg.CCA1)
 	if err != nil {
 		return nil, fmt.Errorf("core: duel: %w", err)
@@ -93,23 +91,20 @@ func RunDuel(cfg DuelConfig) (*DuelResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: duel: %w", err)
 	}
-	spec := LinkSpec{
+	profile, err := lookupFaults(cfg.FaultProfile)
+	if err != nil {
+		return nil, fmt.Errorf("core: duel: %w", err)
+	}
+	d := NewDumbbell(LinkSpec{
 		RateBps:      cfg.RateBps,
 		OneWayDelay:  cfg.OneWayDelay,
 		Queue:        cfg.Queue,
 		BufferBDP:    cfg.BufferBDP,
 		ShapeRateBps: cfg.ShapeRateBps,
+		Faults:       profile,
 		FaultSeed:    cfg.FaultSeed,
 		Obs:          cfg.Obs,
-	}
-	if cfg.FaultProfile != "" {
-		p, err := faults.Lookup(cfg.FaultProfile)
-		if err != nil {
-			return nil, fmt.Errorf("core: duel: %w", err)
-		}
-		spec.Faults = &p
-	}
-	d := NewDumbbell(spec)
+	})
 	f1 := d.AddBulk(1, 1, cc1)
 	f2 := d.AddBulk(2, 2, cc2)
 	d.Run(cfg.Duration)

@@ -92,7 +92,6 @@ type Fig1Result struct {
 // allocation, while FIFO queues let aggressive CCAs dominate.
 func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	res := &Fig1Result{Config: cfg}
 	for _, pair := range cfg.Pairs {
 		for _, q := range cfg.Queues {

@@ -7,13 +7,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cca"
-	"repro/internal/faults"
 	"repro/internal/nimbus"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/traffic"
-	"repro/internal/transport"
 )
 
 // Fig3Config parameterizes the elasticity proof-of-concept (Figure 3):
@@ -112,188 +109,57 @@ type Fig3Result struct {
 	Eta []stats.Sample
 }
 
+// fig3Settle leaves the first 5 s of every phase out of its score:
+// elasticity windows there straddle the transition.
+func fig3Settle(time.Duration) time.Duration { return 5 * time.Second }
+
 // RunFig3 executes the Figure 3 experiment in a single continuous
 // simulation: the probe flow runs throughout; cross traffic starts and
 // stops at phase boundaries.
 func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
-	spec := LinkSpec{
+	// The phases are a uniform schedule. Its bounds are whole multiples
+	// of PhaseDuration; the float seconds are for validation only.
+	sched := make([]traffic.Phase, len(cfg.Phases))
+	spans := make([]phaseSpan, len(cfg.Phases))
+	for i, kind := range cfg.Phases {
+		sched[i] = traffic.Phase{Kind: kind, DurS: cfg.PhaseDuration.Seconds()}
+		start := time.Duration(i) * cfg.PhaseDuration
+		spans[i] = phaseSpan{kind: kind, start: start, end: start + cfg.PhaseDuration}
+	}
+	if err := traffic.ValidateSchedule(sched); err != nil {
+		return nil, fmt.Errorf("core: unknown fig3 phase: %w", err)
+	}
+	profile, err := lookupFaults(cfg.FaultProfile)
+	if err != nil {
+		return nil, fmt.Errorf("core: fig3: %w", err)
+	}
+	d := NewDumbbell(LinkSpec{
 		RateBps:     cfg.RateBps,
 		OneWayDelay: cfg.OneWayDelay,
 		Queue:       QueueDropTail,
 		BufferBDP:   cfg.BufferBDP,
+		Faults:      profile,
 		FaultSeed:   cfg.FaultSeed,
 		Obs:         cfg.Obs,
-	}
-	if cfg.FaultProfile != "" {
-		p, err := faults.Lookup(cfg.FaultProfile)
-		if err != nil {
-			return nil, fmt.Errorf("core: fig3: %w", err)
-		}
-		spec.Faults = &p
-	}
-	d := NewDumbbell(spec)
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-
+	})
 	probeCC := nimbus.NewCCA(cfg.Nimbus)
 	probe := d.AddBulk(1, 1, probeCC)
 
-	// Schedule the cross-traffic phases. Flow IDs from 100 upward;
-	// short flows from 1000 upward.
-	type phaseBounds struct {
-		name       string
-		start, end time.Duration
-		cross      func(from, to time.Duration) float64 // achieved bits/s
+	measured, err := runPhases(d, probe, probeCC.Est, spans, fig3Settle, rand.New(rand.NewSource(cfg.Seed+1)))
+	if err != nil {
+		return nil, fmt.Errorf("core: fig3: %w", err)
 	}
-	var phases []phaseBounds
-	settle := 5 * time.Second // ignore elasticity windows straddling a transition
-
-	for i, name := range cfg.Phases {
-		start := time.Duration(i) * cfg.PhaseDuration
-		end := start + cfg.PhaseDuration
-		pb := phaseBounds{name: name, start: start, end: end}
-		switch name {
-		case "reno", "bbr", "cubic", "newreno", "copa", "vegas":
-			// Construct the controller now, while errors can still be
-			// returned: by the time the scheduled closure runs, the only
-			// way out would be a panic mid-simulation.
-			cc, err := cca.New(name)
-			if err != nil {
-				return nil, fmt.Errorf("core: fig3 phase %q: %w", name, err)
-			}
-			var f *transport.Flow
-			d.Eng.ScheduleAt(start, func() {
-				fc := d.FlowConfig(100+i, 1, cc)
-				fc.Backlogged = true
-				f = transport.NewFlow(d.Eng, fc)
-				f.Start()
-			})
-			d.Eng.ScheduleAt(end, func() {
-				if f != nil {
-					f.Sender.SetBacklogged(false)
-				}
-			})
-			pb.cross = func(from, to time.Duration) float64 {
-				if f == nil {
-					return 0
-				}
-				return f.Throughput(from, to)
-			}
-		case "video":
-			var v *traffic.Video
-			d.Eng.ScheduleAt(start, func() {
-				v = traffic.NewVideo(d.Eng, d.FlowConfig(100+i, 1, cca.NewCubicCC()), traffic.VideoConfig{})
-			})
-			d.Eng.ScheduleAt(end, func() {
-				if v != nil {
-					v.Stop()
-					v.Flow.Sender.SetBacklogged(false)
-				}
-			})
-			pb.cross = func(from, to time.Duration) float64 {
-				if v == nil {
-					return 0
-				}
-				return v.Flow.Throughput(from, to)
-			}
-		case "short":
-			var g *traffic.ShortFlows
-			var acked func() int64
-			d.Eng.ScheduleAt(start, func() {
-				g = traffic.NewShortFlows(d.Eng, traffic.ShortFlowsConfig{
-					ArrivalRate: 6,
-					Path:        d.FlowConfig(0, 0, nil).Path,
-					ReturnDelay: d.Spec.OneWayDelay,
-					UserID:      1,
-					NewCC:       func() transport.CCA { return cca.NewRenoCC() },
-					BaseFlowID:  1000 + 1000*i,
-					Rand:        rng,
-				})
-				_ = acked
-			})
-			d.Eng.ScheduleAt(end, func() {
-				if g != nil {
-					g.Stop()
-				}
-			})
-			gp := &g
-			pb.cross = func(from, to time.Duration) float64 {
-				if *gp == nil {
-					return 0
-				}
-				return float64((*gp).TotalBytes) * 8 / cfg.PhaseDuration.Seconds()
-			}
-		case "cbr":
-			var f *transport.Flow
-			d.Eng.ScheduleAt(start, func() {
-				fc := d.FlowConfig(100+i, 1, cca.NewCBR(0.4*cfg.RateBps))
-				fc.Backlogged = true
-				f = transport.NewFlow(d.Eng, fc)
-				f.Start()
-			})
-			d.Eng.ScheduleAt(end, func() {
-				if f != nil {
-					f.Sender.SetBacklogged(false)
-				}
-			})
-			pb.cross = func(from, to time.Duration) float64 {
-				if f == nil {
-					return 0
-				}
-				return f.Throughput(from, to)
-			}
-		case "idle":
-			pb.cross = func(from, to time.Duration) float64 { return 0 }
-		default:
-			return nil, fmt.Errorf("core: unknown fig3 phase %q", name)
-		}
-		phases = append(phases, pb)
-	}
-
-	total := time.Duration(len(cfg.Phases)) * cfg.PhaseDuration
-	d.Run(total)
 
 	res := &Fig3Result{Config: cfg, Eta: probeCC.Est.Elasticity.Samples()}
-	for _, pb := range phases {
-		ph := Fig3Phase{Name: pb.name, Start: pb.start, End: pb.end}
-		etas := probeCC.Est.Elasticity.Window(pb.start+settle, pb.end)
-		ph.Windows = len(etas)
-		if len(etas) > 0 {
-			ph.MeanEta = stats.Mean(etas)
-			m, _ := stats.Max(etas)
-			ph.MaxEta = m
-			elasticCount := 0
-			for _, e := range etas {
-				if e >= probeCC.Est.Config().EtaThreshold {
-					elasticCount++
-				}
-			}
-			ph.Elastic = elasticCount*2 > len(etas)
-		}
-		ph.CrossTputBps = pb.cross(pb.start+settle, pb.end)
-		ph.ProbeTputBps = probe.Throughput(pb.start+settle, pb.end)
-		res.Phases = append(res.Phases, ph)
+	for _, m := range measured {
+		res.Phases = append(res.Phases, Fig3Phase{
+			Name: m.kind, Start: m.start, End: m.end,
+			MeanEta: m.eta.mean, MaxEta: m.eta.max, Elastic: m.eta.elastic, Windows: m.eta.windows,
+			CrossTputBps: m.crossBps, ProbeTputBps: m.mainBps,
+		})
 	}
 	return res, nil
-}
-
-// Manifest describes the run for the head of a JSONL run log.
-func (c Fig3Config) Manifest() obs.Manifest {
-	c = c.norm()
-	return obs.Manifest{
-		Tool:        "elasticity",
-		Seed:        c.Seed,
-		FaultSeed:   c.FaultSeed,
-		CCA:         "nimbus",
-		Profile:     c.FaultProfile,
-		RateBps:     c.RateBps,
-		RTTSeconds:  (2 * c.OneWayDelay).Seconds(),
-		Queue:       string(QueueDropTail),
-		BufferBDP:   c.BufferBDP,
-		Phases:      c.Phases,
-		PulseFreqHz: c.Nimbus.Norm().PulseFreq,
-	}
 }
 
 // Summary condenses the result into the run log's trailing summary
@@ -320,14 +186,5 @@ func (r *Fig3Result) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "%-8s %8d %8.3f %8.3f %9v %12s %12s\n",
 			p.Name, p.Windows, p.MeanEta, p.MaxEta, p.Elastic,
 			FmtBps(p.CrossTputBps), FmtBps(p.ProbeTputBps))
-	}
-}
-
-// WriteSeries renders the elasticity time series (time, eta) rows for
-// plotting the figure.
-func (r *Fig3Result) WriteSeries(w io.Writer) {
-	fmt.Fprintln(w, "# time_s eta")
-	for _, s := range r.Eta {
-		fmt.Fprintf(w, "%.2f %.4f\n", s.At.Seconds(), s.Value)
 	}
 }

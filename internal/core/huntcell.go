@@ -141,7 +141,6 @@ func settleMargin(phase time.Duration) time.Duration {
 // RunHuntCell executes the cell.
 func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	if err := traffic.ValidateSchedule(cfg.Cross); err != nil {
 		return nil, fmt.Errorf("core: huntcell: %w", err)
 	}
@@ -156,8 +155,7 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 		Obs:         cfg.Obs,
 	}
 	var rateFn func(time.Duration) float64
-	switch {
-	case cfg.Fault != nil:
+	if cfg.Fault != nil {
 		if err := cfg.Fault.Validate(); err != nil {
 			return nil, fmt.Errorf("core: huntcell: %w", err)
 		}
@@ -166,12 +164,12 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 			spec.Faults = &p
 			rateFn = cfg.Fault.RateFunc(cfg.RateBps)
 		}
-	case cfg.FaultProfile != "":
-		p, err := faults.Lookup(cfg.FaultProfile)
+	} else {
+		p, err := lookupFaults(cfg.FaultProfile)
 		if err != nil {
 			return nil, fmt.Errorf("core: huntcell: %w", err)
 		}
-		spec.Faults = &p
+		spec.Faults = p
 	}
 
 	d := NewDumbbell(spec)
@@ -187,156 +185,50 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 		}
 		sim.DriveRate(d.Eng, d.Link, interval, rateFn)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
-	var probeCC *nimbus.CCA
-	var main *transport.Flow
+	var est *nimbus.Estimator // the main flow's, in probe mode
+	var mainCC transport.CCA
 	if cfg.Probe {
-		probeCC = nimbus.NewCCA(nimbus.Config{Mu: cfg.RateBps, PulseFreq: 2})
-		main = d.AddBulk(1, 1, probeCC)
+		probeCC := nimbus.NewCCA(nimbus.Config{Mu: cfg.RateBps, PulseFreq: 2})
+		est, mainCC = probeCC.Est, probeCC
 	} else {
 		cc, err := cca.New(cfg.VictimCCA)
 		if err != nil {
 			return nil, fmt.Errorf("core: huntcell: victim: %w", err)
 		}
-		main = d.AddBulk(1, 1, cc)
+		mainCC = cc
 	}
+	main := d.AddBulk(1, 1, mainCC)
 
-	type phaseBounds struct {
-		kind       string
-		start, end time.Duration
-		cross      func(from, to time.Duration) float64
-	}
-	var phases []phaseBounds
+	spans := make([]phaseSpan, len(cfg.Cross))
 	var at time.Duration
 	for i, ph := range cfg.Cross {
-		start, end := at, at+ph.Duration()
-		at = end
-		pb := phaseBounds{kind: ph.Kind, start: start, end: end}
-		switch kind := ph.Kind; kind {
-		case "idle":
-			pb.cross = func(from, to time.Duration) float64 { return 0 }
-		case "video":
-			var v *traffic.Video
-			d.Eng.ScheduleAt(start, func() {
-				v = traffic.NewVideo(d.Eng, d.FlowConfig(100+i, 1, cca.NewCubicCC()), traffic.VideoConfig{})
-			})
-			d.Eng.ScheduleAt(end, func() {
-				if v != nil {
-					v.Stop()
-					v.Flow.Sender.SetBacklogged(false)
-				}
-			})
-			pb.cross = func(from, to time.Duration) float64 {
-				if v == nil {
-					return 0
-				}
-				return v.Flow.Throughput(from, to)
-			}
-		case "short":
-			var g *traffic.ShortFlows
-			dur := end - start
-			d.Eng.ScheduleAt(start, func() {
-				g = traffic.NewShortFlows(d.Eng, traffic.ShortFlowsConfig{
-					ArrivalRate: 6,
-					Path:        d.FlowConfig(0, 0, nil).Path,
-					ReturnDelay: d.Spec.OneWayDelay,
-					UserID:      1,
-					NewCC:       func() transport.CCA { return cca.NewRenoCC() },
-					BaseFlowID:  1000 + 1000*i,
-					Rand:        rng,
-				})
-			})
-			d.Eng.ScheduleAt(end, func() {
-				if g != nil {
-					g.Stop()
-				}
-			})
-			gp := &g
-			pb.cross = func(from, to time.Duration) float64 {
-				if *gp == nil {
-					return 0
-				}
-				return float64((*gp).TotalBytes) * 8 / dur.Seconds()
-			}
-		case "cbr":
-			var f *transport.Flow
-			d.Eng.ScheduleAt(start, func() {
-				fc := d.FlowConfig(100+i, 1, cca.NewCBR(0.4*cfg.RateBps))
-				fc.Backlogged = true
-				f = transport.NewFlow(d.Eng, fc)
-				f.Start()
-			})
-			d.Eng.ScheduleAt(end, func() {
-				if f != nil {
-					f.Sender.SetBacklogged(false)
-				}
-			})
-			pb.cross = func(from, to time.Duration) float64 {
-				if f == nil {
-					return 0
-				}
-				return f.Throughput(from, to)
-			}
-		default: // a CCA-driven backlogged flow
-			cc, err := cca.New(kind)
-			if err != nil {
-				return nil, fmt.Errorf("core: huntcell phase %q: %w", kind, err)
-			}
-			var f *transport.Flow
-			d.Eng.ScheduleAt(start, func() {
-				fc := d.FlowConfig(100+i, 1, cc)
-				fc.Backlogged = true
-				f = transport.NewFlow(d.Eng, fc)
-				f.Start()
-			})
-			d.Eng.ScheduleAt(end, func() {
-				if f != nil {
-					f.Sender.SetBacklogged(false)
-				}
-			})
-			pb.cross = func(from, to time.Duration) float64 {
-				if f == nil {
-					return 0
-				}
-				return f.Throughput(from, to)
-			}
-		}
-		phases = append(phases, pb)
+		spans[i] = phaseSpan{kind: ph.Kind, start: at, end: at + ph.Duration()}
+		at = spans[i].end
 	}
-
-	d.Run(total)
+	measured, err := runPhases(d, main, est, spans, settleMargin, rand.New(rand.NewSource(cfg.Seed+1)))
+	if err != nil {
+		return nil, fmt.Errorf("core: huntcell: %w", err)
+	}
 
 	res := &HuntCellResult{Config: cfg, FairShareBps: cfg.RateBps / 2}
 	var crossWeighted float64
-	for _, pb := range phases {
-		settle := settleMargin(pb.end - pb.start)
+	for _, m := range measured {
 		ph := HuntCellPhase{
-			Kind: pb.kind, Start: pb.start, End: pb.end,
-			CrossTputBps: pb.cross(pb.start+settle, pb.end),
-			MainTputBps:  main.Throughput(pb.start+settle, pb.end),
-			TruthElastic: traffic.ElasticKind(pb.kind),
+			Kind: m.kind, Start: m.start, End: m.end,
+			CrossTputBps: m.crossBps,
+			MainTputBps:  m.mainBps,
+			TruthElastic: traffic.ElasticKind(m.kind),
 		}
-		if cfg.Probe {
-			etas := probeCC.Est.Elasticity.Window(pb.start+settle, pb.end)
-			ph.Windows = len(etas)
-			if len(etas) > 0 {
-				ph.Decided = true
-				ph.MeanEta = stats.Mean(etas)
-				elastic := 0
-				for _, e := range etas {
-					if e >= probeCC.Est.Config().EtaThreshold {
-						elastic++
-					}
-				}
-				ph.ProbeElastic = elastic*2 > len(etas)
-				res.Decided++
-				if ph.ProbeElastic != ph.TruthElastic {
-					res.Misclassified++
-				}
+		if m.eta.windows > 0 {
+			ph.Decided, ph.ProbeElastic = true, m.eta.elastic
+			ph.Windows, ph.MeanEta = m.eta.windows, m.eta.mean
+			res.Decided++
+			if ph.ProbeElastic != ph.TruthElastic {
+				res.Misclassified++
 			}
 		}
-		crossWeighted += ph.CrossTputBps * (pb.end - pb.start).Seconds()
+		crossWeighted += ph.CrossTputBps * (m.end - m.start).Seconds()
 		res.Phases = append(res.Phases, ph)
 	}
 

@@ -305,7 +305,6 @@ func (f *fluidAggregate) tick() {
 // RunManyFlow executes the cell.
 func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 
 	cc1, err := cca.New(cfg.CCA1)
 	if err != nil {
@@ -332,37 +331,17 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 	}
 	iso := qdisc.NewUserIsolation(cfg.PerUserRateBps, 16*sim.MSS, perUserCap)
 	link := sim.NewLink(eng, "bottleneck", cfg.RateBps, cfg.OneWayDelay, iso)
-	if sc := cfg.Obs; sc != nil {
-		link.Trace = sc.T()
-		eng.RegisterMetrics(sc.R(), "")
-		link.RegisterMetrics(sc.R())
-	}
+	wireObs(cfg.Obs, eng, link)
 	if ck != nil {
 		ck.WatchLink(link, nil, (cfg.Users+2)*perUserCap)
 	}
 
-	flowCfg := func(id, userID int, cc transport.CCA) transport.FlowConfig {
-		sc := cfg.Obs
-		return transport.FlowConfig{
-			ID:          id,
-			UserID:      userID,
-			Path:        []*sim.Link{link},
-			ReturnDelay: cfg.OneWayDelay,
-			CC:          cc,
-			Trace:       sc.T(),
-			Metrics:     sc.R(),
-		}
-	}
-	addBulk := func(id, userID int, cc transport.CCA) *transport.Flow {
-		fc := flowCfg(id, userID, cc)
-		fc.Backlogged = true
-		f := transport.NewFlow(eng, fc)
-		f.Start()
-		return f
-	}
-
-	victim1 := addBulk(1, 1, cc1)
-	victim2 := addBulk(2, 2, cc2)
+	d := &Dumbbell{Eng: eng, Link: link, path: []*sim.Link{link}, Spec: LinkSpec{
+		RateBps: cfg.RateBps, OneWayDelay: cfg.OneWayDelay, Queue: QueueUserIso,
+		BufferBDP: cfg.BufferBDP, ShapeRateBps: cfg.PerUserRateBps, Obs: cfg.Obs,
+	}}
+	victim1 := d.AddBulk(1, 1, cc1)
+	victim2 := d.AddBulk(2, 2, cc2)
 
 	packetUsers := cfg.Users
 	if cfg.FluidAbove > 0 {
@@ -376,7 +355,7 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 			MeanThink:   cfg.ChurnThink,
 			LongFrac:    cfg.LongFrac,
 			NewCC:       func() transport.CCA { return cca.NewRenoCC() },
-			Path:        []*sim.Link{link},
+			Path:        d.path,
 			ReturnDelay: cfg.OneWayDelay,
 			UserID:      userID,
 			BaseFlowID:  1000 + 10000*i,

@@ -6,12 +6,10 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/cca"
 	"repro/internal/contention"
 	"repro/internal/nimbus"
 	"repro/internal/obs"
 	"repro/internal/traffic"
-	"repro/internal/transport"
 )
 
 // OracleConfig parameterizes the probe-accuracy study: a battery of
@@ -67,7 +65,6 @@ type OracleResult struct {
 // RunOracle executes the study.
 func RunOracle(cfg OracleConfig) (*OracleResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &OracleResult{Config: cfg}
 
@@ -90,63 +87,32 @@ func runOracleTrial(cfg OracleConfig, seed int64, kind string, rate float64, owd
 	d := NewDumbbell(LinkSpec{RateBps: rate, OneWayDelay: owd, Queue: QueueDropTail, BufferBDP: 1, Obs: cfg.Obs})
 	rng := rand.New(rand.NewSource(seed))
 
-	ncfg := nimbus.Config{Mu: rate, PulseFreq: 2}
-	probeCC := nimbus.NewCCA(ncfg)
-	probe := d.AddBulk(1, 1, probeCC)
-	_ = probe
+	probeCC := nimbus.NewCCA(nimbus.Config{Mu: rate, PulseFreq: 2})
+	d.AddBulk(1, 1, probeCC)
 
-	truth := false
+	cross := crossSpec{kind: kind, flowID: 2, shortBase: 1000, shortRate: 4, rng: rng}
 	switch kind {
 	case "none":
-	case "reno", "cubic", "bbr":
-		cc, err := cca.New(kind)
-		if err != nil {
-			return OracleTrial{}, err
-		}
-		f := transport.NewFlow(d.Eng, transport.FlowConfig{
-			ID: 2, UserID: 1, Path: d.FlowConfig(0, 0, nil).Path,
-			ReturnDelay: owd, CC: cc, Backlogged: true,
-		})
-		f.Start()
-		truth = true
-	case "video":
-		traffic.NewVideo(d.Eng, transport.FlowConfig{
-			ID: 2, UserID: 1, Path: d.FlowConfig(0, 0, nil).Path,
-			ReturnDelay: owd, CC: cca.NewCubicCC(),
-		}, traffic.VideoConfig{})
+		cross.kind = "idle"
 	case "cbr":
-		f := transport.NewFlow(d.Eng, transport.FlowConfig{
-			ID: 2, UserID: 1, Path: d.FlowConfig(0, 0, nil).Path,
-			ReturnDelay: owd, CC: cca.NewCBR((0.2 + 0.4*rng.Float64()) * rate), Backlogged: true,
-		})
-		f.Start()
-	case "short":
-		traffic.NewShortFlows(d.Eng, traffic.ShortFlowsConfig{
-			ArrivalRate: 4, Path: d.FlowConfig(0, 0, nil).Path, ReturnDelay: owd,
-			UserID: 1, NewCC: func() transport.CCA { return cca.NewRenoCC() },
-			BaseFlowID: 1000, Rand: rng,
-		})
-	default:
-		return OracleTrial{}, fmt.Errorf("core: unknown oracle cross kind %q", kind)
+		// Drawn only for this kind: the trial's rng also feeds "short".
+		cross.cbrBps = (0.2 + 0.4*rng.Float64()) * rate
 	}
+	g, err := d.installCross(cross)
+	if err != nil {
+		return OracleTrial{}, fmt.Errorf("core: oracle: %w", err)
+	}
+	g.start()
 
 	d.Run(cfg.Duration)
 
-	etas := probeCC.Est.Elasticity.Window(10*time.Second, cfg.Duration)
-	trial := OracleTrial{Cross: kind, RateBps: rate, RTT: 2 * owd, TruthElastic: truth}
-	if len(etas) > 0 {
-		var sum float64
-		elastic := 0
-		for _, e := range etas {
-			sum += e
-			if e >= probeCC.Est.Config().EtaThreshold {
-				elastic++
-			}
-		}
-		trial.MeanEta = sum / float64(len(etas))
-		trial.ProbeElastic = elastic*2 > len(etas)
-	}
-	return trial, nil
+	v := probeVerdict(probeCC.Est, 10*time.Second, cfg.Duration)
+	return OracleTrial{
+		Cross: kind, RateBps: rate, RTT: 2 * owd,
+		TruthElastic: traffic.ElasticKind(kind),
+		ProbeElastic: v.elastic,
+		MeanEta:      v.mean,
+	}, nil
 }
 
 // WriteTable renders per-trial rows and the aggregate score.

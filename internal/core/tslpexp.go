@@ -9,7 +9,6 @@ import (
 	"repro/internal/cca"
 	"repro/internal/nimbus"
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/internal/transport"
 	"repro/internal/tslp"
@@ -79,7 +78,6 @@ type TSLPResult struct {
 // RunTSLP executes the comparison.
 func RunTSLP(cfg TSLPConfig) (*TSLPResult, error) {
 	cfg = cfg.norm()
-	cfg.Obs = fallbackScope(cfg.Obs)
 	res := &TSLPResult{Config: cfg}
 	for _, sc := range []string{"contention", "aggregate", "idle"} {
 		row, err := runTSLPScenario(cfg, sc)
@@ -98,16 +96,12 @@ func addTSLPScenarioTraffic(d *Dumbbell, cfg TSLPConfig, scenario string, seed i
 	rng := rand.New(rand.NewSource(seed))
 	switch scenario {
 	case "contention":
-		for i := 0; i < 2; i++ {
-			cc, err := cca.New([]string{"reno", "cubic"}[i])
+		for i, kind := range []string{"reno", "cubic"} {
+			g, err := d.installCross(crossSpec{kind: kind, flowID: 2 + i})
 			if err != nil {
-				return false, err
+				return false, fmt.Errorf("core: tslp: %w", err)
 			}
-			f := transport.NewFlow(d.Eng, transport.FlowConfig{
-				ID: 2 + i, UserID: 1, Path: d.FlowConfig(0, 0, nil).Path,
-				ReturnDelay: cfg.OneWayDelay, CC: cc, Backlogged: true,
-			})
-			f.Start()
+			g.start()
 		}
 		return true, nil
 	case "aggregate":
@@ -118,7 +112,7 @@ func addTSLPScenarioTraffic(d *Dumbbell, cfg TSLPConfig, scenario string, seed i
 		traffic.NewShortFlows(d.Eng, traffic.ShortFlowsConfig{
 			ArrivalRate: 3600,
 			Sizes:       traffic.FixedSize(3000), // 2 packets: inside IW
-			Path:        d.FlowConfig(0, 0, nil).Path,
+			Path:        d.path,
 			ReturnDelay: cfg.OneWayDelay,
 			UserID:      2,
 			NewCC:       func() transport.CCA { return cca.NewRenoCC() },
@@ -163,17 +157,8 @@ func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 	probeCC := nimbus.NewCCA(nimbus.Config{Mu: cfg.RateBps, PulseFreq: 2})
 	d2.AddBulk(1, 1, probeCC)
 	d2.Run(cfg.Duration)
-	etas := probeCC.Est.Elasticity.Window(warm, cfg.Duration)
-	if len(etas) > 0 {
-		row.ProbeEta = stats.Mean(etas)
-		elastic := 0
-		for _, e := range etas {
-			if e >= probeCC.Est.Config().EtaThreshold {
-				elastic++
-			}
-		}
-		row.ProbeElastic = elastic*2 > len(etas)
-	}
+	pv := probeVerdict(probeCC.Est, warm, cfg.Duration)
+	row.ProbeEta, row.ProbeElastic = pv.mean, pv.elastic
 	if probeCC.Est.OverloadFactor() > 1.05 {
 		row.ProbeOverloaded = true
 		row.ProbeElastic = false

@@ -12,8 +12,8 @@ import (
 // the tool, the seeds, the controller, and the link/scenario spec. It
 // is the first line of every run log.
 type Manifest struct {
-	// Tool is the producing binary or experiment ("elasticity",
-	// "ccabench/fig1", ...).
+	// Tool is the producing command and experiment ("ccac/fig3",
+	// "ccac/hunt", ...).
 	Tool string `json:"tool"`
 	// Seed and FaultSeed are the workload and fault-injector seeds.
 	Seed      int64 `json:"seed"`
