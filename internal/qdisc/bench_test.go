@@ -1,6 +1,7 @@
 package qdisc
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -30,3 +31,19 @@ func BenchmarkTokenBucketShaper(b *testing.B) {
 func BenchmarkCoDel(b *testing.B) { benchQdisc(b, NewCoDel(1<<20)) }
 
 func BenchmarkUserIsolation(b *testing.B) { benchQdisc(b, NewUserIsolation(0, 0, 1<<20)) }
+
+// BenchmarkUserIsolationThrottled prices one transmitted packet (its
+// dequeues and the enqueue that replaces it) in the regime the
+// benchmark above never enters: every backlogged user waiting for
+// tokens, as in the manyflow cell (see throttledCell).
+func BenchmarkUserIsolationThrottled(b *testing.B) {
+	for _, users := range []int{100, 2000, 5000} {
+		b.Run(fmt.Sprint(users), func(b *testing.B) {
+			c := newThrottledCell(users)
+			c.serve(2 * users) // start every sender and spend its burst
+			b.ReportAllocs()
+			b.ResetTimer()
+			c.serve(b.N)
+		})
+	}
+}

@@ -21,6 +21,11 @@ type userClass struct {
 	quantum int
 	deficit int
 	granted bool
+	// Parked state: a backlogged user whose head packet its bucket
+	// cannot cover sits on the release-time heap at index heapIdx (-1
+	// when not parked) until readyAt, the time the tokens accrue.
+	readyAt time.Duration
+	heapIdx int
 }
 
 // UserIsolation is a two-level discipline modelling the access-network
@@ -33,17 +38,24 @@ type userClass struct {
 // inter-user contention is removed — exactly the asymmetry §2.2
 // discusses.
 //
-// The discipline is built for many-flow cells with 10k+ subscribers:
-// Dequeue finds the next backlogged user through a bitmap over
-// sorted-id positions instead of scanning every user, and Len/Bytes
-// return cached aggregates instead of walking the user map. With the
-// default weight (1.0, quantum = MSS) and MSS-sized packets the pick
-// sequence is identical to one-packet-per-visit round robin, which the
-// repo's byte-identical determinism contract depends on.
+// The discipline is built for many-flow cells with 10k+ subscribers,
+// most of them waiting for tokens most of the time. A backlogged user
+// is in exactly one of two places: the eligible bitmap over sorted-id
+// positions, which the DRR pass walks, or — once a pass has found its
+// bucket short of its head packet — a min-heap keyed by the time the
+// tokens accrue. Nothing about a parked user changes until that time
+// (its head packet stays, its bucket only fills), so Dequeue never
+// looks at it: a served packet costs O(log users) and "nothing is
+// ready until t" is the heap root, O(1). Len/Bytes return cached
+// aggregates instead of walking the users. With the default weight
+// (1.0, quantum = MSS) and MSS-sized packets the pick sequence is
+// identical to one-packet-per-visit round robin, which the repo's
+// byte-identical determinism contract depends on.
 type UserIsolation struct {
 	users  map[int]*userClass
-	order  []int    // user ids in sorted order
-	active []uint64 // bit i set <=> users[order[i]] is backlogged
+	order  []*userClass // users in sorted-id order
+	active []uint64     // bit i set <=> order[i] is backlogged and not parked
+	parked []*userClass // backlogged users short of tokens, min-heap on readyAt
 	// rr is the scan-start position. It is deliberately NOT adjusted
 	// when a new user id is inserted before it: the original
 	// implementation kept a raw index across insertions, and the
@@ -52,6 +64,9 @@ type UserIsolation struct {
 	visit int // position of the user mid-DRR-visit, -1 if none
 	pkts  int
 	bytes int
+	// examined counts serveAt calls; the scaling test divides it by the
+	// number of dequeues.
+	examined int64
 
 	defRate    float64 // bits/s; 0 = uncapped
 	defBurst   int
@@ -81,7 +96,9 @@ func NewUserIsolation(defaultRateBits float64, burstBytes, perUserBacklogBytes i
 // Changing the rate of an already-capped user preserves the bucket's
 // accrual state: accumulated credit is clamped to the new burst and
 // the refill timestamp carries over, so a mid-run plan change does not
-// hand the user a fresh burst it never purchased.
+// hand the user a fresh burst it never purchased. A user parked for
+// tokens is re-keyed from that carried state — the new rate applies
+// from its last refill — and released at once if the cap is lifted.
 func (u *UserIsolation) SetUserRate(userID int, rateBits float64, burstBytes int) {
 	c := u.user(userID)
 	switch {
@@ -99,6 +116,15 @@ func (u *UserIsolation) SetUserRate(userID int, rateBits float64, burstBytes int
 		c.b = bucket{}
 		c.caps = false
 	}
+	if c.heapIdx < 0 {
+		return
+	}
+	if !c.caps {
+		u.unpark(c)
+		return
+	}
+	c.readyAt = c.b.timeFor(c.b.last, float64(c.fifo.peek().Size))
+	u.fixHeap(c.heapIdx)
 }
 
 // SetUserWeight sets the user's DRR weight (default 1.0): a user with
@@ -117,23 +143,22 @@ func (u *UserIsolation) user(id int) *userClass {
 	if c := u.users[id]; c != nil {
 		return c
 	}
-	c := &userClass{id: id, fifo: NewDropTail(u.perUserCap), quantum: sim.MSS}
+	c := &userClass{id: id, fifo: NewDropTail(u.perUserCap), quantum: sim.MSS, heapIdx: -1}
 	if u.defRate > 0 {
 		c.b = newBucket(u.defRate, u.defBurst)
 		c.caps = true
 	}
 	u.users[id] = c
-	pos := sort.SearchInts(u.order, id)
-	u.order = append(u.order, 0)
+	pos := sort.Search(len(u.order), func(i int) bool { return u.order[i].id >= id })
+	u.order = append(u.order, nil)
 	copy(u.order[pos+1:], u.order[pos:])
-	u.order[pos] = id
+	u.order[pos] = c
 	if n := len(u.order); (n+63)/64 > len(u.active) {
 		u.active = append(u.active, 0)
 	}
 	u.insertBit(pos)
-	c.pos = pos
-	for i := pos + 1; i < len(u.order); i++ {
-		u.users[u.order[i]].pos = i
+	for i := pos; i < len(u.order); i++ {
+		u.order[i].pos = i
 	}
 	if u.visit >= pos {
 		u.visit++
@@ -160,7 +185,62 @@ func (u *UserIsolation) insertBit(pos int) {
 func (u *UserIsolation) setBit(pos int)   { u.active[pos>>6] |= 1 << uint(pos&63) }
 func (u *UserIsolation) clearBit(pos int) { u.active[pos>>6] &^= 1 << uint(pos&63) }
 
-// nextActive returns the first backlogged position >= from, or -1.
+// park takes the user at c.pos out of the DRR pass until c.readyAt.
+func (u *UserIsolation) park(c *userClass) {
+	u.clearBit(c.pos)
+	c.heapIdx = len(u.parked)
+	u.parked = append(u.parked, c)
+	u.fixHeap(c.heapIdx)
+}
+
+// unpark returns a parked user to the eligible bitmap.
+func (u *UserIsolation) unpark(c *userClass) {
+	i, last := c.heapIdx, len(u.parked)-1
+	moved := u.parked[last]
+	u.parked[last] = nil
+	u.parked = u.parked[:last]
+	c.heapIdx = -1
+	if i != last {
+		u.parked[i] = moved
+		moved.heapIdx = i
+		u.fixHeap(i)
+	}
+	u.setBit(c.pos)
+}
+
+// fixHeap restores heap order around index i after its key changed.
+func (u *UserIsolation) fixHeap(i int) {
+	h := u.parked
+	c := h[i]
+	for i > 0 {
+		up := (i - 1) / 2
+		if h[up].readyAt <= c.readyAt {
+			break
+		}
+		h[i] = h[up]
+		h[i].heapIdx = i
+		i = up
+	}
+	for {
+		kid := 2*i + 1
+		if kid >= len(h) {
+			break
+		}
+		if r := kid + 1; r < len(h) && h[r].readyAt < h[kid].readyAt {
+			kid = r
+		}
+		if c.readyAt <= h[kid].readyAt {
+			break
+		}
+		h[i] = h[kid]
+		h[i].heapIdx = i
+		i = kid
+	}
+	h[i] = c
+	c.heapIdx = i
+}
+
+// nextActive returns the first eligible position >= from, or -1.
 func (u *UserIsolation) nextActive(from int) int {
 	if from < 0 {
 		from = 0
@@ -205,7 +285,9 @@ func (u *UserIsolation) Dequeue(now time.Duration) (*sim.Packet, time.Duration) 
 	if u.pkts == 0 {
 		return nil, 0
 	}
-	var earliest time.Duration
+	for len(u.parked) > 0 && u.parked[0].readyAt <= now {
+		u.unpark(u.parked[0])
+	}
 	// Each outer round issues at most one quantum per backlogged user.
 	// A user skipped for insufficient deficit gains quantum >= 1 byte
 	// per round, so some user's deficit reaches its head size in
@@ -229,7 +311,7 @@ func (u *UserIsolation) Dequeue(now time.Duration) (*sim.Packet, time.Duration) 
 			wrapped = true
 		}
 		for pos >= 0 {
-			if p := u.serveAt(pos, now, &earliest, &deficitSkip); p != nil {
+			if p := u.serveAt(pos, now, &deficitSkip); p != nil {
 				return p, 0
 			}
 			next := u.nextActive(pos + 1)
@@ -243,30 +325,30 @@ func (u *UserIsolation) Dequeue(now time.Duration) (*sim.Packet, time.Duration) 
 			pos = next
 		}
 		if !deficitSkip {
-			return nil, earliest
+			// pkts > 0 and nobody eligible: everyone backlogged is parked.
+			return nil, u.parked[0].readyAt
 		}
 	}
 }
 
-// serveAt attempts to serve the backlogged user at position pos,
-// returning its head packet on success. On throttle it folds the
-// user's token-ready time into earliest; on insufficient deficit it
-// sets deficitSkip so the caller runs another grant round.
-func (u *UserIsolation) serveAt(pos int, now time.Duration, earliest *time.Duration, deficitSkip *bool) *sim.Packet {
-	c := u.users[u.order[pos]]
+// serveAt attempts to serve the eligible user at position pos,
+// returning its head packet on success. A user short of tokens is
+// parked until they accrue; on insufficient deficit it sets
+// deficitSkip so the caller runs another grant round.
+func (u *UserIsolation) serveAt(pos int, now time.Duration, deficitSkip *bool) *sim.Packet {
+	u.examined++
+	c := u.order[pos]
 	head := c.fifo.peek()
 	if c.caps {
 		c.b.refill(now)
 		need := float64(head.Size)
 		if c.b.tokens < need {
-			t := c.b.timeFor(now, need)
-			if *earliest == 0 || t < *earliest {
-				*earliest = t
-			}
 			c.granted = false
 			if u.visit == pos {
 				u.visit = -1
 			}
+			c.readyAt = c.b.timeFor(now, need)
+			u.park(c)
 			return nil
 		}
 	}
@@ -309,7 +391,7 @@ func (u *UserIsolation) Bytes() int { return u.bytes }
 
 // ActiveUsers returns the number of users with queued packets.
 func (u *UserIsolation) ActiveUsers() int {
-	n := 0
+	n := len(u.parked)
 	for _, w := range u.active {
 		n += bits.OnesCount64(w)
 	}

@@ -1,0 +1,378 @@
+package qdisc
+
+import (
+	"fmt"
+	"math/bits"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+)
+
+// oracleIsolation is the reference UserIsolation is fuzzed against: the
+// same discipline written the slow, obvious way. There is no bitmap and
+// no heap — every Dequeue walks every user, skips the ones whose
+// release time lies ahead, and takes the minimum of those times for its
+// return value. Release-time semantics are the scheduler's own: a user
+// found short of tokens is given the time its bucket will cover its
+// head packet and is not looked at (so not refilled) before then.
+type oracleIsolation struct {
+	users []*oracleUser // sorted by id
+	rr    int           // never adjusted on insert, like the scheduler's
+	visit int
+
+	defRate    float64
+	defBurst   int
+	perUserCap int
+	dropped    int64
+}
+
+type oracleUser struct {
+	id      int
+	b       bucket
+	caps    bool
+	q       []*sim.Packet
+	bytes   int
+	quantum int
+	deficit int
+	granted bool
+	parked  bool
+	readyAt time.Duration
+}
+
+func newOracleIsolation(defaultRateBits float64, burstBytes, perUserBacklogBytes int) *oracleIsolation {
+	return &oracleIsolation{visit: -1, defRate: defaultRateBits, defBurst: burstBytes, perUserCap: perUserBacklogBytes}
+}
+
+func (o *oracleIsolation) user(id int) *oracleUser {
+	pos := sort.Search(len(o.users), func(i int) bool { return o.users[i].id >= id })
+	if pos < len(o.users) && o.users[pos].id == id {
+		return o.users[pos]
+	}
+	c := &oracleUser{id: id, quantum: sim.MSS}
+	if o.defRate > 0 {
+		c.b = newBucket(o.defRate, o.defBurst)
+		c.caps = true
+	}
+	o.users = append(o.users, nil)
+	copy(o.users[pos+1:], o.users[pos:])
+	o.users[pos] = c
+	if o.visit >= pos {
+		o.visit++
+	}
+	return c
+}
+
+func (o *oracleIsolation) SetUserRate(id int, rateBits float64, burstBytes int) {
+	c := o.user(id)
+	switch {
+	case rateBits > 0 && c.caps:
+		old := c.b
+		c.b = newBucket(rateBits, burstBytes)
+		c.b.last = old.last
+		if old.tokens < c.b.tokens {
+			c.b.tokens = old.tokens
+		}
+	case rateBits > 0:
+		c.b = newBucket(rateBits, burstBytes)
+		c.caps = true
+	default:
+		c.b = bucket{}
+		c.caps = false
+	}
+	if c.parked {
+		c.parked = c.caps
+		if c.parked {
+			c.readyAt = c.b.timeFor(c.b.last, float64(c.q[0].Size))
+		}
+	}
+}
+
+func (o *oracleIsolation) SetUserWeight(id int, weight float64) {
+	q := int(weight * sim.MSS)
+	if q < 1 {
+		q = 1
+	}
+	o.user(id).quantum = q
+}
+
+func (o *oracleIsolation) Enqueue(p *sim.Packet, _ time.Duration) bool {
+	c := o.user(p.UserID)
+	if c.bytes+p.Size > o.perUserCap {
+		o.dropped++
+		return false
+	}
+	c.q = append(c.q, p)
+	c.bytes += p.Size
+	return true
+}
+
+func (o *oracleIsolation) Dequeue(now time.Duration) (*sim.Packet, time.Duration) {
+	if o.Len() == 0 {
+		return nil, 0
+	}
+	for _, c := range o.users {
+		if c.parked && c.readyAt <= now {
+			c.parked = false
+		}
+	}
+	n := len(o.users)
+	for {
+		start := o.rr
+		if o.visit >= 0 {
+			start = o.visit
+		}
+		if start >= n {
+			start = 0
+		}
+		deficitSkip := false
+		for k := 0; k < n; k++ {
+			pos := (start + k) % n
+			c := o.users[pos]
+			if len(c.q) == 0 || c.parked {
+				continue
+			}
+			head := c.q[0]
+			if c.caps {
+				c.b.refill(now)
+				if need := float64(head.Size); c.b.tokens < need {
+					c.parked = true
+					c.readyAt = c.b.timeFor(now, need)
+					c.granted = false
+					if o.visit == pos {
+						o.visit = -1
+					}
+					continue
+				}
+			}
+			if !c.granted {
+				c.deficit += c.quantum
+				c.granted = true
+			}
+			if c.deficit < head.Size {
+				c.granted = false
+				deficitSkip = true
+				if o.visit == pos {
+					o.visit = -1
+				}
+				continue
+			}
+			if c.caps {
+				c.b.tokens -= float64(head.Size)
+			}
+			c.q = c.q[1:]
+			c.bytes -= head.Size
+			c.deficit -= head.Size
+			if len(c.q) == 0 {
+				c.deficit = 0
+				c.granted = false
+				o.visit = -1
+			} else {
+				o.visit = pos
+			}
+			o.rr = (pos + 1) % n
+			return head, 0
+		}
+		if deficitSkip {
+			continue
+		}
+		var earliest time.Duration
+		for _, c := range o.users {
+			if c.parked && (earliest == 0 || c.readyAt < earliest) {
+				earliest = c.readyAt
+			}
+		}
+		return nil, earliest
+	}
+}
+
+func (o *oracleIsolation) Len() (n int) {
+	for _, c := range o.users {
+		n += len(c.q)
+	}
+	return n
+}
+
+func (o *oracleIsolation) Bytes() (n int) {
+	for _, c := range o.users {
+		n += c.bytes
+	}
+	return n
+}
+
+func (o *oracleIsolation) ActiveUsers() (n int) {
+	for _, c := range o.users {
+		if len(c.q) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// verify checks the scheduler's structure: every backlogged user is in
+// exactly one of {eligible bitmap, release-time heap}, nobody else is in
+// either, positions and heap indices point where they claim to, the
+// heap is ordered, and the cached aggregates match the queues.
+func (u *UserIsolation) verify() error {
+	if len(u.order) != len(u.users) {
+		return fmt.Errorf("order holds %d users, map %d", len(u.order), len(u.users))
+	}
+	var setBits, pkts, bytes, backlogged int
+	for _, w := range u.active {
+		setBits += bits.OnesCount64(w)
+	}
+	for i, c := range u.order {
+		if c.pos != i || u.users[c.id] != c {
+			return fmt.Errorf("user %d at position %d claims pos %d (mapped: %v)", c.id, i, c.pos, u.users[c.id] == c)
+		}
+		if i > 0 && u.order[i-1].id >= c.id {
+			return fmt.Errorf("order not ascending at position %d", i)
+		}
+		bit := u.active[i>>6]&(1<<uint(i&63)) != 0
+		parked := c.heapIdx >= 0
+		if parked && (c.heapIdx >= len(u.parked) || u.parked[c.heapIdx] != c) {
+			return fmt.Errorf("user %d claims heap index %d, which holds someone else", c.id, c.heapIdx)
+		}
+		if parked && !c.caps {
+			return fmt.Errorf("uncapped user %d is parked", c.id)
+		}
+		if c.fifo.Len() > 0 {
+			backlogged++
+			if bit == parked {
+				return fmt.Errorf("backlogged user %d: eligible=%v parked=%v, want exactly one", c.id, bit, parked)
+			}
+		} else if bit || parked {
+			return fmt.Errorf("idle user %d: eligible=%v parked=%v", c.id, bit, parked)
+		}
+		pkts += c.fifo.Len()
+		bytes += c.fifo.Bytes()
+	}
+	for i, c := range u.parked {
+		if c.heapIdx != i {
+			return fmt.Errorf("heap slot %d holds user %d with index %d", i, c.id, c.heapIdx)
+		}
+		if i > 0 && u.parked[(i-1)/2].readyAt > c.readyAt {
+			return fmt.Errorf("heap order broken at slot %d", i)
+		}
+	}
+	if setBits+len(u.parked) != backlogged || u.ActiveUsers() != backlogged {
+		return fmt.Errorf("%d bits + %d parked, ActiveUsers %d, %d backlogged", setBits, len(u.parked), u.ActiveUsers(), backlogged)
+	}
+	if pkts != u.pkts || bytes != u.bytes {
+		return fmt.Errorf("cached len/bytes %d/%d, queues hold %d/%d", u.pkts, u.bytes, pkts, bytes)
+	}
+	return nil
+}
+
+// FuzzUserIsolationSchedule drives UserIsolation and the naive oracle
+// with the same operation stream — enqueues of full-size and short
+// packets (the 4-packet per-user cap overflows often), dequeues, clock
+// advances by a given step or to the last reported ready time, plan
+// and weight changes, and user ids that first appear before and after
+// the round-robin cursor — and requires identical (packet, ready)
+// results, equal aggregates and a sound structure after every
+// operation. The input is consumed as (opcode, argument) byte pairs;
+// the first byte picks the default plan.
+func FuzzUserIsolationSchedule(f *testing.F) {
+	// Two capped users drained through the retry timer.
+	f.Add([]byte{1, 0, 1, 0, 1, 0, 2, 0, 2, 3, 0, 3, 0, 5, 0, 3, 0, 5, 0, 3, 0, 5, 0, 3, 0})
+	// Ids arriving on both sides of the cursor while a visit is open.
+	f.Add([]byte{0, 0, 16, 2, 16, 0, 16, 3, 0, 0, 4, 0, 30, 3, 0, 0, 1, 3, 0, 3, 0, 3, 0})
+	// Plan changes on a parked user: up, down, lifted, re-imposed.
+	f.Add([]byte{2, 0, 7, 0, 7, 0, 7, 3, 0, 3, 0, 3, 0, 6, 7 | 1<<5, 3, 0, 6, 7 | 3<<5, 5, 0, 3, 0, 6, 7, 3, 0, 6, 7 | 2<<5, 3, 0})
+	// Weights and short packets: deficit carried across parked spells.
+	f.Add([]byte{1, 7, 3 | 2<<5, 2, 3, 2, 3 | 4<<5, 2, 3, 0, 9, 3, 0, 3, 0, 4, 200, 3, 0, 7, 3, 3, 0, 5, 0, 3, 0})
+	// Per-user cap overflow, then a long drain in small clock steps.
+	f.Add([]byte{2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 3, 0, 4, 1, 3, 0, 4, 1, 3, 0, 4, 255, 3, 0, 3, 0, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		if len(data) > 1024 {
+			data = data[:1024] // ~500 ops keep one execution near a millisecond
+		}
+		plans := []float64{0, 1e6, 4e6, 16e6}
+		bursts := []int{0, 1000, 2 * sim.MSS, 16 * sim.MSS}
+		rate, burst := plans[data[0]%4], bursts[(data[0]>>2)%4]
+		u := NewUserIsolation(rate, burst, 4*sim.MSS)
+		o := newOracleIsolation(rate, burst, 4*sim.MSS)
+		var now, lastReady time.Duration
+		flow := 0
+		for i := 1; i+1 < len(data); i += 2 {
+			op, arg := data[i], data[i+1]
+			id := int(arg & 31)
+			ctx := fmt.Sprintf("op %d (%d,%d) at %v", i/2, op, arg, now)
+			switch op % 8 {
+			case 0, 1, 2: // enqueue: MSS, MSS, or a short packet sized by the high bits
+				size := sim.MSS
+				if op%8 == 2 {
+					size = 64 + 200*int(arg>>5)
+				}
+				flow++
+				p := pkt(flow, id, size)
+				if got, want := u.Enqueue(p, now), o.Enqueue(p, now); got != want {
+					t.Fatalf("%s: Enqueue = %v, oracle %v", ctx, got, want)
+				}
+			case 3: // dequeue
+				p, ready := u.Dequeue(now)
+				want, wantReady := o.Dequeue(now)
+				if p != want || ready != wantReady {
+					t.Fatalf("%s: Dequeue = (%v, %v), oracle (%v, %v)", ctx, p, ready, want, wantReady)
+				}
+				if p == nil && u.Len() > 0 && ready <= now {
+					t.Fatalf("%s: backlog of %d but ready time %v is not ahead", ctx, u.Len(), ready)
+				}
+				lastReady = ready
+			case 4: // advance the clock; small arguments step by nanoseconds
+				if arg < 16 {
+					now += time.Duration(arg)
+				} else {
+					now += time.Duration(arg) * 20 * time.Microsecond
+				}
+			case 5: // the link's retry timer: jump to the reported ready time
+				if lastReady > now {
+					now = lastReady
+				}
+			case 6: // plan change; the high bits pick rate and burst
+				r, b := plans[(arg>>5)%4], bursts[(arg>>7)*2]
+				u.SetUserRate(id, r, b)
+				o.SetUserRate(id, r, b)
+			case 7: // weight change
+				w := []float64{0, 0.25, 1, 3}[(arg>>5)%4]
+				u.SetUserWeight(id, w)
+				o.SetUserWeight(id, w)
+			}
+			if err := u.verify(); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			if u.Len() != o.Len() || u.Bytes() != o.Bytes() || u.ActiveUsers() != o.ActiveUsers() || u.Dropped != o.dropped {
+				t.Fatalf("%s: len/bytes/active/dropped %d/%d/%d/%d, oracle %d/%d/%d/%d", ctx,
+					u.Len(), u.Bytes(), u.ActiveUsers(), u.Dropped, o.Len(), o.Bytes(), o.ActiveUsers(), o.dropped)
+			}
+		}
+
+		// Drain through the retry timer: both must empty in lockstep. A
+		// head packet larger than its user's burst never conforms, so
+		// the loop is bounded rather than run to empty.
+		for step := 0; u.Len() > 0 && step < 4096; step++ {
+			p, ready := u.Dequeue(now)
+			want, wantReady := o.Dequeue(now)
+			if p != want || ready != wantReady {
+				t.Fatalf("drain at %v: Dequeue = (%v, %v), oracle (%v, %v)", now, p, ready, want, wantReady)
+			}
+			if p == nil {
+				if ready <= now {
+					t.Fatalf("drain at %v: backlog of %d but ready time %v is not ahead", now, u.Len(), ready)
+				}
+				now = ready
+			}
+			if err := u.verify(); err != nil {
+				t.Fatalf("drain at %v: %v", now, err)
+			}
+		}
+		if u.Len() != o.Len() {
+			t.Fatalf("after drain: %d queued, oracle %d", u.Len(), o.Len())
+		}
+	})
+}

@@ -441,6 +441,163 @@ func TestSetUserRatePreservesTokens(t *testing.T) {
 	if p, _ := u.Dequeue(0); p == nil {
 		t.Fatal("re-capped user should start with a full burst")
 	}
+
+	// The same change on a user already parked for tokens: it is
+	// re-keyed from the carried (tokens, last), so an upgrade releases
+	// it earlier and a downgrade later, neither before the carried
+	// deficit is paid at the new rate and neither with a fresh burst.
+	parked := func() *UserIsolation {
+		u := NewUserIsolation(0, 0, 1<<20)
+		u.SetUserRate(1, 8e6, 1000)
+		for i := 0; i < 3; i++ {
+			u.Enqueue(pkt(1, 1, 1000), 0)
+		}
+		if p, _ := u.Dequeue(0); p == nil {
+			t.Fatal("burst packet should conform")
+		}
+		if p, ready := u.Dequeue(0); p != nil || ready != time.Millisecond {
+			t.Fatalf("throttled dequeue = (%v, %v), want (nil, 1ms)", p, ready)
+		}
+		return u
+	}
+	for _, tc := range []struct {
+		name string
+		rate float64
+		want time.Duration // 1000 bytes owed at the new rate
+	}{
+		{"upgrade", 16e6, 500 * time.Microsecond},
+		{"downgrade", 4e6, 2 * time.Millisecond},
+	} {
+		u := parked()
+		u.SetUserRate(1, tc.rate, 1000)
+		if p, ready := u.Dequeue(0); p != nil || ready != tc.want {
+			t.Fatalf("%s while parked: dequeue = (%v, %v), want (nil, %v)", tc.name, p, ready, tc.want)
+		}
+		if p, ready := u.Dequeue(tc.want - time.Nanosecond); p != nil || ready != tc.want {
+			t.Fatalf("%s while parked: served 1ns before the tokens accrue (ready %v)", tc.name, ready)
+		}
+		if p, _ := u.Dequeue(tc.want); p == nil {
+			t.Fatalf("%s while parked: not served at %v", tc.name, tc.want)
+		}
+		if p, ready := u.Dequeue(tc.want); p != nil || ready != 2*tc.want {
+			t.Fatalf("%s while parked: next dequeue = (%v, %v), want (nil, %v)", tc.name, p, ready, 2*tc.want)
+		}
+	}
+	u = parked()
+	u.SetUserRate(1, 0, 0)
+	if p, _ := u.Dequeue(0); p == nil {
+		t.Fatal("lifting the cap on a parked user should make it eligible at once")
+	}
+}
+
+func TestSetUserWeightOnParkedUser(t *testing.T) {
+	// 1000-byte packets against an MSS quantum leave 500 bytes of
+	// deficit after the first serve; a weight change while the user
+	// waits for tokens must change the quantum and nothing else.
+	u := NewUserIsolation(8e6, 1000, 1<<20)
+	for i := 0; i < 3; i++ {
+		u.Enqueue(pkt(1, 1, 1000), 0)
+	}
+	u.Dequeue(0)
+	_, ready := u.Dequeue(0)
+	c := u.users[1]
+	if c.heapIdx < 0 || c.deficit != sim.MSS-1000 {
+		t.Fatalf("setup: heapIdx %d deficit %d, want parked with %d", c.heapIdx, c.deficit, sim.MSS-1000)
+	}
+	u.SetUserWeight(1, 3)
+	if c.deficit != sim.MSS-1000 || c.quantum != 3*sim.MSS || c.heapIdx < 0 || c.readyAt != ready {
+		t.Fatalf("after SetUserWeight: deficit %d quantum %d heapIdx %d readyAt %v", c.deficit, c.quantum, c.heapIdx, c.readyAt)
+	}
+	if p, r := u.Dequeue(0); p != nil || r != ready {
+		t.Fatalf("weight change moved the release time: (%v, %v), want (nil, %v)", p, r, ready)
+	}
+}
+
+// throttledCell reproduces the regime the manyflow cell keeps
+// UserIsolation in: every user's plan is 4x its fair share of the
+// link, 7.5% of the users are backlogged at any moment (so the link is
+// ~30% utilised), and each of them refills its queue as it drains, so
+// every backlogged user is waiting for tokens nearly all the time. The
+// backlogged users start one after another across one token period,
+// which leaves their release times spread out instead of in lockstep.
+// The link is work-conserving: it dequeues when a transmission
+// finishes and, when told "not yet", again at the reported ready time.
+type throttledCell struct {
+	u          *UserIsolation
+	users      int
+	backlogged int // how many of the users ever send
+	started    int // how many of those have sent their first packets
+	now        time.Duration
+	tx         time.Duration // serialization time of one MSS packet
+	dequeues   int
+	served     int
+}
+
+func newThrottledCell(users int) *throttledCell {
+	const linkBps = 1e9
+	c := &throttledCell{
+		u:          NewUserIsolation(4*linkBps/float64(users), 2*sim.MSS, 64*sim.MSS),
+		users:      users,
+		backlogged: users * 3 / 40,
+		tx:         time.Duration(sim.MSS * 8 / linkBps * float64(time.Second)),
+	}
+	for id := 0; id < users; id++ {
+		c.u.user(id)
+	}
+	return c
+}
+
+// startAt is when the k-th sender's first packets arrive: the senders
+// are spread evenly over the users/4 transmission times one plan takes
+// to earn a packet.
+func (c *throttledCell) startAt(k int) time.Duration {
+	return c.tx * time.Duration(c.users/4) * time.Duration(k) / time.Duration(c.backlogged)
+}
+
+// serve runs the link until n more packets have been transmitted.
+func (c *throttledCell) serve(n int) {
+	for target := c.served + n; c.served < target; {
+		for ; c.started < c.backlogged && c.startAt(c.started) <= c.now; c.started++ {
+			id := c.started * c.users / c.backlogged
+			for i := 0; i < 3; i++ {
+				c.u.Enqueue(pkt(id, id, sim.MSS), c.now)
+			}
+		}
+		c.dequeues++
+		p, ready := c.u.Dequeue(c.now)
+		if p == nil {
+			if c.started < c.backlogged && (ready == 0 || c.startAt(c.started) < ready) {
+				ready = c.startAt(c.started)
+			}
+			c.now = ready
+			continue
+		}
+		c.served++
+		c.now += c.tx
+		c.u.Enqueue(pkt(p.FlowID, p.UserID, sim.MSS), c.now)
+	}
+}
+
+func TestUserIsolationThrottledDequeueIsBounded(t *testing.T) {
+	// A count, not a clock: users examined per Dequeue must not grow
+	// with the population. Scanning every token-throttled user on every
+	// dequeue read 4.7 here at 100 users and 250 at 5,000 (7.1 and 267.9
+	// in the manyflow cell itself).
+	for _, users := range []int{100, 5000} {
+		c := newThrottledCell(users)
+		c.serve(2 * users) // start every sender and spend its burst
+		examined, dequeues, start := c.u.examined, c.dequeues, c.now
+		const pkts = 20000
+		c.serve(pkts)
+		examined, dequeues = c.u.examined-examined, c.dequeues-dequeues
+		util := pkts * c.tx.Seconds() / (c.now - start).Seconds()
+		if util < 0.2 || util > 0.4 {
+			t.Errorf("%d users: link utilisation %.2f, want the cell's ~0.3", users, util)
+		}
+		if got := float64(examined) / float64(dequeues); got > 3 {
+			t.Errorf("%d users: %.1f users examined per dequeue (%d / %d), want <= 3", users, got, examined, dequeues)
+		}
+	}
 }
 
 func TestUserIsolationRateCap(t *testing.T) {

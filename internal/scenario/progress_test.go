@@ -587,7 +587,7 @@ func TestDumpActiveFlights(t *testing.T) {
 	}()
 	<-testStarted // the run is in flight
 	paths := r.DumpActiveFlights()
-	testGate <- struct{}{}
+	testGate.release()
 	<-done
 	if len(paths) != 1 {
 		t.Fatalf("dumped %d in-flight runs, want 1", len(paths))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,9 +19,52 @@ import (
 
 var (
 	testRunCount atomic.Int64
-	testGate     = make(chan struct{})
+	testGate     seedGate
 	testStarted  = make(chan struct{}, 64)
 )
+
+// seedGate holds test-gate runs until the test releases them, lowest
+// seed first. The sweep yields in input order behind a bounded window,
+// so a release that could land on any waiting run can finish runs
+// behind the head until the window is full while the head still waits:
+// the sweep then starts nothing new and a test waiting for the next
+// start never releases the head.
+type seedGate struct {
+	mu      sync.Mutex
+	waiting []gatedRun
+}
+
+type gatedRun struct {
+	seed int64
+	open chan struct{}
+}
+
+// enter registers a run; the run announces itself on testStarted only
+// afterwards, so a release that follows the announcement finds it.
+func (g *seedGate) enter(seed int64) <-chan struct{} {
+	open := make(chan struct{})
+	g.mu.Lock()
+	g.waiting = append(g.waiting, gatedRun{seed, open})
+	g.mu.Unlock()
+	return open
+}
+
+// release lets the waiting run with the lowest seed go.
+func (g *seedGate) release() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.waiting) == 0 {
+		panic("seedGate: release with no gated run waiting")
+	}
+	head := 0
+	for i, w := range g.waiting {
+		if w.seed < g.waiting[head].seed {
+			head = i
+		}
+	}
+	close(g.waiting[head].open)
+	g.waiting = append(g.waiting[:head], g.waiting[head+1:]...)
+}
 
 type testPayload struct {
 	Seed int64 `json:"seed"`
@@ -61,8 +105,9 @@ func init() {
 		Name:        "test-gate",
 		Description: "test: signals start, blocks until released",
 		Run: func(ctx context.Context, sp Spec, sc *obs.Scope) (any, error) {
+			open := testGate.enter(sp.Seed)
 			testStarted <- struct{}{}
-			<-testGate
+			<-open
 			return testPayload{Seed: sp.Seed}, nil
 		},
 	})
@@ -138,7 +183,7 @@ func TestSweepCancellation(t *testing.T) {
 	}
 	cancel()
 	for i := 0; i < workers; i++ {
-		testGate <- struct{}{}
+		testGate.release()
 	}
 	select {
 	case <-done:
@@ -167,7 +212,7 @@ func TestSweepCancellation(t *testing.T) {
 	for {
 		select {
 		case <-testStarted:
-			testGate <- struct{}{}
+			testGate.release()
 		case <-time.After(50 * time.Millisecond):
 			return
 		}

@@ -134,7 +134,7 @@ func TestSweepStreamCancellation(t *testing.T) {
 	}
 	cancel()
 	for i := 0; i < workers; i++ {
-		testGate <- struct{}{}
+		testGate.release()
 	}
 	var err error
 	select {
@@ -158,7 +158,7 @@ func TestSweepStreamCancellation(t *testing.T) {
 	for {
 		select {
 		case <-testStarted:
-			testGate <- struct{}{}
+			testGate.release()
 		case <-time.After(50 * time.Millisecond):
 			return
 		}
@@ -290,11 +290,7 @@ func TestSweepStreamBoundedBuffering(t *testing.T) {
 		t.Fatalf("dispatcher pulled %d specs with all workers blocked; in-flight window is not O(workers)", pulled)
 	}
 	for i := 0; i < len(specs); i++ {
-		select {
-		case testGate <- struct{}{}:
-		case <-done:
-			t.Fatal("stream finished with gated runs outstanding")
-		}
+		testGate.release()
 		if i < len(specs)-workers {
 			<-testStarted
 		}
