@@ -43,6 +43,50 @@ func BenchmarkEngineEventsDenseHeap(b *testing.B) {
 	benchDense(b, &Engine{wheelOff: true})
 }
 
+// coldStart is the engine's share of what every census or hunt cell
+// pays before its first packet moves: a new engine, 1,000 events spread
+// over the heap and both wheel levels, drained.
+func coldStart() int64 {
+	eng := &Engine{}
+	fn := func() {}
+	for i := 0; i < 1000; i++ {
+		d := time.Duration(i) * 60 * time.Microsecond // level 0: 0-60ms
+		switch i % 4 {
+		case 2: // level 1: 0.1-10s
+			d = time.Duration(i) * 10 * time.Millisecond
+		case 3: // past the wheel horizon: heap
+			d = 20*time.Second + time.Duration(i)*time.Millisecond
+		}
+		eng.Schedule(d, fn)
+	}
+	for eng.Step() {
+	}
+	return eng.Processed
+}
+
+// BenchmarkEngineColdStart measures coldStart per iteration; run with
+// -benchmem. TestEngineColdStartAllocs pins its allocation count.
+func BenchmarkEngineColdStart(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if n := coldStart(); n != 1000 {
+			b.Fatalf("fired %d of 1000", n)
+		}
+	}
+}
+
+// TestEngineColdStartAllocs bounds what a fresh engine allocates to
+// the growth of its three arrays — slot table, free list, heap — which
+// is a few dozen append doublings however the events spread over the
+// wheel. Storage owned by wheel buckets (one array per touched bucket:
+// hundreds here) would break the bound.
+func TestEngineColdStartAllocs(t *testing.T) {
+	const limit = 48
+	if allocs := testing.AllocsPerRun(20, func() { coldStart() }); allocs > limit {
+		t.Fatalf("a fresh engine scheduling and draining 1,000 events allocates %.0f times, want at most %d", allocs, limit)
+	}
+}
+
 func benchDense(b *testing.B, eng *Engine) {
 	const resident = 4096
 	n := 0

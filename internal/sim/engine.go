@@ -11,13 +11,16 @@
 // take an injected *rand.Rand.
 //
 // The engine is the hot path of every experiment and sweep, so its
-// steady state allocates nothing: events live in an indexed 4-ary heap
-// of plain structs (no container/heap interface boxing), event
-// payloads sit in a recycled slot table, timers are generation-checked
-// indices rather than per-schedule allocations, and packets cycle
-// through a per-engine free list (see NewPacket/Release). See
-// docs/PERFORMANCE.md for the design and internal/sim/check for the
-// invariant checker and golden-trace corpus that gate changes here.
+// steady state allocates nothing: events are ordered by one indexed
+// 4-ary heap of plain structs (no container/heap interface boxing),
+// near-future events wait unsorted in a timer wheel threaded through
+// the slot table until the clock nears their tick (see wheel.go),
+// event payloads sit in that recycled slot table, timers are
+// generation-checked indices rather than per-schedule allocations, and
+// packets cycle through a per-engine free list (see
+// NewPacket/Release). See docs/PERFORMANCE.md for the design and
+// internal/sim/check for the invariant checker and golden-trace corpus
+// that gate changes here.
 package sim
 
 import (
@@ -47,19 +50,21 @@ type Hook interface {
 // Engine is a discrete-event scheduler with a virtual clock. The zero
 // value is ready for use; the clock starts at 0.
 //
-// Events are stored as plain structs in an indexed 4-ary min-heap
-// keyed by (time, schedule order); the heap holds slot indices into a
-// recycled slot table, so steady-state scheduling allocates nothing.
-// Engines are single-goroutine; parallel sweeps run one engine per
-// worker.
+// One indexed 4-ary min-heap keyed by (time, schedule order) is the
+// only ordered structure: every event fires from its root. The wheel
+// only stages near-future events, unsorted, and hands each tick's
+// worth to the heap before the heap's root could pass it. Heap nodes
+// and wheel lists both hold indices into a recycled slot table, so
+// steady-state scheduling allocates nothing. Engines are
+// single-goroutine; parallel sweeps run one engine per worker.
 type Engine struct {
 	now time.Duration
 	seq int64
 	// Processed counts events executed, for tests and runaway guards.
 	Processed int64
 
-	heap  []heapNode  // 4-ary min-heap of far/sparse pending events
-	wheel wheel       // hashed hierarchical wheel for near-horizon events
+	heap  []heapNode  // 4-ary min-heap every event fires from
+	wheel wheel       // unsorted staging area for near-horizon events
 	slots []eventSlot // stable payload storage indexed by heapNode.slot
 	free  []int32     // recycled slot indices (LIFO)
 
@@ -84,11 +89,16 @@ type heapNode struct {
 // eventSlot holds an event's payload. gen increments every time the
 // slot is released, so stale Timer handles (fired, cancelled, or
 // dropped by Reset) can never touch a recycled slot's new occupant.
+// While the event is staged in the wheel the slot also carries its
+// ordering key and its bucket's list link.
 type eventSlot struct {
+	at        time.Duration // staged only
+	seq       int64         // staged only
+	fn        func()        // evFunc payload
+	pkt       *Packet       // evPacket payload (advance on fire)
 	gen       uint32
+	next      int32 // staged only: slot index + 1 of the bucket's next event, 0 ends the list
 	cancelled bool
-	fn        func()  // evFunc payload
-	pkt       *Packet // evPacket payload (advance on fire)
 }
 
 // Timer is a generation-checked handle to a scheduled event. The zero
@@ -190,9 +200,10 @@ func (e *Engine) freeSlot(slot int32) {
 }
 
 // push clamps at to now, assigns the FIFO tie-break sequence, and
-// routes the node to the timer wheel (near-horizon events) or the
-// 4-ary heap (far/sparse events). The split is invisible to callers:
-// pops always come out in global (at, seq) order.
+// either stages the event in the timer wheel (near-horizon events of a
+// dense population) or puts it on the heap at once. The split is
+// invisible to callers: pops always come out in global (at, seq)
+// order.
 func (e *Engine) push(at time.Duration, slot int32) Timer {
 	if at < e.now {
 		at = e.now
@@ -201,14 +212,17 @@ func (e *Engine) push(at time.Duration, slot int32) Timer {
 	if e.hook != nil {
 		e.hook.OnSchedule(at, e.seq)
 	}
-	n := heapNode{at: at, seq: e.seq, slot: slot}
 	if e.wheelOff ||
 		(e.wheel.count == 0 && len(e.heap) < wheelMinPop) ||
-		!e.wheel.tryInsert(n, e.now) {
-		e.heap = append(e.heap, n)
-		e.siftUp(len(e.heap) - 1)
+		!e.stage(at, e.seq, slot) {
+		e.heapPush(heapNode{at: at, seq: e.seq, slot: slot})
 	}
 	return Timer{eng: e, slot: slot, gen: e.slots[slot].gen}
+}
+
+func (e *Engine) heapPush(n heapNode) {
+	e.heap = append(e.heap, n)
+	e.siftUp(len(e.heap) - 1)
 }
 
 func (e *Engine) siftUp(i int) {
@@ -267,37 +281,22 @@ func (e *Engine) popMin() heapNode {
 	return top
 }
 
-// peekAt returns the time of the earliest pending event across the
-// wheel and the heap. An empty wheel (the sparse-population common
-// case) short-circuits to a plain heap peek.
+// peekAt returns the time of the earliest pending event.
 func (e *Engine) peekAt() (time.Duration, bool) {
-	if e.wheel.count == 0 {
-		if len(e.heap) == 0 {
-			return 0, false
-		}
-		return e.heap[0].at, true
+	e.settle()
+	if len(e.heap) == 0 {
+		return 0, false
 	}
-	wn, _, _, _ := e.wheel.peek(e.now)
-	if len(e.heap) > 0 && nodeLess(e.heap[0], wn) {
-		return e.heap[0].at, true
-	}
-	return wn.at, true
+	return e.heap[0].at, true
 }
 
-// popGlobal removes and returns the global (at, seq) minimum across
-// the wheel and the heap.
+// popGlobal removes and returns the global (at, seq) minimum.
 func (e *Engine) popGlobal() (heapNode, bool) {
-	if e.wheel.count == 0 {
-		if len(e.heap) == 0 {
-			return heapNode{}, false
-		}
-		return e.popMin(), true
+	e.settle()
+	if len(e.heap) == 0 {
+		return heapNode{}, false
 	}
-	wn, lvl, idx, _ := e.wheel.peek(e.now)
-	if len(e.heap) > 0 && nodeLess(e.heap[0], wn) {
-		return e.popMin(), true
-	}
-	return e.wheel.pop(lvl, idx), true
+	return e.popMin(), true
 }
 
 // Step executes the next pending event, advancing the clock. It returns
@@ -332,11 +331,12 @@ func (e *Engine) Step() bool {
 	}
 }
 
-// Run executes events until the clock would pass until, or until no
-// events remain. Events scheduled exactly at until are executed. The
-// clock is left at until (or at the last event time if the queue
-// drained earlier and was behind until... the clock never exceeds
-// until).
+// Run executes, in order, every event due at or before until,
+// including events those handlers schedule in that range. When until
+// is at or after the clock, the clock is left exactly at until,
+// whether the queue drained on the way or later events remain. When
+// until is before the clock, nothing runs and the clock does not move
+// back.
 func (e *Engine) Run(until time.Duration) {
 	for {
 		at, ok := e.peekAt()
@@ -364,26 +364,26 @@ func (e *Engine) Reset() {
 		e.freeSlot(node.slot)
 	}
 	e.heap = e.heap[:0]
-	e.wheel.drain(func(n heapNode) { e.freeSlot(n.slot) })
+	e.resetWheel()
 	e.now = 0
 	e.seq = 0
 	e.Processed = 0
 }
 
-// verifyHeap checks the 4-ary heap and timer-wheel ordering
-// invariants and their linkage to the slot table; the scheduling
-// fuzzer calls it after every operation. It returns nil when the
-// structure is sound.
+// verifyHeap checks the 4-ary heap's ordering invariant, the timer
+// wheel's structural ones, and their linkage to the slot table; the
+// scheduling fuzzer calls it after every operation. It returns nil
+// when the structure is sound.
 func (e *Engine) verifyHeap() error {
 	seen := make(map[int32]bool, len(e.heap)+e.wheel.count)
-	checkSlot := func(n heapNode) error {
-		if n.slot < 0 || int(n.slot) >= len(e.slots) {
-			return fmt.Errorf("node references slot %d outside table of %d", n.slot, len(e.slots))
+	checkSlot := func(slot int32) error {
+		if slot < 0 || int(slot) >= len(e.slots) {
+			return fmt.Errorf("node references slot %d outside table of %d", slot, len(e.slots))
 		}
-		if seen[n.slot] {
-			return fmt.Errorf("slot %d referenced by two pending nodes", n.slot)
+		if seen[slot] {
+			return fmt.Errorf("slot %d referenced by two pending nodes", slot)
 		}
-		seen[n.slot] = true
+		seen[slot] = true
 		return nil
 	}
 	for i, n := range e.heap {
@@ -394,11 +394,11 @@ func (e *Engine) verifyHeap() error {
 					i, n.at, n.seq, e.heap[parent].at, e.heap[parent].seq)
 			}
 		}
-		if err := checkSlot(n); err != nil {
+		if err := checkSlot(n.slot); err != nil {
 			return err
 		}
 	}
-	if err := e.wheel.verify(e.now, checkSlot); err != nil {
+	if err := e.verifyWheel(checkSlot); err != nil {
 		return err
 	}
 	for _, slot := range e.free {

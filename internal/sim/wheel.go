@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 )
@@ -12,29 +13,33 @@ import (
 // near-future timers (pacing releases, serialization completions,
 // propagation arrivals, RTOs) that all live within a few RTTs of the
 // clock. A comparison heap pays O(log n) per insert against the whole
-// population; the wheel hashes each event into a time-slot bucket so
-// the cost scales with bucket occupancy instead. Far or sparse timers
-// (phase schedules, watchdogs) overflow to the existing indexed 4-ary
-// heap — the engine picks per-timer at schedule time.
+// population. The wheel keeps that population out of the heap until it
+// is about to fire: a near-future event is hashed into a time-slot
+// bucket and waits there unsorted, and the engine moves one bucket at
+// a time onto its heap, so the heap only ever orders the events of the
+// tick being served plus the far or sparse timers (phase schedules,
+// watchdogs) that were never staged.
 //
 // Ordering is the load-bearing invariant: every experiment's byte
 // determinism rests on events firing in exact (at, seq) order, so the
-// wheel must be indistinguishable from the heap to any observer. Three
-// properties deliver that:
+// wheel must be invisible to any observer. It is, because it orders
+// nothing:
 //
-//  1. Each bucket is itself a small 4-ary min-heap ordered by the same
-//     (at, seq) key the engine heap uses, so a bucket's root is its
-//     earliest event.
-//  2. Within a level, live events always span less than one wheel
-//     revolution (enforced at insert, preserved as the clock only
-//     moves forward), so scanning buckets cursor-first yields buckets
-//     in strictly increasing time-slot order and the first non-empty
-//     bucket's root is the level minimum.
-//  3. The engine compares the two level minima and the heap top and
-//     pops the overall (at, seq) minimum.
+//  1. Every event fires from the engine heap's root, and the heap
+//     orders by (at, seq).
+//  2. A bucket covers a span of time; `next` is the start of the
+//     earliest occupied bucket, so every staged event is at or after
+//     it.
+//  3. Before each peek or pop the engine opens buckets until the heap
+//     root is strictly before `next` (settle). The root then precedes
+//     every staged event, so it is the global minimum.
+//
+// Buckets are singly-linked lists threaded through the engine's slot
+// table: staging writes three fields of a slot that already exists and
+// allocates nothing, and the wheel's footprint is the slot table's.
 //
 // Cancellation needs no wheel surgery: cancelled events keep their
-// bucket seat and are skipped at pop, exactly as the heap does.
+// seat, move to the heap with their bucket and are skipped at pop.
 const (
 	// wheelBits is the log2 bucket count per level.
 	wheelBits  = 8
@@ -52,52 +57,43 @@ const (
 	wheelTickBits = 18
 	wheelTickDur  = time.Duration(1) << wheelTickBits
 	// wheelMinPop is the pending-event population below which the
-	// engine keeps everything in the heap: with a handful of timers
-	// the heap's log depth is trivially cheap and the wheel's hashing
-	// and bitmap scans are pure overhead. The split is a performance
-	// policy only — pop order is (at, seq) regardless of residence.
+	// engine stages nothing: with a handful of timers the heap's log
+	// depth is trivially cheap and the wheel's hashing and bitmap scans
+	// are pure overhead (staging from the first event takes a sparse
+	// schedule+fire from 20 to 35 ns; docs/PERFORMANCE.md). The
+	// split is a performance policy only — pop order is (at, seq)
+	// regardless of residence.
 	wheelMinPop = 64
-	// bucketKeepCap bounds the backing-array capacity an emptied
-	// bucket retains. Dense populations concentrate at the cursor, so
-	// every bucket transiently holds a large share of the live events
-	// as the clock sweeps past it; without a shrink, each of the 512
-	// buckets would permanently keep an array sized for that peak and
-	// the wheel's footprint would be ~buckets × peak-population
-	// instead of ~population. Emptied buckets above this capacity are
-	// released to the allocator; the regrow ladder costs O(log) per
-	// revolution, which the shrink caps at a few percent of push cost.
-	bucketKeepCap = 512
 )
 
 // wheelLevel is one ring of hashed buckets plus an occupancy bitmap
 // for O(words) first-non-empty scans.
 type wheelLevel struct {
-	buckets [wheelSlots][]heapNode
-	occ     [wheelSlots / 64]uint64
-	count   int
+	// head is each bucket's first staged event as slot index + 1, so
+	// the zero value is an empty bucket; eventSlot.next continues the
+	// list.
+	head  [wheelSlots]int32
+	occ   [wheelSlots / 64]uint64
+	count int
 }
 
 // wheel is the two-level hashed hierarchical timer wheel. The zero
 // value is ready for use.
-//
-// The minimum is cached between mutations: inserts fold into the
-// cache with one comparison, pops invalidate it, and the bitmap scan
-// only runs on the first peek after a pop. That keeps the
-// engine's peek-then-pop cycle at one scan per fired event.
 type wheel struct {
 	levels [wheelLevels]wheelLevel
 	count  int
-
-	minNode  heapNode
-	minLevel int
-	minIdx   int
-	minOK    bool // a minimum exists (count > 0)
-	minValid bool // the cached minimum is current
+	// cur is the tick of the last bucket opened. The cursor that bounds
+	// staging is the later of cur and the clock's tick: cur runs ahead
+	// of the clock when buckets are opened to find the next event while
+	// the clock waits far behind it.
+	cur int64
+	// next is the start time of the earliest occupied bucket;
+	// meaningful while count > 0.
+	next time.Duration
 }
 
 // nodeLess is the engine-wide event ordering: by time, FIFO by
-// schedule sequence at equal times. The heap and every wheel bucket
-// order by this same key.
+// schedule sequence at equal times.
 func nodeLess(a, b heapNode) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -108,36 +104,127 @@ func nodeLess(a, b heapNode) bool {
 // wheelTick maps a virtual time to its level-0 tick index.
 func wheelTick(at time.Duration) int64 { return int64(at) >> wheelTickBits }
 
-// tryInsert hashes the node into the shallowest level able to hold it
-// given the current clock, or reports false when the event is beyond
-// the wheel horizon and belongs in the heap. The per-level condition —
-// fewer than wheelSlots of that level's own ticks ahead of the cursor
-// — is what keeps live events within one revolution per level.
-func (w *wheel) tryInsert(n heapNode, now time.Duration) bool {
-	t, c := wheelTick(n.at), wheelTick(now)
+// bucketStart returns the time at which the bucket for level tick lt
+// (a tick shifted down by its level's shift) begins.
+func bucketStart(lt int64, shift uint) time.Duration {
+	return time.Duration(lt<<shift) << wheelTickBits
+}
+
+// stage hashes the event into the shallowest level able to hold it, or
+// reports false when it belongs on the heap: its tick is not ahead of
+// the cursor (that bucket has been opened already), or it lies beyond
+// the wheel horizon. The per-level condition — fewer than wheelSlots
+// of that level's own ticks ahead of the cursor — keeps staged events
+// within one revolution per level, so a bucket index names one span of
+// time and circular order from the cursor is time order.
+func (e *Engine) stage(at time.Duration, seq int64, slot int32) bool {
+	w := &e.wheel
+	t, c := wheelTick(at), wheelTick(e.now)
+	if c < w.cur {
+		c = w.cur
+	}
 	var level int
-	if t-c < wheelSlots {
+	switch {
+	case t <= c:
+		return false
+	case t-c < wheelSlots:
 		level = 0
-	} else if (t>>wheelBits)-(c>>wheelBits) < wheelSlots {
+	case (t>>wheelBits)-(c>>wheelBits) < wheelSlots:
 		level = 1
-	} else {
+	default:
 		return false
 	}
-	idx := int((t >> uint(level*wheelBits)) & wheelMask)
-	lv := &w.levels[level]
-	bucketPush(&lv.buckets[idx], n)
-	lv.occ[idx>>6] |= 1 << uint(idx&63)
-	lv.count++
-	w.count++
-	if w.minValid && (!w.minOK || nodeLess(n, w.minNode)) {
-		w.minNode, w.minLevel, w.minIdx, w.minOK = n, level, idx, true
+	s := &e.slots[slot]
+	s.at, s.seq = at, seq
+	w.link(e.slots, level, t, slot)
+	shift := uint(level * wheelBits)
+	if start := bucketStart(t>>shift, shift); w.count == 0 || start < w.next {
+		w.next = start
 	}
+	w.count++
 	return true
 }
 
+// link puts slot at the head of the level's bucket for tick t.
+func (w *wheel) link(slots []eventSlot, level int, t int64, slot int32) {
+	lv := &w.levels[level]
+	idx := int((t >> uint(level*wheelBits)) & wheelMask)
+	slots[slot].next = lv.head[idx]
+	lv.head[idx] = slot + 1
+	lv.occ[idx>>6] |= 1 << uint(idx&63)
+	lv.count++
+}
+
+// take empties bucket idx and returns the head of its list.
+func (lv *wheelLevel) take(idx int) int32 {
+	head := lv.head[idx]
+	lv.head[idx] = 0
+	lv.occ[idx>>6] &^= 1 << uint(idx&63)
+	return head
+}
+
+// settle opens buckets until the heap root precedes everything still
+// staged, which makes it the global (at, seq) minimum. An empty wheel
+// (the sparse-population common case) costs one comparison.
+func (e *Engine) settle() {
+	for e.wheel.count > 0 && (len(e.heap) == 0 || e.wheel.next <= e.heap[0].at) {
+		e.open()
+	}
+}
+
+// open empties the earliest occupied bucket, the one that starts at
+// w.next, and advances the cursor to it. A level-0 bucket goes onto
+// the heap; a level-1 bucket is spread over level 0, which it now fits
+// because the cursor stands at its first tick. Where both levels have
+// a bucket starting at w.next the level-1 one opens first, so the
+// cursor never enters a level-1 span that is still staged.
+func (e *Engine) open() {
+	w := &e.wheel
+	t := wheelTick(w.next)
+	w.cur = t
+	l0, l1 := &w.levels[0], &w.levels[1]
+	if idx := int((t >> wheelBits) & wheelMask); t&wheelMask == 0 && l1.head[idx] != 0 {
+		for i := l1.take(idx); i != 0; {
+			slot := i - 1
+			i = e.slots[slot].next
+			w.link(e.slots, 0, wheelTick(e.slots[slot].at), slot)
+			l1.count--
+		}
+	} else {
+		for i := l0.take(int(t & wheelMask)); i != 0; {
+			s := &e.slots[i-1]
+			e.heapPush(heapNode{at: s.at, seq: s.seq, slot: i - 1})
+			i = s.next
+			l0.count--
+			w.count--
+		}
+	}
+	w.next = w.earliest()
+}
+
+// earliest returns the start time of the first occupied bucket at or
+// after the cursor across both levels (the maximum Duration when the
+// wheel is empty).
+func (w *wheel) earliest() time.Duration {
+	first := time.Duration(math.MaxInt64)
+	for l := range w.levels {
+		lv := &w.levels[l]
+		if lv.count == 0 {
+			continue
+		}
+		shift := uint(l * wheelBits)
+		c := w.cur >> shift
+		ahead := int64(lv.firstFrom(int(c&wheelMask))) - c
+		if start := bucketStart(c+(ahead&wheelMask), shift); start < first {
+			first = start
+		}
+	}
+	return first
+}
+
 // firstFrom returns the index of the first occupied bucket at or
-// after `from` in circular scan order, or -1 when the level is empty.
-// Because live events span less than one revolution, circular order
+// after `from` in circular scan order; the level must not be empty.
+// Because staged events span less than one revolution, circular order
 // from the cursor is time order.
 func (lv *wheelLevel) firstFrom(from int) int {
 	w, b := from>>6, uint(from&63)
@@ -151,167 +238,69 @@ func (lv *wheelLevel) firstFrom(from int) int {
 			return wi<<6 + bits.TrailingZeros64(v)
 		}
 	}
-	return -1
+	panic("sim: wheel level count > 0 with an empty occupancy bitmap")
 }
 
-// peek returns the wheel's (at, seq) minimum without removing it,
-// along with its level and bucket so pop can target it directly. The
-// result is cached until the next pop; inserts keep the cache exact.
-func (w *wheel) peek(now time.Duration) (n heapNode, level, idx int, ok bool) {
-	if w.count == 0 {
-		return heapNode{}, 0, 0, false
-	}
-	if w.minValid {
-		return w.minNode, w.minLevel, w.minIdx, w.minOK
-	}
-	c := wheelTick(now)
-	for l := 0; l < wheelLevels; l++ {
-		lv := &w.levels[l]
-		if lv.count == 0 {
-			continue
-		}
-		cur := int((c >> uint(l*wheelBits)) & wheelMask)
-		i := lv.firstFrom(cur)
-		if i < 0 {
-			continue
-		}
-		root := lv.buckets[i][0]
-		if !ok || nodeLess(root, n) {
-			n, level, idx, ok = root, l, i, true
-		}
-	}
-	w.minNode, w.minLevel, w.minIdx, w.minOK, w.minValid = n, level, idx, ok, true
-	return n, level, idx, ok
-}
-
-// pop removes the root of the identified bucket (as located by peek)
-// and invalidates the cached minimum.
-func (w *wheel) pop(level, idx int) heapNode {
-	lv := &w.levels[level]
-	n := bucketPop(&lv.buckets[idx])
-	if len(lv.buckets[idx]) == 0 {
-		lv.occ[idx>>6] &^= 1 << uint(idx&63)
-		if cap(lv.buckets[idx]) > bucketKeepCap {
-			lv.buckets[idx] = nil
-		}
-	}
-	lv.count--
-	w.count--
-	w.minValid = false
-	return n
-}
-
-// drain empties every bucket, calling fn for each removed node (in no
-// particular order — callers use it for slot reclamation on Reset).
-func (w *wheel) drain(fn func(heapNode)) {
+// resetWheel frees every staged event's slot (in no particular order)
+// and rewinds the cursor with the clock.
+func (e *Engine) resetWheel() {
+	w := &e.wheel
 	for l := range w.levels {
 		lv := &w.levels[l]
-		for i := range lv.buckets {
-			for _, n := range lv.buckets[i] {
-				fn(n)
-			}
-			lv.buckets[i] = lv.buckets[i][:0]
-		}
-		for i := range lv.occ {
-			lv.occ[i] = 0
-		}
-		lv.count = 0
-	}
-	w.count = 0
-	w.minValid = false
-	w.minOK = false
-}
-
-// bucketPush appends n and sifts it up the bucket's 4-ary min-heap.
-// Cold buckets are given room for a handful of events up front so a
-// bucket's first occupants don't pay a realloc ladder; thereafter the
-// capacity persists across drains and wheel revolutions.
-func bucketPush(h *[]heapNode, n heapNode) {
-	if cap(*h) == 0 {
-		*h = make([]heapNode, 0, 8)
-	}
-	s := append(*h, n)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !nodeLess(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-	*h = s
-}
-
-// bucketPop removes and returns the bucket heap's root.
-func bucketPop(h *[]heapNode) heapNode {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i, size := 0, last
-	for {
-		first := 4*i + 1
-		if first >= size {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > size {
-			end = size
-		}
-		for c := first + 1; c < end; c++ {
-			if nodeLess(s[c], s[best]) {
-				best = c
+		for idx := range lv.head {
+			for i := lv.head[idx]; i != 0; {
+				slot := i - 1
+				i = e.slots[slot].next
+				e.freeSlot(slot)
 			}
 		}
-		if !nodeLess(s[best], s[i]) {
-			break
-		}
-		s[i], s[best] = s[best], s[i]
-		i = best
 	}
-	return top
+	*w = wheel{}
 }
 
-// verify checks the wheel's structural invariants: bucket heap order,
-// occupancy bitmap consistency, per-level revolution bounds relative
-// to the clock, and the node count. Slot linkage is checked by the
-// caller, which owns the slot table.
-func (w *wheel) verify(now time.Duration, slotCheck func(heapNode) error) error {
+// verifyWheel checks the wheel's structural invariants: every bucket
+// list is in range and acyclic (slotCheck, which also ties the lists
+// to the heap and the free list), the occupancy bitmap matches, every
+// event sits in the bucket its time hashes to, ahead of the cursor
+// (the later of cur and the clock's tick: a bucket either of them has
+// reached must have been opened) and within one revolution of it,
+// `next` is exactly the earliest occupied bucket's start, and the
+// counts add up.
+func (e *Engine) verifyWheel(slotCheck func(int32) error) error {
+	w := &e.wheel
+	c := wheelTick(e.now)
+	if c < w.cur {
+		c = w.cur
+	}
 	total := 0
-	c := wheelTick(now)
+	first := time.Duration(math.MaxInt64)
 	for l := range w.levels {
 		lv := &w.levels[l]
 		shift := uint(l * wheelBits)
 		lvlTotal := 0
-		for i := range lv.buckets {
-			b := lv.buckets[i]
-			occupied := lv.occ[i>>6]&(1<<uint(i&63)) != 0
-			if occupied != (len(b) > 0) {
-				return fmt.Errorf("wheel L%d bucket %d: occupancy bit %v but %d events", l, i, occupied, len(b))
+		for idx, head := range lv.head {
+			if occupied := lv.occ[idx>>6]&(1<<uint(idx&63)) != 0; occupied != (head != 0) {
+				return fmt.Errorf("wheel L%d bucket %d: occupancy bit %v but list head %d", l, idx, occupied, head)
 			}
-			for j, n := range b {
-				if j > 0 {
-					parent := (j - 1) / 4
-					if nodeLess(n, b[parent]) {
-						return fmt.Errorf("wheel L%d bucket %d: heap order violated at %d", l, i, j)
-					}
+			for i := head; i != 0; i = e.slots[i-1].next {
+				// Out-of-range links and cycles stop here: a list that
+				// loops reaches a slot already seen.
+				if err := slotCheck(i - 1); err != nil {
+					return fmt.Errorf("wheel L%d bucket %d: %w", l, idx, err)
 				}
-				t := wheelTick(n.at)
-				if int((t>>shift)&wheelMask) != i {
-					return fmt.Errorf("wheel L%d: event at %v hashed to bucket %d, stored in %d", l, n.at, (t>>shift)&wheelMask, i)
+				lvlTotal++
+				s := &e.slots[i-1]
+				t := wheelTick(s.at) >> shift
+				if int(t&wheelMask) != idx {
+					return fmt.Errorf("wheel L%d: event at %v hashed to bucket %d, stored in %d", l, s.at, t&wheelMask, idx)
 				}
-				if d := (t >> shift) - (c >> shift); d < 0 || d >= wheelSlots {
-					return fmt.Errorf("wheel L%d: event at %v is %d level-ticks from now %v, outside [0,%d)", l, n.at, d, now, wheelSlots)
+				if d := t - c>>shift; d < 1 || d >= wheelSlots {
+					return fmt.Errorf("wheel L%d: event at %v is %d level-ticks from cursor tick %d, outside [1,%d)", l, s.at, d, c, wheelSlots)
 				}
-				if err := slotCheck(n); err != nil {
-					return err
+				if start := bucketStart(t, shift); start < first {
+					first = start
 				}
 			}
-			lvlTotal += len(b)
 		}
 		if lvlTotal != lv.count {
 			return fmt.Errorf("wheel L%d count %d but %d events in buckets", l, lv.count, lvlTotal)
@@ -321,13 +310,8 @@ func (w *wheel) verify(now time.Duration, slotCheck func(heapNode) error) error 
 	if total != w.count {
 		return fmt.Errorf("wheel count %d but %d events in buckets", w.count, total)
 	}
-	if w.minValid && w.count > 0 {
-		if !w.minOK {
-			return fmt.Errorf("wheel min cache claims empty with %d events", w.count)
-		}
-		if got := w.levels[w.minLevel].buckets[w.minIdx]; len(got) == 0 || got[0] != w.minNode {
-			return fmt.Errorf("wheel min cache points at stale bucket root")
-		}
+	if total > 0 && first != w.next {
+		return fmt.Errorf("wheel next %v but the earliest occupied bucket starts at %v", w.next, first)
 	}
 	return nil
 }

@@ -6,6 +6,110 @@ import (
 	"time"
 )
 
+// seqLog is a Hook that records the schedule sequence number of every
+// fired event. Two engines fed the same schedule calls number their
+// events identically, so equal logs mean equal fire order, ties
+// included.
+type seqLog []int64
+
+func (l *seqLog) OnSchedule(time.Duration, int64)   {}
+func (l *seqLog) OnFire(_ time.Duration, seq int64) { *l = append(*l, seq) }
+func (l *seqLog) OnAlloc(*Packet)                   {}
+func (l *seqLog) OnFree(*Packet)                    {}
+
+// mirror drives a wheel-enabled engine and a heap-pure shadow through
+// the same calls. agree fails the test as soon as the two differ in
+// anything an observer can see — fire order, clock, pending depth — or
+// either engine's structure is unsound.
+type mirror struct {
+	t           testing.TB
+	eng, shadow *Engine
+	log, slog   seqLog
+	compared    int
+	tm, stm     []Timer
+}
+
+func newMirror(t testing.TB) *mirror {
+	m := &mirror{t: t, eng: &Engine{}, shadow: &Engine{wheelOff: true}}
+	m.eng.SetHook(&m.log)
+	m.shadow.SetHook(&m.slog)
+	return m
+}
+
+func (m *mirror) schedule(d time.Duration) {
+	m.tm = append(m.tm, m.eng.Schedule(d, func() {}))
+	m.stm = append(m.stm, m.shadow.Schedule(d, func() {}))
+}
+
+// at schedules an event at an absolute time.
+func (m *mirror) at(at time.Duration) { m.schedule(at - m.eng.Now()) }
+
+// engage fills the heap to the population at which the wheel starts
+// staging, with events beyond the wheel horizon.
+func (m *mirror) engage() {
+	for i := 0; i < wheelMinPop; i++ {
+		m.schedule(2*wheelTickDur*wheelSlots*wheelSlots + time.Duration(i)*time.Second)
+	}
+}
+
+func (m *mirror) cancel(k int) {
+	m.tm[k].Cancel()
+	m.stm[k].Cancel()
+}
+
+func (m *mirror) run(until time.Duration) {
+	m.eng.Run(until)
+	m.shadow.Run(until)
+}
+
+func (m *mirror) step() bool {
+	a, b := m.eng.Step(), m.shadow.Step()
+	if a != b {
+		m.t.Fatalf("wheel engine step=%v, heap shadow step=%v", a, b)
+	}
+	return a
+}
+
+func (m *mirror) reset() {
+	m.eng.Reset()
+	m.shadow.Reset()
+	m.log, m.slog, m.compared = m.log[:0], m.slog[:0], 0
+}
+
+func (m *mirror) agree(ctx string) {
+	if err := m.eng.verifyHeap(); err != nil {
+		m.t.Fatalf("%s: wheel engine unsound: %v", ctx, err)
+	}
+	if err := m.shadow.verifyHeap(); err != nil {
+		m.t.Fatalf("%s: heap shadow unsound: %v", ctx, err)
+	}
+	if len(m.log) != len(m.slog) {
+		m.t.Fatalf("%s: wheel engine fired %d events, heap shadow %d", ctx, len(m.log), len(m.slog))
+	}
+	for ; m.compared < len(m.log); m.compared++ {
+		if m.log[m.compared] != m.slog[m.compared] {
+			m.t.Fatalf("%s: fire %d: wheel engine ran event #%d, heap shadow #%d",
+				ctx, m.compared, m.log[m.compared], m.slog[m.compared])
+		}
+	}
+	if m.eng.Now() != m.shadow.Now() {
+		m.t.Fatalf("%s: wheel engine at %v, heap shadow at %v", ctx, m.eng.Now(), m.shadow.Now())
+	}
+	if m.eng.Pending() != m.shadow.Pending() {
+		m.t.Fatalf("%s: wheel engine pending %d, heap shadow pending %d", ctx, m.eng.Pending(), m.shadow.Pending())
+	}
+}
+
+func (m *mirror) drain() {
+	for m.step() {
+		m.agree("during drain")
+	}
+	m.agree("after drain")
+	if m.eng.Pending() != 0 {
+		m.t.Fatalf("drained engine still reports %d pending", m.eng.Pending())
+	}
+}
+
 // TestWheelHeapEquivalence drives a wheel-enabled engine and a
 // heap-pure shadow through an identical randomized workload of
 // near/far/same-tick schedules, cancels, and bounded runs, and
@@ -13,64 +117,142 @@ import (
 // observationally indistinguishable from the reference heap.
 func TestWheelHeapEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	eng := &Engine{}
-	shadow := &Engine{wheelOff: true}
-	var fires, shadowFires []time.Duration
-	var timers, shadowTimers []Timer
-
-	schedule := func(d time.Duration) {
-		timers = append(timers, eng.Schedule(d, func() { fires = append(fires, eng.Now()) }))
-		shadowTimers = append(shadowTimers, shadow.Schedule(d, func() { shadowFires = append(shadowFires, shadow.Now()) }))
-	}
-
+	m := newMirror(t)
 	for round := 0; round < 2000; round++ {
 		switch rng.Intn(10) {
 		case 0, 1, 2: // sub-tick and level-0 range
-			schedule(time.Duration(rng.Intn(int(wheelTickDur) * wheelSlots)))
+			m.schedule(time.Duration(rng.Intn(int(wheelTickDur) * wheelSlots)))
 		case 3, 4: // level-1 range
-			schedule(time.Duration(rng.Intn(int(wheelTickDur) * wheelSlots * wheelSlots)))
+			m.schedule(time.Duration(rng.Intn(int(wheelTickDur) * wheelSlots * wheelSlots)))
 		case 5: // beyond the wheel horizon: heap
-			schedule(time.Duration(int(wheelTickDur)*wheelSlots*wheelSlots) + time.Duration(rng.Intn(1e9)))
+			m.schedule(time.Duration(int(wheelTickDur)*wheelSlots*wheelSlots) + time.Duration(rng.Intn(1e9)))
 		case 6: // same-instant burst: FIFO tie-break must hold
 			for i := 0; i < 5; i++ {
-				schedule(42 * time.Millisecond)
+				m.schedule(42 * time.Millisecond)
 			}
 		case 7: // cancel a random handle on both engines
-			if len(timers) > 0 {
-				k := rng.Intn(len(timers))
-				timers[k].Cancel()
-				shadowTimers[k].Cancel()
+			if len(m.tm) > 0 {
+				m.cancel(rng.Intn(len(m.tm)))
 			}
 		case 8: // bounded run
-			until := eng.Now() + time.Duration(rng.Intn(2e8))
-			eng.Run(until)
-			shadow.Run(until)
+			m.run(m.eng.Now() + time.Duration(rng.Intn(2e8)))
 		case 9: // a few single steps
 			for i := 0; i < 3; i++ {
-				eng.Step()
-				shadow.Step()
+				m.step()
 			}
 		}
+		m.agree("after round")
 	}
-	for eng.Step() {
+	m.drain()
+	if m.eng.Processed != m.shadow.Processed {
+		t.Fatalf("processed diverged: %d vs %d", m.eng.Processed, m.shadow.Processed)
 	}
-	for shadow.Step() {
-	}
+}
 
-	if err := eng.verifyHeap(); err != nil {
-		t.Fatalf("wheel engine unsound after drain: %v", err)
-	}
-	if len(fires) != len(shadowFires) {
-		t.Fatalf("wheel engine fired %d events, heap shadow %d", len(fires), len(shadowFires))
-	}
-	for i := range fires {
-		if fires[i] != shadowFires[i] {
-			t.Fatalf("fire %d: wheel engine at %v, heap shadow at %v", i, fires[i], shadowFires[i])
+// TestWheelRunParksInsideTick stops a bounded run between two events
+// of one tick, staged at each level in turn: the clock then stands
+// inside a tick whose bucket has been opened, and events scheduled
+// into the rest of that tick must go to the heap beside the one still
+// pending there, not back into the passed bucket.
+func TestWheelRunParksInsideTick(t *testing.T) {
+	m := newMirror(t)
+	m.engage()
+	for _, base := range []time.Duration{
+		40 * wheelTickDur,                // level 0
+		3*wheelSlots*wheelTickDur + 1000, // level 1, first tick of its span
+	} {
+		first, second := base+10*time.Microsecond, base+200*time.Microsecond
+		m.at(first)
+		m.at(second)
+		m.at(base + 3*wheelTickDur)
+		if m.eng.wheel.count != 3 {
+			t.Fatalf("wheel holds %d events, want all 3 staged", m.eng.wheel.count)
 		}
+		m.run(base + 100*time.Microsecond)
+		m.agree("parked inside the tick")
+		if got := m.log[len(m.log)-1]; m.eng.Now() >= second || got != m.eng.seq-2 {
+			t.Fatalf("run to %v fired event #%d, want only the tick's first (#%d)", m.eng.Now(), got, m.eng.seq-2)
+		}
+		m.schedule(50 * time.Microsecond)  // same tick, before the one pending
+		m.schedule(150 * time.Microsecond) // same tick, after it
+		m.schedule(0)
+		m.schedule(wheelTickDur) // next tick: staged at distance 1
+		m.agree("scheduled into the parked tick")
+		m.run(base + 2*wheelTickDur)
+		m.agree("ran past the tick")
 	}
-	if eng.Processed != shadow.Processed {
-		t.Fatalf("processed diverged: %d vs %d", eng.Processed, shadow.Processed)
+	m.drain()
+}
+
+// TestWheelCursorAheadOfClock opens a level-1 bucket while the heap is
+// empty and the clock is thousands of ticks earlier. The cursor then
+// stands ahead of the clock, and an event scheduled between the two
+// must go to the heap: the buckets for its tick have been passed.
+func TestWheelCursorAheadOfClock(t *testing.T) {
+	m := newMirror(t)
+	for i := 0; i < wheelMinPop; i++ {
+		m.schedule(0)
 	}
+	m.schedule(time.Second)     // level 1
+	m.schedule(5 * time.Second) // level 1, keeps the wheel engaged
+	for i := 0; i < wheelMinPop; i++ {
+		m.step()
+	}
+	if len(m.eng.heap) != 0 || m.eng.wheel.count != 2 {
+		t.Fatalf("want an empty heap and 2 staged events, have %d and %d", len(m.eng.heap), m.eng.wheel.count)
+	}
+	m.run(10 * time.Millisecond) // peeks: opens the 1s event's buckets, fires nothing
+	m.agree("after the peek")
+	if ahead := m.eng.wheel.cur - wheelTick(m.eng.Now()); ahead < 1000 {
+		t.Fatalf("cursor is %d ticks ahead of the clock, want the 1s bucket opened (>1000)", ahead)
+	}
+	staged := m.eng.wheel.count
+	m.at(500 * time.Millisecond)            // between clock and cursor
+	m.at(time.Second - time.Microsecond)    // the cursor's own tick, before the opened event
+	m.at(time.Second + 10*time.Microsecond) // the cursor's own tick, after it
+	if m.eng.wheel.count != staged {
+		t.Fatalf("an event at or behind the cursor was staged (%d -> %d)", staged, m.eng.wheel.count)
+	}
+	m.at(time.Second + 10*time.Millisecond) // ahead of the cursor: level 0
+	m.at(3 * time.Second)                   // level 1
+	if m.eng.wheel.count != staged+2 {
+		t.Fatalf("events ahead of the cursor were not staged (%d -> %d)", staged, m.eng.wheel.count)
+	}
+	m.agree("scheduled around the cursor")
+	m.drain()
+}
+
+// TestWheelResetRewindsCursor checks that Reset takes the cursor back
+// with the clock: after a run has advanced it, a post-reset
+// near-future event is staged again and fires in order.
+func TestWheelResetRewindsCursor(t *testing.T) {
+	m := newMirror(t)
+	m.engage()
+	m.schedule(2 * time.Second)
+	m.schedule(3 * time.Second)
+	m.schedule(3500 * time.Millisecond) // a later level-1 bucket: stays staged
+	m.run(2500 * time.Millisecond)
+	if m.eng.wheel.cur == 0 || m.eng.wheel.count != 1 {
+		t.Fatalf("cursor %d, %d staged: want an advanced cursor and one staged event", m.eng.wheel.cur, m.eng.wheel.count)
+	}
+	m.reset()
+	m.agree("after reset")
+	if w := &m.eng.wheel; w.cur != 0 || w.next != 0 || w.count != 0 {
+		t.Fatalf("Reset left cursor %d, next %v, count %d", w.cur, w.next, w.count)
+	}
+	m.engage()
+	m.schedule(time.Millisecond)
+	m.schedule(time.Second)
+	if m.eng.wheel.count != 2 {
+		t.Fatalf("post-reset near-future events not staged: wheel holds %d, want 2", m.eng.wheel.count)
+	}
+	m.agree("rescheduled")
+	m.run(time.Second)
+	m.agree("ran")
+	if n := len(m.log); n != 2 {
+		t.Fatalf("%d events fired after the reset, want 2", n)
+	}
+	m.drain()
 }
 
 // TestWheelLevelRouting checks the per-timer wheel/heap split: heap
@@ -154,10 +336,8 @@ func TestWheelResetReclaimsSlots(t *testing.T) {
 }
 
 // TestWheelSteadyStateAllocs checks that the dense-timer scheduling
-// path stays allocation-free once bucket capacity is warm. Bucket
-// capacity persists across wheel revolutions, so warming means one
-// sweep of the full horizon: after that, a clock advancing through
-// fresh level-1 spans keeps landing in already-grown buckets.
+// path stays allocation-free once the slot table and the heap have
+// grown to the population: staging itself owns no storage.
 func TestWheelSteadyStateAllocs(t *testing.T) {
 	eng := &Engine{}
 	fn := func() {}
@@ -168,12 +348,7 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 		for eng.Step() {
 		}
 	}
-	// Warm every bucket the workload can touch: one cycle advances the
-	// clock ~77ms, so ~300 cycles sweep more than a full level-1
-	// revolution (~17.2s) at every phase offset the workload produces.
-	for i := 0; i < 300; i++ {
-		cycle()
-	}
+	cycle()
 	allocs := testing.AllocsPerRun(100, cycle)
 	if allocs > 0 {
 		t.Fatalf("steady-state wheel scheduling allocates %.1f times per cycle, want 0", allocs)
