@@ -150,3 +150,79 @@ func TestHuntModeValidation(t *testing.T) {
 		t.Error("missing objective should error")
 	}
 }
+
+// TestHuntTrajectoryPinned pins a whole search, not a single genome:
+// for each objective at seed 1, budget 96, pop 24 and an otherwise
+// zero Config, the winner and every generation's best hash and mean
+// must replay exactly. The corpus test replays genomes the search once
+// found; this one fails when selection, breeding, immigration or the
+// rng coordinates move. The means are pinned because on unfair and
+// elastic-miss generation 0 already holds the final best hash.
+func TestHuntTrajectoryPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	type gen struct {
+		hash string
+		mean float64
+	}
+	pins := []struct {
+		objective string
+		bestHash  string
+		bestScore float64
+		gens      []gen
+	}{
+		{"harm", "36459789058dd8cc9c5e9da9e72d3c14f4fda2985f3f53e3f89a51c905785e86", 1.2206397058823528, []gen{
+			{"359fa0b8c8f32504d22a0b79ef892dd875a982b2ca69afdeb9c2019147d396aa", 0.7349051888244619},
+			{"28631ddc21e1162b81f509c96003617e61bb40caa2901706f93a797896be430f", 0.9197390435326213},
+			{"36459789058dd8cc9c5e9da9e72d3c14f4fda2985f3f53e3f89a51c905785e86", 0.9337752639143021},
+			{"36459789058dd8cc9c5e9da9e72d3c14f4fda2985f3f53e3f89a51c905785e86", 0.9861288087812076},
+		}},
+		{"unfair", "69d98be7d833fc973002ce31989b5ce7f6c0199ec0c956160150d1d8af33a522", 1, []gen{
+			{"69d98be7d833fc973002ce31989b5ce7f6c0199ec0c956160150d1d8af33a522", 0.3269597043106332},
+			{"69d98be7d833fc973002ce31989b5ce7f6c0199ec0c956160150d1d8af33a522", 0.3747085978867076},
+			{"69d98be7d833fc973002ce31989b5ce7f6c0199ec0c956160150d1d8af33a522", 0.5724474932387221},
+			{"69d98be7d833fc973002ce31989b5ce7f6c0199ec0c956160150d1d8af33a522", 0.6642696805972622},
+		}},
+		{"elastic-miss", "efdfbdbef53414162ebac1cbc20204a29dcc4b3c35d81d9c9a7f3097e9aeeecc", 1.25, []gen{
+			{"efdfbdbef53414162ebac1cbc20204a29dcc4b3c35d81d9c9a7f3097e9aeeecc", 0.519293640382176},
+			{"efdfbdbef53414162ebac1cbc20204a29dcc4b3c35d81d9c9a7f3097e9aeeecc", 0.8167018254040569},
+			{"efdfbdbef53414162ebac1cbc20204a29dcc4b3c35d81d9c9a7f3097e9aeeecc", 0.8472441434798726},
+			{"efdfbdbef53414162ebac1cbc20204a29dcc4b3c35d81d9c9a7f3097e9aeeecc", 0.957445455348707},
+		}},
+		{"flip", "e1bb3f5e869b8fec2ddd4c8a96de89ccac9b82ce6bb2c0c10eed2228e071ed62", 1.25, []gen{
+			{"104d56c00d609c1312d38ebc34b39df89eba834c431685b2bb0086b248a20910", 0.18728143862362057},
+			{"104d56c00d609c1312d38ebc34b39df89eba834c431685b2bb0086b248a20910", 0.3355369262629962},
+			{"761c5162a0f799e812df152c33be17ff88c738eb15486391b82cb6e985a11d36", 0.47033961931942714},
+			{"e1bb3f5e869b8fec2ddd4c8a96de89ccac9b82ce6bb2c0c10eed2228e071ed62", 0.5668531676289432},
+		}},
+	}
+	for _, p := range pins {
+		p := p
+		t.Run(p.objective, func(t *testing.T) {
+			t.Parallel()
+			obj, err := LookupObjective(p.objective)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(context.Background(), Config{
+				Objective: obj, Budget: 96, Pop: 24, Seed: 1,
+				Runner: &scenario.Runner{Workers: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BestHash != p.bestHash || res.BestScore != p.bestScore {
+				t.Errorf("best = %s (%v), pinned %s (%v)", res.BestHash, res.BestScore, p.bestHash, p.bestScore)
+			}
+			if len(res.History) != len(p.gens) {
+				t.Fatalf("%d generations, pinned %d", len(res.History), len(p.gens))
+			}
+			for i, g := range res.History {
+				if g.BestHash != p.gens[i].hash || g.Mean != p.gens[i].mean {
+					t.Errorf("gen %d: best %s mean %v, pinned %s mean %v", i, g.BestHash, g.Mean, p.gens[i].hash, p.gens[i].mean)
+				}
+			}
+		})
+	}
+}
