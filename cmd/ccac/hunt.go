@@ -1,11 +1,11 @@
 package main
 
-// ccac hunt drives the adversarial scenario search: a guided optimizer
-// over fault-profile + cross-traffic genomes, maximizing a chosen
-// pathology objective through the scenario runner.
+// ccac hunt drives the adversarial scenario search: a genetic
+// algorithm over fault-profile + cross-traffic genomes, maximizing a
+// chosen pathology objective through the scenario runner.
 //
-//	ccac hunt <objective> [-budget N] [-pop N] [-mode ga|anneal]
-//	          [-refine FRAC] [-seed N] [-workers N | -seq] [-cache DIR]
+//	ccac hunt <objective> [-budget N] [-pop N] [-seed N]
+//	          [-workers N | -seq] [-cache DIR]
 //	          [-rate BPS] [-rtt DUR] [-queue Q] [-buffer BDP] [-victim CCA]
 //	          [-random N] [-out DIR] [-corpus DIR] [-fuzz-seeds DIR]
 //	          [-progress] [-progress-jsonl FILE] [-json]
@@ -41,8 +41,6 @@ func cmdHunt(args []string) {
 	fs := flag.NewFlagSet("ccac hunt", flag.ExitOnError)
 	budget := fs.Int("budget", 200, "genome evaluation budget")
 	pop := fs.Int("pop", 24, "GA population size")
-	mode := fs.String("mode", "ga", "optimizer: ga or anneal")
-	refine := fs.Float64("refine", 0, "fraction of the budget spent annealing the GA's best")
 	seed := fs.Int64("seed", 1, "hunt model seed (the whole hunt derives from it)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	seq := fs.Bool("seq", false, "run sequentially (one worker)")
@@ -70,6 +68,9 @@ func cmdHunt(args []string) {
 	obj, err := hunt.LookupObjective(args[0])
 	fail(err)
 	fs.Parse(args[1:])
+	if *fuzzSeeds != "" && *corpusDir == "" {
+		fail(fmt.Errorf("hunt: -fuzz-seeds needs -corpus"))
+	}
 
 	runner := &scenario.Runner{Workers: *workers}
 	if *seq {
@@ -105,12 +106,10 @@ func cmdHunt(args []string) {
 			BufferBDP: *buffer,
 			Victim:    *victim,
 		},
-		Budget:     *budget,
-		Pop:        *pop,
-		Mode:       *mode,
-		RefineFrac: *refine,
-		Seed:       *seed,
-		Runner:     runner,
+		Budget: *budget,
+		Pop:    *pop,
+		Seed:   *seed,
+		Runner: runner,
 	}
 	if !*asJSON {
 		cfg.Log = func(format string, a ...any) {
@@ -154,8 +153,6 @@ func cmdHunt(args []string) {
 				fmt.Fprintf(os.Stderr, "ccac: hunt fuzz seed: %s\n", p)
 			}
 		}
-	} else if *fuzzSeeds != "" {
-		fail(fmt.Errorf("hunt: -fuzz-seeds needs -corpus"))
 	}
 
 	if *asJSON {
@@ -164,11 +161,11 @@ func cmdHunt(args []string) {
 		fmt.Println(string(b))
 		return
 	}
-	fmt.Printf("hunt %s (%s, seed %d): best score %.4f after %d evaluations (%v)\n",
-		res.Objective, res.Mode, res.Seed, res.BestScore, res.Evaluations, elapsed.Round(time.Millisecond))
+	fmt.Printf("hunt %s (seed %d): best score %.4f after %d evaluations (%v)\n",
+		res.Objective, res.Seed, res.BestScore, res.Evaluations, elapsed.Round(time.Millisecond))
 	fmt.Printf("  worst spec %s\n", res.BestHash)
 	for _, g := range res.History {
-		fmt.Printf("  %-6s %3d  best %.4f  mean %.4f\n", g.Mode, g.Gen, g.Best, g.Mean)
+		fmt.Printf("  gen %3d  best %.4f  mean %.4f\n", g.Gen, g.Best, g.Mean)
 	}
 	if res.Random != nil {
 		verdict := "hunt wins"

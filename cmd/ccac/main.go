@@ -10,7 +10,7 @@
 //	         [-queue fq] [-buffer 2] [-ccas reno,bbr] [-phases reno,cbr]
 //	         [-faults wifi-bursty] [-fault-seed N] [-trials N] [-flows N]
 //	         [-users N] [-pulse HZ] [-phase 45s] [-json]
-//	         [-trace run.jsonl] [-trace-sample N] [-metrics-out metrics.csv]
+//	         [-trace run.jsonl] [-trace-sample N] [-metrics-out metrics.jsonl]
 //	ccac sweep [-workers N | -seq] [-cache DIR] [-out results.json]
 //	           [-progress] [-progress-jsonl events.jsonl] [-flight DIR]
 //	           [-admin ADDR] <grid.json|->
@@ -190,7 +190,7 @@ func cmdRun(args []string) {
 	asJSON := fs.Bool("json", false, "print the canonical result record instead of the table")
 	tracePath := fs.String("trace", "", "write a JSONL run log (manifest + events + summary) to this file")
 	traceSample := fs.Int("trace-sample", 32, "keep 1-in-N bulk events in the trace (control events always kept)")
-	metricsOut := fs.String("metrics-out", "", "write a final metrics snapshot to this file (.csv or .jsonl)")
+	metricsOut := fs.String("metrics-out", "", "write a final metrics snapshot to this file (JSONL)")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: ccac run <experiment> [flags]")
 		fmt.Fprintln(fs.Output(), "       ccac run -spec <spec.json|-> [flags]")

@@ -5,10 +5,9 @@
 // flows whose allocation level shifted — the Figure 2 pipeline.
 //
 // The dataset streams through a worker pool one record at a time
-// (gzip input is autodetected), so millions of flows analyze in
-// constant memory; the report is byte-identical for every -workers
-// count. -sketch swaps the exact shift-magnitude CDF for a
-// constant-memory quantile sketch.
+// (gzip input is autodetected), so the dataset is never materialized
+// (the aggregate keeps counts and 8 B per accepted shift magnitude);
+// the report is byte-identical for every -workers count.
 //
 // Usage:
 //
@@ -39,11 +38,10 @@ func run() error {
 	detector := flag.String("detector", "pelt", "change-point detector: pelt, binseg, or window")
 	minShift := flag.Float64("minshift", 0.2, "minimum relative level shift to count")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "analysis goroutines (output is identical for any count)")
-	sketch := flag.Bool("sketch", false, "use the constant-memory shift-magnitude sketch instead of the exact CDF")
 	maxRecords := flag.Int("max-records", 0, "abort past this many records (0 = unlimited)")
 	maxRecordBytes := flag.Int("max-record-bytes", mlab.DefaultMaxRecordBytes, "abort on a longer JSONL line (<0 = unlimited)")
 	cdf := flag.Bool("cdf", false, "also print the shift-magnitude CDF as (value, fraction) rows")
-	metricsOut := flag.String("metrics-out", "", "write pipeline stats to this file (.csv or .jsonl)")
+	metricsOut := flag.String("metrics-out", "", "write pipeline stats to this file (JSONL)")
 	flag.Parse()
 
 	var r io.Reader = os.Stdin
@@ -65,9 +63,8 @@ func run() error {
 	defer src.Close()
 
 	res, err := core.AnalyzeFig2Stream(src, core.Fig2Config{
-		Analysis:  mlab.AnalysisConfig{Detector: *detector, MinShiftFrac: *minShift},
-		Workers:   *workers,
-		SketchCDF: *sketch,
+		Analysis: mlab.AnalysisConfig{Detector: *detector, MinShiftFrac: *minShift},
+		Workers:  *workers,
 	})
 	if err != nil {
 		return err
@@ -90,9 +87,9 @@ func run() error {
 			return err
 		}
 	}
-	if *cdf && res.Analysis.ShiftLen() > 0 {
+	if *cdf && res.Analysis.ShiftCDF.Len() > 0 {
 		fmt.Println("\n# shift_magnitude cumulative_fraction")
-		for _, pt := range res.Analysis.ShiftPoints(50) {
+		for _, pt := range res.Analysis.ShiftCDF.Points(50) {
 			fmt.Printf("%.4f %.4f\n", pt[0], pt[1])
 		}
 	}

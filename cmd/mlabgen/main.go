@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	mlabgen [-flows 9984] [-seed 1] [-o dataset.jsonl] [-metrics-out m.csv]
+//	mlabgen [-flows 9984] [-seed 1] [-o dataset.jsonl] [-metrics-out m.jsonl]
 //	mlabgen -flows 1000000 -shard-size 2048 -workers 8 -o big.jsonl.gz
 package main
 
@@ -40,7 +40,7 @@ func run() error {
 	shardSize := flag.Int("shard-size", 0, "records per independently-seeded shard (0 = historical single-stream sequence)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "generation goroutines (needs -shard-size; output is identical for any count)")
 	compress := flag.Bool("gzip", false, "gzip the output")
-	metricsOut := flag.String("metrics-out", "", "write generation stats to this file (.csv or .jsonl)")
+	metricsOut := flag.String("metrics-out", "", "write generation stats to this file (JSONL)")
 	flag.Parse()
 
 	w := os.Stdout

@@ -120,7 +120,6 @@ func run() error {
 	if *admin != "" {
 		reg := obs.NewRegistry()
 		srv.RegisterMetrics(reg)
-		reg.PublishExpvar("probed")
 		rec := timeseries.New(timeseries.Config{
 			Registry: reg,
 			Interval: *recordEvery,

@@ -18,10 +18,6 @@ type Fig2Config struct {
 	// already parallelizes across scenarios). The outcome is identical
 	// for every worker count, so it is execution detail, not spec.
 	Workers int `json:"-"`
-	// SketchCDF switches the shift-magnitude distribution to the
-	// constant-memory sketch (streaming aggregate runs). Execution
-	// detail, like Workers.
-	SketchCDF bool `json:"-"`
 }
 
 // Fig2Result bundles the dataset-level outcome.
@@ -36,11 +32,7 @@ func (c Fig2Config) streamOptions(keepResults bool) mlab.StreamOptions {
 	if workers == 0 {
 		workers = 1
 	}
-	return mlab.StreamOptions{
-		Workers:       workers,
-		KeepResults:   keepResults,
-		ExactShiftCDF: !c.SketchCDF,
-	}
+	return mlab.StreamOptions{Workers: workers, KeepResults: keepResults}
 }
 
 // RunFig2 generates the synthetic NDT dataset and runs the paper's
@@ -57,21 +49,9 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 	return &Fig2Result{Config: cfg, Analysis: an, Validation: an.Validate()}, nil
 }
 
-// AnalyzeFig2 runs the pipeline over an existing dataset (e.g. loaded
-// from JSONL).
-func AnalyzeFig2(recs []mlab.Record, cfg Fig2Config) *Fig2Result {
-	r, err := AnalyzeFig2Stream(&mlab.SliceSource{Recs: recs}, cfg)
-	if err != nil {
-		// A slice source cannot fail to decode.
-		panic(err)
-	}
-	return r
-}
-
 // AnalyzeFig2Stream runs the pipeline over a record stream in the
-// constant-memory aggregate mode: per-flow results are not retained,
-// and with cfg.SketchCDF the shift-magnitude distribution is sketched,
-// so memory is O(cfg.Workers x flow size) however large the dataset.
+// aggregate mode: per-flow results are not retained, so memory is
+// O(cfg.Workers x flow size) plus 8 B per accepted shift magnitude.
 func AnalyzeFig2Stream(src mlab.RecordSource, cfg Fig2Config) (*Fig2Result, error) {
 	an, err := mlab.AnalyzeStream(src, cfg.Analysis, cfg.streamOptions(false))
 	if err != nil {

@@ -1,9 +1,9 @@
 // Package hunt is the adversarial scenario search: a guided optimizer
-// (a genetic population with tournament selection and crossover, plus
-// a simulated-annealing refinement mode) over genomes that encode a
-// fault profile and a cross-traffic schedule, evaluated by running the
-// decoded genome through the scenario runner's huntcell experiment
-// against a pluggable objective — Ware-style harm to a victim flow,
+// (a genetic population with tournament selection, crossover and
+// immigration) over genomes that encode a fault profile and a
+// cross-traffic schedule, evaluated by running the decoded genome
+// through the scenario runner's huntcell experiment against a
+// pluggable objective — Ware-style harm to a victim flow,
 // Jain unfairness, elasticity misclassification by the Nimbus
 // estimator, or probe-verdict flips between a faulted link and its
 // clean twin.

@@ -17,7 +17,7 @@ type Config struct {
 	Objective Objective
 	// Params fixes the link, main flow, and evaluation seeds. Zero
 	// Seed/FaultSeed are derived from Seed below so a hunt is fully
-	// specified by (objective, seed, budget, pop, mode).
+	// specified by (objective, seed, budget, pop).
 	Params Params
 	// Bounds confines the genome space (zero value: the objective's
 	// DefaultBounds).
@@ -28,23 +28,6 @@ type Config struct {
 	Budget int
 	// Pop is the GA population size (default 24, min 4).
 	Pop int
-	// Elite is how many top genomes survive unchanged (default 2).
-	Elite int
-	// CrossoverP is the crossover probability (default 0.7).
-	CrossoverP float64
-	// TournamentK is the selection tournament size (default 3).
-	TournamentK int
-	// Immigrants is how many fresh random genomes join each bred
-	// generation (default Pop/4, min 1). Immigration keeps the GA
-	// exploring: its sample pool stays a superset of what undirected
-	// random sampling would draw, with selection pressure on top, so
-	// the guided search cannot converge below the blind baseline.
-	Immigrants int
-	// Mode selects the optimizer: "ga" (default) or "anneal".
-	Mode string
-	// RefineFrac, in GA mode, reserves this fraction of the budget for
-	// a simulated-annealing refinement of the GA's best (default 0).
-	RefineFrac float64
 	// Seed is the hunt's model seed: every random draw anywhere in the
 	// hunt derives from it via faults.DeriveSeed.
 	Seed int64
@@ -65,27 +48,6 @@ func (c Config) norm() Config {
 	if c.Pop < 4 {
 		c.Pop = 4
 	}
-	if c.Elite <= 0 {
-		c.Elite = 2
-	}
-	if c.Elite > c.Pop/2 {
-		c.Elite = c.Pop / 2
-	}
-	if c.CrossoverP <= 0 {
-		c.CrossoverP = 0.7
-	}
-	if c.TournamentK <= 0 {
-		c.TournamentK = 3
-	}
-	if c.Immigrants <= 0 {
-		c.Immigrants = c.Pop / 4
-		if c.Immigrants < 1 {
-			c.Immigrants = 1
-		}
-	}
-	if c.Mode == "" {
-		c.Mode = "ga"
-	}
 	if c.Bounds == (Bounds{}) {
 		c.Bounds = c.Objective.DefaultBounds()
 	}
@@ -102,10 +64,9 @@ func (c Config) norm() Config {
 	return c
 }
 
-// Generation is one optimizer round's summary.
+// Generation is one GA round's summary.
 type Generation struct {
 	Gen      int     `json:"gen"`
-	Mode     string  `json:"mode"` // "ga" or "anneal"
 	Evals    int     `json:"evals"`
 	Best     float64 `json:"best"`
 	Mean     float64 `json:"mean"`
@@ -125,7 +86,6 @@ type Baseline struct {
 // the config: worker count and cache state never leak in.
 type Result struct {
 	Objective   string        `json:"objective"`
-	Mode        string        `json:"mode"`
 	Seed        int64         `json:"seed"`
 	Budget      int           `json:"budget"`
 	Evaluations int           `json:"evaluations"`
@@ -192,7 +152,27 @@ func (h *hunter) evaluate(ctx context.Context, genomes []Genome) ([]float64, err
 	return scores, nil
 }
 
-// Run executes the hunt.
+// The GA's shape. Constants, not Config fields: the corpus and the
+// pinned trajectories were found with these values.
+const (
+	// gaElite top genomes survive each generation unchanged.
+	gaElite = 2
+	// gaCrossoverP is the probability a child has two parents.
+	gaCrossoverP = 0.7
+	// gaTournamentK is the selection tournament size.
+	gaTournamentK = 3
+	// Pop/gaImmigrantDiv fresh random genomes join each bred
+	// generation. Immigration keeps the GA exploring: its sample pool
+	// stays a superset of what undirected random sampling would draw,
+	// with selection pressure on top, so the guided search cannot
+	// converge below the blind baseline.
+	gaImmigrantDiv = 4
+)
+
+// Run executes the hunt: a population loop that evaluates, records,
+// selects and breeds until the budget is spent. Elites are carried (and
+// re-evaluated: with a cache their sweep slots are free hits, and the
+// score bookkeeping stays uniform).
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.norm()
 	if cfg.Objective.Score == nil {
@@ -201,34 +181,72 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	h := &hunter{cfg: cfg}
 	res := &Result{
 		Objective: cfg.Objective.Name,
-		Mode:      cfg.Mode,
 		Seed:      cfg.Seed,
 		Budget:    cfg.Budget,
 		Params:    cfg.Params,
 		BestScore: math.Inf(-1),
 	}
 
-	switch cfg.Mode {
-	case "ga":
-		gaBudget := cfg.Budget
-		refine := int(cfg.RefineFrac * float64(cfg.Budget))
-		if refine > 0 {
-			gaBudget -= refine
+	left := cfg.Budget
+	pop := make([]Genome, cfg.Pop)
+	for i := range pop {
+		pop[i] = RandomGenome(rngFor(cfg.Seed, "init", 0, i), cfg.Bounds)
+	}
+	for gen := 0; left > 0; gen++ {
+		if len(pop) > left {
+			pop = pop[:left]
 		}
-		if err := h.runGA(ctx, gaBudget, res); err != nil {
+		scores, err := h.evaluate(ctx, pop)
+		if err != nil {
 			return nil, err
 		}
-		if refine > 0 {
-			if err := h.runAnneal(ctx, refine, res); err != nil {
-				return nil, err
+		left -= len(pop)
+
+		order := rankDesc(scores)
+		var sum float64
+		for _, s := range scores {
+			sum += s
+		}
+		for i, g := range pop {
+			res.note(g, scores[i])
+		}
+		best := pop[order[0]]
+		g := Generation{
+			Gen: gen, Evals: h.evals,
+			Best: scores[order[0]], Mean: sum / float64(len(scores)),
+			BestHash: best.Decode(cfg.Params).Hash(),
+		}
+		res.History = append(res.History, g)
+		if cfg.Log != nil {
+			cfg.Log("hunt %s gen %d: best %.4f mean %.4f (%d/%d evals)",
+				cfg.Objective.Name, gen, g.Best, g.Mean, h.evals, cfg.Budget)
+		}
+		if left == 0 {
+			break
+		}
+
+		next := make([]Genome, 0, cfg.Pop)
+		for _, e := range order[:gaElite] {
+			next = append(next, pop[e].Clone())
+		}
+		for i := len(next); i < cfg.Pop; i++ {
+			// Tail slots are immigrants: fresh random genomes drawn from
+			// the same deterministic (label, gen, index) coordinates as
+			// the initial population.
+			if i >= cfg.Pop-cfg.Pop/gaImmigrantDiv {
+				next = append(next, RandomGenome(rngFor(cfg.Seed, "init", gen+1, i), cfg.Bounds))
+				continue
 			}
+			rng := rngFor(cfg.Seed, "breed", gen+1, i)
+			p1 := pop[tournament(rng, scores, gaTournamentK)]
+			child := p1
+			if rng.Float64() < gaCrossoverP {
+				p2 := pop[tournament(rng, scores, gaTournamentK)]
+				child = Crossover(p1, p2, rng, cfg.Bounds)
+			}
+			next = append(next, child.Mutate(rng, cfg.Bounds))
 		}
-	case "anneal":
-		if err := h.runAnneal(ctx, cfg.Budget, res); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("hunt: unknown mode %q (want ga or anneal)", cfg.Mode)
+		pop = next
 	}
 
 	res.Evaluations = h.evals
@@ -244,133 +262,6 @@ func (r *Result) note(g Genome, score float64) {
 		r.BestScore = score
 		r.Best = g.Clone()
 	}
-}
-
-// runGA is the population loop: evaluate, record, select, breed.
-// Elites are carried (and re-evaluated: with a cache their sweep slots
-// are free hits, and the score bookkeeping stays uniform).
-func (h *hunter) runGA(ctx context.Context, budget int, res *Result) error {
-	cfg := h.cfg
-	left := budget
-	pop := make([]Genome, cfg.Pop)
-	for i := range pop {
-		pop[i] = RandomGenome(rngFor(cfg.Seed, "init", 0, i), cfg.Bounds)
-	}
-	for gen := 0; left > 0; gen++ {
-		if len(pop) > left {
-			pop = pop[:left]
-		}
-		scores, err := h.evaluate(ctx, pop)
-		if err != nil {
-			return err
-		}
-		left -= len(pop)
-
-		order := rankDesc(scores)
-		var sum float64
-		for _, s := range scores {
-			sum += s
-		}
-		for i, g := range pop {
-			res.note(g, scores[i])
-		}
-		best := pop[order[0]]
-		g := Generation{
-			Gen: gen, Mode: "ga", Evals: h.evals,
-			Best: scores[order[0]], Mean: sum / float64(len(scores)),
-			BestHash: best.Decode(cfg.Params).Hash(),
-		}
-		res.History = append(res.History, g)
-		if cfg.Log != nil {
-			cfg.Log("hunt %s gen %d: best %.4f mean %.4f (%d/%d evals)",
-				cfg.Objective.Name, gen, g.Best, g.Mean, h.evals, cfg.Budget)
-		}
-		if left == 0 {
-			break
-		}
-
-		next := make([]Genome, 0, cfg.Pop)
-		for e := 0; e < cfg.Elite && e < len(order); e++ {
-			next = append(next, pop[order[e]].Clone())
-		}
-		for i := len(next); i < cfg.Pop; i++ {
-			// Tail slots are immigrants: fresh random genomes drawn from
-			// the same deterministic (label, gen, index) coordinates as
-			// the initial population.
-			if i >= cfg.Pop-cfg.Immigrants {
-				next = append(next, RandomGenome(rngFor(cfg.Seed, "init", gen+1, i), cfg.Bounds))
-				continue
-			}
-			rng := rngFor(cfg.Seed, "breed", gen+1, i)
-			p1 := pop[tournament(rng, scores, cfg.TournamentK)]
-			child := p1
-			if rng.Float64() < cfg.CrossoverP {
-				p2 := pop[tournament(rng, scores, cfg.TournamentK)]
-				child = Crossover(p1, p2, rng, cfg.Bounds)
-			}
-			next = append(next, child.Mutate(rng, cfg.Bounds))
-		}
-		pop = next
-	}
-	return nil
-}
-
-// Annealing temperature schedule: geometric decay across the step
-// budget, scaled to the objectives' typical score range.
-const (
-	annealT0   = 0.08
-	annealTEnd = 0.004
-)
-
-// runAnneal is the simulated-annealing loop: start from the incumbent
-// best (or a random genome when there is none yet), propose one
-// mutation per step, accept improvements always and regressions with
-// the Metropolis probability at the decaying temperature. Steps are
-// sequential by construction — each proposal depends on the last
-// accepted state — so worker count cannot change the trajectory.
-func (h *hunter) runAnneal(ctx context.Context, budget int, res *Result) error {
-	cfg := h.cfg
-	cur := res.Best
-	curScore := res.BestScore
-	if math.IsInf(curScore, -1) {
-		cur = RandomGenome(rngFor(cfg.Seed, "anneal-init", 0, 0), cfg.Bounds)
-		scores, err := h.evaluate(ctx, []Genome{cur})
-		if err != nil {
-			return err
-		}
-		curScore = scores[0]
-		res.note(cur, curScore)
-		budget--
-	}
-	for step := 0; step < budget; step++ {
-		rng := rngFor(cfg.Seed, "anneal", 0, step)
-		cand := cur.Mutate(rng, cfg.Bounds)
-		scores, err := h.evaluate(ctx, []Genome{cand})
-		if err != nil {
-			return err
-		}
-		candScore := scores[0]
-		res.note(cand, candScore)
-
-		frac := float64(step) / math.Max(1, float64(budget-1))
-		temp := annealT0 * math.Pow(annealTEnd/annealT0, frac)
-		if candScore >= curScore || rng.Float64() < math.Exp((candScore-curScore)/temp) {
-			cur, curScore = cand, candScore
-		}
-		if (step+1)%25 == 0 || step == budget-1 {
-			g := Generation{
-				Gen: len(res.History), Mode: "anneal", Evals: h.evals,
-				Best: res.BestScore, Mean: curScore,
-				BestHash: res.Best.Decode(cfg.Params).Hash(),
-			}
-			res.History = append(res.History, g)
-			if cfg.Log != nil {
-				cfg.Log("hunt %s anneal step %d: best %.4f current %.4f (%d/%d evals)",
-					cfg.Objective.Name, step+1, res.BestScore, curScore, h.evals, cfg.Budget)
-			}
-		}
-	}
-	return nil
 }
 
 // RandomBaseline evaluates n random genomes under the same params,

@@ -8,8 +8,8 @@ import (
 	"repro/internal/scenario"
 )
 
-// testConfig is a small but real hunt: two GA generations plus an
-// annealing tail, victim mode (fast evaluations).
+// testConfig is a small but real hunt: three GA generations, victim
+// mode (fast evaluations).
 func testConfig(t *testing.T, runner *scenario.Runner) Config {
 	t.Helper()
 	obj, err := LookupObjective("harm")
@@ -17,12 +17,11 @@ func testConfig(t *testing.T, runner *scenario.Runner) Config {
 		t.Fatal(err)
 	}
 	return Config{
-		Objective:  obj,
-		Budget:     18,
-		Pop:        6,
-		RefineFrac: 1.0 / 3, // 12 GA evaluations, 6 annealing steps
-		Seed:       42,
-		Runner:     runner,
+		Objective: obj,
+		Budget:    18,
+		Pop:       6,
+		Seed:      42,
+		Runner:    runner,
 	}
 }
 
@@ -86,20 +85,8 @@ func TestHuntResultShape(t *testing.T) {
 	if res.Evaluations != cfg.Budget {
 		t.Errorf("evaluations = %d, want %d", res.Evaluations, cfg.Budget)
 	}
-	if len(res.History) == 0 {
-		t.Error("history is empty")
-	}
-	sawGA, sawAnneal := false, false
-	for _, g := range res.History {
-		switch g.Mode {
-		case "ga":
-			sawGA = true
-		case "anneal":
-			sawAnneal = true
-		}
-	}
-	if !sawGA || !sawAnneal {
-		t.Errorf("history modes ga=%v anneal=%v, want both", sawGA, sawAnneal)
+	if len(res.History) != cfg.Budget/cfg.Pop {
+		t.Errorf("history has %d generations, want %d", len(res.History), cfg.Budget/cfg.Pop)
 	}
 	if res.BestScore < 0 || res.BestScore > 2 {
 		t.Errorf("best score %v out of range", res.BestScore)
@@ -140,12 +127,7 @@ func TestRandomBaselineDeterministic(t *testing.T) {
 	}
 }
 
-func TestHuntModeValidation(t *testing.T) {
-	cfg := testConfig(t, &scenario.Runner{Workers: 1})
-	cfg.Mode = "hillclimb"
-	if _, err := Run(context.Background(), cfg); err == nil {
-		t.Error("unknown mode should error")
-	}
+func TestHuntRejectsMissingObjective(t *testing.T) {
 	if _, err := Run(context.Background(), Config{}); err == nil {
 		t.Error("missing objective should error")
 	}

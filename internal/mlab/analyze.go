@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/changepoint"
@@ -75,22 +74,17 @@ type FlowResult struct {
 }
 
 // Analysis is the aggregate outcome of running the pipeline on a
-// dataset. Depending on how it was produced, per-flow Results may be
-// absent (streaming aggregate mode) and the shift-magnitude
-// distribution may be exact (ShiftCDF) or sketched (ShiftSketch) —
-// see StreamOptions.
+// dataset. Per-flow Results are absent in the streaming aggregate mode
+// (see StreamOptions).
 type Analysis struct {
 	Total   int
 	ByCat   map[Category]int
 	Results []FlowResult
 	// ShiftCDF collects relative shift magnitudes across flows with
-	// level shifts (exact mode; nil when sketched).
+	// level shifts.
 	ShiftCDF *stats.CDF
-	// ShiftSketch is the constant-memory shift-magnitude distribution
-	// (aggregate mode; nil when exact).
-	ShiftSketch *stats.Sketch `json:"ShiftSketch,omitempty"`
-	val         Validation
-	cfg         AnalysisConfig
+	val      Validation
+	cfg      AnalysisConfig
 }
 
 // Analyze runs the paper's passive pipeline over the dataset: exclude
@@ -98,15 +92,10 @@ type Analysis struct {
 // run change-point detection on the remainder's throughput traces;
 // flag flows whose throughput level shifted.
 //
-// It materializes per-flow results and an exact shift CDF, matching
-// the historical behavior; large datasets should stream through
-// AnalyzeStream instead.
+// It materializes per-flow results; large datasets should stream
+// through AnalyzeStream instead.
 func Analyze(recs []Record, cfg AnalysisConfig) *Analysis {
-	a, err := AnalyzeStream(&SliceSource{Recs: recs}, cfg, StreamOptions{
-		Workers:       1,
-		KeepResults:   true,
-		ExactShiftCDF: true,
-	})
+	a, err := AnalyzeStream(&SliceSource{Recs: recs}, cfg, StreamOptions{Workers: 1, KeepResults: true})
 	if err != nil {
 		// A slice source cannot fail to decode.
 		panic(err)
@@ -254,30 +243,6 @@ func (v *Validation) merge(o Validation) {
 	v.FalseNeg += o.FalseNeg
 }
 
-// ShiftLen returns the number of accepted shift-magnitude samples,
-// whichever distribution backs them.
-func (a *Analysis) ShiftLen() int {
-	if a.ShiftCDF != nil {
-		return a.ShiftCDF.Len()
-	}
-	if a.ShiftSketch != nil {
-		return a.ShiftSketch.Len()
-	}
-	return 0
-}
-
-// ShiftPoints returns n (value, cumulative fraction) points of the
-// shift-magnitude distribution, whichever backing it has.
-func (a *Analysis) ShiftPoints(n int) [][2]float64 {
-	if a.ShiftCDF != nil {
-		return a.ShiftCDF.Points(n)
-	}
-	if a.ShiftSketch != nil {
-		return a.ShiftSketch.Points(n)
-	}
-	return nil
-}
-
 // errWriter tracks the first write error so a report renders with one
 // error check instead of one per Fprintf.
 type errWriter struct {
@@ -319,8 +284,6 @@ func (a *Analysis) WriteReport(w io.Writer) error {
 	}
 	if a.ShiftCDF != nil && a.ShiftCDF.Len() > 0 {
 		fmt.Fprintf(ew, "shift magnitude CDF: %v\n", a.ShiftCDF)
-	} else if a.ShiftSketch != nil && a.ShiftSketch.Len() > 0 {
-		fmt.Fprintf(ew, "shift magnitude CDF: %v\n", a.ShiftSketch)
 	}
 	return ew.err
 }
@@ -328,10 +291,4 @@ func (a *Analysis) WriteReport(w io.Writer) error {
 // CategoryOrder returns pipeline categories in display order.
 func CategoryOrder() []Category {
 	return []Category{CatShort, CatAppLimited, CatRWndLimited, CatCellular, CatStable, CatLevelShift}
-}
-
-// SortResultsByID orders results deterministically (generation order is
-// already deterministic; this helps after map-based regrouping).
-func SortResultsByID(rs []FlowResult) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
 }

@@ -9,38 +9,26 @@ import (
 	"repro/internal/stats"
 )
 
-// shiftSketchBins sizes the aggregate-mode shift-magnitude sketch.
-// Magnitudes are relative (in [0, 1)), so 4096 bins bound the quantile
-// error at ~0.025% of the range for a fixed 32 KiB of state.
-const shiftSketchBins = 4096
-
-func newShiftSketch() *stats.Sketch { return stats.NewSketch(0, 1, shiftSketchBins) }
-
 // StreamOptions tunes AnalyzeStream.
 type StreamOptions struct {
 	// Workers is the analysis fan-out (<= 0 means GOMAXPROCS). The
 	// aggregate outcome is byte-identical for every worker count.
 	Workers int
 	// KeepResults retains per-flow FlowResults (in input order), which
-	// costs O(flows) memory. Leave unset for the constant-memory
-	// aggregate mode.
+	// costs O(flows) memory. Leave unset for the aggregate mode, which
+	// keeps only counts and 8 B per accepted shift magnitude.
 	KeepResults bool
-	// ExactShiftCDF stores every accepted shift magnitude in an exact
-	// CDF instead of the constant-memory sketch. Appropriate for
-	// paper-scale datasets and tests; the sketch tracks it within
-	// 1/4096 of the magnitude range.
-	ExactShiftCDF bool
 }
 
-// partial is one worker's aggregate: pure sums, counts, and a
-// mergeable sketch, so merging partials in any partition of the input
-// yields the same Analysis.
+// partial is one worker's aggregate: pure sums, counts, and the
+// accepted shift magnitudes (sorted on read by the merged CDF), so
+// merging partials in any partition of the input yields the same
+// Analysis.
 type partial struct {
 	total   int
 	byCat   [numCats]int
 	val     Validation
-	exact   []float64
-	sketch  *stats.Sketch
+	shifts  []float64
 	results []indexedResult
 }
 
@@ -49,27 +37,13 @@ type indexedResult struct {
 	res FlowResult
 }
 
-func newPartial(opt StreamOptions) *partial {
-	p := &partial{}
-	if !opt.ExactShiftCDF {
-		p.sketch = newShiftSketch()
-	}
-	return p
-}
-
 // add folds one flow's verdict in. res's slices may alias a scratch;
 // they are copied only when results are retained.
 func (p *partial) add(res *FlowResult, idx int, opt StreamOptions) {
 	p.total++
 	p.byCat[catIndex(res.Category)]++
 	if res.Category == CatLevelShift {
-		for _, m := range res.ShiftMagnitudes {
-			if p.sketch != nil {
-				p.sketch.Add(m)
-			} else {
-				p.exact = append(p.exact, m)
-			}
-		}
+		p.shifts = append(p.shifts, res.ShiftMagnitudes...)
 	}
 	p.val.scoreTruth(res)
 	if opt.KeepResults {
@@ -106,12 +80,12 @@ func catIndex(c Category) int {
 // aggregates merge into one Analysis.
 //
 // Determinism: the merged aggregate — category counts, validation
-// counts, and the shift-magnitude distribution (sorted exact samples
-// or pure-count sketch) — is a function of the record multiset only,
-// and retained results are re-ordered to input order, so the Analysis
-// (and anything rendered from it) is byte-identical for every worker
-// count. Memory is O(workers x flow size) plus the aggregates; the
-// dataset itself is never materialized.
+// counts, and the shift-magnitude distribution (exact samples, sorted
+// on read) — is a function of the record multiset only, and retained
+// results are re-ordered to input order, so the Analysis (and anything
+// rendered from it) is byte-identical for every worker count. Memory
+// is O(workers x flow size) plus the aggregates; the dataset itself is
+// never materialized.
 func AnalyzeStream(src RecordSource, cfg AnalysisConfig, opt StreamOptions) (*Analysis, error) {
 	cfg = cfg.norm()
 	workers := opt.Workers
@@ -122,7 +96,7 @@ func AnalyzeStream(src RecordSource, cfg AnalysisConfig, opt StreamOptions) (*An
 	var parts []*partial
 	var srcErr error
 	if workers == 1 {
-		p := newPartial(opt)
+		p := new(partial)
 		var sc scratch
 		var rec Record
 		idx := 0
@@ -166,7 +140,7 @@ func analyzeParallel(src RecordSource, cfg AnalysisConfig, opt StreamOptions, wo
 	parts := make([]*partial, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		p := newPartial(opt)
+		p := new(partial)
 		parts[w] = p
 		wg.Add(1)
 		go func() {
@@ -199,12 +173,7 @@ func analyzeParallel(src RecordSource, cfg AnalysisConfig, opt StreamOptions, wo
 }
 
 func mergePartials(parts []*partial, cfg AnalysisConfig, opt StreamOptions) *Analysis {
-	a := &Analysis{ByCat: make(map[Category]int), cfg: cfg}
-	if opt.ExactShiftCDF {
-		a.ShiftCDF = stats.NewCDF(nil)
-	} else {
-		a.ShiftSketch = newShiftSketch()
-	}
+	a := &Analysis{ByCat: make(map[Category]int), ShiftCDF: stats.NewCDF(nil), cfg: cfg}
 	order := CategoryOrder()
 	nResults := 0
 	for _, p := range parts {
@@ -215,14 +184,8 @@ func mergePartials(parts []*partial, cfg AnalysisConfig, opt StreamOptions) *Ana
 			}
 		}
 		a.val.merge(p.val)
-		for _, m := range p.exact {
+		for _, m := range p.shifts {
 			a.ShiftCDF.Add(m)
-		}
-		if p.sketch != nil {
-			// Same geometry by construction.
-			if err := a.ShiftSketch.Merge(p.sketch); err != nil {
-				panic(err)
-			}
 		}
 		nResults += len(p.results)
 	}

@@ -212,11 +212,3 @@ func TestSnapshotFractions(t *testing.T) {
 		}
 	}
 }
-
-func TestSortResultsByID(t *testing.T) {
-	rs := []FlowResult{{ID: "b"}, {ID: "a"}, {ID: "c"}}
-	SortResultsByID(rs)
-	if rs[0].ID != "a" || rs[2].ID != "c" {
-		t.Errorf("sorted = %v", rs)
-	}
-}

@@ -12,14 +12,14 @@ import (
 )
 
 // AdminMux returns an HTTP mux with the standard introspection
-// endpoints — /debug/vars (expvar, including any registry published
-// via PublishExpvar), /debug/pprof, and a default /healthz liveness
-// probe (plain 200 "ok") so every admin surface is probeable — plus
-// any extra handlers ("/sessions", "/metrics", ...). An extra handler
-// for /healthz replaces the default (probed serves its richer health
-// JSON there). The mux never touches http.DefaultServeMux, so
-// importing this package does not leak debug handlers into servers
-// the caller builds elsewhere.
+// endpoints — /debug/vars (the Go runtime's expvar: cmdline and
+// memstats; a registry is served by MetricsHandler), /debug/pprof,
+// and a default /healthz liveness probe (plain 200 "ok") so every
+// admin surface is probeable — plus any extra handlers ("/sessions",
+// "/metrics", ...). An extra handler for /healthz replaces the default
+// (probed serves its richer health JSON there). The mux never touches
+// http.DefaultServeMux, so importing this package does not leak debug
+// handlers into servers the caller builds elsewhere.
 func AdminMux(extra map[string]http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())

@@ -1,7 +1,7 @@
 // Package obs is the repo's zero-dependency observability layer: a
 // lock-cheap metrics registry (counters, gauges, fixed-bucket
 // histograms, labeled families, pull-style gauge funcs) with
-// snapshot/reset semantics and JSONL/CSV/expvar exporters, plus a
+// snapshot/reset semantics and a JSONL exporter, plus a
 // sim-time event tracer (ring-buffered or streaming JSONL) and a run
 // log format (manifest + events + summary) that makes any traced run
 // replayable and diffable.
@@ -14,13 +14,10 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
-	"fmt"
 	"io"
 	"math"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -356,49 +353,14 @@ func WriteJSONL(w io.Writer, pts []Point) error {
 	return nil
 }
 
-// WriteCSV writes points as "name,label,kind,value" rows (histograms
-// contribute one row per bucket as name.le_<bound>).
-func WriteCSV(w io.Writer, pts []Point) error {
-	if _, err := fmt.Fprintln(w, "name,label,kind,value"); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		if p.Hist != nil {
-			for i, c := range p.Hist.Counts {
-				edge := "inf"
-				if i < len(p.Hist.Bounds) {
-					edge = fmt.Sprintf("%g", p.Hist.Bounds[i])
-				}
-				if _, err := fmt.Fprintf(w, "%s.le_%s,%s,histogram,%d\n", p.Name, edge, p.Label, c); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s.sum,%s,histogram,%g\n", p.Name, p.Label, p.Hist.Sum); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%s,%s,%s,%g\n", p.Name, p.Label, p.Kind, p.Value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteSnapshotFile writes the registry's snapshot to path, as CSV when
-// the path ends in ".csv" and JSONL otherwise. It is the shared backend
-// of the CLI tools' -metrics-out flag.
+// WriteSnapshotFile writes the registry's snapshot to path as JSONL. It
+// is the shared backend of the CLI tools' -metrics-out flag.
 func (r *Registry) WriteSnapshotFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	pts := r.Snapshot()
-	if strings.HasSuffix(path, ".csv") {
-		err = WriteCSV(f, pts)
-	} else {
-		err = WriteJSONL(f, pts)
-	}
+	err = WriteJSONL(f, r.Snapshot())
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -431,17 +393,4 @@ func (r *Registry) Visit(fn func(name, label, field string, v float64)) {
 	for k, f := range r.funcs {
 		fn(k.name, k.label, "", f())
 	}
-}
-
-// PublishExpvar exposes the registry under the given expvar name
-// (e.g. on /debug/vars). Publishing the same name twice is a no-op:
-// expvar panics on duplicates, and admin endpoints may be constructed
-// more than once in tests.
-func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() interface{} {
-		return r.Snapshot()
-	}))
 }

@@ -2,14 +2,12 @@ package obs
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"sync"
 	"testing"
 )
@@ -60,14 +58,6 @@ func TestSnapshotJSONLGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "metrics.jsonl", buf.Bytes())
-}
-
-func TestSnapshotCSVGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, fixedRegistry().Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "metrics.csv", buf.Bytes())
 }
 
 func TestHistogramBucketBoundaries(t *testing.T) {
@@ -169,12 +159,6 @@ func TestSnapshotReset(t *testing.T) {
 	}
 }
 
-func TestPublishExpvarIdempotent(t *testing.T) {
-	r := fixedRegistry()
-	r.PublishExpvar("obs_test_metrics")
-	r.PublishExpvar("obs_test_metrics") // must not panic
-}
-
 func TestHistogramNaNDoesNotPoisonSum(t *testing.T) {
 	// Regression: a NaN observation must be dropped entirely — if it
 	// reached sum.Add, every later Sum() (and the _sum exposition
@@ -228,114 +212,36 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteCSVRoundTrip(t *testing.T) {
-	pts := fixedRegistry().Snapshot()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatalf("output is not parseable CSV: %v", err)
-	}
-	if want := []string{"name", "label", "kind", "value"}; !reflect.DeepEqual(rows[0], want) {
-		t.Fatalf("header %v, want %v", rows[0], want)
-	}
-	// Every scalar point appears verbatim; histograms contribute one
-	// bucket row per bucket plus a .sum row.
-	wantRows := 1
-	byName := map[string]string{}
-	for _, p := range pts {
-		if p.Hist != nil {
-			wantRows += len(p.Hist.Counts) + 1
-			continue
-		}
-		wantRows++
-		byName[p.Name+"|"+p.Label] = strconv.FormatFloat(p.Value, 'g', -1, 64)
-	}
-	if len(rows) != wantRows {
-		t.Errorf("%d CSV rows, want %d", len(rows), wantRows)
-	}
-	seen := map[string]string{}
-	for _, row := range rows[1:] {
-		if len(row) != 4 {
-			t.Fatalf("row has %d fields: %v", len(row), row)
-		}
-		seen[row[0]+"|"+row[1]] = row[3]
-	}
-	for key, want := range byName {
-		if seen[key] != want {
-			t.Errorf("scalar %s: csv has %q, want %q", key, seen[key], want)
-		}
-	}
-	// Histogram bucket rows reconstruct the snapshot counts.
-	h := pts[findPoint(t, pts, "flow.rtt_ms")].Hist
-	var cum int64
-	for i, c := range h.Counts {
-		edge := "inf"
-		if i < len(h.Bounds) {
-			edge = strconv.FormatFloat(h.Bounds[i], 'g', -1, 64)
-		}
-		v, err := strconv.ParseInt(seen["flow.rtt_ms.le_"+edge+"|flow=1"], 10, 64)
-		if err != nil {
-			t.Fatalf("bucket row le_%s: %v", edge, err)
-		}
-		if v != c {
-			t.Errorf("bucket le_%s: csv %d, snapshot %d", edge, v, c)
-		}
-		cum += c
-	}
-	if cum != h.Count {
-		t.Errorf("bucket rows sum to %d, histogram count %d", cum, h.Count)
-	}
-}
-
-func findPoint(t *testing.T, pts []Point, name string) int {
-	t.Helper()
-	for i, p := range pts {
-		if p.Name == name {
-			return i
-		}
-	}
-	t.Fatalf("no point named %s", name)
-	return -1
-}
-
 func TestExportersEmptyRegistry(t *testing.T) {
 	pts := NewRegistry().Snapshot()
-	var jbuf, cbuf bytes.Buffer
+	var jbuf bytes.Buffer
 	if err := WriteJSONL(&jbuf, pts); err != nil {
 		t.Fatal(err)
 	}
 	if jbuf.Len() != 0 {
 		t.Errorf("empty registry JSONL: %q", jbuf.String())
 	}
-	if err := WriteCSV(&cbuf, pts); err != nil {
-		t.Fatal(err)
-	}
-	if got := cbuf.String(); got != "name,label,kind,value\n" {
-		t.Errorf("empty registry CSV: %q (want header only)", got)
-	}
 }
 
+// TestWriteSnapshotFileFormats: the file is JSONL whatever the path's
+// suffix says.
 func TestWriteSnapshotFileFormats(t *testing.T) {
-	dir := t.TempDir()
-	r := fixedRegistry()
-	csvPath := filepath.Join(dir, "m.csv")
-	jsonlPath := filepath.Join(dir, "m.jsonl")
-	if err := r.WriteSnapshotFile(csvPath); err != nil {
+	var want bytes.Buffer
+	if err := WriteJSONL(&want, fixedRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteSnapshotFile(jsonlPath); err != nil {
-		t.Fatal(err)
-	}
-	cb, _ := os.ReadFile(csvPath)
-	if !bytes.HasPrefix(cb, []byte("name,label,kind,value\n")) {
-		t.Errorf("csv file lacks header: %q", cb[:min(len(cb), 40)])
-	}
-	jb, _ := os.ReadFile(jsonlPath)
-	if !bytes.HasPrefix(jb, []byte("{")) {
-		t.Errorf("jsonl file lacks JSON lines: %q", jb[:min(len(jb), 40)])
+	for _, name := range []string{"m.jsonl", "m.csv"} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := fixedRegistry().WriteSnapshotFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s is not the JSONL snapshot:\n%s", name, got)
+		}
 	}
 }
 
