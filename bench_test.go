@@ -87,13 +87,13 @@ func BenchmarkFig3Elasticity(b *testing.B) {
 }
 
 // BenchmarkFig3ElasticityTraced runs a shortened Figure 3 with the full
-// observability scope attached — metrics registry plus a ring tracer
-// capturing every event — so `benchstat` against BenchmarkFig3Elasticity
+// observability scope attached — metrics registry plus a flight ring
+// taking every event — so `benchstat` against BenchmarkFig3Elasticity
 // bounds the end-to-end cost of instrumenting a whole scenario.
 func BenchmarkFig3ElasticityTraced(b *testing.B) {
 	var events int64
 	for i := 0; i < b.N; i++ {
-		ring := obs.NewRing(1 << 16)
+		ring := obs.NewFlightRecorder(1 << 16)
 		res, err := core.RunFig3(core.Fig3Config{
 			PhaseDuration: 25 * time.Second,
 			Seed:          1,
@@ -103,10 +103,7 @@ func BenchmarkFig3ElasticityTraced(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = res
-		events = 0
-		for _, n := range ring.Counts() {
-			events += n
-		}
+		events = int64(ring.Total())
 	}
 	b.ReportMetric(float64(events), "events")
 }

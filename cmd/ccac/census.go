@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/census"
+	"repro/internal/core"
 	"repro/internal/scenario"
 )
 
@@ -121,18 +122,7 @@ func cmdCensusGen(args []string) {
 	for i, sp := range st.SampleSpecs {
 		fmt.Printf("  spec %-3d %s vs %s  queue=%s faults=%s rate=%s rtt=%.1fms buf=%.2fbdp\n",
 			i, sp.CCAs[0], sp.CCAs[1], sp.Queue, sp.FaultProfile,
-			fmtBps(sp.RateBps), sp.RTTMs, sp.BufferBDP)
-	}
-}
-
-func fmtBps(bps float64) string {
-	switch {
-	case bps >= 1e9:
-		return fmt.Sprintf("%.2fGbit/s", bps/1e9)
-	case bps >= 1e6:
-		return fmt.Sprintf("%.2fMbit/s", bps/1e6)
-	default:
-		return fmt.Sprintf("%.0fbit/s", bps)
+			core.FmtBps(sp.RateBps), sp.RTTMs, sp.BufferBDP)
 	}
 }
 

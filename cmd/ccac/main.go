@@ -19,10 +19,10 @@
 // `run` executes one experiment from its registered defaults plus any
 // explicitly set flags and prints its table (or, with -json, the
 // canonical result record). `sweep` expands a grid file's cross
-// product into specs and executes them across a worker pool with
-// per-run observability scopes and an optional content-addressed
-// result cache; its output is a canonical JSON array, byte-identical
-// between sequential and parallel execution of the same grid. `census`
+// product into specs and executes them across a worker pool with an
+// optional content-addressed result cache; its output is a canonical
+// JSON array, byte-identical between sequential and parallel execution
+// of the same grid. `census`
 // samples, executes, classifies, and aggregates duel cells over a
 // parameterized population model, single-process or sharded across
 // processes (see cmd/ccac/census.go and docs/CENSUS.md).
@@ -224,7 +224,7 @@ func cmdRun(args []string) {
 	}
 	apply(&sp)
 
-	sc, finish, err := buildScope(name, sp, *tracePath, *traceSample, *metricsOut)
+	sc, finish, err := buildScope(sp, *tracePath, *traceSample, *metricsOut)
 	fail(err)
 
 	res, err := exp.Run(signalContext(), sp, sc)
@@ -249,7 +249,7 @@ func cmdRun(args []string) {
 // -metrics-out flags and returns a finish function that closes the run
 // log (with the result's summary when it provides one) and writes the
 // metrics snapshot.
-func buildScope(tool string, sp scenario.Spec, tracePath string, traceSample int, metricsOut string) (*obs.Scope, func(any) error, error) {
+func buildScope(sp scenario.Spec, tracePath string, traceSample int, metricsOut string) (*obs.Scope, func(any) error, error) {
 	if tracePath == "" && metricsOut == "" {
 		return nil, func(any) error { return nil }, nil
 	}
@@ -262,19 +262,7 @@ func buildScope(tool string, sp scenario.Spec, tracePath string, traceSample int
 		if err != nil {
 			return nil, nil, err
 		}
-		runLog, err = obs.NewRunLogWriter(logF, obs.Manifest{
-			Tool:        "ccac/" + tool,
-			Seed:        sp.Seed,
-			FaultSeed:   sp.FaultSeed,
-			Profile:     sp.FaultProfile,
-			RateBps:     sp.RateBps,
-			RTTSeconds:  sp.RTT().Seconds(),
-			Queue:       sp.Queue,
-			BufferBDP:   sp.BufferBDP,
-			Phases:      sp.Phases,
-			PulseFreqHz: sp.PulseFreqHz,
-			Extra:       map[string]string{"spec_hash": sp.Hash()},
-		})
+		runLog, err = obs.NewRunLogWriter(logF, sp.Manifest())
 		if err != nil {
 			logF.Close()
 			return nil, nil, err
@@ -310,7 +298,6 @@ func cmdSweep(args []string) {
 	seq := fs.Bool("seq", false, "run sequentially (one worker)")
 	cacheDir := fs.String("cache", "", "content-addressed result cache directory (reused across sweeps)")
 	out := fs.String("out", "", "write the canonical JSON result array here (default stdout)")
-	withObs := fs.Bool("obs", false, "give every run a private metrics registry (for debugging; off for speed)")
 	progress := fs.Bool("progress", false, "render a live one-line sweep status to stderr")
 	progressJSONL := fs.String("progress-jsonl", "",
 		"stream sweep progress events (run_start/run_finish/progress/sweep_summary) as JSONL to this file")
@@ -348,9 +335,6 @@ func cmdSweep(args []string) {
 	if *cacheDir != "" {
 		runner.Cache, err = scenario.NewCache(*cacheDir)
 		fail(err)
-	}
-	if *withObs {
-		runner.NewScope = func(scenario.Spec) *obs.Scope { return obs.NewScope() }
 	}
 
 	// Telemetry sinks: the reporter is active when any of the

@@ -241,6 +241,3 @@ func (b *BBR) PacingRate() float64 {
 	}
 	return b.pacingG * bw
 }
-
-// State returns the current state name (for tests and traces).
-func (b *BBR) State() string { return b.state.String() }

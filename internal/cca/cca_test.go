@@ -160,8 +160,8 @@ func TestCubicTimeout(t *testing.T) {
 
 func TestBBRStartupFindsBandwidth(t *testing.T) {
 	b := NewBBRCC()
-	if b.State() != "startup" {
-		t.Fatalf("initial state = %s", b.State())
+	if b.state != bbrStartup {
+		t.Fatalf("initial state = %s", b.state)
 	}
 	// Feed acks with a capped delivery rate: startup should detect the
 	// plateau and move on to drain/probe_bw.
@@ -177,7 +177,7 @@ func TestBBRStartupFindsBandwidth(t *testing.T) {
 			Inflight: 10 * sim.MSS,
 		})
 	}
-	if b.State() == "startup" {
+	if b.state == bbrStartup {
 		t.Errorf("still in startup after plateaued delivery rate")
 	}
 	if rate := b.PacingRate(); rate < 10e6 || rate > 30e6 {

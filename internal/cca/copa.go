@@ -173,10 +173,6 @@ func (c *Copa) detectMode(now time.Duration, dq time.Duration) {
 	c.windowMaxQ = dq
 }
 
-// Competitive reports whether Copa has switched to its TCP-competitive
-// mode (always false unless ModeSwitching is enabled).
-func (c *Copa) Competitive() bool { return c.competitive }
-
 // OnLoss implements transport.CCA. Copa's default mode reacts to loss
 // only mildly (it is delay-controlled); halve on loss epoch like its
 // reference implementation's TCP-cooperation fallback.

@@ -35,7 +35,7 @@ func TestCopaModeSwitchingCompetes(t *testing.T) {
 		})
 		f2.Start()
 		eng.Run(45 * time.Second)
-		if switching && !copa.Competitive() {
+		if switching && copa.ModeTransitions == 0 {
 			t.Error("mode switching never engaged against cubic")
 		}
 		return f1.Throughput(15*time.Second, 45*time.Second)
@@ -63,7 +63,7 @@ func TestCopaModeSwitchingStaysDefaultAlone(t *testing.T) {
 	})
 	f.Start()
 	eng.Run(30 * time.Second)
-	if copa.Competitive() {
+	if copa.ModeTransitions != 0 {
 		t.Error("copa switched to competitive with no cross traffic")
 	}
 	if tput := f.Throughput(10*time.Second, 30*time.Second); tput < 0.7*rate {

@@ -2,6 +2,7 @@ package cca
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,19 +23,39 @@ func FuzzCCAAck(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 0, 0, 2, 0, 0, 2, 0, 0, 0, 5, 5})
 	f.Add([]byte{0, 200, 1, 0, 0, 200, 1, 9, 9, 0, 3, 3, 2, 1, 1, 0, 50, 50})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		windows := map[string][]int{}
 		for _, name := range Names() {
 			cc, err := New(name)
 			if err != nil {
 				t.Fatalf("New(%s): %v", name, err)
 			}
-			driveCCA(t, name, cc, data)
+			windows[name] = driveCCA(t, name, cc, data)
+		}
+		// "reno" is the default AIMD point under another name: the two
+		// registry entries must trace the same window, callback for
+		// callback.
+		if reno, aimd := windows["reno"], windows["aimd"]; !slices.Equal(reno, aimd) {
+			t.Fatalf("reno and aimd windows diverge:\nreno %v\naimd %v", reno, aimd)
 		}
 	})
 }
 
+// TestRenoIsNamedAIMD: the registry's "reno" and "aimd" differ only in
+// Name() (FuzzCCAAck's corpus pins their windows equal).
+func TestRenoIsNamedAIMD(t *testing.T) {
+	reno, _ := New("reno")
+	aimd, _ := New("aimd")
+	if reno.Name() != "reno" || aimd.Name() != "aimd(1500,0.5)" {
+		t.Errorf("names %q, %q", reno.Name(), aimd.Name())
+	}
+	if r, ok := reno.(*Reno); !ok || r.AIMD != *aimd.(*AIMD) {
+		t.Errorf("reno = %+v, want the default AIMD %+v under its own name", reno, aimd)
+	}
+}
+
 // driveCCA replays the fuzz input against one controller, checking the
-// safety contract after every callback.
-func driveCCA(t *testing.T, name string, cc transport.CCA, data []byte) {
+// safety contract after every callback, and returns CWnd after each.
+func driveCCA(t *testing.T, name string, cc transport.CCA, data []byte) (windows []int) {
 	now := time.Duration(0)
 	var delivered int64
 	minRTT := time.Duration(math.MaxInt64)
@@ -43,9 +64,11 @@ func driveCCA(t *testing.T, name string, cc transport.CCA, data []byte) {
 
 	checkSafety := func(op string) {
 		t.Helper()
-		if w := cc.CWnd(); w <= 0 {
+		w := cc.CWnd()
+		if w <= 0 {
 			t.Fatalf("%s: CWnd = %d after %s (must stay positive)", name, w, op)
 		}
+		windows = append(windows, w)
 		r := cc.PacingRate()
 		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
 			t.Fatalf("%s: PacingRate = %v after %s (must be finite and non-negative)", name, r, op)
@@ -99,4 +122,5 @@ func driveCCA(t *testing.T, name string, cc transport.CCA, data []byte) {
 			checkSafety("OnTimeout")
 		}
 	}
+	return windows
 }

@@ -2,8 +2,8 @@
 // paper's experiments and discussion: Reno and NewReno (loss-based
 // AIMD), Cubic, BBR (model-based, shown by Ware et al. to take more
 // than its fair share against loss-based CCAs), Copa and Vegas
-// (delay-based), a parameterized AIMD, and an unresponsive
-// constant-bit-rate controller.
+// (delay-based), the parameterized AIMD that Reno is one point of, and
+// an unresponsive constant-bit-rate controller.
 //
 // All controllers operate in bytes and implement transport.CCA. They
 // are deterministic and single-flow.
@@ -18,58 +18,16 @@ import (
 
 // Reno is classic TCP Reno congestion control: slow start, additive
 // increase of one MSS per RTT in congestion avoidance, and a
-// multiplicative decrease to half on each loss event.
-type Reno struct {
-	mss      int
-	cwnd     float64
-	ssthresh float64
-}
+// multiplicative decrease to half on each loss event — the AIMD rule at
+// (MSS, 0.5) under its own name.
+type Reno struct{ AIMD }
 
 // NewRenoCC returns a Reno controller with the standard initial window
 // of 10 segments (RFC 6928).
-func NewRenoCC() *Reno {
-	return &Reno{mss: sim.MSS, cwnd: 10 * sim.MSS, ssthresh: 1 << 30}
-}
+func NewRenoCC() *Reno { return &Reno{*NewAIMD(sim.MSS, 0.5)} }
 
 // Name implements transport.CCA.
 func (r *Reno) Name() string { return "reno" }
-
-// OnAck implements transport.CCA.
-func (r *Reno) OnAck(a transport.AckInfo) {
-	if r.cwnd < r.ssthresh {
-		r.cwnd += float64(a.AckedBytes)
-		if r.cwnd > r.ssthresh {
-			r.cwnd = r.ssthresh
-		}
-		return
-	}
-	// Congestion avoidance: one MSS per cwnd of acked bytes.
-	r.cwnd += float64(r.mss) * float64(a.AckedBytes) / r.cwnd
-}
-
-// OnLoss implements transport.CCA.
-func (r *Reno) OnLoss(l transport.LossInfo) {
-	r.ssthresh = r.cwnd / 2
-	if r.ssthresh < 2*float64(r.mss) {
-		r.ssthresh = 2 * float64(r.mss)
-	}
-	r.cwnd = r.ssthresh
-}
-
-// OnTimeout implements transport.CCA.
-func (r *Reno) OnTimeout(time.Duration) {
-	r.ssthresh = r.cwnd / 2
-	if r.ssthresh < 2*float64(r.mss) {
-		r.ssthresh = 2 * float64(r.mss)
-	}
-	r.cwnd = float64(r.mss)
-}
-
-// CWnd implements transport.CCA.
-func (r *Reno) CWnd() int { return int(r.cwnd) }
-
-// PacingRate implements transport.CCA (Reno is purely window-driven).
-func (r *Reno) PacingRate() float64 { return 0 }
 
 // NewReno extends Reno with an explicit recovery point: while
 // recovering from a loss epoch, subsequent loss signals do not reduce
@@ -84,11 +42,7 @@ type NewReno struct {
 
 // NewNewRenoCC returns a NewReno controller.
 func NewNewRenoCC() *NewReno {
-	nr := &NewReno{}
-	nr.mss = sim.MSS
-	nr.cwnd = 10 * sim.MSS
-	nr.ssthresh = 1 << 30
-	return nr
+	return &NewReno{Reno: *NewRenoCC()}
 }
 
 // Name implements transport.CCA.

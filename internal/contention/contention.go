@@ -123,14 +123,6 @@ func (o Outcome) Determined(frac float64) bool {
 	return dev > frac
 }
 
-// Deviation returns |solo-achieved|/solo (0 when solo is 0).
-func (o Outcome) Deviation() float64 {
-	if o.SoloBps <= 0 {
-		return 0
-	}
-	return math.Abs(o.SoloBps-o.AchievedBps) / o.SoloBps
-}
-
 // Score tallies a binary classifier (e.g. the elasticity probe)
 // against ground truth.
 type Score struct {

@@ -81,8 +81,8 @@ func TestOutcomeDetermined(t *testing.T) {
 	if o.Determined(0.7) {
 		t.Error("deviation below threshold")
 	}
-	if dev := o.Deviation(); dev < 0.59 || dev > 0.61 {
-		t.Errorf("deviation = %v", dev)
+	if !o.Determined(0.59) || o.Determined(0.61) {
+		t.Error("deviation should be 60%")
 	}
 	// App-limited flow that achieves its offered load.
 	o = Outcome{SoloBps: 5e6, AchievedBps: 5e6}
@@ -91,7 +91,7 @@ func TestOutcomeDetermined(t *testing.T) {
 	}
 	// Degenerate solo.
 	o = Outcome{SoloBps: 0, AchievedBps: 5e6}
-	if o.Determined(0.1) || o.Deviation() != 0 {
+	if o.Determined(0.1) {
 		t.Error("zero solo baseline should never be determined")
 	}
 }

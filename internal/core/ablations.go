@@ -11,6 +11,7 @@ import (
 	"repro/internal/qdisc"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/traffic"
 	"repro/internal/transport"
 )
 
@@ -99,7 +100,7 @@ func separation(probe nimbus.Config, bufferBDP float64, dur time.Duration, sc *o
 		}
 		g.start()
 		d.Run(dur)
-		etas[i] = probeVerdict(probeCC.Est, 10*time.Second, dur).mean
+		etas[i] = probeCC.Est.Verdict(10*time.Second, dur).Mean
 	}
 	return etas[0], etas[1], nil
 }
@@ -342,8 +343,8 @@ func RunJitter(cfg JitterConfig) (*JitterResult, error) {
 		smooth := transport.NewFlow(d.Eng, smoothCfg)
 		smooth.Start()
 		// Bursty flow: on-off Cubic bursts.
-		burstCfg := d.FlowConfig(2, 2, cca.NewCubicCC())
-		trafficOnOff(d, burstCfg)
+		traffic.NewOnOff(d.Eng, d.FlowConfig(2, 2, cca.NewCubicCC()),
+			traffic.OnOffConfig{On: 500 * time.Millisecond, Off: 500 * time.Millisecond})
 		d.Run(cfg.Duration)
 
 		rtts := smooth.Sender.RTTs.Window(cfg.Duration/4, cfg.Duration)
@@ -355,19 +356,6 @@ func RunJitter(cfg JitterConfig) (*JitterResult, error) {
 		res.Rows = append(res.Rows, JitterRow{Shaping: mode, P50Ms: p50, P99Ms: p99, JitterMs: p99 - p50})
 	}
 	return res, nil
-}
-
-func trafficOnOff(d *Dumbbell, cfg transport.FlowConfig) {
-	f := transport.NewFlow(d.Eng, cfg)
-	on := true
-	f.Sender.SetBacklogged(true)
-	var flip func()
-	flip = func() {
-		on = !on
-		f.Sender.SetBacklogged(on)
-		d.Eng.Schedule(500*time.Millisecond, flip)
-	}
-	d.Eng.Schedule(500*time.Millisecond, flip)
 }
 
 // WriteTable renders the ablation table.

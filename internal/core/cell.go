@@ -10,7 +10,6 @@ import (
 	"repro/internal/nimbus"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/internal/transport"
 )
@@ -150,7 +149,7 @@ type phaseSpan struct {
 type phaseMeasure struct {
 	phaseSpan
 	crossBps, mainBps float64
-	eta               verdict // zero without a probe
+	eta               nimbus.Verdict // zero without a probe
 }
 
 // runPhases gives each span's kind its turn against the main flow —
@@ -188,38 +187,10 @@ func runPhases(d *Dumbbell, main *transport.Flow, est *nimbus.Estimator, spans [
 			mainBps:   main.Throughput(from, sp.end),
 		}
 		if est != nil {
-			out[i].eta = probeVerdict(est, from, sp.end)
+			out[i].eta = est.Verdict(from, sp.end)
 		}
 	}
 	return out, nil
-}
-
-// verdict summarises the probe's elasticity windows over an interval.
-// Zero windows means undecided; every other field is then zero.
-type verdict struct {
-	windows   int
-	mean, max float64
-	// elastic is the majority classification: more than half of the
-	// windows at or above the estimator's threshold.
-	elastic bool
-}
-
-func probeVerdict(est *nimbus.Estimator, from, to time.Duration) verdict {
-	etas := est.Elasticity.Window(from, to)
-	if len(etas) == 0 {
-		return verdict{}
-	}
-	v := verdict{windows: len(etas), mean: stats.Mean(etas)}
-	v.max, _ = stats.Max(etas)
-	threshold := est.Config().EtaThreshold
-	elastic := 0
-	for _, e := range etas {
-		if e >= threshold {
-			elastic++
-		}
-	}
-	v.elastic = elastic*2 > len(etas)
-	return v
 }
 
 // lookupFaults resolves a fault-profile name for a LinkSpec; the empty

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/nimbus"
 	"repro/internal/traffic"
 )
 
@@ -102,32 +101,5 @@ func TestInstallCross(t *testing.T) {
 	}
 	if d.Eng.Pending() != pending {
 		t.Errorf("refused install scheduled events: pending %d -> %d", pending, d.Eng.Pending())
-	}
-}
-
-// TestProbeVerdict pins the verdict's edges.
-func TestProbeVerdict(t *testing.T) {
-	const span = 10 * time.Second
-	newEst := func(etas ...float64) *nimbus.Estimator {
-		est := nimbus.NewCCA(nimbus.Config{Mu: 1e6}).Est
-		for i, e := range etas {
-			est.Elasticity.Append(time.Duration(i+1)*time.Second, e)
-		}
-		return est
-	}
-	threshold := newEst().Config().EtaThreshold
-
-	if v := probeVerdict(newEst(), 0, span); v != (verdict{}) {
-		t.Errorf("no windows: %+v, want undecided with zero mean", v)
-	}
-	if v := probeVerdict(newEst(1, 1, 0, 0), 0, span); v.elastic || v.windows != 4 {
-		t.Errorf("exact half split: %+v, want 4 windows, not elastic", v)
-	}
-	if v := probeVerdict(newEst(threshold, threshold, 0), 0, span); !v.elastic {
-		t.Errorf("values equal to the threshold must count as elastic: %+v", v)
-	}
-	v := probeVerdict(newEst(0.2, 0.9, 0.4, 7), 0, 4*time.Second)
-	if v.windows != 3 || v.max != 0.9 || v.mean != 0.5 {
-		t.Errorf("window [0,4s): %+v, want 3 windows, mean 0.5, max 0.9", v)
 	}
 }

@@ -82,15 +82,8 @@ func (s LinkSpec) RTT() time.Duration { return 2 * s.OneWayDelay }
 func BuildQdisc(s LinkSpec) sim.Qdisc {
 	s = s.norm()
 	q := buildDiscipline(s)
-	if tr := s.Obs.T(); tr != nil {
-		switch d := q.(type) {
-		case *qdisc.CoDel:
-			d.Trace = tr
-		case *qdisc.RED:
-			d.Trace = tr
-		case *qdisc.FQCoDel:
-			d.Trace = tr
-		}
+	if d, ok := q.(*qdisc.FQCoDel); ok {
+		d.Trace = s.Obs.T()
 	}
 	if s.Faults != nil {
 		ch := s.Faults.Build(q, s.FaultSeed)

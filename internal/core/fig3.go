@@ -155,7 +155,7 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	for _, m := range measured {
 		res.Phases = append(res.Phases, Fig3Phase{
 			Name: m.kind, Start: m.start, End: m.end,
-			MeanEta: m.eta.mean, MaxEta: m.eta.max, Elastic: m.eta.elastic, Windows: m.eta.windows,
+			MeanEta: m.eta.Mean, MaxEta: m.eta.Max, Elastic: m.eta.Elastic, Windows: m.eta.Windows,
 			CrossTputBps: m.crossBps, ProbeTputBps: m.mainBps,
 		})
 	}

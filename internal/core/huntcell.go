@@ -220,9 +220,9 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 			MainTputBps:  m.mainBps,
 			TruthElastic: traffic.ElasticKind(m.kind),
 		}
-		if m.eta.windows > 0 {
-			ph.Decided, ph.ProbeElastic = true, m.eta.elastic
-			ph.Windows, ph.MeanEta = m.eta.windows, m.eta.mean
+		if m.eta.Windows > 0 {
+			ph.Decided, ph.ProbeElastic = true, m.eta.Elastic
+			ph.Windows, ph.MeanEta = m.eta.Windows, m.eta.Mean
 			res.Decided++
 			if ph.ProbeElastic != ph.TruthElastic {
 				res.Misclassified++

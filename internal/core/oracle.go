@@ -106,12 +106,12 @@ func runOracleTrial(cfg OracleConfig, seed int64, kind string, rate float64, owd
 
 	d.Run(cfg.Duration)
 
-	v := probeVerdict(probeCC.Est, 10*time.Second, cfg.Duration)
+	v := probeCC.Est.Verdict(10*time.Second, cfg.Duration)
 	return OracleTrial{
 		Cross: kind, RateBps: rate, RTT: 2 * owd,
 		TruthElastic: traffic.ElasticKind(kind),
-		ProbeElastic: v.elastic,
-		MeanEta:      v.mean,
+		ProbeElastic: v.Elastic,
+		MeanEta:      v.Mean,
 	}, nil
 }
 

@@ -157,8 +157,8 @@ func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 	probeCC := nimbus.NewCCA(nimbus.Config{Mu: cfg.RateBps, PulseFreq: 2})
 	d2.AddBulk(1, 1, probeCC)
 	d2.Run(cfg.Duration)
-	pv := probeVerdict(probeCC.Est, warm, cfg.Duration)
-	row.ProbeEta, row.ProbeElastic = pv.mean, pv.elastic
+	pv := probeCC.Est.Verdict(warm, cfg.Duration)
+	row.ProbeEta, row.ProbeElastic = pv.Mean, pv.Elastic
 	if probeCC.Est.OverloadFactor() > 1.05 {
 		row.ProbeOverloaded = true
 		row.ProbeElastic = false

@@ -60,26 +60,6 @@ func FFT(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// IFFT computes the inverse DFT of X. len(X) must be a power of two.
-func IFFT(X []complex128) ([]complex128, error) {
-	n := len(X)
-	if !IsPowerOfTwo(n) {
-		return nil, ErrNotPowerOfTwo
-	}
-	conj := make([]complex128, n)
-	for i, v := range X {
-		conj[i] = cmplx.Conj(v)
-	}
-	y, err := FFT(conj)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range y {
-		y[i] = cmplx.Conj(v) / complex(float64(n), 0)
-	}
-	return y, nil
-}
-
 // FFTReal transforms a real-valued signal, returning the full complex
 // spectrum. len(x) must be a power of two.
 func FFTReal(x []float64) ([]complex128, error) {

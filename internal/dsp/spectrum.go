@@ -95,11 +95,6 @@ func AmplitudeSpectrum(x []float64, sampleRate float64) (*Spectrum, error) {
 	return &Spectrum{Amp: amp, SampleRate: sampleRate, N: n}, nil
 }
 
-// Freq returns the center frequency in Hz of bin i.
-func (s *Spectrum) Freq(i int) float64 {
-	return float64(i) * s.SampleRate / float64(s.N)
-}
-
 // Bin returns the index of the bin whose center frequency is nearest to
 // f Hz, clamped to the valid range.
 func (s *Spectrum) Bin(f float64) int {
@@ -164,18 +159,4 @@ func PhaseAt(X []complex128, sampleRate float64, n int, f float64, halfWidth int
 		return 0
 	}
 	return cmplx.Phase(X[best])
-}
-
-// TotalPower returns the sum of squared bin amplitudes excluding DC,
-// a rough broadband energy measure used for normalization sanity
-// checks.
-func (s *Spectrum) TotalPower() float64 {
-	var p float64
-	for i, a := range s.Amp {
-		if i == 0 {
-			continue
-		}
-		p += a * a
-	}
-	return p
 }

@@ -231,3 +231,12 @@ func (c Config) RateFunc(base float64) func(time.Duration) float64 {
 		return floorRate(base * (1 + amp*math.Sin(x)))
 	}
 }
+
+// floorRate keeps an oscillated rate at or above 1 kbit/s, matching
+// sim.DriveRate's own guard.
+func floorRate(r float64) float64 {
+	if r < 1e3 {
+		return 1e3
+	}
+	return r
+}

@@ -147,61 +147,3 @@ func (r *Reorderer) Len() int { return r.inner.Len() + len(r.held) }
 
 // Bytes implements sim.Qdisc.
 func (r *Reorderer) Bytes() int { return r.inner.Bytes() + r.bytes }
-
-// BatchReorder releases packets in reversed batches of Period,
-// deterministically (no randomness): a worst-case stress for
-// packet-threshold loss detectors. A partial batch is flushed when the
-// inner queue would otherwise run dry, so no tail is black-holed.
-//
-// The stash bypasses the inner queue's capacity check until flush; size
-// Period accordingly.
-type BatchReorder struct {
-	inner  sim.Qdisc
-	period int
-	stash  []*sim.Packet
-	bytes  int
-	// Flushes counts reversed batches released.
-	Flushes int64
-}
-
-// NewBatchReorder wraps inner, reversing every run of period packets.
-// Periods below 2 are clamped to 2 (a period of 1 cannot reorder).
-func NewBatchReorder(inner sim.Qdisc, period int) *BatchReorder {
-	if period < 2 {
-		period = 2
-	}
-	return &BatchReorder{inner: inner, period: period}
-}
-
-func (b *BatchReorder) flush(now time.Duration) {
-	for i := len(b.stash) - 1; i >= 0; i-- {
-		b.inner.Enqueue(b.stash[i], now)
-	}
-	b.stash = b.stash[:0]
-	b.bytes = 0
-	b.Flushes++
-}
-
-// Enqueue implements sim.Qdisc.
-func (b *BatchReorder) Enqueue(p *sim.Packet, now time.Duration) bool {
-	b.stash = append(b.stash, p)
-	b.bytes += p.Size
-	if len(b.stash) >= b.period {
-		b.flush(now)
-	}
-	return true
-}
-
-// Dequeue implements sim.Qdisc.
-func (b *BatchReorder) Dequeue(now time.Duration) (*sim.Packet, time.Duration) {
-	if b.inner.Len() == 0 && len(b.stash) > 0 {
-		b.flush(now)
-	}
-	return b.inner.Dequeue(now)
-}
-
-// Len implements sim.Qdisc.
-func (b *BatchReorder) Len() int { return b.inner.Len() + len(b.stash) }
-
-// Bytes implements sim.Qdisc.
-func (b *BatchReorder) Bytes() int { return b.inner.Bytes() + b.bytes }

@@ -94,17 +94,6 @@ func (c GEConfig) norm() GEConfig {
 	return c
 }
 
-// MeanLossRate returns the model's stationary loss rate.
-func (c GEConfig) MeanLossRate() float64 {
-	c = c.norm()
-	denom := c.PGoodBad + c.PBadGood
-	if denom <= 0 {
-		return c.LossGood
-	}
-	pBad := c.PGoodBad / denom
-	return (1-pBad)*c.LossGood + pBad*c.LossBad
-}
-
 // GilbertElliott drops packets according to a seeded Gilbert–Elliott
 // process, producing the bursty loss patterns of wireless links.
 type GilbertElliott struct {

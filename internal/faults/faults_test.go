@@ -84,7 +84,9 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 		}
 	}
 	rate := float64(dropped) / n
-	want := cfg.MeanLossRate()
+	// Stationary model: in the bad state PGoodBad/(PGoodBad+PBadGood) of
+	// the time, dropping LossBad there and nothing in the good state.
+	want := cfg.PGoodBad / (cfg.PGoodBad + cfg.PBadGood) * cfg.LossBad
 	if math.Abs(rate-want) > 0.02 {
 		t.Errorf("loss rate = %.4f, stationary model says %.4f", rate, want)
 	}
@@ -221,29 +223,8 @@ func TestReordererReordersWithoutLoss(t *testing.T) {
 	}
 }
 
-func TestBatchReorderReversesBatches(t *testing.T) {
-	inner := &fifo{}
-	b := NewBatchReorder(inner, 4)
-	for i := int64(0); i < 8; i++ {
-		b.Enqueue(pkt(i), 0)
-	}
-	want := []int64{3, 2, 1, 0, 7, 6, 5, 4}
-	for i, w := range want {
-		p, _ := b.Dequeue(0)
-		if p == nil || p.Seq != w {
-			t.Fatalf("position %d: got %v, want seq %d", i, p, w)
-		}
-	}
-	// A partial batch flushes rather than black-holing the tail.
-	b.Enqueue(pkt(100), 0)
-	if p, _ := b.Dequeue(0); p == nil || p.Seq != 100 {
-		t.Error("partial batch not flushed on drain")
-	}
-}
-
 func TestOutageSchedule(t *testing.T) {
-	inner := &fifo{}
-	o := NewOutage(inner, []Window{{Start: time.Second, End: 3 * time.Second}})
+	o := Profile{Flaps: []Window{{Start: time.Second, End: 3 * time.Second}}}.Build(&fifo{}, 1).Outage
 	o.Enqueue(pkt(1), 0)
 	if p, _ := o.Dequeue(500 * time.Millisecond); p == nil {
 		t.Fatal("link should be up before the window")
@@ -288,9 +269,7 @@ func TestOutageSchedule(t *testing.T) {
 }
 
 func TestOutageDropDuring(t *testing.T) {
-	inner := &fifo{}
-	o := NewOutage(inner, []Window{{Start: 0, End: time.Second}})
-	o.DropDuring = true
+	o := Profile{Flaps: []Window{{Start: 0, End: time.Second}}, DropDuringFlaps: true}.Build(&fifo{}, 1).Outage
 	if o.Enqueue(pkt(1), 500*time.Millisecond) {
 		t.Error("enqueue during blackhole outage should drop")
 	}
@@ -302,27 +281,26 @@ func TestOutageDropDuring(t *testing.T) {
 	}
 }
 
+// TestOscillators pins the one rate oscillation that runs: the inline
+// Config's sine.
 func TestOscillators(t *testing.T) {
-	sq := OscillateSquare(10e6, 0.5, 1.0, 2*time.Second)
-	if got := sq(0); got != 10e6 {
-		t.Errorf("square high = %v", got)
-	}
-	if got := sq(1500 * time.Millisecond); got != 5e6 {
-		t.Errorf("square low = %v", got)
-	}
-	if got := sq(2 * time.Second); got != 10e6 {
-		t.Errorf("square wraps = %v", got)
-	}
-	sine := OscillateSine(10e6, 0.5, 4*time.Second)
+	sine := Config{OscAmp: 0.5, OscPeriodS: 4}.RateFunc(10e6)
 	if got := sine(time.Second); math.Abs(got-15e6) > 1 {
 		t.Errorf("sine peak = %v, want 15e6", got)
 	}
 	if got := sine(0); math.Abs(got-10e6) > 1 {
 		t.Errorf("sine mean = %v, want 10e6", got)
 	}
-	// Floor guard.
-	if got := OscillateSquare(10, 0, 0, time.Second)(0); got != 1e3 {
+	// The phase offset shifts the timing: a quarter period in, t=0 is the peak.
+	if got := (Config{OscAmp: 0.5, OscPeriodS: 4, OscPhase: 0.25}).RateFunc(10e6)(0); math.Abs(got-15e6) > 1 {
+		t.Errorf("phase-shifted peak = %v, want 15e6", got)
+	}
+	// Floor guard at the trough of a full-amplitude swing.
+	if got := (Config{OscAmp: 1, OscPeriodS: 4}).RateFunc(10e6)(3 * time.Second); got != 1e3 {
 		t.Errorf("floor = %v, want 1e3", got)
+	}
+	if (Config{OscAmp: 0.5}).RateFunc(10e6) != nil {
+		t.Error("no period: oscillation should be disabled")
 	}
 }
 
@@ -350,7 +328,7 @@ func TestProfileRegistry(t *testing.T) {
 	// clean is the identity.
 	clean, _ := Lookup("clean")
 	inner := &fifo{}
-	if q := clean.Wrap(inner, 1); q != sim.Qdisc(inner) {
+	if q := clean.Build(inner, 1).Qdisc(); q != sim.Qdisc(inner) {
 		t.Error("clean profile should wrap nothing")
 	}
 }
@@ -374,7 +352,7 @@ func TestProfileBuildOrderAndChain(t *testing.T) {
 	if ch.Qdisc() != sim.Qdisc(ch.Loss) {
 		t.Error("loss should be the outermost stage")
 	}
-	if ch.InjectedDrops() != 0 {
+	if ch.Loss.Dropped+ch.GE.Dropped+ch.Outage.Suppressed != 0 {
 		t.Error("no traffic yet, drops should be zero")
 	}
 }

@@ -52,12 +52,6 @@ func (o *Outage) observe(now time.Duration, down bool) {
 	}
 }
 
-// NewOutage wraps inner with one-shot outage windows. Windows must be
-// sorted by start time and non-overlapping.
-func NewOutage(inner sim.Qdisc, windows []Window) *Outage {
-	return &Outage{inner: inner, windows: windows}
-}
-
 // NewPeriodicOutage wraps inner with a repeating flap: each period the
 // link is up for period-down, then down for down. down must be
 // positive and less than period, or the schedule is disabled.

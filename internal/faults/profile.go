@@ -76,22 +76,6 @@ func (c *Chain) SetTracer(t obs.Tracer) {
 	}
 }
 
-// InjectedDrops totals the packets discarded by loss injectors and
-// blackholed outages (inner-queue congestive drops are not included).
-func (c *Chain) InjectedDrops() int64 {
-	var n int64
-	if c.Loss != nil {
-		n += c.Loss.Dropped
-	}
-	if c.GE != nil {
-		n += c.GE.Dropped
-	}
-	if c.Outage != nil {
-		n += c.Outage.Suppressed
-	}
-	return n
-}
-
 // Build composes the profile's injectors around inner. Every injector
 // gets its own sub-seed derived from seed.
 func (p Profile) Build(inner sim.Qdisc, seed int64) *Chain {
@@ -128,11 +112,6 @@ func (p Profile) Build(inner sim.Qdisc, seed int64) *Chain {
 	}
 	ch.outer = q
 	return ch
-}
-
-// Wrap is Build for callers that only need the composed qdisc.
-func (p Profile) Wrap(inner sim.Qdisc, seed int64) sim.Qdisc {
-	return p.Build(inner, seed).Qdisc()
 }
 
 // profiles is the named-scenario registry. Parameters are chosen so

@@ -151,11 +151,10 @@ type Estimator struct {
 
 	lastSlide time.Duration
 
-	zLast     float64
-	etaLast   float64
-	phaseLast float64
-	overLast  float64
-	etaOK     bool
+	zLast    float64
+	etaLast  float64
+	overLast float64
+	etaOK    bool
 
 	// Elasticity is the time series of emitted eta values.
 	Elasticity stats.Series
@@ -447,7 +446,6 @@ func (e *Estimator) computeEta(now time.Duration, mu float64) {
 	// cross traffic's control-loop lag. An instantaneous droptail
 	// slot-race artifact shows ~zero lag.
 	if ph := wrapPi(phZ - phR - math.Pi); finite(ph) {
-		e.phaseLast = ph
 		e.Phase.Append(now, ph)
 	}
 	e.etaLast = eta
@@ -463,16 +461,6 @@ func (e *Estimator) computeEta(now time.Duration, mu float64) {
 // fraction of mu (diagnostic: values near or above 1 indicate cross
 // traffic that is not yielding at all).
 func (e *Estimator) OverloadFactor() float64 { return e.overLast }
-
-// ResponseLag converts the latest response phase into a control-loop
-// lag estimate in seconds (phase / (2*pi*f), wrapped positive).
-func (e *Estimator) ResponseLag() float64 {
-	ph := e.phaseLast
-	if ph < 0 {
-		ph += 2 * math.Pi
-	}
-	return ph / (2 * math.Pi * e.cfg.PulseFreq)
-}
 
 // Mu returns the bottleneck rate estimate in bits/s at time now.
 func (e *Estimator) Mu(now time.Duration) float64 {

@@ -80,18 +80,6 @@ func TestPulseBoundedProperty(t *testing.T) {
 	}
 }
 
-// Property: ResponseLag is always in [0, 1/f).
-func TestResponseLagRange(t *testing.T) {
-	e := NewEstimator(Config{Mu: 10e6, PulseFreq: 2})
-	for _, ph := range []float64{-3, -1, 0, 1, 3} {
-		e.phaseLast = ph
-		lag := e.ResponseLag()
-		if lag < 0 || lag >= 0.5+1e-9 {
-			t.Errorf("phase %v -> lag %v outside [0, 0.5)", ph, lag)
-		}
-	}
-}
-
 // EffectiveTargetQDelay clamping.
 func TestEffectiveTargetQDelay(t *testing.T) {
 	cfg := Config{}.Norm()

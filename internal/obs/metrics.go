@@ -2,8 +2,8 @@
 // lock-cheap metrics registry (counters, gauges, fixed-bucket
 // histograms, labeled families, pull-style gauge funcs) with
 // snapshot/reset semantics and a JSONL exporter, plus a
-// sim-time event tracer (ring-buffered or streaming JSONL) and a run
-// log format (manifest + events + summary) that makes any traced run
+// sim-time event tracer (a bounded flight recorder or streaming JSONL)
+// and a run log format (manifest + events + summary) that makes any traced run
 // replayable and diffable.
 //
 // Everything here uses only the standard library, so every other
@@ -83,15 +83,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	copy(b, bounds)
 	sort.Float64s(b)
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-}
-
-// LinearBuckets returns n bounds: start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
 }
 
 // ExpBuckets returns n bounds: start, start*factor, ...

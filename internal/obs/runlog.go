@@ -36,7 +36,7 @@ type Manifest struct {
 }
 
 // Summary closes a run log: true per-type event counts (including any
-// the ring/sampling discarded) and scalar result metrics, so a reader
+// sampling discarded) and scalar result metrics, so a reader
 // can validate a trace against the run's own accounting.
 type Summary struct {
 	// EventCounts maps event type name to the true emitted count.
@@ -108,8 +108,8 @@ type RunLog struct {
 	Summary  *Summary
 }
 
-// ReadRunLog parses a run log produced by RunLogWriter (or by a Ring
-// dump preceded by a manifest line). Unknown line types are an error;
+// ReadRunLog parses a run log produced by RunLogWriter or by
+// FlightRecorder.DumpRunLog. Unknown line types are an error;
 // a missing manifest is an error; a missing summary is allowed (the
 // run may have been interrupted) and leaves Summary nil.
 func ReadRunLog(r io.Reader) (*RunLog, error) {

@@ -19,7 +19,7 @@ const (
 	EvEnqueue           // packet accepted by a queue. V1=size, V2=queue bytes after
 	EvDequeue           // packet left a queue for serialization. V1=size, V2=queue bytes after
 	EvDrop              // packet dropped (queue full or injector). V1=size, Note=reason
-	EvMark              // AQM drop/mark decision (codel, red). V1=size, Note=aqm
+	EvMark              // AQM drop/mark decision (codel). V1=size, Note=aqm
 	EvSend              // transport handed a packet to the network. V1=size, V2=inflight bytes
 	EvAck               // acknowledgment processed. V1=rtt seconds, V2=cum acked bytes
 	EvLoss              // packet declared lost. V1=size
@@ -123,132 +123,12 @@ func Emit(t Tracer, ev Event) {
 	}
 }
 
-// Ring is a fixed-capacity, sampling-aware ring-buffer tracer.
-// Control events are always recorded; bulk events are recorded one in
-// every Sample occurrences (per type). When the ring wraps, the oldest
-// events are overwritten; per-type counts keep the true totals.
-type Ring struct {
-	mu      sync.Mutex
-	buf     []Event
-	pos     int
-	n       int
-	sample  uint64
-	skips   [evMax]uint64
-	counts  [evMax]uint64
-	sampled uint64 // bulk events skipped by sampling
-}
-
-// NewRing returns a ring tracer holding up to capacity events, keeping
-// every event (sample = 1).
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
-	return &Ring{buf: make([]Event, capacity), sample: 1}
-}
-
-// SetSampling keeps one in every n bulk events (n <= 1 keeps all).
-// Control events are never sampled out.
-func (r *Ring) SetSampling(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	r.sample = uint64(n)
-}
-
-// Emit implements Tracer. It never allocates: events land in the
-// preallocated buffer.
-func (r *Ring) Emit(ev Event) {
-	r.mu.Lock()
-	t := ev.Type
-	if t >= evMax {
-		t = EvNone
-	}
-	r.counts[t]++
-	if r.sample > 1 && t.Bulk() {
-		r.skips[t]++
-		if r.skips[t]%r.sample != 0 {
-			r.sampled++
-			r.mu.Unlock()
-			return
-		}
-	}
-	r.buf[r.pos] = ev
-	r.pos = (r.pos + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// Events returns the retained events oldest-first.
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, r.n)
-	start := (r.pos - r.n + len(r.buf)) % len(r.buf)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(start+i)%len(r.buf)]
-	}
-	return out
-}
-
-// Counts returns the true per-type event totals (including events
-// sampled out or overwritten), keyed by type name.
-func (r *Ring) Counts() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64)
-	for t := EventType(1); t < evMax; t++ {
-		if r.counts[t] > 0 {
-			out[t.String()] = int64(r.counts[t])
-		}
-	}
-	return out
-}
-
-// SampledOut returns how many bulk events sampling discarded.
-func (r *Ring) SampledOut() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sampled
-}
-
-// Len returns the number of retained events.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Reset discards all retained events and counts.
-func (r *Ring) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pos, r.n = 0, 0
-	r.skips = [evMax]uint64{}
-	r.counts = [evMax]uint64{}
-	r.sampled = 0
-}
-
-// WriteJSONL serializes the retained events, one JSON object per line,
-// in the run-log event format.
-func (r *Ring) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, ev := range r.Events() {
-		if err := writeEventJSON(bw, &ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Stream is a tracer that writes each event immediately as a JSONL
-// line (buffered). Unlike Ring it retains nothing in memory, so it
-// suits long runs; call Flush (or RunLogWriter.Close) before reading
-// the output. Sampling works as in Ring.
+// Stream is a sampling-aware tracer that writes each event immediately
+// as a JSONL line (buffered). It retains nothing in memory, so it suits
+// long runs; call Flush (or RunLogWriter.Close) before reading the
+// output. Control events are always written; bulk events are written
+// one in every Sample occurrences (per type), and the per-type counts
+// keep the true totals.
 type Stream struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
@@ -264,6 +144,7 @@ func NewStream(w io.Writer) *Stream {
 }
 
 // SetSampling keeps one in every n bulk events (n <= 1 keeps all).
+// Control events are never sampled out.
 func (s *Stream) SetSampling(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,58 +2,32 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestRingRetainsAndWraps(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		r.Emit(Event{At: time.Duration(i), Type: EvLoss, Seq: int64(i)})
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := int64(6 + i); ev.Seq != want {
-			t.Errorf("event %d seq %d want %d", i, ev.Seq, want)
-		}
-	}
-	if got := r.Counts()["loss"]; got != 10 {
-		t.Errorf("true count %d want 10", got)
-	}
-}
-
-func TestRingSamplingKeepsControlEvents(t *testing.T) {
-	r := NewRing(1000)
-	r.SetSampling(10)
+func TestStreamSamplingKeepsControlEvents(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewStream(&buf)
+	s.SetSampling(10)
 	for i := 0; i < 100; i++ {
-		r.Emit(Event{Type: EvSend}) // bulk: sampled
-		r.Emit(Event{Type: EvDrop}) // control: always kept
+		s.Emit(Event{Type: EvSend}) // bulk: sampled
+		s.Emit(Event{Type: EvDrop}) // control: always kept
 	}
-	var sends, drops int
-	for _, ev := range r.Events() {
-		switch ev.Type {
-		case EvSend:
-			sends++
-		case EvDrop:
-			drops++
-		}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if sends != 10 {
+	if sends := strings.Count(buf.String(), `"ev":"send"`); sends != 10 {
 		t.Errorf("sampled sends %d want 10", sends)
 	}
-	if drops != 100 {
+	if drops := strings.Count(buf.String(), `"ev":"drop"`); drops != 100 {
 		t.Errorf("drops %d want 100 (control events must not be sampled)", drops)
 	}
-	if r.Counts()["send"] != 100 {
-		t.Errorf("true send count %d want 100", r.Counts()["send"])
-	}
-	if r.SampledOut() != 90 {
-		t.Errorf("sampled-out %d want 90", r.SampledOut())
+	if s.Counts()["send"] != 100 {
+		t.Errorf("true send count %d want 100", s.Counts()["send"])
 	}
 }
 
@@ -135,27 +109,35 @@ func TestReadRunLogErrors(t *testing.T) {
 	}
 }
 
+// TestConcurrentRingEmit: both sinks take Emit from many goroutines
+// (run under -race): the flight ring counts every event, the stream's
+// per-type totals stay exact.
 func TestConcurrentRingEmit(t *testing.T) {
-	r := NewRing(1 << 12)
+	ring := NewFlightRecorder(1 << 16) // no wrap: lapped slots are torn by design
+	stream := NewStream(io.Discard)
+	tr := Multi{ring, stream}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
-				r.Emit(Event{Type: EvAck, Flow: int32(g), Seq: int64(i)})
+				tr.Emit(Event{Type: EvAck, Flow: int32(g), Seq: int64(i)})
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := r.Counts()["ack"]; got != 40000 {
-		t.Errorf("count %d want 40000", got)
+	if got := ring.Total(); got != 40000 {
+		t.Errorf("flight ring total %d want 40000", got)
+	}
+	if got := stream.Counts()["ack"]; got != 40000 {
+		t.Errorf("stream count %d want 40000", got)
 	}
 }
 
 // TestDisabledTracerZeroAlloc is the acceptance guard: with tracing
 // disabled (nil tracer) the per-event overhead path must allocate
-// nothing. The enabled Ring path must not allocate either — events
+// nothing. The always-on flight ring must not allocate either — events
 // land in the preallocated buffer.
 func TestDisabledTracerZeroAlloc(t *testing.T) {
 	var tr Tracer // disabled
@@ -163,8 +145,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { Emit(tr, ev) }); allocs != 0 {
 		t.Errorf("disabled tracer path allocates %v bytes/event, want 0", allocs)
 	}
-	ring := NewRing(1 << 10)
-	tr = ring
+	tr = NewFlightRecorder(1 << 10)
 	if allocs := testing.AllocsPerRun(1000, func() { Emit(tr, ev) }); allocs != 0 {
 		t.Errorf("enabled ring path allocates %v allocs/event, want 0", allocs)
 	}
@@ -172,16 +153,6 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 
 func BenchmarkEmitDisabled(b *testing.B) {
 	var tr Tracer
-	ev := Event{At: time.Second, Type: EvSend, Src: "l", Flow: 1, V1: 1500}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Emit(tr, ev)
-	}
-}
-
-func BenchmarkEmitRing(b *testing.B) {
-	ring := NewRing(1 << 16)
-	var tr Tracer = ring
 	ev := Event{At: time.Second, Type: EvSend, Src: "l", Flow: 1, V1: 1500}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,8 +1,9 @@
 package probe
 
 import (
-	"errors"
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -12,20 +13,6 @@ import (
 	"repro/internal/nimbus"
 	"repro/internal/stats"
 	"repro/internal/transport"
-)
-
-// Handshake failure classes, distinguishable with errors.Is so a fleet
-// scheduler can react differently to "pick another server" (draining),
-// "back off and retry later" (busy), and "maybe packet loss"
-// (unresponsive).
-var (
-	// ErrServerBusy: the server explicitly rejected admission (at
-	// capacity or rate-limiting this source) for the whole retry
-	// budget.
-	ErrServerBusy = errors.New("probe: server busy")
-	// ErrServerDraining: the server is shutting down; retrying it is
-	// pointless.
-	ErrServerDraining = errors.New("probe: server draining")
 )
 
 // ClientConfig parameterizes an elasticity measurement run.
@@ -204,9 +191,18 @@ func (c *Client) Run() (*Report, error) {
 	}
 	defer conn.Close()
 
+	// Verify the server is alive before the measurement clock starts;
+	// the Hi reply's RTT seeds the estimator.
 	c.start = time.Now()
-	if err := c.handshake(conn); err != nil {
+	hi, err := Handshake(context.Background(), conn, c.rng, c.sessionID, c.start,
+		c.cfg.HandshakeAttempts, c.cfg.HandshakeTimeout)
+	if err != nil {
 		return nil, err
+	}
+	if rtt := time.Duration(c.nowNano() - hi.EchoNano); rtt > 0 {
+		c.mu.Lock()
+		c.updateRTT(rtt)
+		c.mu.Unlock()
 	}
 
 	measureStart := time.Now()
@@ -258,98 +254,6 @@ func (c *Client) Run() (*Report, error) {
 		}
 	}
 	return c.report(), nil
-}
-
-// handshake exchanges Hello/Hi with jittered exponential backoff,
-// verifying the server is alive before the measurement clock starts.
-// The Hello advertises FlagBusyAware, so a server at capacity answers
-// with an explicit Busy instead of silence: the client then backs off
-// by the server's retry-after hint (jittered, so a synchronized fleet
-// does not thundering-herd a recovering server) rather than burning
-// the timeout schedule, and a draining server fails the run
-// immediately with ErrServerDraining. The Hi reply's RTT seeds the
-// estimator.
-func (c *Client) handshake(conn *net.UDPConn) error {
-	out := make([]byte, HeaderSize)
-	in := make([]byte, 64*1024)
-	timeout := c.cfg.HandshakeTimeout
-	const maxTimeout = 2 * time.Second
-	busySeen := 0
-	for attempt := 0; attempt < c.cfg.HandshakeAttempts; attempt++ {
-		h := Header{
-			Type:     TypeHello,
-			Flags:    FlagBusyAware,
-			Session:  c.sessionID,
-			Seq:      uint64(attempt),
-			SendNano: c.nowNano(),
-		}
-		n, err := h.Encode(out)
-		if err != nil {
-			return fmt.Errorf("probe: encoding hello: %w", err)
-		}
-		if _, err := conn.Write(out[:n]); err != nil {
-			return fmt.Errorf("probe: sending hello: %w", err)
-		}
-		// Jitter the attempt window ±25% so a fleet of clients started
-		// together decorrelates instead of re-colliding every retry.
-		window := timeout + time.Duration((c.rng.Float64()-0.5)*0.5*float64(timeout))
-		attemptDeadline := time.Now().Add(window)
-		busyThisAttempt := false
-		for {
-			conn.SetReadDeadline(attemptDeadline)
-			rn, err := conn.Read(in)
-			if err != nil {
-				// An active refusal (ICMP unreachable) errors instantly;
-				// sleep out the attempt anyway so the backoff schedule
-				// holds and a restarting server gets time to come up.
-				if wait := time.Until(attemptDeadline); wait > 0 {
-					time.Sleep(wait)
-				}
-				break // attempt over: back off and resend
-			}
-			hi, err := Decode(in[:rn])
-			if err != nil || hi.Session != c.sessionID {
-				continue // stray packet; keep waiting for our reply
-			}
-			switch hi.Type {
-			case TypeHi:
-				if rtt := time.Duration(c.nowNano() - hi.EchoNano); rtt > 0 {
-					c.mu.Lock()
-					c.updateRTT(rtt)
-					c.mu.Unlock()
-				}
-				return nil
-			case TypeBusy:
-				if hi.Flags&FlagDraining != 0 {
-					return fmt.Errorf("probe: server %s: %w", c.cfg.Server, ErrServerDraining)
-				}
-				busySeen++
-				busyThisAttempt = true
-				// Back off by the server's hint (Size = milliseconds),
-				// jittered over [0.5x, 1.5x].
-				hint := time.Duration(hi.Size) * time.Millisecond
-				if hint <= 0 {
-					hint = timeout
-				}
-				time.Sleep(hint/2 + time.Duration(c.rng.Float64()*float64(hint)))
-			default:
-				continue // stray packet; keep waiting for our reply
-			}
-			break // Busy handled: next attempt
-		}
-		if !busyThisAttempt {
-			timeout *= 2
-			if timeout > maxTimeout {
-				timeout = maxTimeout
-			}
-		}
-	}
-	if busySeen > 0 {
-		return fmt.Errorf("probe: server %s refused admission %d times over %d attempts: %w",
-			c.cfg.Server, busySeen, c.cfg.HandshakeAttempts, ErrServerBusy)
-	}
-	return fmt.Errorf("probe: server %s unresponsive after %d handshake attempts",
-		c.cfg.Server, c.cfg.HandshakeAttempts)
 }
 
 func (c *Client) nowNano() int64 { return time.Since(c.start).Nanoseconds() }
@@ -534,23 +438,8 @@ func (c *Client) report() *Report {
 
 	// Majority verdict over settled windows (skip the first quarter).
 	settle := c.cfg.Duration / 4
-	var sum float64
-	elastic, count := 0, 0
-	for _, s := range r.Eta {
-		if s.At < settle {
-			continue
-		}
-		sum += s.Value
-		count++
-		if s.Value >= c.cc.Est.Config().EtaThreshold {
-			elastic++
-		}
-	}
-	r.Windows = count
-	if count > 0 {
-		r.MeanEta = sum / float64(count)
-		r.Elastic = elastic*2 > count
-	}
+	v := c.cc.Est.Verdict(settle, math.MaxInt64)
+	r.Windows, r.MeanEta, r.Elastic = v.Windows, v.Mean, v.Elastic
 
 	// Confidence: completion fraction x settled-window yield, with up
 	// to a 50% discount under heavy loss. A run cut short or starved of
@@ -565,7 +454,7 @@ func (c *Client) report() *Report {
 	if expected < 1 {
 		expected = 1
 	}
-	windowFrac := float64(count) / expected
+	windowFrac := float64(r.Windows) / expected
 	if windowFrac > 1 {
 		windowFrac = 1
 	}

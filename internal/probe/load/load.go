@@ -8,6 +8,7 @@ package load
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -361,9 +362,17 @@ func (w *worker) run(ctx context.Context) outcome {
 	session := w.rng.Uint64()
 	nowNano := func() int64 { return time.Since(start).Nanoseconds() }
 
-	out, err := w.handshake(ctx, conn, session, nowNano)
-	if err != nil || out != outAdmitted {
-		return out
+	_, err = probe.Handshake(ctx, conn, w.rng, session, start, w.cfg.HandshakeAttempts, w.cfg.HandshakeTimeout)
+	switch {
+	case err == nil:
+	case errors.Is(err, probe.ErrServerBusy):
+		return outBusy
+	case errors.Is(err, probe.ErrServerDraining):
+		return outDraining
+	case errors.Is(err, probe.ErrServerUnresponsive):
+		return outUnresponsive
+	default:
+		return outError
 	}
 
 	w.enter()
@@ -401,73 +410,6 @@ func (w *worker) run(ctx context.Context) outcome {
 		}
 	}
 	return outAdmitted
-}
-
-func (w *worker) handshake(ctx context.Context, conn *net.UDPConn, session uint64, nowNano func() int64) (outcome, error) {
-	out := make([]byte, probe.HeaderSize)
-	in := make([]byte, 2048)
-	timeout := w.cfg.HandshakeTimeout
-	busySeen := false
-	for attempt := 0; attempt < w.cfg.HandshakeAttempts; attempt++ {
-		if ctx.Err() != nil {
-			return outError, ctx.Err()
-		}
-		h := probe.Header{
-			Type:     probe.TypeHello,
-			Flags:    probe.FlagBusyAware,
-			Session:  session,
-			Seq:      uint64(attempt),
-			SendNano: nowNano(),
-		}
-		n, err := h.Encode(out)
-		if err != nil {
-			return outError, err
-		}
-		if _, err := conn.Write(out[:n]); err != nil {
-			return outError, err
-		}
-		window := timeout + time.Duration((w.rng.Float64()-0.5)*0.5*float64(timeout))
-		deadline := time.Now().Add(window)
-		busyThisAttempt := false
-		for {
-			conn.SetReadDeadline(deadline)
-			rn, err := conn.Read(in)
-			if err != nil {
-				break
-			}
-			hi, err := probe.Decode(in[:rn])
-			if err != nil || hi.Session != session {
-				continue
-			}
-			switch hi.Type {
-			case probe.TypeHi:
-				return outAdmitted, nil
-			case probe.TypeBusy:
-				if hi.Flags&probe.FlagDraining != 0 {
-					return outDraining, nil
-				}
-				busySeen = true
-				busyThisAttempt = true
-				hint := time.Duration(hi.Size) * time.Millisecond
-				if hint <= 0 {
-					hint = timeout
-				}
-				if !sleepCtx(ctx, hint/2+time.Duration(w.rng.Float64()*float64(hint))) {
-					return outBusy, nil
-				}
-			default:
-				continue
-			}
-			break
-		}
-		if !busyThisAttempt {
-			timeout *= 2
-		}
-	}
-	if busySeen {
-		return outBusy, nil
-	}
-	return outUnresponsive, nil
 }
 
 func (w *worker) send(ctx context.Context, conn *net.UDPConn, session uint64, nowNano func() int64, end time.Time) {
@@ -541,16 +483,5 @@ func (w *worker) receive(conn *net.UDPConn, session uint64, nowNano func() int64
 		w.acc.mu.Lock()
 		w.acc.sketch.Add(float64(lat) / 1e6)
 		w.acc.mu.Unlock()
-	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
 	}
 }

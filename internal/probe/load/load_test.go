@@ -2,6 +2,7 @@ package load
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -136,6 +137,79 @@ func TestRunHonorsContextCancel(t *testing.T) {
 	}
 	if res.Clients != 10 {
 		t.Errorf("result covers %d clients, want 10", res.Clients)
+	}
+}
+
+// TestWorkerSleepsOutRefusedAttempts: a closed port answers every Hello
+// with an ICMP refusal, which fails the read at once. The worker must
+// still spend each attempt's window — the real client's schedule —
+// before it reports unresponsive.
+func TestWorkerSleepsOutRefusedAttempts(t *testing.T) {
+	closed, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := closed.LocalAddr().String()
+	closed.Close()
+
+	startAt := time.Now()
+	res, err := Run(context.Background(), Config{
+		Server: addr, Clients: 1, Ramp: time.Millisecond,
+		HandshakeAttempts: 3, HandshakeTimeout: 40 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unresponsive != 1 {
+		t.Errorf("unresponsive %d, want 1 (errors %d)", res.Unresponsive, res.Errors)
+	}
+	// Windows of 40, 80, 160 ms, each jittered down by at most 25%.
+	if el, min := time.Since(startAt), 210*time.Millisecond; el < min {
+		t.Errorf("gave up after %v, want at least the attempt windows (%v)", el, min)
+	}
+}
+
+// TestWorkerTimeoutStopsDoublingAtTwoSeconds: against a silent server
+// the gap between the second and third Hello is the second attempt
+// window — 2 s after the cap (at most 2.5 s with jitter), 5 s (at least
+// 3.75 s) if the 2.5 s timeout had simply doubled.
+func TestWorkerTimeoutStopsDoublingAtTwoSeconds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out two handshake windows (~5 s)")
+	}
+	t.Parallel()
+	mute, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	arrivals := make(chan time.Time, 3) // one slot per Hello
+	go func() {
+		buf := make([]byte, 2048)
+		for i := 0; i < 3; i++ {
+			if _, _, err := mute.ReadFromUDP(buf); err != nil {
+				return
+			}
+			arrivals <- time.Now()
+		}
+		cancel() // third Hello seen: the rest of the schedule adds nothing
+	}()
+	if _, err := Run(ctx, Config{
+		Server: mute.LocalAddr().String(), Clients: 1, Ramp: time.Millisecond,
+		HandshakeAttempts: 3, HandshakeTimeout: 2500 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(arrivals) != 3 {
+		t.Fatalf("saw %d Hellos, want 3", len(arrivals))
+	}
+	<-arrivals
+	second := <-arrivals
+	if gap := (<-arrivals).Sub(second); gap > 3100*time.Millisecond {
+		t.Errorf("second attempt window was %v, want the 2 s cap (<= 2.5 s jittered)", gap)
 	}
 }
 

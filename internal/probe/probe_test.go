@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"math"
 	"net"
 	"testing"
 	"testing/quick"
@@ -203,6 +204,34 @@ func TestClientMeasuresLoopback(t *testing.T) {
 	// An idle loopback path should not look elastic.
 	if rep.Elastic {
 		t.Errorf("loopback classified elastic (eta=%.3f)", rep.MeanEta)
+	}
+}
+
+// TestReportVerdictIsSharedSummary: the client's Elastic/MeanEta/Windows
+// are the estimator's shared verdict over [Duration/4, inf) of the very
+// Eta series it reports — the sample on the settle bound counts, the one
+// before it does not.
+func TestReportVerdictIsSharedSummary(t *testing.T) {
+	const duration = 8 * time.Second
+	c := NewClient(ClientConfig{Server: "unused", Duration: duration, Seed: 1})
+	th := c.cc.Est.Config().EtaThreshold
+	for i, eta := range []float64{9, 9, th, 0, 2 * th, 0.1} { // at 1s, 2s (the bound), 3s, ...
+		c.cc.Est.Elasticity.Append(time.Duration(i+1)*time.Second, eta)
+	}
+	c.start = time.Now().Add(-duration)
+	rep := c.report()
+
+	ref := nimbus.NewEstimator(c.cfg.Nimbus)
+	for _, s := range rep.Eta {
+		ref.Elasticity.Append(s.At, s.Value)
+	}
+	want := ref.Verdict(duration/4, math.MaxInt64)
+	if want.Windows != 5 || !want.Elastic {
+		t.Fatalf("reference verdict %+v: want the 5 windows from 2 s on, elastic 3 to 2", want)
+	}
+	if rep.Windows != want.Windows || rep.MeanEta != want.Mean || rep.Elastic != want.Elastic {
+		t.Errorf("report windows=%d mean=%v elastic=%v, shared verdict %+v",
+			rep.Windows, rep.MeanEta, rep.Elastic, want)
 	}
 }
 

@@ -154,92 +154,3 @@ func (c *CoDel) Len() int { return c.fifo.Len() }
 
 // Bytes implements sim.Qdisc.
 func (c *CoDel) Bytes() int { return c.fifo.Bytes() }
-
-// RED implements Random Early Detection (Floyd & Jacobson): packets
-// are dropped probabilistically as the EWMA queue length moves between
-// a minimum and maximum threshold, signalling congestion before the
-// buffer fills.
-type RED struct {
-	// MinBytes and MaxBytes are the EWMA thresholds; MaxP is the drop
-	// probability at MaxBytes.
-	MinBytes, MaxBytes int
-	MaxP               float64
-	// Weight is the queue-average EWMA weight (default 0.002).
-	Weight float64
-
-	fifo *DropTail
-	avg  float64
-	seed uint64
-
-	// Dropped counts early (probabilistic) drops.
-	Dropped int64
-	// Trace, if non-nil, receives one EvMark event per early drop
-	// (V1 = packet size, V2 = EWMA queue bytes at drop time).
-	Trace obs.Tracer
-}
-
-// NewRED returns a RED queue: thresholds default to 1/4 and 3/4 of the
-// byte limit with maxP 0.1.
-func NewRED(limitBytes int) *RED {
-	if limitBytes <= 0 {
-		limitBytes = 1 << 20
-	}
-	return &RED{
-		MinBytes: limitBytes / 4,
-		MaxBytes: limitBytes * 3 / 4,
-		MaxP:     0.1,
-		Weight:   0.002,
-		fifo:     NewDropTail(limitBytes),
-		seed:     0x9e3779b97f4a7c15,
-	}
-}
-
-// rnd is a tiny deterministic PRNG (splitmix64) so RED stays
-// reproducible without plumbing a *rand.Rand through the qdisc API.
-func (r *RED) rnd() float64 {
-	r.seed += 0x9e3779b97f4a7c15
-	z := r.seed
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
-}
-
-// Enqueue implements sim.Qdisc with early drop.
-func (r *RED) Enqueue(p *sim.Packet, now time.Duration) bool {
-	r.avg = r.avg*(1-r.Weight) + float64(r.fifo.Bytes())*r.Weight
-	switch {
-	case r.avg < float64(r.MinBytes):
-		// Below min: always accept (subject to the hard limit).
-	case r.avg >= float64(r.MaxBytes):
-		r.markDrop(p, now)
-		return false
-	default:
-		pDrop := r.MaxP * (r.avg - float64(r.MinBytes)) / float64(r.MaxBytes-r.MinBytes)
-		if r.rnd() < pDrop {
-			r.markDrop(p, now)
-			return false
-		}
-	}
-	return r.fifo.Enqueue(p, now)
-}
-
-// markDrop accounts one early drop and traces it.
-func (r *RED) markDrop(p *sim.Packet, now time.Duration) {
-	r.Dropped++
-	if r.Trace != nil {
-		r.Trace.Emit(obs.Event{At: now, Type: obs.EvMark, Src: "red",
-			Flow: int32(p.FlowID), Seq: p.Seq, V1: float64(p.Size), V2: r.avg, Note: "early_drop"})
-	}
-}
-
-// Dequeue implements sim.Qdisc.
-func (r *RED) Dequeue(now time.Duration) (*sim.Packet, time.Duration) {
-	return r.fifo.Dequeue(now)
-}
-
-// Len implements sim.Qdisc.
-func (r *RED) Len() int { return r.fifo.Len() }
-
-// Bytes implements sim.Qdisc.
-func (r *RED) Bytes() int { return r.fifo.Bytes() }

@@ -91,58 +91,3 @@ func TestCoDelKeepsQueueShortEndToEnd(t *testing.T) {
 		t.Error("expected CoDel drops against a loss-based flow")
 	}
 }
-
-func TestREDEarlyDrops(t *testing.T) {
-	r := NewRED(100 * 1000)
-	// Push the average queue into the drop band.
-	accepted, dropped := 0, 0
-	for i := 0; i < 5000; i++ {
-		if r.Enqueue(pkt(1, 1, 1000), 0) {
-			accepted++
-		} else {
-			dropped++
-		}
-		// Drain a little to keep under the hard limit but above min.
-		if r.Bytes() > 60*1000 {
-			r.Dequeue(0)
-		}
-	}
-	if dropped == 0 {
-		t.Error("RED should early-drop with a standing queue")
-	}
-	if accepted == 0 {
-		t.Error("RED dropped everything")
-	}
-	if int64(dropped) != r.Dropped {
-		t.Errorf("drop accounting: %d vs %d", dropped, r.Dropped)
-	}
-}
-
-func TestREDBelowMinNoDrops(t *testing.T) {
-	r := NewRED(100 * 1000)
-	for i := 0; i < 10; i++ {
-		if !r.Enqueue(pkt(1, 1, 1000), 0) {
-			t.Fatal("drop below min threshold")
-		}
-		r.Dequeue(0)
-	}
-	if r.Dropped != 0 {
-		t.Errorf("Dropped = %d", r.Dropped)
-	}
-}
-
-func TestREDDeterministic(t *testing.T) {
-	run := func() int64 {
-		r := NewRED(50 * 1000)
-		for i := 0; i < 2000; i++ {
-			r.Enqueue(pkt(1, 1, 1000), 0)
-			if r.Bytes() > 30*1000 {
-				r.Dequeue(0)
-			}
-		}
-		return r.Dropped
-	}
-	if run() != run() {
-		t.Error("RED must be deterministic")
-	}
-}

@@ -7,14 +7,11 @@ import (
 )
 
 // ClassifyFunc maps a packet to a scheduling class. Per-flow fair
-// queueing uses ByFlow; per-user isolation uses ByUser.
+// queueing uses ByFlow.
 type ClassifyFunc func(p *sim.Packet) int
 
 // ByFlow classifies packets by FlowID.
 func ByFlow(p *sim.Packet) int { return p.FlowID }
-
-// ByUser classifies packets by UserID.
-func ByUser(p *sim.Packet) int { return p.UserID }
 
 type drrClass struct {
 	id      int
@@ -194,6 +191,3 @@ func (d *DRR) Len() int { return d.pkts }
 
 // Bytes implements sim.Qdisc.
 func (d *DRR) Bytes() int { return d.bytes }
-
-// ActiveClasses returns the number of classes with queued packets.
-func (d *DRR) ActiveClasses() int { return len(d.ring) }

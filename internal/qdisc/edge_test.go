@@ -14,11 +14,9 @@ func everyDiscipline(limit int) map[string]sim.Qdisc {
 	return map[string]sim.Qdisc{
 		"droptail": NewDropTail(limit),
 		"codel":    NewCoDel(limit),
-		"red":      NewRED(limit),
 		"drr":      NewDRR(ByFlow, sim.MSS, limit),
 		"fq_codel": NewFQCoDel(ByFlow, limit),
 		"sfq":      NewSFQ(8, limit, 1),
-		"prio":     NewPrio(3, limit, ByFlow),
 		"shaper":   NewTokenBucketShaper(1e6, 2*sim.MSS, limit),
 		"user-iso": NewUserIsolation(1e6, 2*sim.MSS, limit),
 	}
@@ -107,7 +105,6 @@ func TestFaultWrappersOnEdgeQueues(t *testing.T) {
 		"dup":     func(q sim.Qdisc) sim.Qdisc { return faults.NewDuplicator(q, 0.5, 3) },
 		"jitter":  func(q sim.Qdisc) sim.Qdisc { return faults.NewJitter(q, 5*time.Millisecond, 4) },
 		"reorder": func(q sim.Qdisc) sim.Qdisc { return faults.NewReorderer(q, 0.5, 5*time.Millisecond, 5) },
-		"batch":   func(q sim.Qdisc) sim.Qdisc { return faults.NewBatchReorder(q, 3) },
 		"outage": func(q sim.Qdisc) sim.Qdisc {
 			return faults.NewPeriodicOutage(q, 20*time.Millisecond, 5*time.Millisecond)
 		},
@@ -165,5 +162,5 @@ func mustProfile(q sim.Qdisc) sim.Qdisc {
 	if err != nil {
 		panic(err)
 	}
-	return p.Wrap(q, 9)
+	return p.Build(q, 9).Qdisc()
 }

@@ -285,45 +285,6 @@ func TestSFQApproximatesFairness(t *testing.T) {
 	}
 }
 
-func TestPrioStrictOrdering(t *testing.T) {
-	q := NewPrio(2, 1<<20, func(p *sim.Packet) int {
-		if p.FlowID == 1 {
-			return 0
-		}
-		return 1
-	})
-	q.Enqueue(pkt(2, 2, 100), 0)
-	q.Enqueue(pkt(1, 1, 100), 0)
-	q.Enqueue(pkt(2, 2, 100), 0)
-	q.Enqueue(pkt(1, 1, 100), 0)
-	// Both band-0 packets come out first.
-	for i := 0; i < 2; i++ {
-		p, _ := q.Dequeue(0)
-		if p == nil || p.FlowID != 1 {
-			t.Fatalf("dequeue %d = %+v, want band 0", i, p)
-		}
-	}
-	p, _ := q.Dequeue(0)
-	if p == nil || p.FlowID != 2 {
-		t.Fatalf("expected band 1 packet, got %+v", p)
-	}
-	if q.Len() != 1 {
-		t.Errorf("Len = %d", q.Len())
-	}
-}
-
-func TestPrioClampsBands(t *testing.T) {
-	q := NewPrio(2, 1<<20, func(p *sim.Packet) int { return p.FlowID })
-	// FlowID 7 clamps to band 1; -1 clamps to 0.
-	if !q.Enqueue(pkt(7, 1, 100), 0) || !q.Enqueue(pkt(-1, 1, 100), 0) {
-		t.Fatal("clamped enqueues refused")
-	}
-	p, _ := q.Dequeue(0)
-	if p.FlowID != -1 {
-		t.Errorf("band-0 (clamped) packet should come first, got flow %d", p.FlowID)
-	}
-}
-
 func TestUserIsolationRoundRobin(t *testing.T) {
 	// MSS-sized packets: each visit's quantum is consumed exactly, so
 	// the DRR pick sequence must be strict one-packet alternation —

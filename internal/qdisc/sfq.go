@@ -44,74 +44,3 @@ func (s *SFQ) Len() int { return s.drr.Len() }
 
 // Bytes implements sim.Qdisc.
 func (s *SFQ) Bytes() int { return s.drr.Bytes() }
-
-// Prio is a strict-priority discipline with a fixed number of bands;
-// band 0 is served first. Hyperscaler WANs use priority queueing to
-// protect interactive traffic (§2.1).
-type Prio struct {
-	bands    []*DropTail
-	classify ClassifyFunc
-	// Dropped counts refused packets.
-	Dropped int64
-}
-
-// NewPrio returns a strict-priority qdisc with n bands of limitBytes
-// each. classify must return a band in [0, n); out-of-range values are
-// clamped.
-func NewPrio(n, limitBytes int, classify ClassifyFunc) *Prio {
-	if n <= 0 {
-		n = 2
-	}
-	bands := make([]*DropTail, n)
-	for i := range bands {
-		bands[i] = NewDropTail(limitBytes)
-	}
-	if classify == nil {
-		classify = func(*sim.Packet) int { return 0 }
-	}
-	return &Prio{bands: bands, classify: classify}
-}
-
-// Enqueue implements sim.Qdisc.
-func (q *Prio) Enqueue(p *sim.Packet, now time.Duration) bool {
-	b := q.classify(p)
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(q.bands) {
-		b = len(q.bands) - 1
-	}
-	ok := q.bands[b].Enqueue(p, now)
-	if !ok {
-		q.Dropped++
-	}
-	return ok
-}
-
-// Dequeue implements sim.Qdisc.
-func (q *Prio) Dequeue(now time.Duration) (*sim.Packet, time.Duration) {
-	for _, b := range q.bands {
-		if p, _ := b.Dequeue(now); p != nil {
-			return p, 0
-		}
-	}
-	return nil, 0
-}
-
-// Len implements sim.Qdisc.
-func (q *Prio) Len() int {
-	n := 0
-	for _, b := range q.bands {
-		n += b.Len()
-	}
-	return n
-}
-
-// Bytes implements sim.Qdisc.
-func (q *Prio) Bytes() int {
-	n := 0
-	for _, b := range q.bands {
-		n += b.Bytes()
-	}
-	return n
-}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -476,7 +477,8 @@ func TestFlightDumpOnFailure(t *testing.T) {
 	r := &Runner{Workers: 2, FlightDir: dir, FlightEvents: 64}
 	specs := []Spec{
 		{Experiment: "test-ok", Seed: 1},
-		{Experiment: "test-trace-fail", Seed: 2},
+		{Experiment: "test-trace-fail", Seed: 2, FaultSeed: 4, RateBps: 48e6, RTTMs: 100,
+			Queue: "fq", BufferBDP: 2, Phases: []string{"reno", "cbr"}, PulseFreqHz: 5},
 		{Experiment: "test-ok", Seed: 3},
 	}
 	results, err := r.Sweep(context.Background(), specs)
@@ -505,6 +507,14 @@ func TestFlightDumpOnFailure(t *testing.T) {
 	if log.Manifest.Extra["spec_hash"] != specs[1].Hash() {
 		t.Errorf("manifest hash %q, want %q", log.Manifest.Extra["spec_hash"], specs[1].Hash())
 	}
+	// The dump's header is the spec's -trace manifest (Spec.Manifest is
+	// what ccac run -trace writes) but for the artifact tag; the flight
+	// copy used to forget pulse_freq_hz.
+	want := specs[1].Manifest()
+	want.Extra["artifact"] = "flight"
+	if log.Manifest.PulseFreqHz != 5 || !reflect.DeepEqual(log.Manifest, want) {
+		t.Errorf("flight manifest %+v\nwant the -trace manifest plus artifact: %+v", log.Manifest, want)
+	}
 	if len(log.Events) != 6 {
 		t.Errorf("dump holds %d events, want the 6 emitted", len(log.Events))
 	}
@@ -520,7 +530,7 @@ func TestFlightDumpOnFailure(t *testing.T) {
 func TestFlightDumpMergesWithScopeTracer(t *testing.T) {
 	// A run that already has a tracer keeps it: the flight recorder
 	// fans out rather than stealing the seat.
-	ring := obs.NewRing(128)
+	ring := obs.NewFlightRecorder(128)
 	r := &Runner{
 		Workers:   1,
 		FlightDir: t.TempDir(),

@@ -94,7 +94,6 @@ type Runner struct {
 
 type flightEntry struct {
 	spec Spec
-	hash string
 	fr   *obs.FlightRecorder
 }
 
@@ -254,7 +253,7 @@ func (r *Runner) runSwept(ctx context.Context, sp Spec, index, worker int, st *s
 	var fr *obs.FlightRecorder
 	if r.FlightDir != "" {
 		fr = obs.NewFlightRecorder(r.FlightEvents)
-		r.trackFlight(index, sp, hash, fr)
+		r.trackFlight(index, sp, fr)
 		defer r.untrackFlight(index)
 	}
 	startAt := st.sinceStart()
@@ -272,7 +271,7 @@ func (r *Runner) runSwept(ctx context.Context, sp Spec, index, worker int, st *s
 		res = r.runOne(ctx, sp, true, fr)
 	}()
 	if res.Err != "" && fr != nil {
-		if path, err := r.dumpFlight(sp, hash, fr, res.Err); err == nil {
+		if path, err := r.dumpFlight(sp, fr, res.Err); err == nil {
 			res.FlightDump = path
 		}
 	}
@@ -285,12 +284,12 @@ func (r *Runner) runSwept(ctx context.Context, sp Spec, index, worker int, st *s
 	return res
 }
 
-func (r *Runner) trackFlight(index int, sp Spec, hash string, fr *obs.FlightRecorder) {
+func (r *Runner) trackFlight(index int, sp Spec, fr *obs.FlightRecorder) {
 	r.flightMu.Lock()
 	if r.flights == nil {
 		r.flights = make(map[int]*flightEntry)
 	}
-	r.flights[index] = &flightEntry{spec: sp, hash: hash, fr: fr}
+	r.flights[index] = &flightEntry{spec: sp, fr: fr}
 	r.flightMu.Unlock()
 }
 
@@ -315,7 +314,7 @@ func (r *Runner) DumpActiveFlights() []string {
 	r.flightMu.Unlock()
 	var paths []string
 	for _, e := range entries {
-		if path, err := r.dumpFlight(e.spec, e.hash, e.fr, "in flight (SIGQUIT dump)"); err == nil {
+		if path, err := r.dumpFlight(e.spec, e.fr, "in flight (SIGQUIT dump)"); err == nil {
 			paths = append(paths, path)
 		}
 	}
@@ -326,23 +325,13 @@ func (r *Runner) DumpActiveFlights() []string {
 // spec hash. Dump failures are not run failures: the run's own error
 // is already recorded, and a read-only artifact must never change
 // sweep results.
-func (r *Runner) dumpFlight(sp Spec, hash string, fr *obs.FlightRecorder, errMsg string) (string, error) {
+func (r *Runner) dumpFlight(sp Spec, fr *obs.FlightRecorder, errMsg string) (string, error) {
 	if err := os.MkdirAll(r.FlightDir, 0o755); err != nil {
 		return "", err
 	}
-	path := filepath.Join(r.FlightDir, hash+".flight.jsonl")
-	m := obs.Manifest{
-		Tool:       "ccac/" + sp.Experiment,
-		Seed:       sp.Seed,
-		FaultSeed:  sp.FaultSeed,
-		Profile:    sp.FaultProfile,
-		RateBps:    sp.RateBps,
-		RTTSeconds: sp.RTT().Seconds(),
-		Queue:      sp.Queue,
-		BufferBDP:  sp.BufferBDP,
-		Phases:     sp.Phases,
-		Extra:      map[string]string{"spec_hash": hash, "artifact": "flight"},
-	}
+	m := sp.Manifest()
+	path := filepath.Join(r.FlightDir, m.Extra["spec_hash"]+".flight.jsonl")
+	m.Extra["artifact"] = "flight"
 	if err := fr.DumpFile(path, m, errMsg); err != nil {
 		return "", err
 	}

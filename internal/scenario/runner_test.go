@@ -49,8 +49,9 @@ func (g *seedGate) enter(seed int64) <-chan struct{} {
 	return open
 }
 
-// release lets the waiting run with the lowest seed go.
-func (g *seedGate) release() {
+// release lets the waiting run with the lowest seed go and returns
+// that seed.
+func (g *seedGate) release() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(g.waiting) == 0 {
@@ -62,8 +63,10 @@ func (g *seedGate) release() {
 			head = i
 		}
 	}
+	seed := g.waiting[head].seed
 	close(g.waiting[head].open)
 	g.waiting = append(g.waiting[:head], g.waiting[head+1:]...)
+	return seed
 }
 
 type testPayload struct {

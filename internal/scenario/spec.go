@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/traffic"
 )
 
@@ -105,6 +106,25 @@ func (s Spec) Duration() time.Duration {
 // RTT converts RTTMs, or returns 0 when unset.
 func (s Spec) RTT() time.Duration {
 	return time.Duration(s.RTTMs * float64(time.Millisecond))
+}
+
+// Manifest is the run-log header every trace artifact of a run of s
+// carries: the -trace log and the flight-recorder dump differ only in
+// what the writer adds under Extra.
+func (s Spec) Manifest() obs.Manifest {
+	return obs.Manifest{
+		Tool:        "ccac/" + s.Experiment,
+		Seed:        s.Seed,
+		FaultSeed:   s.FaultSeed,
+		Profile:     s.FaultProfile,
+		RateBps:     s.RateBps,
+		RTTSeconds:  s.RTT().Seconds(),
+		Queue:       s.Queue,
+		BufferBDP:   s.BufferBDP,
+		Phases:      s.Phases,
+		PulseFreqHz: s.PulseFreqHz,
+		Extra:       map[string]string{"spec_hash": s.Hash()},
+	}
 }
 
 // CanonicalJSON returns the deterministic JSON encoding used for

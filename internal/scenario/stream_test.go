@@ -289,8 +289,13 @@ func TestSweepStreamBoundedBuffering(t *testing.T) {
 	if pulled := int(src.pulls.Load()); pulled > 2*workers+1 {
 		t.Fatalf("dispatcher pulled %d specs with all workers blocked; in-flight window is not O(workers)", pulled)
 	}
+	// Seeds are spec indices: each release must open run i, the head of
+	// the ordering window — releasing any other run can fill the window
+	// behind a head that then never gets its turn.
 	for i := 0; i < len(specs); i++ {
-		testGate.release()
+		if got := testGate.release(); got != int64(i) {
+			t.Fatalf("release %d opened run %d, not the head of line", i, got)
+		}
 		if i < len(specs)-workers {
 			<-testStarted
 		}

@@ -13,7 +13,7 @@ import (
 // determinism.
 func traceRun(seed int64) []obs.Event {
 	eng := &Engine{}
-	ring := obs.NewRing(1 << 14)
+	ring := obs.NewFlightRecorder(1 << 14)
 	link := NewLink(eng, "bottleneck", 8e6, 2*time.Millisecond, &testQueue{})
 	link.Trace = ring
 	rng := rand.New(rand.NewSource(seed))
@@ -90,7 +90,7 @@ func TestTraceEventKinds(t *testing.T) {
 
 	// Drops are traced with the refusing link as Src.
 	eng := &Engine{}
-	ring := obs.NewRing(16)
+	ring := obs.NewFlightRecorder(16)
 	link := NewLink(eng, "tiny", 8e6, 0, &rejectQueue{})
 	link.Trace = ring
 	Inject(&Packet{Size: 1000, Seq: 5, Path: []*Link{link}})

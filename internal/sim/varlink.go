@@ -77,21 +77,3 @@ func CellularTrace(rng *rand.Rand, mean, sigma float64) func(t time.Duration) fl
 		return mean * level
 	}
 }
-
-// StepTrace returns a rate function that follows a fixed step
-// schedule: rates[i] applies from times[i] (times must be ascending;
-// before times[0] the first rate applies).
-func StepTrace(times []time.Duration, rates []float64) func(t time.Duration) float64 {
-	return func(t time.Duration) float64 {
-		if len(rates) == 0 {
-			return 1e6
-		}
-		cur := rates[0]
-		for i, at := range times {
-			if i < len(rates) && t >= at {
-				cur = rates[i]
-			}
-		}
-		return cur
-	}
-}

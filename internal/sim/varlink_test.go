@@ -9,10 +9,15 @@ import (
 func TestDriveRateAppliesSteps(t *testing.T) {
 	eng := &Engine{}
 	link := NewLink(eng, "l", 10e6, time.Millisecond, &testQueue{})
-	rates := StepTrace(
-		[]time.Duration{0, time.Second, 2 * time.Second},
-		[]float64{10e6, 20e6, 5e6},
-	)
+	rates := func(t time.Duration) float64 {
+		switch {
+		case t >= 2*time.Second:
+			return 5e6
+		case t >= time.Second:
+			return 20e6
+		}
+		return 10e6
+	}
 	d := DriveRate(eng, link, 100*time.Millisecond, rates)
 	eng.Run(500 * time.Millisecond)
 	if link.Rate != 10e6 {
@@ -75,10 +80,12 @@ func TestRateChangeMidSerialization(t *testing.T) {
 	link := NewLink(eng, "l", 1e6, 0, &testQueue{})
 	// 1250 B at 1 Mbit/s = 10ms. The rate jumps tenfold at 5ms, while
 	// the first packet is mid-serialization.
-	DriveRate(eng, link, 5*time.Millisecond, StepTrace(
-		[]time.Duration{0, 5 * time.Millisecond},
-		[]float64{1e6, 10e6},
-	))
+	DriveRate(eng, link, 5*time.Millisecond, func(t time.Duration) float64 {
+		if t >= 5*time.Millisecond {
+			return 10e6
+		}
+		return 1e6
+	})
 	var delivered []time.Duration
 	dest := ReceiverFunc(func(p *Packet) { delivered = append(delivered, eng.Now()) })
 	eng.ScheduleAt(0, func() {
@@ -160,10 +167,12 @@ func TestVaryingLinkAffectsDelivery(t *testing.T) {
 	eng := &Engine{}
 	link := NewLink(eng, "l", 10e6, 0, &testQueue{})
 	// Slow the link tenfold after 100 packets' worth of time.
-	DriveRate(eng, link, 10*time.Millisecond, StepTrace(
-		[]time.Duration{0, 500 * time.Millisecond},
-		[]float64{10e6, 1e6},
-	))
+	DriveRate(eng, link, 10*time.Millisecond, func(t time.Duration) float64 {
+		if t >= 500*time.Millisecond {
+			return 1e6
+		}
+		return 10e6
+	})
 	var delivered []time.Duration
 	dest := ReceiverFunc(func(*Packet) { delivered = append(delivered, eng.Now()) })
 	// Two packets: one early (fast), one late (slow).

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -109,37 +108,3 @@ func (c *CDF) String() string {
 	b.WriteString(")")
 	return b.String()
 }
-
-// Welford is an online mean/variance accumulator (Welford's algorithm).
-// The zero value is ready for use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one sample into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples accumulated.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 if no samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance (0 if fewer than two
-// samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

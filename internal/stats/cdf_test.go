@@ -104,54 +104,3 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.N() != 0 {
-		t.Error("zero value should be empty")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != len(xs) {
-		t.Errorf("N = %d", w.N())
-	}
-	if !almostEq(w.Mean(), Mean(xs), 1e-12) {
-		t.Errorf("Mean = %v, want %v", w.Mean(), Mean(xs))
-	}
-	if !almostEq(w.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("Variance = %v, want %v", w.Variance(), Variance(xs))
-	}
-	if !almostEq(w.StdDev(), StdDev(xs), 1e-9) {
-		t.Errorf("StdDev = %v, want %v", w.StdDev(), StdDev(xs))
-	}
-}
-
-// Property: Welford matches the batch computation.
-func TestWelfordMatchesBatchProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if v == v && v < 1e9 && v > -1e9 {
-				xs = append(xs, v)
-			}
-		}
-		var w Welford
-		for _, x := range xs {
-			w.Add(x)
-		}
-		if len(xs) == 0 {
-			return w.Mean() == 0
-		}
-		scale := 1.0
-		if m := Mean(xs); m > 1 || m < -1 {
-			scale = m
-		}
-		return almostEq(w.Mean()/scale, Mean(xs)/scale, 1e-6) &&
-			almostEq(w.Variance(), Variance(xs), 1e-3*(1+Variance(xs)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}

@@ -1,7 +1,7 @@
 // Package stats provides the statistical primitives used throughout the
 // repository: empirical CDFs and quantiles, fairness metrics (Jain's
-// index, Ware et al.'s harm), online moment accumulators, and
-// time-series resampling helpers.
+// index, Ware et al.'s harm), mergeable quantile sketches, and
+// time-series windowing helpers.
 //
 // All functions are deterministic and allocation-conscious; none of them
 // retain references to caller-provided slices unless documented.
@@ -28,25 +28,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance of xs (dividing by n), or 0
-// for fewer than two samples.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n)
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the minimum of xs. It returns ErrEmpty for empty input.
 func Min(xs []float64) (float64, error) {
@@ -111,9 +92,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the median of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
 // JainIndex returns Jain's fairness index over per-entity allocations:
 //
 //	J = (Σx)² / (n · Σx²)
@@ -149,23 +127,6 @@ func Harm(solo, observed float64) float64 {
 		return 0
 	}
 	h := (solo - observed) / solo
-	if h < 0 {
-		return 0
-	}
-	if h > 1 {
-		return 1
-	}
-	return h
-}
-
-// HarmLessIsBetter is the harm metric for dimensions where less is
-// better (e.g. latency): harm = (observed - solo) / observed, clamped to
-// [0, 1]. observed must be positive; otherwise it returns 0.
-func HarmLessIsBetter(solo, observed float64) float64 {
-	if observed <= 0 {
-		return 0
-	}
-	h := (observed - solo) / observed
 	if h < 0 {
 		return 0
 	}

@@ -28,19 +28,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	if got := Variance([]float64{7}); got != 0 {
-		t.Errorf("Variance(single) = %v, want 0", got)
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEq(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	if _, err := Min(nil); err != ErrEmpty {
 		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
@@ -197,22 +184,10 @@ func TestHarm(t *testing.T) {
 	}
 }
 
-func TestHarmLessIsBetter(t *testing.T) {
-	if got := HarmLessIsBetter(10, 0); got != 0 {
-		t.Errorf("zero observed = %v, want 0", got)
-	}
-	if got := HarmLessIsBetter(10, 20); !almostEq(got, 0.5, 1e-12) {
-		t.Errorf("doubled latency harm = %v, want 0.5", got)
-	}
-	if got := HarmLessIsBetter(10, 5); got != 0 {
-		t.Errorf("improved latency harm = %v, want 0", got)
-	}
-}
-
 func TestMedian(t *testing.T) {
-	got, err := Median([]float64{9, 1, 5})
+	got, err := Quantile([]float64{9, 1, 5}, 0.5)
 	if err != nil || got != 5 {
-		t.Errorf("Median = %v (%v), want 5", got, err)
+		t.Errorf("median = %v (%v), want 5", got, err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"sort"
 	"time"
 )
@@ -44,50 +43,6 @@ func (s *Series) Len() int { return len(s.samples) }
 // Samples returns the underlying samples. The returned slice is owned by
 // the Series and must not be modified.
 func (s *Series) Samples() []Sample { return s.samples }
-
-// Values returns a copy of just the sample values, in time order.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.samples))
-	for i, smp := range s.samples {
-		vs[i] = smp.Value
-	}
-	return vs
-}
-
-// Span returns the time extent [first, last] of the series. For an
-// empty series both are zero.
-func (s *Series) Span() (first, last time.Duration) {
-	if len(s.samples) == 0 {
-		return 0, 0
-	}
-	return s.samples[0].At, s.samples[len(s.samples)-1].At
-}
-
-// Resample converts the series into a fixed-interval vector covering
-// [from, to) with the given step, holding the most recent sample value
-// in each bin (zero-order hold). Bins before the first sample take the
-// first sample's value. An empty series yields an all-zero vector.
-func (s *Series) Resample(from, to, step time.Duration) []float64 {
-	if step <= 0 || to <= from {
-		return nil
-	}
-	n := int((to - from) / step)
-	out := make([]float64, n)
-	if len(s.samples) == 0 {
-		return out
-	}
-	idx := 0
-	cur := s.samples[0].Value
-	for i := 0; i < n; i++ {
-		t := from + time.Duration(i)*step
-		for idx < len(s.samples) && s.samples[idx].At <= t {
-			cur = s.samples[idx].Value
-			idx++
-		}
-		out[i] = cur
-	}
-	return out
-}
 
 // Window returns the values of samples with At in [from, to). An
 // empty or inverted window (to <= from) yields no samples.
@@ -209,53 +164,6 @@ func (m *MaxFilter) Value(now time.Duration) float64 {
 }
 
 func (m *MaxFilter) expire(now time.Duration) {
-	cut := now - m.window
-	i := 0
-	for i < len(m.entries) && m.entries[i].At < cut {
-		i++
-	}
-	if i > 0 {
-		m.entries = append(m.entries[:0], m.entries[i:]...)
-	}
-}
-
-// MinFilter is the mirror of MaxFilter for windowed minima (e.g. min
-// RTT estimation).
-type MinFilter struct {
-	window  time.Duration
-	entries []Sample
-}
-
-// NewMinFilter returns a min filter over the given window length.
-func NewMinFilter(window time.Duration) *MinFilter {
-	if window <= 0 {
-		window = time.Second
-	}
-	return &MinFilter{window: window}
-}
-
-// Update inserts an observation at time at and returns the current
-// windowed minimum.
-func (m *MinFilter) Update(at time.Duration, v float64) float64 {
-	for len(m.entries) > 0 && m.entries[len(m.entries)-1].Value >= v {
-		m.entries = m.entries[:len(m.entries)-1]
-	}
-	m.entries = append(m.entries, Sample{At: at, Value: v})
-	m.expire(at)
-	return m.entries[0].Value
-}
-
-// Value returns the current windowed minimum given the current time. It
-// returns +Inf when empty so callers can use it directly in min().
-func (m *MinFilter) Value(now time.Duration) float64 {
-	m.expire(now)
-	if len(m.entries) == 0 {
-		return math.Inf(1)
-	}
-	return m.entries[0].Value
-}
-
-func (m *MinFilter) expire(now time.Duration) {
 	cut := now - m.window
 	i := 0
 	for i < len(m.entries) && m.entries[i].At < cut {

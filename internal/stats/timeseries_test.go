@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,14 +9,13 @@ import (
 
 func TestSeriesAppendAndSpan(t *testing.T) {
 	var s Series
-	if f, l := s.Span(); f != 0 || l != 0 {
-		t.Error("empty span should be 0,0")
+	if s.Len() != 0 || len(s.Samples()) != 0 {
+		t.Error("zero value should be empty")
 	}
 	s.Append(time.Second, 1)
 	s.Append(3*time.Second, 2)
-	f, l := s.Span()
-	if f != time.Second || l != 3*time.Second {
-		t.Errorf("span = %v..%v", f, l)
+	if got := s.Samples(); got[0].At != time.Second || got[1].At != 3*time.Second {
+		t.Errorf("span = %v..%v", got[0].At, got[1].At)
 	}
 	if s.Len() != 2 {
 		t.Errorf("Len = %d", s.Len())
@@ -45,46 +43,6 @@ func TestSeriesOutOfOrderClamps(t *testing.T) {
 	s.Append(3*time.Second, 3) // in-order appends are unaffected
 	if s.Clamped != 1 {
 		t.Errorf("in-order append bumped Clamped to %d", s.Clamped)
-	}
-}
-
-func TestSeriesValues(t *testing.T) {
-	var s Series
-	s.Append(0, 1)
-	s.Append(time.Second, 2)
-	vs := s.Values()
-	if len(vs) != 2 || vs[0] != 1 || vs[1] != 2 {
-		t.Errorf("Values = %v", vs)
-	}
-	// The returned slice is a copy.
-	vs[0] = 99
-	if s.Samples()[0].Value != 1 {
-		t.Error("Values must copy")
-	}
-}
-
-func TestSeriesResample(t *testing.T) {
-	var s Series
-	s.Append(0, 10)
-	s.Append(time.Second, 20)
-	s.Append(2500*time.Millisecond, 30)
-	got := s.Resample(0, 3*time.Second, 500*time.Millisecond)
-	want := []float64{10, 10, 20, 20, 20, 30}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bin %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Degenerate params.
-	if got := s.Resample(0, 0, time.Second); got != nil {
-		t.Errorf("empty window = %v", got)
-	}
-	var empty Series
-	if got := empty.Resample(0, time.Second, 500*time.Millisecond); len(got) != 2 || got[0] != 0 {
-		t.Errorf("empty series = %v", got)
 	}
 }
 
@@ -162,21 +120,6 @@ func TestMaxFilter(t *testing.T) {
 	}
 }
 
-func TestMinFilter(t *testing.T) {
-	m := NewMinFilter(10 * time.Second)
-	if got := m.Value(0); !math.IsInf(got, 1) {
-		t.Errorf("empty min = %v, want +Inf", got)
-	}
-	m.Update(0, 5)
-	m.Update(time.Second, 8)
-	if got := m.Value(2 * time.Second); got != 5 {
-		t.Errorf("min = %v, want 5", got)
-	}
-	if got := m.Value(11 * time.Second); got != 8 {
-		t.Errorf("min after expiry = %v, want 8", got)
-	}
-}
-
 // Property: MaxFilter matches a brute-force windowed maximum.
 func TestMaxFilterMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
@@ -198,40 +141,6 @@ func TestMaxFilterMatchesBruteForce(t *testing.T) {
 			want := 0.0
 			for _, o := range all {
 				if o.at >= at-window && o.v > want {
-					want = o.v
-				}
-			}
-			if !almostEq(got, want, 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: MinFilter matches a brute-force windowed minimum.
-func TestMinFilterMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		window := 5 * time.Second
-		m := NewMinFilter(window)
-		type obs struct {
-			at time.Duration
-			v  float64
-		}
-		var all []obs
-		at := time.Duration(0)
-		for i := 0; i < 100; i++ {
-			at += time.Duration(rng.Intn(1000)) * time.Millisecond
-			v := rng.Float64() * 100
-			all = append(all, obs{at, v})
-			got := m.Update(at, v)
-			want := math.Inf(1)
-			for _, o := range all {
-				if o.at >= at-window && o.v < want {
 					want = o.v
 				}
 			}

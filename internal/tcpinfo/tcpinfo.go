@@ -49,12 +49,3 @@ func (s Snapshot) AppLimitedFraction() float64 {
 	}
 	return float64(s.AppLimited) / float64(s.At)
 }
-
-// RWndLimitedFraction returns the fraction of elapsed time the flow was
-// receiver-window limited.
-func (s Snapshot) RWndLimitedFraction() float64 {
-	if s.At <= 0 {
-		return 0
-	}
-	return float64(s.RWndLimited) / float64(s.At)
-}

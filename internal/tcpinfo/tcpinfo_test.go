@@ -8,18 +8,14 @@ import (
 
 func TestFractions(t *testing.T) {
 	s := Snapshot{
-		At:          10 * time.Second,
-		AppLimited:  4 * time.Second,
-		RWndLimited: 1 * time.Second,
+		At:         10 * time.Second,
+		AppLimited: 4 * time.Second,
 	}
 	if got := s.AppLimitedFraction(); got != 0.4 {
 		t.Errorf("AppLimitedFraction = %v", got)
 	}
-	if got := s.RWndLimitedFraction(); got != 0.1 {
-		t.Errorf("RWndLimitedFraction = %v", got)
-	}
 	var zero Snapshot
-	if zero.AppLimitedFraction() != 0 || zero.RWndLimitedFraction() != 0 {
+	if zero.AppLimitedFraction() != 0 {
 		t.Error("zero snapshot fractions should be 0")
 	}
 }

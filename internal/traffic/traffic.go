@@ -1,9 +1,9 @@
 // Package traffic provides the workload generators behind the paper's
-// experiments: persistently backlogged bulk flows (the contention
-// prerequisite), ABR video streams (application-limited, the dominant
+// experiments: ABR video streams (application-limited, the dominant
 // byte source on today's Internet per §2.2), Poisson arrivals of
-// heavy-tailed short flows (web traffic), constant-bit-rate UDP, and
-// on-off sources.
+// heavy-tailed short flows (web traffic), churning user populations,
+// scheduled cross-traffic phases, and on-off sources. (A persistently
+// backlogged bulk flow is a transport.FlowConfig with Backlogged set.)
 package traffic
 
 import (
@@ -14,18 +14,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
-
-// Bulk wraps a persistently backlogged flow.
-type Bulk struct {
-	Flow *transport.Flow
-}
-
-// NewBulk creates a backlogged flow from the config (Backlogged is
-// forced on).
-func NewBulk(eng *sim.Engine, cfg transport.FlowConfig) *Bulk {
-	cfg.Backlogged = true
-	return &Bulk{Flow: transport.NewFlow(eng, cfg)}
-}
 
 // SizeDist draws flow sizes in bytes.
 type SizeDist interface {

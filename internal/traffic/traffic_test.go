@@ -217,18 +217,6 @@ func TestOnOffAlternates(t *testing.T) {
 	_ = acked
 }
 
-func TestBulkIsBacklogged(t *testing.T) {
-	eng, link := testLink(10e6, 5*time.Millisecond)
-	b := NewBulk(eng, flowCfg(1, link, 5*time.Millisecond, cca.NewRenoCC()))
-	eng.Run(5 * time.Second)
-	if !b.Flow.Sender.Backlogged() {
-		t.Error("bulk flow must be backlogged")
-	}
-	if b.Flow.GoodputBps() < 8e6 {
-		t.Errorf("bulk goodput = %.1f Mbit/s", b.Flow.GoodputBps()/1e6)
-	}
-}
-
 func TestShortFlowsDeterministicWithSeed(t *testing.T) {
 	run := func() (int, float64) {
 		eng, link := testLink(100e6, 5*time.Millisecond)

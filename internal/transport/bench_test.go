@@ -42,8 +42,8 @@ func benchFlow(b *testing.B, tr obs.Tracer) {
 func BenchmarkFlowSecond(b *testing.B) { benchFlow(b, nil) }
 
 // BenchmarkFlowSecondTraced runs the same workload with every event
-// captured into a ring tracer — the upper bound on tracing overhead
+// captured into a flight ring — the upper bound on tracing overhead
 // (run logs sample bulk events down, this keeps all of them).
 func BenchmarkFlowSecondTraced(b *testing.B) {
-	benchFlow(b, obs.NewRing(4096))
+	benchFlow(b, obs.NewFlightRecorder(4096))
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/tcpinfo"
 )
 
 // FlowConfig describes one transport flow through the emulated network.
@@ -65,9 +64,6 @@ type FlowConfig struct {
 type Flow struct {
 	Sender   *Sender
 	Receiver *Receiver
-	cfg      FlowConfig
-	eng      *sim.Engine
-	started  time.Duration
 }
 
 // NewFlow wires up a flow on the engine. It panics on invalid
@@ -117,7 +113,7 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig) *Flow {
 	if cfg.RecvBuffer > 0 {
 		s.rwnd = cfg.RecvBuffer
 	}
-	f := &Flow{Sender: s, Receiver: r, cfg: cfg, eng: eng, started: eng.Now()}
+	f := &Flow{Sender: s, Receiver: r}
 	if cfg.Backlogged {
 		s.SetBacklogged(true)
 	}
@@ -134,48 +130,3 @@ func (f *Flow) Start() { f.Sender.trySend() }
 func (f *Flow) Throughput(from, to time.Duration) float64 {
 	return f.Sender.Delivered.Rate(from, to) * 8
 }
-
-// GoodputBps returns average delivery rate in bits/s over the flow's
-// lifetime so far.
-func (f *Flow) GoodputBps() float64 {
-	now := f.eng.Now()
-	if now <= f.started {
-		return 0
-	}
-	return float64(f.Sender.BytesAcked()) * 8 / (now - f.started).Seconds()
-}
-
-// Sampler periodically records TCP_INFO snapshots for a flow,
-// mirroring the NDT snapshot stream the M-Lab analysis consumes.
-type Sampler struct {
-	Snapshots []tcpinfo.Snapshot
-	flow      *Flow
-	interval  time.Duration
-	prevAcked int64
-	stopped   bool
-}
-
-// NewSampler starts sampling the flow every interval. Samples
-// accumulate in Snapshots until Stop.
-func NewSampler(eng *sim.Engine, f *Flow, interval time.Duration) *Sampler {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	sm := &Sampler{flow: f, interval: interval}
-	var tick func()
-	tick = func() {
-		if sm.stopped {
-			return
-		}
-		snap := f.Sender.Snapshot()
-		snap.ThroughputBps = float64(f.Sender.BytesAcked()-sm.prevAcked) * 8 / interval.Seconds()
-		sm.prevAcked = f.Sender.BytesAcked()
-		sm.Snapshots = append(sm.Snapshots, snap)
-		eng.Schedule(interval, tick)
-	}
-	eng.Schedule(interval, tick)
-	return sm
-}
-
-// Stop ceases sampling.
-func (s *Sampler) Stop() { s.stopped = true }

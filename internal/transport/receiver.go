@@ -24,19 +24,7 @@ type Receiver struct {
 	drainRate float64 // bytes/s consumed by the application
 	buffered  float64
 	lastDrain time.Duration
-
-	// Counters.
-	packets int64
-	bytes   int64
-	// CumAckHighest tracks the highest in-order seq for diagnostics.
-	highestSeq int64
 }
-
-// ReceivedBytes returns the total payload bytes received.
-func (r *Receiver) ReceivedBytes() int64 { return r.bytes }
-
-// ReceivedPackets returns the total data packets received.
-func (r *Receiver) ReceivedPackets() int64 { return r.packets }
 
 func (r *Receiver) drain(now time.Duration) {
 	if r.drainRate <= 0 || r.bufCap == 0 {
@@ -75,12 +63,7 @@ func (r *Receiver) Receive(p *sim.Packet) {
 	}
 	now := r.eng.Now()
 	r.drain(now)
-	r.packets++
-	r.bytes += int64(p.Size)
 	r.buffered += float64(p.Size)
-	if p.Seq > r.highestSeq {
-		r.highestSeq = p.Seq
-	}
 	ack := r.eng.NewPacket()
 	ack.FlowID = p.FlowID
 	ack.UserID = p.UserID

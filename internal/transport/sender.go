@@ -111,7 +111,6 @@ type Sender struct {
 	bytesRetrans int64
 	lossEvents   int64
 	lostPackets  int64
-	spurious     int64
 	startAt      time.Duration
 
 	// Delivered is a cumulative-bytes-delivered time series, one point
@@ -178,11 +177,6 @@ func (s *Sender) MinRTT() time.Duration { return s.minRTT }
 
 // LossEvents returns the number of loss epochs detected.
 func (s *Sender) LossEvents() int64 { return s.lossEvents }
-
-// SpuriousAcks returns the number of acknowledgments that arrived for
-// packets already declared lost — each one marks a spurious
-// retransmission triggered by reordering or delay spikes.
-func (s *Sender) SpuriousAcks() int64 { return s.spurious }
 
 // BytesRetrans returns the total retransmitted byte count.
 func (s *Sender) BytesRetrans() int64 { return s.bytesRetrans }
@@ -334,7 +328,6 @@ func (s *Sender) onAck(p *sim.Packet) {
 	info, outstanding := s.inflight[p.Seq]
 	if !outstanding {
 		// Already declared lost (spurious retransmission) or duplicate.
-		s.spurious++
 		return
 	}
 	delete(s.inflight, p.Seq)

@@ -227,33 +227,6 @@ func (g *gateQueue) Dequeue(now time.Duration) (*sim.Packet, time.Duration) {
 func (g *gateQueue) Len() int   { return g.inner.Len() }
 func (g *gateQueue) Bytes() int { return g.inner.Bytes() }
 
-func TestSamplerSnapshots(t *testing.T) {
-	eng, link := dumbbell(10e6, 10*time.Millisecond, nil)
-	f := transport.NewFlow(eng, transport.FlowConfig{
-		ID: 1, Path: []*sim.Link{link}, ReturnDelay: 10 * time.Millisecond,
-		CC: cca.NewRenoCC(), Backlogged: true,
-	})
-	f.Start()
-	sm := transport.NewSampler(eng, f, 100*time.Millisecond)
-	eng.Run(3 * time.Second)
-	sm.Stop()
-	eng.Run(4 * time.Second)
-
-	if n := len(sm.Snapshots); n < 28 || n > 31 {
-		t.Fatalf("snapshots = %d, want ~30", n)
-	}
-	// Monotonic cumulative fields; plausible throughput once warmed.
-	for i := 1; i < len(sm.Snapshots); i++ {
-		if sm.Snapshots[i].BytesAcked < sm.Snapshots[i-1].BytesAcked {
-			t.Fatal("BytesAcked must be monotone")
-		}
-	}
-	last := sm.Snapshots[len(sm.Snapshots)-1]
-	if last.ThroughputBps < 5e6 || last.ThroughputBps > 11e6 {
-		t.Errorf("snapshot throughput = %.2f Mbit/s", last.ThroughputBps/1e6)
-	}
-}
-
 func TestTwoRenoFlowsShareFairly(t *testing.T) {
 	eng, link := dumbbell(20e6, 20*time.Millisecond, nil)
 	var flows []*transport.Flow
