@@ -42,6 +42,8 @@ var goldenSpecs = []struct {
 	{"oracle", Spec{Experiment: "oracle", Trials: 7, DurationS: 14, Seed: 2}},
 	{"tslp", Spec{Experiment: "tslp", DurationS: 8, Seed: 1, RateBps: 24e6}},
 	{"cellular", Spec{Experiment: "cellular", DurationS: 3, Seed: 1, CCAs: []string{"cubic", "nimbus"}}},
+	// No other row, trace or corpus entry runs copa.
+	{"cellular-copa", Spec{Experiment: "cellular", DurationS: 3, Seed: 1, CCAs: []string{"copa", "nimbus"}}},
 	{"access", Spec{Experiment: "access", DurationS: 2, Users: 2}},
 	{"pulse", Spec{Experiment: "pulse", DurationS: 12, PulseFreqsHz: []float64{2, 5}, PulseAmps: []float64{0.25}}},
 	{"buffer", Spec{Experiment: "buffer", DurationS: 12, BufferBDPs: []float64{0.5, 2}}},
