@@ -6,26 +6,23 @@ package main
 // sample, execute, classify, and aggregate duel cells over it.
 //
 //	ccac census gen   [-model FILE|-] [-samples N] [-json]
-//	ccac census run   [-model FILE|-] [-n N] [-seed N] [-shard k/M | -fork M]
+//	ccac census run   [-model FILE|-] [-n N] [-seed N] [-shard k/M]
 //	                  [-workers N] [-cache DIR] [-progress] [-out FILE]
 //	ccac census merge [-out FILE] <partial.json ...>
 //
 // `run` with -shard k/M executes one index slice of the population and
 // writes a mergeable partial; without it, the whole census runs in one
-// process and emits the final report. -fork M is the convenience
-// middle ground: it re-executes this binary as M shard processes,
-// merges their partials, and emits a report byte-identical to the
-// single-process run. Spec i of a model is a pure function of
-// (model hash, i), so shards regenerate their slices independently —
-// nothing is ever materialized or shipped but the aggregates.
+// process and emits the final report; merging every shard's partial
+// yields a report byte-identical to the single-process run. Spec i of a
+// model is a pure function of (model hash, i), so shards regenerate
+// their slices independently — nothing is ever materialized or shipped
+// but the aggregates.
 
 import (
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -59,7 +56,7 @@ func censusUsage(w io.Writer) {
 	fmt.Fprintln(w, "usage:")
 	fmt.Fprintln(w, "  ccac census gen [-model FILE|-] [-samples N] [-json]   print a model's expansion stats")
 	fmt.Fprintln(w, "  ccac census run [-model FILE|-] [-n N] [-seed N]")
-	fmt.Fprintln(w, "                  [-shard k/M | -fork M] [-workers N]")
+	fmt.Fprintln(w, "                  [-shard k/M] [-workers N]")
 	fmt.Fprintln(w, "                  [-cache DIR] [-progress] [-out FILE]   run a census (or one shard of it)")
 	fmt.Fprintln(w, "  ccac census merge [-out FILE] <partial.json ...>       fold shard partials into the report")
 	fmt.Fprintln(w, "run 'ccac census <sub> -h' for flags; no -model uses the built-in default population")
@@ -126,45 +123,48 @@ func cmdCensusGen(args []string) {
 	}
 }
 
-func cmdCensusRun(args []string) {
-	fs := flag.NewFlagSet("ccac census run", flag.ExitOnError)
-	model := censusModelFlags(fs)
-	shard := fs.String("shard", "", "run only index slice k/M of the population and emit a mergeable partial")
-	forkN := fs.Int("fork", 0, "split the census across N child processes and merge their partials")
-	workers := fs.Int("workers", 0, "worker pool size per process (0 = GOMAXPROCS)")
-	cacheDir := fs.String("cache", "", "content-addressed result cache directory (shared across shards)")
-	progress := fs.Bool("progress", false, "render a live one-line status to stderr")
-	out := fs.String("out", "", "write the partial/report here (default stdout)")
-	fs.Parse(args)
-	if *shard != "" && *forkN > 0 {
-		fail(fmt.Errorf("-shard and -fork are mutually exclusive"))
-	}
-	m := model()
+type censusRunOpts struct {
+	model                func() census.Model
+	shard, cacheDir, out string
+	workers              int
+	progress             bool
+}
 
-	if *forkN > 0 {
-		censusFork(m, *forkN, *workers, *cacheDir, *progress, *out)
-		return
-	}
+func censusRunFlags() (*flag.FlagSet, *censusRunOpts) {
+	fs := flag.NewFlagSet("ccac census run", flag.ExitOnError)
+	o := &censusRunOpts{model: censusModelFlags(fs)}
+	fs.StringVar(&o.shard, "shard", "", "run only index slice k/M of the population and emit a mergeable partial")
+	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed result cache directory (shared across shards)")
+	fs.BoolVar(&o.progress, "progress", false, "render a live one-line status to stderr")
+	fs.StringVar(&o.out, "out", "", "write the partial/report here (default stdout)")
+	return fs, o
+}
+
+func cmdCensusRun(args []string) {
+	fs, o := censusRunFlags()
+	fs.Parse(args)
+	m := o.model()
 
 	lo, hi := 0, m.N
-	if *shard != "" {
+	if o.shard != "" {
 		var k, total int
-		if _, err := fmt.Sscanf(*shard, "%d/%d", &k, &total); err != nil {
-			fail(fmt.Errorf("census: -shard wants k/M, got %q", *shard))
+		if _, err := fmt.Sscanf(o.shard, "%d/%d", &k, &total); err != nil {
+			fail(fmt.Errorf("census: -shard wants k/M, got %q", o.shard))
 		}
 		var err error
 		lo, hi, err = census.ShardRange(m.N, k, total)
 		fail(err)
 	}
 
-	runner := &scenario.Runner{Workers: *workers}
-	if *cacheDir != "" {
+	runner := &scenario.Runner{Workers: o.workers}
+	if o.cacheDir != "" {
 		var err error
-		runner.Cache, err = scenario.NewCache(*cacheDir)
+		runner.Cache, err = scenario.NewCache(o.cacheDir)
 		fail(err)
 	}
 	rep := &scenario.SweepReporter{AggregateEvery: time.Second}
-	if *progress {
+	if o.progress {
 		rep.TTY = os.Stderr
 		runner.ProgressFunc = rep.Func()
 	}
@@ -172,96 +172,25 @@ func cmdCensusRun(args []string) {
 	start := time.Now()
 	p, err := census.RunShard(signalContext(), runner, m, lo, hi)
 	fail(err)
-	if *progress {
+	if o.progress {
 		fail(rep.Close())
 		rep.Summarize(os.Stderr)
 	}
 
-	if *shard != "" {
+	if o.shard != "" {
 		b, err := p.Encode()
 		fail(err)
-		writeOut(*out, b)
+		writeOut(o.out, b)
 		fmt.Fprintf(os.Stderr, "ccac: census shard %s: %d specs [%d, %d) in %v\n",
-			*shard, hi-lo, lo, hi, time.Since(start).Round(time.Millisecond))
+			o.shard, hi-lo, lo, hi, time.Since(start).Round(time.Millisecond))
 		return
 	}
 	report := census.ReportOf(m, p.Agg)
 	b, err := report.Encode()
 	fail(err)
-	writeOut(*out, b)
+	writeOut(o.out, b)
 	report.WriteTable(os.Stderr)
 	fmt.Fprintf(os.Stderr, "ccac: census: %d specs in %v\n", m.N, time.Since(start).Round(time.Millisecond))
-}
-
-// censusFork re-executes this binary as one shard process per slice,
-// then merges the partials. Children regenerate their spec slices from
-// the model file alone — the only bytes that cross process boundaries
-// are the model going out and the aggregates coming back.
-func censusFork(m census.Model, shards, workers int, cacheDir string, progress bool, out string) {
-	if shards > m.N {
-		shards = m.N
-	}
-	dir, err := os.MkdirTemp("", "ccac-census-*")
-	fail(err)
-	defer os.RemoveAll(dir)
-
-	modelPath := filepath.Join(dir, "model.json")
-	mb, err := scenario.CanonicalJSON(m)
-	fail(err)
-	fail(os.WriteFile(modelPath, append(mb, '\n'), 0o644))
-
-	self, err := os.Executable()
-	fail(err)
-	start := time.Now()
-	procs := make([]*exec.Cmd, shards)
-	partials := make([]string, shards)
-	for k := 0; k < shards; k++ {
-		partials[k] = filepath.Join(dir, fmt.Sprintf("partial-%d.json", k))
-		args := []string{"census", "run",
-			"-model", modelPath,
-			"-shard", fmt.Sprintf("%d/%d", k, shards),
-			"-out", partials[k],
-		}
-		if workers > 0 {
-			args = append(args, "-workers", fmt.Sprint(workers))
-		}
-		if cacheDir != "" {
-			args = append(args, "-cache", cacheDir)
-		}
-		if progress && k == 0 {
-			// One shard narrates; M interleaved progress lines are noise.
-			args = append(args, "-progress")
-		}
-		cmd := exec.Command(self, args...)
-		cmd.Stderr = os.Stderr
-		cmd.Stdout = os.Stderr
-		fail(cmd.Start())
-		procs[k] = cmd
-	}
-	var firstErr error
-	for k, cmd := range procs {
-		if err := cmd.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("census: shard %d/%d: %w", k, shards, err)
-		}
-	}
-	fail(firstErr)
-
-	parts := make([]census.Partial, 0, shards)
-	for _, path := range partials {
-		b, err := os.ReadFile(path)
-		fail(err)
-		p, err := census.ParsePartial(b)
-		fail(err)
-		parts = append(parts, p)
-	}
-	report, err := census.Merge(parts)
-	fail(err)
-	b, err := report.Encode()
-	fail(err)
-	writeOut(out, b)
-	report.WriteTable(os.Stderr)
-	fmt.Fprintf(os.Stderr, "ccac: census: %d specs across %d shard processes in %v\n",
-		m.N, shards, time.Since(start).Round(time.Millisecond))
 }
 
 func cmdCensusMerge(args []string) {

@@ -5,7 +5,7 @@ package main
 // chosen pathology objective through the scenario runner.
 //
 //	ccac hunt <objective> [-budget N] [-pop N] [-seed N]
-//	          [-workers N | -seq] [-cache DIR]
+//	          [-workers N] [-cache DIR]
 //	          [-rate BPS] [-rtt DUR] [-queue Q] [-buffer BDP] [-victim CCA]
 //	          [-random N] [-out DIR] [-corpus DIR] [-fuzz-seeds DIR]
 //	          [-progress] [-progress-jsonl FILE] [-json]
@@ -37,30 +37,46 @@ func huntUsage(w io.Writer) {
 	}
 }
 
-func cmdHunt(args []string) {
+type huntOpts struct {
+	budget, pop, workers, random int
+	seed                         int64
+	rate, buffer                 float64
+	rtt                          time.Duration
+	cacheDir, queue, victim      string
+	outDir, corpusDir, fuzzSeeds string
+	progressJSONL                string
+	progress, asJSON             bool
+}
+
+func huntFlags() (*flag.FlagSet, *huntOpts) {
+	o := &huntOpts{}
 	fs := flag.NewFlagSet("ccac hunt", flag.ExitOnError)
-	budget := fs.Int("budget", 200, "genome evaluation budget")
-	pop := fs.Int("pop", 24, "GA population size")
-	seed := fs.Int64("seed", 1, "hunt model seed (the whole hunt derives from it)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	seq := fs.Bool("seq", false, "run sequentially (one worker)")
-	cacheDir := fs.String("cache", "", "content-addressed result cache directory")
-	rate := fs.Float64("rate", 0, "bottleneck rate in bits/s (0 = 16 Mbit/s default)")
-	rtt := fs.Duration("rtt", 0, "base round-trip time (0 = 30ms default)")
-	queue := fs.String("queue", "", "bottleneck queue discipline (default droptail)")
-	buffer := fs.Float64("buffer", 0, "bottleneck buffer in BDPs (0 = 1)")
-	victim := fs.String("victim", "", "victim flow CCA for the victim-mode objectives (default reno)")
-	random := fs.Int("random", 0, "also evaluate N random genomes as an undirected baseline")
-	outDir := fs.String("out", "", "write the worst scenario's spec + golden trace under this directory")
-	corpusDir := fs.String("corpus", "", "package the best genome as a corpus entry under this directory")
-	fuzzSeeds := fs.String("fuzz-seeds", "", "also export the corpus entry as fuzz seeds under this repo root (needs -corpus)")
-	progress := fs.Bool("progress", false, "render a live sweep status line to stderr")
-	progressJSONL := fs.String("progress-jsonl", "", "stream sweep progress events as JSONL to this file")
-	asJSON := fs.Bool("json", false, "print the canonical hunt result record instead of the summary")
+	fs.IntVar(&o.budget, "budget", 200, "genome evaluation budget")
+	fs.IntVar(&o.pop, "pop", 24, "GA population size")
+	fs.Int64Var(&o.seed, "seed", 1, "hunt model seed (the whole hunt derives from it)")
+	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed result cache directory")
+	fs.Float64Var(&o.rate, "rate", 0, "bottleneck rate in bits/s (0 = 16 Mbit/s default)")
+	fs.DurationVar(&o.rtt, "rtt", 0, "base round-trip time (0 = 30ms default)")
+	fs.StringVar(&o.queue, "queue", "", "bottleneck queue discipline (default droptail)")
+	fs.Float64Var(&o.buffer, "buffer", 0, "bottleneck buffer in BDPs (0 = 1)")
+	fs.StringVar(&o.victim, "victim", "", "victim flow CCA for the victim-mode objectives (default reno)")
+	fs.IntVar(&o.random, "random", 0, "also evaluate N random genomes as an undirected baseline")
+	fs.StringVar(&o.outDir, "out", "", "write the worst scenario's spec + golden trace under this directory")
+	fs.StringVar(&o.corpusDir, "corpus", "", "package the best genome as a corpus entry under this directory")
+	fs.StringVar(&o.fuzzSeeds, "fuzz-seeds", "", "also export the corpus entry as fuzz seeds under this repo root (needs -corpus)")
+	fs.BoolVar(&o.progress, "progress", false, "render a live sweep status line to stderr")
+	fs.StringVar(&o.progressJSONL, "progress-jsonl", "", "stream sweep progress events as JSONL to this file")
+	fs.BoolVar(&o.asJSON, "json", false, "print the canonical hunt result record instead of the summary")
 	fs.Usage = func() {
 		huntUsage(fs.Output())
 		fs.PrintDefaults()
 	}
+	return fs, o
+}
+
+func cmdHunt(args []string) {
+	fs, o := huntFlags()
 	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
 		huntUsage(os.Stderr)
 		os.Exit(2)
@@ -68,27 +84,24 @@ func cmdHunt(args []string) {
 	obj, err := hunt.LookupObjective(args[0])
 	fail(err)
 	fs.Parse(args[1:])
-	if *fuzzSeeds != "" && *corpusDir == "" {
+	if o.fuzzSeeds != "" && o.corpusDir == "" {
 		fail(fmt.Errorf("hunt: -fuzz-seeds needs -corpus"))
 	}
 
-	runner := &scenario.Runner{Workers: *workers}
-	if *seq {
-		runner.Workers = 1
-	}
-	if *cacheDir != "" {
-		runner.Cache, err = scenario.NewCache(*cacheDir)
+	runner := &scenario.Runner{Workers: o.workers}
+	if o.cacheDir != "" {
+		runner.Cache, err = scenario.NewCache(o.cacheDir)
 		fail(err)
 	}
 	rep := &scenario.SweepReporter{AggregateEvery: time.Second}
 	useReporter := false
-	if *progress {
+	if o.progress {
 		rep.TTY = os.Stderr
 		useReporter = true
 	}
 	var progressF *os.File
-	if *progressJSONL != "" {
-		progressF, err = os.Create(*progressJSONL)
+	if o.progressJSONL != "" {
+		progressF, err = os.Create(o.progressJSONL)
 		fail(err)
 		rep.JSONL = progressF
 		useReporter = true
@@ -100,18 +113,18 @@ func cmdHunt(args []string) {
 	cfg := hunt.Config{
 		Objective: obj,
 		Params: hunt.Params{
-			RateBps:   *rate,
-			RTTMs:     float64(*rtt) / float64(time.Millisecond),
-			Queue:     *queue,
-			BufferBDP: *buffer,
-			Victim:    *victim,
+			RateBps:   o.rate,
+			RTTMs:     float64(o.rtt) / float64(time.Millisecond),
+			Queue:     o.queue,
+			BufferBDP: o.buffer,
+			Victim:    o.victim,
 		},
-		Budget: *budget,
-		Pop:    *pop,
-		Seed:   *seed,
+		Budget: o.budget,
+		Pop:    o.pop,
+		Seed:   o.seed,
 		Runner: runner,
 	}
-	if !*asJSON {
+	if !o.asJSON {
 		cfg.Log = func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "ccac: "+format+"\n", a...)
 		}
@@ -121,8 +134,8 @@ func cmdHunt(args []string) {
 	start := time.Now()
 	res, err := hunt.Run(ctx, cfg)
 	fail(err)
-	if *random > 0 {
-		res.Random, err = hunt.RandomBaseline(ctx, cfg, *random)
+	if o.random > 0 {
+		res.Random, err = hunt.RandomBaseline(ctx, cfg, o.random)
 		fail(err)
 	}
 	elapsed := time.Since(start)
@@ -134,20 +147,20 @@ func cmdHunt(args []string) {
 		rep.Summarize(os.Stderr)
 	}
 
-	if *outDir != "" {
-		specPath, tracePath, err := hunt.WriteArtifacts(ctx, *outDir, res)
+	if o.outDir != "" {
+		specPath, tracePath, err := hunt.WriteArtifacts(ctx, o.outDir, res)
 		fail(err)
 		fmt.Fprintf(os.Stderr, "ccac: hunt artifacts:\n  %s\n  %s\n", specPath, tracePath)
 	}
-	if *corpusDir != "" {
+	if o.corpusDir != "" {
 		name := fmt.Sprintf("%s-%s", res.Objective, res.BestHash[:12])
 		entry, err := hunt.NewEntry(ctx, runner, res, name, "")
 		fail(err)
-		path, err := hunt.SaveEntry(*corpusDir, entry)
+		path, err := hunt.SaveEntry(o.corpusDir, entry)
 		fail(err)
 		fmt.Fprintf(os.Stderr, "ccac: hunt corpus entry: %s (score %.4f, %s)\n", path, entry.Score, entry.Class)
-		if *fuzzSeeds != "" {
-			paths, err := hunt.WriteFuzzSeeds(*fuzzSeeds, entry)
+		if o.fuzzSeeds != "" {
+			paths, err := hunt.WriteFuzzSeeds(o.fuzzSeeds, entry)
 			fail(err)
 			for _, p := range paths {
 				fmt.Fprintf(os.Stderr, "ccac: hunt fuzz seed: %s\n", p)
@@ -155,7 +168,7 @@ func cmdHunt(args []string) {
 		}
 	}
 
-	if *asJSON {
+	if o.asJSON {
 		b, err := scenario.CanonicalJSON(res)
 		fail(err)
 		fmt.Println(string(b))

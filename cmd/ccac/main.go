@@ -49,7 +49,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -292,23 +291,35 @@ func buildScope(sp scenario.Spec, tracePath string, traceSample int, metricsOut 
 	return sc, finish, nil
 }
 
-func cmdSweep(args []string) {
+type sweepOpts struct {
+	workers                             int
+	cacheDir, out                       string
+	progress                            bool
+	progressJSONL, flightDir, adminAddr string
+}
+
+func sweepFlags() (*flag.FlagSet, *sweepOpts) {
+	o := &sweepOpts{}
 	fs := flag.NewFlagSet("ccac sweep", flag.ExitOnError)
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	seq := fs.Bool("seq", false, "run sequentially (one worker)")
-	cacheDir := fs.String("cache", "", "content-addressed result cache directory (reused across sweeps)")
-	out := fs.String("out", "", "write the canonical JSON result array here (default stdout)")
-	progress := fs.Bool("progress", false, "render a live one-line sweep status to stderr")
-	progressJSONL := fs.String("progress-jsonl", "",
+	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed result cache directory (reused across sweeps)")
+	fs.StringVar(&o.out, "out", "", "write the canonical JSON result array here (default stdout)")
+	fs.BoolVar(&o.progress, "progress", false, "render a live one-line sweep status to stderr")
+	fs.StringVar(&o.progressJSONL, "progress-jsonl", "",
 		"stream sweep progress events (run_start/run_finish/progress/sweep_summary) as JSONL to this file")
-	flightDir := fs.String("flight", "",
+	fs.StringVar(&o.flightDir, "flight", "",
 		"attach a flight recorder to every run; dump failed/panicked runs' last trace events to this directory")
-	adminAddr := fs.String("admin", "",
+	fs.StringVar(&o.adminAddr, "admin", "",
 		"serve /metrics, /timeseries, /healthz, expvar, and pprof on this address for the duration of the sweep")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: ccac sweep [flags] <grid.json|->")
 		fs.PrintDefaults()
 	}
+	return fs, o
+}
+
+func cmdSweep(args []string) {
+	fs, o := sweepFlags()
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		fs.Usage()
@@ -328,40 +339,33 @@ func cmdSweep(args []string) {
 	specs, err := grid.Expand()
 	fail(err)
 
-	runner := &scenario.Runner{Workers: *workers, FlightDir: *flightDir}
-	if *seq {
-		runner.Workers = 1
-	}
-	if *cacheDir != "" {
-		runner.Cache, err = scenario.NewCache(*cacheDir)
+	runner := &scenario.Runner{Workers: o.workers, FlightDir: o.flightDir}
+	if o.cacheDir != "" {
+		runner.Cache, err = scenario.NewCache(o.cacheDir)
 		fail(err)
 	}
 
-	// Telemetry sinks: the reporter is active when any of the
-	// progress/admin surfaces asked for it; the plain sweep path stays
-	// hook-free.
+	// The reporter always runs (it prints the summary); the TTY, JSONL
+	// and metrics sinks are opt-in.
 	rep := &scenario.SweepReporter{AggregateEvery: time.Second}
-	useReporter := false
-	if *progress {
+	runner.ProgressFunc = rep.Func()
+	if o.progress {
 		rep.TTY = os.Stderr
-		useReporter = true
 	}
 	var progressF *os.File
-	if *progressJSONL != "" {
-		progressF, err = os.Create(*progressJSONL)
+	if o.progressJSONL != "" {
+		progressF, err = os.Create(o.progressJSONL)
 		fail(err)
 		rep.JSONL = progressF
-		useReporter = true
 	}
-	if *adminAddr != "" {
+	if o.adminAddr != "" {
 		reg := obs.NewRegistry()
 		rep.Reg = reg
-		useReporter = true
 		rec := timeseries.New(timeseries.Config{Registry: reg, Runtime: true})
 		recCtx, recStop := context.WithCancel(context.Background())
 		defer recStop()
 		go rec.Run(recCtx)
-		adm, err := obs.ServeAdmin(*adminAddr, obs.AdminMux(map[string]http.Handler{
+		adm, err := obs.ServeAdmin(o.adminAddr, obs.AdminMux(map[string]http.Handler{
 			"/metrics":    obs.MetricsHandler(reg),
 			"/timeseries": rec.Handler(),
 		}))
@@ -369,10 +373,7 @@ func cmdSweep(args []string) {
 		defer adm.Close()
 		fmt.Fprintf(os.Stderr, "ccac: sweep admin on http://%v\n", adm.Addr())
 	}
-	if useReporter {
-		runner.ProgressFunc = rep.Func()
-	}
-	if *flightDir != "" {
+	if o.flightDir != "" {
 		// SIGQUIT dumps every in-flight run's flight recorder — the
 		// "what is this stalled sweep doing" lever — and keeps going.
 		quit := make(chan os.Signal, 1)
@@ -387,31 +388,25 @@ func cmdSweep(args []string) {
 		}()
 	}
 
-	start := time.Now()
 	results, sweepErr := runner.Sweep(signalContext(), specs)
-	elapsed := time.Since(start)
 
 	b, err := scenario.CanonicalJSON(results)
 	fail(err)
 	b = append(b, '\n')
 	summaryW := os.Stderr
-	if *out != "" {
-		fail(os.WriteFile(*out, b, 0o644))
+	if o.out != "" {
+		fail(os.WriteFile(o.out, b, 0o644))
 		summaryW = os.Stdout
 	} else {
 		os.Stdout.Write(b)
 	}
-	if useReporter {
-		if err := rep.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ccac: progress stream:", err)
-		}
-		if progressF != nil {
-			fail(progressF.Close())
-		}
-		rep.Summarize(summaryW)
-	} else {
-		writeSweepSummary(summaryW, specs, results, elapsed)
+	if err := rep.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "ccac: progress stream:", err)
 	}
+	if progressF != nil {
+		fail(progressF.Close())
+	}
+	rep.Summarize(summaryW)
 	if sweepErr != nil {
 		fmt.Fprintln(os.Stderr, "ccac: sweep:", sweepErr)
 		os.Exit(1)
@@ -426,28 +421,6 @@ func cmdSweep(args []string) {
 		fmt.Fprintf(os.Stderr, "ccac: sweep: %d of %d runs failed\n", failed, len(results))
 		os.Exit(1)
 	}
-}
-
-func writeSweepSummary(w io.Writer, specs []scenario.Spec, results []scenario.RunResult, elapsed time.Duration) {
-	cached, failed := 0, 0
-	byExp := map[string]int{}
-	for _, r := range results {
-		byExp[r.Spec.Experiment]++
-		if r.Cached {
-			cached++
-		}
-		if r.Err != "" {
-			failed++
-			fmt.Fprintf(w, "FAIL %s %s: %s\n", r.Spec.Experiment, r.Hash[:12], r.Err)
-		}
-	}
-	var exps []string
-	for e := range byExp {
-		exps = append(exps, fmt.Sprintf("%s x%d", e, byExp[e]))
-	}
-	sort.Strings(exps)
-	fmt.Fprintf(w, "sweep: %d runs (%s), %d cached, %d failed, %v wall\n",
-		len(specs), strings.Join(exps, ", "), cached, failed, elapsed.Round(time.Millisecond))
 }
 
 // loadSpec reads a replayable spec file (a hunt artifact, a sweep
@@ -474,7 +447,7 @@ func loadSpec(path string) scenario.Spec {
 // signalContext cancels on SIGINT/SIGTERM so a sweep stops dispatching
 // promptly and still writes the partial result array.
 func signalContext() context.Context {
-	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	return ctx
 }
 

@@ -246,7 +246,7 @@ func evaluateSLO(res *load.Result, srv *probe.Server, forced, spooled int, slo s
 // countSpool verifies every spool file parses as mlab records (the
 // exact reader mlabanalyze uses) and returns the record count.
 func countSpool(dir string) (int, error) {
-	files, err := spool.Files(dir, "")
+	files, err := spool.Files(dir)
 	if err != nil {
 		return 0, err
 	}

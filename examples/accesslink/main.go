@@ -25,7 +25,7 @@ func run(bulkCC string, queue core.QueueKind) {
 	})
 	rng := rand.New(rand.NewSource(42))
 
-	video := traffic.NewVideo(d.Eng, d.FlowConfig(1, 1, cca.NewCubicCC()), traffic.VideoConfig{})
+	video := traffic.NewVideo(d.Eng, d.FlowConfig(1, 1, cca.NewCubicCC()))
 
 	web := traffic.NewShortFlows(d.Eng, traffic.ShortFlowsConfig{
 		ArrivalRate: 3,

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cca"
 	"repro/internal/core"
 	"repro/internal/nimbus"
-	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
@@ -35,17 +34,16 @@ func measure(crossName string, cross transport.CCA) {
 	const dur = 40 * time.Second
 	d.Run(dur)
 
-	etas := probeCC.Est.Elasticity.Window(10*time.Second, dur)
-	eta := stats.Mean(etas)
+	v := probeCC.Est.Verdict(10*time.Second, dur)
 	verdict := "inelastic (no CCA contention)"
-	if eta >= probeCC.Est.Config().EtaThreshold {
+	if v.Elastic {
 		verdict = "ELASTIC (CCA contention detected)"
 	}
 	fmt.Printf("cross traffic %-6s  probe %-14s cross %-14s eta=%.3f -> %s\n",
 		crossName,
 		core.FmtBps(probe.Throughput(10*time.Second, dur)),
 		core.FmtBps(f.Throughput(10*time.Second, dur)),
-		eta, verdict)
+		v.Mean, verdict)
 }
 
 func main() {

@@ -109,7 +109,6 @@ func driveCCA(t *testing.T, name string, cc transport.CCA, data []byte) (windows
 				Inflight:     inflight,
 				DeliveryRate: rate,
 				CumDelivered: delivered,
-				RWnd:         int(b) * 1000,
 			})
 			inflight += int(b) * 100 // pretend more was sent
 			checkSafety("OnAck")

@@ -20,30 +20,18 @@ import (
 	"repro/internal/sim"
 )
 
-// FlowInfo describes one flow's placement and demand for prerequisite
-// checking.
+// FlowInfo describes one persistently backlogged flow's placement for
+// prerequisite checking.
 type FlowInfo struct {
 	ID int
 	// Path is the flow's forward path.
 	Path []*sim.Link
-	// OfferedBps is the flow's offered load in bits/s: +Inf (or <= 0,
-	// treated as unbounded) for persistently backlogged flows, the
-	// application's bounded rate otherwise.
-	OfferedBps float64
 	// Queue identifies the queue the flow occupies at each link; flows
 	// sharing a FIFO droptail share a queue, flows separated by
 	// per-flow fair queueing or per-user isolation (different users)
 	// do not. Keyed by link index in Path. A nil map means "shares the
 	// link's single queue".
 	QueueID map[*sim.Link]int
-}
-
-// offered returns the effective offered load (unbounded => +Inf).
-func (f *FlowInfo) offered() float64 {
-	if f.OfferedBps <= 0 {
-		return math.Inf(1)
-	}
-	return f.OfferedBps
 }
 
 // queueAt returns the flow's queue id at link l.
@@ -55,12 +43,12 @@ func (f *FlowInfo) queueAt(l *sim.Link) int {
 }
 
 // offeredAt returns the flow's effective offered load arriving at
-// Path[i]: its application offered load clipped by every upstream
-// link's rate. A backlogged flow behind a 50 Mbit/s access link can
+// Path[i]: unbounded at the source, clipped by every upstream link's
+// rate. A backlogged flow behind a 50 Mbit/s access link can
 // offer at most 50 Mbit/s to a downstream peering link — which is why
 // provisioned core links are not bottlenecks for it (§2.2).
 func (f *FlowInfo) offeredAt(i int) float64 {
-	rate := f.offered()
+	rate := math.Inf(1)
 	for j := 0; j < i && j < len(f.Path); j++ {
 		if r := f.Path[j].Rate; r < rate {
 			rate = r

@@ -29,10 +29,10 @@ func TestPrerequisitesDisjointPaths(t *testing.T) {
 
 func TestPrerequisitesSharedButUnloaded(t *testing.T) {
 	l := link(100e6)
-	// Two bounded flows that together fit the link: shared, not
-	// bottlenecked.
-	a := &FlowInfo{ID: 1, Path: []*sim.Link{l}, OfferedBps: 20e6}
-	b := &FlowInfo{ID: 2, Path: []*sim.Link{l}, OfferedBps: 30e6}
+	// Two flows whose upstream links bound them to loads that together
+	// fit the link: shared, not bottlenecked.
+	a := &FlowInfo{ID: 1, Path: []*sim.Link{link(20e6), l}}
+	b := &FlowInfo{ID: 2, Path: []*sim.Link{link(30e6), l}}
 	shared, bott, same := Prerequisites(a, b)
 	if !shared {
 		t.Error("flows share the link")

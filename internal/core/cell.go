@@ -86,7 +86,7 @@ func (g *crossGen) start() {
 	g.startedAt = d.Eng.Now()
 	switch g.spec.kind {
 	case "video":
-		g.video = traffic.NewVideo(d.Eng, d.FlowConfig(g.spec.flowID, crossUser, g.cc), traffic.VideoConfig{})
+		g.video = traffic.NewVideo(d.Eng, d.FlowConfig(g.spec.flowID, crossUser, g.cc))
 		g.flow = g.video.Flow
 	case "short":
 		g.short = traffic.NewShortFlows(d.Eng, traffic.ShortFlowsConfig{

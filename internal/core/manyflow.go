@@ -188,8 +188,6 @@ type fluidAggregate struct {
 	maxBps     float64
 	think      time.Duration
 	longFrac   float64
-	shortSizes traffic.SizeDist
-	longSizes  traffic.SizeDist
 	injecting  bool
 
 	// DeliveredBytes counts bytes arriving at the far gate; Started,
@@ -207,8 +205,6 @@ func newFluidAggregate(eng *sim.Engine, link *sim.Link, cfg ManyFlowConfig) *flu
 		maxBps:     1.2 * cfg.RateBps,
 		think:      cfg.ChurnThink,
 		longFrac:   cfg.LongFrac,
-		shortSizes: traffic.BoundedPareto{Min: 6 * 1024, Max: 3 << 20, Alpha: 1.2},
-		longSizes:  traffic.BoundedPareto{Min: 4 << 20, Max: 64 << 20, Alpha: 1.5},
 	}
 	for i := cfg.FluidAbove; i < cfg.Users; i++ {
 		u := &fluidUser{
@@ -230,10 +226,10 @@ func (f *fluidAggregate) scheduleArrival(u *fluidUser) {
 
 func (f *fluidAggregate) arrive(u *fluidUser) {
 	if u.rng.Float64() < f.longFrac {
-		u.remaining = f.longSizes.Sample(u.rng)
+		u.remaining = traffic.LongSizes.Sample(u.rng)
 		f.LongStarted++
 	} else {
-		u.remaining = f.shortSizes.Sample(u.rng)
+		u.remaining = traffic.ShortSizes.Sample(u.rng)
 	}
 	f.Started++
 	u.active = true

@@ -2,8 +2,17 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/cca"
+	"repro/internal/faults"
+	"repro/internal/qdisc"
+	"repro/internal/sim"
+	"repro/internal/traffic"
+	"repro/internal/transport"
 )
 
 // TestManyFlowSmoke runs a small cell with the invariant checker
@@ -102,5 +111,49 @@ func TestManyFlowHybridAB(t *testing.T) {
 	if d := math.Abs(fluid.VictimJain - packet.VictimJain); d > 0.05 {
 		t.Errorf("Jain hybrid %.3f vs packet %.3f: diff %.3f, want <= 0.05",
 			fluid.VictimJain, packet.VictimJain, d)
+	}
+}
+
+// TestFluidDrawsChurnSizes holds the fluid model to its contract with
+// the packet-level churn it stands in for: fed the same derived
+// randomness stream, a fluid user and a traffic.Churn user draw the
+// same sequence of transfer sizes — same draw order, and the same two
+// distributions (traffic.ShortSizes / traffic.LongSizes).
+func TestFluidDrawsChurnSizes(t *testing.T) {
+	const transfers = 6
+	cfg := ManyFlowConfig{Users: 1, Seed: 11, LongFrac: 0.5, RateBps: 100e9}.norm()
+	fastLink := func() (*sim.Engine, *sim.Link) {
+		eng := &sim.Engine{}
+		return eng, sim.NewLink(eng, "l", cfg.RateBps, time.Microsecond, qdisc.NewDropTail(1<<30))
+	}
+
+	eng, link := fastLink()
+	churn := traffic.NewChurn(eng, traffic.ChurnConfig{
+		MeanThink: cfg.ChurnThink, LongFrac: cfg.LongFrac,
+		NewCC: func() transport.CCA { return cca.NewRenoCC() },
+		Path:  []*sim.Link{link}, ReturnDelay: time.Microsecond,
+		Rand: rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed, "manyflow/churn/0"))),
+	})
+	var want []int64
+	for done := int64(0); len(want) < transfers && eng.Step(); {
+		if churn.Completed > len(want) {
+			want = append(want, churn.AckedBytes()-done)
+			done = churn.AckedBytes()
+		}
+	}
+
+	eng, link = fastLink()
+	fluid := newFluidAggregate(eng, link, cfg)
+	var got []int64
+	for len(got) < transfers && eng.Step() {
+		if fluid.Started > len(got) {
+			got = append(got, fluid.users[0].remaining)
+		}
+	}
+	if len(want) != transfers || !reflect.DeepEqual(got, want) {
+		t.Errorf("fluid user drew %v, packet-level churn drew %v", got, want)
+	}
+	if fluid.LongStarted == 0 || fluid.LongStarted == transfers {
+		t.Errorf("%d of %d transfers were long; the test must cover both distributions", fluid.LongStarted, transfers)
 	}
 }

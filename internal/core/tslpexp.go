@@ -143,7 +143,7 @@ func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 		return row, err
 	}
 	row.TruthContention = truth
-	prober := tslp.NewProber(d1.Eng, d1.Link, 9999, tslp.Config{})
+	prober := tslp.NewProber(d1.Eng, d1.Link, 9999)
 	d1.Run(cfg.Duration)
 	v := prober.Verdict(warm, cfg.Duration)
 	row.TSLPCongested = v.Congested

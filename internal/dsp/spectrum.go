@@ -131,32 +131,3 @@ func (s *Spectrum) AmplitudeAt(f float64, halfWidth int) float64 {
 	}
 	return m
 }
-
-// PhaseAt returns the phase (radians) of the strongest bin within
-// +-halfWidth bins of frequency f, from the raw complex spectrum X of
-// an n-point transform sampled at sampleRate.
-func PhaseAt(X []complex128, sampleRate float64, n int, f float64, halfWidth int) float64 {
-	if n == 0 || sampleRate <= 0 {
-		return 0
-	}
-	c := int(math.Round(f * float64(n) / sampleRate))
-	lo, hi := c-halfWidth, c+halfWidth
-	if lo < 1 {
-		lo = 1
-	}
-	if hi > n/2 {
-		hi = n / 2
-	}
-	best := lo
-	var bestMag float64
-	for i := lo; i <= hi && i < len(X); i++ {
-		if m := cmplx.Abs(X[i]); m > bestMag {
-			bestMag = m
-			best = i
-		}
-	}
-	if best >= len(X) {
-		return 0
-	}
-	return cmplx.Phase(X[best])
-}

@@ -56,20 +56,10 @@ func writeGoldenTrace(ctx context.Context, path string, sp scenario.Spec, res *R
 		return fmt.Errorf("hunt: golden trace: %w", err)
 	}
 	defer f.Close()
-	log, err := obs.NewRunLogWriter(f, obs.Manifest{
-		Tool:       "ccac/hunt",
-		Seed:       sp.Seed,
-		FaultSeed:  sp.FaultSeed,
-		RateBps:    sp.RateBps,
-		RTTSeconds: sp.RTT().Seconds(),
-		Queue:      sp.Queue,
-		BufferBDP:  sp.BufferBDP,
-		Extra: map[string]string{
-			"spec_hash": res.BestHash,
-			"objective": res.Objective,
-			"artifact":  "hunt-golden",
-		},
-	})
+	m := sp.Manifest()
+	m.Extra["objective"] = res.Objective
+	m.Extra["artifact"] = "hunt-golden"
+	log, err := obs.NewRunLogWriter(f, m)
 	if err != nil {
 		return fmt.Errorf("hunt: golden trace: %w", err)
 	}

@@ -8,80 +8,33 @@ import (
 	"repro/internal/transport"
 )
 
-// Mode is the controller's operating mode.
-type Mode int
-
-const (
-	// ModeDelay is Nimbus's delay-based mode: track the residual
-	// bandwidth while holding a small standing queue.
-	ModeDelay Mode = iota
-	// ModeCompetitive is the loss-based (Cubic-like multiplicative
-	// decrease) mode used when elastic cross traffic is present.
-	ModeCompetitive
-)
-
-func (m Mode) String() string {
-	if m == ModeDelay {
-		return "delay"
-	}
-	return "competitive"
-}
-
-// CCA is the Nimbus congestion controller. In the paper's measurement
-// configuration (EnableSwitching == false, the default) it stays in
-// delay mode, maintains the bandwidth oscillations, and simply reports
-// the elasticity of the path's cross traffic — turning the CCA into a
-// contention sensor.
+// CCA is the Nimbus delay-mode congestion controller in the paper's
+// measurement configuration: it tracks the residual bandwidth while
+// holding a small standing queue, maintains the bandwidth oscillations,
+// and reports the elasticity of the path's cross traffic — turning the
+// CCA into a contention sensor. It never switches to a competitive
+// mode.
 type CCA struct {
 	Est *Estimator
 
-	// EnableSwitching turns on Nimbus's mode switching (not used by the
-	// measurement tool, provided for completeness and the ablation
-	// benches).
-	EnableSwitching bool
-	// SwitchWindows is how many consecutive agreeing elasticity windows
-	// flip the mode (default 3).
-	SwitchWindows int
-
-	mode        Mode
-	agreeCount  int
-	lastEtaSeen float64
-
 	base    float64 // delay-mode base rate, bits/s
 	srtt    time.Duration
-	minRTT  time.Duration
 	now     time.Duration
 	started bool
-
-	// Competitive-mode window state (AIMD on top of the paced rate).
-	compWnd float64
-
-	// ModeTransitions counts mode flips (diagnostics).
-	ModeTransitions int
-
-	trace obs.Tracer
 }
 
-// SetTracer implements obs.TraceSetter: mode flips are emitted as
-// EvState events, and the estimator's eta/pulse events share the same
-// tracer.
-func (n *CCA) SetTracer(t obs.Tracer) {
-	n.trace = t
-	n.Est.Trace = t
-}
+// SetTracer implements obs.TraceSetter: the estimator's eta/pulse
+// events go to t.
+func (n *CCA) SetTracer(t obs.Tracer) { n.Est.Trace = t }
 
 // NewCCA returns a Nimbus controller with the given estimator
 // configuration.
 func NewCCA(cfg Config) *CCA {
-	est := NewEstimator(cfg)
-	return &CCA{Est: est, SwitchWindows: 3, compWnd: 10 * sim.MSS}
+	return &CCA{Est: NewEstimator(cfg)}
 }
 
 // Name implements transport.CCA.
 func (n *CCA) Name() string { return "nimbus" }
-
-// Mode returns the current operating mode.
-func (n *CCA) Mode() Mode { return n.mode }
 
 // OnSend implements transport.SendObserver, feeding the estimator's
 // send-rate accounting.
@@ -94,17 +47,9 @@ func (n *CCA) OnSend(now time.Duration, bytes, inflight int) {
 func (n *CCA) OnAck(a transport.AckInfo) {
 	n.now = a.Now
 	n.srtt = a.SRTT
-	n.minRTT = a.MinRTT
 	n.Est.RecordAck(a.Now, a.AckedBytes, a.RTT, a.SRTT, a.MinRTT)
 	n.ensureStarted(a.Now)
 	n.updateBase(a)
-	if n.EnableSwitching {
-		n.maybeSwitch()
-	}
-	if n.mode == ModeCompetitive {
-		// Cubic-flavoured growth: one MSS per RTT of acked data.
-		n.compWnd += sim.MSS * float64(a.AckedBytes) / n.compWnd
-	}
 }
 
 func (n *CCA) ensureStarted(now time.Duration) {
@@ -161,51 +106,8 @@ func maxSec(d, min time.Duration) float64 {
 	return d.Seconds()
 }
 
-func (n *CCA) maybeSwitch() {
-	eta, ok := n.Est.Eta()
-	if !ok || eta == n.lastEtaSeen {
-		return
-	}
-	n.lastEtaSeen = eta
-	elastic := eta >= n.Est.cfg.EtaThreshold
-	want := ModeDelay
-	if elastic {
-		want = ModeCompetitive
-	}
-	if want == n.mode {
-		n.agreeCount = 0
-		return
-	}
-	n.agreeCount++
-	if n.agreeCount >= n.SwitchWindows {
-		n.mode = want
-		n.agreeCount = 0
-		n.ModeTransitions++
-		if n.trace != nil {
-			n.trace.Emit(obs.Event{At: n.now, Type: obs.EvState, Src: "nimbus",
-				V1: eta, V2: n.Est.CrossRate(), Note: want.String()})
-		}
-		if n.mode == ModeCompetitive {
-			mu := n.Est.Mu(n.now)
-			rtt := maxSec(n.srtt, 10*time.Millisecond)
-			n.compWnd = (mu - n.Est.CrossRate()) / 8 * rtt
-			if n.compWnd < 4*sim.MSS {
-				n.compWnd = 4 * sim.MSS
-			}
-		}
-	}
-}
-
-// OnLoss implements transport.CCA. Delay mode absorbs isolated losses;
-// competitive mode performs a multiplicative decrease.
-func (n *CCA) OnLoss(l transport.LossInfo) {
-	if n.mode == ModeCompetitive {
-		n.compWnd *= 0.7
-		if n.compWnd < 4*sim.MSS {
-			n.compWnd = 4 * sim.MSS
-		}
-	}
-}
+// OnLoss implements transport.CCA. Delay mode absorbs isolated losses.
+func (n *CCA) OnLoss(transport.LossInfo) {}
 
 // OnTimeout implements transport.CCA.
 func (n *CCA) OnTimeout(now time.Duration) {
@@ -213,15 +115,11 @@ func (n *CCA) OnTimeout(now time.Duration) {
 	if mu > 0 {
 		n.base = n.cfgMinRate(mu)
 	}
-	n.compWnd = 4 * sim.MSS
 }
 
 // CWnd implements transport.CCA: cap inflight at twice the pipe implied
 // by the pacing rate so pacing, not the window, governs.
 func (n *CCA) CWnd() int {
-	if n.mode == ModeCompetitive {
-		return int(n.compWnd)
-	}
 	rtt := n.srtt
 	if rtt <= 0 {
 		rtt = 100 * time.Millisecond
@@ -239,9 +137,6 @@ func (n *CCA) CWnd() int {
 func (n *CCA) PacingRate() float64 {
 	mu := n.Est.Mu(n.now)
 	rate := n.base
-	if n.mode == ModeCompetitive && n.srtt > 0 {
-		rate = n.compWnd * 8 / n.srtt.Seconds()
-	}
 	if mu > 0 {
 		rate += n.Est.Pulse(n.now) * mu
 	}

@@ -158,17 +158,6 @@ type Estimator struct {
 
 	// Elasticity is the time series of emitted eta values.
 	Elasticity stats.Series
-	// Phase is the time series of response phases (radians): the
-	// angle of the cross-traffic response at the pulse frequency
-	// relative to the probe's (RTT-aligned) pulse. A genuine
-	// control-loop response lags; see ResponseLag.
-	Phase stats.Series
-	// Cross is the time series of cross-traffic rate estimates
-	// (bits/s), sampled each SampleInterval.
-	Cross stats.Series
-	// TraceCross controls whether Cross is retained (it grows one
-	// point per SampleInterval).
-	TraceCross bool
 	// Trace, if non-nil, receives EvEta events (one per slide; V1 = eta,
 	// V2 = cross-traffic rate estimate) and EvPulse events (one per pulse
 	// cycle boundary; V1 = pulse frequency, V2 = cross rate).
@@ -308,9 +297,6 @@ func (e *Estimator) closeInterval(end time.Duration) {
 		qdel = 0
 	}
 	e.push(z, rinD, qdel)
-	if e.TraceCross {
-		e.Cross.Append(end, z)
-	}
 	if cycle := int64(end.Seconds() * e.cfg.PulseFreq); cycle != e.lastCycle {
 		e.lastCycle = cycle
 		if e.Trace != nil {
@@ -347,38 +333,17 @@ func (e *Estimator) window(buf []float64) []float64 {
 	return out
 }
 
-// pulseAmpPhase returns the amplitude and phase of the signal at the
-// pulse frequency after detrending and Hann windowing (both the z and
-// rin signals pass the same path, so shared attenuation cancels in the
-// eta ratio and shared delay cancels in the phase difference).
-func (e *Estimator) pulseAmpPhase(x []float64) (float64, float64) {
+// pulseAmp returns the amplitude of the signal at the pulse frequency
+// after detrending and Hann windowing (both the z and rin signals pass
+// the same path, so shared attenuation cancels in the eta ratio).
+func (e *Estimator) pulseAmp(x []float64) float64 {
 	x = dsp.Detrend(x)
 	x = dsp.ApplyWindow(x, dsp.Hann(len(x)))
-	sampleRate := 1 / e.cfg.SampleInterval.Seconds()
-	spec, err := dsp.AmplitudeSpectrum(x, sampleRate)
+	spec, err := dsp.AmplitudeSpectrum(x, 1/e.cfg.SampleInterval.Seconds())
 	if err != nil {
-		return 0, 0
+		return 0
 	}
-	n := dsp.NextPowerOfTwo(len(x))
-	padded := make([]float64, n)
-	copy(padded, x)
-	X, err := dsp.FFTReal(padded)
-	if err != nil {
-		return spec.AmplitudeAt(e.cfg.PulseFreq, 1), 0
-	}
-	ph := dsp.PhaseAt(X, sampleRate, n, e.cfg.PulseFreq, 1)
-	return spec.AmplitudeAt(e.cfg.PulseFreq, 1), ph
-}
-
-// wrapPi wraps an angle into (-pi, pi].
-func wrapPi(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a <= -math.Pi {
-		a += 2 * math.Pi
-	}
-	return a
+	return spec.AmplitudeAt(e.cfg.PulseFreq, 1)
 }
 
 func (e *Estimator) computeEta(now time.Duration, mu float64) {
@@ -423,8 +388,8 @@ func (e *Estimator) computeEta(now time.Duration, mu float64) {
 	}
 	e.overLast = zmean / mu
 
-	ampZ, phZ := e.pulseAmpPhase(zs)
-	ampR, phR := e.pulseAmpPhase(e.window(e.rbuf))
+	ampZ := e.pulseAmp(zs)
+	ampR := e.pulseAmp(e.window(e.rbuf))
 	// Normalize the cross-traffic response by the pulse actually sent
 	// (self-calibrating: pacing caps, window limits, and spectral
 	// attenuation affect both identically). Floor the denominator at a
@@ -440,13 +405,6 @@ func (e *Estimator) computeEta(now time.Duration, mu float64) {
 		// yields no verdict: skip the slide rather than emit a
 		// non-finite eta for downstream consumers to choke on.
 		return
-	}
-	// Response phase relative to the (RTT-aligned) pulse. A yielding
-	// response is anti-phase (pi); deviations from pi encode the
-	// cross traffic's control-loop lag. An instantaneous droptail
-	// slot-race artifact shows ~zero lag.
-	if ph := wrapPi(phZ - phR - math.Pi); finite(ph) {
-		e.Phase.Append(now, ph)
 	}
 	e.etaLast = eta
 	e.etaOK = true

@@ -14,11 +14,6 @@ func allFinite(t *testing.T, e *Estimator) {
 			t.Fatalf("non-finite eta %v at %v", s.Value, s.At)
 		}
 	}
-	for _, s := range e.Phase.Samples() {
-		if !finite(s.Value) {
-			t.Fatalf("non-finite phase %v at %v", s.Value, s.At)
-		}
-	}
 	if !finite(e.CrossRate()) {
 		t.Fatalf("non-finite cross rate %v", e.CrossRate())
 	}

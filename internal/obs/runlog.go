@@ -13,7 +13,7 @@ import (
 // is the first line of every run log.
 type Manifest struct {
 	// Tool is the producing command and experiment ("ccac/fig3",
-	// "ccac/hunt", ...).
+	// "ccac/huntcell", ...).
 	Tool string `json:"tool"`
 	// Seed and FaultSeed are the workload and fault-injector seeds.
 	Seed      int64 `json:"seed"`

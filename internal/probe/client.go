@@ -47,12 +47,11 @@ type ClientConfig struct {
 	// that blackholed. The run then returns a Truncated report instead
 	// of hanging until Duration (default 3s).
 	StallTimeout time.Duration
-	// ByeRetransmits is how many extra Bye copies to send beyond the
-	// first (default 2). Bye is fire-and-forget; one lost datagram
-	// would otherwise leak the server's session slot until its TTL.
-	// Negative disables retransmission.
-	ByeRetransmits int
 }
+
+// byeRetransmits is how many extra Bye copies the client sends beyond
+// the first.
+const byeRetransmits = 2
 
 func (c ClientConfig) norm() ClientConfig {
 	if c.Duration <= 0 {
@@ -72,9 +71,6 @@ func (c ClientConfig) norm() ClientConfig {
 	}
 	if c.StallTimeout <= 0 {
 		c.StallTimeout = 3 * time.Second
-	}
-	if c.ByeRetransmits == 0 {
-		c.ByeRetransmits = 2
 	}
 	return c
 }
@@ -241,7 +237,7 @@ func (c *Client) Run() (*Report, error) {
 	// its TTL sweep. A few spaced copies make that loss quadratically
 	// unlikely; the server treats duplicates as no-ops.
 	buf := make([]byte, HeaderSize)
-	for i := 0; i <= c.cfg.ByeRetransmits; i++ {
+	for i := 0; i <= byeRetransmits; i++ {
 		if i > 0 {
 			time.Sleep(20 * time.Millisecond)
 		}

@@ -175,7 +175,7 @@ func TestClientByeRetransmits(t *testing.T) {
 		MaxRateBps: 1e6,
 		Nimbus:     nimbus.Config{Mu: 1e6, SlideInterval: 100 * time.Millisecond, WindowSamples: 32},
 		Seed:       12,
-		// ByeRetransmits defaults to 2 extra copies -> 3 on the wire.
+		// byeRetransmits is 2 extra copies -> 3 on the wire.
 	})
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)

@@ -58,10 +58,6 @@ type Config struct {
 	// side timing noise.
 	JitterMax time.Duration
 
-	// LatencyCeiling bounds the ack-latency sketch's range (default
-	// 2s; samples above clamp into the top bin, min/max stay exact).
-	LatencyCeiling time.Duration
-
 	// SampleActive, when non-nil, is polled every 10ms for the
 	// server's tracked-session count (self-host mode wires
 	// Server.ActiveSessions here) to find the observed ceiling and
@@ -96,9 +92,6 @@ func (c Config) norm() Config {
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 200 * time.Millisecond
-	}
-	if c.LatencyCeiling <= 0 {
-		c.LatencyCeiling = 2 * time.Second
 	}
 	return c
 }
@@ -166,6 +159,10 @@ type accumulator struct {
 
 const accShards = 16
 
+// latencyCeilingMs bounds the ack-latency sketch's range: samples above
+// 2 s clamp into the top bin, min/max stay exact.
+const latencyCeilingMs = 2000
+
 // Run executes the load: one goroutine pair per client, arrivals per
 // the ramp schedule. Cancelling ctx cuts the data phases short but
 // still reports what was observed.
@@ -179,10 +176,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	ceilMs := float64(cfg.LatencyCeiling) / float64(time.Millisecond)
 	accs := make([]accumulator, accShards)
 	for i := range accs {
-		accs[i].sketch = stats.NewSketch(0, ceilMs, 4096)
+		accs[i].sketch = stats.NewSketch(0, latencyCeilingMs, 4096)
 	}
 
 	var (
@@ -262,7 +258,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	close(sampleQuit)
 	sampleWG.Wait()
 
-	merged := stats.NewSketch(0, ceilMs, 4096)
+	merged := stats.NewSketch(0, latencyCeilingMs, 4096)
 	for i := range accs {
 		if err := merged.Merge(accs[i].sketch); err != nil {
 			return nil, err

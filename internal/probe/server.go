@@ -36,9 +36,6 @@ type ServerConfig struct {
 	// SnapshotInterval is the per-session throughput accounting cadence
 	// feeding the spool's mlab-schema trace (default 500ms).
 	SnapshotInterval time.Duration
-	// MaxSnapshots bounds per-session snapshot memory (default 720,
-	// i.e. 6 minutes at the default cadence).
-	MaxSnapshots int
 
 	// PerSourcePPS rate-limits packets per source IP ahead of session
 	// admission (token bucket, burst PerSourceBurst; 0 disables). A
@@ -85,9 +82,6 @@ func (c ServerConfig) norm() ServerConfig {
 	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 500 * time.Millisecond
-	}
-	if c.MaxSnapshots <= 0 {
-		c.MaxSnapshots = 720
 	}
 	if c.BusyRetryHint <= 0 {
 		c.BusyRetryHint = 500 * time.Millisecond
@@ -350,7 +344,7 @@ func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n 
 	se, ok := sh.m[h.Session]
 	var qdelay int64
 	if ok {
-		qdelay = se.noteData(now, n, h.SendNano, s.cfg.SnapshotInterval, s.cfg.MaxSnapshots)
+		qdelay = se.noteData(now, n, h.SendNano, s.cfg.SnapshotInterval)
 	}
 	sh.mu.Unlock()
 	if !ok {
@@ -363,7 +357,7 @@ func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n 
 		}
 		sh.mu.Lock()
 		if se = sh.m[h.Session]; se != nil {
-			qdelay = se.noteData(now, n, h.SendNano, s.cfg.SnapshotInterval, s.cfg.MaxSnapshots)
+			qdelay = se.noteData(now, n, h.SendNano, s.cfg.SnapshotInterval)
 		}
 		sh.mu.Unlock()
 		if se == nil {

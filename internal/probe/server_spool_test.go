@@ -64,7 +64,7 @@ func TestServerSpoolRoundTripThroughMlab(t *testing.T) {
 		t.Fatalf("SpoolErrors = %d", got)
 	}
 
-	files, err := spool.Files(dir, "")
+	files, err := spool.Files(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSessionRecordPassesAnalysisFilters(t *testing.T) {
 	// 3.5s of packets at ~1ms queueing delay.
 	for i := 0; i < 35; i++ {
 		now := time.Duration(i) * 100 * time.Millisecond
-		se.noteData(now, 1200, now.Nanoseconds()-int64(time.Millisecond), 500*time.Millisecond, 720)
+		se.noteData(now, 1200, now.Nanoseconds()-int64(time.Millisecond), 500*time.Millisecond)
 	}
 	rec := se.record(3500*time.Millisecond, time.Unix(1700000000, 0), EndBye)
 

@@ -76,10 +76,14 @@ type session struct {
 	snapBytes int64
 }
 
+// maxSnapshots bounds per-session snapshot memory: 6 minutes at the
+// default cadence.
+const maxSnapshots = 720
+
 // noteData folds one data packet into the session. Caller holds the
 // shard lock. Returns the instantaneous queueing-delay proxy in
 // nanoseconds (-1 when unknown).
-func (se *session) noteData(now time.Duration, n int, sendNano int64, interval time.Duration, maxSnaps int) int64 {
+func (se *session) noteData(now time.Duration, n int, sendNano int64, interval time.Duration) int64 {
 	se.last = now
 	se.packets++
 	se.bytes += int64(n)
@@ -100,7 +104,7 @@ func (se *session) noteData(now time.Duration, n int, sendNano int64, interval t
 			se.qdelayMax = q
 		}
 	}
-	if now-se.snapAt >= interval && len(se.snaps) < maxSnaps {
+	if now-se.snapAt >= interval && len(se.snaps) < maxSnapshots {
 		se.appendSnapshot(now)
 	}
 	return qdelay

@@ -29,10 +29,6 @@ import (
 type Config struct {
 	// Dir is the spool directory (created if absent).
 	Dir string
-	// Prefix names the spool's files: "<prefix>.active.jsonl" receives
-	// appends; sealed files are "<prefix>-00000001.jsonl" and up
-	// (default "sessions").
-	Prefix string
 	// MaxFileBytes rotates the active file once it reaches this size
 	// (default 64 MiB).
 	MaxFileBytes int64
@@ -42,10 +38,11 @@ type Config struct {
 	FsyncEvery int
 }
 
+// prefix names the spool's files: "sessions.active.jsonl" receives
+// appends; sealed files are "sessions-00000001.jsonl" and up.
+const prefix = "sessions"
+
 func (c Config) norm() Config {
-	if c.Prefix == "" {
-		c.Prefix = "sessions"
-	}
 	if c.MaxFileBytes <= 0 {
 		c.MaxFileBytes = 64 << 20
 	}
@@ -88,13 +85,13 @@ func Open(cfg Config) (*Writer, error) {
 		return nil, fmt.Errorf("spool: %w", err)
 	}
 	w := &Writer{cfg: cfg}
-	sealed, err := sealedFiles(cfg.Dir, cfg.Prefix)
+	sealed, err := sealedFiles(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
 	for _, f := range sealed {
 		var n int
-		if _, err := fmt.Sscanf(filepath.Base(f), cfg.Prefix+"-%d.jsonl", &n); err == nil && n >= w.seq {
+		if _, err := fmt.Sscanf(filepath.Base(f), prefix+"-%d.jsonl", &n); err == nil && n >= w.seq {
 			w.seq = n + 1
 		}
 	}
@@ -121,7 +118,7 @@ func Open(cfg Config) (*Writer, error) {
 }
 
 func (w *Writer) activePath() string {
-	return filepath.Join(w.cfg.Dir, w.cfg.Prefix+".active.jsonl")
+	return filepath.Join(w.cfg.Dir, prefix+".active.jsonl")
 }
 
 // Append encodes v as one JSONL line and writes it atomically with
@@ -168,7 +165,7 @@ func (w *Writer) rotateLocked() error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("spool: rotate close: %w", err)
 	}
-	sealed := filepath.Join(w.cfg.Dir, fmt.Sprintf("%s-%08d.jsonl", w.cfg.Prefix, w.seq))
+	sealed := filepath.Join(w.cfg.Dir, fmt.Sprintf("%s-%08d.jsonl", prefix, w.seq))
 	if err := os.Rename(w.activePath(), sealed); err != nil {
 		return fmt.Errorf("spool: rotate rename: %w", err)
 	}
@@ -221,11 +218,8 @@ func (w *Writer) Stats() Stats {
 // Files returns the spool's data files in append order: sealed files
 // by sequence number, then the active file if present — the order to
 // concatenate for analysis.
-func Files(dir, prefix string) ([]string, error) {
-	if prefix == "" {
-		prefix = "sessions"
-	}
-	out, err := sealedFiles(dir, prefix)
+func Files(dir string) ([]string, error) {
+	out, err := sealedFiles(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +230,7 @@ func Files(dir, prefix string) ([]string, error) {
 	return out, nil
 }
 
-func sealedFiles(dir, prefix string) ([]string, error) {
+func sealedFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {

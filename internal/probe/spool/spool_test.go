@@ -21,9 +21,9 @@ func testRecord(i int) mlab.Record {
 	}
 }
 
-func readAll(t *testing.T, dir, prefix string) []mlab.Record {
+func readAll(t *testing.T, dir string) []mlab.Record {
 	t.Helper()
-	files, err := Files(dir, prefix)
+	files, err := Files(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRotationKeepsEveryRecordInOrder(t *testing.T) {
 	if st.Rotations == 0 {
 		t.Fatal("no rotations with a 256-byte file cap")
 	}
-	files, err := Files(dir, "")
+	files, err := Files(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRotationKeepsEveryRecordInOrder(t *testing.T) {
 			t.Fatalf("sealed file %q out of order with the active file", f)
 		}
 	}
-	recs := readAll(t, dir, "")
+	recs := readAll(t, dir)
 	if len(recs) != n {
 		t.Fatalf("read %d records back, want %d", len(recs), n)
 	}
@@ -146,7 +146,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs := readAll(t, dir, "")
+	recs := readAll(t, dir)
 	if len(recs) != 4 {
 		t.Fatalf("read %d records after recovery, want 4", len(recs))
 	}
@@ -184,7 +184,7 @@ func TestCorruptLineRecovery(t *testing.T) {
 	if got := w2.Stats().RecoveredDropBytes; got == 0 {
 		t.Fatal("corrupt line not truncated")
 	}
-	if recs := readAll(t, dir, ""); len(recs) != 1 {
+	if recs := readAll(t, dir); len(recs) != 1 {
 		t.Fatalf("read %d records, want the 1 valid one", len(recs))
 	}
 }
@@ -207,7 +207,7 @@ func TestReopenResumesSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs := readAll(t, dir, "")
+	recs := readAll(t, dir)
 	if len(recs) != 20 {
 		t.Fatalf("read %d records across reopen, want 20", len(recs))
 	}

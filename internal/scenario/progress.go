@@ -177,9 +177,6 @@ type SweepReporter struct {
 	// stream: at most one per interval (0 means one after every
 	// finish; the TTY line has its own 100ms throttle).
 	AggregateEvery time.Duration
-	// SlowestK bounds the slowest-runs table in the summary
-	// (0 means 5).
-	SlowestK int
 	// Reg, when non-nil, receives sweep.* metrics.
 	Reg *obs.Registry
 
@@ -187,7 +184,7 @@ type SweepReporter struct {
 	init      bool
 	bw        *bufio.Writer
 	last      SweepStats
-	slowest   []RunStats // ascending by Elapsed, at most SlowestK
+	slowest   []RunStats // ascending by Elapsed, at most slowestK
 	failures  []RunStats
 	lastAgg   time.Time
 	lastTTY   time.Time
@@ -201,12 +198,8 @@ type SweepReporter struct {
 	gTotal, gRate, gETA     *obs.Gauge
 }
 
-func (p *SweepReporter) slowestK() int {
-	if p.SlowestK > 0 {
-		return p.SlowestK
-	}
-	return 5
-}
+// slowestK bounds the slowest-runs table in the summary.
+const slowestK = 5
 
 func (p *SweepReporter) lazyInit() {
 	if p.init {
@@ -281,11 +274,11 @@ func (p *SweepReporter) observe(ev ProgressEvent) {
 	}
 }
 
-// noteSlowest keeps the K largest Elapsed values in ascending order.
+// noteSlowest keeps the slowestK largest Elapsed values in ascending
+// order.
 func (p *SweepReporter) noteSlowest(run RunStats) {
-	k := p.slowestK()
 	i := sort.Search(len(p.slowest), func(i int) bool { return p.slowest[i].Elapsed >= run.Elapsed })
-	if len(p.slowest) < k {
+	if len(p.slowest) < slowestK {
 		p.slowest = append(p.slowest, RunStats{})
 		copy(p.slowest[i+1:], p.slowest[i:])
 		p.slowest[i] = run

@@ -421,7 +421,7 @@ func TestSweepReporterUnknownTotalJSONL(t *testing.T) {
 
 func TestSweepReporterSummarize(t *testing.T) {
 	var stream bytes.Buffer
-	rep := &SweepReporter{JSONL: &stream, SlowestK: 2}
+	rep := &SweepReporter{JSONL: &stream}
 	r := &Runner{Workers: 2, ProgressFunc: rep.Func(), FlightDir: t.TempDir()}
 	specs := []Spec{
 		{Experiment: "test-sleep", Seed: 1, Flows: 5},
@@ -452,19 +452,16 @@ func TestSweepReporterSummarize(t *testing.T) {
 }
 
 func TestNoteSlowestKeepsLargest(t *testing.T) {
-	rep := &SweepReporter{SlowestK: 3}
-	for _, ms := range []int{5, 1, 9, 3, 7, 2} {
+	rep := &SweepReporter{}
+	for _, ms := range []int{5, 1, 9, 3, 7, 2, 8, 4} {
 		rep.noteSlowest(RunStats{Elapsed: time.Duration(ms) * time.Millisecond})
 	}
-	if len(rep.slowest) != 3 {
-		t.Fatalf("kept %d, want 3", len(rep.slowest))
+	var got []int
+	for _, run := range rep.slowest {
+		got = append(got, int(run.Elapsed/time.Millisecond))
 	}
-	got := []time.Duration{rep.slowest[0].Elapsed, rep.slowest[1].Elapsed, rep.slowest[2].Elapsed}
-	want := []time.Duration{5 * time.Millisecond, 7 * time.Millisecond, 9 * time.Millisecond}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("slowest = %v, want %v", got, want)
-		}
+	if want := []int{4, 5, 7, 8, 9}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("slowest = %v ms, want the %d largest ascending %v", got, slowestK, want)
 	}
 }
 
@@ -474,7 +471,7 @@ func TestNoteSlowestKeepsLargest(t *testing.T) {
 // run error.
 func TestFlightDumpOnFailure(t *testing.T) {
 	dir := t.TempDir()
-	r := &Runner{Workers: 2, FlightDir: dir, FlightEvents: 64}
+	r := &Runner{Workers: 2, FlightDir: dir}
 	specs := []Spec{
 		{Experiment: "test-ok", Seed: 1},
 		{Experiment: "test-trace-fail", Seed: 2, FaultSeed: 4, RateBps: 48e6, RTTMs: 100,

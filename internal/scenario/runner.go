@@ -82,9 +82,6 @@ type Runner struct {
 	// recovered in the worker either way and recorded as run errors;
 	// DumpActiveFlights serves the SIGQUIT path.
 	FlightDir string
-	// FlightEvents bounds each run's flight ring (<=0 means
-	// obs.DefaultFlightEvents).
-	FlightEvents int
 
 	// flightMu guards the in-flight recorder table DumpActiveFlights
 	// snapshots.
@@ -252,7 +249,7 @@ func (r *Runner) runSwept(ctx context.Context, sp Spec, index, worker int, st *s
 	hash := sp.Hash()
 	var fr *obs.FlightRecorder
 	if r.FlightDir != "" {
-		fr = obs.NewFlightRecorder(r.FlightEvents)
+		fr = obs.NewFlightRecorder(obs.DefaultFlightEvents)
 		r.trackFlight(index, sp, fr)
 		defer r.untrackFlight(index)
 	}

@@ -49,13 +49,6 @@ type Link struct {
 	// Q is the egress queue discipline.
 	Q Qdisc
 
-	// OnDrop, if non-nil, is called for each packet the qdisc refused.
-	// The packet is recycled when OnDrop returns: the callback must not
-	// retain it.
-	OnDrop func(p *Packet, now time.Duration)
-	// OnSend, if non-nil, is called when a packet finishes serializing
-	// (before propagation). Tracing hooks use it.
-	OnSend func(p *Packet, now time.Duration)
 	// Trace, if non-nil, receives enqueue/dequeue/drop events stamped
 	// with the engine's virtual time. Nil (the default) costs one
 	// branch per event and allocates nothing.
@@ -121,9 +114,6 @@ func (l *Link) Send(p *Packet) {
 			l.Trace.Emit(obs.Event{At: now, Type: obs.EvDrop, Src: l.Name,
 				Flow: int32(p.FlowID), Seq: p.Seq, V1: float64(p.Size), Note: "queue_full"})
 		}
-		if l.OnDrop != nil {
-			l.OnDrop(p, now)
-		}
 		p.Release()
 		return
 	}
@@ -165,14 +155,10 @@ func (l *Link) kick() {
 func (l *Link) finish() {
 	p, tx := l.txPkt, l.txDur
 	l.txPkt = nil
-	now := l.eng.Now()
 	l.busy = false
 	l.stats.SentPackets++
 	l.stats.SentBytes += int64(p.Size)
 	l.stats.BusyTime += tx
-	if l.OnSend != nil {
-		l.OnSend(p, now)
-	}
 	// Propagate, then continue along the path.
 	l.eng.SchedulePacket(l.Delay, p)
 	l.kick()

@@ -111,19 +111,18 @@ func TestLinkMultiHopPath(t *testing.T) {
 	}
 }
 
-func TestLinkDropCallback(t *testing.T) {
+func TestLinkCountsRefusedPackets(t *testing.T) {
 	eng := &Engine{}
-	// A qdisc that rejects everything.
-	reject := ReceiverFunc(nil)
-	_ = reject
-	q := &rejectQueue{}
-	link := NewLink(eng, "l", 8e6, 0, q)
-	dropped := 0
-	link.OnDrop = func(*Packet, time.Duration) { dropped++ }
-	Inject(&Packet{Size: 1000, Path: []*Link{link}})
+	link := NewLink(eng, "l", 8e6, 0, &rejectQueue{}) // a qdisc that rejects everything
+	p := eng.NewPacket()
+	p.Size, p.Path = 1000, []*Link{link}
+	Inject(p)
 	eng.Run(time.Millisecond)
-	if dropped != 1 || link.Stats().DroppedPackets != 1 {
-		t.Errorf("dropped = %d, stats = %+v", dropped, link.Stats())
+	if st := link.Stats(); st.DroppedPackets != 1 || st.EnqueuedPackets != 0 || st.SentPackets != 0 {
+		t.Errorf("stats = %+v, want one drop and nothing forwarded", st)
+	}
+	if _, _, frees := eng.PoolStats(); frees != 1 {
+		t.Errorf("the refused packet was released %d times, want 1", frees)
 	}
 }
 

@@ -25,12 +25,6 @@ type Packet struct {
 	// Seq is the sender's sequence number for data packets, or the
 	// sequence being acknowledged for ACK packets.
 	Seq int64
-	// CumAck is the highest contiguously received sequence (ACK packets
-	// only).
-	CumAck int64
-	// RWnd is the receiver's advertised window in bytes, piggybacked on
-	// ACK packets. 0 means unlimited.
-	RWnd int
 	// Size is the packet size in bytes.
 	Size int
 	// SentAt is the virtual time the packet entered the network.
@@ -39,9 +33,6 @@ type Packet struct {
 	Retx bool
 	// Ack marks acknowledgment packets.
 	Ack bool
-	// Payload carries an optional opaque reference for higher layers
-	// (e.g. per-chunk bookkeeping); the emulator never inspects it.
-	Payload interface{}
 
 	// Path is the ordered list of links the packet traverses; Dest
 	// receives it after the final hop. An empty Path delivers directly.
@@ -119,7 +110,6 @@ func (p *Packet) Release() {
 	}
 	p.live = false
 	p.gen++
-	p.Payload = nil
 	p.Path = nil
 	p.Dest = nil
 	e.pool.frees++

@@ -9,13 +9,13 @@ func TestPacketPoolRecycles(t *testing.T) {
 	eng := &Engine{}
 	p1 := eng.NewPacket()
 	p1.Seq = 42
-	p1.Payload = "x"
+	p1.Retx = true
 	p1.Release()
 	p2 := eng.NewPacket()
 	if p2 != p1 {
 		t.Fatal("free list should hand back the released packet (LIFO)")
 	}
-	if p2.Seq != 0 || p2.Payload != nil || p2.Path != nil || p2.Dest != nil {
+	if p2.Seq != 0 || p2.Retx || p2.Path != nil || p2.Dest != nil {
 		t.Errorf("recycled packet not zeroed: %+v", p2)
 	}
 	if !p2.Pooled() {

@@ -12,11 +12,11 @@ import (
 // runs at most one transfer at a time, and after each completion an
 // exponential think time elapses before the next arrival — a closed
 // loop whose arrivals and departures are both Poisson-like. A fraction
-// of arrivals are long transfers; the rest are heavy-tailed short
-// (web-like) flows. Each user owns a private randomness stream, so the
-// draw sequence depends only on that user's own completions and the
-// whole population is byte-replayable regardless of how users
-// interleave on the link.
+// of arrivals are long transfers drawn from LongSizes; the rest are
+// heavy-tailed short (web-like) flows drawn from ShortSizes. Each user
+// owns a private randomness stream, so the draw sequence depends only
+// on that user's own completions and the whole population is
+// byte-replayable regardless of how users interleave on the link.
 type ChurnConfig struct {
 	// MeanThink is the mean exponential gap between a completion and
 	// the next arrival (default 2s). The first arrival is drawn from
@@ -25,10 +25,6 @@ type ChurnConfig struct {
 	// LongFrac is the probability an arrival is a long transfer
 	// (default 0.05).
 	LongFrac float64
-	// ShortSizes draws short-flow sizes (default BoundedPareto 6KB–3MB,
-	// alpha 1.2); LongSizes draws long-flow sizes (default BoundedPareto
-	// 4MB–64MB, alpha 1.5).
-	ShortSizes, LongSizes SizeDist
 	// NewCC constructs the per-flow controller (required).
 	NewCC func() transport.CCA
 	// Path/ReturnDelay/UserID as in transport.FlowConfig.
@@ -69,12 +65,6 @@ func NewChurn(eng *sim.Engine, cfg ChurnConfig) *Churn {
 	if cfg.LongFrac < 0 {
 		cfg.LongFrac = 0
 	}
-	if cfg.ShortSizes == nil {
-		cfg.ShortSizes = BoundedPareto{Min: 6 * 1024, Max: 3 << 20, Alpha: 1.2}
-	}
-	if cfg.LongSizes == nil {
-		cfg.LongSizes = BoundedPareto{Min: 4 << 20, Max: 64 << 20, Alpha: 1.5}
-	}
 	c := &Churn{cfg: cfg, eng: eng}
 	c.scheduleNext()
 	return c
@@ -111,10 +101,10 @@ func (c *Churn) arrive() {
 	long := c.cfg.Rand.Float64() < c.cfg.LongFrac
 	var size int64
 	if long {
-		size = c.cfg.LongSizes.Sample(c.cfg.Rand)
+		size = LongSizes.Sample(c.cfg.Rand)
 		c.LongStarted++
 	} else {
-		size = c.cfg.ShortSizes.Sample(c.cfg.Rand)
+		size = ShortSizes.Sample(c.cfg.Rand)
 	}
 	id := c.cfg.BaseFlowID + c.Started
 	c.Started++

@@ -48,6 +48,16 @@ func (b BoundedPareto) Sample(rng *rand.Rand) int64 {
 	return int64(x)
 }
 
+// ShortSizes and LongSizes are the flow-size distributions of the
+// churn process, shared by its packet-level (Churn) and fluid
+// (core's manyflow aggregate) forms; ShortSizes — mostly a handful of
+// packets, occasionally large, matching the "most flows are short"
+// observation — is also ShortFlows' default.
+var (
+	ShortSizes = BoundedPareto{Min: 6 * 1024, Max: 3 << 20, Alpha: 1.2}
+	LongSizes  = BoundedPareto{Min: 4 << 20, Max: 64 << 20, Alpha: 1.5}
+)
+
 // FixedSize always returns the same size.
 type FixedSize int64
 
@@ -58,9 +68,7 @@ func (f FixedSize) Sample(*rand.Rand) int64 { return int64(f) }
 type ShortFlowsConfig struct {
 	// ArrivalRate is the mean flow arrival rate per second.
 	ArrivalRate float64
-	// Sizes draws per-flow sizes (default: BoundedPareto 6KB–3MB,
-	// alpha 1.2 — mostly a handful of packets, occasionally large,
-	// matching the "most flows are short" observation).
+	// Sizes draws per-flow sizes (default ShortSizes).
 	Sizes SizeDist
 	// Path/ReturnDelay/UserID as in transport.FlowConfig.
 	Path        []*sim.Link
@@ -100,7 +108,7 @@ type ShortFlows struct {
 // NewShortFlows starts the generator immediately.
 func NewShortFlows(eng *sim.Engine, cfg ShortFlowsConfig) *ShortFlows {
 	if cfg.Sizes == nil {
-		cfg.Sizes = BoundedPareto{Min: 6 * 1024, Max: 3 << 20, Alpha: 1.2}
+		cfg.Sizes = ShortSizes
 	}
 	if cfg.ArrivalRate <= 0 {
 		cfg.ArrivalRate = 1

@@ -128,7 +128,7 @@ func TestShortFlowsStop(t *testing.T) {
 
 func TestVideoIsAppLimited(t *testing.T) {
 	eng, link := testLink(100e6, 10*time.Millisecond)
-	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()), VideoConfig{})
+	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()))
 	eng.Run(60 * time.Second)
 	snap := v.Flow.Sender.Snapshot()
 	// The stream is bounded by its ladder: well under link rate, and
@@ -147,7 +147,7 @@ func TestVideoIsAppLimited(t *testing.T) {
 
 func TestVideoClimbsLadderOnFastLink(t *testing.T) {
 	eng, link := testLink(100e6, 10*time.Millisecond)
-	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()), VideoConfig{})
+	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()))
 	eng.Run(60 * time.Second)
 	if v.Bitrate() < 6e6 {
 		t.Errorf("bitrate = %.1f Mbit/s, should reach the top rungs on a fast link", v.Bitrate()/1e6)
@@ -160,7 +160,7 @@ func TestVideoClimbsLadderOnFastLink(t *testing.T) {
 func TestVideoDowngradesOnSlowLink(t *testing.T) {
 	// 3 Mbit/s link: the stream must settle below 3 Mbit/s rungs.
 	eng, link := testLink(3e6, 20*time.Millisecond)
-	v := NewVideo(eng, flowCfg(1, link, 20*time.Millisecond, cca.NewCubicCC()), VideoConfig{})
+	v := NewVideo(eng, flowCfg(1, link, 20*time.Millisecond, cca.NewCubicCC()))
 	eng.Run(90 * time.Second)
 	if v.Bitrate() > 2.6e6 {
 		t.Errorf("bitrate = %.1f Mbit/s on a 3 Mbit/s link", v.Bitrate()/1e6)
@@ -172,12 +172,11 @@ func TestVideoDowngradesOnSlowLink(t *testing.T) {
 
 func TestVideoBufferBounded(t *testing.T) {
 	eng, link := testLink(50e6, 10*time.Millisecond)
-	cfg := VideoConfig{BufferLow: 5 * time.Second, BufferHigh: 15 * time.Second}
-	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()), cfg)
-	eng.Run(120 * time.Second)
-	for _, s := range v.BufferSeries.Samples() {
-		if s.Value > 18 { // high watermark + one chunk of slack
-			t.Fatalf("buffer exceeded bound: %vs", s.Value)
+	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()))
+	for at := time.Second; at <= 120*time.Second; at += time.Second {
+		eng.Run(at)
+		if b := v.Buffer(); b > videoBufferHigh+videoChunk+time.Second { // high watermark + one chunk of slack
+			t.Fatalf("buffer exceeded bound at %v: %v", at, b)
 		}
 	}
 	if v.Buffer() <= 0 {
@@ -187,7 +186,7 @@ func TestVideoBufferBounded(t *testing.T) {
 
 func TestVideoStopCeasesTraffic(t *testing.T) {
 	eng, link := testLink(50e6, 10*time.Millisecond)
-	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()), VideoConfig{})
+	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()))
 	eng.Run(10 * time.Second)
 	v.Stop()
 	sent := v.Flow.Sender.BytesSent()

@@ -8,55 +8,36 @@ import (
 	"repro/internal/transport"
 )
 
-// VideoConfig parameterizes an adaptive-bitrate video stream. The model
-// follows the structure of deployed players: content is divided into
-// fixed-duration chunks encoded at a ladder of bitrates; the player
-// keeps a playback buffer between low and high watermarks, requesting
-// the next chunk when below the high mark and idling otherwise. Bitrate
-// selection combines a throughput rule (EWMA of recent chunk download
-// rates, with a safety factor) and buffer-based overrides (BBA-style).
+// The video model follows the structure of deployed players: content
+// is divided into fixed-duration chunks encoded at a ladder of bitrates;
+// the player keeps a playback buffer between low and high watermarks,
+// requesting the next chunk when below the high mark and idling
+// otherwise. Bitrate selection combines a throughput rule (EWMA of
+// recent chunk download rates, with a safety factor) and buffer-based
+// overrides (BBA-style).
 //
 // The essential property for the paper's argument is that the stream's
 // long-run offered load is bounded by its top bitrate — it is
 // application-limited, so it does not contend like a backlogged CCA
 // flow.
-type VideoConfig struct {
-	// Ladder lists available bitrates in bits/s, ascending (default:
-	// 1, 2.5, 4, 6, 8 Mbit/s — a typical HD ladder).
-	Ladder []float64
-	// ChunkDuration is seconds of content per chunk (default 2s).
-	ChunkDuration time.Duration
-	// BufferLow and BufferHigh are the playback-buffer watermarks
-	// (default 5s / 15s).
-	BufferLow, BufferHigh time.Duration
-	// SafetyFactor scales the throughput estimate when picking a
-	// bitrate (default 0.8).
-	SafetyFactor float64
-}
+const (
+	// videoChunk is seconds of content per chunk.
+	videoChunk = 2 * time.Second
+	// videoBufferLow and videoBufferHigh are the playback-buffer
+	// watermarks.
+	videoBufferLow  = 5 * time.Second
+	videoBufferHigh = 15 * time.Second
+	// videoSafety scales the throughput estimate when picking a bitrate.
+	videoSafety = 0.8
+)
 
-func (c VideoConfig) norm() VideoConfig {
-	if len(c.Ladder) == 0 {
-		c.Ladder = []float64{1e6, 2.5e6, 4e6, 6e6, 8e6}
-	}
-	if c.ChunkDuration <= 0 {
-		c.ChunkDuration = 2 * time.Second
-	}
-	if c.BufferLow <= 0 {
-		c.BufferLow = 5 * time.Second
-	}
-	if c.BufferHigh <= c.BufferLow {
-		c.BufferHigh = c.BufferLow + 10*time.Second
-	}
-	if c.SafetyFactor <= 0 {
-		c.SafetyFactor = 0.8
-	}
-	return c
-}
+// videoLadder lists the available bitrates in bits/s, ascending — a
+// typical HD ladder.
+var videoLadder = [...]float64{1e6, 2.5e6, 4e6, 6e6, 8e6}
 
 // Video is an ABR video stream over one transport flow.
 type Video struct {
 	Flow *transport.Flow
-	cfg  VideoConfig
 	eng  *sim.Engine
 
 	bitrateIdx  int
@@ -77,19 +58,13 @@ type Video struct {
 	Rebuffers int
 	// RebufferTime accumulates stall duration.
 	RebufferTime time.Duration
-	// BitrateSeries records the selected bitrate at each chunk request.
-	BitrateSeries stats.Series
-	// BufferSeries records the playback buffer (seconds) at each chunk
-	// completion.
-	BufferSeries stats.Series
 }
 
 // NewVideo creates the stream and requests its first chunk.
-func NewVideo(eng *sim.Engine, fcfg transport.FlowConfig, cfg VideoConfig) *Video {
+func NewVideo(eng *sim.Engine, fcfg transport.FlowConfig) *Video {
 	fcfg.Backlogged = false
 	v := &Video{
 		Flow:     transport.NewFlow(eng, fcfg),
-		cfg:      cfg.norm(),
 		eng:      eng,
 		tputEWMA: stats.NewEWMA(0.4),
 	}
@@ -102,7 +77,7 @@ func NewVideo(eng *sim.Engine, fcfg transport.FlowConfig, cfg VideoConfig) *Vide
 func (v *Video) Stop() { v.stopped = true }
 
 // Bitrate returns the currently selected bitrate in bits/s.
-func (v *Video) Bitrate() float64 { return v.cfg.Ladder[v.bitrateIdx] }
+func (v *Video) Bitrate() float64 { return videoLadder[v.bitrateIdx] }
 
 // Buffer returns the current playback buffer level.
 func (v *Video) Buffer() time.Duration {
@@ -140,18 +115,17 @@ func (v *Video) requestChunk() {
 		return
 	}
 	v.advancePlayback()
-	if v.buffer >= v.cfg.BufferHigh {
+	if v.buffer >= videoBufferHigh {
 		// Full: idle until one chunk of content has played out.
-		v.eng.Schedule(v.cfg.ChunkDuration, v.requestChunk)
+		v.eng.Schedule(videoChunk, v.requestChunk)
 		return
 	}
 	v.pickBitrate()
 	now := v.eng.Now()
-	v.chunkBytes = int64(v.Bitrate() * v.cfg.ChunkDuration.Seconds() / 8)
+	v.chunkBytes = int64(v.Bitrate() * videoChunk.Seconds() / 8)
 	v.chunkStart = now
 	v.ackedAtReq = v.Flow.Sender.BytesAcked()
 	v.downloading = true
-	v.BitrateSeries.Append(now, v.Bitrate())
 	v.Flow.Sender.OnComplete = nil // reset any prior hook
 	v.Flow.Sender.Supply(v.chunkBytes)
 	v.pollChunk()
@@ -179,9 +153,8 @@ func (v *Video) finishChunk() {
 		v.tputEWMA.Update(float64(v.chunkBytes) * 8 / dl)
 	}
 	v.advancePlayback()
-	v.buffer += v.cfg.ChunkDuration
-	v.BufferSeries.Append(now, v.buffer.Seconds())
-	if !v.playing && v.buffer >= v.cfg.BufferLow {
+	v.buffer += videoChunk
+	if !v.playing && v.buffer >= videoBufferLow {
 		v.playing = true
 	}
 	v.requestChunk()
@@ -189,19 +162,19 @@ func (v *Video) finishChunk() {
 
 // pickBitrate selects the next chunk's bitrate.
 func (v *Video) pickBitrate() {
-	est := v.tputEWMA.Value() * v.cfg.SafetyFactor
+	est := v.tputEWMA.Value() * videoSafety
 	idx := 0
 	if v.tputEWMA.Initialized() {
-		for i, r := range v.cfg.Ladder {
+		for i, r := range videoLadder {
 			if r <= est {
 				idx = i
 			}
 		}
 	}
 	// Buffer overrides: panic down when low, allow up when high.
-	if v.buffer < v.cfg.BufferLow/2 {
+	if v.buffer < videoBufferLow/2 {
 		idx = 0
-	} else if v.buffer > v.cfg.BufferHigh*3/4 && idx < len(v.cfg.Ladder)-1 {
+	} else if v.buffer > videoBufferHigh*3/4 && idx < len(videoLadder)-1 {
 		idx++
 	}
 	v.bitrateIdx = idx

@@ -1,9 +1,9 @@
 // Package transport implements TCP-like flow endpoints on top of the
 // sim emulator: QUIC-style monotonically increasing packet numbers,
 // per-packet acknowledgments, packet-threshold and timeout loss
-// detection, RTT estimation, pacing, receiver-window flow control, and
-// the application-/receiver-limited accounting that the M-Lab NDT
-// analysis in §3.1 of the paper relies on.
+// detection, RTT estimation, pacing, and the application-limited
+// accounting that the M-Lab NDT analysis in §3.1 of the paper relies
+// on. Receivers never limit a flow: there is no advertised window.
 package transport
 
 import "time"
@@ -30,8 +30,6 @@ type AckInfo struct {
 	DeliveryRate float64
 	// CumDelivered is the total unique bytes delivered so far.
 	CumDelivered int64
-	// RWnd is the receiver's most recently advertised window in bytes.
-	RWnd int
 }
 
 // LossInfo describes a loss event. The sender reports at most one loss

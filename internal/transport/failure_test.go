@@ -39,31 +39,6 @@ func TestDeliveryUnderRandomLoss(t *testing.T) {
 	}
 }
 
-// TestDeliveryWithLossyAckPath routes acknowledgments through a lossy
-// reverse link: lost acks must not corrupt delivery accounting.
-func TestDeliveryWithLossyAckPath(t *testing.T) {
-	eng := &sim.Engine{}
-	fwd := sim.NewLink(eng, "fwd", 20e6, 10*time.Millisecond, qdisc.NewDropTail(1<<20))
-	revQ := faults.NewLoss(qdisc.NewDropTail(1<<20), 0.05, 7)
-	rev := sim.NewLink(eng, "rev", 20e6, 10*time.Millisecond, revQ)
-	done := false
-	f := transport.NewFlow(eng, transport.FlowConfig{
-		ID: 1, Path: []*sim.Link{fwd}, ReturnPath: []*sim.Link{rev},
-		CC: cca.NewCubicCC(),
-	})
-	f.Sender.OnComplete = func(time.Duration) { done = true }
-	const total = 2 << 20
-	f.Sender.Supply(total)
-	eng.Run(2 * time.Minute)
-	if !done {
-		t.Fatalf("incomplete with lossy ack path: acked %d of %d (ack drops %d)",
-			f.Sender.BytesAcked(), total, revQ.Dropped)
-	}
-	if revQ.Dropped == 0 {
-		t.Fatal("ack loss injection did not fire")
-	}
-}
-
 // TestMildReorderingDoesNotStall verifies that reordering within the
 // loss threshold neither stalls the flow nor spuriously retransmits
 // much.

@@ -17,23 +17,11 @@ type FlowConfig struct {
 	UserID int
 	// Path is the forward path the flow's data packets traverse.
 	Path []*sim.Link
-	// ReturnPath, if non-empty, routes acknowledgments through links
-	// (so they can experience queueing). If empty, acknowledgments
-	// return after ReturnDelay.
-	ReturnPath []*sim.Link
-	// ReturnDelay is the fixed one-way delay for acknowledgments when
-	// ReturnPath is empty.
+	// ReturnDelay is the fixed one-way delay of the acknowledgment
+	// path (acknowledgments do not queue).
 	ReturnDelay time.Duration
 	// CC is the congestion controller. Required.
 	CC CCA
-	// MSS overrides the segment size (default sim.MSS).
-	MSS int
-	// RecvBuffer, if positive, bounds the receiver's buffer in bytes;
-	// combined with DrainRate it produces receiver-limited behaviour.
-	RecvBuffer int
-	// DrainRate is the receiving application's consumption rate in
-	// bytes/s (0 = infinitely fast).
-	DrainRate float64
 	// Backlogged starts the flow persistently backlogged.
 	Backlogged bool
 	// OpenLoop disables retransmission: lost bytes are forgotten, and
@@ -72,16 +60,12 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig) *Flow {
 	if cfg.CC == nil {
 		panic(fmt.Sprintf("transport: flow %d: nil congestion controller", cfg.ID))
 	}
-	if cfg.MSS <= 0 {
-		cfg.MSS = sim.MSS
-	}
 	s := &Sender{
 		eng:         eng,
 		flowID:      cfg.ID,
 		userID:      cfg.UserID,
 		path:        cfg.Path,
 		cc:          cfg.CC,
-		mss:         cfg.MSS,
 		openLoop:    cfg.OpenLoop,
 		inflight:    make(map[int64]sentInfo),
 		TraceRTT:    cfg.TraceRTT,
@@ -100,19 +84,8 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig) *Flow {
 	if cfg.Metrics != nil {
 		s.RegisterMetrics(cfg.Metrics)
 	}
-	r := &Receiver{
-		eng:         eng,
-		sender:      s,
-		returnPath:  cfg.ReturnPath,
-		returnDelay: cfg.ReturnDelay,
-		bufCap:      cfg.RecvBuffer,
-		drainRate:   cfg.DrainRate,
-		lastDrain:   eng.Now(),
-	}
+	r := &Receiver{eng: eng, sender: s, returnDelay: cfg.ReturnDelay}
 	s.dest = r
-	if cfg.RecvBuffer > 0 {
-		s.rwnd = cfg.RecvBuffer
-	}
 	f := &Flow{Sender: s, Receiver: r}
 	if cfg.Backlogged {
 		s.SetBacklogged(true)

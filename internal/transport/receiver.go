@@ -7,50 +7,12 @@ import (
 )
 
 // Receiver is the receiving endpoint of a Flow. It acknowledges every
-// data packet and models receive-buffer flow control: with a finite
-// buffer and an application drain rate, it advertises shrinking windows
-// under slow consumers — the mechanism behind "receiver-limited" flows
-// in the M-Lab analysis.
+// data packet after a fixed return delay; its buffer is unbounded, so
+// it never advertises a window.
 type Receiver struct {
-	eng    *sim.Engine
-	sender *Sender
-
-	returnPath  []*sim.Link
+	eng         *sim.Engine
+	sender      *Sender
 	returnDelay time.Duration
-
-	// Flow control. bufCap == 0 means an unlimited buffer (always
-	// advertise 0 == unlimited).
-	bufCap    int
-	drainRate float64 // bytes/s consumed by the application
-	buffered  float64
-	lastDrain time.Duration
-}
-
-func (r *Receiver) drain(now time.Duration) {
-	if r.drainRate <= 0 || r.bufCap == 0 {
-		r.buffered = 0
-		r.lastDrain = now
-		return
-	}
-	el := (now - r.lastDrain).Seconds()
-	if el > 0 {
-		r.buffered -= r.drainRate * el
-		if r.buffered < 0 {
-			r.buffered = 0
-		}
-		r.lastDrain = now
-	}
-}
-
-func (r *Receiver) advertisedWindow() int {
-	if r.bufCap == 0 {
-		return 0 // unlimited
-	}
-	free := r.bufCap - int(r.buffered)
-	if free < 0 {
-		free = 0
-	}
-	return free
 }
 
 // Receive implements sim.Receiver for data packets. The receiver is
@@ -61,26 +23,16 @@ func (r *Receiver) Receive(p *sim.Packet) {
 		p.Release()
 		return
 	}
-	now := r.eng.Now()
-	r.drain(now)
-	r.buffered += float64(p.Size)
 	ack := r.eng.NewPacket()
 	ack.FlowID = p.FlowID
 	ack.UserID = p.UserID
 	ack.Seq = p.Seq
 	ack.Size = ackSize
-	ack.SentAt = now
+	ack.SentAt = r.eng.Now()
 	ack.Ack = true
-	ack.RWnd = r.advertisedWindow()
 	p.Release()
-	if len(r.returnPath) > 0 {
-		ack.Path = r.returnPath
-		ack.Dest = r.sender
-		sim.Inject(ack)
-		return
-	}
-	// Fixed-delay return: deliver straight to the sender after
-	// returnDelay without a per-ack closure.
+	// Deliver straight to the sender after returnDelay without a
+	// per-ack closure.
 	ack.Dest = r.sender
 	r.eng.SchedulePacket(r.returnDelay, ack)
 }

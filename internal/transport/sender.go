@@ -32,18 +32,13 @@ type limitState int
 const (
 	stBusy limitState = iota
 	stAppLimited
-	stRWndLimited
 )
 
 func (st limitState) String() string {
-	switch st {
-	case stAppLimited:
+	if st == stAppLimited {
 		return "app_limited"
-	case stRWndLimited:
-		return "rwnd_limited"
-	default:
-		return "busy"
 	}
+	return "busy"
 }
 
 // Sender is the transmitting endpoint of a Flow. It owns sequencing,
@@ -56,7 +51,6 @@ type Sender struct {
 	path   []*sim.Link
 	dest   sim.Receiver // the flow's receiver
 	cc     CCA
-	mss    int
 
 	// Application data availability.
 	backlogged bool
@@ -82,9 +76,6 @@ type Sender struct {
 	srtt, rttvar, minRTT time.Duration
 	hasRTT               bool
 
-	// Receiver-advertised window (bytes); 0 means unlimited.
-	rwnd int
-
 	// Pacing.
 	nextSendAt time.Duration
 	paceTimer  sim.Timer
@@ -99,11 +90,10 @@ type Sender struct {
 	onRTOFn   func()
 
 	// Limited-time accounting.
-	state       limitState
-	stateSince  time.Duration
-	appLimited  time.Duration
-	rwndLimited time.Duration
-	busyTime    time.Duration
+	state      limitState
+	stateSince time.Duration
+	appLimited time.Duration
+	busyTime   time.Duration
 
 	// Counters.
 	bytesSent    int64
@@ -183,26 +173,15 @@ func (s *Sender) BytesRetrans() int64 { return s.bytesRetrans }
 
 // effectiveWnd returns the current send window in bytes.
 func (s *Sender) effectiveWnd() int {
-	w := s.cc.CWnd()
-	if s.rwnd > 0 && s.rwnd < w {
-		w = s.rwnd
-	}
-	if w < s.mss {
-		w = s.mss
-	}
-	return w
+	return max(s.cc.CWnd(), sim.MSS)
 }
 
 // currentState classifies what is limiting the sender right now.
 func (s *Sender) currentState() limitState {
-	hasData := s.backlogged || s.available > 0
-	if !hasData {
-		return stAppLimited
+	if s.backlogged || s.available > 0 {
+		return stBusy
 	}
-	if s.rwnd > 0 && s.rwnd < s.cc.CWnd() && s.inflightBytes+s.mss > s.rwnd {
-		return stRWndLimited
-	}
-	return stBusy
+	return stAppLimited
 }
 
 // touchState accrues elapsed time to the previous limit state and
@@ -211,12 +190,9 @@ func (s *Sender) touchState() {
 	now := s.eng.Now()
 	el := now - s.stateSince
 	if el > 0 {
-		switch s.state {
-		case stAppLimited:
+		if s.state == stAppLimited {
 			s.appLimited += el
-		case stRWndLimited:
-			s.rwndLimited += el
-		default:
+		} else {
 			s.busyTime += el
 		}
 	}
@@ -242,7 +218,7 @@ func (s *Sender) trySend() {
 		if !hasData {
 			return
 		}
-		size := s.mss
+		size := sim.MSS
 		if !s.backlogged && s.available < int64(size) {
 			size = int(s.available)
 		}
@@ -324,7 +300,6 @@ func (s *Sender) Receive(p *sim.Packet) {
 
 func (s *Sender) onAck(p *sim.Packet) {
 	now := s.eng.Now()
-	s.rwnd = p.RWnd
 	info, outstanding := s.inflight[p.Seq]
 	if !outstanding {
 		// Already declared lost (spurious retransmission) or duplicate.
@@ -368,7 +343,6 @@ func (s *Sender) onAck(p *sim.Packet) {
 		Inflight:     s.inflightBytes,
 		DeliveryRate: rateBps,
 		CumDelivered: s.bytesAcked,
-		RWnd:         s.rwnd,
 	})
 
 	if s.Trace != nil {
@@ -567,7 +541,6 @@ func (s *Sender) Snapshot() tcpinfo.Snapshot {
 		CWnd:         s.cc.CWnd(),
 		LostPackets:  s.lostPackets,
 		AppLimited:   s.appLimited,
-		RWndLimited:  s.rwndLimited,
 		BusyTime:     s.busyTime,
 	}
 }

@@ -96,30 +96,6 @@ func TestBackloggedIsNeverAppLimited(t *testing.T) {
 	}
 }
 
-func TestRWndLimitedFlow(t *testing.T) {
-	eng, link := dumbbell(100e6, 10*time.Millisecond, nil)
-	// Receiver buffer of 8 packets, drained slowly: the sender should
-	// be receiver-limited, throughput bounded by drain rate.
-	f := transport.NewFlow(eng, transport.FlowConfig{
-		ID: 1, Path: []*sim.Link{link}, ReturnDelay: 10 * time.Millisecond,
-		CC: cca.NewCubicCC(), Backlogged: true,
-		RecvBuffer: 8 * 1500, DrainRate: 500e3, // 4 Mbit/s consumer
-	})
-	f.Start()
-	eng.Run(10 * time.Second)
-	snap := f.Sender.Snapshot()
-	tput := f.Throughput(2*time.Second, 10*time.Second)
-	if tput > 8e6 {
-		t.Errorf("throughput %v should be bounded near the 4 Mbit/s drain", tput)
-	}
-	if snap.RWndLimited < 2*time.Second {
-		t.Errorf("RWndLimited = %v, want substantial", snap.RWndLimited)
-	}
-	if snap.AppLimited > time.Second {
-		t.Errorf("AppLimited = %v for a backlogged flow", snap.AppLimited)
-	}
-}
-
 func TestRetransmissionDeliversEverything(t *testing.T) {
 	// Tiny buffer forces drops; the flow must still deliver every byte.
 	eng, link := dumbbell(10e6, 10*time.Millisecond, qdisc.NewDropTail(4*1500))
@@ -277,4 +253,67 @@ func TestNilCCPanics(t *testing.T) {
 	}()
 	eng := &sim.Engine{}
 	transport.NewFlow(eng, transport.FlowConfig{ID: 1})
+}
+
+// ackLog records, through the engine's validation hook, every packet as
+// its terminal consumer releases it: data at the receiver, acks at the
+// sender.
+type ackLog struct {
+	eng        *sim.Engine
+	data, acks []sim.Packet
+	ackAt      []time.Duration
+}
+
+func (*ackLog) OnSchedule(time.Duration, int64) {}
+func (*ackLog) OnFire(time.Duration, int64)     {}
+func (*ackLog) OnAlloc(*sim.Packet)             {}
+func (l *ackLog) OnFree(p *sim.Packet) {
+	if p.Ack {
+		l.acks = append(l.acks, *p)
+		l.ackAt = append(l.ackAt, l.eng.Now())
+	} else {
+		l.data = append(l.data, *p)
+	}
+}
+
+// TestAckEchoesDataPacket pins the receiver's hot path: every data
+// packet is answered by one 40-byte ack that echoes its flow, user and
+// sequence, is stamped with the data packet's arrival time, and reaches
+// the sender exactly ReturnDelay later.
+func TestAckEchoesDataPacket(t *testing.T) {
+	const owd = 10 * time.Millisecond
+	eng, link := dumbbell(12e6, owd, nil) // 1500 B serialize in 1 ms
+	log := &ackLog{eng: eng}
+	eng.SetHook(log)
+	f := transport.NewFlow(eng, transport.FlowConfig{
+		ID: 7, UserID: 3, Path: []*sim.Link{link}, ReturnDelay: owd, CC: cca.NewRenoCC(),
+	})
+	f.Sender.Supply(3*sim.MSS + 100)
+	eng.Run(time.Second)
+
+	if len(log.data) != 4 || len(log.acks) != 4 {
+		t.Fatalf("released %d data packets and %d acks, want 4 and 4", len(log.data), len(log.acks))
+	}
+	for i, ack := range log.acks {
+		arrived := time.Duration(i+1)*time.Millisecond + owd
+		if i == 3 {
+			arrived = 3*time.Millisecond + 100*8*time.Second/12e6 + owd
+		}
+		type echo struct {
+			flow, user int
+			seq        int64
+			size       int
+			sentAt     time.Duration
+		}
+		want := echo{7, 3, int64(i), 40, arrived}
+		if got := (echo{ack.FlowID, ack.UserID, ack.Seq, ack.Size, ack.SentAt}); got != want {
+			t.Errorf("ack %d = %+v, want %+v", i, got, want)
+		}
+		if d := log.data[i]; d.FlowID != 7 || d.UserID != 3 || d.Seq != int64(i) {
+			t.Errorf("data %d = flow %d user %d seq %d", i, d.FlowID, d.UserID, d.Seq)
+		}
+		if log.ackAt[i] != arrived+owd {
+			t.Errorf("ack %d reached the sender at %v, want %v", i, log.ackAt[i], arrived+owd)
+		}
+	}
 }

@@ -16,31 +16,14 @@ import (
 	"repro/internal/stats"
 )
 
-// Config parameterizes a probe session.
-type Config struct {
-	// Interval is the probing cadence (default 100ms; the real system
-	// probes far less often, but emulated sessions are short).
-	Interval time.Duration
-	// Window is the observation window for level statistics (default
-	// 5s).
-	Window time.Duration
-	// InflationThreshold is the queueing-delay increase (over the
-	// observed baseline) that flags congestion (default 5ms).
-	InflationThreshold time.Duration
-}
-
-func (c Config) norm() Config {
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = 5 * time.Second
-	}
-	if c.InflationThreshold <= 0 {
-		c.InflationThreshold = 5 * time.Millisecond
-	}
-	return c
-}
+const (
+	// probeInterval is the probing cadence (the real system probes far
+	// less often, but emulated sessions are short).
+	probeInterval = 100 * time.Millisecond
+	// inflationThreshold is the queueing-delay differential that flags
+	// a sample as congested.
+	inflationThreshold = 5 * time.Millisecond
+)
 
 // Prober sends TTL-limited-style latency probes across one emulated
 // link: a "near" probe measures the path up to the link's ingress and
@@ -48,7 +31,6 @@ func (c Config) norm() Config {
 // link's queueing delay — the same trick the real TSLP plays with
 // router TTL expiry.
 type Prober struct {
-	cfg  Config
 	eng  *sim.Engine
 	link *sim.Link
 	stop bool
@@ -74,8 +56,8 @@ type Prober struct {
 // traverse the link's queue like any other traffic (they experience —
 // and measure — its queueing delay). flowID should be distinct from
 // data flows so fair queueing treats probes as their own class.
-func NewProber(eng *sim.Engine, link *sim.Link, flowID int, cfg Config) *Prober {
-	p := &Prober{cfg: cfg.norm(), eng: eng, link: link, flowID: flowID}
+func NewProber(eng *sim.Engine, link *sim.Link, flowID int) *Prober {
+	p := &Prober{eng: eng, link: link, flowID: flowID}
 	p.path = []*sim.Link{link}
 	p.dest = sim.ReceiverFunc(p.receive)
 	p.tickFn = p.tick
@@ -119,7 +101,7 @@ func (p *Prober) tick() {
 	probe.Path = p.path
 	probe.Dest = p.dest
 	sim.Inject(probe)
-	p.eng.Schedule(p.cfg.Interval, p.tickFn)
+	p.eng.Schedule(probeInterval, p.tickFn)
 }
 
 // Verdict summarizes a probing session per the TSLP methodology.
@@ -154,7 +136,7 @@ func (p *Prober) Verdict(from, to time.Duration) Verdict {
 	// The differential already isolates the link's queueing delay, so
 	// inflation is measured absolutely (a persistently full queue must
 	// not launder itself into the baseline).
-	thr := float64(p.cfg.InflationThreshold) / float64(time.Millisecond)
+	const thr = float64(inflationThreshold) / float64(time.Millisecond)
 	over := 0
 	for _, m := range ms {
 		if m > thr {
