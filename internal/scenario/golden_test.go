@@ -64,6 +64,11 @@ var goldenSpecs = []struct {
 		Cross: []traffic.Phase{{Kind: "video", DurS: 4}, {Kind: "short", DurS: 4},
 			{Kind: "vegas", DurS: 3}, {Kind: "short", DurS: 2}}}},
 	{"manyflow", Spec{Experiment: "manyflow", CCAs: []string{"reno", "cubic"}, Flows: 100, DurationS: 2, Seed: 1}},
+	// No other row runs these two named profiles.
+	{"duel-dsl-noise", Spec{Experiment: "duel", CCAs: []string{"cubic", "reno"}, DurationS: 3,
+		FaultProfile: "dsl-noise", FaultSeed: 6}},
+	{"duel-satellite-jitter", Spec{Experiment: "duel", CCAs: []string{"bbr", "cubic"}, DurationS: 3,
+		Queue: "fq", FaultProfile: "satellite-jitter", FaultSeed: 8}},
 }
 
 // TestExperimentGoldens pins the bytes every registered experiment
