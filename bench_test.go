@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bwe"
 	"repro/internal/changepoint"
 	"repro/internal/core"
 	"repro/internal/mlab"
@@ -181,27 +180,6 @@ func BenchmarkAblationJitter(b *testing.B) {
 		}
 	}
 	b.ReportMetric(jitter, "shaper-jitter-ms")
-}
-
-// BenchmarkAblationBwE measures the centralized allocator (§2.1's
-// host-based bandwidth management): time to compute a hierarchical
-// max-min allocation across 1000 demands.
-func BenchmarkAblationBwE(b *testing.B) {
-	demands := make([]bwe.Demand, 1000)
-	for i := range demands {
-		demands[i] = bwe.Demand{
-			App:      "app",
-			Bps:      float64(1+i%97) * 1e6,
-			Weight:   float64(1 + i%3),
-			Priority: i % 2,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bwe.Allocate(10e9, demands); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkExpCellular runs the §5.1 experiment: the throughput/delay

@@ -73,13 +73,7 @@ func censusModelFlags(fs *flag.FlagSet) func() census.Model {
 		if *modelPath == "" {
 			m = census.DefaultModel()
 		} else {
-			var b []byte
-			var err error
-			if *modelPath == "-" {
-				b, err = io.ReadAll(os.Stdin)
-			} else {
-				b, err = os.ReadFile(*modelPath)
-			}
+			b, err := readInput(*modelPath)
 			fail(err)
 			m, err = census.ParseModel(b)
 			fail(err)
@@ -97,15 +91,26 @@ func censusModelFlags(fs *flag.FlagSet) func() census.Model {
 	}
 }
 
-func cmdCensusGen(args []string) {
+type censusGenOpts struct {
+	model   func() census.Model
+	samples int
+	asJSON  bool
+}
+
+func censusGenFlags() (*flag.FlagSet, *censusGenOpts) {
 	fs := flag.NewFlagSet("ccac census gen", flag.ExitOnError)
-	model := censusModelFlags(fs)
-	samples := fs.Int("samples", 3, "sample specs to include as a spot check")
-	asJSON := fs.Bool("json", false, "print the canonical expansion record instead of a summary")
+	o := &censusGenOpts{model: censusModelFlags(fs)}
+	fs.IntVar(&o.samples, "samples", 3, "sample specs to include as a spot check")
+	fs.BoolVar(&o.asJSON, "json", false, "print the canonical expansion record instead of a summary")
+	return fs, o
+}
+
+func cmdCensusGen(args []string) {
+	fs, o := censusGenFlags()
 	fs.Parse(args)
-	m := model()
-	st := m.Expansion(*samples)
-	if *asJSON {
+	m := o.model()
+	st := m.Expansion(o.samples)
+	if o.asJSON {
 		b, err := scenario.CanonicalJSON(st)
 		fail(err)
 		fmt.Println(string(b))
@@ -157,23 +162,14 @@ func cmdCensusRun(args []string) {
 		fail(err)
 	}
 
-	runner := &scenario.Runner{Workers: o.workers}
-	if o.cacheDir != "" {
-		var err error
-		runner.Cache, err = scenario.NewCache(o.cacheDir)
-		fail(err)
-	}
-	rep := &scenario.SweepReporter{AggregateEvery: time.Second}
-	if o.progress {
-		rep.TTY = os.Stderr
-		runner.ProgressFunc = rep.Func()
-	}
+	runner := newRunner(o.workers, o.cacheDir, "")
+	rep, closeRep := attachReporter(runner, o.progress, "")
 
 	start := time.Now()
 	p, err := census.RunShard(signalContext(), runner, m, lo, hi)
 	fail(err)
+	fail(closeRep())
 	if o.progress {
-		fail(rep.Close())
 		rep.Summarize(os.Stderr)
 	}
 
@@ -193,14 +189,25 @@ func cmdCensusRun(args []string) {
 	fmt.Fprintf(os.Stderr, "ccac: census: %d specs in %v\n", m.N, time.Since(start).Round(time.Millisecond))
 }
 
-func cmdCensusMerge(args []string) {
+type censusMergeOpts struct {
+	out   string
+	quiet bool
+}
+
+func censusMergeFlags() (*flag.FlagSet, *censusMergeOpts) {
 	fs := flag.NewFlagSet("ccac census merge", flag.ExitOnError)
-	out := fs.String("out", "", "write the report here (default stdout)")
-	quiet := fs.Bool("quiet", false, "suppress the human-readable table on stderr")
+	o := &censusMergeOpts{}
+	fs.StringVar(&o.out, "out", "", "write the report here (default stdout)")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress the human-readable table on stderr")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: ccac census merge [-out FILE] <partial.json ...>")
 		fs.PrintDefaults()
 	}
+	return fs, o
+}
+
+func cmdCensusMerge(args []string) {
+	fs, o := censusMergeFlags()
 	fs.Parse(args)
 	if fs.NArg() < 1 {
 		fs.Usage()
@@ -220,8 +227,8 @@ func cmdCensusMerge(args []string) {
 	fail(err)
 	b, err := report.Encode()
 	fail(err)
-	writeOut(*out, b)
-	if !*quiet {
+	writeOut(o.out, b)
+	if !o.quiet {
 		report.WriteTable(os.Stderr)
 	}
 }

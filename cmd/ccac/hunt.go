@@ -88,27 +88,8 @@ func cmdHunt(args []string) {
 		fail(fmt.Errorf("hunt: -fuzz-seeds needs -corpus"))
 	}
 
-	runner := &scenario.Runner{Workers: o.workers}
-	if o.cacheDir != "" {
-		runner.Cache, err = scenario.NewCache(o.cacheDir)
-		fail(err)
-	}
-	rep := &scenario.SweepReporter{AggregateEvery: time.Second}
-	useReporter := false
-	if o.progress {
-		rep.TTY = os.Stderr
-		useReporter = true
-	}
-	var progressF *os.File
-	if o.progressJSONL != "" {
-		progressF, err = os.Create(o.progressJSONL)
-		fail(err)
-		rep.JSONL = progressF
-		useReporter = true
-	}
-	if useReporter {
-		runner.ProgressFunc = rep.Func()
-	}
+	runner := newRunner(o.workers, o.cacheDir, "")
+	rep, closeRep := attachReporter(runner, o.progress, o.progressJSONL)
 
 	cfg := hunt.Config{
 		Objective: obj,
@@ -139,11 +120,8 @@ func cmdHunt(args []string) {
 		fail(err)
 	}
 	elapsed := time.Since(start)
-	if useReporter {
-		fail(rep.Close())
-		if progressF != nil {
-			fail(progressF.Close())
-		}
+	fail(closeRep())
+	if o.progress || o.progressJSONL != "" {
 		rep.Summarize(os.Stderr)
 	}
 

@@ -11,10 +11,11 @@
 //	         [-faults wifi-bursty] [-fault-seed N] [-trials N] [-flows N]
 //	         [-users N] [-pulse HZ] [-phase 45s] [-json]
 //	         [-trace run.jsonl] [-trace-sample N] [-metrics-out metrics.jsonl]
-//	ccac sweep [-workers N | -seq] [-cache DIR] [-out results.json]
+//	ccac sweep [-workers N] [-cache DIR] [-out results.json]
 //	           [-progress] [-progress-jsonl events.jsonl] [-flight DIR]
 //	           [-admin ADDR] <grid.json|->
 //	ccac census <gen|run|merge> [flags]
+//	ccac hunt <objective> [flags]
 //
 // `run` executes one experiment from its registered defaults plus any
 // explicitly set flags and prints its table (or, with -json, the
@@ -25,7 +26,9 @@
 // of the same grid. `census`
 // samples, executes, classifies, and aggregates duel cells over a
 // parameterized population model, single-process or sharded across
-// processes (see cmd/ccac/census.go and docs/CENSUS.md).
+// processes (see cmd/ccac/census.go and docs/CENSUS.md). `hunt` searches
+// fault and cross-traffic genomes for the scenario that maximizes a
+// pathology objective (see cmd/ccac/hunt.go and docs/HUNTING.md).
 //
 // Long sweeps are observable while they run: -progress renders a live
 // one-line status on stderr, -progress-jsonl streams one
@@ -105,11 +108,7 @@ func cmdList(w io.Writer) {
 	}
 	fmt.Fprintln(w, "\nfault profiles (for -faults / fault_profile / grid fault_profiles):")
 	for _, name := range faults.Names() {
-		p, err := faults.Lookup(name)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(w, "  %-16s %s\n", name, p.Description)
+		fmt.Fprintf(w, "  %-16s %s\n", name, faults.Describe(name))
 	}
 }
 
@@ -181,21 +180,33 @@ func specFlags(fs *flag.FlagSet) func(*scenario.Spec) {
 	}
 }
 
-func cmdRun(args []string) {
+type runOpts struct {
+	apply                           func(*scenario.Spec)
+	specPath, tracePath, metricsOut string
+	traceSample                     int
+	asJSON                          bool
+}
+
+func runFlags() (*flag.FlagSet, *runOpts) {
 	fs := flag.NewFlagSet("ccac run", flag.ExitOnError)
-	apply := specFlags(fs)
-	specPath := fs.String("spec", "",
+	o := &runOpts{apply: specFlags(fs)}
+	fs.StringVar(&o.specPath, "spec", "",
 		"replay a full spec JSON file ('-' for stdin) instead of experiment defaults; other flags still override")
-	asJSON := fs.Bool("json", false, "print the canonical result record instead of the table")
-	tracePath := fs.String("trace", "", "write a JSONL run log (manifest + events + summary) to this file")
-	traceSample := fs.Int("trace-sample", 32, "keep 1-in-N bulk events in the trace (control events always kept)")
-	metricsOut := fs.String("metrics-out", "", "write a final metrics snapshot to this file (JSONL)")
+	fs.BoolVar(&o.asJSON, "json", false, "print the canonical result record instead of the table")
+	fs.StringVar(&o.tracePath, "trace", "", "write a JSONL run log (manifest + events + summary) to this file")
+	fs.IntVar(&o.traceSample, "trace-sample", 32, "keep 1-in-N bulk events in the trace (control events always kept)")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write a final metrics snapshot to this file (JSONL)")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: ccac run <experiment> [flags]")
 		fmt.Fprintln(fs.Output(), "       ccac run -spec <spec.json|-> [flags]")
 		fmt.Fprintln(fs.Output(), "experiments: "+strings.Join(scenario.Names(), ", "))
 		fs.PrintDefaults()
 	}
+	return fs, o
+}
+
+func cmdRun(args []string) {
+	fs, o := runFlags()
 	name := ""
 	rest := args
 	if len(args) >= 1 && !strings.HasPrefix(args[0], "-") {
@@ -205,8 +216,8 @@ func cmdRun(args []string) {
 	fs.Parse(rest)
 
 	var sp scenario.Spec
-	if *specPath != "" {
-		sp = loadSpec(*specPath)
+	if o.specPath != "" {
+		sp = loadSpec(o.specPath)
 		if name != "" && name != sp.Experiment {
 			fail(fmt.Errorf("run: experiment %q conflicts with spec file's %q", name, sp.Experiment))
 		}
@@ -218,19 +229,19 @@ func cmdRun(args []string) {
 	}
 	exp, err := scenario.Lookup(name)
 	fail(err)
-	if *specPath == "" {
+	if o.specPath == "" {
 		sp = exp.Defaults
 	}
-	apply(&sp)
+	o.apply(&sp)
 
-	sc, finish, err := buildScope(sp, *tracePath, *traceSample, *metricsOut)
+	sc, finish, err := buildScope(sp, o.tracePath, o.traceSample, o.metricsOut)
 	fail(err)
 
 	res, err := exp.Run(signalContext(), sp, sc)
 	fail(err)
 	fail(finish(res))
 
-	if *asJSON {
+	if o.asJSON {
 		raw, err := scenario.CanonicalJSON(res)
 		fail(err)
 		rec := scenario.RunResult{Spec: sp, Hash: sp.Hash(), Result: raw}
@@ -326,38 +337,15 @@ func cmdSweep(args []string) {
 		os.Exit(2)
 	}
 
-	var gridBytes []byte
-	var err error
-	if fs.Arg(0) == "-" {
-		gridBytes, err = io.ReadAll(os.Stdin)
-	} else {
-		gridBytes, err = os.ReadFile(fs.Arg(0))
-	}
+	gridBytes, err := readInput(fs.Arg(0))
 	fail(err)
 	grid, err := scenario.ParseGrid(gridBytes)
 	fail(err)
 	specs, err := grid.Expand()
 	fail(err)
 
-	runner := &scenario.Runner{Workers: o.workers, FlightDir: o.flightDir}
-	if o.cacheDir != "" {
-		runner.Cache, err = scenario.NewCache(o.cacheDir)
-		fail(err)
-	}
-
-	// The reporter always runs (it prints the summary); the TTY, JSONL
-	// and metrics sinks are opt-in.
-	rep := &scenario.SweepReporter{AggregateEvery: time.Second}
-	runner.ProgressFunc = rep.Func()
-	if o.progress {
-		rep.TTY = os.Stderr
-	}
-	var progressF *os.File
-	if o.progressJSONL != "" {
-		progressF, err = os.Create(o.progressJSONL)
-		fail(err)
-		rep.JSONL = progressF
-	}
+	runner := newRunner(o.workers, o.cacheDir, o.flightDir)
+	rep, closeRep := attachReporter(runner, o.progress, o.progressJSONL)
 	if o.adminAddr != "" {
 		reg := obs.NewRegistry()
 		rep.Reg = reg
@@ -400,24 +388,17 @@ func cmdSweep(args []string) {
 	} else {
 		os.Stdout.Write(b)
 	}
-	if err := rep.Close(); err != nil {
+	// The results are already out; a broken telemetry stream is
+	// reported, not fatal.
+	if err := closeRep(); err != nil {
 		fmt.Fprintln(os.Stderr, "ccac: progress stream:", err)
-	}
-	if progressF != nil {
-		fail(progressF.Close())
 	}
 	rep.Summarize(summaryW)
 	if sweepErr != nil {
 		fmt.Fprintln(os.Stderr, "ccac: sweep:", sweepErr)
 		os.Exit(1)
 	}
-	failed := 0
-	for _, r := range results {
-		if r.Err != "" {
-			failed++
-		}
-	}
-	if failed > 0 {
+	if failed := rep.Failed(); failed > 0 {
 		fmt.Fprintf(os.Stderr, "ccac: sweep: %d of %d runs failed\n", failed, len(results))
 		os.Exit(1)
 	}
@@ -427,13 +408,7 @@ func cmdSweep(args []string) {
 // grid's expansion, or hand-written JSON). Unknown fields are errors:
 // a typo in a replay must not silently change the scenario.
 func loadSpec(path string) scenario.Spec {
-	var b []byte
-	var err error
-	if path == "-" {
-		b, err = io.ReadAll(os.Stdin)
-	} else {
-		b, err = os.ReadFile(path)
-	}
+	b, err := readInput(path)
 	fail(err)
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -442,6 +417,51 @@ func loadSpec(path string) scenario.Spec {
 		fail(fmt.Errorf("run: spec %s: %w", path, err))
 	}
 	return sp
+}
+
+// readInput reads a grid, spec or model file; "-" is stdin.
+func readInput(path string) ([]byte, error) {
+	if path == "-" {
+		return io.ReadAll(os.Stdin)
+	}
+	return os.ReadFile(path)
+}
+
+// newRunner builds the runner sweep, census run and hunt execute their
+// specs through; an empty cacheDir or flightDir leaves that feature off.
+func newRunner(workers int, cacheDir, flightDir string) *scenario.Runner {
+	runner := &scenario.Runner{Workers: workers, FlightDir: flightDir}
+	if cacheDir != "" {
+		var err error
+		runner.Cache, err = scenario.NewCache(cacheDir)
+		fail(err)
+	}
+	return runner
+}
+
+// attachReporter installs a progress reporter on runner. It always
+// observes (its Summarize is the exit summary); the live stderr line
+// and the JSONL event file are opt-in. closeFn ends the stream and
+// closes the file, returning the first error either hit.
+func attachReporter(runner *scenario.Runner, tty bool, jsonlPath string) (rep *scenario.SweepReporter, closeFn func() error) {
+	rep = &scenario.SweepReporter{AggregateEvery: time.Second}
+	runner.ProgressFunc = rep.Func()
+	if tty {
+		rep.TTY = os.Stderr
+	}
+	if jsonlPath == "" {
+		return rep, rep.Close
+	}
+	f, err := os.Create(jsonlPath)
+	fail(err)
+	rep.JSONL = f
+	return rep, func() error {
+		err := rep.Close()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
 }
 
 // signalContext cancels on SIGINT/SIGTERM so a sweep stops dispatching

@@ -19,6 +19,15 @@ func subcommandFlagSets() map[string]*flag.FlagSet {
 	return map[string]*flag.FlagSet{"sweep": sweep, "hunt": hunt, "census run": census}
 }
 
+// documentedFlagSets adds the subcommands that never had -seq/-fork.
+func documentedFlagSets() map[string]*flag.FlagSet {
+	sets := subcommandFlagSets()
+	sets["run"], _ = runFlags()
+	sets["census gen"], _ = censusGenFlags()
+	sets["census merge"], _ = censusMergeFlags()
+	return sets
+}
+
 // TestAliasFlagsAreGone: -seq was -workers 1 spelled twice, and -fork
 // a wrapper over -shard k/M + merge, which stay; neither may come back.
 func TestAliasFlagsAreGone(t *testing.T) {
@@ -35,38 +44,86 @@ func TestAliasFlagsAreGone(t *testing.T) {
 }
 
 var (
-	docSubcommand = regexp.MustCompile(`\bccac (sweep|hunt|census run|[a-z]+)\b`)
+	docSubcommand = regexp.MustCompile(`\bccac (sweep|hunt|run|census run|census gen|census merge|[a-z]+)\b`)
 	docFlag       = regexp.MustCompile(`(?:^|[\s\[|])-([a-z][a-z0-9-]*)`)
+	// docPipe is a shell pipe into another command (not the "|" of a
+	// usage line's [-a | -b] or <file|->): its flags are not ccac's.
+	docPipe = regexp.MustCompile(`\s\|\s+[^-\s]`)
 )
 
-// TestDocumentedFlagsAreDefined reads the fenced usage and example
-// blocks of the three CLI guides: every flag written after `ccac
-// sweep`, `ccac hunt` or `ccac census run` (on that line or its
+// docLine is one line of a scanned file; inBlock marks the lines of a
+// usage or example block.
+type docLine struct {
+	num     int
+	text    string
+	inBlock bool
+}
+
+// docLines reads a file and marks its usage and example blocks: the
+// fenced blocks of a Markdown file, or the tab-indented comment blocks
+// of a Go file's header (returned without the comment marker).
+func docLines(t *testing.T, path string) []docLine {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	goFile := strings.HasSuffix(path, ".go")
+	fenced := false
+	var out []docLine
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for ln := 1; sc.Scan(); ln++ {
+		l := docLine{num: ln, text: sc.Text()}
+		switch {
+		case goFile:
+			l.inBlock = strings.HasPrefix(l.text, "//\t")
+			l.text = strings.TrimPrefix(l.text, "//")
+		case strings.HasPrefix(strings.TrimSpace(l.text), "```"):
+			fenced = !fenced
+		default:
+			l.inBlock = fenced
+		}
+		out = append(out, l)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDocumentedFlagsAreDefined reads every fenced block of README.md,
+// EXPERIMENTS.md and docs/*.md and the usage headers of this command's
+// source files: every flag written after `ccac run`, `ccac sweep`,
+// `ccac hunt` or `ccac census gen|run|merge` (on that line or its
 // continuation lines) must be one the subcommand defines.
 func TestDocumentedFlagsAreDefined(t *testing.T) {
-	sets := subcommandFlagSets()
+	sets := documentedFlagSets()
+	root := filepath.Join("..", "..")
+	paths := []string{
+		filepath.Join(root, "README.md"), filepath.Join(root, "EXPERIMENTS.md"),
+		"main.go", "census.go", "hunt.go",
+	}
+	guides, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths = append(paths, guides...)
+
 	checked := 0
-	for _, doc := range []string{"SCENARIOS.md", "CENSUS.md", "HUNTING.md"} {
-		f, err := os.Open(filepath.Join("..", "..", "docs", doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		var fenced, continued bool
+	for _, path := range paths {
 		var fs *flag.FlagSet
-		sc := bufio.NewScanner(f)
-		for ln := 1; sc.Scan(); ln++ {
-			line := sc.Text()
+		continued := false
+		for _, l := range docLines(t, path) {
+			if !l.inBlock {
+				fs, continued = nil, false
+				continue
+			}
+			line := l.text
 			trimmed := strings.TrimSpace(line)
-			if strings.HasPrefix(trimmed, "```") {
-				fenced, fs, continued = !fenced, nil, false
-				continue
-			}
-			if !fenced {
-				continue
-			}
-			if m := docSubcommand.FindStringSubmatch(line); m != nil {
-				fs = sets[m[1]] // nil for the subcommands not under test
+			if m := docSubcommand.FindStringSubmatchIndex(line); m != nil {
+				fs = sets[line[m[2]:m[3]]] // nil for the subcommands without flags
+				line = line[m[1]:]
 			} else if !continued && !strings.HasPrefix(trimmed, "-") && !strings.HasPrefix(trimmed, "[-") {
 				fs = nil
 			}
@@ -74,18 +131,20 @@ func TestDocumentedFlagsAreDefined(t *testing.T) {
 			if fs == nil {
 				continue
 			}
+			if cut := docPipe.FindStringIndex(line); cut != nil {
+				line = line[:cut[0]]
+				continued = false
+			}
 			for _, m := range docFlag.FindAllStringSubmatch(line, -1) {
 				checked++
-				if fs.Lookup(m[1]) == nil {
-					t.Errorf("docs/%s:%d names -%s, which %s does not define", doc, ln, m[1], fs.Name())
+				if fs.Lookup(m[1]) == nil && m[1] != "h" {
+					t.Errorf("%s:%d names -%s, which %s does not define", path, l.num, m[1], fs.Name())
 				}
 			}
 		}
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if checked < 20 {
+	t.Logf("checked %d documented flags in %d files", checked, len(paths))
+	if checked < 60 {
 		t.Errorf("found only %d documented flags; the usage blocks moved or the scan broke", checked)
 	}
 }

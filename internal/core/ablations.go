@@ -68,7 +68,9 @@ func RunPulseSweep(cfg PulseSweepConfig) (*PulseSweepResult, error) {
 	res := &PulseSweepResult{Config: cfg}
 	for _, f := range cfg.Freqs {
 		for _, a := range cfg.Amps {
-			etaR, etaC, err := separation(nimbus.Config{PulseFreq: f, PulseAmp: a}, 1, cfg.Duration, cfg.Obs)
+			probe := paperProbeConfig(fig3RateBps)
+			probe.PulseFreq, probe.PulseAmp = f, a
+			etaR, etaC, err := separation(probe, 1, cfg.Duration, cfg.Obs)
 			if err != nil {
 				return nil, err
 			}
@@ -80,27 +82,26 @@ func RunPulseSweep(cfg PulseSweepConfig) (*PulseSweepResult, error) {
 	return res, nil
 }
 
+// fig3RateBps is the Figure 3 link's rate, which the separation
+// ablations reuse.
+const fig3RateBps = 48e6
+
 // separation measures the detector's margin in one configuration of
 // the Figure 3 link (48 Mbit/s, 100 ms): the probe's mean elasticity
 // against a backlogged Reno flow and against a 0.4-rate CBR flow, each
 // in its own run, scored after a 10 s settle.
 func separation(probe nimbus.Config, bufferBDP float64, dur time.Duration, sc *obs.Scope) (etaReno, etaCBR float64, err error) {
-	const rate = 48e6
-	probe.Mu = rate
 	var etas [2]float64
 	for i, kind := range []string{"reno", "cbr"} {
 		d := NewDumbbell(LinkSpec{
-			RateBps: rate, OneWayDelay: 50 * time.Millisecond, BufferBDP: bufferBDP, Obs: sc,
+			RateBps: fig3RateBps, OneWayDelay: 50 * time.Millisecond, BufferBDP: bufferBDP, Obs: sc,
 		})
-		probeCC := nimbus.NewCCA(probe)
-		d.AddBulk(1, 1, probeCC)
-		g, err := d.installCross(crossSpec{kind: kind, flowID: 2, cbrBps: 0.4 * rate})
+		v, err := probeAgainst(d, nimbus.NewCCA(probe),
+			crossSpec{kind: kind, flowID: 2, cbrBps: 0.4 * fig3RateBps}, 10*time.Second, dur)
 		if err != nil {
 			return 0, 0, err
 		}
-		g.start()
-		d.Run(dur)
-		etas[i] = probeCC.Est.Verdict(10*time.Second, dur).Mean
+		etas[i] = v.Mean
 	}
 	return etas[0], etas[1], nil
 }
@@ -159,7 +160,7 @@ func RunBufferSweep(cfg BufferSweepConfig) (*BufferSweepResult, error) {
 	cfg = cfg.norm()
 	res := &BufferSweepResult{Config: cfg}
 	for _, bdp := range cfg.BDPs {
-		etaR, etaC, err := separation(nimbus.Config{PulseFreq: 2}, bdp, cfg.Duration, cfg.Obs)
+		etaR, etaC, err := separation(paperProbeConfig(fig3RateBps), bdp, cfg.Duration, cfg.Obs)
 		if err != nil {
 			return nil, err
 		}

@@ -193,17 +193,26 @@ func runPhases(d *Dumbbell, main *transport.Flow, est *nimbus.Estimator, spans [
 	return out, nil
 }
 
-// lookupFaults resolves a fault-profile name for a LinkSpec; the empty
-// name is a clean link.
-func lookupFaults(name string) (*faults.Profile, error) {
+// resolveFaults turns a cell's two fault inputs into the one config
+// its LinkSpec carries. An inline config wins when non-nil — it is
+// validated here, and a zero one is a clean link whatever the name
+// says (it builds no injector); otherwise the name is looked up in the
+// registry, the empty name being a clean link.
+func resolveFaults(name string, inline *faults.Config) (*faults.Config, error) {
+	if inline != nil {
+		if err := inline.Validate(); err != nil {
+			return nil, err
+		}
+		return inline, nil
+	}
 	if name == "" {
 		return nil, nil
 	}
-	p, err := faults.Lookup(name)
+	c, err := faults.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return &p, nil
+	return &c, nil
 }
 
 // wireObs points links (and, when non-nil, their engine) at a run's

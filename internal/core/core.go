@@ -47,10 +47,11 @@ type LinkSpec struct {
 	// ShapeRateBps is the shaper/policer/per-user rate where
 	// applicable (default RateBps/2).
 	ShapeRateBps float64
-	// Faults, when non-nil, wraps the discipline in the profile's
+	// Faults, when non-nil, wraps the discipline in the config's
 	// impairment chain (loss, reordering, jitter, outages), seeded by
-	// FaultSeed for reproducible runs.
-	Faults    *faults.Profile
+	// FaultSeed for reproducible runs, and drives the link rate with
+	// the config's oscillation when it has one.
+	Faults    *faults.Config
 	FaultSeed int64
 	// Obs, when non-nil, receives the scenario's trace events and
 	// metrics registrations; nil disables both at a branch per event.
@@ -76,7 +77,7 @@ func (s LinkSpec) norm() LinkSpec {
 func (s LinkSpec) RTT() time.Duration { return 2 * s.OneWayDelay }
 
 // BuildQdisc constructs the discipline for the spec, wrapped in the
-// spec's fault profile when one is set. AQM disciplines and fault
+// spec's fault chain when one is set. AQM disciplines and fault
 // injectors are pointed at the spec's tracer so their drops and
 // activations surface in the event stream.
 func BuildQdisc(s LinkSpec) sim.Qdisc {
@@ -132,12 +133,25 @@ type Dumbbell struct {
 
 // NewDumbbell constructs the scenario. When the spec carries an
 // observability scope, the engine, link, and every flow built through
-// FlowConfig are wired into it.
+// FlowConfig are wired into it. A rate oscillation in the spec's faults
+// starts here, before any flow exists.
 func NewDumbbell(spec LinkSpec) *Dumbbell {
 	spec = spec.norm()
 	eng := &sim.Engine{}
 	link := sim.NewLink(eng, "bottleneck", spec.RateBps, spec.OneWayDelay, BuildQdisc(spec))
 	wireObs(spec.Obs, eng, link)
+	if f := spec.Faults; f != nil && f.HasOscillation() {
+		// ~32 samples per period, clamped so tiny periods stay cheap
+		// and huge ones stay smooth.
+		interval := time.Duration(f.OscPeriodS * float64(time.Second) / 32)
+		if interval < 5*time.Millisecond {
+			interval = 5 * time.Millisecond
+		}
+		if interval > 100*time.Millisecond {
+			interval = 100 * time.Millisecond
+		}
+		sim.DriveRate(eng, link, interval, f.RateFunc(spec.RateBps))
+	}
 	return &Dumbbell{Eng: eng, Link: link, Spec: spec, path: []*sim.Link{link}}
 }
 

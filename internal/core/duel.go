@@ -35,8 +35,8 @@ type DuelConfig struct {
 	// WarmupFrac excludes the initial fraction from throughput
 	// averaging (default 1/3).
 	WarmupFrac float64
-	// FaultProfile, when non-empty, names a faults.Profile to impose
-	// on the bottleneck; FaultSeed drives its injectors.
+	// FaultProfile, when non-empty, names a registered fault profile
+	// to impose on the bottleneck; FaultSeed drives its injectors.
 	FaultProfile string
 	FaultSeed    int64
 	// Obs, when non-nil, receives the run's trace events and metric
@@ -91,7 +91,7 @@ func RunDuel(cfg DuelConfig) (*DuelResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: duel: %w", err)
 	}
-	profile, err := lookupFaults(cfg.FaultProfile)
+	profile, err := resolveFaults(cfg.FaultProfile, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: duel: %w", err)
 	}

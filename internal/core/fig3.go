@@ -35,8 +35,8 @@ type Fig3Config struct {
 	Seed int64
 	// BufferBDP sizes the droptail buffer (default 1).
 	BufferBDP float64
-	// FaultProfile, when non-empty, names a faults.Profile to impose on
-	// the bottleneck (see faults.Names): the probe is measured through
+	// FaultProfile, when non-empty, names a registered fault profile to
+	// impose on the bottleneck (see faults.Names): the probe is measured through
 	// an impaired link rather than a clean one. FaultSeed drives the
 	// injectors.
 	FaultProfile string
@@ -59,17 +59,12 @@ func (c Fig3Config) norm() Fig3Config {
 	if len(c.Phases) == 0 {
 		c.Phases = []string{"reno", "bbr", "video", "short", "cbr"}
 	}
+	paper := paperProbeConfig(c.RateBps)
 	if c.Nimbus.Mu <= 0 {
-		c.Nimbus.Mu = c.RateBps
+		c.Nimbus.Mu = paper.Mu
 	}
 	if c.Nimbus.PulseFreq <= 0 {
-		// Nimbus's default pulse frequency (5 Hz) assumes RTTs well
-		// under the pulse period; on this 100ms-RTT link the loaded
-		// RTT approaches 200ms, so elastic cross traffic cannot
-		// complete its control loop within a 5 Hz cycle. 2 Hz keeps
-		// the pulse period comfortably above the loaded RTT (the
-		// abl-pulse bench sweeps this choice).
-		c.Nimbus.PulseFreq = 2
+		c.Nimbus.PulseFreq = paper.PulseFreq
 	}
 	// TargetQDelay is left zero: the controller adapts the standing
 	// queue to 0.4x the observed minRTT (40ms on this link), which
@@ -130,7 +125,7 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	if err := traffic.ValidateSchedule(sched); err != nil {
 		return nil, fmt.Errorf("core: unknown fig3 phase: %w", err)
 	}
-	profile, err := lookupFaults(cfg.FaultProfile)
+	profile, err := resolveFaults(cfg.FaultProfile, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: fig3: %w", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/nimbus"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/internal/transport"
@@ -146,50 +145,24 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 	}
 	total := traffic.ScheduleDuration(cfg.Cross)
 
-	spec := LinkSpec{
+	fault, err := resolveFaults(cfg.FaultProfile, cfg.Fault)
+	if err != nil {
+		return nil, fmt.Errorf("core: huntcell: %w", err)
+	}
+	d := NewDumbbell(LinkSpec{
 		RateBps:     cfg.RateBps,
 		OneWayDelay: cfg.OneWayDelay,
 		Queue:       cfg.Queue,
 		BufferBDP:   cfg.BufferBDP,
+		Faults:      fault,
 		FaultSeed:   cfg.FaultSeed,
 		Obs:         cfg.Obs,
-	}
-	var rateFn func(time.Duration) float64
-	if cfg.Fault != nil {
-		if err := cfg.Fault.Validate(); err != nil {
-			return nil, fmt.Errorf("core: huntcell: %w", err)
-		}
-		if !cfg.Fault.IsZero() {
-			p := cfg.Fault.Profile()
-			spec.Faults = &p
-			rateFn = cfg.Fault.RateFunc(cfg.RateBps)
-		}
-	} else {
-		p, err := lookupFaults(cfg.FaultProfile)
-		if err != nil {
-			return nil, fmt.Errorf("core: huntcell: %w", err)
-		}
-		spec.Faults = p
-	}
-
-	d := NewDumbbell(spec)
-	if rateFn != nil {
-		// Drive the capacity oscillation at ~32 samples per period,
-		// clamped so tiny periods stay cheap and huge ones stay smooth.
-		interval := time.Duration(cfg.Fault.OscPeriodS * float64(time.Second) / 32)
-		if interval < 5*time.Millisecond {
-			interval = 5 * time.Millisecond
-		}
-		if interval > 100*time.Millisecond {
-			interval = 100 * time.Millisecond
-		}
-		sim.DriveRate(d.Eng, d.Link, interval, rateFn)
-	}
+	})
 
 	var est *nimbus.Estimator // the main flow's, in probe mode
 	var mainCC transport.CCA
 	if cfg.Probe {
-		probeCC := nimbus.NewCCA(nimbus.Config{Mu: cfg.RateBps, PulseFreq: 2})
+		probeCC := paperProbe(cfg.RateBps)
 		est, mainCC = probeCC.Est, probeCC
 	} else {
 		cc, err := cca.New(cfg.VictimCCA)

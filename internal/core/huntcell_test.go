@@ -152,10 +152,6 @@ func TestHuntCellErrors(t *testing.T) {
 			VictimCCA: "no-such-cca",
 			Cross:     []traffic.Phase{{Kind: "idle", DurS: 2}},
 		}},
-		{"bad fault", HuntCellConfig{
-			Cross: []traffic.Phase{{Kind: "idle", DurS: 2}},
-			Fault: &faults.Config{LossProb: 1.5},
-		}},
 		{"bad profile", HuntCellConfig{
 			Cross:        []traffic.Phase{{Kind: "idle", DurS: 2}},
 			FaultProfile: "no-such-profile",

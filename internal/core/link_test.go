@@ -1,0 +1,139 @@
+package core
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cca"
+	"repro/internal/faults"
+)
+
+func TestResolveFaults(t *testing.T) {
+	wifi, err := faults.Lookup("wifi-bursty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := &faults.Config{LossProb: 0.01}
+	cases := []struct {
+		name    string
+		profile string
+		inline  *faults.Config
+		want    *faults.Config
+		wantErr bool
+	}{
+		{name: "neither"},
+		{name: "name only", profile: "wifi-bursty", want: &wifi},
+		{name: "inline only", inline: inline, want: inline},
+		{name: "both: inline wins", profile: "wifi-bursty", inline: inline, want: inline},
+		{name: "inline wins over a bogus name", profile: "no-such-profile", inline: inline, want: inline},
+		{name: "inline zero is clean, name ignored", profile: "wifi-bursty", inline: &faults.Config{}, want: &faults.Config{}},
+		{name: "unknown name", profile: "no-such-profile", wantErr: true},
+		{name: "invalid inline", inline: &faults.Config{LossProb: 1.5}, wantErr: true},
+	}
+	for _, tc := range cases {
+		got, err := resolveFaults(tc.profile, tc.inline)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, wantErr %v", tc.name, err, tc.wantErr)
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestNewDumbbellDrivesOscillation: a LinkSpec whose faults oscillate
+// gets its rate driver from NewDumbbell, sampling on the period/32
+// grid; a spec without oscillation schedules nothing extra.
+func TestNewDumbbellDrivesOscillation(t *testing.T) {
+	const rate = 12e6
+	f := &faults.Config{OscAmp: 0.3, OscPeriodS: 2}
+	d := NewDumbbell(LinkSpec{RateBps: rate, OneWayDelay: 10 * time.Millisecond, Faults: f})
+	want := f.RateFunc(rate)
+	const grid = 62500 * time.Microsecond
+	for k := 1; k <= 20; k++ {
+		// Just short of the next sample the link still carries this one.
+		d.Run(time.Duration(k+1)*grid - time.Microsecond)
+		if got := d.Link.Rate; got != want(time.Duration(k)*grid) {
+			t.Fatalf("rate before sample %d = %v, want sample %d's %v", k+1, got, k, want(time.Duration(k)*grid))
+		}
+	}
+	if d.Link.Rate == rate {
+		t.Error("link rate never left its base")
+	}
+	if d.Eng.Processed != 20 {
+		t.Errorf("driver ran %d ticks in 20 grid steps", d.Eng.Processed)
+	}
+
+	// The event count of a clean 3 s reno-vs-cubic cell, recorded before
+	// NewDumbbell learned to install the driver.
+	clean := NewDumbbell(LinkSpec{RateBps: 48e6, OneWayDelay: 20 * time.Millisecond, BufferBDP: 2})
+	clean.AddBulk(1, 1, cca.NewRenoCC())
+	clean.AddBulk(2, 2, cca.NewCubicCC())
+	clean.Run(3 * time.Second)
+	if clean.Eng.Processed != 34728 {
+		t.Errorf("clean cell processed %d events, want 34728", clean.Eng.Processed)
+	}
+}
+
+// TestPaperProbeIsTheOneLiteral: the paper's probe configuration is
+// written once. No other nimbus.Config literal in this package's
+// non-test files may pin PulseFreq to a constant: abl-pulse overrides
+// the paper's config from its sweep variables, and cellular's empty
+// literal is Nimbus as a CCA under test, not the probe.
+func TestPaperProbeIsTheOneLiteral(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var sites []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok {
+					return true
+				}
+				sel, ok := lit.Type.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "Config" {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "nimbus" {
+					return true
+				}
+				for _, el := range lit.Elts {
+					kv, ok := el.(*ast.KeyValueExpr)
+					if !ok {
+						continue
+					}
+					key, _ := kv.Key.(*ast.Ident)
+					if _, constant := kv.Value.(*ast.BasicLit); constant && key != nil && key.Name == "PulseFreq" {
+						sites = append(sites, fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(sites) != 1 || sites[0] != "paperProbeConfig" {
+		t.Errorf("nimbus.Config literals with a constant PulseFreq are in %v, want only paperProbeConfig", sites)
+	}
+}

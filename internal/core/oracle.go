@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/contention"
-	"repro/internal/nimbus"
 	"repro/internal/obs"
 	"repro/internal/traffic"
 )
@@ -87,9 +86,6 @@ func runOracleTrial(cfg OracleConfig, seed int64, kind string, rate float64, owd
 	d := NewDumbbell(LinkSpec{RateBps: rate, OneWayDelay: owd, Queue: QueueDropTail, BufferBDP: 1, Obs: cfg.Obs})
 	rng := rand.New(rand.NewSource(seed))
 
-	probeCC := nimbus.NewCCA(nimbus.Config{Mu: rate, PulseFreq: 2})
-	d.AddBulk(1, 1, probeCC)
-
 	cross := crossSpec{kind: kind, flowID: 2, shortBase: 1000, shortRate: 4, rng: rng}
 	switch kind {
 	case "none":
@@ -98,15 +94,10 @@ func runOracleTrial(cfg OracleConfig, seed int64, kind string, rate float64, owd
 		// Drawn only for this kind: the trial's rng also feeds "short".
 		cross.cbrBps = (0.2 + 0.4*rng.Float64()) * rate
 	}
-	g, err := d.installCross(cross)
+	v, err := probeAgainst(d, paperProbe(rate), cross, 10*time.Second, cfg.Duration)
 	if err != nil {
 		return OracleTrial{}, fmt.Errorf("core: oracle: %w", err)
 	}
-	g.start()
-
-	d.Run(cfg.Duration)
-
-	v := probeCC.Est.Verdict(10*time.Second, cfg.Duration)
 	return OracleTrial{
 		Cross: kind, RateBps: rate, RTT: 2 * owd,
 		TruthElastic: traffic.ElasticKind(kind),

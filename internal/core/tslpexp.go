@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cca"
-	"repro/internal/nimbus"
 	"repro/internal/obs"
 	"repro/internal/traffic"
 	"repro/internal/transport"
@@ -154,7 +153,10 @@ func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 	if _, err := addTSLPScenarioTraffic(d2, cfg, scenario, cfg.Seed); err != nil {
 		return row, err
 	}
-	probeCC := nimbus.NewCCA(nimbus.Config{Mu: cfg.RateBps, PulseFreq: 2})
+	// The scenario traffic is installed before the probe here, a
+	// different program from probeAgainst under the engine's (at, seq)
+	// order, and the one this experiment's results were recorded with.
+	probeCC := paperProbe(cfg.RateBps)
 	d2.AddBulk(1, 1, probeCC)
 	d2.Run(cfg.Duration)
 	pv := probeCC.Est.Verdict(warm, cfg.Duration)

@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// Config is the JSON-serializable, content-hashable form of a fault
-// profile: the same impairments a named Profile composes, expressed in
-// float seconds/milliseconds so a scenario spec (or a hunt genome) can
-// carry an arbitrary inline profile instead of naming a registered
-// one. It also adds the capacity-side impairment the named profiles
-// lack: a deterministic sinusoidal rate oscillation (amplitude,
-// period, phase), applied by experiments that support it via RateFunc.
+// Config describes an impaired bottleneck; the zero value is a clean
+// path. It is the one vocabulary for faults: the named registry, a
+// scenario spec's inline fault and a hunt genome all hold one, in
+// float seconds/milliseconds so it is JSON-serializable and
+// content-hashable. Build composes the queue-side impairments around a
+// qdisc; the capacity-side one, a deterministic sinusoidal rate
+// oscillation (amplitude, period, phase), is applied through RateFunc.
 //
 // A Config is canonical when Canonical() is the identity: outages
 // sorted by start, non-overlapping, non-empty, and no negative knobs.
@@ -37,6 +37,10 @@ type Config struct {
 	// DropDuringOutages blackholes packets during outages instead of
 	// buffering them.
 	DropDuringOutages bool `json:"drop_during_outages,omitempty"`
+	// FlapPeriodS/FlapDownS enable a periodic outage schedule: each
+	// period the link is up for period-down, then down for down.
+	FlapPeriodS float64 `json:"flap_period_s,omitempty"`
+	FlapDownS   float64 `json:"flap_down_s,omitempty"`
 	// OscAmp/OscPeriodS/OscPhase describe a sinusoidal link-rate
 	// oscillation: rate(t) = base * (1 + amp*sin(2π(t/period + phase))).
 	// Amp is a fraction of the base rate in [0, 1); phase a fraction of
@@ -46,16 +50,33 @@ type Config struct {
 	OscPhase   float64 `json:"osc_phase,omitempty"`
 }
 
-// GESpec is GEConfig with JSON tags (GEConfig predates the declarative
-// layer and stays tagless for the named-profile registry).
+// GESpec parameterizes the two-state Gilbert–Elliott burst-loss
+// model: per-packet transition probabilities between a Good and a Bad
+// state, with an independent loss probability in each state.
 type GESpec struct {
+	// PGoodBad is the per-packet probability of entering the bad state.
 	PGoodBad float64 `json:"p_good_bad"`
+	// PBadGood is the per-packet probability of recovering; its inverse
+	// is the mean burst length in packets (default 0.25 → 4 packets).
 	PBadGood float64 `json:"p_bad_good"`
+	// LossGood is the residual loss probability in the good state.
 	LossGood float64 `json:"loss_good,omitempty"`
-	LossBad  float64 `json:"loss_bad"`
+	// LossBad is the loss probability inside a burst (default 0.5).
+	LossBad float64 `json:"loss_bad"`
 }
 
-// WindowSpec is Window in float seconds.
+func (c GESpec) norm() GESpec {
+	if c.PBadGood <= 0 {
+		c.PBadGood = 0.25
+	}
+	if c.LossBad <= 0 {
+		c.LossBad = 0.5
+	}
+	return c
+}
+
+// WindowSpec is a half-open outage interval [StartS, EndS) in seconds
+// of virtual time.
 type WindowSpec struct {
 	StartS float64 `json:"start_s"`
 	EndS   float64 `json:"end_s"`
@@ -65,7 +86,12 @@ type WindowSpec struct {
 func (c Config) IsZero() bool {
 	return c.LossProb == 0 && c.GE == nil && c.DupProb == 0 &&
 		c.ReorderProb == 0 && c.JitterMs == 0 && len(c.Outages) == 0 &&
-		!c.HasOscillation()
+		!c.hasFlaps() && !c.HasOscillation()
+}
+
+// hasFlaps reports whether the periodic outage schedule is enabled.
+func (c Config) hasFlaps() bool {
+	return c.FlapPeriodS > 0 && c.FlapDownS > 0
 }
 
 // HasOscillation reports whether the capacity-side impairment is
@@ -134,12 +160,22 @@ func (c Config) Validate() error {
 		}
 		prevEnd = w.EndS
 	}
+	if err := nonneg("flap_period_s", c.FlapPeriodS); err != nil {
+		return err
+	}
+	if err := nonneg("flap_down_s", c.FlapDownS); err != nil {
+		return err
+	}
 	if c.OscAmp != 0 || c.OscPeriodS != 0 {
 		if math.IsNaN(c.OscAmp) || c.OscAmp < 0 || c.OscAmp >= 1 {
 			return fmt.Errorf("faults: config osc_amp = %v out of [0, 1)", c.OscAmp)
 		}
 		if err := nonneg("osc_period_s", c.OscPeriodS); err != nil {
 			return err
+		}
+		// RateFunc divides by the period as a time.Duration.
+		if c.OscPeriodS != 0 && seconds(c.OscPeriodS) <= 0 {
+			return fmt.Errorf("faults: config osc_period_s = %v is not a positive time.Duration", c.OscPeriodS)
 		}
 		if math.IsNaN(c.OscPhase) || c.OscPhase < 0 || c.OscPhase >= 1 {
 			return fmt.Errorf("faults: config osc_phase = %v out of [0, 1)", c.OscPhase)
@@ -188,55 +224,19 @@ func (c Config) Canonical() Config {
 	return c
 }
 
-// Profile converts the queue-side impairments into a buildable
-// Profile. The rate oscillation is capacity-side and does not fit the
-// qdisc chain; experiments apply it separately via RateFunc.
-func (c Config) Profile() Profile {
-	p := Profile{
-		Name:            "inline",
-		LossProb:        c.LossProb,
-		DupProb:         c.DupProb,
-		ReorderProb:     c.ReorderProb,
-		ReorderDelay:    time.Duration(c.ReorderDelayMs * float64(time.Millisecond)),
-		Jitter:          time.Duration(c.JitterMs * float64(time.Millisecond)),
-		DropDuringFlaps: c.DropDuringOutages,
-	}
-	if c.GE != nil {
-		p.GE = &GEConfig{
-			PGoodBad: c.GE.PGoodBad, PBadGood: c.GE.PBadGood,
-			LossGood: c.GE.LossGood, LossBad: c.GE.LossBad,
-		}
-	}
-	for _, w := range c.Outages {
-		p.Flaps = append(p.Flaps, Window{
-			Start: time.Duration(w.StartS * float64(time.Second)),
-			End:   time.Duration(w.EndS * float64(time.Second)),
-		})
-	}
-	return p
-}
-
 // RateFunc returns the oscillation's rate function over the given base
-// rate, or nil when oscillation is disabled. The phase offset makes
+// rate for sim.DriveRate (which floors it at 1 kbit/s), or nil when
+// oscillation is disabled. The phase offset makes
 // the *timing* of capacity dips part of the searchable genome, not
 // just their magnitude.
 func (c Config) RateFunc(base float64) func(time.Duration) float64 {
 	if !c.HasOscillation() {
 		return nil
 	}
-	period := time.Duration(c.OscPeriodS * float64(time.Second))
+	period := seconds(c.OscPeriodS)
 	amp, phase := c.OscAmp, c.OscPhase
 	return func(t time.Duration) float64 {
 		x := 2 * math.Pi * (float64(t)/float64(period) + phase)
-		return floorRate(base * (1 + amp*math.Sin(x)))
+		return base * (1 + amp*math.Sin(x))
 	}
-}
-
-// floorRate keeps an oscillated rate at or above 1 kbit/s, matching
-// sim.DriveRate's own guard.
-func floorRate(r float64) float64 {
-	if r < 1e3 {
-		return 1e3
-	}
-	return r
 }

@@ -2,15 +2,15 @@
 // fault-injection layer: sim.Qdisc wrappers that impose pathological
 // network conditions — i.i.d. and Gilbert–Elliott burst loss, packet
 // duplication, reordering, delay jitter, and link outages ("flaps") —
-// on whatever queue they wrap, plus bandwidth-oscillation rate
-// functions for sim.DriveRate and named impairment Profiles that
-// compose injectors into realistic scenarios ("wifi-bursty",
-// "flaky-cellular", ...).
+// on whatever queue they wrap, plus one declarative description of an
+// impaired bottleneck, Config, which composes the injectors, carries a
+// bandwidth-oscillation rate function for sim.DriveRate, and is what
+// the named registry ("wifi-bursty", "flaky-cellular", ...) holds.
 //
 // Every injector draws randomness exclusively from its own seeded
 // source, so a scenario replays byte-for-byte under a fixed seed no
 // matter what else shares the engine. All wrappers implement sim.Qdisc
-// and stack in any order; Profile.Build composes them in the canonical
+// and stack in any order; Config.Build composes them in the canonical
 // order (loss processes outermost, delay stages nearest the inner
 // queue).
 //
@@ -69,37 +69,12 @@ func (l *Loss) Len() int { return l.inner.Len() }
 // Bytes implements sim.Qdisc.
 func (l *Loss) Bytes() int { return l.inner.Bytes() }
 
-// GEConfig parameterizes the two-state Gilbert–Elliott burst-loss
-// model: per-packet transition probabilities between a Good and a Bad
-// state, with an independent loss probability in each state.
-type GEConfig struct {
-	// PGoodBad is the per-packet probability of entering the bad state.
-	PGoodBad float64
-	// PBadGood is the per-packet probability of recovering; its inverse
-	// is the mean burst length in packets (default 0.25 → 4 packets).
-	PBadGood float64
-	// LossGood is the residual loss probability in the good state.
-	LossGood float64
-	// LossBad is the loss probability inside a burst (default 0.5).
-	LossBad float64
-}
-
-func (c GEConfig) norm() GEConfig {
-	if c.PBadGood <= 0 {
-		c.PBadGood = 0.25
-	}
-	if c.LossBad <= 0 {
-		c.LossBad = 0.5
-	}
-	return c
-}
-
 // GilbertElliott drops packets according to a seeded Gilbert–Elliott
 // process, producing the bursty loss patterns of wireless links.
 type GilbertElliott struct {
 	inner sim.Qdisc
 	rng   *rand.Rand
-	cfg   GEConfig
+	cfg   GESpec
 	bad   bool
 	// Dropped counts packets the injector discarded.
 	Dropped int64
@@ -111,7 +86,7 @@ type GilbertElliott struct {
 }
 
 // NewGilbertElliott wraps inner with the burst-loss process.
-func NewGilbertElliott(inner sim.Qdisc, cfg GEConfig, seed int64) *GilbertElliott {
+func NewGilbertElliott(inner sim.Qdisc, cfg GESpec, seed int64) *GilbertElliott {
 	return &GilbertElliott{inner: inner, rng: rand.New(rand.NewSource(seed)), cfg: cfg.norm()}
 }
 

@@ -7,8 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Window is a half-open interval [Start, End) of virtual time.
-type Window struct {
+// window is a half-open interval [Start, End) of virtual time.
+type window struct {
 	Start, End time.Duration
 }
 
@@ -20,7 +20,7 @@ type Window struct {
 // periodic schedule, or both; the whole schedule is deterministic.
 type Outage struct {
 	inner   sim.Qdisc
-	windows []Window // must be sorted and non-overlapping
+	windows []window // must be sorted and non-overlapping
 	period  time.Duration
 	down    time.Duration
 

@@ -101,7 +101,7 @@ func TestTinyCapacityBoundary(t *testing.T) {
 func TestFaultWrappersOnEdgeQueues(t *testing.T) {
 	wrappers := map[string]func(sim.Qdisc) sim.Qdisc{
 		"loss":    func(q sim.Qdisc) sim.Qdisc { return faults.NewLoss(q, 0.5, 1) },
-		"ge":      func(q sim.Qdisc) sim.Qdisc { return faults.NewGilbertElliott(q, faults.GEConfig{PGoodBad: 0.5}, 2) },
+		"ge":      func(q sim.Qdisc) sim.Qdisc { return faults.NewGilbertElliott(q, faults.GESpec{PGoodBad: 0.5}, 2) },
 		"dup":     func(q sim.Qdisc) sim.Qdisc { return faults.NewDuplicator(q, 0.5, 3) },
 		"jitter":  func(q sim.Qdisc) sim.Qdisc { return faults.NewJitter(q, 5*time.Millisecond, 4) },
 		"reorder": func(q sim.Qdisc) sim.Qdisc { return faults.NewReorderer(q, 0.5, 5*time.Millisecond, 5) },

@@ -75,8 +75,8 @@ type Spec struct {
 	Trials int `json:"trials,omitempty"`
 	// Users is the subscriber count (access).
 	Users int `json:"users,omitempty"`
-	// FaultProfile names a faults.Profile to impose on the bottleneck;
-	// FaultSeed drives its injectors.
+	// FaultProfile names a registered fault profile (faults.Names) to
+	// impose on the bottleneck; FaultSeed drives its injectors.
 	FaultProfile string `json:"fault_profile,omitempty"`
 	FaultSeed    int64  `json:"fault_seed,omitempty"`
 	// Fault is an inline fault config for experiments that support it

@@ -31,7 +31,7 @@ func matrixClasses() []faultClass {
 			name: "ge-burst",
 			wrap: func(inner sim.Qdisc) sim.Qdisc {
 				return faults.NewGilbertElliott(inner,
-					faults.GEConfig{PGoodBad: 0.01, PBadGood: 0.3, LossBad: 0.4}, 11)
+					faults.GESpec{PGoodBad: 0.01, PBadGood: 0.3, LossBad: 0.4}, 11)
 			},
 			maxRetransFrac: 0.30,
 		},
@@ -59,8 +59,8 @@ func matrixClasses() []faultClass {
 		{
 			name: "flap-2s",
 			wrap: func(inner sim.Qdisc) sim.Qdisc {
-				return faults.Profile{
-					Flaps: []faults.Window{{Start: 400 * time.Millisecond, End: 2400 * time.Millisecond}},
+				return faults.Config{
+					Outages: []faults.WindowSpec{{StartS: 0.4, EndS: 2.4}},
 				}.Build(inner, 1).Qdisc()
 			},
 			maxRetransFrac: 0.60,
