@@ -67,7 +67,6 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig) *Flow {
 		path:        cfg.Path,
 		cc:          cfg.CC,
 		openLoop:    cfg.OpenLoop,
-		inflight:    make(map[int64]sentInfo),
 		TraceRTT:    cfg.TraceRTT,
 		noDelivered: cfg.NoDeliverySeries,
 		Trace:       cfg.Trace,

@@ -24,7 +24,7 @@ type sentInfo struct {
 	size            int
 	sentAt          time.Duration
 	deliveredAtSend int64
-	retx            bool
+	live            bool // sent, and neither acknowledged nor declared lost
 }
 
 type limitState int
@@ -64,13 +64,20 @@ type Sender struct {
 	OnComplete func(now time.Duration)
 	completed  bool
 
-	// Outstanding packet state.
+	// Outstanding packet state. Seqs are dense and only increase (a
+	// retransmission is a fresh seq), so every outstanding packet lies
+	// in [base, nextSeq) and sits in ring slot seq&(len(ring)-1); no
+	// slot below base is live. The ring doubles when that span fills it.
 	nextSeq       int64
-	inflight      map[int64]sentInfo
-	order         []int64 // outstanding seqs in send order (lazily compacted)
+	base          int64
+	ring          []sentInfo
+	outstanding   int // live slots
 	inflightBytes int
 	largestAcked  int64
 	recoveryUntil int64 // seqs below this belong to the current loss epoch
+	// visited counts the slots detectLosses steps past; the bound test
+	// divides it by the number of acks.
+	visited int64
 
 	// RTT estimation.
 	srtt, rttvar, minRTT time.Duration
@@ -250,6 +257,34 @@ func (s *Sender) trySend() {
 	}
 }
 
+// slot returns seq's ring slot; seq must lie in [base, base+len(ring)).
+func (s *Sender) slot(seq int64) *sentInfo {
+	return &s.ring[seq&int64(len(s.ring)-1)]
+}
+
+// growRing doubles the ring (16 slots the first time), re-homing the
+// full span [base, base+len(ring)) under the wider mask.
+func (s *Sender) growRing() {
+	old := s.ring
+	s.ring = make([]sentInfo, max(2*len(old), 16))
+	for seq := s.base; seq < s.base+int64(len(old)); seq++ {
+		*s.slot(seq) = old[seq&int64(len(old)-1)]
+	}
+}
+
+// sent returns seq's slot if the packet is outstanding, else nil: it
+// was acknowledged, declared lost (by packet threshold or by a timeout,
+// which moves base past it) or never sent.
+func (s *Sender) sent(seq int64) *sentInfo {
+	if seq < s.base || seq >= s.nextSeq {
+		return nil
+	}
+	if e := s.slot(seq); e.live {
+		return e
+	}
+	return nil
+}
+
 func (s *Sender) sendPacket(size int, retx bool) {
 	now := s.eng.Now()
 	seq := s.nextSeq
@@ -263,8 +298,11 @@ func (s *Sender) sendPacket(size int, retx bool) {
 	p.Retx = retx
 	p.Path = s.path
 	p.Dest = s.dest
-	s.inflight[seq] = sentInfo{size: size, sentAt: now, deliveredAtSend: s.bytesAcked, retx: retx}
-	s.order = append(s.order, seq)
+	if seq-s.base == int64(len(s.ring)) {
+		s.growRing()
+	}
+	*s.slot(seq) = sentInfo{size: size, sentAt: now, deliveredAtSend: s.bytesAcked, live: true}
+	s.outstanding++
 	s.inflightBytes += size
 	if !s.backlogged {
 		s.available -= int64(size)
@@ -300,12 +338,14 @@ func (s *Sender) Receive(p *sim.Packet) {
 
 func (s *Sender) onAck(p *sim.Packet) {
 	now := s.eng.Now()
-	info, outstanding := s.inflight[p.Seq]
-	if !outstanding {
+	e := s.sent(p.Seq)
+	if e == nil {
 		// Already declared lost (spurious retransmission) or duplicate.
 		return
 	}
-	delete(s.inflight, p.Seq)
+	e.live = false
+	info := *e
+	s.outstanding--
 	s.inflightBytes -= info.size
 	s.bytesAcked += int64(info.size)
 	if p.Seq > s.largestAcked {
@@ -393,38 +433,23 @@ func (s *Sender) updateRTT(rtt time.Duration) {
 }
 
 // detectLosses declares outstanding packets lost once
-// lossReorderThreshold later packets have been acknowledged.
+// lossReorderThreshold later packets have been acknowledged, in seq
+// order. Nothing below the cut is outstanding afterwards, so base moves
+// up to it and the next walk starts there: each slot is stepped past
+// once over the flow's life.
 func (s *Sender) detectLosses() {
-	cut := s.largestAcked - lossReorderThreshold
-	i := 0
-	for i < len(s.order) {
-		seq := s.order[i]
-		info, ok := s.inflight[seq]
-		if !ok {
-			i++ // already acked or lost; compacted below
-			continue
+	for cut := s.largestAcked - lossReorderThreshold; s.base < cut; s.base++ {
+		s.visited++
+		if e := s.slot(s.base); e.live {
+			s.declareLost(s.base, e)
 		}
-		if seq >= cut {
-			break
-		}
-		s.declareLost(seq, info)
-		i++
-	}
-	// Compact the prefix of no-longer-outstanding seqs.
-	j := 0
-	for j < len(s.order) {
-		if _, ok := s.inflight[s.order[j]]; ok {
-			break
-		}
-		j++
-	}
-	if j > 0 {
-		s.order = append(s.order[:0], s.order[j:]...)
 	}
 }
 
-func (s *Sender) declareLost(seq int64, info sentInfo) {
-	delete(s.inflight, seq)
+func (s *Sender) declareLost(seq int64, e *sentInfo) {
+	e.live = false
+	info := *e
+	s.outstanding--
 	s.inflightBytes -= info.size
 	s.lostPackets++
 	if s.openLoop {
@@ -465,35 +490,40 @@ func (s *Sender) rto() time.Duration {
 
 func (s *Sender) armRTO() {
 	s.rtoTimer.Cancel()
-	if len(s.inflight) == 0 {
+	if s.outstanding == 0 {
 		return
 	}
 	s.rtoTimer = s.eng.Schedule(s.rto(), s.onRTOFn)
 }
 
 func (s *Sender) onRTO() {
-	if len(s.inflight) == 0 {
+	if s.outstanding == 0 {
 		return
 	}
 	now := s.eng.Now()
 	if s.Trace != nil {
 		s.Trace.Emit(obs.Event{At: now, Type: obs.EvTimeout, Src: "sender",
-			Flow: int32(s.flowID), V1: float64(len(s.inflight)), V2: float64(s.rtoBackoff)})
+			Flow: int32(s.flowID), V1: float64(s.outstanding), V2: float64(s.rtoBackoff)})
 	}
 	// Declare everything outstanding lost.
-	for _, info := range s.inflight {
-		s.lostPackets++
-		if s.openLoop {
-			s.lostBytes += int64(info.size)
+	for seq := s.base; seq < s.nextSeq; seq++ {
+		e := s.slot(seq)
+		if !e.live {
 			continue
 		}
-		s.retxOwed += int64(info.size)
+		e.live = false
+		s.lostPackets++
+		if s.openLoop {
+			s.lostBytes += int64(e.size)
+			continue
+		}
+		s.retxOwed += int64(e.size)
 		if !s.backlogged {
-			s.available += int64(info.size)
+			s.available += int64(e.size)
 		}
 	}
-	s.inflight = make(map[int64]sentInfo)
-	s.order = s.order[:0]
+	s.base = s.nextSeq
+	s.outstanding = 0
 	s.inflightBytes = 0
 	s.recoveryUntil = s.nextSeq
 	s.rtoBackoff++
