@@ -44,6 +44,8 @@ func run(bulkCC string, queue core.QueueKind) {
 	update := d.AddBulk(2, 1, cc)
 
 	const dur = 60 * time.Second
+	video.Flow.Watch(10*time.Second, dur)
+	update.Watch(10*time.Second, dur)
 	d.Run(dur)
 
 	vt := video.Flow.Throughput(10*time.Second, dur)

@@ -32,6 +32,8 @@ func measure(crossName string, cross transport.CCA) {
 	f := d.AddBulk(2, 1, cross)
 
 	const dur = 40 * time.Second
+	probe.Watch(10*time.Second, dur)
+	f.Watch(10*time.Second, dur)
 	d.Run(dur)
 
 	v := probeCC.Est.Verdict(10*time.Second, dur)

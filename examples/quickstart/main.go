@@ -26,10 +26,14 @@ func main() {
 	reno := d.AddBulk(1, 1, cca.NewRenoCC())
 	bbr := d.AddBulk(2, 2, cca.NewBBRCC())
 
+	// Average throughput after a 10s warmup: name the window before the
+	// run, so each flow keeps the delivered bytes at its two ends.
+	reno.Watch(10*time.Second, 30*time.Second)
+	bbr.Watch(10*time.Second, 30*time.Second)
+
 	// Run 30 seconds of virtual time.
 	d.Run(30 * time.Second)
 
-	// Average throughput after a 10s warmup.
 	tReno := reno.Throughput(10*time.Second, 30*time.Second)
 	tBBR := bbr.Throughput(10*time.Second, 30*time.Second)
 

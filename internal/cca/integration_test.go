@@ -26,6 +26,7 @@ func pairShare(t *testing.T, name1, name2 string, rate float64, rtt time.Duratio
 			ID: id, Path: []*sim.Link{link}, ReturnDelay: rtt / 2,
 			CC: cc, Backlogged: true,
 		})
+		f.Watch(dur/3, dur)
 		f.Start()
 		return f
 	}
@@ -122,6 +123,7 @@ func TestCubicScalesBetterThanRenoOnLongFatPath(t *testing.T) {
 			ID: 1, Path: []*sim.Link{link}, ReturnDelay: rtt / 2,
 			CC: cc, Backlogged: true,
 		})
+		f.Watch(20*time.Second, 60*time.Second)
 		f.Start()
 		eng.Run(60 * time.Second)
 		return f.Throughput(20*time.Second, 60*time.Second)
@@ -185,6 +187,8 @@ func TestAIMDAggressivenessOrdering(t *testing.T) {
 		CC: cca.NewAIMD(sim.MSS, 0.5), Backlogged: true,
 	})
 	standard.Start()
+	gentle.Watch(15*time.Second, 45*time.Second)
+	standard.Watch(15*time.Second, 45*time.Second)
 	eng.Run(45 * time.Second)
 	tg := gentle.Throughput(15*time.Second, 45*time.Second)
 	ts := standard.Throughput(15*time.Second, 45*time.Second)

@@ -248,6 +248,7 @@ func RunSubPacket(cfg SubPacketConfig) (*SubPacketResult, error) {
 				Trace:   cfg.Obs.T(),
 				Metrics: cfg.Obs.R(),
 			})
+			f.Watch(cfg.Duration/4, cfg.Duration)
 			f.Start()
 			fl = append(fl, f)
 		}

@@ -84,6 +84,7 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 		user int
 	}
 	var flows []flowInfo
+	warm := cfg.Duration / 4
 	for u := 0; u < cfg.Users; u++ {
 		access := sim.NewLink(eng, fmt.Sprintf("access-%d", u), cfg.AccessRateBps,
 			10*time.Millisecond, qdisc.NewDropTailBDP(cfg.AccessRateBps, 30*time.Millisecond, 1))
@@ -104,6 +105,7 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 				Trace:   cfg.Obs.T(),
 				Metrics: cfg.Obs.R(),
 			})
+			f.Watch(warm, cfg.Duration)
 			f.Start()
 			flows = append(flows, flowInfo{
 				flow: f,
@@ -141,7 +143,6 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 			}
 		}
 	}
-	warm := cfg.Duration / 4
 	perUser := make([]float64, cfg.Users)
 	for _, fi := range flows {
 		perUser[fi.user] += fi.flow.Throughput(warm, cfg.Duration)

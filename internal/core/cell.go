@@ -47,6 +47,9 @@ type crossGen struct {
 	flow  *transport.Flow // set by start, except for "short"
 	video *traffic.Video
 	short *traffic.ShortFlows
+	// windows are the [from, to] spans throughput will be asked about,
+	// watched on the flow when start creates it.
+	windows [][2]time.Duration
 
 	startedAt, stoppedAt time.Duration
 	stopped              bool
@@ -101,6 +104,18 @@ func (g *crossGen) start() {
 	default:
 		g.flow = d.AddBulk(g.spec.flowID, crossUser, g.cc)
 	}
+	if g.flow != nil {
+		for _, w := range g.windows {
+			g.flow.Watch(w[0], w[1])
+		}
+	}
+}
+
+// watch registers [from, to] for throughput; call it before start.
+func (g *crossGen) watch(from, to time.Duration) {
+	if g != nil {
+		g.windows = append(g.windows, [2]time.Duration{from, to})
+	}
 }
 
 // stop ends the offered load; data already in flight drains on its own.
@@ -117,10 +132,10 @@ func (g *crossGen) stop() {
 	}
 }
 
-// throughput is the achieved bits/s over [from, to). Short flows have
-// no single sender to sample: theirs is the supplied bytes averaged
-// over the generator's whole active interval, for any window that
-// begins inside it.
+// throughput is the achieved bits/s over a watched [from, to). Short
+// flows have no single sender to sample: theirs is the supplied bytes
+// averaged over the generator's whole active interval, for any window
+// that begins inside it.
 func (g *crossGen) throughput(from, to time.Duration) float64 {
 	switch {
 	case g == nil:
@@ -170,7 +185,10 @@ func runPhases(d *Dumbbell, main *transport.Flow, est *nimbus.Estimator, spans [
 		if err != nil {
 			return nil, err
 		}
+		from := sp.start + settle(sp.end-sp.start)
+		main.Watch(from, sp.end)
 		if g != nil {
+			g.watch(from, sp.end)
 			d.Eng.ScheduleAt(sp.start, g.start)
 			d.Eng.ScheduleAt(sp.end, g.stop)
 		}

@@ -81,6 +81,8 @@ func TestInstallCross(t *testing.T) {
 		if (g == nil) != (kind == "idle") {
 			t.Fatalf("%s: generator nil=%v", kind, g == nil)
 		}
+		g.watch(0, end)
+		g.watch(end+time.Second, end+2*time.Second)
 		g.start()
 		if g != nil {
 			d.Eng.ScheduleAt(end, g.stop)

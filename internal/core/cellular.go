@@ -118,10 +118,11 @@ func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
 		Trace:   cfg.Obs.T(),
 		Metrics: cfg.Obs.R(),
 	})
+	warm := cfg.Duration / 4
+	f.Watch(warm, cfg.Duration)
 	f.Start()
 	eng.Run(cfg.Duration)
 
-	warm := cfg.Duration / 4
 	rtts := f.Sender.RTTs.Window(warm, cfg.Duration)
 	for i := range rtts {
 		rtts[i] *= 1000

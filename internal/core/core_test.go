@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -91,12 +92,35 @@ func TestFmtBps(t *testing.T) {
 func TestDumbbellAddBulk(t *testing.T) {
 	d := NewDumbbell(LinkSpec{RateBps: 10e6, OneWayDelay: 5 * time.Millisecond})
 	f := d.AddBulk(1, 1, mustCC(t, "reno"))
+	f.Watch(time.Second, 5*time.Second)
 	d.Run(5 * time.Second)
 	if f.Throughput(time.Second, 5*time.Second) < 8e6 {
 		t.Error("bulk flow did not fill the dumbbell")
 	}
 	if d.Link.Stats().SentPackets == 0 {
 		t.Error("no packets crossed the link")
+	}
+}
+
+// TestThroughputMemoryIsFlat: a flow keeps the delivered bytes at its
+// watched instants only, so a duel four times as long allocates about
+// as much — the per-ack history it once kept grew with the run.
+func TestThroughputMemoryIsFlat(t *testing.T) {
+	alloc := func(dur time.Duration) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := RunDuel(DuelConfig{CCA1: "reno", CCA2: "cubic", Duration: dur}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := alloc(5*time.Second), alloc(20*time.Second)
+	ratio := float64(long) / float64(short)
+	t.Logf("5 s: %d B, 20 s: %d B, ratio %.2f", short, long, ratio)
+	if ratio > 1.5 {
+		t.Errorf("a 20 s duel allocates %.2fx a 5 s one (%d vs %d B), want <= 1.5x", ratio, long, short)
 	}
 }
 

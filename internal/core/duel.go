@@ -107,9 +107,11 @@ func RunDuel(cfg DuelConfig) (*DuelResult, error) {
 	})
 	f1 := d.AddBulk(1, 1, cc1)
 	f2 := d.AddBulk(2, 2, cc2)
+	from := time.Duration(cfg.WarmupFrac * float64(cfg.Duration))
+	f1.Watch(from, cfg.Duration)
+	f2.Watch(from, cfg.Duration)
 	d.Run(cfg.Duration)
 
-	from := time.Duration(cfg.WarmupFrac * float64(cfg.Duration))
 	t1 := f1.Throughput(from, cfg.Duration)
 	t2 := f2.Throughput(from, cfg.Duration)
 	res := &DuelResult{

@@ -172,6 +172,8 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 		mainCC = cc
 	}
 	main := d.AddBulk(1, 1, mainCC)
+	warmup := time.Duration(cfg.WarmupFrac * float64(total))
+	main.Watch(warmup, total)
 
 	spans := make([]phaseSpan, len(cfg.Cross))
 	var at time.Duration
@@ -205,7 +207,6 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 		res.Phases = append(res.Phases, ph)
 	}
 
-	warmup := time.Duration(cfg.WarmupFrac * float64(total))
 	res.MainTputBps = main.Throughput(warmup, total)
 	res.CrossTputBps = crossWeighted / total.Seconds()
 	res.Harm = stats.Harm(res.FairShareBps, res.MainTputBps)

@@ -338,6 +338,9 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 	}}
 	victim1 := d.AddBulk(1, 1, cc1)
 	victim2 := d.AddBulk(2, 2, cc2)
+	warmup := time.Duration(cfg.WarmupFrac * float64(cfg.Duration))
+	victim1.Watch(warmup, cfg.Duration)
+	victim2.Watch(warmup, cfg.Duration)
 
 	packetUsers := cfg.Users
 	if cfg.FluidAbove > 0 {
@@ -367,7 +370,6 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 	eng.Run(cfg.Duration)
 
 	res := &ManyFlowResult{Config: cfg, Events: eng.Processed, Dropped: iso.Dropped}
-	warmup := time.Duration(cfg.WarmupFrac * float64(cfg.Duration))
 	res.Victim1Bps = victim1.Throughput(warmup, cfg.Duration)
 	res.Victim2Bps = victim2.Throughput(warmup, cfg.Duration)
 	res.VictimJain = stats.JainIndex([]float64{res.Victim1Bps, res.Victim2Bps})

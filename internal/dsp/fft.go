@@ -29,45 +29,55 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// FFT computes the in-order discrete Fourier transform of x using an
-// iterative radix-2 Cooley-Tukey algorithm. The input is not modified.
-// len(x) must be a power of two.
-func FFT(x []complex128) ([]complex128, error) {
-	n := len(x)
-	if !IsPowerOfTwo(n) {
-		return nil, ErrNotPowerOfTwo
+// FFT replaces x with its in-order discrete Fourier transform. len(x)
+// must be a power of two.
+func FFT(x []complex128) error {
+	if !IsPowerOfTwo(len(x)) {
+		return ErrNotPowerOfTwo
 	}
-	out := make([]complex128, n)
-	// Bit-reversal permutation.
-	shift := 64 - uint(trailingZeros(n))
-	for i := 0; i < n; i++ {
-		out[reverseBits(uint64(i))>>shift] = x[i]
-	}
-	// Butterflies.
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		step := -2 * math.Pi / float64(size)
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := cmplx.Exp(complex(0, step*float64(k)))
-				a := out[start+k]
-				b := out[start+k+half] * w
-				out[start+k] = a + b
-				out[start+k+half] = a - b
-			}
-		}
-	}
-	return out, nil
+	fft(x)
+	return nil
 }
 
 // FFTReal transforms a real-valued signal, returning the full complex
-// spectrum. len(x) must be a power of two.
+// spectrum in a new slice. len(x) must be a power of two.
 func FFTReal(x []float64) ([]complex128, error) {
 	cx := make([]complex128, len(x))
 	for i, v := range x {
 		cx[i] = complex(v, 0)
 	}
-	return FFT(cx)
+	if err := FFT(cx); err != nil {
+		return nil, err
+	}
+	return cx, nil
+}
+
+// fft is the transform itself: an iterative radix-2 Cooley-Tukey pass
+// over x in place, whose length is a power of two.
+func fft(x []complex128) {
+	n := len(x)
+	// Bit-reversal permutation.
+	shift := 64 - uint(trailingZeros(n))
+	for i := 0; i < n; i++ {
+		if j := int(reverseBits(uint64(i)) >> shift); i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	// Butterflies. Those of one size touch disjoint pairs, so each
+	// twiddle factor is computed once and applied across the blocks.
+	for size := 2; size <= n; size <<= 1 {
+		half := size / 2
+		step := -2 * math.Pi / float64(size)
+		for k := 0; k < half; k++ {
+			w := cmplx.Exp(complex(0, step*float64(k)))
+			for start := 0; start < n; start += size {
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+			}
+		}
+	}
 }
 
 func trailingZeros(n int) int {

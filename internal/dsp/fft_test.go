@@ -30,20 +30,22 @@ func TestNextPowerOfTwo(t *testing.T) {
 }
 
 func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
-	if _, err := FFT(make([]complex128, 3)); err != ErrNotPowerOfTwo {
+	if err := FFT(make([]complex128, 3)); err != ErrNotPowerOfTwo {
 		t.Errorf("err = %v, want ErrNotPowerOfTwo", err)
 	}
-	if _, err := FFT(make([]complex128, 0)); err != ErrNotPowerOfTwo {
+	if err := FFT(make([]complex128, 0)); err != ErrNotPowerOfTwo {
 		t.Errorf("err = %v, want ErrNotPowerOfTwo", err)
+	}
+	if _, err := FFTReal(make([]float64, 6)); err != ErrNotPowerOfTwo {
+		t.Errorf("FFTReal err = %v, want ErrNotPowerOfTwo", err)
 	}
 }
 
 func TestFFTImpulse(t *testing.T) {
 	// The DFT of a unit impulse is flat ones.
-	x := make([]complex128, 8)
-	x[0] = 1
-	X, err := FFT(x)
-	if err != nil {
+	X := make([]complex128, 8)
+	X[0] = 1
+	if err := FFT(X); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range X {
@@ -55,12 +57,11 @@ func TestFFTImpulse(t *testing.T) {
 
 func TestFFTConstant(t *testing.T) {
 	// The DFT of a constant is an impulse at DC.
-	x := make([]complex128, 16)
-	for i := range x {
-		x[i] = 2
+	X := make([]complex128, 16)
+	for i := range X {
+		X[i] = 2
 	}
-	X, err := FFT(x)
-	if err != nil {
+	if err := FFT(X); err != nil {
 		t.Fatal(err)
 	}
 	if cmplx.Abs(X[0]-32) > 1e-9 {
@@ -110,12 +111,11 @@ func TestFFTParsevalProperty(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), 0)
 			timeEnergy += real(x[i]) * real(x[i])
 		}
-		X, err := FFT(x)
-		if err != nil {
+		if err := FFT(x); err != nil {
 			return false
 		}
 		var freqEnergy float64
-		for _, v := range X {
+		for _, v := range x {
 			freqEnergy += real(v)*real(v) + imag(v)*imag(v)
 		}
 		freqEnergy /= float64(n)
@@ -139,11 +139,11 @@ func TestFFTLinearityProperty(t *testing.T) {
 			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			sum[i] = a[i] + b[i]
 		}
-		A, _ := FFT(a)
-		B, _ := FFT(b)
-		S, _ := FFT(sum)
-		for i := range S {
-			if cmplx.Abs(S[i]-(A[i]+B[i])) > 1e-9 {
+		FFT(a)
+		FFT(b)
+		FFT(sum)
+		for i := range sum {
+			if cmplx.Abs(sum[i]-(a[i]+b[i])) > 1e-9 {
 				return false
 			}
 		}
@@ -154,14 +154,65 @@ func TestFFTLinearityProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkFFT512(b *testing.B) {
-	x := make([]complex128, 512)
-	for i := range x {
-		x[i] = complex(math.Sin(float64(i)), 0)
+// fftOutOfPlace is the transform as it was first written: out of place,
+// one twiddle factor computed per butterfly. The in-place FFT must
+// reproduce it bit for bit: the η values the goldens pin were computed
+// through it.
+func fftOutOfPlace(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	shift := 64 - uint(trailingZeros(n))
+	for i := 0; i < n; i++ {
+		out[reverseBits(uint64(i))>>shift] = x[i]
 	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size / 2
+		step := -2 * math.Pi / float64(size)
+		for start := 0; start < n; start += size {
+			for k := 0; k < half; k++ {
+				w := cmplx.Exp(complex(0, step*float64(k)))
+				a := out[start+k]
+				b := out[start+k+half] * w
+				out[start+k] = a + b
+				out[start+k+half] = a - b
+			}
+		}
+	}
+	return out
+}
+
+func TestFFTMatchesOutOfPlaceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 1; n <= 1024; n <<= 1 {
+		for trial := 0; trial < 4; trial++ {
+			x := make([]complex128, n)
+			for i := range x {
+				x[i] = complex(rng.NormFloat64()*1e6, rng.NormFloat64())
+			}
+			want := fftOutOfPlace(x)
+			if err := FFT(x); err != nil {
+				t.Fatal(err)
+			}
+			for i := range x {
+				if math.Float64bits(real(x[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(x[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("n=%d trial %d: bin %d = %v, reference %v", n, trial, i, x[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkFFT512(b *testing.B) {
+	src := make([]complex128, 512)
+	for i := range src {
+		src[i] = complex(math.Sin(float64(i)), 0)
+	}
+	x := make([]complex128, len(src))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := FFT(x); err != nil {
+		copy(x, src)
+		if err := FFT(x); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,78 +21,76 @@ func Hann(n int) []float64 {
 	return w
 }
 
-// ApplyWindow multiplies x element-wise by window w into a new slice.
-// The shorter length governs.
-func ApplyWindow(x, w []float64) []float64 {
-	n := len(x)
-	if len(w) < n {
-		n = len(w)
-	}
-	out := make([]float64, n)
+// ApplyWindow multiplies x element-wise by window w in place, over the
+// shorter of the two; any rest of x is left as it was.
+func ApplyWindow(x, w []float64) {
+	n := min(len(x), len(w))
 	for i := 0; i < n; i++ {
-		out[i] = x[i] * w[i]
+		x[i] *= w[i]
 	}
-	return out
 }
 
-// Detrend subtracts the mean of x, returning a new slice. Removing the
-// DC component before the FFT keeps spectral leakage from the (large)
+// Detrend subtracts the mean of x from x in place. Removing the DC
+// component before the FFT keeps spectral leakage from the (large)
 // mean value out of the pulse-frequency bin.
-func Detrend(x []float64) []float64 {
+func Detrend(x []float64) {
 	if len(x) == 0 {
-		return nil
+		return
 	}
 	var mean float64
 	for _, v := range x {
 		mean += v
 	}
 	mean /= float64(len(x))
-	out := make([]float64, len(x))
 	for i, v := range x {
-		out[i] = v - mean
+		x[i] = v - mean
 	}
-	return out
 }
 
-// Spectrum holds the single-sided amplitude spectrum of a real signal.
+// Spectrum holds the single-sided amplitude spectrum of a real signal,
+// and the transform buffer it was computed in: a Spectrum reused for
+// signals of one length allocates only on its first Compute.
 type Spectrum struct {
-	// Amp[i] is the amplitude at frequency Freq(i). Amp has n/2+1 bins
-	// for an n-point transform.
+	// Amp[i] is the amplitude at frequency i*SampleRate/N. Amp has
+	// N/2+1 bins.
 	Amp []float64
 	// SampleRate is the sample rate of the analyzed signal in Hz.
 	SampleRate float64
 	// N is the transform length.
 	N int
+
+	buf []complex128
 }
 
-// AmplitudeSpectrum computes the single-sided amplitude spectrum of the
-// real signal x sampled at sampleRate Hz. x is zero-padded to the next
-// power of two. Amplitudes are normalized so a pure sinusoid of
-// amplitude A yields a bin amplitude of approximately A.
-func AmplitudeSpectrum(x []float64, sampleRate float64) (*Spectrum, error) {
+// Compute sets s to the single-sided amplitude spectrum of the real
+// signal x sampled at sampleRate Hz. x is zero-padded to the next power
+// of two. Amplitudes are normalized so a pure sinusoid of amplitude A
+// yields a bin amplitude of approximately A.
+func (s *Spectrum) Compute(x []float64, sampleRate float64) {
 	n := NextPowerOfTwo(len(x))
-	padded := make([]float64, n)
-	copy(padded, x)
-	X, err := FFTReal(padded)
-	if err != nil {
-		return nil, err
+	if len(s.buf) != n {
+		s.buf = make([]complex128, n)
+		s.Amp = make([]float64, n/2+1)
 	}
-	half := n/2 + 1
-	amp := make([]float64, half)
+	for i, v := range x {
+		s.buf[i] = complex(v, 0)
+	}
+	clear(s.buf[len(x):])
+	fft(s.buf)
 	// Normalize by the number of real samples, not the padded length,
 	// so zero padding does not dilute amplitude.
 	norm := float64(len(x))
 	if norm == 0 {
 		norm = 1
 	}
-	for i := 0; i < half; i++ {
-		a := cmplx.Abs(X[i]) / norm
+	for i := range s.Amp {
+		a := cmplx.Abs(s.buf[i]) / norm
 		if i != 0 && i != n/2 {
 			a *= 2 // fold the negative-frequency half in
 		}
-		amp[i] = a
+		s.Amp[i] = a
 	}
-	return &Spectrum{Amp: amp, SampleRate: sampleRate, N: n}, nil
+	s.SampleRate, s.N = sampleRate, n
 }
 
 // Bin returns the index of the bin whose center frequency is nearest to

@@ -29,22 +29,23 @@ func TestHann(t *testing.T) {
 }
 
 func TestApplyWindow(t *testing.T) {
-	got := ApplyWindow([]float64{1, 2, 3}, []float64{2, 2})
-	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Errorf("ApplyWindow = %v", got)
+	got := []float64{1, 2, 3}
+	ApplyWindow(got, []float64{2, 2})
+	if got[0] != 2 || got[1] != 4 || got[2] != 3 {
+		t.Errorf("ApplyWindow = %v, want [2 4 3]", got)
 	}
 }
 
 func TestDetrend(t *testing.T) {
-	got := Detrend([]float64{1, 2, 3})
+	got := []float64{1, 2, 3}
+	Detrend(got)
 	if math.Abs(got[0]+1) > 1e-12 || math.Abs(got[1]) > 1e-12 || math.Abs(got[2]-1) > 1e-12 {
 		t.Errorf("Detrend = %v", got)
 	}
-	if got := Detrend(nil); got != nil {
-		t.Errorf("Detrend(nil) = %v", got)
-	}
+	Detrend(nil) // nothing to do, and no panic
 	// Sum of a detrended signal is ~0.
-	d := Detrend([]float64{5, 9, 13, 2})
+	d := []float64{5, 9, 13, 2}
+	Detrend(d)
 	var sum float64
 	for _, v := range d {
 		sum += v
@@ -65,10 +66,8 @@ func TestAmplitudeSpectrumSinusoid(t *testing.T) {
 	for i := range x {
 		x[i] = 3 * math.Sin(2*math.Pi*freq*float64(i)/rate)
 	}
-	spec, err := AmplitudeSpectrum(x, rate)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var spec Spectrum
+	spec.Compute(x, rate)
 	if got := spec.AmplitudeAt(freq, 0); math.Abs(got-3) > 1e-9 {
 		t.Errorf("amplitude = %v, want 3", got)
 	}
@@ -87,10 +86,8 @@ func TestAmplitudeSpectrumOffBinSearch(t *testing.T) {
 	for i := range x {
 		x[i] = 2 * math.Sin(2*math.Pi*freq*float64(i)/rate)
 	}
-	spec, err := AmplitudeSpectrum(x, rate)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var spec Spectrum
+	spec.Compute(x, rate)
 	got := spec.AmplitudeAt(freq, 1)
 	if got < 1.0 || got > 2.2 {
 		t.Errorf("off-bin amplitude = %v, want within [1.0, 2.2]", got)
@@ -99,16 +96,40 @@ func TestAmplitudeSpectrumOffBinSearch(t *testing.T) {
 
 func TestAmplitudeSpectrumDCAndPadding(t *testing.T) {
 	x := []float64{4, 4, 4, 4, 4} // length 5: padded to 8
-	spec, err := AmplitudeSpectrum(x, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var spec Spectrum
+	spec.Compute(x, 10)
 	if spec.N != 8 {
 		t.Errorf("N = %d, want 8", spec.N)
 	}
 	// DC normalized by real sample count.
 	if math.Abs(spec.Amp[0]-4) > 1e-9 {
 		t.Errorf("DC amplitude = %v, want 4", spec.Amp[0])
+	}
+}
+
+// TestSpectrumReuseMatchesFresh: a Spectrum recomputed over signals of
+// other lengths, padded or not, ends up exactly where a fresh one does.
+func TestSpectrumReuseMatchesFresh(t *testing.T) {
+	signal := func(n int) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = math.Sin(float64(i)) + float64(i%7)
+		}
+		return x
+	}
+	var reused Spectrum
+	for _, n := range []int{300, 512, 5, 8, 300} {
+		reused.Compute(signal(n), 100)
+		var fresh Spectrum
+		fresh.Compute(signal(n), 100)
+		if reused.N != fresh.N || len(reused.Amp) != len(fresh.Amp) {
+			t.Fatalf("n=%d: reused N %d / %d bins, fresh %d / %d", n, reused.N, len(reused.Amp), fresh.N, len(fresh.Amp))
+		}
+		for i := range fresh.Amp {
+			if reused.Amp[i] != fresh.Amp[i] {
+				t.Fatalf("n=%d: bin %d = %v reused, %v fresh", n, i, reused.Amp[i], fresh.Amp[i])
+			}
+		}
 	}
 }
 
@@ -136,8 +157,10 @@ func TestHannReducesLeakage(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * freq * float64(i) / rate)
 	}
-	rect, _ := AmplitudeSpectrum(x, rate)
-	han, _ := AmplitudeSpectrum(ApplyWindow(x, Hann(n)), rate)
+	var rect, han Spectrum
+	rect.Compute(x, rate)
+	ApplyWindow(x, Hann(n))
+	han.Compute(x, rate)
 	farBin := rect.Bin(40)
 	if han.Amp[farBin] >= rect.Amp[farBin] {
 		t.Errorf("Hann should reduce far leakage: %v >= %v", han.Amp[farBin], rect.Amp[farBin])

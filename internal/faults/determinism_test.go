@@ -6,15 +6,31 @@ import (
 
 	"repro/internal/cca"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/qdisc"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
+// ackLog keeps the sender's per-ack (time, bytes acked) sequence, read
+// off its EvAck events.
+type ackLog []ackPoint
+
+type ackPoint struct {
+	at    time.Duration
+	acked float64
+}
+
+func (l *ackLog) Emit(ev obs.Event) {
+	if ev.Type == obs.EvAck {
+		*l = append(*l, ackPoint{ev.At, ev.V2})
+	}
+}
+
 // runProfiled pushes a fixed transfer through a profile-wrapped link
-// and returns the chain plus the sender's delivery series — a complete
-// fingerprint of the run's observable behaviour.
-func runProfiled(t *testing.T, profile string, seed int64) (*faults.Chain, *transport.Flow) {
+// and returns the chain, the flow and its per-ack delivery sequence — a
+// complete fingerprint of the run's observable behaviour.
+func runProfiled(t *testing.T, profile string, seed int64) (*faults.Chain, *transport.Flow, ackLog) {
 	t.Helper()
 	p, err := faults.Lookup(profile)
 	if err != nil {
@@ -23,13 +39,14 @@ func runProfiled(t *testing.T, profile string, seed int64) (*faults.Chain, *tran
 	eng := &sim.Engine{}
 	ch := p.Build(qdisc.NewDropTail(1<<20), seed)
 	link := sim.NewLink(eng, "l", 20e6, 10*time.Millisecond, ch.Qdisc())
+	var acks ackLog
 	f := transport.NewFlow(eng, transport.FlowConfig{
 		ID: 1, Path: []*sim.Link{link}, ReturnDelay: 10 * time.Millisecond,
-		CC: cca.NewCubicCC(),
+		CC: cca.NewCubicCC(), Trace: &acks,
 	})
 	f.Sender.Supply(2 << 20)
 	eng.Run(90 * time.Second)
-	return ch, f
+	return ch, f, acks
 }
 
 // TestProfileReplayIsExact: the same (profile, seed) pair must replay
@@ -39,8 +56,8 @@ func TestProfileReplayIsExact(t *testing.T) {
 	for _, profile := range []string{"wifi-bursty", "flaky-cellular", "dsl-noise"} {
 		profile := profile
 		t.Run(profile, func(t *testing.T) {
-			ch1, f1 := runProfiled(t, profile, 42)
-			ch2, f2 := runProfiled(t, profile, 42)
+			ch1, f1, s1 := runProfiled(t, profile, 42)
+			ch2, f2, s2 := runProfiled(t, profile, 42)
 			if injectedDrops(ch1) != injectedDrops(ch2) {
 				t.Errorf("injected drops diverged: %d vs %d",
 					injectedDrops(ch1), injectedDrops(ch2))
@@ -49,7 +66,9 @@ func TestProfileReplayIsExact(t *testing.T) {
 				t.Errorf("acked bytes diverged: %d vs %d",
 					f1.Sender.BytesAcked(), f2.Sender.BytesAcked())
 			}
-			s1, s2 := f1.Sender.Delivered.Samples(), f2.Sender.Delivered.Samples()
+			if len(s1) == 0 {
+				t.Fatal("no acks recorded")
+			}
 			if len(s1) != len(s2) {
 				t.Fatalf("delivery series length diverged: %d vs %d", len(s1), len(s2))
 			}
@@ -66,10 +85,9 @@ func TestProfileReplayIsExact(t *testing.T) {
 // TestProfileSeedMatters: different seeds must explore different fault
 // patterns (otherwise the seeding is decorative).
 func TestProfileSeedMatters(t *testing.T) {
-	ch1, f1 := runProfiled(t, "wifi-bursty", 1)
-	ch2, f2 := runProfiled(t, "wifi-bursty", 2)
-	if injectedDrops(ch1) == injectedDrops(ch2) &&
-		len(f1.Sender.Delivered.Samples()) == len(f2.Sender.Delivered.Samples()) {
+	ch1, _, s1 := runProfiled(t, "wifi-bursty", 1)
+	ch2, _, s2 := runProfiled(t, "wifi-bursty", 2)
+	if injectedDrops(ch1) == injectedDrops(ch2) && len(s1) == len(s2) {
 		t.Error("two seeds produced identical runs; RNG is not wired through")
 	}
 }

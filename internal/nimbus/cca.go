@@ -21,6 +21,13 @@ type CCA struct {
 	srtt    time.Duration
 	now     time.Duration
 	started bool
+
+	// pulse is Est.Pulse(pulseAt). The sender asks for the pacing rate
+	// several times per ack at one instant; base may move between those
+	// calls, the pulse cannot. pulseEvals counts the evaluations.
+	pulseAt    time.Duration
+	pulse      float64
+	pulseEvals int64
 }
 
 // SetTracer implements obs.TraceSetter: the estimator's eta/pulse
@@ -30,7 +37,7 @@ func (n *CCA) SetTracer(t obs.Tracer) { n.Est.Trace = t }
 // NewCCA returns a Nimbus controller with the given estimator
 // configuration.
 func NewCCA(cfg Config) *CCA {
-	return &CCA{Est: NewEstimator(cfg)}
+	return &CCA{Est: NewEstimator(cfg), pulseAt: -1}
 }
 
 // Name implements transport.CCA.
@@ -138,7 +145,11 @@ func (n *CCA) PacingRate() float64 {
 	mu := n.Est.Mu(n.now)
 	rate := n.base
 	if mu > 0 {
-		rate += n.Est.Pulse(n.now) * mu
+		if n.pulseAt != n.now {
+			n.pulseAt, n.pulse = n.now, n.Est.Pulse(n.now)
+			n.pulseEvals++
+		}
+		rate += n.pulse * mu
 	}
 	floor := 2.0 * 8 * sim.MSS / 0.1 // never below ~2 packets per 100ms
 	if rate < floor {

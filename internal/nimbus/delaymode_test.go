@@ -35,6 +35,7 @@ func probeOn(cross transport.CCA) (*sim.Engine, *nimbus.CCA, *transport.Flow) {
 // controller tracks the whole link.
 func TestDelayModeAloneFillsLink(t *testing.T) {
 	eng, _, probe := probeOn(nil)
+	probe.Watch(10*time.Second, 40*time.Second)
 	eng.Run(40 * time.Second)
 	if tput := probe.Throughput(10*time.Second, 40*time.Second); tput < 0.8*48e6 {
 		t.Errorf("solo delay-mode throughput = %.1f Mbit/s", tput/1e6)

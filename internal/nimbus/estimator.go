@@ -149,6 +149,13 @@ type Estimator struct {
 	zpos     int
 	total    int // total z samples ever
 
+	// Slide scratch, so computing eta allocates nothing: the Hann
+	// window (computed once), the oldest-first copy of a ring that
+	// window fills, and the spectrum's transform buffers.
+	hann    []float64
+	scratch []float64
+	spec    dsp.Spectrum
+
 	lastSlide time.Duration
 
 	zLast    float64
@@ -177,6 +184,8 @@ func NewEstimator(cfg Config) *Estimator {
 		zbuf:     make([]float64, cfg.WindowSamples),
 		rbuf:     make([]float64, cfg.WindowSamples),
 		qbuf:     make([]float64, cfg.WindowSamples),
+		hann:     dsp.Hann(cfg.WindowSamples),
+		scratch:  make([]float64, cfg.WindowSamples),
 	}
 }
 
@@ -322,10 +331,11 @@ func (e *Estimator) push(z, rin, qdel float64) {
 	e.total++
 }
 
-// window returns the given ring's samples oldest-first.
+// window copies the given ring's samples oldest-first into the scratch
+// and returns it: the next call overwrites what this one returned.
 func (e *Estimator) window(buf []float64) []float64 {
 	n := e.zlen
-	out := make([]float64, n)
+	out := e.scratch[:n]
 	start := (e.zpos - n + len(buf)) % len(buf)
 	for i := 0; i < n; i++ {
 		out[i] = buf[(start+i)%len(buf)]
@@ -335,15 +345,13 @@ func (e *Estimator) window(buf []float64) []float64 {
 
 // pulseAmp returns the amplitude of the signal at the pulse frequency
 // after detrending and Hann windowing (both the z and rin signals pass
-// the same path, so shared attenuation cancels in the eta ratio).
+// the same path, so shared attenuation cancels in the eta ratio). x is
+// a full window, and is detrended and windowed in place.
 func (e *Estimator) pulseAmp(x []float64) float64 {
-	x = dsp.Detrend(x)
-	x = dsp.ApplyWindow(x, dsp.Hann(len(x)))
-	spec, err := dsp.AmplitudeSpectrum(x, 1/e.cfg.SampleInterval.Seconds())
-	if err != nil {
-		return 0
-	}
-	return spec.AmplitudeAt(e.cfg.PulseFreq, 1)
+	dsp.Detrend(x)
+	dsp.ApplyWindow(x, e.hann)
+	e.spec.Compute(x, 1/e.cfg.SampleInterval.Seconds())
+	return e.spec.AmplitudeAt(e.cfg.PulseFreq, 1)
 }
 
 func (e *Estimator) computeEta(now time.Duration, mu float64) {

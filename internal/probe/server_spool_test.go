@@ -155,8 +155,10 @@ func TestEvictionSpoolsSummary(t *testing.T) {
 	if !ok || reply.Type != TypeHi {
 		t.Fatal("admission failed")
 	}
+	// The sweep counts an eviction before it spools the record, so wait
+	// for the record itself.
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats.Evicted.Load() == 0 && time.Now().Before(deadline) {
+	for sink.causes()[EndEvicted] == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if srv.Stats.Evicted.Load() == 0 {

@@ -65,6 +65,7 @@ func TestCoDelKeepsQueueShortEndToEnd(t *testing.T) {
 		ID: 1, Path: []*sim.Link{link}, ReturnDelay: owd,
 		CC: cca.NewCubicCC(), Backlogged: true, TraceRTT: true,
 	})
+	f.Watch(10*time.Second, 30*time.Second)
 	f.Start()
 	eng.Run(30 * time.Second)
 

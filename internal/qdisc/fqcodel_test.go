@@ -73,6 +73,7 @@ func TestFQCoDelIsolatesDelayAndBandwidth(t *testing.T) {
 			ID: 1, Path: []*sim.Link{link}, ReturnDelay: owd,
 			CC: cca.NewCBR(2e6), Backlogged: true, TraceRTT: true,
 		})
+		smooth.Watch(5*time.Second, 20*time.Second)
 		smooth.Start()
 		bulk := transport.NewFlow(eng, transport.FlowConfig{
 			ID: 2, Path: []*sim.Link{link}, ReturnDelay: owd,
@@ -107,6 +108,7 @@ func TestFQCoDelEqualizesCCAs(t *testing.T) {
 			ID: id, Path: []*sim.Link{link}, ReturnDelay: owd,
 			CC: cc, Backlogged: true,
 		})
+		f.Watch(15*time.Second, 40*time.Second)
 		f.Start()
 		return f
 	}

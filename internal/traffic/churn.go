@@ -115,10 +115,6 @@ func (c *Churn) arrive() {
 		Path:        c.cfg.Path,
 		ReturnDelay: c.cfg.ReturnDelay,
 		CC:          c.cfg.NewCC(),
-		// Churn totals are read through BytesAcked only; with thousands
-		// of concurrent users the per-ack Delivered series would
-		// dominate the heap.
-		NoDeliverySeries: true,
 	})
 	f.Sender.OnComplete = func(now time.Duration) {
 		c.Completed++

@@ -129,6 +129,7 @@ func TestShortFlowsStop(t *testing.T) {
 func TestVideoIsAppLimited(t *testing.T) {
 	eng, link := testLink(100e6, 10*time.Millisecond)
 	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()))
+	v.Flow.Watch(10*time.Second, 60*time.Second)
 	eng.Run(60 * time.Second)
 	snap := v.Flow.Sender.Snapshot()
 	// The stream is bounded by its ladder: well under link rate, and
@@ -201,6 +202,7 @@ func TestOnOffAlternates(t *testing.T) {
 	eng, link := testLink(10e6, 5*time.Millisecond)
 	o := NewOnOff(eng, flowCfg(1, link, 5*time.Millisecond, cca.NewRenoCC()),
 		OnOffConfig{On: time.Second, Off: time.Second})
+	o.Flow.Watch(2*time.Second, 10*time.Second)
 	eng.Run(10 * time.Second)
 	tput := o.Flow.Throughput(2*time.Second, 10*time.Second)
 	// ~50% duty cycle: throughput well below the link rate but

@@ -32,12 +32,9 @@ type FlowConfig struct {
 	OpenLoop bool
 	// TraceRTT retains per-ack RTT samples on the sender.
 	TraceRTT bool
-	// NoDeliverySeries skips the per-ack Delivered time-series samples.
-	// BytesAcked and the CCA's CumDelivered still advance; only
-	// Throughput (which reads the series) stops working. Set this for
-	// large churning populations whose flows are only ever summed by
-	// BytesAcked — the series otherwise grows one sample per ack for
-	// the life of the flow.
+	// NoDeliverySeries has no effect. A flow keeps no per-ack delivery
+	// history (Throughput reads the instants passed to Watch), so there
+	// is nothing to skip; the field stays while a caller still sets it.
 	NoDeliverySeries bool
 	// Trace, if non-nil, receives the sender's event stream. It is also
 	// offered to the congestion controller when it implements
@@ -61,16 +58,16 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig) *Flow {
 		panic(fmt.Sprintf("transport: flow %d: nil congestion controller", cfg.ID))
 	}
 	s := &Sender{
-		eng:         eng,
-		flowID:      cfg.ID,
-		userID:      cfg.UserID,
-		path:        cfg.Path,
-		cc:          cfg.CC,
-		openLoop:    cfg.OpenLoop,
-		TraceRTT:    cfg.TraceRTT,
-		noDelivered: cfg.NoDeliverySeries,
-		Trace:       cfg.Trace,
-		startAt:     eng.Now(),
+		eng:      eng,
+		flowID:   cfg.ID,
+		userID:   cfg.UserID,
+		path:     cfg.Path,
+		cc:       cfg.CC,
+		openLoop: cfg.OpenLoop,
+		nextDue:  noMark,
+		TraceRTT: cfg.TraceRTT,
+		Trace:    cfg.Trace,
+		startAt:  eng.Now(),
 	}
 	s.trySendFn = s.trySend
 	s.onRTOFn = s.onRTO
@@ -97,8 +94,26 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig) *Flow {
 // calls made outside engine events).
 func (f *Flow) Start() { f.Sender.trySend() }
 
+// Watch registers [from, to] as a window Throughput will be asked
+// about. The flow keeps the bytes delivered at the watched instants
+// only, not a per-ack history, so Watch must be called no later than
+// from; it panics otherwise.
+func (f *Flow) Watch(from, to time.Duration) {
+	f.Sender.watch(from)
+	if to > from {
+		f.Sender.watch(to)
+	}
+}
+
 // Throughput returns the flow's average delivery rate in bits/s over
-// [from, to] of virtual time.
+// the watched window [from, to] of virtual time: the bytes acknowledged
+// after from and at or before to, over to - from. An empty or inverted
+// window yields 0. It panics on a window never passed to Watch.
 func (f *Flow) Throughput(from, to time.Duration) float64 {
-	return f.Sender.Delivered.Rate(from, to) * 8
+	if to <= from {
+		return 0
+	}
+	v0 := float64(f.Sender.deliveredAt(from))
+	v1 := float64(f.Sender.deliveredAt(to))
+	return (v1 - v0) / (to - from).Seconds() * 8
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/qdisc"
 	"repro/internal/sim"
 )
@@ -40,7 +41,7 @@ func TestLateAckAfterTimeoutIsIgnored(t *testing.T) {
 	// feed the RTT estimator — even though its ring slot now holds a
 	// live retransmission.
 	cc := &miniReno{cwnd: 16 * sim.MSS, ssthresh: 1 << 30}
-	s, _ := newBareSender(cc, FlowConfig{})
+	s, log := newBareSender(&sim.Engine{}, cc, FlowConfig{})
 	s.Supply(16 * sim.MSS) // seqs 0-15 fill the 16-slot ring at t=0
 	s.eng.Run(300 * time.Millisecond)
 	ackSeq(s, 0) // one 300 ms RTT sample
@@ -54,11 +55,17 @@ func TestLateAckAfterTimeoutIsIgnored(t *testing.T) {
 
 	type ledger struct {
 		acked, largestAcked  int64
-		inflight, samples    int
+		inflight, acks       int
 		srtt, rttvar, minRTT time.Duration
 	}
 	snap := func() ledger {
-		return ledger{s.bytesAcked, s.largestAcked, s.inflightBytes, s.Delivered.Len(), s.srtt, s.rttvar, s.minRTT}
+		acks := 0
+		for _, ev := range log.evs {
+			if ev.Type == obs.EvAck {
+				acks++
+			}
+		}
+		return ledger{s.bytesAcked, s.largestAcked, s.inflightBytes, acks, s.srtt, s.rttvar, s.minRTT}
 	}
 	before := snap()
 	for seq := int64(1); seq < 16; seq++ {

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -26,6 +28,17 @@ type sentInfo struct {
 	deliveredAtSend int64
 	live            bool // sent, and neither acknowledged nor declared lost
 }
+
+// mark is one watched instant: once an ack arrives after at, value
+// holds the bytes acknowledged at or before at.
+type mark struct {
+	at    time.Duration
+	value int64
+	done  bool
+}
+
+// noMark is nextDue while every mark is resolved.
+const noMark = time.Duration(math.MaxInt64)
 
 type limitState int
 
@@ -110,15 +123,15 @@ type Sender struct {
 	lostPackets  int64
 	startAt      time.Duration
 
-	// Delivered is a cumulative-bytes-delivered time series, one point
-	// per acknowledgment, used for throughput computation.
-	Delivered stats.Series
+	// marks are the instants Throughput reads bytesAcked at (Flow.Watch);
+	// nextDue is the earliest unresolved one, noMark when none is.
+	marks   []mark
+	nextDue time.Duration
+
 	// RTTs is a time series of RTT samples in seconds.
 	RTTs stats.Series
 	// TraceRTT controls whether per-ack RTT samples are retained.
 	TraceRTT bool
-	// noDelivered suppresses Delivered samples (FlowConfig.NoDeliverySeries).
-	noDelivered bool
 
 	// Trace, if non-nil, receives the sender's event stream: send, ack,
 	// cwnd (bulk, subject to sampling) and loss, timeout, limit-state
@@ -347,6 +360,9 @@ func (s *Sender) onAck(p *sim.Packet) {
 	info := *e
 	s.outstanding--
 	s.inflightBytes -= info.size
+	if now > s.nextDue {
+		s.resolveMarks(now)
+	}
 	s.bytesAcked += int64(info.size)
 	if p.Seq > s.largestAcked {
 		s.largestAcked = p.Seq
@@ -360,9 +376,6 @@ func (s *Sender) onAck(p *sim.Packet) {
 	}
 	if s.RTTHist != nil {
 		s.RTTHist.Observe(rtt.Seconds() * 1e3)
-	}
-	if !s.noDelivered {
-		s.Delivered.Append(now, float64(s.bytesAcked))
 	}
 
 	// Delivery rate sample (BBR-style).
@@ -408,6 +421,50 @@ func (s *Sender) maybeComplete(now time.Duration) {
 		s.touchState()
 		s.OnComplete(now)
 	}
+}
+
+// watch registers at as an instant deliveredAt will be asked about. No
+// ack at or before it may have been counted yet, so at must not lie in
+// the past.
+func (s *Sender) watch(at time.Duration) {
+	if now := s.eng.Now(); at < now {
+		panic(fmt.Sprintf("transport: flow %d: watching %v at %v, after the fact", s.flowID, at, now))
+	}
+	s.marks = append(s.marks, mark{at: at})
+	s.nextDue = min(s.nextDue, at)
+}
+
+// resolveMarks settles every mark before now at bytesAcked, which holds
+// every ack before now and none at it: onAck calls it ahead of counting
+// the first ack past nextDue.
+func (s *Sender) resolveMarks(now time.Duration) {
+	s.nextDue = noMark
+	for i := range s.marks {
+		m := &s.marks[i]
+		switch {
+		case m.done:
+		case m.at < now:
+			m.value, m.done = s.bytesAcked, true
+		default:
+			s.nextDue = min(s.nextDue, m.at)
+		}
+	}
+}
+
+// deliveredAt returns the bytes acknowledged at or before the watched
+// instant at; a mark no later ack has resolved takes bytesAcked as it
+// stands.
+func (s *Sender) deliveredAt(at time.Duration) int64 {
+	for _, m := range s.marks {
+		if m.at != at {
+			continue
+		}
+		if m.done {
+			return m.value
+		}
+		return s.bytesAcked
+	}
+	panic(fmt.Sprintf("transport: flow %d: throughput read at %v, an instant never watched", s.flowID, at))
 }
 
 func (s *Sender) updateRTT(rtt time.Duration) {

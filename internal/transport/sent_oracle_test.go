@@ -192,13 +192,13 @@ type eventLog struct{ evs []obs.Event }
 
 func (l *eventLog) Emit(ev obs.Event) { l.evs = append(l.evs, ev) }
 
-// newBareSender returns a sender on an engine nobody runs: its data
-// packets are released on the spot, so the only acks it sees are the
-// ones a test hands to Receive.
-func newBareSender(cc CCA, cfg FlowConfig) (*Sender, *eventLog) {
+// newBareSender returns a sender on eng whose data packets are released
+// on the spot, so the only acks it sees are the ones a test hands to
+// Receive.
+func newBareSender(eng *sim.Engine, cc CCA, cfg FlowConfig) (*Sender, *eventLog) {
 	log := &eventLog{}
 	cfg.ID, cfg.CC, cfg.Trace = 1, cc, log
-	s := NewFlow(&sim.Engine{}, cfg).Sender
+	s := NewFlow(eng, cfg).Sender
 	s.dest = sim.ReceiverFunc(func(p *sim.Packet) { p.Release() })
 	return s, log
 }
@@ -245,7 +245,7 @@ func FuzzSenderLedger(f *testing.F) {
 		}
 		openLoop, backlogged := data[0]&1 != 0, data[0]&2 != 0
 		cc := &miniReno{cwnd: (1 + int(data[0]>>2)%8) * sim.MSS, ssthresh: 16 * sim.MSS}
-		s, log := newBareSender(cc, FlowConfig{OpenLoop: openLoop, Backlogged: backlogged})
+		s, log := newBareSender(&sim.Engine{}, cc, FlowConfig{OpenLoop: openLoop, Backlogged: backlogged})
 		o := newOracleLedger(openLoop)
 		var lost []int64
 		// mirror feeds the sends the sender made since the last call to

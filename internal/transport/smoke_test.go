@@ -24,6 +24,7 @@ func TestSingleRenoFillsLink(t *testing.T) {
 		CC:          cca.NewRenoCC(),
 		Backlogged:  true,
 	})
+	f.Watch(5*time.Second, 20*time.Second)
 	f.Start()
 	eng.Run(20 * time.Second)
 

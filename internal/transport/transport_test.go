@@ -151,6 +151,7 @@ func TestPacedCBRRate(t *testing.T) {
 		ID: 1, Path: []*sim.Link{link}, ReturnDelay: 5 * time.Millisecond,
 		CC: cca.NewCBR(10e6), Backlogged: true,
 	})
+	f.Watch(time.Second, 10*time.Second)
 	f.Start()
 	eng.Run(10 * time.Second)
 	got := f.Throughput(time.Second, 10*time.Second)
@@ -211,6 +212,7 @@ func TestTwoRenoFlowsShareFairly(t *testing.T) {
 			ID: i, Path: []*sim.Link{link}, ReturnDelay: 20 * time.Millisecond,
 			CC: cca.NewRenoCC(), Backlogged: true,
 		})
+		f.Watch(20*time.Second, 60*time.Second)
 		f.Start()
 		flows = append(flows, f)
 	}
