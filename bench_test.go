@@ -21,8 +21,17 @@ func BenchmarkFig1Isolation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fifoShare = res.Row("reno", "bbr", core.QueueDropTail).Share2
-		fqJain = res.Row("reno", "bbr", core.QueueFQ).Jain
+		for _, row := range res.Rows {
+			if row.CCA1 != "reno" || row.CCA2 != "bbr" {
+				continue
+			}
+			switch row.Queue {
+			case core.QueueDropTail:
+				fifoShare = row.Share2
+			case core.QueueFQ:
+				fqJain = row.Jain
+			}
+		}
 	}
 	b.ReportMetric(100*fifoShare, "bbr-share-fifo-%")
 	b.ReportMetric(fqJain, "jain-fq")

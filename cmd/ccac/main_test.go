@@ -10,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 func subcommandFlagSets() map[string]*flag.FlagSet {
@@ -92,24 +94,28 @@ func docLines(t *testing.T, path string) []docLine {
 	return out
 }
 
-// TestDocumentedFlagsAreDefined reads every fenced block of README.md,
-// EXPERIMENTS.md and docs/*.md and the usage headers of this command's
-// source files: every flag written after `ccac run`, `ccac sweep`,
-// `ccac hunt` or `ccac census gen|run|merge` (on that line or its
-// continuation lines) must be one the subcommand defines.
-func TestDocumentedFlagsAreDefined(t *testing.T) {
-	sets := documentedFlagSets()
+// docPaths lists the scanned files: README.md, EXPERIMENTS.md,
+// DESIGN.md, docs/*.md and this command's source files.
+func docPaths(t *testing.T) []string {
 	root := filepath.Join("..", "..")
 	paths := []string{
 		filepath.Join(root, "README.md"), filepath.Join(root, "EXPERIMENTS.md"),
-		"main.go", "census.go", "hunt.go",
+		filepath.Join(root, "DESIGN.md"), "main.go", "census.go", "hunt.go",
 	}
 	guides, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths = append(paths, guides...)
+	return append(paths, guides...)
+}
 
+// TestDocumentedFlagsAreDefined reads every fenced block and usage
+// header of docPaths: every flag written after `ccac run`, `ccac
+// sweep`, `ccac hunt` or `ccac census gen|run|merge` (on that line or
+// its continuation lines) must be one the subcommand defines.
+func TestDocumentedFlagsAreDefined(t *testing.T) {
+	sets := documentedFlagSets()
+	paths := docPaths(t)
 	checked := 0
 	for _, path := range paths {
 		var fs *flag.FlagSet
@@ -146,6 +152,32 @@ func TestDocumentedFlagsAreDefined(t *testing.T) {
 	t.Logf("checked %d documented flags in %d files", checked, len(paths))
 	if checked < 60 {
 		t.Errorf("found only %d documented flags; the usage blocks moved or the scan broke", checked)
+	}
+}
+
+var docRun = regexp.MustCompile(`\bccac run ([a-z][a-z0-9_-]*)`)
+
+// TestDocumentedExperimentsAreRegistered: every `ccac run <name>` in a
+// fenced block or usage header of docPaths names a registered
+// experiment, so the walkthrough lines stay runnable.
+func TestDocumentedExperimentsAreRegistered(t *testing.T) {
+	checked := 0
+	for _, path := range docPaths(t) {
+		for _, l := range docLines(t, path) {
+			if !l.inBlock {
+				continue
+			}
+			for _, m := range docRun.FindAllStringSubmatch(l.text, -1) {
+				checked++
+				if _, err := scenario.Lookup(m[1]); err != nil {
+					t.Errorf("%s:%d: %v", path, l.num, err)
+				}
+			}
+		}
+	}
+	t.Logf("checked %d documented runs", checked)
+	if checked < 20 {
+		t.Errorf("found only %d documented runs; the usage blocks moved or the scan broke", checked)
 	}
 }
 

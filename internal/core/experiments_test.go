@@ -16,14 +16,14 @@ func TestFig1IsolationShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// FIFO: BBR takes well over half against Reno (Ware et al.).
-	fifo := res.Row("reno", "bbr", QueueDropTail)
+	fifo := fig1Row(res, "reno", "bbr", QueueDropTail)
 	if fifo == nil || fifo.Share2 < 0.6 {
 		t.Errorf("BBR FIFO share = %+v, want > 0.6", fifo)
 	}
 	// FQ and per-user isolation: near-perfect fairness for every pair.
 	for _, pair := range res.Config.Pairs {
 		for _, q := range []QueueKind{QueueFQ, QueueUserIso} {
-			row := res.Row(pair[0], pair[1], q)
+			row := fig1Row(res, pair[0], pair[1], q)
 			if row == nil {
 				t.Fatalf("missing row %v/%v", pair, q)
 			}
@@ -40,6 +40,16 @@ func TestFig1IsolationShape(t *testing.T) {
 	if !strings.Contains(buf.String(), "reno/bbr") {
 		t.Error("table missing rows")
 	}
+}
+
+// fig1Row returns the grid row for a pair and queue, or nil.
+func fig1Row(r *Fig1Result, cca1, cca2 string, q QueueKind) *Fig1Row {
+	for i := range r.Rows {
+		if row := &r.Rows[i]; row.CCA1 == cca1 && row.CCA2 == cca2 && row.Queue == q {
+			return row
+		}
+	}
+	return nil
 }
 
 func TestFig2PipelineShape(t *testing.T) {

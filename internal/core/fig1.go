@@ -150,14 +150,3 @@ func (r *Fig1Result) WriteTable(w io.Writer) {
 			100*row.Share2, row.Jain, row.Harm1)
 	}
 }
-
-// Row returns the row for a pair and queue, or nil.
-func (r *Fig1Result) Row(cca1, cca2 string, q QueueKind) *Fig1Row {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.CCA1 == cca1 && row.CCA2 == cca2 && row.Queue == q {
-			return row
-		}
-	}
-	return nil
-}

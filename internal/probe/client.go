@@ -2,12 +2,9 @@ package probe
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/nimbus"
@@ -48,10 +45,6 @@ type ClientConfig struct {
 	// of hanging until Duration (default 3s).
 	StallTimeout time.Duration
 }
-
-// byeRetransmits is how many extra Bye copies the client sends beyond
-// the first.
-const byeRetransmits = 2
 
 func (c ClientConfig) norm() ClientConfig {
 	if c.Duration <= 0 {
@@ -145,13 +138,10 @@ type Client struct {
 	acked     int64
 	ackedB    int64
 	rttSum    time.Duration
-	lastAckAt time.Time
-	truncated bool
 	truncWhy  string
 	sessionID uint64
 	start     time.Time
 	endedAt   time.Time
-	stop      atomic.Bool
 }
 
 // NewClient prepares a measurement run.
@@ -177,211 +167,67 @@ func NewClient(cfg ClientConfig) *Client {
 // death mid-run is detected by the stall watchdog and yields a
 // Truncated report rather than an error or a hang.
 func (c *Client) Run() (*Report, error) {
-	raddr, err := net.ResolveUDPAddr("udp", c.cfg.Server)
-	if err != nil {
-		return nil, fmt.Errorf("probe: resolving server: %w", err)
+	size := c.cfg.PacketSize
+	p := &DataPhase{
+		Server:            c.cfg.Server,
+		Session:           c.sessionID,
+		Rand:              c.rng,
+		HandshakeAttempts: c.cfg.HandshakeAttempts,
+		HandshakeTimeout:  c.cfg.HandshakeTimeout,
+		Duration:          c.cfg.Duration,
+		PacketSize:        size,
+		StallTimeout:      c.cfg.StallTimeout,
+		// The Hi reply's RTT seeds the estimator.
+		Admitted: func(hi Header, now time.Duration) {
+			if rtt := now - time.Duration(hi.EchoNano); rtt > 0 {
+				c.mu.Lock()
+				c.updateRTT(rtt)
+				c.mu.Unlock()
+			}
+		},
+		// Pace at the controller's rate, capped and floored.
+		Paced: func(now time.Duration, _ bool) time.Duration {
+			c.mu.Lock()
+			c.sent++
+			c.cc.OnSend(now, size, int(c.sent-c.acked)*size)
+			rate := c.cc.PacingRate()
+			c.mu.Unlock()
+			rate = max(min(rate, c.cfg.MaxRateBps), 8*float64(size)) // >= 1 packet/s
+			return time.Duration(float64(size*8) / rate * float64(time.Second))
+		},
+		Ack: c.onAck,
 	}
-	conn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		return nil, fmt.Errorf("probe: dialing server: %w", err)
-	}
-	defer conn.Close()
-
-	// Verify the server is alive before the measurement clock starts;
-	// the Hi reply's RTT seeds the estimator.
-	c.start = time.Now()
-	hi, err := Handshake(context.Background(), conn, c.rng, c.sessionID, c.start,
-		c.cfg.HandshakeAttempts, c.cfg.HandshakeTimeout)
+	err := p.Run(context.Background())
+	c.start, c.endedAt, c.truncWhy = p.Start, p.Ended, p.Truncated
 	if err != nil {
 		return nil, err
-	}
-	if rtt := time.Duration(c.nowNano() - hi.EchoNano); rtt > 0 {
-		c.mu.Lock()
-		c.updateRTT(rtt)
-		c.mu.Unlock()
-	}
-
-	measureStart := time.Now()
-	deadline := measureStart.Add(c.cfg.Duration)
-	c.mu.Lock()
-	c.lastAckAt = measureStart
-	c.mu.Unlock()
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// Receiver: feed acknowledgments to the controller.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.receiveLoop(conn, deadline)
-	}()
-
-	// Sender: pace packets at the controller's rate.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.sendLoop(conn, deadline)
-		close(done)
-	}()
-	<-done
-	// Give in-flight acks a moment to land, then release the receiver.
-	time.Sleep(50 * time.Millisecond)
-	c.stop.Store(true)
-	conn.SetReadDeadline(time.Now())
-	wg.Wait()
-	c.endedAt = time.Now()
-
-	// Bye, retransmitted: it is fire-and-forget on the wire, and a
-	// single lost copy would leak our session slot on the server until
-	// its TTL sweep. A few spaced copies make that loss quadratically
-	// unlikely; the server treats duplicates as no-ops.
-	buf := make([]byte, HeaderSize)
-	for i := 0; i <= byeRetransmits; i++ {
-		if i > 0 {
-			time.Sleep(20 * time.Millisecond)
-		}
-		bye := Header{Type: TypeBye, Session: c.sessionID, Seq: uint64(i), SendNano: c.nowNano()}
-		if n, err := bye.Encode(buf); err == nil {
-			conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-			if _, err := conn.Write(buf[:n]); err != nil {
-				break // server gone; nothing left to release
-			}
-		}
 	}
 	return c.report(), nil
 }
 
-func (c *Client) nowNano() int64 { return time.Since(c.start).Nanoseconds() }
-
-// truncate records that the run is ending before its configured
-// duration, keeping the first reason.
-func (c *Client) truncate(why string) {
+// onAck feeds one acknowledgment to the RTT estimate and the
+// controller.
+func (c *Client) onAck(h Header, now, rtt time.Duration) {
 	c.mu.Lock()
-	if !c.truncated {
-		c.truncated = true
-		c.truncWhy = why
+	defer c.mu.Unlock()
+	c.acked++
+	c.ackedB += int64(h.Size)
+	c.rttSum += rtt
+	c.updateRTT(rtt)
+	var rate float64
+	if now > 0 {
+		rate = float64(c.ackedB) * 8 / now.Seconds()
 	}
-	c.mu.Unlock()
-}
-
-// stalled reports whether the ack stream has been silent too long,
-// recording the truncation on first detection.
-func (c *Client) stalled(now time.Time) bool {
-	c.mu.Lock()
-	quiet := c.sent > 0 && now.Sub(c.lastAckAt) > c.cfg.StallTimeout
-	c.mu.Unlock()
-	if quiet {
-		c.truncate(fmt.Sprintf("no acknowledgment for %v (server dead or path blackholed)",
-			c.cfg.StallTimeout))
-	}
-	return quiet
-}
-
-func (c *Client) sendLoop(conn *net.UDPConn, deadline time.Time) {
-	buf := make([]byte, c.cfg.PacketSize)
-	var seq uint64
-	next := time.Now()
-	for time.Now().Before(deadline) {
-		now := time.Now()
-		if c.stalled(now) {
-			return
-		}
-		if now.Before(next) {
-			wait := next.Sub(now)
-			if wait > 100*time.Millisecond {
-				wait = 100 * time.Millisecond // keep the stall watchdog live
-			}
-			time.Sleep(wait)
-			continue
-		}
-		h := Header{
-			Type:     TypeData,
-			Session:  c.sessionID,
-			Seq:      seq,
-			SendNano: c.nowNano(),
-			Size:     uint16(c.cfg.PacketSize),
-		}
-		if _, err := h.Encode(buf); err != nil {
-			c.truncate(fmt.Sprintf("encoding data packet: %v", err))
-			return
-		}
-		if _, err := conn.Write(buf); err != nil {
-			// Connected UDP sockets surface ICMP unreachable as a write
-			// error: the server vanished.
-			c.truncate(fmt.Sprintf("send failed: %v", err))
-			return
-		}
-		seq++
-
-		c.mu.Lock()
-		c.sent++
-		elapsed := time.Duration(c.nowNano())
-		c.cc.OnSend(elapsed, c.cfg.PacketSize, int(c.sent-c.acked)*c.cfg.PacketSize)
-		rate := c.cc.PacingRate()
-		c.mu.Unlock()
-
-		if rate > c.cfg.MaxRateBps {
-			rate = c.cfg.MaxRateBps
-		}
-		if rate < 8*float64(c.cfg.PacketSize) {
-			rate = 8 * float64(c.cfg.PacketSize) // >= 1 packet/s
-		}
-		gap := time.Duration(float64(c.cfg.PacketSize*8) / rate * float64(time.Second))
-		next = next.Add(gap)
-		if behind := time.Now(); next.Before(behind.Add(-100 * time.Millisecond)) {
-			next = behind // don't accumulate unbounded debt
-		}
-	}
-}
-
-func (c *Client) receiveLoop(conn *net.UDPConn, deadline time.Time) {
-	buf := make([]byte, 64*1024)
-	for {
-		conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, err := conn.Read(buf)
-		if err != nil {
-			if c.stop.Load() || time.Now().After(deadline) {
-				return
-			}
-			continue
-		}
-		h, err := Decode(buf[:n])
-		if err != nil || h.Type != TypeAck || h.Session != c.sessionID {
-			continue
-		}
-		nowN := c.nowNano()
-		rtt := time.Duration(nowN - h.EchoNano)
-		if rtt <= 0 {
-			continue
-		}
-		c.mu.Lock()
-		c.acked++
-		c.ackedB += int64(h.Size)
-		c.rttSum += rtt
-		c.lastAckAt = time.Now()
-		c.updateRTT(rtt)
-		elapsed := time.Duration(nowN)
-		inflight := int(c.sent-c.acked) * c.cfg.PacketSize
-		if inflight < 0 {
-			inflight = 0
-		}
-		var rate float64
-		if elapsed > 0 {
-			rate = float64(c.ackedB) * 8 / elapsed.Seconds()
-		}
-		c.cc.OnAck(transport.AckInfo{
-			Now:          elapsed,
-			AckedBytes:   int(h.Size),
-			RTT:          rtt,
-			SRTT:         c.srtt,
-			MinRTT:       c.minRTT,
-			Inflight:     inflight,
-			DeliveryRate: rate,
-			CumDelivered: c.ackedB,
-		})
-		c.mu.Unlock()
-	}
+	c.cc.OnAck(transport.AckInfo{
+		Now:          now,
+		AckedBytes:   int(h.Size),
+		RTT:          rtt,
+		SRTT:         c.srtt,
+		MinRTT:       c.minRTT,
+		Inflight:     max(int(c.sent-c.acked)*c.cfg.PacketSize, 0),
+		DeliveryRate: rate,
+		CumDelivered: c.ackedB,
+	})
 }
 
 func (c *Client) updateRTT(rtt time.Duration) {
@@ -410,7 +256,7 @@ func (c *Client) report() *Report {
 		Acked:           c.acked,
 		MinRTT:          c.minRTT,
 		Eta:             c.cc.Est.Elasticity.Samples(),
-		Truncated:       c.truncated,
+		Truncated:       c.truncWhy != "",
 		TruncatedReason: c.truncWhy,
 	}
 	if c.sent > 0 {

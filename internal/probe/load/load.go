@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -329,9 +328,9 @@ const (
 	outError
 )
 
-// worker is one simulated probe client: minimal wire protocol, fixed
-// pacing, no congestion controller — the point is to load the server,
-// not to measure elasticity.
+// worker is one simulated probe client: the real client's data phase
+// with fixed pacing and no congestion controller — the point is to
+// load the server, not to measure elasticity.
 type worker struct {
 	cfg   Config
 	rng   *rand.Rand
@@ -344,23 +343,41 @@ type worker struct {
 }
 
 func (w *worker) run(ctx context.Context) outcome {
-	raddr, err := net.ResolveUDPAddr("udp", w.cfg.Server)
-	if err != nil {
-		return outError
-	}
-	conn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		return outError
-	}
-	defer conn.Close()
-
-	start := time.Now()
-	session := w.rng.Uint64()
-	nowNano := func() int64 { return time.Since(start).Nanoseconds() }
-
-	_, err = probe.Handshake(ctx, conn, w.rng, session, start, w.cfg.HandshakeAttempts, w.cfg.HandshakeTimeout)
+	gap := time.Duration(float64(w.cfg.PacketSize*8) / w.cfg.RateBps * float64(time.Second))
+	err := (&probe.DataPhase{
+		Server:            w.cfg.Server,
+		Session:           w.rng.Uint64(),
+		Rand:              w.rng,
+		HandshakeAttempts: w.cfg.HandshakeAttempts,
+		HandshakeTimeout:  w.cfg.HandshakeTimeout,
+		Duration:          w.cfg.Duration,
+		PacketSize:        w.cfg.PacketSize,
+		Admitted:          func(probe.Header, time.Duration) { w.enter() },
+		// Client-side impairment: jitter delays the packet, loss drops
+		// it before the wire (its sequence number and slot are spent).
+		Impair: func() bool {
+			if w.cfg.JitterMax > 0 {
+				time.Sleep(time.Duration(w.rng.Float64() * float64(w.cfg.JitterMax)))
+			}
+			return w.cfg.Loss <= 0 || w.rng.Float64() >= w.cfg.Loss
+		},
+		Paced: func(_ time.Duration, wire bool) time.Duration {
+			if wire {
+				w.sent++
+			}
+			return gap
+		},
+		Ack: func(_ probe.Header, _, rtt time.Duration) {
+			w.acked++
+			w.acc.mu.Lock()
+			w.acc.sketch.Add(float64(rtt) / 1e6)
+			w.acc.mu.Unlock()
+		},
+	}).Run(ctx)
 	switch {
 	case err == nil:
+		w.leave()
+		return outAdmitted
 	case errors.Is(err, probe.ErrServerBusy):
 		return outBusy
 	case errors.Is(err, probe.ErrServerDraining):
@@ -369,115 +386,5 @@ func (w *worker) run(ctx context.Context) outcome {
 		return outUnresponsive
 	default:
 		return outError
-	}
-
-	w.enter()
-	defer w.leave()
-
-	end := time.Now().Add(w.cfg.Duration)
-	stop := make(chan struct{})
-	var recvWG sync.WaitGroup
-	recvWG.Add(1)
-	go func() {
-		defer recvWG.Done()
-		w.receive(conn, session, nowNano, stop)
-	}()
-
-	w.send(ctx, conn, session, nowNano, end)
-
-	// Let trailing acks land, then release the receiver.
-	time.Sleep(30 * time.Millisecond)
-	close(stop)
-	conn.SetReadDeadline(time.Now())
-	recvWG.Wait()
-
-	// Bye, retransmitted like the real client.
-	buf := make([]byte, probe.HeaderSize)
-	for i := 0; i < 3; i++ {
-		if i > 0 {
-			time.Sleep(10 * time.Millisecond)
-		}
-		bye := probe.Header{Type: probe.TypeBye, Session: session, Seq: uint64(i), SendNano: nowNano()}
-		if n, err := bye.Encode(buf); err == nil {
-			conn.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
-			if _, err := conn.Write(buf[:n]); err != nil {
-				break
-			}
-		}
-	}
-	return outAdmitted
-}
-
-func (w *worker) send(ctx context.Context, conn *net.UDPConn, session uint64, nowNano func() int64, end time.Time) {
-	buf := make([]byte, w.cfg.PacketSize)
-	gap := time.Duration(float64(w.cfg.PacketSize*8) / w.cfg.RateBps * float64(time.Second))
-	next := time.Now()
-	var seq uint64
-	for time.Now().Before(end) && ctx.Err() == nil {
-		if now := time.Now(); now.Before(next) {
-			wait := next.Sub(now)
-			if wait > 50*time.Millisecond {
-				wait = 50 * time.Millisecond
-			}
-			time.Sleep(wait)
-			continue
-		}
-		if w.cfg.JitterMax > 0 {
-			time.Sleep(time.Duration(w.rng.Float64() * float64(w.cfg.JitterMax)))
-		}
-		if w.cfg.Loss > 0 && w.rng.Float64() < w.cfg.Loss {
-			// Impairment: the packet is "lost" before the wire. Pacing
-			// still advances; the sequence number is consumed.
-			seq++
-			next = next.Add(gap)
-			continue
-		}
-		h := probe.Header{
-			Type:     probe.TypeData,
-			Session:  session,
-			Seq:      seq,
-			SendNano: nowNano(),
-			Size:     uint16(w.cfg.PacketSize),
-		}
-		if _, err := h.Encode(buf); err != nil {
-			return
-		}
-		if _, err := conn.Write(buf); err != nil {
-			return
-		}
-		seq++
-		w.sent++
-		next = next.Add(gap)
-		if behind := time.Now(); next.Before(behind.Add(-100 * time.Millisecond)) {
-			next = behind
-		}
-	}
-}
-
-func (w *worker) receive(conn *net.UDPConn, session uint64, nowNano func() int64, stop chan struct{}) {
-	buf := make([]byte, 2048)
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-		n, err := conn.Read(buf)
-		if err != nil {
-			continue
-		}
-		h, err := probe.Decode(buf[:n])
-		if err != nil || h.Type != probe.TypeAck || h.Session != session {
-			continue
-		}
-		lat := nowNano() - h.EchoNano
-		if lat < 0 {
-			continue
-		}
-		w.acked++
-		w.acc.mu.Lock()
-		w.acc.sketch.Add(float64(lat) / 1e6)
-		w.acc.mu.Unlock()
 	}
 }

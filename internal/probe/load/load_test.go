@@ -245,3 +245,72 @@ func TestArrivalSchedules(t *testing.T) {
 		t.Error("unknown arrival schedule not rejected")
 	}
 }
+
+// TestLoadWorkerByeRetransmits: a worker ends its session exactly as
+// the real client does — 1 + 2 retransmitted Byes, spaced by the
+// client's interval — against a bare responder that admits, acks Data
+// and timestamps each Bye.
+func TestLoadWorkerByeRetransmits(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byes := make(chan time.Time, 8)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 2048)
+		out := make([]byte, probe.HeaderSize)
+		for {
+			n, raddr, err := conn.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			h, err := probe.Decode(buf[:n])
+			if err != nil {
+				continue
+			}
+			reply := probe.Header{Session: h.Session, Seq: h.Seq, EchoNano: h.SendNano}
+			switch h.Type {
+			case probe.TypeHello:
+				reply.Type = probe.TypeHi
+			case probe.TypeData:
+				reply.Type, reply.Size = probe.TypeAck, uint16(n)
+			case probe.TypeBye:
+				byes <- time.Now()
+				continue
+			default:
+				continue
+			}
+			if wn, err := reply.Encode(out); err == nil {
+				conn.WriteToUDP(out[:wn], raddr)
+			}
+		}
+	}()
+	defer func() { conn.Close(); <-done }()
+
+	res, err := Run(context.Background(), Config{
+		Server: conn.LocalAddr().String(), Clients: 1, Ramp: time.Millisecond,
+		Duration: 200 * time.Millisecond, RateBps: 64e3, PacketSize: 128,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Admitted != 1 {
+		t.Fatalf("admitted %d/1", res.Admitted)
+	}
+	var at []time.Time
+	for deadline := time.After(time.Second); len(at) < 3; {
+		select {
+		case b := <-byes:
+			at = append(at, b)
+		case <-deadline:
+			t.Fatalf("server received %d Byes, want 3 (1 + 2 retransmits)", len(at))
+		}
+	}
+	for i := 1; i < len(at); i++ {
+		if gap := at[i].Sub(at[i-1]); gap < 15*time.Millisecond {
+			t.Errorf("Bye %d followed the previous by %v, want >= 15ms", i, gap)
+		}
+	}
+}

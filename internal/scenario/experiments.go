@@ -193,6 +193,27 @@ func init() {
 	})
 
 	Register(Experiment{
+		Name:        "accesslink",
+		Description: "§2.2 access-link mix: ABR video, web short flows and one bulk update on a home link",
+		Defaults:    Spec{Seed: 42},
+		Run: run(func(sp Spec, sc *obs.Scope) (*core.AccessLinkResult, error) {
+			cfg := core.AccessLinkConfig{
+				RateBps:     sp.RateBps,
+				OneWayDelay: sp.RTT() / 2,
+				Queue:       core.QueueKind(sp.Queue),
+				Duration:    sp.Duration(),
+				Seed:        sp.Seed,
+				Obs:         sc,
+			}
+			if len(sp.CCAs) > 0 {
+				cfg.BulkCCA = sp.CCAs[0]
+			}
+			return core.RunAccessLink(cfg)
+		}),
+		Table: table[*core.AccessLinkResult](),
+	})
+
+	Register(Experiment{
 		Name:        "pulse",
 		Description: "abl-pulse: elasticity separation vs pulse frequency and amplitude",
 		Run: run(func(sp Spec, sc *obs.Scope) (*core.PulseSweepResult, error) {

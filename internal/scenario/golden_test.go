@@ -69,6 +69,7 @@ var goldenSpecs = []struct {
 		FaultProfile: "dsl-noise", FaultSeed: 6}},
 	{"duel-satellite-jitter", Spec{Experiment: "duel", CCAs: []string{"bbr", "cubic"}, DurationS: 3,
 		Queue: "fq", FaultProfile: "satellite-jitter", FaultSeed: 8}},
+	{"accesslink", Spec{Experiment: "accesslink", CCAs: []string{"bbr"}, Queue: "fq_codel", DurationS: 12, Seed: 42}},
 }
 
 // TestExperimentGoldens pins the bytes every registered experiment

@@ -46,7 +46,7 @@ type reachDecl struct {
 // TestExportedSurfaceIsReachable keeps test-only mechanisms from
 // growing back: every exported top-level func, method or type declared
 // in a non-test file under internal/ must be named by at least one
-// non-test .go file under cmd/, internal/, examples/ or ledger/ other
+// non-test .go file under cmd/, internal/ or ledger/ other
 // than at its own declaration. The match is by identifier, so it is a
 // lower bound on dead code, not a call graph. Exempt by rule: methods
 // whose body is a single return (read accessors tests observe) and
@@ -110,11 +110,11 @@ func TestExportedSurfaceIsReachable(t *testing.T) {
 	}
 }
 
-// eachShippedFile parses every non-test .go file under cmd/, internal/,
-// examples/ and ledger/ and hands it to visit with the root it is under.
+// eachShippedFile parses every non-test .go file under cmd/, internal/
+// and ledger/ and hands it to visit with the root it is under.
 func eachShippedFile(t *testing.T, fset *token.FileSet, visit func(root string, f *ast.File)) {
 	t.Helper()
-	for _, root := range []string{"cmd", "internal", "examples", "ledger"} {
+	for _, root := range []string{"cmd", "internal", "ledger"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -224,8 +224,8 @@ var fieldAllow = map[string]string{
 // of an exported struct declared in a non-test file under internal/ —
 // structs with a json-tagged field are wire or result formats and are
 // skipped — must be supplied by at least one non-test .go file under
-// cmd/, internal/, examples/ or ledger/: as a composite-literal key of
-// its type, or as the target of an assignment, ++/--, & or range
+// cmd/, internal/ or ledger/: as a composite-literal key of its type,
+// or as the target of an assignment, ++/--, & or range
 // clause. Writes inside a method named norm do not count (a default is
 // not a second value). An accumulator filled
 // only through its own methods (x.F.Append(...) as a statement) counts
