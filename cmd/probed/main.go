@@ -1,11 +1,11 @@
 // Command probed runs the elasticity probe server as a fleet
-// measurement node: concurrent readers over a sharded session table,
-// per-source and global admission control, a durable results spool in
-// the M-Lab record schema, and a graceful SIGTERM drain.
+// measurement node: concurrent readers over one session table under
+// one lock, per-source and global admission control, a durable results
+// spool in the M-Lab record schema, and a graceful SIGTERM drain.
 //
 // Usage:
 //
-//	probed [-addr :4460] [-readers 0] [-shards 16]
+//	probed [-addr :4460] [-readers 0]
 //	       [-max-sessions 1024] [-session-ttl 2m]
 //	       [-per-source-pps 0] [-global-pps 0]
 //	       [-spool DIR] [-spool-max-bytes 64Mi] [-fsync-every 0]
@@ -59,7 +59,6 @@ func run() error {
 	addr := flag.String("addr", ":4460", "UDP listen address")
 	verbose := flag.Bool("v", false, "log sessions")
 	readers := flag.Int("readers", 0, "reader goroutines sharing the socket (0 = min(4, GOMAXPROCS))")
-	shards := flag.Int("shards", 16, "session table shards (rounded up to a power of two)")
 	maxSessions := flag.Int("max-sessions", 1024, "concurrent session cap")
 	sessionTTL := flag.Duration("session-ttl", 2*time.Minute,
 		"evict sessions idle for this long")
@@ -88,7 +87,6 @@ func run() error {
 		MaxSessions:  *maxSessions,
 		SessionTTL:   *sessionTTL,
 		Readers:      *readers,
-		Shards:       *shards,
 		PerSourcePPS: *perSourcePPS,
 		GlobalPPS:    *globalPPS,
 	}

@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"math"
 
-	"repro/internal/contention"
+	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // Classification labels what determined one sampled path's outcome, in
@@ -34,7 +33,7 @@ const (
 const (
 	// DeviationFrac is the relative deviation from the fair share
 	// beyond which a shared-queue allocation counts as
-	// contention-determined (reusing contention.Outcome's test).
+	// contention-determined.
 	DeviationFrac = 0.2
 	// UtilFloor is the utilization below which a cell's shortfall is
 	// attributed to the CCAs themselves rather than to contention.
@@ -55,20 +54,6 @@ type Obs struct {
 	Err string
 }
 
-// duelOutcome is the subset of core.DuelResult the classifier reads,
-// decoded from the run's canonical result record. (Field names match
-// core.DuelResult, which has no JSON tags.)
-type duelOutcome struct {
-	Config struct {
-		RateBps      float64
-		Queue        string
-		FaultProfile string
-	}
-	Tput1Bps float64
-	Tput2Bps float64
-	Jain     float64
-}
-
 // isolatedQueue reports whether the discipline gives each flow its own
 // queue at the bottleneck — per-flow or per-user scheduling — versus
 // an aggregate FIFO/shaper/policer where the flows' packets compete in
@@ -84,8 +69,8 @@ func isolatedQueue(queue string) bool {
 
 // Classify labels one census run. The stratum (queue, fault) comes
 // from the spec so even failed runs land in the right cell; the class
-// reuses internal/contention's prerequisite and deviation machinery
-// against the cell's known topology.
+// is read off the cell's own core.DuelResult, decoded from the run's
+// canonical result record.
 func Classify(res scenario.RunResult) Obs {
 	o := Obs{Queue: res.Spec.Queue, Fault: res.Spec.FaultProfile}
 	if o.Fault == "" {
@@ -95,7 +80,7 @@ func Classify(res scenario.RunResult) Obs {
 		o.Class, o.Err = ClassInconclusive, res.Err
 		return o
 	}
-	var d duelOutcome
+	var d core.DuelResult
 	if err := json.Unmarshal(res.Result, &d); err != nil {
 		o.Class, o.Err = ClassInconclusive, "undecodable result: "+err.Error()
 		return o
@@ -110,19 +95,12 @@ func Classify(res scenario.RunResult) Obs {
 	o.Util = (t1 + t2) / rate
 
 	// The cell's ground-truth topology: two backlogged flows through
-	// one bottleneck link. Prerequisites (i) and (ii) always hold by
-	// construction; (iii) — same queue — is the discipline's call.
-	link := &sim.Link{Rate: rate}
-	a := &contention.FlowInfo{ID: 1, Path: []*sim.Link{link}}
-	b := &contention.FlowInfo{ID: 2, Path: []*sim.Link{link}}
-	if isolatedQueue(d.Config.Queue) {
-		a.QueueID = map[*sim.Link]int{link: 1}
-		b.QueueID = map[*sim.Link]int{link: 2}
-	}
-	_, _, sameQueue := contention.Prerequisites(a, b)
-
+	// one bottleneck link. The paper's prerequisites (i) and (ii)
+	// always hold by construction; (iii) — same queue — is the
+	// discipline's call. The fair split is half the link each.
+	solo := rate / 2
 	switch {
-	case !sameQueue:
+	case isolatedQueue(string(d.Config.Queue)):
 		// The discipline removed prerequisite (iii): whatever each
 		// flow achieves in its own queue is its own doing.
 		o.Class = ClassSelfInflicted
@@ -130,8 +108,7 @@ func Classify(res scenario.RunResult) Obs {
 		// Shared queue but half the link idle: the CCAs are starving
 		// themselves (lossy path, timid controller), not each other.
 		o.Class = ClassSelfInflicted
-	case contention.Outcome{FlowID: 1, SoloBps: rate / 2, AchievedBps: t1}.Determined(DeviationFrac) ||
-		contention.Outcome{FlowID: 2, SoloBps: rate / 2, AchievedBps: t2}.Determined(DeviationFrac):
+	case math.Abs(solo-t1)/solo > DeviationFrac || math.Abs(solo-t2)/solo > DeviationFrac:
 		// Shared queue, link busy, allocation far from the fair
 		// split: contention between the CCAs decided it.
 		o.Class = ClassContention

@@ -4,9 +4,7 @@
 // segment, (ii) experience a bottleneck in that segment, and (iii) use
 // the same queue at the bottleneck link. This package checks those
 // prerequisites over a scenario's topology and offered loads, and
-// quantifies whether a flow's *allocation was determined by CCA
-// dynamics* by comparing its achieved throughput with its isolated
-// (solo) baseline.
+// scores a binary classifier against that ground truth.
 //
 // The oracle is what the paper's proposed measurement study cannot
 // have on the real Internet — which is exactly why the emulator
@@ -21,25 +19,12 @@ import (
 )
 
 // FlowInfo describes one persistently backlogged flow's placement for
-// prerequisite checking.
+// prerequisite checking. Every link on a path has one queue that all
+// flows reaching it share.
 type FlowInfo struct {
 	ID int
 	// Path is the flow's forward path.
 	Path []*sim.Link
-	// Queue identifies the queue the flow occupies at each link; flows
-	// sharing a FIFO droptail share a queue, flows separated by
-	// per-flow fair queueing or per-user isolation (different users)
-	// do not. Keyed by link index in Path. A nil map means "shares the
-	// link's single queue".
-	QueueID map[*sim.Link]int
-}
-
-// queueAt returns the flow's queue id at link l.
-func (f *FlowInfo) queueAt(l *sim.Link) int {
-	if f.QueueID == nil {
-		return 0
-	}
-	return f.QueueID[l]
 }
 
 // offeredAt returns the flow's effective offered load arriving at
@@ -60,7 +45,9 @@ func (f *FlowInfo) offeredAt(i int) float64 {
 // Prerequisites reports whether flows a and b satisfy the paper's
 // three contention prerequisites: a shared link that is a bottleneck
 // for their combined (upstream-clipped) offered load, in the same
-// queue.
+// queue. A link's one queue is shared, so sameQueue holds exactly when
+// some shared link is a bottleneck; sameQueue is the verdict that the
+// flows contend.
 func Prerequisites(a, b *FlowInfo) (shared, bottlenecked, sameQueue bool) {
 	for ia, la := range a.Path {
 		for ib, lb := range b.Path {
@@ -68,47 +55,12 @@ func Prerequisites(a, b *FlowInfo) (shared, bottlenecked, sameQueue bool) {
 				continue
 			}
 			shared = true
-			sum := a.offeredAt(ia) + b.offeredAt(ib)
-			if sum > la.Rate {
-				bottlenecked = true
-				if a.queueAt(la) == b.queueAt(la) {
-					sameQueue = true
-					return
-				}
+			if a.offeredAt(ia)+b.offeredAt(ib) > la.Rate {
+				return true, true, true
 			}
 		}
 	}
 	return
-}
-
-// Contend reports whether all three prerequisites hold.
-func Contend(a, b *FlowInfo) bool {
-	_, _, same := Prerequisites(a, b)
-	return same
-}
-
-// Outcome quantifies how much a flow's allocation deviated from its
-// solo baseline.
-type Outcome struct {
-	FlowID int
-	// SoloBps is the throughput the flow achieves running alone on
-	// the same topology.
-	SoloBps float64
-	// AchievedBps is the throughput in the full scenario.
-	AchievedBps float64
-}
-
-// Determined reports whether CCA dynamics plausibly determined the
-// flow's allocation: the achieved throughput deviates from the solo
-// baseline by more than frac (relative). An application-limited flow
-// that still gets its offered load is, by this test, not
-// CCA-determined even if it shares a loaded queue.
-func (o Outcome) Determined(frac float64) bool {
-	if o.SoloBps <= 0 {
-		return false
-	}
-	dev := math.Abs(o.SoloBps-o.AchievedBps) / o.SoloBps
-	return dev > frac
 }
 
 // Score tallies a binary classifier (e.g. the elasticity probe)

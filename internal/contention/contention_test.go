@@ -22,9 +22,6 @@ func TestPrerequisitesDisjointPaths(t *testing.T) {
 	if shared || bott || same {
 		t.Error("disjoint paths should satisfy nothing")
 	}
-	if Contend(a, b) {
-		t.Error("disjoint flows cannot contend")
-	}
 }
 
 func TestPrerequisitesSharedButUnloaded(t *testing.T) {
@@ -50,49 +47,6 @@ func TestPrerequisitesBottleneckSameQueue(t *testing.T) {
 	shared, bott, same := Prerequisites(a, b)
 	if !shared || !bott || !same {
 		t.Errorf("got %v/%v/%v, want all true", shared, bott, same)
-	}
-	if !Contend(a, b) {
-		t.Error("backlogged FIFO flows contend")
-	}
-}
-
-func TestPrerequisitesSeparateQueues(t *testing.T) {
-	l := link(10e6)
-	// Fair queueing separates the flows: queue ids differ.
-	a := &FlowInfo{ID: 1, Path: []*sim.Link{l}, QueueID: map[*sim.Link]int{l: 1}}
-	b := &FlowInfo{ID: 2, Path: []*sim.Link{l}, QueueID: map[*sim.Link]int{l: 2}}
-	shared, bott, same := Prerequisites(a, b)
-	if !shared || !bott {
-		t.Error("link shared and bottlenecked")
-	}
-	if same {
-		t.Error("separate queues must fail the third prerequisite")
-	}
-	if Contend(a, b) {
-		t.Error("isolated flows do not contend")
-	}
-}
-
-func TestOutcomeDetermined(t *testing.T) {
-	o := Outcome{FlowID: 1, SoloBps: 10e6, AchievedBps: 4e6}
-	if !o.Determined(0.2) {
-		t.Error("60% deviation should count as CCA-determined")
-	}
-	if o.Determined(0.7) {
-		t.Error("deviation below threshold")
-	}
-	if !o.Determined(0.59) || o.Determined(0.61) {
-		t.Error("deviation should be 60%")
-	}
-	// App-limited flow that achieves its offered load.
-	o = Outcome{SoloBps: 5e6, AchievedBps: 5e6}
-	if o.Determined(0.1) {
-		t.Error("no deviation means not determined")
-	}
-	// Degenerate solo.
-	o = Outcome{SoloBps: 0, AchievedBps: 5e6}
-	if o.Determined(0.1) {
-		t.Error("zero solo baseline should never be determined")
 	}
 }
 
@@ -191,7 +145,7 @@ func TestOfferedLoadClippedByUpstreamLinks(t *testing.T) {
 	}
 	// Same flows behind ONE access link: contention at the access.
 	c := &FlowInfo{ID: 3, Path: []*sim.Link{accessA, coreL}}
-	if !Contend(a, c) {
+	if _, _, same := Prerequisites(a, c); !same {
 		t.Error("same-access backlogged flows contend")
 	}
 }

@@ -121,20 +121,13 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 	for i := 0; i < len(flows); i++ {
 		for j := i + 1; j < len(flows); j++ {
 			a, b := flows[i], flows[j]
-			shared := false
-			for _, la := range a.info.Path {
-				if la == core {
-					for _, lb := range b.info.Path {
-						if lb == core {
-							shared = true
-						}
-					}
-				}
-			}
+			// Every path ends at the core, so a pair that shares any
+			// link shares the core.
+			shared, _, contend := contention.Prerequisites(a.info, b.info)
 			if shared {
 				res.PairsSharingCore++
 			}
-			if contention.Contend(a.info, b.info) {
+			if contend {
 				if a.user == b.user {
 					res.IntraUserPairs++
 				} else {

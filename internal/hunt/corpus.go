@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 )
 
@@ -33,7 +34,7 @@ type CorpusEntry struct {
 // objective family. Victim objectives grade the harm/fairness damage;
 // probe objectives grade the estimator's verdicts; the flip objective
 // compares the faulted run against its clean twin.
-func Classify(obj Objective, faulted, clean *Outcome) string {
+func Classify(obj Objective, faulted, clean *core.HuntCellResult) string {
 	switch {
 	case obj.Twin:
 		if clean == nil {
@@ -110,7 +111,7 @@ func ReplayEntry(ctx context.Context, runner *scenario.Runner, e CorpusEntry) (f
 	if err != nil {
 		return 0, "", fmt.Errorf("hunt: corpus %q: %w", e.Name, err)
 	}
-	var clean *Outcome
+	var clean *core.HuntCellResult
 	if obj.Twin {
 		if clean, err = DecodeOutcome(results[1]); err != nil {
 			return 0, "", fmt.Errorf("hunt: corpus %q twin: %w", e.Name, err)

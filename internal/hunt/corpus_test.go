@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
@@ -119,25 +120,25 @@ func TestClassify(t *testing.T) {
 	cases := []struct {
 		name    string
 		obj     Objective
-		faulted *Outcome
-		clean   *Outcome
+		faulted *core.HuntCellResult
+		clean   *core.HuntCellResult
 		want    string
 	}{
-		{"starved", victim, &Outcome{Harm: 0.9, Jain: 0.5}, nil, "starved"},
-		{"harmed", victim, &Outcome{Harm: 0.5, Jain: 0.9}, nil, "harmed"},
-		{"skewed", victim, &Outcome{Harm: 0.1, Jain: 0.6}, nil, "skewed"},
-		{"benign", victim, &Outcome{Harm: 0.1, Jain: 0.95}, nil, "benign"},
-		{"undecided", probe, &Outcome{}, nil, "undecided"},
-		{"probe-misled", probe, &Outcome{Decided: 2, Misclassified: 1}, nil, "probe-misled"},
-		{"probe-correct", probe, &Outcome{Decided: 2}, nil, "probe-correct"},
-		{"no-twin", twin, &Outcome{}, nil, "stable"},
+		{"starved", victim, &core.HuntCellResult{Harm: 0.9, Jain: 0.5}, nil, "starved"},
+		{"harmed", victim, &core.HuntCellResult{Harm: 0.5, Jain: 0.9}, nil, "harmed"},
+		{"skewed", victim, &core.HuntCellResult{Harm: 0.1, Jain: 0.6}, nil, "skewed"},
+		{"benign", victim, &core.HuntCellResult{Harm: 0.1, Jain: 0.95}, nil, "benign"},
+		{"undecided", probe, &core.HuntCellResult{}, nil, "undecided"},
+		{"probe-misled", probe, &core.HuntCellResult{Decided: 2, Misclassified: 1}, nil, "probe-misled"},
+		{"probe-correct", probe, &core.HuntCellResult{Decided: 2}, nil, "probe-correct"},
+		{"no-twin", twin, &core.HuntCellResult{}, nil, "stable"},
 		{"flipped", twin,
-			&Outcome{Phases: []PhaseOutcome{{Decided: true, ProbeElastic: true}}},
-			&Outcome{Phases: []PhaseOutcome{{Decided: true, ProbeElastic: false}}},
+			&core.HuntCellResult{Phases: []core.HuntCellPhase{{Decided: true, ProbeElastic: true}}},
+			&core.HuntCellResult{Phases: []core.HuntCellPhase{{Decided: true, ProbeElastic: false}}},
 			"verdict-flipped"},
 		{"stable", twin,
-			&Outcome{Phases: []PhaseOutcome{{Decided: true, ProbeElastic: true}}},
-			&Outcome{Phases: []PhaseOutcome{{Decided: true, ProbeElastic: true}}},
+			&core.HuntCellResult{Phases: []core.HuntCellPhase{{Decided: true, ProbeElastic: true}}},
+			&core.HuntCellResult{Phases: []core.HuntCellPhase{{Decided: true, ProbeElastic: true}}},
 			"stable"},
 	}
 	for _, tc := range cases {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/scenario"
 )
@@ -140,7 +141,7 @@ func (h *hunter) evaluate(ctx context.Context, genomes []Genome) ([]float64, err
 		if err != nil {
 			return nil, fmt.Errorf("hunt: genome %d (%s): %w", i, results[i*per].Hash, err)
 		}
-		var clean *Outcome
+		var clean *core.HuntCellResult
 		if h.cfg.Objective.Twin {
 			if clean, err = DecodeOutcome(results[i*per+1]); err != nil {
 				return nil, fmt.Errorf("hunt: genome %d twin (%s): %w", i, results[i*per+1].Hash, err)

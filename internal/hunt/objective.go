@@ -6,41 +6,20 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 )
 
-// Outcome is the hunt's view of one huntcell evaluation, decoded from
-// the canonical result JSON a RunResult carries. Decoding from the
-// canonical bytes — not from a live value — means cached and fresh
-// evaluations are literally indistinguishable to the objectives.
-type Outcome struct {
-	MainTputBps   float64
-	CrossTputBps  float64
-	FairShareBps  float64
-	Harm          float64
-	Jain          float64
-	Util          float64
-	Decided       int
-	Misclassified int
-	Phases        []PhaseOutcome
-}
-
-// PhaseOutcome is one schedule phase's slice of the outcome.
-type PhaseOutcome struct {
-	Kind         string
-	TruthElastic bool
-	ProbeElastic bool
-	Decided      bool
-	Windows      int
-	MeanEta      float64
-}
-
-// DecodeOutcome unpacks a huntcell RunResult.
-func DecodeOutcome(res scenario.RunResult) (*Outcome, error) {
+// DecodeOutcome unpacks a huntcell RunResult into the cell's own
+// result type, from the canonical result JSON the RunResult carries.
+// Decoding from the canonical bytes — not from a live value — means
+// cached and fresh evaluations are literally indistinguishable to the
+// objectives.
+func DecodeOutcome(res scenario.RunResult) (*core.HuntCellResult, error) {
 	if res.Err != "" {
 		return nil, errors.New(res.Err)
 	}
-	var o Outcome
+	var o core.HuntCellResult
 	if err := json.Unmarshal(res.Result, &o); err != nil {
 		return nil, fmt.Errorf("hunt: decode outcome: %w", err)
 	}
@@ -69,7 +48,7 @@ func sanitize(v float64) float64 {
 // past nominal): clamping there would recreate a reachable plateau of
 // ties, while the raw ratio is physically bounded and keeps a strict
 // gradient all the way up; sanitize caps the combined score at 2.
-func crossShare(o *Outcome) float64 {
+func crossShare(o *core.HuntCellResult) float64 {
 	if o.FairShareBps <= 0 {
 		return 0
 	}
@@ -102,7 +81,7 @@ type Objective struct {
 	Probe bool
 	Twin  bool
 	// Score maps the outcome(s) to fitness; clean is nil unless Twin.
-	Score func(faulted, clean *Outcome) float64
+	Score func(faulted, clean *core.HuntCellResult) float64
 }
 
 // objectives is the registry, in the order `ccac hunt` lists them.
@@ -117,7 +96,7 @@ var objectives = []Objective{
 		// thriving while the victim starves. Its top (cross monopolizing
 		// the raw link rate) is asymptotic, never exactly reached, so
 		// the landscape keeps a gradient all the way up.
-		Score: func(o, _ *Outcome) float64 {
+		Score: func(o, _ *core.HuntCellResult) float64 {
 			return clamp01(o.Harm) + 0.25*crossShare(o)
 		},
 	},
@@ -128,7 +107,7 @@ var objectives = []Objective{
 		// spans [0, 1]; a dead link (both allocations zero) hits the
 		// index's zero-denominator guard and is scored 0, not crowned.
 		// The cross-share term makes the top asymptotic as in harm.
-		Score: func(o, _ *Outcome) float64 {
+		Score: func(o, _ *core.HuntCellResult) float64 {
 			if o.MainTputBps <= 0 && o.CrossTputBps <= 0 {
 				return 0
 			}
@@ -139,7 +118,7 @@ var objectives = []Objective{
 		Name:  "elastic-miss",
 		Desc:  "make the Nimbus estimator misclassify cross-traffic elasticity",
 		Probe: true,
-		Score: func(o, _ *Outcome) float64 {
+		Score: func(o, _ *core.HuntCellResult) float64 {
 			if o.Decided == 0 {
 				return 0
 			}
@@ -167,7 +146,7 @@ var objectives = []Objective{
 		Desc:  "flip the probe's per-phase verdicts between the faulted link and its clean twin",
 		Probe: true,
 		Twin:  true,
-		Score: func(o, clean *Outcome) float64 {
+		Score: func(o, clean *core.HuntCellResult) float64 {
 			if clean == nil || len(o.Phases) != len(clean.Phases) {
 				return 0
 			}

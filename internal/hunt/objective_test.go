@@ -3,6 +3,8 @@ package hunt
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestSanitize(t *testing.T) {
@@ -45,17 +47,17 @@ func TestClamp01(t *testing.T) {
 func TestCrossShare(t *testing.T) {
 	cases := []struct {
 		name string
-		o    Outcome
+		o    core.HuntCellResult
 		want float64
 	}{
 		// Zero fair share is the zero-denominator case: guarded to 0,
 		// never NaN or Inf.
-		{"zero-fair-share", Outcome{CrossTputBps: 8e6}, 0},
-		{"nan-tput", Outcome{FairShareBps: 8e6, CrossTputBps: math.NaN()}, 0},
-		{"negative", Outcome{FairShareBps: 8e6, CrossTputBps: -1}, 0},
-		{"half-link", Outcome{FairShareBps: 8e6, CrossTputBps: 8e6}, 0.5},
+		{"zero-fair-share", core.HuntCellResult{CrossTputBps: 8e6}, 0},
+		{"nan-tput", core.HuntCellResult{FairShareBps: 8e6, CrossTputBps: math.NaN()}, 0},
+		{"negative", core.HuntCellResult{FairShareBps: 8e6, CrossTputBps: -1}, 0},
+		{"half-link", core.HuntCellResult{FairShareBps: 8e6, CrossTputBps: 8e6}, 0.5},
 		// Above nominal (oscillation headroom): deliberately unclamped.
-		{"above-nominal", Outcome{FairShareBps: 8e6, CrossTputBps: 24e6}, 1.5},
+		{"above-nominal", core.HuntCellResult{FairShareBps: 8e6, CrossTputBps: 24e6}, 1.5},
 	}
 	for _, tc := range cases {
 		got := crossShare(&tc.o)
@@ -75,19 +77,19 @@ func TestCrossShare(t *testing.T) {
 // simulation from poisoning a whole hunt's selection.
 func TestObjectivesFiniteOnDegenerateOutcomes(t *testing.T) {
 	nan := math.NaN()
-	degenerates := []*Outcome{
+	degenerates := []*core.HuntCellResult{
 		{},
 		{Harm: nan, Jain: nan, Util: nan, MainTputBps: nan, CrossTputBps: nan, FairShareBps: nan},
 		{Harm: math.Inf(1), Jain: math.Inf(-1), FairShareBps: 8e6, CrossTputBps: math.Inf(1)},
 		{Decided: 0, Misclassified: 0},
-		{Decided: 2, Misclassified: 1, Phases: []PhaseOutcome{
+		{Decided: 2, Misclassified: 1, Phases: []core.HuntCellPhase{
 			{Decided: true, TruthElastic: true, MeanEta: nan},
 			{Decided: true, MeanEta: nan},
 		}},
 	}
 	for _, obj := range Objectives() {
 		for i, o := range degenerates {
-			for _, clean := range []*Outcome{nil, o, {}} {
+			for _, clean := range []*core.HuntCellResult{nil, o, {}} {
 				if obj.Twin && clean == nil {
 					// Twin objectives score 0 without a twin; covered below.
 					continue
@@ -108,12 +110,12 @@ func TestUnfairScoresDeadLinkZero(t *testing.T) {
 	}
 	// A blackout that kills both flows hits Jain's zero-denominator
 	// guard (index 0); the objective must score it 0, not crown it.
-	dead := &Outcome{MainTputBps: 0, CrossTputBps: 0, Jain: 0, FairShareBps: 8e6}
+	dead := &core.HuntCellResult{MainTputBps: 0, CrossTputBps: 0, Jain: 0, FairShareBps: 8e6}
 	if got := obj.Score(dead, nil); got != 0 {
 		t.Errorf("dead link scored %v, want 0", got)
 	}
 	// Total asymmetry with a live aggressor scores high.
-	skew := &Outcome{MainTputBps: 0, CrossTputBps: 14e6, Jain: 0.5, FairShareBps: 8e6}
+	skew := &core.HuntCellResult{MainTputBps: 0, CrossTputBps: 14e6, Jain: 0.5, FairShareBps: 8e6}
 	if got := obj.Score(skew, nil); got <= 1 {
 		t.Errorf("starved victim + thriving cross scored %v, want > 1", got)
 	}
@@ -124,20 +126,20 @@ func TestFlipScoreGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases := []PhaseOutcome{{Decided: true, ProbeElastic: true, MeanEta: 0.8}}
-	faulted := &Outcome{Phases: phases}
+	phases := []core.HuntCellPhase{{Decided: true, ProbeElastic: true, MeanEta: 0.8}}
+	faulted := &core.HuntCellResult{Phases: phases}
 	if got := obj.Score(faulted, nil); got != 0 {
 		t.Errorf("nil twin scored %v, want 0", got)
 	}
-	if got := obj.Score(faulted, &Outcome{}); got != 0 {
+	if got := obj.Score(faulted, &core.HuntCellResult{}); got != 0 {
 		t.Errorf("phase-count mismatch scored %v, want 0", got)
 	}
-	undecided := &Outcome{Phases: []PhaseOutcome{{Decided: false}}}
+	undecided := &core.HuntCellResult{Phases: []core.HuntCellPhase{{Decided: false}}}
 	if got := obj.Score(undecided, undecided); got != 0 {
 		t.Errorf("no compared phases scored %v, want 0", got)
 	}
-	flipped := &Outcome{Phases: []PhaseOutcome{{Decided: true, ProbeElastic: false, MeanEta: 0.2}}}
-	clean := &Outcome{Phases: []PhaseOutcome{{Decided: true, ProbeElastic: true, MeanEta: 0.8}}}
+	flipped := &core.HuntCellResult{Phases: []core.HuntCellPhase{{Decided: true, ProbeElastic: false, MeanEta: 0.2}}}
+	clean := &core.HuntCellResult{Phases: []core.HuntCellPhase{{Decided: true, ProbeElastic: true, MeanEta: 0.8}}}
 	if got := obj.Score(flipped, clean); got <= 1 {
 		t.Errorf("full flip scored %v, want > 1", got)
 	}
@@ -148,7 +150,7 @@ func TestElasticMissUndecidedScoresZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := obj.Score(&Outcome{Decided: 0, Misclassified: 0}, nil); got != 0 {
+	if got := obj.Score(&core.HuntCellResult{Decided: 0, Misclassified: 0}, nil); got != 0 {
 		t.Errorf("undecided outcome scored %v, want 0", got)
 	}
 }

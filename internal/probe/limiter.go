@@ -78,23 +78,18 @@ func (g *globalLimiter) admit(now time.Duration, hello bool) bool {
 }
 
 // sourceLimiter enforces a per-source-IP packet rate ahead of session
-// admission, sharded to keep reader goroutines off one lock. Buckets
-// idle past the TTL are swept so a scanned address space cannot grow
-// the table without bound.
+// admission: one bucket map under one mutex. Buckets idle past the TTL
+// are swept so a scanned address space cannot grow the map without
+// bound.
 type sourceLimiter struct {
-	rate   float64
-	burst  float64
-	ttl    time.Duration
-	shards []srcShard
-	mask   uint32
+	rate  float64
+	burst float64
+	ttl   time.Duration
+	mu    sync.Mutex
+	m     map[string]*tokenBucket
 }
 
-type srcShard struct {
-	mu sync.Mutex
-	m  map[string]*tokenBucket
-}
-
-func newSourceLimiter(pps, burst float64, shards int, ttl time.Duration) *sourceLimiter {
+func newSourceLimiter(pps, burst float64, ttl time.Duration) *sourceLimiter {
 	if pps <= 0 {
 		return nil
 	}
@@ -104,15 +99,7 @@ func newSourceLimiter(pps, burst float64, shards int, ttl time.Duration) *source
 			burst = 8
 		}
 	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	l := &sourceLimiter{rate: pps, burst: burst, ttl: ttl, shards: make([]srcShard, n), mask: uint32(n - 1)}
-	for i := range l.shards {
-		l.shards[i].m = make(map[string]*tokenBucket)
-	}
-	return l
+	return &sourceLimiter{rate: pps, burst: burst, ttl: ttl, m: make(map[string]*tokenBucket)}
 }
 
 // key extracts the source IP (not port): a fleet of probes behind one
@@ -124,31 +111,20 @@ func srcKey(addr *net.UDPAddr) string {
 	return string(addr.IP)
 }
 
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // admit spends one token from addr's bucket.
 func (l *sourceLimiter) admit(now time.Duration, addr *net.UDPAddr) bool {
 	if l == nil {
 		return true
 	}
 	key := srcKey(addr)
-	sh := &l.shards[fnv32(key)&l.mask]
-	sh.mu.Lock()
-	b := sh.m[key]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	b := l.m[key]
 	if b == nil {
 		b = &tokenBucket{}
-		sh.m[key] = b
+		l.m[key] = b
 	}
-	ok := b.take(now, l.rate, l.burst, 0, 1)
-	sh.mu.Unlock()
-	return ok
+	return b.take(now, l.rate, l.burst, 0, 1)
 }
 
 // sweep drops buckets idle past the TTL.
@@ -156,15 +132,12 @@ func (l *sourceLimiter) sweep(now time.Duration) {
 	if l == nil {
 		return
 	}
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for k, b := range sh.m {
-			if now-b.last > l.ttl {
-				delete(sh.m, k)
-			}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for k, b := range l.m {
+		if now-b.last > l.ttl {
+			delete(l.m, k)
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -173,12 +146,7 @@ func (l *sourceLimiter) size() int {
 	if l == nil {
 		return 0
 	}
-	n := 0
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.m)
 }

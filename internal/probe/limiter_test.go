@@ -98,7 +98,7 @@ func TestGlobalLimiterPrioritizesData(t *testing.T) {
 // TestSourceLimiterIsolatesSources: one source exhausting its bucket
 // must not affect another, and the sweep forgets idle sources.
 func TestSourceLimiterIsolatesSources(t *testing.T) {
-	l := newSourceLimiter(5, 3, 4, 50*time.Millisecond)
+	l := newSourceLimiter(5, 3, 50*time.Millisecond)
 	a := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 1), Port: 1111}
 	a2 := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 1), Port: 2222} // same IP, new port
 	b := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 2), Port: 1111}

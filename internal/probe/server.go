@@ -30,9 +30,6 @@ type ServerConfig struct {
 	// the Go netpoller multiplexes them, each with private read and
 	// reply buffers (default min(4, GOMAXPROCS)).
 	Readers int
-	// Shards is the session-table shard count, rounded up to a power
-	// of two (default 16). More shards, less admission-lock contention.
-	Shards int
 	// SnapshotInterval is the per-session throughput accounting cadence
 	// feeding the spool's mlab-schema trace (default 500ms).
 	SnapshotInterval time.Duration
@@ -77,9 +74,6 @@ func (c ServerConfig) norm() ServerConfig {
 			c.Readers = n
 		}
 	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 500 * time.Millisecond
 	}
@@ -123,24 +117,27 @@ type ServerStats struct {
 // an ack echoing the sequence number and send timestamp, stamped with
 // the server's receive time — everything the client's estimator needs.
 // It is built to survive a fleet's worth of clients: N readers share
-// the socket, the session table is sharded, admission is rate-limited,
-// and overload sheds new work before admitted work.
+// the socket, one session table under one lock holds the session cap
+// exactly, admission is rate-limited, and overload sheds new work
+// before admitted work.
 type Server struct {
 	cfg       ServerConfig
 	conn      *net.UDPConn
 	start     time.Time
 	startWall time.Time
+	// sweepEvery is the TTL sweep cadence of both the background
+	// sweeper and the at-cap sweep: TTL/4, clamped to [5ms, 1s].
+	sweepEvery time.Duration
 
-	shards    []sessionShard
-	shardMask uint64
-	active    atomic.Int64
+	// mu guards the session table, whose length is the active count,
+	// and lastSweep, which throttles on-demand sweeps at the admission
+	// cap (the background sweeper runs regardless).
+	mu        sync.Mutex
+	sessions  map[uint64]*session
+	lastSweep time.Duration
 
 	global *globalLimiter
 	perSrc *sourceLimiter
-
-	// lastSweepNanos throttles on-demand full sweeps at the admission
-	// cap (the background sweeper runs regardless).
-	lastSweepNanos atomic.Int64
 
 	// Stats exposes lifetime counters.
 	Stats ServerStats
@@ -170,25 +167,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	nShards := 1
-	for nShards < cfg.Shards {
-		nShards <<= 1
-	}
-	s := &Server{
-		cfg:       cfg,
-		conn:      conn,
-		start:     time.Now(),
-		startWall: time.Now(),
-		shards:    make([]sessionShard, nShards),
-		shardMask: uint64(nShards - 1),
-		global:    newGlobalLimiter(cfg.GlobalPPS, cfg.GlobalBurst),
-		perSrc:    newSourceLimiter(cfg.PerSourcePPS, cfg.PerSourceBurst, nShards, cfg.SessionTTL),
-		done:      make(chan struct{}),
-	}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]*session)
-	}
-	return s, nil
+	return &Server{
+		cfg:        cfg,
+		conn:       conn,
+		start:      time.Now(),
+		startWall:  time.Now(),
+		sweepEvery: min(max(cfg.SessionTTL/4, 5*time.Millisecond), time.Second),
+		sessions:   make(map[uint64]*session),
+		global:     newGlobalLimiter(cfg.GlobalPPS, cfg.GlobalBurst),
+		perSrc:     newSourceLimiter(cfg.PerSourcePPS, cfg.PerSourceBurst, cfg.SessionTTL),
+		done:       make(chan struct{}),
+	}, nil
 }
 
 // Addr returns the bound address (useful with ":0").
@@ -321,7 +310,7 @@ func (s *Server) handleHello(h *Header, raddr *net.UDPAddr, now time.Duration, o
 		if s.obsRejected != nil {
 			s.obsRejected.Inc()
 		}
-		s.logf("probe: rejecting session %d: %d sessions at cap", h.Session, s.active.Load())
+		s.logf("probe: rejecting session %d: %d sessions at cap", h.Session, s.cfg.MaxSessions)
 		if busyAware {
 			s.sendBusy(h, raddr, now, FlagAtCapacity, s.cfg.BusyRetryHint, out)
 		}
@@ -339,14 +328,13 @@ func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n 
 		}
 		return
 	}
-	sh := s.shardFor(h.Session)
-	sh.mu.Lock()
-	se, ok := sh.m[h.Session]
+	s.mu.Lock()
+	se, ok := s.sessions[h.Session]
 	var qdelay int64
 	if ok {
 		qdelay = se.noteData(now, n, h.SendNano, s.cfg.SnapshotInterval)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	if !ok {
 		// Auto-register handshake-less (legacy) clients, still behind
 		// admission control: draining, per-source limiting, and the
@@ -355,11 +343,11 @@ func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n 
 		if s.draining.Load() || !s.perSrc.admit(now, raddr) || !s.admitSession(h.Session, raddr, now) {
 			return
 		}
-		sh.mu.Lock()
-		if se = sh.m[h.Session]; se != nil {
+		s.mu.Lock()
+		if se = s.sessions[h.Session]; se != nil {
 			qdelay = se.noteData(now, n, h.SendNano, s.cfg.SnapshotInterval)
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		if se == nil {
 			return
 		}
@@ -381,69 +369,50 @@ func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n 
 	s.Stats.Acks.Add(1)
 }
 
-// admitSession registers a new session (or refreshes an existing one),
-// enforcing MaxSessions exactly across shards: a slot is reserved on
-// the global count with a CAS loop before the shard insert, so
-// concurrent admissions over-admit never.
+// admitSession registers a new session (or refreshes an existing one)
+// in one critical section, so MaxSessions is exact. At the cap it first
+// sweeps idle sessions, at most once per sweep interval, so a Hello
+// flood at capacity cannot turn every rejection into an O(sessions)
+// scan.
 func (s *Server) admitSession(id uint64, raddr *net.UDPAddr, now time.Duration) bool {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if se, ok := sh.m[id]; ok {
+	s.mu.Lock()
+	if se, ok := s.sessions[id]; ok {
 		se.last = now
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return true
 	}
-	sh.mu.Unlock()
-
-	max := int64(s.cfg.MaxSessions)
-	for {
-		cur := s.active.Load()
-		if cur >= max {
-			s.sweepAtCap(now)
-			if s.active.Load() >= max {
-				return false
-			}
-			continue
-		}
-		if s.active.CompareAndSwap(cur, cur+1) {
-			break
+	var evicted []*session
+	if len(s.sessions) >= s.cfg.MaxSessions && now-s.lastSweep >= s.sweepEvery {
+		evicted = s.evictIdle(now)
+	}
+	ok := len(s.sessions) < s.cfg.MaxSessions
+	if ok {
+		s.sessions[id] = &session{
+			id:     id,
+			addr:   addrString(raddr),
+			start:  now,
+			last:   now,
+			snapAt: now,
 		}
 	}
-	sh.mu.Lock()
-	if se, ok := sh.m[id]; ok {
-		// Lost a race with another reader admitting the same id:
-		// release the reserved slot.
-		se.last = now
-		sh.mu.Unlock()
-		s.active.Add(-1)
-		return true
+	s.mu.Unlock()
+	s.retireEvicted(evicted, now)
+	if ok {
+		s.Stats.Sessions.Add(1)
+		s.logf("probe: new session %d", id)
 	}
-	sh.m[id] = &session{
-		id:     id,
-		addr:   addrString(raddr),
-		start:  now,
-		last:   now,
-		snapAt: now,
-	}
-	sh.mu.Unlock()
-	s.Stats.Sessions.Add(1)
-	s.logf("probe: new session %d", id)
-	return true
+	return ok
 }
 
 // endSession removes a session and spools its summary.
 func (s *Server) endSession(id uint64, now time.Duration, cause string) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	se, ok := sh.m[id]
-	if ok {
-		delete(sh.m, id)
-	}
-	sh.mu.Unlock()
+	s.mu.Lock()
+	se, ok := s.sessions[id]
+	delete(s.sessions, id)
+	s.mu.Unlock()
 	if !ok {
 		return // retransmitted Bye, or already evicted
 	}
-	s.active.Add(-1)
 	s.spoolSession(se, now, cause)
 }
 
@@ -461,14 +430,7 @@ func (s *Server) spoolSession(se *session, now time.Duration, cause string) {
 // stale sessions free their slots promptly even when no admission
 // pressure forces a sweep.
 func (s *Server) sweeper(quit chan struct{}) {
-	tick := s.cfg.SessionTTL / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(s.sweepEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -482,42 +444,32 @@ func (s *Server) sweeper(quit chan struct{}) {
 	}
 }
 
-// sweepAtCap runs an on-demand sweep when admission hits the cap, at
-// most once per sweep tick so a Hello flood at capacity cannot turn
-// every rejection into an O(sessions) scan.
-func (s *Server) sweepAtCap(now time.Duration) {
-	tick := s.cfg.SessionTTL / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	last := s.lastSweepNanos.Load()
-	if now.Nanoseconds()-last < tick.Nanoseconds() {
-		return
-	}
-	if !s.lastSweepNanos.CompareAndSwap(last, now.Nanoseconds()) {
-		return
-	}
-	s.sweepNow(now)
+// sweepNow evicts sessions idle past the TTL, spooling their summaries
+// outside the table lock.
+func (s *Server) sweepNow(now time.Duration) {
+	s.mu.Lock()
+	evicted := s.evictIdle(now)
+	s.mu.Unlock()
+	s.retireEvicted(evicted, now)
 }
 
-// sweepNow evicts sessions idle past the TTL across all shards,
-// spooling summaries outside the shard locks.
-func (s *Server) sweepNow(now time.Duration) {
-	s.lastSweepNanos.Store(now.Nanoseconds())
-	var victims []*session
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, se := range sh.m {
-			if now-se.last > s.cfg.SessionTTL {
-				delete(sh.m, id)
-				victims = append(victims, se)
-			}
+// evictIdle removes the sessions idle past the TTL from the table and
+// returns them. Caller holds s.mu.
+func (s *Server) evictIdle(now time.Duration) []*session {
+	s.lastSweep = now
+	var evicted []*session
+	for id, se := range s.sessions {
+		if now-se.last > s.cfg.SessionTTL {
+			delete(s.sessions, id)
+			evicted = append(evicted, se)
 		}
-		sh.mu.Unlock()
 	}
-	for _, se := range victims {
-		s.active.Add(-1)
+	return evicted
+}
+
+// retireEvicted counts, logs and spools sessions evictIdle removed.
+func (s *Server) retireEvicted(evicted []*session, now time.Duration) {
+	for _, se := range evicted {
 		s.Stats.Evicted.Add(1)
 		if s.obsEvicted != nil {
 			s.obsEvicted.Inc()
@@ -528,7 +480,11 @@ func (s *Server) sweepNow(now time.Duration) {
 }
 
 // ActiveSessions returns the number of currently tracked sessions.
-func (s *Server) ActiveSessions() int { return int(s.active.Load()) }
+func (s *Server) ActiveSessions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions)
+}
 
 // SessionInfo is one tracked session as seen by the admin endpoint.
 type SessionInfo struct {
@@ -542,20 +498,17 @@ type SessionInfo struct {
 // for the live /sessions introspection view.
 func (s *Server) Sessions() []SessionInfo {
 	now := time.Since(s.start)
-	out := make([]SessionInfo, 0, s.active.Load())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, se := range sh.m {
-			out = append(out, SessionInfo{
-				ID:          id,
-				IdleSeconds: (now - se.last).Seconds(),
-				Packets:     se.packets,
-				Bytes:       se.bytes,
-			})
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	out := make([]SessionInfo, 0, len(s.sessions))
+	for id, se := range s.sessions {
+		out = append(out, SessionInfo{
+			ID:          id,
+			IdleSeconds: (now - se.last).Seconds(),
+			Packets:     se.packets,
+			Bytes:       se.bytes,
+		})
 	}
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -586,7 +539,7 @@ func (s *Server) Health() Health {
 	return Health{
 		Ready:          !s.draining.Load() && !s.closed.Load(),
 		Draining:       s.draining.Load(),
-		ActiveSessions: s.active.Load(),
+		ActiveSessions: int64(s.ActiveSessions()),
 		MaxSessions:    s.cfg.MaxSessions,
 		TrackedSources: s.perSrc.size(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
@@ -676,10 +629,10 @@ func (s *Server) Drain(ctx context.Context) int {
 	s.BeginDrain()
 	t := time.NewTicker(20 * time.Millisecond)
 	defer t.Stop()
-	for s.active.Load() > 0 {
+	for s.ActiveSessions() > 0 {
 		select {
 		case <-ctx.Done():
-			forced := int(s.active.Load())
+			forced := s.ActiveSessions()
 			s.Close()
 			return forced
 		case <-t.C:
@@ -712,21 +665,14 @@ func (s *Server) finalizeAll() {
 	if s.draining.Load() {
 		cause = EndDrained
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		victims := make([]*session, 0, len(sh.m))
-		for id, se := range sh.m {
-			delete(sh.m, id)
-			victims = append(victims, se)
+	s.mu.Lock()
+	remaining := s.sessions
+	s.sessions = make(map[uint64]*session)
+	s.mu.Unlock()
+	for _, se := range remaining {
+		if cause == EndDrained {
+			s.Stats.Drained.Add(1)
 		}
-		sh.mu.Unlock()
-		for _, se := range victims {
-			s.active.Add(-1)
-			if cause == EndDrained {
-				s.Stats.Drained.Add(1)
-			}
-			s.spoolSession(se, now, cause)
-		}
+		s.spoolSession(se, now, cause)
 	}
 }

@@ -39,9 +39,9 @@ func dialHello(t *testing.T, addr string, session uint64) (*net.UDPConn, Header,
 }
 
 // TestConcurrentAdmissionExactCap: many goroutines racing admitSession
-// over overlapping ids must never over-admit past MaxSessions — the
-// CAS-reserved slot plus the double-checked shard insert make the cap
-// exact, not approximate.
+// over overlapping ids must never over-admit past MaxSessions —
+// admission is one critical section on the session table, so the cap
+// is exact, not approximate.
 func TestConcurrentAdmissionExactCap(t *testing.T) {
 	const capN = 64
 	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", MaxSessions: capN, SessionTTL: time.Hour})
@@ -84,6 +84,72 @@ func TestConcurrentAdmissionExactCap(t *testing.T) {
 	// itself never grew past the cap, which is what matters.
 	if admitted.Load() < capN {
 		t.Errorf("admitted %d < cap %d", admitted.Load(), capN)
+	}
+}
+
+// TestAdmitEndSweepStress races admission, Bye and the TTL sweep over
+// overlapping ids with a small cap and TTL, so sessions are evicted
+// (by the background-style sweep and by the at-cap sweep) while others
+// are admitted and ended. The table never holds more than the cap, and
+// once quiescent the count, the table and the spool agree: every
+// session created is either still tracked or spooled exactly once.
+func TestAdmitEndSweepStress(t *testing.T) {
+	const capN = 8
+	sink := &memSink{}
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", MaxSessions: capN, SessionTTL: 20 * time.Millisecond, Sink: sink,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}
+	var wg sync.WaitGroup
+	var over, rejected atomic.Int64
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				// One virtual millisecond per step: an id comes round
+				// every 24 steps, past the 20ms TTL.
+				now := time.Duration(i) * time.Millisecond
+				id := uint64((i*7 + g) % 24)
+				switch (i + g) % 4 {
+				case 0, 1:
+					if !srv.admitSession(id, addr, now) {
+						rejected.Add(1)
+					}
+				case 2:
+					srv.endSession(id, now, EndBye)
+				case 3:
+					srv.sweepNow(now)
+				}
+				if srv.ActiveSessions() > capN {
+					over.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if n := over.Load(); n > 0 {
+		t.Errorf("active sessions exceeded the cap %d times", n)
+	}
+	active := srv.ActiveSessions()
+	if got := len(srv.Sessions()); got != active {
+		t.Errorf("ActiveSessions() = %d, table holds %d", active, got)
+	}
+	sink.mu.Lock()
+	spooled := len(sink.recs)
+	sink.mu.Unlock()
+	if created := srv.Stats.Sessions.Load(); created != int64(spooled+active) {
+		t.Errorf("created %d sessions, spooled %d + tracked %d", created, spooled, active)
+	}
+	if srv.Stats.Evicted.Load() == 0 || rejected.Load() == 0 {
+		t.Errorf("evicted %d, rejected %d: the stress never reached the sweep or the cap",
+			srv.Stats.Evicted.Load(), rejected.Load())
 	}
 }
 

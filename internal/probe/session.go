@@ -3,7 +3,6 @@ package probe
 import (
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/mlab"
@@ -51,7 +50,7 @@ type SessionSummary struct {
 	DelayMaxMs  float64 `json:"delay_max_ms"`
 }
 
-// session is one tracked client, guarded by its shard's mutex.
+// session is one tracked client, guarded by the server's table lock.
 type session struct {
 	id    uint64
 	addr  string
@@ -81,7 +80,7 @@ type session struct {
 const maxSnapshots = 720
 
 // noteData folds one data packet into the session. Caller holds the
-// shard lock. Returns the instantaneous queueing-delay proxy in
+// table lock. Returns the instantaneous queueing-delay proxy in
 // nanoseconds (-1 when unknown).
 func (se *session) noteData(now time.Duration, n int, sendNano int64, interval time.Duration) int64 {
 	se.last = now
@@ -111,7 +110,7 @@ func (se *session) noteData(now time.Duration, n int, sendNano int64, interval t
 }
 
 // appendSnapshot closes the current accounting interval. Caller holds
-// the shard lock.
+// the table lock.
 func (se *session) appendSnapshot(now time.Duration) {
 	dt := (now - se.snapAt).Seconds()
 	if dt <= 0 {
@@ -162,20 +161,6 @@ func (se *session) record(now time.Duration, wallBase time.Time, cause string) S
 			DelayMaxMs:  se.qdelayMax / 1e6,
 		},
 	}
-}
-
-// sessionShard is one lock's worth of the sharded session table.
-type sessionShard struct {
-	mu sync.Mutex
-	m  map[uint64]*session
-}
-
-// shardFor hashes a session id onto its shard. Session ids are
-// client-chosen random 64-bit values; a multiplicative mix keeps
-// adversarially sequential ids from piling onto one shard.
-func (s *Server) shardFor(id uint64) *sessionShard {
-	h := id * 0x9e3779b97f4a7c15
-	return &s.shards[(h>>32)&s.shardMask]
 }
 
 func addrString(a *net.UDPAddr) string {

@@ -201,12 +201,10 @@ func singleReturn(b *ast.BlockStmt) bool {
 
 // fieldAllow names the exported fields (or whole types) that no shipped
 // code supplies and that stay anyway. Keys are "pkg.Type.Field" or
-// "pkg.Type". At most 12.
+// "pkg.Type". At most 10.
 var fieldAllow = map[string]string{
 	"nimbus.Config":       "serialized inside Fig3Result and the probe report; experiments.golden pins its bytes, so a never-set field cannot go without moving them",
 	"mlab.AnalysisConfig": "serialized inside the fig2 result that experiments.golden pins",
-	"hunt.Outcome":        "decode target of the canonical HuntCellResult JSON: encoding/json supplies the fields by name",
-	"hunt.PhaseOutcome":   "decode target of the canonical HuntCellResult JSON: encoding/json supplies the fields by name",
 
 	"probe.ServerConfig.BusyRetryHint":    "the busy-reply tests shrink it to reach the client's retry-after path in test time",
 	"probe.ServerConfig.GlobalBurst":      "the overload and shedding tests shrink it to reach the global limiter's safety path",
@@ -344,8 +342,8 @@ func TestExportedFieldsAreSupplied(t *testing.T) {
 			"(make each a constant or delete it with the code it selects, or add a reasoned fieldAllow entry):\n  %s",
 			len(dead), strings.Join(dead, "\n  "))
 	}
-	if len(fieldAllow) > 12 {
-		t.Errorf("fieldAllow has %d entries, cap is 12", len(fieldAllow))
+	if len(fieldAllow) > 10 {
+		t.Errorf("fieldAllow has %d entries, cap is 10", len(fieldAllow))
 	}
 	for key := range fieldAllow {
 		if !excused[key] {
