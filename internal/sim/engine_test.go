@@ -84,6 +84,28 @@ func TestEngineRunStopsAtLimit(t *testing.T) {
 	}
 }
 
+// TestRunStopsAtUntilPastCancelledRoot pins Run's bound when the
+// earliest queued event is a cancelled one due before until: reaping
+// it must not let the live event behind it, due after until, run.
+func TestRunStopsAtUntilPastCancelledRoot(t *testing.T) {
+	eng := &Engine{}
+	a := eng.Schedule(10*time.Millisecond, func() { t.Error("cancelled event A ran") })
+	bRan := false
+	eng.Schedule(20*time.Millisecond, func() { bRan = true })
+	a.Cancel()
+	eng.Run(15 * time.Millisecond)
+	if bRan {
+		t.Error("event B, due at 20ms, ran in Run(15ms)")
+	}
+	if eng.Now() != 15*time.Millisecond {
+		t.Errorf("Now = %v, want 15ms", eng.Now())
+	}
+	eng.Run(20 * time.Millisecond)
+	if !bRan {
+		t.Error("event B did not run in Run(20ms)")
+	}
+}
+
 func TestEngineEventsScheduleEvents(t *testing.T) {
 	eng := &Engine{}
 	depth := 0
