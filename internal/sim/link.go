@@ -130,14 +130,18 @@ func (l *Link) Send(p *Packet) {
 // kick attempts to dequeue and serialize the next packet. It manages
 // the retry timer for non-work-conserving qdiscs.
 func (l *Link) kick() {
-	l.retry.Cancel()
 	now := l.eng.Now()
 	p, ready := l.Q.Dequeue(now)
-	if p == nil {
-		if ready > now {
-			// Shaped: try again when tokens accrue.
+	if p == nil && ready > now {
+		// Shaped: try again when tokens accrue.
+		if !l.retry.Postpone(ready) {
+			l.retry.Cancel()
 			l.retry = l.eng.ScheduleAt(ready, l.kickFn)
 		}
+		return
+	}
+	l.retry.Cancel()
+	if p == nil {
 		return
 	}
 	l.busy = true

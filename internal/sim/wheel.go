@@ -35,11 +35,14 @@ import (
 //     every staged event, so it is the global minimum.
 //
 // Buckets are singly-linked lists threaded through the engine's slot
-// table: staging writes three fields of a slot that already exists and
-// allocates nothing, and the wheel's footprint is the slot table's.
+// table: staging writes the list link of a slot that already exists
+// and allocates nothing, and the wheel's footprint is the slot table's.
 //
-// Cancellation needs no wheel surgery: cancelled events keep their
-// seat, move to the heap with their bucket and are skipped at pop.
+// Cancellation and postponement need no wheel surgery: a cancelled or
+// postponed event keeps its seat and moves to the heap with its bucket.
+// At the heap root a cancelled event is reaped; a postponed one is
+// requeued under its due key, which is never earlier than its seat's,
+// so it may be staged again.
 const (
 	// wheelBits is the log2 bucket count per level.
 	wheelBits  = 8
@@ -117,7 +120,7 @@ func bucketStart(lt int64, shift uint) time.Duration {
 // of that level's own ticks ahead of the cursor — keeps staged events
 // within one revolution per level, so a bucket index names one span of
 // time and circular order from the cursor is time order.
-func (e *Engine) stage(at time.Duration, seq int64, slot int32) bool {
+func (e *Engine) stage(at time.Duration, slot int32) bool {
 	w := &e.wheel
 	t, c := wheelTick(at), wheelTick(e.now)
 	if c < w.cur {
@@ -134,8 +137,6 @@ func (e *Engine) stage(at time.Duration, seq int64, slot int32) bool {
 	default:
 		return false
 	}
-	s := &e.slots[slot]
-	s.at, s.seq = at, seq
 	w.link(e.slots, level, t, slot)
 	shift := uint(level * wheelBits)
 	if start := bucketStart(t>>shift, shift); w.count == 0 || start < w.next {

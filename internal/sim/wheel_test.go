@@ -6,39 +6,52 @@ import (
 	"time"
 )
 
-// seqLog is a Hook that records the schedule sequence number of every
-// fired event. Two engines fed the same schedule calls number their
-// events identically, so equal logs mean equal fire order, ties
-// included.
-type seqLog []int64
+// evKey is an event's (at, seq) key as the engine's Hook reports it.
+type evKey struct {
+	at  time.Duration
+	seq int64
+}
 
-func (l *seqLog) OnSchedule(time.Duration, int64)   {}
-func (l *seqLog) OnFire(_ time.Duration, seq int64) { *l = append(*l, seq) }
-func (l *seqLog) OnAlloc(*Packet)                   {}
-func (l *seqLog) OnFree(*Packet)                    {}
+// keyLog is a Hook that records the key of every event scheduled and
+// every event fired. Engines fed the same schedule calls number their
+// events identically, so equal logs mean equal schedule streams and
+// equal fire order, ties included.
+type keyLog struct{ sched, fired []evKey }
 
-// mirror drives a wheel-enabled engine and a heap-pure shadow through
-// the same calls. agree fails the test as soon as the two differ in
-// anything an observer can see — fire order, clock, pending depth — or
-// either engine's structure is unsound.
+func (l *keyLog) OnSchedule(at time.Duration, seq int64) { l.sched = append(l.sched, evKey{at, seq}) }
+func (l *keyLog) OnFire(at time.Duration, seq int64)     { l.fired = append(l.fired, evKey{at, seq}) }
+func (l *keyLog) OnAlloc(*Packet)                        {}
+func (l *keyLog) OnFree(*Packet)                         {}
+
+func (l *keyLog) reset() { l.sched, l.fired = l.sched[:0], l.fired[:0] }
+
+// mirror drives a wheel-enabled engine, a heap-pure shadow and a
+// reference engine through the same calls. Postpone on the first two
+// is Cancel + ScheduleAt on the reference. agree fails the test as
+// soon as the engines differ in anything an observer can see —
+// schedule stream, fire order, clock, processed count, and between
+// the first two the pending depth — or any engine's structure is
+// unsound.
 type mirror struct {
-	t           testing.TB
-	eng, shadow *Engine
-	log, slog   seqLog
-	compared    int
-	tm, stm     []Timer
+	t                testing.TB
+	eng, shadow, ref *Engine
+	log, slog, rlog  keyLog
+	sched, fired     int // log entries already compared
+	tm, stm, rtm     []Timer
 }
 
 func newMirror(t testing.TB) *mirror {
-	m := &mirror{t: t, eng: &Engine{}, shadow: &Engine{wheelOff: true}}
+	m := &mirror{t: t, eng: &Engine{}, shadow: &Engine{wheelOff: true}, ref: &Engine{}}
 	m.eng.SetHook(&m.log)
 	m.shadow.SetHook(&m.slog)
+	m.ref.SetHook(&m.rlog)
 	return m
 }
 
 func (m *mirror) schedule(d time.Duration) {
 	m.tm = append(m.tm, m.eng.Schedule(d, func() {}))
 	m.stm = append(m.stm, m.shadow.Schedule(d, func() {}))
+	m.rtm = append(m.rtm, m.ref.Schedule(d, func() {}))
 }
 
 // at schedules an event at an absolute time.
@@ -55,17 +68,37 @@ func (m *mirror) engage() {
 func (m *mirror) cancel(k int) {
 	m.tm[k].Cancel()
 	m.stm[k].Cancel()
+	m.rtm[k].Cancel()
+}
+
+// postpone moves handle k to at the way a caller of Postpone does,
+// rescheduling when Postpone refuses; the reference engine always
+// cancels and reschedules.
+func (m *mirror) postpone(k int, at time.Duration) {
+	ok := m.tm[k].Postpone(at)
+	if sok := m.stm[k].Postpone(at); sok != ok {
+		m.t.Fatalf("Postpone(%v): wheel engine %v, heap shadow %v", at, ok, sok)
+	}
+	if !ok {
+		m.tm[k].Cancel()
+		m.tm[k] = m.eng.ScheduleAt(at, func() {})
+		m.stm[k].Cancel()
+		m.stm[k] = m.shadow.ScheduleAt(at, func() {})
+	}
+	m.rtm[k].Cancel()
+	m.rtm[k] = m.ref.ScheduleAt(at, func() {})
 }
 
 func (m *mirror) run(until time.Duration) {
 	m.eng.Run(until)
 	m.shadow.Run(until)
+	m.ref.Run(until)
 }
 
 func (m *mirror) step() bool {
-	a, b := m.eng.Step(), m.shadow.Step()
-	if a != b {
-		m.t.Fatalf("wheel engine step=%v, heap shadow step=%v", a, b)
+	a, b, c := m.eng.Step(), m.shadow.Step(), m.ref.Step()
+	if a != b || a != c {
+		m.t.Fatalf("wheel engine step=%v, heap shadow step=%v, reference step=%v", a, b, c)
 	}
 	return a
 }
@@ -73,31 +106,47 @@ func (m *mirror) step() bool {
 func (m *mirror) reset() {
 	m.eng.Reset()
 	m.shadow.Reset()
-	m.log, m.slog, m.compared = m.log[:0], m.slog[:0], 0
+	m.ref.Reset()
+	m.log.reset()
+	m.slog.reset()
+	m.rlog.reset()
+	m.sched, m.fired = 0, 0
 }
 
 func (m *mirror) agree(ctx string) {
-	if err := m.eng.verifyHeap(); err != nil {
-		m.t.Fatalf("%s: wheel engine unsound: %v", ctx, err)
-	}
-	if err := m.shadow.verifyHeap(); err != nil {
-		m.t.Fatalf("%s: heap shadow unsound: %v", ctx, err)
-	}
-	if len(m.log) != len(m.slog) {
-		m.t.Fatalf("%s: wheel engine fired %d events, heap shadow %d", ctx, len(m.log), len(m.slog))
-	}
-	for ; m.compared < len(m.log); m.compared++ {
-		if m.log[m.compared] != m.slog[m.compared] {
-			m.t.Fatalf("%s: fire %d: wheel engine ran event #%d, heap shadow #%d",
-				ctx, m.compared, m.log[m.compared], m.slog[m.compared])
+	for _, e := range []struct {
+		name string
+		eng  *Engine
+	}{{"wheel engine", m.eng}, {"heap shadow", m.shadow}, {"reference", m.ref}} {
+		if err := e.eng.verifyHeap(); err != nil {
+			m.t.Fatalf("%s: %s unsound: %v", ctx, e.name, err)
 		}
 	}
-	if m.eng.Now() != m.shadow.Now() {
-		m.t.Fatalf("%s: wheel engine at %v, heap shadow at %v", ctx, m.eng.Now(), m.shadow.Now())
+	m.sched = m.sameKeys(ctx, "scheduled", m.sched, m.log.sched, m.slog.sched, m.rlog.sched)
+	m.fired = m.sameKeys(ctx, "fired", m.fired, m.log.fired, m.slog.fired, m.rlog.fired)
+	if m.eng.Now() != m.shadow.Now() || m.eng.Now() != m.ref.Now() {
+		m.t.Fatalf("%s: wheel engine at %v, heap shadow at %v, reference at %v", ctx, m.eng.Now(), m.shadow.Now(), m.ref.Now())
+	}
+	if m.eng.Processed != m.shadow.Processed || m.eng.Processed != m.ref.Processed {
+		m.t.Fatalf("%s: processed %d, heap shadow %d, reference %d", ctx, m.eng.Processed, m.shadow.Processed, m.ref.Processed)
 	}
 	if m.eng.Pending() != m.shadow.Pending() {
 		m.t.Fatalf("%s: wheel engine pending %d, heap shadow pending %d", ctx, m.eng.Pending(), m.shadow.Pending())
 	}
+}
+
+// sameKeys fails the test unless the three engines' logs are equal; the
+// first from entries were compared before. It returns the new count.
+func (m *mirror) sameKeys(ctx, what string, from int, eng, shadow, ref []evKey) int {
+	if len(eng) != len(shadow) || len(eng) != len(ref) {
+		m.t.Fatalf("%s: wheel engine %s %d events, heap shadow %d, reference %d", ctx, what, len(eng), len(shadow), len(ref))
+	}
+	for ; from < len(eng); from++ {
+		if eng[from] != shadow[from] || eng[from] != ref[from] {
+			m.t.Fatalf("%s: %s %d: wheel engine %v, heap shadow %v, reference %v", ctx, what, from, eng[from], shadow[from], ref[from])
+		}
+	}
+	return from
 }
 
 func (m *mirror) drain() {
@@ -105,21 +154,22 @@ func (m *mirror) drain() {
 		m.agree("during drain")
 	}
 	m.agree("after drain")
-	if m.eng.Pending() != 0 {
-		m.t.Fatalf("drained engine still reports %d pending", m.eng.Pending())
+	if m.eng.Pending() != 0 || m.ref.Pending() != 0 {
+		m.t.Fatalf("drained engines still report %d and %d pending", m.eng.Pending(), m.ref.Pending())
 	}
 }
 
 // TestWheelHeapEquivalence drives a wheel-enabled engine and a
 // heap-pure shadow through an identical randomized workload of
-// near/far/same-tick schedules, cancels, and bounded runs, and
-// requires the fire sequences to match exactly: the wheel must be
-// observationally indistinguishable from the reference heap.
+// near/far/same-tick schedules, cancels, postpones and bounded runs,
+// and requires the fire sequences to match exactly: the wheel must be
+// observationally indistinguishable from the reference heap, and
+// Postpone from cancelling and rescheduling.
 func TestWheelHeapEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := newMirror(t)
 	for round := 0; round < 2000; round++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0, 1, 2: // sub-tick and level-0 range
 			m.schedule(time.Duration(rng.Intn(int(wheelTickDur) * wheelSlots)))
 		case 3, 4: // level-1 range
@@ -139,6 +189,10 @@ func TestWheelHeapEquivalence(t *testing.T) {
 		case 9: // a few single steps
 			for i := 0; i < 3; i++ {
 				m.step()
+			}
+		case 10: // move a random handle, at times before its queued time
+			if len(m.tm) > 0 {
+				m.postpone(rng.Intn(len(m.tm)), m.eng.Now()+time.Duration(rng.Intn(int(wheelTickDur)*wheelSlots*wheelSlots)))
 			}
 		}
 		m.agree("after round")
@@ -170,7 +224,7 @@ func TestWheelRunParksInsideTick(t *testing.T) {
 		}
 		m.run(base + 100*time.Microsecond)
 		m.agree("parked inside the tick")
-		if got := m.log[len(m.log)-1]; m.eng.Now() >= second || got != m.eng.seq-2 {
+		if got := m.log.fired[len(m.log.fired)-1].seq; m.eng.Now() >= second || got != m.eng.seq-2 {
 			t.Fatalf("run to %v fired event #%d, want only the tick's first (#%d)", m.eng.Now(), got, m.eng.seq-2)
 		}
 		m.schedule(50 * time.Microsecond)  // same tick, before the one pending
@@ -249,7 +303,7 @@ func TestWheelResetRewindsCursor(t *testing.T) {
 	m.agree("rescheduled")
 	m.run(time.Second)
 	m.agree("ran")
-	if n := len(m.log); n != 2 {
+	if n := len(m.log.fired); n != 2 {
 		t.Fatalf("%d events fired after the reset, want 2", n)
 	}
 	m.drain()

@@ -248,8 +248,12 @@ func (s *Sender) trySend() {
 		rate := s.cc.PacingRate()
 		if rate > 0 {
 			if now < s.nextSendAt {
-				s.paceTimer.Cancel()
-				s.paceTimer = s.eng.ScheduleAt(s.nextSendAt, s.trySendFn)
+				// nextSendAt never moves earlier, so a pending release
+				// is postponed, not replaced.
+				if !s.paceTimer.Postpone(s.nextSendAt) {
+					s.paceTimer.Cancel()
+					s.paceTimer = s.eng.ScheduleAt(s.nextSendAt, s.trySendFn)
+				}
 				return
 			}
 			gap := time.Duration(float64(size*8) / rate * float64(time.Second))
@@ -545,12 +549,19 @@ func (s *Sender) rto() time.Duration {
 	return r
 }
 
+// armRTO restarts the retransmission timer, or stops it when nothing
+// is outstanding. Every send and ack re-arms it, so it postpones the
+// pending timeout rather than leaving a cancelled one queued.
 func (s *Sender) armRTO() {
-	s.rtoTimer.Cancel()
 	if s.outstanding == 0 {
+		s.rtoTimer.Cancel()
 		return
 	}
-	s.rtoTimer = s.eng.Schedule(s.rto(), s.onRTOFn)
+	at := s.eng.Now() + s.rto()
+	if !s.rtoTimer.Postpone(at) {
+		s.rtoTimer.Cancel()
+		s.rtoTimer = s.eng.ScheduleAt(at, s.onRTOFn)
+	}
 }
 
 func (s *Sender) onRTO() {

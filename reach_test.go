@@ -23,7 +23,6 @@ var reachAllow = map[string]string{
 	"qdisc.UserIsolation.SetUserRate":   "per-user plan changes; FuzzUserIsolationSchedule's oracle drives it (PR 16)",
 	"qdisc.UserIsolation.SetUserWeight": "per-user plan changes; FuzzUserIsolationSchedule's oracle drives it (PR 16)",
 	"qdisc.UserIsolation.ActiveUsers":   "read accessor over live state (parked + eligible users) that tests observe",
-	"sim.Timer.Active":                  "read accessor over live state (generation-checked slot) that tests observe",
 }
 
 // ifaceMethods are method names that standard-library interfaces call
