@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/changepoint"
 	"repro/internal/core"
 	"repro/internal/mlab"
 	"repro/internal/obs"
@@ -270,22 +269,4 @@ func BenchmarkAblationBuffer(b *testing.B) {
 		sep = res.Rows[0].Separation
 	}
 	b.ReportMetric(sep, "separation-1bdp")
-}
-
-// BenchmarkAblationChangepoint compares detector costs (abl-cpd): PELT
-// on an NDT-length throughput trace.
-func BenchmarkAblationChangepoint(b *testing.B) {
-	trace := make([]float64, 100)
-	for i := range trace {
-		lvl := 50e6
-		if i > 60 {
-			lvl = 20e6
-		}
-		trace[i] = lvl + float64(i%7)*1e5
-	}
-	pen := changepoint.BICPenalty(len(trace), changepoint.EstimateNoise(trace)) * 10
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		changepoint.PELT(trace, pen, 10)
-	}
 }

@@ -3,9 +3,13 @@ package main
 import (
 	"bufio"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -21,13 +25,60 @@ func subcommandFlagSets() map[string]*flag.FlagSet {
 	return map[string]*flag.FlagSet{"sweep": sweep, "hunt": hunt, "census run": census}
 }
 
-// documentedFlagSets adds the subcommands that never had -seq/-fork.
-func documentedFlagSets() map[string]*flag.FlagSet {
+// documentedFlagSets adds the subcommands that never had -seq/-fork,
+// and the mlabgen and mlabanalyze binaries.
+func documentedFlagSets(t *testing.T) map[string]*flag.FlagSet {
 	sets := subcommandFlagSets()
 	sets["run"], _ = runFlags()
 	sets["census gen"], _ = censusGenFlags()
 	sets["census merge"], _ = censusMergeFlags()
+	for _, bin := range []string{"mlabgen", "mlabanalyze"} {
+		sets[bin] = sourceFlagSet(t, bin)
+	}
 	return sets
+}
+
+// sourceFlagSet rebuilds the flags of the binary cmd/<bin>, which
+// defines them on the flag package's command line inside run(), from
+// its source: every flag.Xxx("name", ...) call in main.go defines
+// -name.
+func sourceFlagSet(t *testing.T, bin string) *flag.FlagSet {
+	path := filepath.Join("..", bin, "main.go")
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet(bin, flag.ContinueOnError)
+	defined := 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if len(call.Args) == 0 {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs.Bool(name, false, "")
+			defined++
+		}
+		return true
+	})
+	if defined == 0 {
+		t.Fatalf("%s: found no flag definitions", path)
+	}
+	return fs
 }
 
 // TestAliasFlagsAreGone: -seq was -workers 1 spelled twice, and -fork
@@ -46,12 +97,24 @@ func TestAliasFlagsAreGone(t *testing.T) {
 }
 
 var (
-	docSubcommand = regexp.MustCompile(`\bccac (sweep|hunt|run|census run|census gen|census merge|[a-z]+)\b`)
+	docSubcommand = regexp.MustCompile(`\b(?:ccac (sweep|hunt|run|census run|census gen|census merge|[a-z]+)|(mlabgen|mlabanalyze))\b`)
 	docFlag       = regexp.MustCompile(`(?:^|[\s\[|])-([a-z][a-z0-9-]*)`)
 	// docPipe is a shell pipe into another command (not the "|" of a
-	// usage line's [-a | -b] or <file|->): its flags are not ccac's.
+	// usage line's [-a | -b] or <file|->): each stage of a pipeline is
+	// its own command.
 	docPipe = regexp.MustCompile(`\s\|\s+[^-\s]`)
 )
+
+// pipeStages splits a line at its shell pipes.
+func pipeStages(line string) []string {
+	var stages []string
+	start := 0
+	for _, m := range docPipe.FindAllStringIndex(line, -1) {
+		stages = append(stages, line[start:m[0]])
+		start = m[0] + 2 // past the whitespace and the "|"
+	}
+	return append(stages, line[start:])
+}
 
 // docLine is one line of a scanned file; inBlock marks the lines of a
 // usage or example block.
@@ -95,12 +158,14 @@ func docLines(t *testing.T, path string) []docLine {
 }
 
 // docPaths lists the scanned files: README.md, EXPERIMENTS.md,
-// DESIGN.md, docs/*.md and this command's source files.
+// DESIGN.md, docs/*.md, this command's source files and the mlabgen
+// and mlabanalyze headers.
 func docPaths(t *testing.T) []string {
 	root := filepath.Join("..", "..")
 	paths := []string{
 		filepath.Join(root, "README.md"), filepath.Join(root, "EXPERIMENTS.md"),
 		filepath.Join(root, "DESIGN.md"), "main.go", "census.go", "hunt.go",
+		filepath.Join("..", "mlabgen", "main.go"), filepath.Join("..", "mlabanalyze", "main.go"),
 	}
 	guides, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	if err != nil {
@@ -111,10 +176,11 @@ func docPaths(t *testing.T) []string {
 
 // TestDocumentedFlagsAreDefined reads every fenced block and usage
 // header of docPaths: every flag written after `ccac run`, `ccac
-// sweep`, `ccac hunt` or `ccac census gen|run|merge` (on that line or
-// its continuation lines) must be one the subcommand defines.
+// sweep`, `ccac hunt`, `ccac census gen|run|merge`, `mlabgen` or
+// `mlabanalyze` (on that line or its continuation lines, up to a
+// shell pipe) must be one the command defines.
 func TestDocumentedFlagsAreDefined(t *testing.T) {
-	sets := documentedFlagSets()
+	sets := documentedFlagSets(t)
 	paths := docPaths(t)
 	checked := 0
 	for _, path := range paths {
@@ -125,26 +191,32 @@ func TestDocumentedFlagsAreDefined(t *testing.T) {
 				fs, continued = nil, false
 				continue
 			}
-			line := l.text
-			trimmed := strings.TrimSpace(line)
-			if m := docSubcommand.FindStringSubmatchIndex(line); m != nil {
-				fs = sets[line[m[2]:m[3]]] // nil for the subcommands without flags
-				line = line[m[1]:]
-			} else if !continued && !strings.HasPrefix(trimmed, "-") && !strings.HasPrefix(trimmed, "[-") {
+			trimmed := strings.TrimSpace(l.text)
+			if !continued && !strings.HasPrefix(trimmed, "-") && !strings.HasPrefix(trimmed, "[-") {
 				fs = nil
 			}
 			continued = strings.HasSuffix(trimmed, `\`)
-			if fs == nil {
-				continue
-			}
-			if cut := docPipe.FindStringIndex(line); cut != nil {
-				line = line[:cut[0]]
-				continued = false
-			}
-			for _, m := range docFlag.FindAllStringSubmatch(line, -1) {
-				checked++
-				if fs.Lookup(m[1]) == nil && m[1] != "h" {
-					t.Errorf("%s:%d names -%s, which %s does not define", path, l.num, m[1], fs.Name())
+			for i, stage := range pipeStages(l.text) {
+				if i > 0 {
+					fs = nil
+				}
+				if m := docSubcommand.FindStringSubmatchIndex(stage); m != nil {
+					g := 2 // a ccac subcommand
+					if m[g] < 0 {
+						g = 4 // an mlab binary
+					}
+					name := stage[m[g]:m[g+1]]
+					fs = sets[name] // nil for the subcommands without flags
+					stage = stage[m[1]:]
+				}
+				if fs == nil {
+					continue
+				}
+				for _, m := range docFlag.FindAllStringSubmatch(stage, -1) {
+					checked++
+					if fs.Lookup(m[1]) == nil && m[1] != "h" {
+						t.Errorf("%s:%d names -%s, which %s does not define", path, l.num, m[1], fs.Name())
+					}
 				}
 			}
 		}

@@ -1,8 +1,8 @@
 // Command mlabanalyze runs the paper's §3.1 passive analysis over an
 // NDT JSONL dataset (from mlabgen or stdin): it excludes short,
 // application-limited, receiver-limited, and cellular flows, then runs
-// change-point detection on the remainder's throughput traces to find
-// flows whose allocation level shifted — the Figure 2 pipeline.
+// PELT change-point detection on the remainder's throughput traces to
+// find flows whose allocation level shifted — the Figure 2 pipeline.
 //
 // The dataset streams through a worker pool one record at a time
 // (gzip input is autodetected), so the dataset is never materialized
@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	mlabanalyze [-detector pelt|binseg|window] [-workers 8] [dataset.jsonl[.gz]]
+//	mlabanalyze [-minshift 0.2] [-workers 8] [-cdf] [dataset.jsonl[.gz]]
 //	mlabgen | mlabanalyze
 package main
 
@@ -35,7 +35,6 @@ func main() {
 }
 
 func run() error {
-	detector := flag.String("detector", "pelt", "change-point detector: pelt, binseg, or window")
 	minShift := flag.Float64("minshift", 0.2, "minimum relative level shift to count")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "analysis goroutines (output is identical for any count)")
 	maxRecords := flag.Int("max-records", 0, "abort past this many records (0 = unlimited)")
@@ -63,7 +62,7 @@ func run() error {
 	defer src.Close()
 
 	res, err := core.AnalyzeFig2Stream(src, core.Fig2Config{
-		Analysis: mlab.AnalysisConfig{Detector: *detector, MinShiftFrac: *minShift},
+		Analysis: mlab.AnalysisConfig{MinShiftFrac: *minShift},
 		Workers:  *workers,
 	})
 	if err != nil {

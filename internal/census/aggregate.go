@@ -230,9 +230,9 @@ func cellReport(key string, c *Cell) StratumReport {
 // byte-identical however the census was sharded: every number in it is
 // a pure function of the merged counters.
 type Report struct {
-	ModelHash string `json:"model_hash"`
-	ModelName string `json:"model_name,omitempty"`
-	N         int    `json:"n"`
+	ModelHash string  `json:"model_hash"`
+	ModelName string  `json:"model_name,omitempty"`
+	N         int     `json:"n"`
 	Z         float64 `json:"z"`
 	// Strata is sorted by stratum key; Overall folds every run.
 	Strata  []StratumReport `json:"strata"`

@@ -1,12 +1,11 @@
 // Package changepoint implements offline change-point detection on
 // univariate signals, following the taxonomy of Truong, Oudre &
 // Vayatis ("Selective review of offline change point detection
-// methods", Signal Processing 2020 — the paper's reference [60]): an
-// exact pruned dynamic program (PELT), greedy binary segmentation, and
-// a sliding-window discrepancy detector, all over an L2 (mean-shift)
-// segment cost.
+// methods", Signal Processing 2020 — the paper's reference [60]): the
+// exact pruned dynamic program PELT over an L2 (mean-shift) segment
+// cost, with a BIC penalty and a robust noise estimate.
 //
-// The M-Lab analysis in §3.1 uses these detectors to find flows whose
+// The M-Lab analysis in §3.1 uses PELT to find flows whose
 // achieved throughput level changed during their lifetime — the
 // passive signature of possible CCA contention.
 package changepoint
@@ -21,16 +20,6 @@ import (
 type costL2 struct {
 	cum   []float64 // prefix sums of x
 	cumsq []float64 // prefix sums of x^2
-}
-
-func newCostL2(x []float64) *costL2 {
-	n := len(x)
-	c := &costL2{cum: make([]float64, n+1), cumsq: make([]float64, n+1)}
-	for i, v := range x {
-		c.cum[i+1] = c.cum[i] + v
-		c.cumsq[i+1] = c.cumsq[i] + v*v
-	}
-	return c
 }
 
 // cost returns the L2 cost of segment [a, b), 0 <= a < b <= n.
@@ -52,22 +41,8 @@ func (c *costL2) mean(a, b int) float64 {
 	return (c.cum[b] - c.cum[a]) / float64(b-a)
 }
 
-// PELT computes the optimal segmentation of x under an L2 cost with a
-// per-changepoint penalty, using the PELT pruning rule (exact, and
-// linear time when changepoints are frequent). It returns the sorted
-// interior breakpoints (indices where a new segment starts). minSize
-// bounds the minimum segment length; values < 1 are treated as 1.
-func PELT(x []float64, penalty float64, minSize int) []int {
-	var s Scratch
-	bps := s.PELT(x, penalty, minSize)
-	if bps == nil {
-		return nil
-	}
-	return append([]int(nil), bps...)
-}
-
-// Scratch holds the working arrays the detectors need, so a caller
-// that runs them over many traces (the M-Lab analysis pipeline runs
+// Scratch holds the working arrays the detector needs, so a caller
+// that runs it over many traces (the M-Lab analysis pipeline runs
 // one per flow) pays zero steady-state allocations: every method
 // reuses the scratch's buffers and returns slices into them, valid
 // only until the next call on the same Scratch. The zero value is
@@ -113,9 +88,12 @@ func (sc *Scratch) prefix(x []float64) {
 	}
 }
 
-// PELT is the allocation-free form of the package-level PELT: the
-// returned slice aliases the scratch and is valid until the next call.
-// The segmentation is identical to the package-level function's.
+// PELT computes the optimal segmentation of x under an L2 cost with a
+// per-changepoint penalty, using the PELT pruning rule (exact, and
+// linear time when changepoints are frequent). It returns the sorted
+// interior breakpoints (indices where a new segment starts), aliasing
+// the scratch until the next call. minSize bounds the minimum segment
+// length; values < 1 are treated as 1.
 func (sc *Scratch) PELT(x []float64, penalty float64, minSize int) []int {
 	n := len(x)
 	if n == 0 {
@@ -192,8 +170,9 @@ func (sc *Scratch) PELT(x []float64, penalty float64, minSize int) []int {
 	return bps
 }
 
-// EstimateNoise is the allocation-free form of the package-level
-// EstimateNoise.
+// EstimateNoise estimates the noise variance of x from first
+// differences (robust to level shifts): Var(diff)/2 using the median
+// absolute deviation, scaled for Gaussian noise.
 func (sc *Scratch) EstimateNoise(x []float64) float64 {
 	if len(x) < 3 {
 		return 0
@@ -204,14 +183,15 @@ func (sc *Scratch) EstimateNoise(x []float64) float64 {
 	}
 	sort.Float64s(diffs)
 	mad := diffs[len(diffs)/2]
+	// For Gaussian noise, MAD of differences = sigma*sqrt(2)*0.6745...;
+	// invert: sigma = mad / (0.6745*sqrt(2)).
 	sigma := mad / (0.6745 * math.Sqrt2)
 	return sigma * sigma
 }
 
-// SegmentMeans is the allocation-free form of the package-level
-// SegmentMeans: the returned slice aliases the scratch and is valid
-// until the next call. bps must be sorted; out-of-range or
-// non-increasing entries are skipped, mirroring Segments.
+// SegmentMeans returns the mean of x over each segment induced by
+// bps, aliasing the scratch until the next call. bps must be sorted;
+// out-of-range or non-increasing entries are skipped.
 func (sc *Scratch) SegmentMeans(x []float64, bps []int) []float64 {
 	sc.prefix(x)
 	n := len(x)
@@ -229,93 +209,6 @@ func (sc *Scratch) SegmentMeans(x []float64, bps []int) []float64 {
 	return out
 }
 
-// BinSeg performs greedy binary segmentation: repeatedly split the
-// segment whose best split reduces cost the most, until no split gains
-// more than penalty or maxBreaks splits have been made (maxBreaks <= 0
-// means unlimited). Returns sorted interior breakpoints.
-func BinSeg(x []float64, penalty float64, minSize, maxBreaks int) []int {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if minSize < 1 {
-		minSize = 1
-	}
-	c := newCostL2(x)
-
-	type seg struct{ a, b int }
-	segs := []seg{{0, n}}
-	var bps []int
-	for {
-		if maxBreaks > 0 && len(bps) >= maxBreaks {
-			break
-		}
-		bestGain := penalty
-		bestSeg := -1
-		bestSplit := -1
-		for i, s := range segs {
-			if s.b-s.a < 2*minSize {
-				continue
-			}
-			whole := c.cost(s.a, s.b)
-			for k := s.a + minSize; k <= s.b-minSize; k++ {
-				gain := whole - c.cost(s.a, k) - c.cost(k, s.b)
-				if gain > bestGain {
-					bestGain = gain
-					bestSeg = i
-					bestSplit = k
-				}
-			}
-		}
-		if bestSeg < 0 {
-			break
-		}
-		s := segs[bestSeg]
-		segs[bestSeg] = seg{s.a, bestSplit}
-		segs = append(segs, seg{bestSplit, s.b})
-		bps = append(bps, bestSplit)
-	}
-	sort.Ints(bps)
-	return bps
-}
-
-// Window runs a sliding-window discrepancy detector: at each index t it
-// compares the mean of the width samples before t with the width after,
-// declaring a changepoint at local maxima of the discrepancy that
-// exceed threshold (in absolute mean-shift units). Returns sorted
-// breakpoints at least width apart.
-func Window(x []float64, width int, threshold float64) []int {
-	n := len(x)
-	if width < 2 || n < 2*width {
-		return nil
-	}
-	c := newCostL2(x)
-	disc := make([]float64, n)
-	for t := width; t <= n-width; t++ {
-		disc[t] = math.Abs(c.mean(t, t+width) - c.mean(t-width, t))
-	}
-	var bps []int
-	last := -width
-	for t := width; t <= n-width; t++ {
-		if disc[t] < threshold {
-			continue
-		}
-		// Local maximum within +-width/2.
-		isMax := true
-		for k := t - width/2; k <= t+width/2; k++ {
-			if k >= 0 && k < n && disc[k] > disc[t] {
-				isMax = false
-				break
-			}
-		}
-		if isMax && t-last >= width {
-			bps = append(bps, t)
-			last = t
-		}
-	}
-	return bps
-}
-
 // BICPenalty returns the Bayesian-information-criterion penalty
 // 2 * sigma^2 * log(n) for a signal of length n with noise variance
 // sigma2, the conventional default for L2 costs.
@@ -324,50 +217,4 @@ func BICPenalty(n int, sigma2 float64) float64 {
 		return 0
 	}
 	return 2 * sigma2 * math.Log(float64(n))
-}
-
-// EstimateNoise estimates the noise variance of x from first
-// differences (robust to level shifts): Var(diff)/2 using the median
-// absolute deviation, scaled for Gaussian noise.
-func EstimateNoise(x []float64) float64 {
-	if len(x) < 3 {
-		return 0
-	}
-	diffs := make([]float64, 0, len(x)-1)
-	for i := 1; i < len(x); i++ {
-		diffs = append(diffs, math.Abs(x[i]-x[i-1]))
-	}
-	sort.Float64s(diffs)
-	mad := diffs[len(diffs)/2]
-	// For Gaussian noise, MAD of differences = sigma*sqrt(2)*0.6745...;
-	// invert: sigma = mad / (0.6745*sqrt(2)).
-	sigma := mad / (0.6745 * math.Sqrt2)
-	return sigma * sigma
-}
-
-// Segments converts breakpoints into [start, end) segment bounds over a
-// signal of length n.
-func Segments(bps []int, n int) [][2]int {
-	out := make([][2]int, 0, len(bps)+1)
-	prev := 0
-	for _, b := range bps {
-		if b <= prev || b >= n {
-			continue
-		}
-		out = append(out, [2]int{prev, b})
-		prev = b
-	}
-	out = append(out, [2]int{prev, n})
-	return out
-}
-
-// SegmentMeans returns the mean of x over each segment induced by bps.
-func SegmentMeans(x []float64, bps []int) []float64 {
-	c := newCostL2(x)
-	segs := Segments(bps, len(x))
-	out := make([]float64, len(segs))
-	for i, s := range segs {
-		out[i] = c.mean(s[0], s[1])
-	}
-	return out
 }

@@ -33,12 +33,25 @@ func containsNear(bps []int, want, tol int) bool {
 }
 
 func TestPELTFindsSingleBreak(t *testing.T) {
+	var sc Scratch
 	rng := rand.New(rand.NewSource(1))
 	x := step(rng, 0.5, [2]float64{50, 0}, [2]float64{50, 10})
 	pen := BICPenalty(len(x), 0.25) * 5
-	bps := PELT(x, pen, 5)
-	if len(bps) == 0 || !containsNear(bps, 50, 3) {
+	if bps := sc.PELT(x, pen, 5); len(bps) == 0 || !containsNear(bps, 50, 3) {
 		t.Errorf("breakpoints = %v, want ~50", bps)
+	}
+	// A noiseless step splits exactly at its boundary.
+	clean := step(nil, 0, [2]float64{30, 0}, [2]float64{30, 100})
+	if bps := sc.PELT(clean, 10, 3); len(bps) != 1 || bps[0] != 30 {
+		t.Errorf("clean step: breakpoints = %v, want [30]", bps)
+	}
+	// The pipeline's penalty recipe (noise estimate, BIC, x minSize)
+	// finds exactly the one level change of a two-level trace.
+	rng = rand.New(rand.NewSource(7))
+	x = step(rng, 0.2, [2]float64{60, 2}, [2]float64{60, 9})
+	pen = BICPenalty(len(x), sc.EstimateNoise(x)) * 10
+	if bps := sc.PELT(x, pen, 10); len(bps) != 1 || !containsNear(bps, 60, 3) {
+		t.Errorf("two-level trace: breakpoints = %v, want exactly one ~60", bps)
 	}
 }
 
@@ -46,7 +59,7 @@ func TestPELTNoBreakOnConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := step(rng, 0.5, [2]float64{100, 5})
 	pen := BICPenalty(len(x), 0.25) * 5
-	if bps := PELT(x, pen, 5); len(bps) != 0 {
+	if bps := new(Scratch).PELT(x, pen, 5); len(bps) != 0 {
 		t.Errorf("constant signal got breakpoints %v", bps)
 	}
 }
@@ -55,51 +68,19 @@ func TestPELTMultipleBreaks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := step(rng, 0.3, [2]float64{40, 0}, [2]float64{40, 8}, [2]float64{40, 2})
 	pen := BICPenalty(len(x), 0.09) * 5
-	bps := PELT(x, pen, 5)
+	bps := new(Scratch).PELT(x, pen, 5)
 	if !containsNear(bps, 40, 3) || !containsNear(bps, 80, 3) {
 		t.Errorf("breakpoints = %v, want ~40 and ~80", bps)
 	}
 }
 
 func TestPELTEmptyAndTiny(t *testing.T) {
-	if bps := PELT(nil, 1, 1); bps != nil {
+	var sc Scratch
+	if bps := sc.PELT(nil, 1, 1); bps != nil {
 		t.Errorf("nil input = %v", bps)
 	}
-	if bps := PELT([]float64{1}, 1, 1); len(bps) != 0 {
+	if bps := sc.PELT([]float64{1}, 1, 1); len(bps) != 0 {
 		t.Errorf("single sample = %v", bps)
-	}
-}
-
-func TestBinSegMatchesPELTOnCleanSignal(t *testing.T) {
-	x := step(nil0(), 0, [2]float64{30, 0}, [2]float64{30, 100})
-	pen := 10.0
-	p := PELT(x, pen, 3)
-	b := BinSeg(x, pen, 3, 0)
-	if len(p) != 1 || len(b) != 1 || p[0] != 30 || b[0] != 30 {
-		t.Errorf("PELT=%v BinSeg=%v, want [30] each", p, b)
-	}
-}
-
-func nil0() *rand.Rand { return rand.New(rand.NewSource(0)) }
-
-func TestBinSegMaxBreaks(t *testing.T) {
-	x := step(nil0(), 0, [2]float64{20, 0}, [2]float64{20, 10}, [2]float64{20, 0}, [2]float64{20, 10})
-	bps := BinSeg(x, 1, 3, 2)
-	if len(bps) != 2 {
-		t.Errorf("maxBreaks not honored: %v", bps)
-	}
-}
-
-func TestWindowDetector(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := step(rng, 0.2, [2]float64{60, 0}, [2]float64{60, 5})
-	bps := Window(x, 10, 2)
-	if !containsNear(bps, 60, 6) {
-		t.Errorf("window breakpoints = %v, want ~60", bps)
-	}
-	// Too-short input.
-	if bps := Window(x[:15], 10, 2); bps != nil {
-		t.Errorf("short input = %v", bps)
 	}
 }
 
@@ -108,11 +89,12 @@ func TestEstimateNoise(t *testing.T) {
 	// Pure noise sigma=2, with a huge level shift that the
 	// difference-based estimator must be robust to.
 	x := step(rng, 2, [2]float64{500, 0}, [2]float64{500, 1000})
-	sigma2 := EstimateNoise(x)
+	var sc Scratch
+	sigma2 := sc.EstimateNoise(x)
 	if sigma2 < 1 || sigma2 > 9 {
 		t.Errorf("noise estimate = %v, want ~4", sigma2)
 	}
-	if EstimateNoise([]float64{1, 2}) != 0 {
+	if sc.EstimateNoise([]float64{1, 2}) != 0 {
 		t.Error("tiny input should estimate 0")
 	}
 }
@@ -130,26 +112,22 @@ func TestBICPenalty(t *testing.T) {
 }
 
 func TestSegments(t *testing.T) {
-	segs := Segments([]int{3, 7}, 10)
-	want := [][2]int{{0, 3}, {3, 7}, {7, 10}}
-	if len(segs) != 3 {
-		t.Fatalf("segs = %v", segs)
-	}
-	for i := range want {
-		if segs[i] != want[i] {
-			t.Errorf("seg %d = %v, want %v", i, segs[i], want[i])
-		}
+	x := []float64{1, 1, 1, 2, 2, 2, 2, 4, 4, 4}
+	var sc Scratch
+	means := sc.SegmentMeans(x, []int{3, 7})
+	if len(means) != 3 || means[0] != 1 || means[1] != 2 || means[2] != 4 {
+		t.Errorf("means = %v, want [1 2 4]", means)
 	}
 	// Out-of-range and non-increasing breakpoints are skipped.
-	segs = Segments([]int{0, 5, 5, 12}, 10)
-	if len(segs) != 2 || segs[0] != [2]int{0, 5} || segs[1] != [2]int{5, 10} {
-		t.Errorf("sanitized segs = %v", segs)
+	means = sc.SegmentMeans(x, []int{0, 3, 3, 12})
+	if len(means) != 2 || means[0] != 1 || means[1] != 20.0/7 {
+		t.Errorf("sanitized means = %v, want [1 %v]", means, 20.0/7)
 	}
 }
 
 func TestSegmentMeans(t *testing.T) {
 	x := []float64{1, 1, 1, 5, 5, 5}
-	means := SegmentMeans(x, []int{3})
+	means := new(Scratch).SegmentMeans(x, []int{3})
 	if len(means) != 2 || means[0] != 1 || means[1] != 5 {
 		t.Errorf("means = %v", means)
 	}
@@ -171,7 +149,7 @@ func TestPELTWellFormedProperty(t *testing.T) {
 		}
 		minSize := 1 + rng.Intn(5)
 		pen := rng.Float64() * 50
-		bps := PELT(x, pen, minSize)
+		bps := new(Scratch).PELT(x, pen, minSize)
 		prev := 0
 		for _, b := range bps {
 			if b <= prev || b >= n {
@@ -195,9 +173,10 @@ func TestPELTPenaltyMonotonicity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		x := step(rng, 1,
 			[2]float64{30, 0}, [2]float64{30, float64(rng.Intn(20))}, [2]float64{30, 3})
-		lo := PELT(x, 5, 3)
-		hi := PELT(x, 500, 3)
-		return len(hi) <= len(lo)
+		var sc Scratch
+		lo := len(sc.PELT(x, 5, 3))
+		hi := len(sc.PELT(x, 500, 3))
+		return hi <= lo
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -209,33 +188,20 @@ func TestPELTPenaltyMonotonicity(t *testing.T) {
 func TestPELTImprovesCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x := step(rng, 0.5, [2]float64{50, 0}, [2]float64{50, 20})
-	c := newCostL2(x)
 	pen := 10.0
-	bps := PELT(x, pen, 2)
-	segs := Segments(bps, len(x))
-	var segCost float64
-	for _, s := range segs {
-		segCost += c.cost(s[0], s[1])
-	}
-	segCost += pen * float64(len(bps))
-	whole := c.cost(0, len(x))
-	if segCost > whole+1e-9 {
-		t.Errorf("segmented cost %v worse than whole %v", segCost, whole)
+	bps := new(Scratch).PELT(x, pen, 2)
+	segmented := segmentationCost(x, bps, pen)
+	whole := segCost(x, 0, len(x))
+	if segmented > whole+1e-9 {
+		t.Errorf("segmented cost %v worse than whole %v", segmented, whole)
 	}
 }
 
 func BenchmarkPELT100(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := step(rng, 1, [2]float64{50, 0}, [2]float64{50, 10})
+	var sc Scratch
 	for i := 0; i < b.N; i++ {
-		PELT(x, 50, 5)
-	}
-}
-
-func BenchmarkBinSeg100(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := step(rng, 1, [2]float64{50, 0}, [2]float64{50, 10})
-	for i := 0; i < b.N; i++ {
-		BinSeg(x, 50, 5, 8)
+		sc.PELT(x, 50, 5)
 	}
 }

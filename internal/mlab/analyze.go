@@ -3,7 +3,6 @@ package mlab
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/changepoint"
@@ -37,9 +36,6 @@ type AnalysisConfig struct {
 	MinSegment int
 	// PenaltyScale scales the BIC penalty (default 1).
 	PenaltyScale float64
-	// Detector selects the change-point algorithm: "pelt" (default),
-	// "binseg", or "window".
-	Detector string
 }
 
 func (c AnalysisConfig) norm() AnalysisConfig {
@@ -54,9 +50,6 @@ func (c AnalysisConfig) norm() AnalysisConfig {
 	}
 	if c.PenaltyScale <= 0 {
 		c.PenaltyScale = 1
-	}
-	if c.Detector == "" {
-		c.Detector = "pelt"
 	}
 	return c
 }
@@ -87,26 +80,10 @@ type Analysis struct {
 	cfg      AnalysisConfig
 }
 
-// Analyze runs the paper's passive pipeline over the dataset: exclude
-// short, application-limited, receiver-limited, and cellular flows;
-// run change-point detection on the remainder's throughput traces;
-// flag flows whose throughput level shifted.
-//
-// It materializes per-flow results; large datasets should stream
-// through AnalyzeStream instead.
-func Analyze(recs []Record, cfg AnalysisConfig) *Analysis {
-	a, err := AnalyzeStream(&SliceSource{Recs: recs}, cfg, StreamOptions{Workers: 1, KeepResults: true})
-	if err != nil {
-		// A slice source cannot fail to decode.
-		panic(err)
-	}
-	return a
-}
-
 // scratch carries one worker's reusable buffers: the throughput
 // trace, the change-point detector's arrays, and the accepted
-// breakpoint/magnitude lists. After warmup, analyzing a flow with the
-// default (PELT) detector performs no heap allocations.
+// breakpoint/magnitude lists. After warmup, analyzing a flow performs
+// no heap allocations.
 type scratch struct {
 	trace []float64
 	cp    changepoint.Scratch
@@ -132,7 +109,8 @@ func analyzeInto(r *Record, cfg AnalysisConfig, sc *scratch) FlowResult {
 		res.Category = CatStable
 		sc.trace = r.ThroughputTraceInto(sc.trace)
 		trace := sc.trace
-		bps := detect(trace, cfg, sc)
+		pen := cfg.PenaltyScale * changepoint.BICPenalty(len(trace), sc.cp.EstimateNoise(trace)) * float64(cfg.MinSegment)
+		bps := sc.cp.PELT(trace, pen, cfg.MinSegment)
 		means := sc.cp.SegmentMeans(trace, bps)
 		// Accept a breakpoint only when adjacent segment means differ
 		// by MinShiftFrac relative to the larger one.
@@ -160,21 +138,6 @@ func analyzeInto(r *Record, cfg AnalysisConfig, sc *scratch) FlowResult {
 		}
 	}
 	return res
-}
-
-func detect(trace []float64, cfg AnalysisConfig, sc *scratch) []int {
-	sigma2 := sc.cp.EstimateNoise(trace)
-	pen := cfg.PenaltyScale * changepoint.BICPenalty(len(trace), sigma2) * float64(cfg.MinSegment)
-	switch cfg.Detector {
-	case "binseg":
-		return changepoint.BinSeg(trace, pen, cfg.MinSegment, 8)
-	case "window":
-		// Threshold in mean-shift units: a few sigma.
-		thr := 4 * math.Sqrt(sigma2)
-		return changepoint.Window(trace, cfg.MinSegment, thr)
-	default:
-		return sc.cp.PELT(trace, pen, cfg.MinSegment)
-	}
 }
 
 // Fraction returns the fraction of flows in the given category.

@@ -73,11 +73,13 @@ func catIndex(c Category) int {
 	}
 }
 
-// AnalyzeStream runs the §3.1 pipeline over a record stream with a
-// bounded-memory worker pool: the source is decoded once, records fan
-// out to workers that each carry a reusable scratch (zero steady-state
-// allocations per flow on the default detector), and the per-worker
-// aggregates merge into one Analysis.
+// AnalyzeStream runs the §3.1 pipeline over a record stream: it
+// excludes short, application-limited, receiver-limited, and cellular
+// flows, runs PELT on the remainder's throughput traces, and flags
+// flows whose throughput level shifted. The source is decoded once,
+// records fan out to a bounded pool of workers that each carry a
+// reusable scratch (zero steady-state allocations per flow), and the
+// per-worker aggregates merge into one Analysis.
 //
 // Determinism: the merged aggregate — category counts, validation
 // counts, and the shift-magnitude distribution (exact samples, sorted
@@ -92,31 +94,9 @@ func AnalyzeStream(src RecordSource, cfg AnalysisConfig, opt StreamOptions) (*An
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	var parts []*partial
-	var srcErr error
-	if workers == 1 {
-		p := new(partial)
-		var sc scratch
-		var rec Record
-		idx := 0
-		for {
-			if err := src.Next(&rec); err != nil {
-				if err != io.EOF {
-					srcErr = err
-				}
-				break
-			}
-			res := analyzeInto(&rec, cfg, &sc)
-			p.add(&res, idx, opt)
-			idx++
-		}
-		parts = []*partial{p}
-	} else {
-		parts, srcErr = analyzeParallel(src, cfg, opt, workers)
-	}
-	if srcErr != nil {
-		return nil, srcErr
+	parts, err := analyzeParallel(src, cfg, opt, workers)
+	if err != nil {
+		return nil, err
 	}
 	return mergePartials(parts, cfg, opt), nil
 }

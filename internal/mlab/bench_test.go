@@ -54,7 +54,7 @@ func BenchmarkMLabAnalyzeStoreAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := Analyze(recs, cfg)
+		a := analyze(b, recs, cfg)
 		if a.Total != benchFlows {
 			b.Fatalf("analyzed %d flows, want %d", a.Total, benchFlows)
 		}

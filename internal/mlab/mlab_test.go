@@ -94,11 +94,7 @@ func TestGeneratedRecordInvariants(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	recs := Generate(GeneratorConfig{Flows: 50, Seed: 5})
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf)
+	got, err := decodeJSONL(encodeJSONL(t, recs), StreamLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +110,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLBadInput(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json")); err == nil {
+	if _, err := decodeJSONL(strings.NewReader("{not json"), StreamLimits{}); err == nil {
 		t.Error("expected decode error")
 	}
-	recs, err := ReadJSONL(strings.NewReader(""))
+	recs, err := decodeJSONL(strings.NewReader(""), StreamLimits{})
 	if err != nil || len(recs) != 0 {
 		t.Errorf("empty input: %v, %d records", err, len(recs))
 	}
@@ -125,7 +121,7 @@ func TestReadJSONLBadInput(t *testing.T) {
 
 func TestAnalyzeCategorization(t *testing.T) {
 	recs := Generate(GeneratorConfig{Flows: 2000, Seed: 6})
-	an := Analyze(recs, AnalysisConfig{})
+	an := analyze(t, recs, AnalysisConfig{})
 	if an.Total != 2000 {
 		t.Fatalf("total = %d", an.Total)
 	}
@@ -151,7 +147,7 @@ func TestAnalyzeCategorization(t *testing.T) {
 
 func TestAnalyzeDetectsContendingFlows(t *testing.T) {
 	recs := Generate(GeneratorConfig{Flows: 3000, Seed: 7})
-	an := Analyze(recs, AnalysisConfig{})
+	an := analyze(t, recs, AnalysisConfig{})
 	v := an.Validate()
 	if v.Recall() < 0.7 {
 		t.Errorf("recall = %.3f, want >= 0.7 (tp=%d fn=%d)", v.Recall(), v.TruePos, v.FalseNeg)
@@ -165,20 +161,9 @@ func TestAnalyzeDetectsContendingFlows(t *testing.T) {
 	}
 }
 
-func TestAnalyzeDetectors(t *testing.T) {
-	recs := Generate(GeneratorConfig{Flows: 800, Seed: 8})
-	for _, det := range []string{"pelt", "binseg", "window"} {
-		an := Analyze(recs, AnalysisConfig{Detector: det})
-		v := an.Validate()
-		if v.Recall() < 0.5 {
-			t.Errorf("%s: recall = %.3f", det, v.Recall())
-		}
-	}
-}
-
 func TestAnalysisReport(t *testing.T) {
 	recs := Generate(GeneratorConfig{Flows: 300, Seed: 9})
-	an := Analyze(recs, AnalysisConfig{})
+	an := analyze(t, recs, AnalysisConfig{})
 	var buf bytes.Buffer
 	an.WriteReport(&buf)
 	out := buf.String()

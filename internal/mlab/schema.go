@@ -13,10 +13,6 @@
 package mlab
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/tcpinfo"
@@ -92,44 +88,4 @@ func (r *Record) ThroughputTraceInto(buf []float64) []float64 {
 		buf = append(buf, r.Snapshots[i].ThroughputBps)
 	}
 	return buf
-}
-
-// WriteJSONL encodes records one-per-line to w.
-func WriteJSONL(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return fmt.Errorf("mlab: encoding record %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL decodes a JSONL dataset from r into memory, with gzip
-// autodetection and the default input guards (see StreamLimits). It
-// materializes every record; use RecordStream with AnalyzeStream for
-// datasets that should not fit in memory.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	return ReadJSONLLimited(r, StreamLimits{})
-}
-
-// ReadJSONLLimited is ReadJSONL with explicit input guards.
-func ReadJSONLLimited(r io.Reader, lim StreamLimits) ([]Record, error) {
-	s, err := NewRecordStream(r, lim)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	var recs []Record
-	for {
-		var rec Record
-		if err := s.Next(&rec); err != nil {
-			if err == io.EOF {
-				return recs, nil
-			}
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
 }

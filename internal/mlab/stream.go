@@ -45,8 +45,7 @@ var gzipMagic = []byte{0x1f, 0x8b}
 
 // RecordStream decodes a JSONL dataset incrementally: one record in
 // memory at a time, with per-record buffer reuse, transparent gzip
-// autodetection (for .jsonl.gz datasets), and input guards. It is the
-// constant-memory replacement for ReadJSONL.
+// autodetection (for .jsonl.gz datasets), and input guards.
 type RecordStream struct {
 	br     *bufio.Reader
 	gz     *gzip.Reader
@@ -152,10 +151,13 @@ func (s *RecordStream) nextLine() ([]byte, error) {
 }
 
 // reset clears rec for reuse, retaining the snapshot backing array so
-// steady-state decoding does not reallocate it.
+// steady-state decoding does not reallocate it. The whole array is
+// zeroed: encoding/json decodes into reused elements in place, so a
+// field a line omits would otherwise keep an earlier record's value.
 func (r *Record) reset() {
-	snaps := r.Snapshots[:0]
-	*r = Record{Snapshots: snaps}
+	snaps := r.Snapshots[:cap(r.Snapshots)]
+	clear(snaps)
+	*r = Record{Snapshots: snaps[:0]}
 }
 
 // SliceSource adapts an in-memory dataset to the RecordSource
@@ -177,8 +179,7 @@ func (s *SliceSource) Next(rec *Record) error {
 }
 
 // JSONLWriter encodes records one per line with optional gzip
-// compression, buffering the underlying writer. It is the streaming
-// counterpart of WriteJSONL.
+// compression, buffering the underlying writer.
 type JSONLWriter struct {
 	bw  *bufio.Writer
 	gz  *gzip.Writer

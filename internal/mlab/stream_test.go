@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -14,13 +15,57 @@ func genTestDataset(t *testing.T, flows int, seed int64) []Record {
 	return Generate(GeneratorConfig{Flows: flows, Seed: seed})
 }
 
-func TestRecordStreamRoundTrip(t *testing.T) {
-	recs := genTestDataset(t, 50, 1)
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, recs); err != nil {
+// analyze runs the pipeline over an in-memory dataset on one worker,
+// retaining per-flow results.
+func analyze(t testing.TB, recs []Record, cfg AnalysisConfig) *Analysis {
+	t.Helper()
+	a, err := AnalyzeStream(&SliceSource{Recs: recs}, cfg, StreamOptions{Workers: 1, KeepResults: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewRecordStream(&buf, StreamLimits{})
+	return a
+}
+
+// encodeJSONL writes recs one per line through a JSONLWriter.
+func encodeJSONL(t *testing.T, recs []Record) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	jw := NewJSONLWriter(&buf, false)
+	for i := range recs {
+		if err := jw.Write(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// decodeJSONL drains a RecordStream over r into memory, one fresh
+// Record per line.
+func decodeJSONL(r io.Reader, lim StreamLimits) ([]Record, error) {
+	s, err := NewRecordStream(r, lim)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	var recs []Record
+	for {
+		var rec Record
+		if err := s.Next(&rec); err != nil {
+			if err == io.EOF {
+				return recs, nil
+			}
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+func TestRecordStreamRoundTrip(t *testing.T) {
+	recs := genTestDataset(t, 50, 1)
+	s, err := NewRecordStream(encodeJSONL(t, recs), StreamLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +90,7 @@ func TestRecordStreamRoundTrip(t *testing.T) {
 
 func TestRecordStreamGzipAutodetect(t *testing.T) {
 	recs := genTestDataset(t, 20, 2)
-	var plain bytes.Buffer
-	if err := WriteJSONL(&plain, recs); err != nil {
-		t.Fatal(err)
-	}
+	plain := encodeJSONL(t, recs)
 	var zipped bytes.Buffer
 	gz := gzip.NewWriter(&zipped)
 	if _, err := gz.Write(plain.Bytes()); err != nil {
@@ -58,7 +100,7 @@ func TestRecordStreamGzipAutodetect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := ReadJSONL(&zipped)
+	got, err := decodeJSONL(&zipped, StreamLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +126,7 @@ func TestJSONLWriterGzipRoundTrip(t *testing.T) {
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := decodeJSONL(&buf, StreamLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +137,10 @@ func TestJSONLWriterGzipRoundTrip(t *testing.T) {
 
 func TestRecordStreamTruncatedRecord(t *testing.T) {
 	recs := genTestDataset(t, 3, 4)
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
 	// Chop the final record mid-JSON.
-	b := buf.Bytes()
+	b := encodeJSONL(t, recs).Bytes()
 	b = b[:len(b)-len(b)/8]
-	_, err := ReadJSONL(bytes.NewReader(b))
+	_, err := decodeJSONL(bytes.NewReader(b), StreamLimits{})
 	if err == nil {
 		t.Fatal("truncated input decoded without error")
 	}
@@ -113,25 +151,82 @@ func TestRecordStreamTruncatedRecord(t *testing.T) {
 
 func TestRecordStreamLimits(t *testing.T) {
 	recs := genTestDataset(t, 5, 5)
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeJSONL(t, recs).Bytes()
 
-	_, err := ReadJSONLLimited(bytes.NewReader(data), StreamLimits{MaxRecords: 3})
+	_, err := decodeJSONL(bytes.NewReader(data), StreamLimits{MaxRecords: 3})
 	if err == nil || !strings.Contains(err.Error(), "record 3 exceeds the 3-record limit") {
 		t.Fatalf("MaxRecords violation: got %v", err)
 	}
 
-	_, err = ReadJSONLLimited(bytes.NewReader(data), StreamLimits{MaxRecordBytes: 100})
+	_, err = decodeJSONL(bytes.NewReader(data), StreamLimits{MaxRecordBytes: 100})
 	if err == nil || !strings.Contains(err.Error(), "line limit") {
 		t.Fatalf("MaxRecordBytes violation: got %v", err)
 	}
 
-	got, err := ReadJSONLLimited(bytes.NewReader(data), StreamLimits{MaxRecords: 5})
+	got, err := decodeJSONL(bytes.NewReader(data), StreamLimits{MaxRecords: 5})
 	if err != nil || len(got) != 5 {
 		t.Fatalf("at-limit read: got %d records, err %v", len(got), err)
+	}
+}
+
+// alternatingAppLimited is a hand-written NDT file of 40 flat 3 s
+// flows in which every even line reports app_limited and every odd
+// line omits the field, as a real NDT file may.
+func alternatingAppLimited() []byte {
+	var buf bytes.Buffer
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&buf, `{"id":"f%d","duration":3000000000,"access":"wifi","snapshots":[`, i)
+		for k := 1; k <= 30; k++ {
+			if k > 1 {
+				buf.WriteByte(',')
+			}
+			fmt.Fprintf(&buf, `{"at":%d,"throughput_bps":1e7`, k*100_000_000)
+			if i%2 == 0 {
+				fmt.Fprintf(&buf, `,"app_limited":%d`, k*50_000_000)
+			}
+			buf.WriteByte('}')
+		}
+		buf.WriteString("]}\n")
+	}
+	return buf.Bytes()
+}
+
+// TestRecordStreamClearsReusedSnapshots: a field a line omits must
+// decode as zero, not as the value the previous record held at the
+// same snapshot index of the reused backing array.
+func TestRecordStreamClearsReusedSnapshots(t *testing.T) {
+	data := alternatingAppLimited()
+	s, err := NewRecordStream(bytes.NewReader(data), StreamLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var rec Record
+	for i := 0; i < 2; i++ {
+		if err := s.Next(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, snap := range rec.Snapshots {
+		if snap.AppLimited != 0 {
+			t.Fatalf("record 1 snapshot %d: AppLimited = %v, want 0 (leaked from record 0)", k, snap.AppLimited)
+		}
+	}
+
+	want := map[Category]int{CatAppLimited: 20, CatStable: 20}
+	for _, workers := range []int{1, 4} {
+		s, err := NewRecordStream(bytes.NewReader(data), StreamLimits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := AnalyzeStream(s, AnalysisConfig{}, StreamOptions{Workers: workers})
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(a.ByCat, want) {
+			t.Errorf("workers=%d: ByCat = %v, want %v", workers, a.ByCat, want)
+		}
 	}
 }
 
@@ -139,11 +234,9 @@ func TestRecordStreamBlankLines(t *testing.T) {
 	recs := genTestDataset(t, 2, 6)
 	var buf bytes.Buffer
 	buf.WriteString("\n")
-	if err := WriteJSONL(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(encodeJSONL(t, recs).Bytes())
 	buf.WriteString("\n\n")
-	got, err := ReadJSONL(&buf)
+	got, err := decodeJSONL(&buf, StreamLimits{})
 	if err != nil || len(got) != 2 {
 		t.Fatalf("blank-line input: got %d records, err %v", len(got), err)
 	}
@@ -161,7 +254,7 @@ func reportString(t *testing.T, a *Analysis) string {
 func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	recs := genTestDataset(t, 400, 7)
 	cfg := AnalysisConfig{}
-	want := Analyze(recs, cfg)
+	want := analyze(t, recs, cfg)
 
 	for _, workers := range []int{1, 2, 8} {
 		got, err := AnalyzeStream(&SliceSource{Recs: recs}, cfg, StreamOptions{Workers: workers, KeepResults: true})
@@ -187,10 +280,10 @@ func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStreamSketchDeterministic is, despite the name, about the
-// exact CDF: the aggregate-mode (KeepResults unset, the literal the
-// ledger and mlabanalyze pass) worker-invariance test.
-func TestAnalyzeStreamSketchDeterministic(t *testing.T) {
+// TestAnalyzeStreamAggregateDeterministic is the aggregate-mode
+// (KeepResults unset, the literal the ledger and mlabanalyze pass)
+// worker-invariance test, exact shift-magnitude CDF included.
+func TestAnalyzeStreamAggregateDeterministic(t *testing.T) {
 	recs := genTestDataset(t, 400, 8)
 	cfg := AnalysisConfig{}
 	var first string
@@ -216,10 +309,7 @@ func TestAnalyzeStreamSketchDeterministic(t *testing.T) {
 
 func TestAnalyzeStreamPropagatesSourceError(t *testing.T) {
 	recs := genTestDataset(t, 10, 10)
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
+	buf := encodeJSONL(t, recs)
 	b := buf.Bytes()[:buf.Len()/2]
 	for _, workers := range []int{1, 4} {
 		s, err := NewRecordStream(bytes.NewReader(b), StreamLimits{})
@@ -255,10 +345,7 @@ func TestGenSourceMatchesGenerate(t *testing.T) {
 
 func TestGenerateJSONLSequentialMatchesWriteJSONL(t *testing.T) {
 	cfg := GeneratorConfig{Flows: 150, Seed: 12}
-	var want bytes.Buffer
-	if err := WriteJSONL(&want, Generate(cfg)); err != nil {
-		t.Fatal(err)
-	}
+	want := encodeJSONL(t, Generate(cfg))
 	var got bytes.Buffer
 	stats, err := GenerateJSONL(&got, cfg, 1, false)
 	if err != nil {
@@ -268,7 +355,7 @@ func TestGenerateJSONLSequentialMatchesWriteJSONL(t *testing.T) {
 		t.Fatalf("stats.Records = %d, want 150", stats.Records)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("streamed legacy-mode output differs from Generate + WriteJSONL")
+		t.Fatal("streamed legacy-mode output differs from Generate + JSONLWriter")
 	}
 }
 
@@ -377,7 +464,7 @@ func TestAnalyzeStreamZeroAllocSteadyState(t *testing.T) {
 
 func TestWriteReportReturnsWriterError(t *testing.T) {
 	recs := genTestDataset(t, 100, 17)
-	a := Analyze(recs, AnalysisConfig{})
+	a := analyze(t, recs, AnalysisConfig{})
 	if err := a.WriteReport(failingWriter{}); err == nil {
 		t.Fatal("WriteReport swallowed the writer error")
 	}

@@ -218,7 +218,11 @@ func TestSessionRecordPassesAnalysisFilters(t *testing.T) {
 	}
 	rec := se.record(3500*time.Millisecond, time.Unix(1700000000, 0), EndBye)
 
-	a := mlab.Analyze([]mlab.Record{rec.Record}, mlab.AnalysisConfig{})
+	a, err := mlab.AnalyzeStream(&mlab.SliceSource{Recs: []mlab.Record{rec.Record}}, mlab.AnalysisConfig{},
+		mlab.StreamOptions{Workers: 1, KeepResults: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a.Results) != 1 {
 		t.Fatalf("analysis produced %d results, want 1", len(a.Results))
 	}

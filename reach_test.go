@@ -17,8 +17,6 @@ import (
 var reachAllow = map[string]string{
 	"obs.ReadRunLog":  "the run-log artifact format's reader; every -trace and flight-dump test parses through it",
 	"hunt.LoadCorpus": "SaveCorpus's inverse: reads testdata/corpus for the tier-1 replay gate",
-	"mlab.ReadJSONL":  "WriteJSONL's inverse: the dataset format's slice reader, a wrapper over RecordStream",
-	"mlab.Analyze":    "slice-in wrapper over AnalyzeStream; the sequential side of TestAnalyzeStreamMatchesAnalyze",
 
 	"qdisc.UserIsolation.SetUserRate":   "per-user plan changes; FuzzUserIsolationSchedule's oracle drives it (PR 16)",
 	"qdisc.UserIsolation.SetUserWeight": "per-user plan changes; FuzzUserIsolationSchedule's oracle drives it (PR 16)",
