@@ -5,9 +5,12 @@
 // find flows whose allocation level shifted — the Figure 2 pipeline.
 //
 // The dataset streams through a worker pool one record at a time
-// (gzip input is autodetected), so the dataset is never materialized
-// (the aggregate keeps counts and 8 B per accepted shift magnitude);
-// the report is byte-identical for every -workers count.
+// (gzip input is autodetected): the reading goroutine only splits the
+// input into lines and applies -max-records/-max-record-bytes, and the
+// workers decode each line and analyse it. Memory is bounded by
+// 2 x -workers records and lines, never the dataset (the aggregate
+// keeps counts and 8 B per accepted shift magnitude). The report, and
+// on bad input the error, is byte-identical for every -workers count.
 //
 // Usage:
 //

@@ -76,18 +76,26 @@ func catIndex(c Category) int {
 // AnalyzeStream runs the §3.1 pipeline over a record stream: it
 // excludes short, application-limited, receiver-limited, and cellular
 // flows, runs PELT on the remainder's throughput traces, and flags
-// flows whose throughput level shifted. The source is decoded once,
-// records fan out to a bounded pool of workers that each carry a
-// reusable scratch (zero steady-state allocations per flow), and the
-// per-worker aggregates merge into one Analysis.
+// flows whose throughput level shifted. Records fan out to a bounded
+// pool of workers that each carry a reusable scratch (zero
+// steady-state allocations per flow), and the per-worker aggregates
+// merge into one Analysis. Over a *RecordStream the calling goroutine
+// only frames lines (gzip, line splitting, blank lines, the limits and
+// record indices); decoding the JSON and analysing the record both run
+// on the workers. Other sources produce whole records on the calling
+// goroutine.
 //
 // Determinism: the merged aggregate — category counts, validation
 // counts, and the shift-magnitude distribution (exact samples, sorted
 // on read) — is a function of the record multiset only, and retained
 // results are re-ordered to input order, so the Analysis (and anything
-// rendered from it) is byte-identical for every worker count. Memory
-// is O(workers x flow size) plus the aggregates; the dataset itself is
-// never materialized.
+// rendered from it) is byte-identical for every worker count. On bad
+// input the error is, for every worker count, the one a sequential
+// Next loop meets first: the lowest-index failure, whether a decode
+// error or a framing or limit error. Memory is 2 x workers pooled
+// records and line buffers (each line at most the stream's
+// MaxRecordBytes) plus the aggregates; the dataset itself is never
+// materialized.
 func AnalyzeStream(src RecordSource, cfg AnalysisConfig, opt StreamOptions) (*Analysis, error) {
 	cfg = cfg.norm()
 	workers := opt.Workers
@@ -101,21 +109,54 @@ func AnalyzeStream(src RecordSource, cfg AnalysisConfig, opt StreamOptions) (*An
 	return mergePartials(parts, cfg, opt), nil
 }
 
+// poolItem is one in-flight record. When the source is a
+// *RecordStream, line holds its framed JSON (a view of buf) and rec
+// is decoded from it on a worker; otherwise line is nil and the
+// source filled rec.
+type poolItem struct {
+	rec  Record
+	buf  []byte
+	line []byte
+}
+
 type analyzeJob struct {
-	rec *Record
+	it  *poolItem
 	idx int
 }
 
+// firstFailure keeps the lowest-index error the producer or a worker
+// meets: the error a sequential Next loop would return.
+type firstFailure struct {
+	mu  sync.Mutex
+	idx int
+	err error
+}
+
+func (f *firstFailure) set(idx int, err error) {
+	f.mu.Lock()
+	if f.err == nil || idx < f.idx {
+		f.idx, f.err = idx, err
+	}
+	f.mu.Unlock()
+}
+
+func (f *firstFailure) failed() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err != nil
+}
+
 func analyzeParallel(src RecordSource, cfg AnalysisConfig, opt StreamOptions, workers int) ([]*partial, error) {
-	// The record pool bounds decoded-but-unprocessed records: the
-	// producer recycles records the workers hand back, so steady-state
-	// decoding reuses the same ~2x-workers buffers.
+	// The item pool bounds read-but-unprocessed records: the producer
+	// recycles items the workers hand back, so steady state reuses the
+	// same 2 x workers records and line buffers.
 	poolSize := workers * 2
-	free := make(chan *Record, poolSize)
+	free := make(chan *poolItem, poolSize)
 	for i := 0; i < poolSize; i++ {
-		free <- new(Record)
+		free <- new(poolItem)
 	}
 	work := make(chan analyzeJob, workers)
+	var fail firstFailure
 
 	parts := make([]*partial, workers)
 	var wg sync.WaitGroup
@@ -127,29 +168,52 @@ func analyzeParallel(src RecordSource, cfg AnalysisConfig, opt StreamOptions, wo
 			defer wg.Done()
 			var sc scratch
 			for j := range work {
-				res := analyzeInto(j.rec, cfg, &sc)
-				p.add(&res, j.idx, opt)
-				free <- j.rec
+				var err error
+				if j.it.line != nil {
+					err = decodeRecord(j.it.line, &j.it.rec, j.idx)
+				}
+				if err != nil {
+					fail.set(j.idx, err)
+				} else {
+					res := analyzeInto(&j.it.rec, cfg, &sc)
+					p.add(&res, j.idx, opt)
+				}
+				free <- j.it
 			}
 		}()
 	}
 
-	var srcErr error
+	// A RecordStream's indices continue from records already read.
+	rs, framed := src.(*RecordStream)
 	idx := 0
-	for {
-		rec := <-free
-		if err := src.Next(rec); err != nil {
+	if framed {
+		idx = rs.n
+	}
+	// Every record below a failure has already been handed out, so
+	// stopping at the first one leaves the workers to find any earlier.
+	for ; !fail.failed(); idx++ {
+		it := <-free
+		var err error
+		if !framed {
+			err = src.Next(&it.rec)
+		} else if it.line, err = rs.frame(&it.buf); err == nil {
+			rs.n++
+		}
+		if err != nil {
 			if err != io.EOF {
-				srcErr = err
+				fail.set(idx, err)
 			}
 			break
 		}
-		work <- analyzeJob{rec: rec, idx: idx}
-		idx++
+		work <- analyzeJob{it: it, idx: idx}
 	}
 	close(work)
 	wg.Wait()
-	return parts, srcErr
+	if fail.err != nil && framed {
+		// Leave the stream as the sequential loop would have.
+		rs.n, rs.failed = fail.idx, true
+	}
+	return parts, fail.err
 }
 
 func mergePartials(parts []*partial, cfg AnalysisConfig, opt StreamOptions) *Analysis {

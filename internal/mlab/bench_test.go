@@ -1,6 +1,7 @@
 package mlab
 
 import (
+	"bytes"
 	"io"
 	"runtime"
 	"sync"
@@ -35,15 +36,56 @@ func benchAnalyze(b *testing.B, workers int) {
 	b.ReportMetric(allocsPerFlow, "allocs/flow")
 }
 
-// BenchmarkMLabAnalyzeSeq is the single-worker streaming pipeline:
-// the per-flow cost the parallel version divides across cores, and
-// the source of the allocs/flow figure (steady-state analysis is
-// zero-alloc per flow; the residue is fixed per-run setup).
+// BenchmarkMLabAnalyzeSeq is the single-worker pipeline over records
+// already in memory (no decoding): the per-flow analysis cost the
+// parallel version divides across cores, and the source of the
+// allocs/flow figure (steady-state analysis is zero-alloc per flow;
+// the residue is fixed per-run setup).
 func BenchmarkMLabAnalyzeSeq(b *testing.B) { benchAnalyze(b, 1) }
 
-// BenchmarkMLabAnalyzePar8 is the 8-worker pipeline; on a machine
-// with >= 8 cores it must be >= 4x BenchmarkMLabAnalyzeSeq.
+// BenchmarkMLabAnalyzePar8 is the same in-memory pipeline on 8
+// workers; on a machine with >= 8 cores it must be >= 4x
+// BenchmarkMLabAnalyzeSeq.
 func BenchmarkMLabAnalyzePar8(b *testing.B) { benchAnalyze(b, 8) }
+
+var benchJSONL = sync.OnceValue(func() []byte {
+	var buf bytes.Buffer
+	if _, err := GenerateJSONL(&buf, GeneratorConfig{Flows: benchFlows, Seed: 1}, 1, false); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
+// benchPipeline runs what mlabanalyze runs: JSONL bytes through a
+// RecordStream into AnalyzeStream, so decoding is in the measurement.
+func benchPipeline(b *testing.B, workers int) {
+	data := benchJSONL()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := NewRecordStream(bytes.NewReader(data), StreamLimits{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := AnalyzeStream(src, AnalysisConfig{}, StreamOptions{Workers: workers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if a.Total != benchFlows {
+			b.Fatalf("analyzed %d flows, want %d", a.Total, benchFlows)
+		}
+	}
+}
+
+// BenchmarkMLabPipelineSeq decodes and analyses on one worker: the
+// end-to-end cost per dataset, decode included.
+func BenchmarkMLabPipelineSeq(b *testing.B) { benchPipeline(b, 1) }
+
+// BenchmarkMLabPipelinePar is the same on 8 workers. Decoding runs in
+// the pool, so it scales with cores like BenchmarkMLabAnalyzePar8;
+// only line framing stays on the reading goroutine.
+func BenchmarkMLabPipelinePar(b *testing.B) { benchPipeline(b, 8) }
 
 // BenchmarkMLabAnalyzeStoreAll is the historical store-everything
 // path (per-flow results + exact CDF), kept as the memory/alloc
