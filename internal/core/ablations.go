@@ -235,7 +235,7 @@ func RunSubPacket(cfg SubPacketConfig) (*SubPacketResult, error) {
 	cfg = cfg.norm()
 	res := &SubPacketResult{Config: cfg}
 	for _, rate := range cfg.Rates {
-		eng := &sim.Engine{}
+		eng := newEngine()
 		// 200ms one-way: a long, thin path.
 		link := sim.NewLink(eng, "thin", rate, 100*time.Millisecond, qdisc.NewDropTail(8*sim.MSS))
 		wireObs(cfg.Obs, eng, link)
@@ -271,6 +271,7 @@ func RunSubPacket(cfg SubPacketConfig) (*SubPacketResult, error) {
 			StarvedFlows: starved,
 			Timeouts:     timeouts,
 		})
+		releaseEngine(eng, cfg.Obs)
 	}
 	return res, nil
 }
@@ -356,6 +357,7 @@ func RunJitter(cfg JitterConfig) (*JitterResult, error) {
 		p50, _ := stats.Quantile(rtts, 0.5)
 		p99, _ := stats.Quantile(rtts, 0.99)
 		res.Rows = append(res.Rows, JitterRow{Shaping: mode, P50Ms: p50, P99Ms: p99, JitterMs: p99 - p50})
+		d.release()
 	}
 	return res, nil
 }

@@ -72,7 +72,8 @@ type AccessResult struct {
 // registered scenarios.
 func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 	cfg = cfg.norm()
-	eng := &sim.Engine{}
+	eng := newEngine()
+	defer releaseEngine(eng, cfg.Obs)
 
 	core := sim.NewLink(eng, "core", cfg.CoreRateBps, 5*time.Millisecond,
 		qdisc.NewDropTailBDP(cfg.CoreRateBps, 30*time.Millisecond, 1))

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"repro/internal/cca"
@@ -78,6 +77,7 @@ func RunAccessLink(cfg AccessLinkConfig) (*AccessLinkResult, error) {
 		return nil, fmt.Errorf("core: accesslink: %w", err)
 	}
 	d := NewDumbbell(LinkSpec{RateBps: cfg.RateBps, OneWayDelay: cfg.OneWayDelay, Queue: cfg.Queue, Obs: cfg.Obs})
+	defer d.release()
 	video := traffic.NewVideo(d.Eng, d.FlowConfig(1, 1, cca.NewCubicCC()))
 	web := traffic.NewShortFlows(d.Eng, traffic.ShortFlowsConfig{
 		ArrivalRate: 3,
@@ -86,7 +86,7 @@ func RunAccessLink(cfg AccessLinkConfig) (*AccessLinkResult, error) {
 		UserID:      1,
 		NewCC:       func() transport.CCA { return cca.NewCubicCC() },
 		BaseFlowID:  1000,
-		Rand:        rand.New(rand.NewSource(cfg.Seed)),
+		Rand:        d.Eng.Rand(cfg.Seed),
 	})
 	update := d.AddBulk(2, 1, bulk)
 

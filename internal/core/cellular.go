@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"repro/internal/cca"
@@ -94,12 +93,13 @@ func RunCellular(cfg CellularConfig) (*CellularResult, error) {
 }
 
 func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
-	eng := &sim.Engine{}
+	eng := newEngine()
+	defer releaseEngine(eng, cfg.Obs)
 	// Deep buffer, as cellular base stations have: 8 mean BDPs.
 	buf := int(cfg.MeanRateBps / 8 * (2 * cfg.OneWayDelay).Seconds() * 8)
 	link := sim.NewLink(eng, "cell", cfg.MeanRateBps, cfg.OneWayDelay, qdisc.NewDropTail(buf))
 	wireObs(cfg.Obs, eng, link)
-	rng := rand.New(rand.NewSource(cfg.Seed + 17))
+	rng := eng.Rand(cfg.Seed + 17)
 	driver := sim.DriveRate(eng, link, 100*time.Millisecond, sim.CellularTrace(rng, cfg.MeanRateBps, cfg.Sigma))
 
 	var cc transport.CCA

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/faults"
@@ -77,17 +78,18 @@ func (s LinkSpec) norm() LinkSpec {
 func (s LinkSpec) RTT() time.Duration { return 2 * s.OneWayDelay }
 
 // BuildQdisc constructs the discipline for the spec, wrapped in the
-// spec's fault chain when one is set. AQM disciplines and fault
-// injectors are pointed at the spec's tracer so their drops and
-// activations surface in the event stream.
-func BuildQdisc(s LinkSpec) sim.Qdisc {
+// spec's fault chain when one is set; the chain draws from eng's
+// generators. AQM disciplines and fault injectors are pointed at the
+// spec's tracer so their drops and activations surface in the event
+// stream.
+func BuildQdisc(eng *sim.Engine, s LinkSpec) sim.Qdisc {
 	s = s.norm()
 	q := buildDiscipline(s)
 	if d, ok := q.(*qdisc.FQCoDel); ok {
 		d.Trace = s.Obs.T()
 	}
 	if s.Faults != nil {
-		ch := s.Faults.Build(q, s.FaultSeed)
+		ch := s.Faults.Build(eng, q, s.FaultSeed)
 		ch.SetTracer(s.Obs.T())
 		q = ch.Qdisc()
 	}
@@ -131,14 +133,40 @@ type Dumbbell struct {
 	path []*sim.Link
 }
 
-// NewDumbbell constructs the scenario. When the spec carries an
-// observability scope, the engine, link, and every flow built through
-// FlowConfig are wired into it. A rate oscillation in the spec's faults
-// starts here, before any flow exists.
+// engines is where every cell gets its engine. A cell hands it back
+// (releaseEngine) once its results are computed, and Reset keeps what
+// the cell grew — slot table, packets, generators, sender rings — so
+// the next cell on any goroutine starts from that instead of from
+// nothing. A reset engine runs exactly as a new one does.
+var engines = sync.Pool{New: func() any { return new(sim.Engine) }}
+
+// newEngine returns an engine ready for a fresh run.
+func newEngine() *sim.Engine { return engines.Get().(*sim.Engine) }
+
+// releaseEngine resets eng and hands it back for the next cell, unless
+// the run's scope has a registry: sim.Engine.RegisterMetrics installed
+// pull gauges that keep reading the engine after the run returns, so
+// it stays theirs. A tracer-only scope keeps no reference and does not
+// block reuse. Nothing of the run that the engine handed out — packets,
+// generators, sender rings — may be used after the release.
+func releaseEngine(eng *sim.Engine, sc *obs.Scope) {
+	if sc.R() != nil {
+		return
+	}
+	eng.SetHook(nil)
+	eng.Reset()
+	engines.Put(eng)
+}
+
+// NewDumbbell constructs the scenario on an engine from the pool; the
+// caller releases it once the cell's results are computed. When the
+// spec carries an observability scope, the engine, link, and every
+// flow built through FlowConfig are wired into it. A rate oscillation
+// in the spec's faults starts here, before any flow exists.
 func NewDumbbell(spec LinkSpec) *Dumbbell {
 	spec = spec.norm()
-	eng := &sim.Engine{}
-	link := sim.NewLink(eng, "bottleneck", spec.RateBps, spec.OneWayDelay, BuildQdisc(spec))
+	eng := newEngine()
+	link := sim.NewLink(eng, "bottleneck", spec.RateBps, spec.OneWayDelay, BuildQdisc(eng, spec))
 	wireObs(spec.Obs, eng, link)
 	if f := spec.Faults; f != nil && f.HasOscillation() {
 		// ~32 samples per period, clamped so tiny periods stay cheap
@@ -154,6 +182,9 @@ func NewDumbbell(spec LinkSpec) *Dumbbell {
 	}
 	return &Dumbbell{Eng: eng, Link: link, Spec: spec, path: []*sim.Link{link}}
 }
+
+// release hands the dumbbell's engine back to the pool (releaseEngine).
+func (d *Dumbbell) release() { releaseEngine(d.Eng, d.Spec.Obs) }
 
 // FlowConfig returns a transport config for a flow through the
 // bottleneck with the given controller.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cca"
 	"repro/internal/qdisc"
+	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -26,7 +27,7 @@ func TestBuildQdiscKinds(t *testing.T) {
 	}
 	for _, c := range cases {
 		spec.Queue = c.kind
-		q := BuildQdisc(spec)
+		q := BuildQdisc(new(sim.Engine), spec)
 		if q == nil {
 			t.Fatalf("%s: nil qdisc", c.kind)
 		}

@@ -105,6 +105,7 @@ func RunDuel(cfg DuelConfig) (*DuelResult, error) {
 		FaultSeed:    cfg.FaultSeed,
 		Obs:          cfg.Obs,
 	})
+	defer d.release()
 	f1 := d.AddBulk(1, 1, cc1)
 	f2 := d.AddBulk(2, 2, cc2)
 	from := time.Duration(cfg.WarmupFrac * float64(cfg.Duration))

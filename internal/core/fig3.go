@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -138,10 +137,11 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 		FaultSeed:   cfg.FaultSeed,
 		Obs:         cfg.Obs,
 	})
+	defer d.release()
 	probeCC := nimbus.NewCCA(cfg.Nimbus)
 	probe := d.AddBulk(1, 1, probeCC)
 
-	measured, err := runPhases(d, probe, probeCC.Est, spans, fig3Settle, rand.New(rand.NewSource(cfg.Seed+1)))
+	measured, err := runPhases(d, probe, probeCC.Est, spans, fig3Settle, d.Eng.Rand(cfg.Seed+1))
 	if err != nil {
 		return nil, fmt.Errorf("core: fig3: %w", err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"repro/internal/cca"
@@ -158,6 +157,7 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 		FaultSeed:   cfg.FaultSeed,
 		Obs:         cfg.Obs,
 	})
+	defer d.release()
 
 	var est *nimbus.Estimator // the main flow's, in probe mode
 	var mainCC transport.CCA
@@ -181,7 +181,7 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 		spans[i] = phaseSpan{kind: ph.Kind, start: at, end: at + ph.Duration()}
 		at = spans[i].end
 	}
-	measured, err := runPhases(d, main, est, spans, settleMargin, rand.New(rand.NewSource(cfg.Seed+1)))
+	measured, err := runPhases(d, main, est, spans, settleMargin, d.Eng.Rand(cfg.Seed+1))
 	if err != nil {
 		return nil, fmt.Errorf("core: huntcell: %w", err)
 	}

@@ -311,7 +311,8 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 		return nil, fmt.Errorf("core: manyflow: victim 2: %w", err)
 	}
 
-	eng := &sim.Engine{}
+	eng := newEngine()
+	defer releaseEngine(eng, cfg.Obs)
 	var ck *check.Checker
 	if cfg.Check {
 		ck = check.Attach(eng)
@@ -349,7 +350,7 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 	churns := make([]*traffic.Churn, 0, packetUsers)
 	for i := 0; i < packetUsers; i++ {
 		userID := manyFlowUserBase + i
-		rng := rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed, fmt.Sprintf("manyflow/churn/%d", i))))
+		rng := eng.Rand(faults.DeriveSeed(cfg.Seed, fmt.Sprintf("manyflow/churn/%d", i)))
 		churns = append(churns, traffic.NewChurn(eng, traffic.ChurnConfig{
 			MeanThink:   cfg.ChurnThink,
 			LongFrac:    cfg.LongFrac,

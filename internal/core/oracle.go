@@ -84,7 +84,7 @@ func RunOracle(cfg OracleConfig) (*OracleResult, error) {
 
 func runOracleTrial(cfg OracleConfig, seed int64, kind string, rate float64, owd time.Duration) (OracleTrial, error) {
 	d := NewDumbbell(LinkSpec{RateBps: rate, OneWayDelay: owd, Queue: QueueDropTail, BufferBDP: 1, Obs: cfg.Obs})
-	rng := rand.New(rand.NewSource(seed))
+	rng := d.Eng.Rand(seed)
 
 	cross := crossSpec{kind: kind, flowID: 2, shortBase: 1000, shortRate: 4, rng: rng}
 	switch kind {

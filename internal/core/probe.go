@@ -25,8 +25,10 @@ func paperProbe(rateBps float64) *nimbus.CCA {
 
 // probeAgainst is the whole-run measurement: the probe starts first as
 // flow 1, one cross-traffic generator is started inline after it, the
-// cell runs to `to`, and the verdict is scored over [from, to).
+// cell runs to `to`, the verdict is scored over [from, to), and the
+// dumbbell is released.
 func probeAgainst(d *Dumbbell, probe *nimbus.CCA, cross crossSpec, from, to time.Duration) (nimbus.Verdict, error) {
+	defer d.release()
 	d.AddBulk(1, 1, probe)
 	g, err := d.installCross(cross)
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"repro/internal/cca"
@@ -92,7 +91,7 @@ func RunTSLP(cfg TSLPConfig) (*TSLPResult, error) {
 // dumbbell. It returns whether the scenario's ground truth is CCA
 // contention.
 func addTSLPScenarioTraffic(d *Dumbbell, cfg TSLPConfig, scenario string, seed int64) (bool, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := d.Eng.Rand(seed)
 	switch scenario {
 	case "contention":
 		for i, kind := range []string{"reno", "cubic"} {
@@ -137,6 +136,7 @@ func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 
 	// Instrument 1: TSLP alone with the scenario traffic.
 	d1 := NewDumbbell(LinkSpec{RateBps: cfg.RateBps, OneWayDelay: cfg.OneWayDelay, BufferBDP: 1, Obs: cfg.Obs})
+	defer d1.release()
 	truth, err := addTSLPScenarioTraffic(d1, cfg, scenario, cfg.Seed)
 	if err != nil {
 		return row, err
@@ -150,6 +150,7 @@ func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 
 	// Instrument 2: the active elasticity probe with the same traffic.
 	d2 := NewDumbbell(LinkSpec{RateBps: cfg.RateBps, OneWayDelay: cfg.OneWayDelay, BufferBDP: 1, Obs: cfg.Obs})
+	defer d2.release()
 	if _, err := addTSLPScenarioTraffic(d2, cfg, scenario, cfg.Seed); err != nil {
 		return row, err
 	}

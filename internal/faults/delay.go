@@ -24,10 +24,10 @@ type Jitter struct {
 	Delayed int64
 }
 
-// NewJitter wraps inner with up to max extra per-packet delay. A
-// non-positive max yields a passthrough.
-func NewJitter(inner sim.Qdisc, max time.Duration, seed int64) *Jitter {
-	return &Jitter{inner: inner, rng: rand.New(rand.NewSource(seed)), max: max}
+// NewJitter wraps inner with up to max extra per-packet delay, drawn
+// from rng. A non-positive max yields a passthrough.
+func NewJitter(inner sim.Qdisc, max time.Duration, rng *rand.Rand) *Jitter {
+	return &Jitter{inner: inner, rng: rng, max: max}
 }
 
 // Enqueue implements sim.Qdisc.
@@ -100,13 +100,14 @@ type Reorderer struct {
 	Reordered int64
 }
 
-// NewReorderer wraps inner, holding packets back with probability p
-// for delay extra time. A non-positive delay defaults to 10ms.
-func NewReorderer(inner sim.Qdisc, p float64, delay time.Duration, seed int64) *Reorderer {
+// NewReorderer wraps inner, holding packets back with probability p,
+// drawn from rng, for delay extra time. A non-positive delay defaults
+// to 10ms.
+func NewReorderer(inner sim.Qdisc, p float64, delay time.Duration, rng *rand.Rand) *Reorderer {
 	if delay <= 0 {
 		delay = 10 * time.Millisecond
 	}
-	return &Reorderer{inner: inner, rng: rand.New(rand.NewSource(seed)), p: p, delay: delay}
+	return &Reorderer{inner: inner, rng: rng, p: p, delay: delay}
 }
 
 // Enqueue implements sim.Qdisc.

@@ -37,7 +37,7 @@ func runProfiled(t *testing.T, profile string, seed int64) (*faults.Chain, *tran
 		t.Fatal(err)
 	}
 	eng := &sim.Engine{}
-	ch := p.Build(qdisc.NewDropTail(1<<20), seed)
+	ch := p.Build(eng, qdisc.NewDropTail(1<<20), seed)
 	link := sim.NewLink(eng, "l", 20e6, 10*time.Millisecond, ch.Qdisc())
 	var acks ackLog
 	f := transport.NewFlow(eng, transport.FlowConfig{

@@ -8,8 +8,10 @@
 // the named registry ("wifi-bursty", "flaky-cellular", ...) holds.
 //
 // Every injector draws randomness exclusively from its own seeded
-// source, so a scenario replays byte-for-byte under a fixed seed no
-// matter what else shares the engine. All wrappers implement sim.Qdisc
+// generator, so a scenario replays byte-for-byte under a fixed seed no
+// matter what else shares the engine. Config.Build takes the
+// generators from the engine (sim.Engine.Rand), so a reused engine
+// re-seeds them instead of allocating new ones. All wrappers implement sim.Qdisc
 // and stack in any order; Config.Build composes them in the canonical
 // order (loss processes outermost, delay stages nearest the inner
 // queue).
@@ -40,9 +42,10 @@ type Loss struct {
 	Trace obs.Tracer
 }
 
-// NewLoss wraps inner with i.i.d. loss probability p in [0, 1].
-func NewLoss(inner sim.Qdisc, p float64, seed int64) *Loss {
-	return &Loss{inner: inner, rng: rand.New(rand.NewSource(seed)), p: p}
+// NewLoss wraps inner with i.i.d. loss probability p in [0, 1], drawn
+// from rng.
+func NewLoss(inner sim.Qdisc, p float64, rng *rand.Rand) *Loss {
+	return &Loss{inner: inner, rng: rng, p: p}
 }
 
 // Enqueue implements sim.Qdisc.
@@ -85,9 +88,10 @@ type GilbertElliott struct {
 	Trace obs.Tracer
 }
 
-// NewGilbertElliott wraps inner with the burst-loss process.
-func NewGilbertElliott(inner sim.Qdisc, cfg GESpec, seed int64) *GilbertElliott {
-	return &GilbertElliott{inner: inner, rng: rand.New(rand.NewSource(seed)), cfg: cfg.norm()}
+// NewGilbertElliott wraps inner with the burst-loss process, drawn
+// from rng.
+func NewGilbertElliott(inner sim.Qdisc, cfg GESpec, rng *rand.Rand) *GilbertElliott {
+	return &GilbertElliott{inner: inner, rng: rng, cfg: cfg.norm()}
 }
 
 // Enqueue implements sim.Qdisc, advancing the channel state one step
@@ -143,9 +147,10 @@ type Duplicator struct {
 	Duplicated int64
 }
 
-// NewDuplicator wraps inner with duplication probability p.
-func NewDuplicator(inner sim.Qdisc, p float64, seed int64) *Duplicator {
-	return &Duplicator{inner: inner, rng: rand.New(rand.NewSource(seed)), p: p}
+// NewDuplicator wraps inner with duplication probability p, drawn from
+// rng.
+func NewDuplicator(inner sim.Qdisc, p float64, rng *rand.Rand) *Duplicator {
+	return &Duplicator{inner: inner, rng: rng, p: p}
 }
 
 // Enqueue implements sim.Qdisc.

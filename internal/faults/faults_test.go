@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func pkt(seq int64) *sim.Packet { return &sim.Packet{Seq: seq, Size: sim.MSS} }
 func TestLossRateAndDeterminism(t *testing.T) {
 	const n = 20000
 	drops := func(seed int64) []bool {
-		l := NewLoss(&fifo{}, 0.1, seed)
+		l := NewLoss(&fifo{}, 0.1, rand.New(rand.NewSource(seed)))
 		out := make([]bool, n)
 		for i := 0; i < n; i++ {
 			out[i] = !l.Enqueue(pkt(int64(i)), 0)
@@ -70,7 +71,7 @@ func countTrue(bs []bool) int {
 
 func TestGilbertElliottBurstiness(t *testing.T) {
 	cfg := GESpec{PGoodBad: 0.02, PBadGood: 0.25, LossBad: 0.5}
-	g := NewGilbertElliott(&fifo{}, cfg, 7)
+	g := NewGilbertElliott(&fifo{}, cfg, rand.New(rand.NewSource(7)))
 	const n = 50000
 	var dropped, burstRuns, runLen int
 	var runs []int
@@ -107,7 +108,7 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 
 func TestDuplicator(t *testing.T) {
 	inner := &fifo{}
-	d := NewDuplicator(inner, 0.2, 3)
+	d := NewDuplicator(inner, 0.2, rand.New(rand.NewSource(3)))
 	const n = 5000
 	for i := 0; i < n; i++ {
 		if !d.Enqueue(pkt(int64(i)), 0) {
@@ -146,7 +147,7 @@ func TestDuplicator(t *testing.T) {
 
 func TestJitterHoldsAndPreservesOrder(t *testing.T) {
 	inner := &fifo{}
-	j := NewJitter(inner, 10*time.Millisecond, 1)
+	j := NewJitter(inner, 10*time.Millisecond, rand.New(rand.NewSource(1)))
 	now := time.Duration(0)
 	for i := int64(0); i < 50; i++ {
 		j.Enqueue(pkt(i), now)
@@ -178,7 +179,7 @@ func TestJitterHoldsAndPreservesOrder(t *testing.T) {
 
 func TestReordererReordersWithoutLoss(t *testing.T) {
 	inner := &fifo{}
-	r := NewReorderer(inner, 0.2, 5*time.Millisecond, 9)
+	r := NewReorderer(inner, 0.2, 5*time.Millisecond, rand.New(rand.NewSource(9)))
 	now := time.Duration(0)
 	const n = 200
 	for i := int64(0); i < n; i++ {
@@ -224,7 +225,7 @@ func TestReordererReordersWithoutLoss(t *testing.T) {
 }
 
 func TestOutageSchedule(t *testing.T) {
-	o := Config{Outages: []WindowSpec{{StartS: 1, EndS: 3}}}.Build(&fifo{}, 1).Outage
+	o := Config{Outages: []WindowSpec{{StartS: 1, EndS: 3}}}.Build(new(sim.Engine), &fifo{}, 1).Outage
 	o.Enqueue(pkt(1), 0)
 	if p, _ := o.Dequeue(500 * time.Millisecond); p == nil {
 		t.Fatal("link should be up before the window")
@@ -269,7 +270,7 @@ func TestOutageSchedule(t *testing.T) {
 }
 
 func TestOutageDropDuring(t *testing.T) {
-	o := Config{Outages: []WindowSpec{{StartS: 0, EndS: 1}}, DropDuringOutages: true}.Build(&fifo{}, 1).Outage
+	o := Config{Outages: []WindowSpec{{StartS: 0, EndS: 1}}, DropDuringOutages: true}.Build(new(sim.Engine), &fifo{}, 1).Outage
 	if o.Enqueue(pkt(1), 500*time.Millisecond) {
 		t.Error("enqueue during blackhole outage should drop")
 	}
@@ -316,7 +317,7 @@ func TestProfileRegistry(t *testing.T) {
 		if Describe(n) == "" {
 			t.Errorf("profile %q has no description", n)
 		}
-		ch := p.Build(&fifo{}, 1)
+		ch := p.Build(new(sim.Engine), &fifo{}, 1)
 		if ch.Qdisc() == nil {
 			t.Fatalf("profile %q built nil qdisc", n)
 		}
@@ -327,7 +328,7 @@ func TestProfileRegistry(t *testing.T) {
 	// clean is the identity.
 	clean, _ := Lookup("clean")
 	inner := &fifo{}
-	if q := clean.Build(inner, 1).Qdisc(); q != sim.Qdisc(inner) {
+	if q := clean.Build(new(sim.Engine), inner, 1).Qdisc(); q != sim.Qdisc(inner) {
 		t.Error("clean profile should wrap nothing")
 	}
 }
@@ -343,7 +344,7 @@ func TestProfileBuildOrderAndChain(t *testing.T) {
 		FlapPeriodS:    10,
 		FlapDownS:      1,
 	}
-	ch := p.Build(&fifo{}, 5)
+	ch := p.Build(new(sim.Engine), &fifo{}, 5)
 	if ch.Loss == nil || ch.GE == nil || ch.Dup == nil || ch.Reorder == nil ||
 		ch.Jitter == nil || ch.Outage == nil {
 		t.Fatalf("chain missing stages: %+v", ch)

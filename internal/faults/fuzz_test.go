@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // FuzzFaultConfig feeds Config the bytes it reads from outside the
@@ -42,7 +44,7 @@ func FuzzFaultConfig(f *testing.F) {
 		if canon.Validate() != nil {
 			return
 		}
-		q := canon.Build(&fifo{}, 1).Qdisc()
+		q := canon.Build(new(sim.Engine), &fifo{}, 1).Qdisc()
 		for i := 0; i < 1000; i++ {
 			now := time.Duration(i) * time.Millisecond
 			q.Enqueue(pkt(int64(i)), now)

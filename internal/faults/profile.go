@@ -47,11 +47,13 @@ func (c *Chain) SetTracer(t obs.Tracer) {
 //	Loss → GilbertElliott → Duplicator → Reorderer → Jitter → Outage → inner
 //
 // Per-injector seeds derive deterministically from the single seed, so
-// one (config, seed) pair replays byte-for-byte. The rate oscillation
-// is capacity-side and does not fit the qdisc chain; see RateFunc.
-func (c Config) Build(inner sim.Qdisc, seed int64) *Chain {
-	seeds := rand.New(rand.NewSource(seed))
-	sub := seeds.Int63
+// one (config, seed) pair replays byte-for-byte. The seed stream and
+// the injectors' generators are eng's (sim.Engine.Rand): the chain
+// belongs to a run on eng. The rate oscillation is capacity-side and
+// does not fit the qdisc chain; see RateFunc.
+func (c Config) Build(eng *sim.Engine, inner sim.Qdisc, seed int64) *Chain {
+	seeds := eng.Rand(seed)
+	sub := func() *rand.Rand { return eng.Rand(seeds.Int63()) }
 	ch := &Chain{}
 	q := inner
 	if len(c.Outages) > 0 || c.hasFlaps() {

@@ -65,7 +65,7 @@ func TestNamedProfilesBuildPinnedChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := describeChain(p.Build(&fifo{}, 1).Qdisc()); got != want[name] {
+		if got := describeChain(p.Build(new(sim.Engine), &fifo{}, 1).Qdisc()); got != want[name] {
 			t.Errorf("%s:\n got  %s\n want %s", name, got, want[name])
 		}
 	}

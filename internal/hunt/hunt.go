@@ -99,16 +99,24 @@ type Result struct {
 	Random      *Baseline     `json:"random,omitempty"`
 }
 
-// rngFor derives the one rng a (label, generation, index) coordinate
-// is allowed to draw from. DeriveSeed is order-independent, so any
-// execution order — one worker or sixteen — sees identical dice.
-func rngFor(seed int64, label string, gen, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(faults.DeriveSeed(seed, fmt.Sprintf("hunt/%s/%d/%d", label, gen, idx))))
-}
-
 type hunter struct {
 	cfg   Config
 	evals int
+	rng   *rand.Rand // what dice re-seeds
+}
+
+func newHunter(cfg Config) *hunter {
+	return &hunter{cfg: cfg, rng: rand.New(rand.NewSource(0))}
+}
+
+// dice returns the one rng a (label, generation, index) coordinate is
+// allowed to draw from: the hunter's generator, re-seeded from the
+// coordinate, valid until the next call. DeriveSeed is
+// order-independent, so any execution order — one worker or sixteen —
+// sees identical dice.
+func (h *hunter) dice(label string, gen, idx int) *rand.Rand {
+	h.rng.Seed(faults.DeriveSeed(h.cfg.Seed, fmt.Sprintf("hunt/%s/%d/%d", label, gen, idx)))
+	return h.rng
 }
 
 // evaluate scores a batch of genomes through one runner sweep. Results
@@ -179,7 +187,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Objective.Score == nil {
 		return nil, fmt.Errorf("hunt: config has no objective")
 	}
-	h := &hunter{cfg: cfg}
+	h := newHunter(cfg)
 	res := &Result{
 		Objective: cfg.Objective.Name,
 		Seed:      cfg.Seed,
@@ -191,7 +199,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	left := cfg.Budget
 	pop := make([]Genome, cfg.Pop)
 	for i := range pop {
-		pop[i] = RandomGenome(rngFor(cfg.Seed, "init", 0, i), cfg.Bounds)
+		pop[i] = RandomGenome(h.dice("init", 0, i), cfg.Bounds)
 	}
 	for gen := 0; left > 0; gen++ {
 		if len(pop) > left {
@@ -235,10 +243,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			// the same deterministic (label, gen, index) coordinates as
 			// the initial population.
 			if i >= cfg.Pop-cfg.Pop/gaImmigrantDiv {
-				next = append(next, RandomGenome(rngFor(cfg.Seed, "init", gen+1, i), cfg.Bounds))
+				next = append(next, RandomGenome(h.dice("init", gen+1, i), cfg.Bounds))
 				continue
 			}
-			rng := rngFor(cfg.Seed, "breed", gen+1, i)
+			rng := h.dice("breed", gen+1, i)
 			p1 := pop[tournament(rng, scores, gaTournamentK)]
 			child := p1
 			if rng.Float64() < gaCrossoverP {
@@ -274,10 +282,10 @@ func RandomBaseline(ctx context.Context, cfg Config, n int) (*Baseline, error) {
 	if cfg.Objective.Score == nil {
 		return nil, fmt.Errorf("hunt: config has no objective")
 	}
-	h := &hunter{cfg: cfg}
+	h := newHunter(cfg)
 	genomes := make([]Genome, n)
 	for i := range genomes {
-		genomes[i] = RandomGenome(rngFor(cfg.Seed, "random", 0, i), cfg.Bounds)
+		genomes[i] = RandomGenome(h.dice("random", 0, i), cfg.Bounds)
 	}
 	scores, err := h.evaluate(ctx, genomes)
 	if err != nil {

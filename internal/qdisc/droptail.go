@@ -21,7 +21,9 @@ import (
 // recycles its backing array when it empties, so a steady
 // enqueue/dequeue cycle stays allocation-free instead of creeping the
 // slice base through memory — with thousands of per-user instances
-// (manyflow) that creep was a measurable allocation source.
+// (manyflow) that creep was a measurable allocation source. It is the
+// package's one FIFO: CoDel, the token buckets, per-user isolation and
+// DRR's classes all queue in one.
 type DropTail struct {
 	limit int // bytes
 	q     []*sim.Packet
@@ -36,10 +38,13 @@ type DropTail struct {
 // queue.
 func NewDropTail(limitBytes int) *DropTail {
 	if limitBytes <= 0 {
-		limitBytes = 1 << 40
+		limitBytes = unbounded
 	}
 	return &DropTail{limit: limitBytes}
 }
+
+// unbounded is the byte limit of a queue that never drops.
+const unbounded = 1 << 40
 
 // NewDropTailBDP returns a droptail FIFO sized to mult
 // bandwidth-delay products of a link with the given rate (bits/s) and

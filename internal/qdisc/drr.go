@@ -14,34 +14,16 @@ type ClassifyFunc func(p *sim.Packet) int
 func ByFlow(p *sim.Packet) int { return p.FlowID }
 
 type drrClass struct {
-	id      int
-	q       []*sim.Packet
-	head    int // drain index: q[head:] is the live queue
-	bytes   int
+	id int
+	// fifo is the class's queue, unbounded: DRR enforces its limit
+	// across classes.
+	fifo    DropTail
 	deficit int
 	active  bool
 	// granted marks that the class already received its quantum for
 	// the current round-robin visit; it is cleared when the scheduler
 	// moves past the class.
 	granted bool
-}
-
-// qlen returns the class's live queue length.
-func (c *drrClass) qlen() int { return len(c.q) - c.head }
-
-// popHead removes and returns the head packet. The backing array is
-// recycled when the queue empties so steady cycling does not creep
-// the slice base through memory.
-func (c *drrClass) popHead() *sim.Packet {
-	p := c.q[c.head]
-	c.q[c.head] = nil
-	c.head++
-	if c.head == len(c.q) {
-		c.q = c.q[:0]
-		c.head = 0
-	}
-	c.bytes -= p.Size
-	return p
 }
 
 // DRR is a deficit-round-robin fair queue (Shreedhar & Varghese), the
@@ -74,7 +56,7 @@ func NewDRR(classify ClassifyFunc, quantum, limitBytes int) *DRR {
 		quantum = sim.MSS
 	}
 	if limitBytes <= 0 {
-		limitBytes = 1 << 40
+		limitBytes = unbounded
 	}
 	return &DRR{classify: classify, quantum: quantum, limit: limitBytes, classes: make(map[int]*drrClass)}
 }
@@ -91,7 +73,7 @@ func (d *DRR) Enqueue(p *sim.Packet, _ time.Duration) bool {
 		// flows from loss caused by heavy ones, matching FQ practice.
 		longest := d.longestClass()
 		cid := d.classify(p)
-		if longest != nil && longest.id != cid && longest.bytes > p.Size {
+		if longest != nil && longest.id != cid && longest.fifo.Bytes() > p.Size {
 			d.dropHead(longest)
 		} else {
 			d.Dropped++
@@ -101,11 +83,10 @@ func (d *DRR) Enqueue(p *sim.Packet, _ time.Duration) bool {
 	cid := d.classify(p)
 	c := d.classes[cid]
 	if c == nil {
-		c = &drrClass{id: cid}
+		c = &drrClass{id: cid, fifo: DropTail{limit: unbounded}}
 		d.classes[cid] = c
 	}
-	c.q = append(c.q, p)
-	c.bytes += p.Size
+	c.fifo.Enqueue(p, 0)
 	d.bytes += p.Size
 	d.pkts++
 	if !c.active {
@@ -119,7 +100,7 @@ func (d *DRR) Enqueue(p *sim.Packet, _ time.Duration) bool {
 func (d *DRR) longestClass() *drrClass {
 	var longest *drrClass
 	for _, c := range d.ring {
-		if longest == nil || c.bytes > longest.bytes {
+		if longest == nil || c.fifo.Bytes() > longest.fifo.Bytes() {
 			longest = c
 		}
 	}
@@ -127,10 +108,10 @@ func (d *DRR) longestClass() *drrClass {
 }
 
 func (d *DRR) dropHead(c *drrClass) {
-	if c.qlen() == 0 {
+	p, _ := c.fifo.Dequeue(0)
+	if p == nil {
 		return
 	}
-	p := c.popHead()
 	d.bytes -= p.Size
 	d.pkts--
 	d.Dropped++
@@ -152,7 +133,8 @@ func (d *DRR) Dequeue(_ time.Duration) (*sim.Packet, time.Duration) {
 			d.ringPos = 0
 		}
 		c := d.ring[d.ringPos]
-		if c.qlen() == 0 {
+		head := c.fifo.peek()
+		if head == nil {
 			// Class went empty: deactivate and remove from the ring.
 			c.active = false
 			c.granted = false
@@ -165,18 +147,18 @@ func (d *DRR) Dequeue(_ time.Duration) (*sim.Packet, time.Duration) {
 			c.deficit += d.quantum
 			c.granted = true
 		}
-		if c.deficit < c.q[c.head].Size {
+		if c.deficit < head.Size {
 			// Grant exhausted: move to the next class; the grant flag
 			// resets so the class receives a fresh quantum next round.
 			c.granted = false
 			d.ringPos++
 			continue
 		}
-		p := c.popHead()
+		p, _ := c.fifo.Dequeue(0)
 		c.deficit -= p.Size
 		d.bytes -= p.Size
 		d.pkts--
-		if c.qlen() == 0 {
+		if c.fifo.Len() == 0 {
 			c.active = false
 			c.granted = false
 			c.deficit = 0

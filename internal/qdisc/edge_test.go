@@ -1,6 +1,7 @@
 package qdisc
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -100,11 +101,17 @@ func TestTinyCapacityBoundary(t *testing.T) {
 // wedges holding a packet it cannot release.
 func TestFaultWrappersOnEdgeQueues(t *testing.T) {
 	wrappers := map[string]func(sim.Qdisc) sim.Qdisc{
-		"loss":    func(q sim.Qdisc) sim.Qdisc { return faults.NewLoss(q, 0.5, 1) },
-		"ge":      func(q sim.Qdisc) sim.Qdisc { return faults.NewGilbertElliott(q, faults.GESpec{PGoodBad: 0.5}, 2) },
-		"dup":     func(q sim.Qdisc) sim.Qdisc { return faults.NewDuplicator(q, 0.5, 3) },
-		"jitter":  func(q sim.Qdisc) sim.Qdisc { return faults.NewJitter(q, 5*time.Millisecond, 4) },
-		"reorder": func(q sim.Qdisc) sim.Qdisc { return faults.NewReorderer(q, 0.5, 5*time.Millisecond, 5) },
+		"loss": func(q sim.Qdisc) sim.Qdisc { return faults.NewLoss(q, 0.5, rand.New(rand.NewSource(1))) },
+		"ge": func(q sim.Qdisc) sim.Qdisc {
+			return faults.NewGilbertElliott(q, faults.GESpec{PGoodBad: 0.5}, rand.New(rand.NewSource(2)))
+		},
+		"dup": func(q sim.Qdisc) sim.Qdisc { return faults.NewDuplicator(q, 0.5, rand.New(rand.NewSource(3))) },
+		"jitter": func(q sim.Qdisc) sim.Qdisc {
+			return faults.NewJitter(q, 5*time.Millisecond, rand.New(rand.NewSource(4)))
+		},
+		"reorder": func(q sim.Qdisc) sim.Qdisc {
+			return faults.NewReorderer(q, 0.5, 5*time.Millisecond, rand.New(rand.NewSource(5)))
+		},
 		"outage": func(q sim.Qdisc) sim.Qdisc {
 			return faults.NewPeriodicOutage(q, 20*time.Millisecond, 5*time.Millisecond)
 		},
@@ -162,5 +169,5 @@ func mustProfile(q sim.Qdisc) sim.Qdisc {
 	if err != nil {
 		panic(err)
 	}
-	return p.Build(q, 9).Qdisc()
+	return p.Build(new(sim.Engine), q, 9).Qdisc()
 }

@@ -47,7 +47,7 @@ func NewFQCoDel(classify ClassifyFunc, limitBytes int) *FQCoDel {
 		classify = ByFlow
 	}
 	if limitBytes <= 0 {
-		limitBytes = 1 << 40
+		limitBytes = unbounded
 	}
 	return &FQCoDel{
 		classify: classify,

@@ -2,6 +2,7 @@ package qdisc
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -260,6 +261,43 @@ func TestDRRConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFairQueuesDoNotCreepUnderStandingBacklog keeps a 50-packet
+// backlog in one class while 100,000 packets pass through it. A class
+// that never empties must still reuse its queue storage, as DropTail
+// does, instead of growing it by one slot per packet ever queued.
+func TestFairQueuesDoNotCreepUnderStandingBacklog(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		q    sim.Qdisc
+	}{
+		{"droptail", NewDropTail(0)},
+		{"drr", NewDRR(ByFlow, sim.MSS, 0)},
+		{"sfq", NewSFQ(16, 0, 1)},
+	} {
+		const backlog, cycles = 50, 100_000
+		pkts := make([]*sim.Packet, backlog+1)
+		for i := range pkts {
+			pkts[i] = pkt(1, 1, sim.MSS)
+		}
+		for _, p := range pkts[:backlog] {
+			tc.q.Enqueue(p, 0)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			tc.q.Enqueue(pkts[backlog], 0)
+			pkts[backlog], _ = tc.q.Dequeue(0)
+		}
+		runtime.ReadMemStats(&after)
+		if n := tc.q.Len(); n != backlog {
+			t.Fatalf("%s: backlog %d, want %d", tc.name, n, backlog)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+			t.Errorf("%s: %d cycles at a %d-packet backlog allocated %d bytes", tc.name, cycles, backlog, b)
+		}
 	}
 }
 

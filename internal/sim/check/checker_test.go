@@ -78,7 +78,7 @@ func TestCheckedRunWithFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("profile: %v", err)
 		}
-		return prof.Build(q, 7).Qdisc()
+		return prof.Build(new(sim.Engine), q, 7).Qdisc()
 	})
 	if err := ck.Err(); err != nil {
 		t.Fatalf("invariant violations under faults:\n%v", err)

@@ -19,13 +19,21 @@
 // generation-checked indices rather than per-schedule allocations, a
 // re-armed timer moves in place (Timer.Postpone) instead of leaving a
 // cancelled copy queued behind it, and packets cycle through a
-// per-engine free list (see NewPacket/Release). See docs/PERFORMANCE.md for the design and
-// internal/sim/check for the invariant checker and golden-trace corpus
-// that gate changes here.
+// per-engine free list (see NewPacket/Release).
+//
+// An engine is also its run's arena: Reset hands back everything a run
+// grew to its peak — the slot table, heap and wheel, every packet
+// (delivered, queued in a qdisc the run left behind, or still in
+// flight), the random generators Rand handed out, and the buffers
+// taken from Slices — so a sweep that runs cell after cell on one
+// engine stops paying each cell's set-up in allocations. See
+// docs/PERFORMANCE.md for the design and internal/sim/check for the
+// invariant checker and golden-trace corpus that gate changes here.
 package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/obs"
@@ -77,7 +85,14 @@ type Engine struct {
 	wheelOff bool
 
 	pool packetPool
-	hook Hook
+	// rands are the generators Rand handed out; the first nrand belong
+	// to the current run, the rest wait to be re-seeded.
+	rands []*rand.Rand
+	nrand int
+	// slices holds one *Slices[T] per element type, keyed by a typed
+	// nil *Slices[T].
+	slices map[any]reclaimer
+	hook   Hook
 }
 
 // heapNode is one pending event's ordering key plus the index of its
@@ -419,19 +434,55 @@ func (e *Engine) Run(until time.Duration) {
 func (e *Engine) Pending() int { return len(e.heap) + e.wheel.count }
 
 // Reset discards every pending event and rewinds the clock and
-// counters, leaving the engine ready for a fresh run. Slot generations
-// are bumped, so Timer handles that outlive the reset are inert:
-// cancelling one can never touch an event scheduled after the reset,
-// even when its slot has been recycled.
+// Processed, leaving the engine ready for a fresh run that cannot tell
+// it from a new engine. It keeps what the last run grew and hands it
+// back for reuse:
+//
+//   - the slot table, heap and wheel. Slot generations are bumped, so
+//     Timer handles that outlive the reset are inert: cancelling one
+//     can never touch an event scheduled after the reset, even when
+//     its slot has been recycled.
+//   - every packet NewPacket allocated, including packets still
+//     queued or in flight: each one not yet released is released
+//     (the hook sees OnFree) and goes back on the free list.
+//   - every generator Rand handed out, re-seeded by the next calls.
+//   - every buffer a Slices handed out.
+//
+// Nothing from before the reset may be used after it: a packet, a
+// generator or a buffer may belong to the next run. The hook stays
+// installed; the pool counters (PoolStats) keep counting.
 func (e *Engine) Reset() {
 	for _, node := range e.heap {
 		e.freeSlot(node.slot)
 	}
 	e.heap = e.heap[:0]
 	e.resetWheel()
+	for _, p := range e.pool.all {
+		if p.live {
+			p.Release()
+		}
+	}
+	e.nrand = 0
+	for _, s := range e.slices {
+		s.reclaim()
+	}
 	e.now = 0
 	e.seq = 0
 	e.Processed = 0
+}
+
+// Rand returns a generator seeded with seed: the stream it yields is
+// the one rand.New(rand.NewSource(seed)) yields. The generator is the
+// engine's. A Reset takes it back and a later call re-seeds it instead
+// of allocating a new one, so it must not be used past the run.
+func (e *Engine) Rand(seed int64) *rand.Rand {
+	if e.nrand == len(e.rands) {
+		e.rands = append(e.rands, rand.New(rand.NewSource(seed)))
+	} else {
+		e.rands[e.nrand].Seed(seed)
+	}
+	e.nrand++
+	return e.rands[e.nrand-1]
 }
 
 // verifyHeap checks the 4-ary heap's ordering invariant, the timer

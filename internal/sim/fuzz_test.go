@@ -7,14 +7,18 @@ import (
 
 // FuzzEngineSchedule drives the engine through adversarial
 // interleavings of schedule, cancel, postpone, step, run, reset, and
-// pooled packet delivery, re-verifying the indexed-heap and
-// timer-wheel structures after every operation and the (time, seq)
-// fire order throughout. Every operation is mirrored onto a heap-pure
-// shadow engine (wheelOff=true), so the hashed hierarchical wheel is
-// fuzz-checked for exact pop-order equivalence against the reference
-// heap, and onto a reference engine on which every postpone is
-// Cancel + ScheduleAt, so Postpone is fuzz-checked for identical
-// schedule and fire streams, processed counts and handlers run. The
+// pooled packets delivered through the event queue or orphaned (never
+// released, as in a qdisc the run leaves behind), re-verifying the
+// indexed-heap and timer-wheel structures after every operation and
+// the (time, seq) fire order throughout. Every operation is mirrored
+// onto a heap-pure shadow engine (wheelOff=true), so the hashed
+// hierarchical wheel is fuzz-checked for exact pop-order equivalence
+// against the reference heap, and onto a reference engine on which
+// every postpone is Cancel + ScheduleAt and which a reset replaces
+// with a new engine, so Postpone and Reset are fuzz-checked for
+// identical schedule and fire streams, processed counts and handlers
+// run. Reset must also take back every packet, queued, in flight or
+// orphaned, and no packet may be handed out twice while live. The
 // input is consumed as (opcode, argument) byte pairs; the opcode
 // byte's quotient by 7 is a sub-tick offset (0–252µs) added to
 // relative schedules, postpones and bounded runs, so events and parked
@@ -33,6 +37,11 @@ func FuzzEngineSchedule(f *testing.F) {
 	// repeated on one handle, of a packet, and across a bounded run that
 	// stops between the queued and the due time.
 	f.Add([]byte{0, 10, 0, 20, 9, 0, 9, 30, 9, 41, 4, 15, 9, 60, 5, 1, 9, 5, 3, 0, 4, 255})
+	// Resets (op 5, arg 0) with packets delivered, in flight and
+	// orphaned (op 5, arg 3 mod 4), each followed by a replayed
+	// schedule that reuses the reclaimed packets and slots.
+	f.Add([]byte{0, 10, 5, 1, 5, 3, 5, 9, 4, 4, 5, 0, 0, 10, 5, 1, 5, 3, 5, 9, 4, 4, 5, 0, 0, 10, 5, 1, 4, 255})
+	f.Add([]byte{6, 90, 0, 3, 5, 7, 5, 5, 9, 2, 3, 0, 5, 0, 6, 90, 0, 3, 5, 7, 5, 5, 9, 2, 4, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newMirror(t)
 		eng, shadow, ref := m.eng, m.shadow, m.ref
@@ -136,8 +145,13 @@ func FuzzEngineSchedule(f *testing.F) {
 				switch arg % 4 {
 				case 0: // reset: pending events drop, handles go inert
 					m.reset()
+					ref = m.ref
 					ran, sran, rran, compared = ran[:0], sran[:0], rran[:0], 0
 					lastFire = -1
+				case 3: // orphaned packets, never released: only a reset takes them back
+					eng.NewPacket()
+					shadow.NewPacket()
+					ref.NewPacket()
 				default: // pooled packet delivery through the event queue
 					d := time.Duration(arg) * time.Millisecond
 					id := len(timers)

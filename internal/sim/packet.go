@@ -12,9 +12,10 @@ const MSS = 1500
 //
 // Hot-path packets come from a per-engine free list (Engine.NewPacket)
 // and are recycled with Release once they terminate: delivered and
-// fully consumed, or dropped. Packets built with a plain composite
-// literal (tests, injected duplicates) are also accepted everywhere;
-// Release on them is a no-op and the garbage collector reclaims them.
+// fully consumed, or dropped. Engine.Reset takes back the ones a run
+// never released. Packets built with a plain composite literal (tests,
+// injected duplicates) are also accepted everywhere; Release on them
+// is a no-op and the garbage collector reclaims them.
 type Packet struct {
 	// FlowID identifies the transport flow the packet belongs to; queue
 	// disciplines use it for per-flow scheduling.
@@ -56,6 +57,9 @@ type Packet struct {
 // the same order every time.
 type packetPool struct {
 	free []*Packet
+	// all is every packet the engine allocated, so Reset can take back
+	// the ones the run never released.
+	all []*Packet
 	// Allocs counts fresh heap allocations; Reuses counts free-list
 	// hits; Frees counts releases. Exposed through PoolStats.
 	allocs, reuses, frees int64
@@ -82,6 +86,7 @@ func (e *Engine) NewPacket() *Packet {
 		e.pool.reuses++
 	} else {
 		p = &Packet{owner: e, live: true}
+		e.pool.all = append(e.pool.all, p)
 		e.pool.allocs++
 	}
 	if e.hook != nil {

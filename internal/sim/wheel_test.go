@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,23 +16,45 @@ type evKey struct {
 // keyLog is a Hook that records the key of every event scheduled and
 // every event fired. Engines fed the same schedule calls number their
 // events identically, so equal logs mean equal schedule streams and
-// equal fire order, ties included.
-type keyLog struct{ sched, fired []evKey }
+// equal fire order, ties included. It also tracks the pooled packets
+// handed out and not yet released, and notes the first packet handed
+// out twice while live or released while not live.
+type keyLog struct {
+	sched, fired []evKey
+	live         map[*Packet]bool
+	bad          string
+}
 
 func (l *keyLog) OnSchedule(at time.Duration, seq int64) { l.sched = append(l.sched, evKey{at, seq}) }
 func (l *keyLog) OnFire(at time.Duration, seq int64)     { l.fired = append(l.fired, evKey{at, seq}) }
-func (l *keyLog) OnAlloc(*Packet)                        {}
-func (l *keyLog) OnFree(*Packet)                         {}
+
+func (l *keyLog) OnAlloc(p *Packet) {
+	if l.live == nil {
+		l.live = map[*Packet]bool{}
+	}
+	if l.live[p] && l.bad == "" {
+		l.bad = fmt.Sprintf("packet %p handed out twice while live", p)
+	}
+	l.live[p] = true
+}
+
+func (l *keyLog) OnFree(p *Packet) {
+	if !l.live[p] && l.bad == "" {
+		l.bad = fmt.Sprintf("packet %p released while not live", p)
+	}
+	delete(l.live, p)
+}
 
 func (l *keyLog) reset() { l.sched, l.fired = l.sched[:0], l.fired[:0] }
 
 // mirror drives a wheel-enabled engine, a heap-pure shadow and a
 // reference engine through the same calls. Postpone on the first two
-// is Cancel + ScheduleAt on the reference. agree fails the test as
-// soon as the engines differ in anything an observer can see —
-// schedule stream, fire order, clock, processed count, and between
-// the first two the pending depth — or any engine's structure is
-// unsound.
+// is Cancel + ScheduleAt on the reference, and reset replaces the
+// reference with a new engine where the other two are Reset. agree
+// fails the test as soon as the engines differ in anything an observer
+// can see — schedule stream, fire order, clock, processed count, and
+// between the first two the pending depth — or any engine's structure
+// is unsound, or any engine's packet pool hands out a live packet.
 type mirror struct {
 	t                testing.TB
 	eng, shadow, ref *Engine
@@ -103,13 +126,22 @@ func (m *mirror) step() bool {
 	return a
 }
 
+// reset Resets the wheel engine and the shadow, which must then take
+// back every packet they handed out, and gives the reference a new
+// engine: after it, the reset engines must behave as a new one does.
 func (m *mirror) reset() {
 	m.eng.Reset()
 	m.shadow.Reset()
-	m.ref.Reset()
+	m.ref = &Engine{}
+	m.rlog = keyLog{}
+	m.ref.SetHook(&m.rlog)
+	for _, l := range []*keyLog{&m.log, &m.slog} {
+		if len(l.live) != 0 {
+			m.t.Fatalf("Reset left %d packets live", len(l.live))
+		}
+	}
 	m.log.reset()
 	m.slog.reset()
-	m.rlog.reset()
 	m.sched, m.fired = 0, 0
 }
 
@@ -117,9 +149,13 @@ func (m *mirror) agree(ctx string) {
 	for _, e := range []struct {
 		name string
 		eng  *Engine
-	}{{"wheel engine", m.eng}, {"heap shadow", m.shadow}, {"reference", m.ref}} {
+		log  *keyLog
+	}{{"wheel engine", m.eng, &m.log}, {"heap shadow", m.shadow, &m.slog}, {"reference", m.ref, &m.rlog}} {
 		if err := e.eng.verifyHeap(); err != nil {
 			m.t.Fatalf("%s: %s unsound: %v", ctx, e.name, err)
+		}
+		if e.log.bad != "" {
+			m.t.Fatalf("%s: %s: %s", ctx, e.name, e.log.bad)
 		}
 	}
 	m.sched = m.sameKeys(ctx, "scheduled", m.sched, m.log.sched, m.slog.sched, m.rlog.sched)

@@ -16,7 +16,7 @@ import (
 // through a 2% random-loss link.
 func TestDeliveryUnderRandomLoss(t *testing.T) {
 	eng := &sim.Engine{}
-	q := faults.NewLoss(qdisc.NewDropTail(1<<20), 0.02, 42)
+	q := faults.NewLoss(qdisc.NewDropTail(1<<20), 0.02, rand.New(rand.NewSource(42)))
 	link := sim.NewLink(eng, "l", 20e6, 10*time.Millisecond, q)
 	done := false
 	f := transport.NewFlow(eng, transport.FlowConfig{
@@ -46,7 +46,7 @@ func TestMildReorderingDoesNotStall(t *testing.T) {
 	eng := &sim.Engine{}
 	// 1 ms behind at 0.6 ms per packet: a held packet re-emerges one or
 	// two places late.
-	q := faults.NewReorderer(qdisc.NewDropTail(1<<20), 0.3, time.Millisecond, 3)
+	q := faults.NewReorderer(qdisc.NewDropTail(1<<20), 0.3, time.Millisecond, rand.New(rand.NewSource(3)))
 	link := sim.NewLink(eng, "l", 20e6, 10*time.Millisecond, q)
 	done := false
 	f := transport.NewFlow(eng, transport.FlowConfig{
@@ -73,7 +73,7 @@ func TestMildReorderingDoesNotStall(t *testing.T) {
 func TestHeavyReorderingStillCompletes(t *testing.T) {
 	eng := &sim.Engine{}
 	// 6 ms behind: a held packet re-emerges some ten places late.
-	q := faults.NewReorderer(qdisc.NewDropTail(1<<20), 0.3, 6*time.Millisecond, 3)
+	q := faults.NewReorderer(qdisc.NewDropTail(1<<20), 0.3, 6*time.Millisecond, rand.New(rand.NewSource(3)))
 	link := sim.NewLink(eng, "l", 20e6, 10*time.Millisecond, q)
 	done := false
 	f := transport.NewFlow(eng, transport.FlowConfig{

@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -31,28 +32,28 @@ func matrixClasses() []faultClass {
 			name: "ge-burst",
 			wrap: func(inner sim.Qdisc) sim.Qdisc {
 				return faults.NewGilbertElliott(inner,
-					faults.GESpec{PGoodBad: 0.01, PBadGood: 0.3, LossBad: 0.4}, 11)
+					faults.GESpec{PGoodBad: 0.01, PBadGood: 0.3, LossBad: 0.4}, rand.New(rand.NewSource(11)))
 			},
 			maxRetransFrac: 0.30,
 		},
 		{
 			name: "reorder",
 			wrap: func(inner sim.Qdisc) sim.Qdisc {
-				return faults.NewReorderer(inner, 0.03, 20*time.Millisecond, 12)
+				return faults.NewReorderer(inner, 0.03, 20*time.Millisecond, rand.New(rand.NewSource(12)))
 			},
 			maxRetransFrac: 0.60,
 		},
 		{
 			name: "duplicate",
 			wrap: func(inner sim.Qdisc) sim.Qdisc {
-				return faults.NewDuplicator(inner, 0.05, 13)
+				return faults.NewDuplicator(inner, 0.05, rand.New(rand.NewSource(13)))
 			},
 			maxRetransFrac: 0.30,
 		},
 		{
 			name: "jitter",
 			wrap: func(inner sim.Qdisc) sim.Qdisc {
-				return faults.NewJitter(inner, 10*time.Millisecond, 14)
+				return faults.NewJitter(inner, 10*time.Millisecond, rand.New(rand.NewSource(14)))
 			},
 			maxRetransFrac: 0.20,
 		},
@@ -61,7 +62,7 @@ func matrixClasses() []faultClass {
 			wrap: func(inner sim.Qdisc) sim.Qdisc {
 				return faults.Config{
 					Outages: []faults.WindowSpec{{StartS: 0.4, EndS: 2.4}},
-				}.Build(inner, 1).Qdisc()
+				}.Build(new(sim.Engine), inner, 1).Qdisc()
 			},
 			maxRetransFrac: 0.60,
 		},
@@ -125,7 +126,7 @@ func TestNimbusProbeSurvivesFaultProfiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng := &sim.Engine{}
-			ch := p.Build(qdisc.NewDropTailBDP(24e6, 40*time.Millisecond, 1), 21)
+			ch := p.Build(eng, qdisc.NewDropTailBDP(24e6, 40*time.Millisecond, 1), 21)
 			link := sim.NewLink(eng, "l", 24e6, 20*time.Millisecond, ch.Qdisc())
 			probe := nimbus.NewCCA(nimbus.Config{Mu: 24e6, PulseFreq: 2})
 			f := transport.NewFlow(eng, transport.FlowConfig{

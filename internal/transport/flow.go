@@ -63,6 +63,7 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig) *Flow {
 		userID:   cfg.UserID,
 		path:     cfg.Path,
 		cc:       cfg.CC,
+		rings:    sim.SlicesOf[sentInfo](eng),
 		openLoop: cfg.OpenLoop,
 		nextDue:  noMark,
 		TraceRTT: cfg.TraceRTT,

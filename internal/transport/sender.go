@@ -80,10 +80,12 @@ type Sender struct {
 	// Outstanding packet state. Seqs are dense and only increase (a
 	// retransmission is a fresh seq), so every outstanding packet lies
 	// in [base, nextSeq) and sits in ring slot seq&(len(ring)-1); no
-	// slot below base is live. The ring doubles when that span fills it.
+	// slot below base is live. The ring doubles when that span fills it;
+	// rings come from, and go back to, the engine's store.
 	nextSeq       int64
 	base          int64
 	ring          []sentInfo
+	rings         *sim.Slices[sentInfo]
 	outstanding   int // live slots
 	inflightBytes int
 	largestAcked  int64
@@ -280,12 +282,17 @@ func (s *Sender) slot(seq int64) *sentInfo {
 }
 
 // growRing doubles the ring (16 slots the first time), re-homing the
-// full span [base, base+len(ring)) under the wider mask.
+// full span [base, base+len(ring)) under the wider mask, and hands the
+// outgrown ring back to the engine's store. The last ring goes back
+// when the engine is reset.
 func (s *Sender) growRing() {
 	old := s.ring
-	s.ring = make([]sentInfo, max(2*len(old), 16))
+	s.ring = s.rings.Get(max(2*len(old), 16))
 	for seq := s.base; seq < s.base+int64(len(old)); seq++ {
 		*s.slot(seq) = old[seq&int64(len(old)-1)]
+	}
+	if old != nil {
+		s.rings.Put(old)
 	}
 }
 
