@@ -70,6 +70,41 @@ func (c *Cell) merge(o *Cell) error {
 	return c.Util.Merge(o.Util)
 }
 
+// Empty sketches of the fixed geometries. Merging one into a decoded
+// sketch checks that sketch's geometry and changes nothing.
+var jainShape, utilShape = newJainSketch(), newUtilSketch()
+
+// check vets a decoded cell before it can reach a merge: it must be
+// present, carry both sketches in their fixed geometries, count
+// nothing negative and no class above its total (a report's Wilson
+// interval is NaN past it). A cell whose classes were omitted gets an empty
+// map, so a later merge into it does not write to a nil map.
+func (c *Cell) check() error {
+	switch {
+	case c == nil:
+		return fmt.Errorf("cell is null")
+	case c.Total < 0 || c.Errors < 0:
+		return fmt.Errorf("negative count (total %d, errors %d)", c.Total, c.Errors)
+	case c.Jain == nil || c.Util == nil:
+		return fmt.Errorf("cell lacks its jain or util sketch")
+	}
+	for k, n := range c.Classes {
+		if n < 0 || n > c.Total {
+			return fmt.Errorf("class %s counts %d of %d runs", k, n, c.Total)
+		}
+	}
+	if err := c.Jain.Merge(jainShape); err != nil {
+		return fmt.Errorf("jain: %w", err)
+	}
+	if err := c.Util.Merge(utilShape); err != nil {
+		return fmt.Errorf("util: %w", err)
+	}
+	if c.Classes == nil {
+		c.Classes = map[Classification]int{}
+	}
+	return nil
+}
+
 // Aggregate folds classified census cells into per-stratum and overall
 // counters. It is the mergeable unit a shard ships home.
 type Aggregate struct {
@@ -142,6 +177,14 @@ func ParsePartial(b []byte) (Partial, error) {
 	}
 	if p.Agg == nil || p.Agg.Overall == nil {
 		return Partial{}, fmt.Errorf("census: partial has no aggregate")
+	}
+	for key, cell := range p.Agg.Strata {
+		if err := cell.check(); err != nil {
+			return Partial{}, fmt.Errorf("census: partial stratum %s: %w", key, err)
+		}
+	}
+	if err := p.Agg.Overall.check(); err != nil {
+		return Partial{}, fmt.Errorf("census: partial overall: %w", err)
 	}
 	if got := p.Model.Hash(); got != p.ModelHash {
 		return Partial{}, fmt.Errorf("census: partial model hash %.12s does not match embedded model (%.12s)", p.ModelHash, got)

@@ -420,6 +420,100 @@ func TestParsePartialRejectsTampering(t *testing.T) {
 	}
 }
 
+// testPartial is a small partial over testModel(10) covering [lo, hi),
+// with runs in two strata.
+func testPartial(t testing.TB, lo, hi int) []byte {
+	t.Helper()
+	m := testModel(10)
+	agg := NewAggregate()
+	agg.Add(Obs{Class: ClassContention, Queue: "droptail", Fault: "clean", Jain: 0.8, Util: 0.9})
+	agg.Add(Obs{Class: ClassInconclusive, Queue: "fq", Fault: "wifi-bursty", Err: "stalled"})
+	b, err := Partial{ModelHash: m.Hash(), Model: m, Lo: lo, Hi: hi, Agg: agg}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// editAggregate decodes a partial, lets edit change its aggregate as
+// generic JSON, and encodes it again.
+func editAggregate(t *testing.T, b []byte, edit func(agg map[string]any)) []byte {
+	t.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	edit(doc["aggregate"].(map[string]any))
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestParsePartialRejectsBrokenCells: a hand-edited partial whose cell
+// or sketch is null, whose sketch has another geometry, or whose
+// counts are negative or exceed the cell's total must fail to parse
+// rather than reach Merge, which would dereference or merge it, or
+// the report, whose Wilson interval would be NaN.
+func TestParsePartialRejectsBrokenCells(t *testing.T) {
+	b := testPartial(t, 0, 10)
+	if _, err := ParsePartial(b); err != nil {
+		t.Fatal(err)
+	}
+	stratum := func(agg map[string]any) map[string]any {
+		return agg["strata"].(map[string]any)["droptail|clean"].(map[string]any)
+	}
+	overall := func(agg map[string]any) map[string]any { return agg["overall"].(map[string]any) }
+	for name, edit := range map[string]func(map[string]any){
+		"null stratum":       func(agg map[string]any) { agg["strata"].(map[string]any)["droptail|clean"] = nil },
+		"null overall jain":  func(agg map[string]any) { overall(agg)["jain"] = nil },
+		"null stratum util":  func(agg map[string]any) { stratum(agg)["util"] = nil },
+		"jain of util shape": func(agg map[string]any) { overall(agg)["jain"] = overall(agg)["util"] },
+		"util of jain shape": func(agg map[string]any) { stratum(agg)["util"] = stratum(agg)["jain"] },
+		"negative total":     func(agg map[string]any) { overall(agg)["total"] = -1 },
+		"negative errors":    func(agg map[string]any) { stratum(agg)["errors"] = -1 },
+		"negative class count": func(agg map[string]any) {
+			stratum(agg)["classes"] = map[string]any{string(ClassContention): -1}
+		},
+		"class count above total": func(agg map[string]any) {
+			stratum(agg)["classes"] = map[string]any{string(ClassContention): 5}
+		},
+	} {
+		if _, err := ParsePartial(editAggregate(t, b, edit)); err == nil {
+			t.Errorf("%s: partial accepted", name)
+		}
+	}
+}
+
+// TestMergeIntoCellWithoutClasses: a stratum whose classes were
+// omitted must still take another partial's counts.
+func TestMergeIntoCellWithoutClasses(t *testing.T) {
+	first := editAggregate(t, testPartial(t, 0, 5), func(agg map[string]any) {
+		for _, c := range agg["strata"].(map[string]any) {
+			delete(c.(map[string]any), "classes")
+		}
+	})
+	var parts []Partial
+	for _, b := range [][]byte{first, testPartial(t, 5, 10)} {
+		p, err := ParsePartial(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, p)
+	}
+	r, err := Merge(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Overall.Classes[ClassContention]; got != 2 {
+		t.Fatalf("overall counts %d contention-dominated runs, want 2", got)
+	}
+	if got := r.Strata[0].Classes[ClassContention]; got != 1 {
+		t.Fatalf("stratum %s counts %d contention-dominated runs, want 1", r.Strata[0].Stratum, got)
+	}
+}
+
 func TestExpansionStats(t *testing.T) {
 	m := testModel(50)
 	st := m.Expansion(3)

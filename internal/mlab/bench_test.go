@@ -87,6 +87,31 @@ func BenchmarkMLabPipelineSeq(b *testing.B) { benchPipeline(b, 1) }
 // only line framing stays on the reading goroutine.
 func BenchmarkMLabPipelinePar(b *testing.B) { benchPipeline(b, 8) }
 
+// BenchmarkDecodeRecord is the decode layer alone: every line of the
+// pipeline benchmarks' dataset through decodeRecord into one reused
+// record, with no framing and no analysis. Its MB/s sits beside
+// BenchmarkMLabPipelineSeq's; allocs/flow is the ID string.
+func BenchmarkDecodeRecord(b *testing.B) {
+	data := benchJSONL()
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	var rec Record
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for idx, line := range lines {
+			if err := decodeRecord(line, &rec, idx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N)/float64(len(lines)), "allocs/flow")
+}
+
 // BenchmarkMLabAnalyzeStoreAll is the historical store-everything
 // path (per-flow results + exact CDF), kept as the memory/alloc
 // comparison point for the streaming aggregate mode.

@@ -174,8 +174,15 @@ func unterminatedLen(b []byte) int {
 
 // decodeRecord decodes one JSONL line into rec, reusing rec's snapshot
 // storage; idx is the record's index for the error. RecordStream.Next
-// and AnalyzeStream's workers both decode through it.
+// and AnalyzeStream's workers both decode through it. The hand scanner
+// (scanRecord) decodes every line JSONLWriter writes; a line it
+// declines goes to encoding/json, which alone decides what any other
+// line means and what its error says.
 func decodeRecord(line []byte, rec *Record, idx int) error {
+	rec.reset()
+	if scanRecord(line, rec) {
+		return nil
+	}
 	rec.reset()
 	if err := json.Unmarshal(line, rec); err != nil {
 		return fmt.Errorf("mlab: decoding record %d: %w", idx, err)

@@ -272,7 +272,10 @@ func (s *Server) handleDatagram(pkt []byte, raddr *net.UDPAddr, out []byte) {
 	case TypeData:
 		s.handleData(&h, raddr, now, len(pkt), out)
 	case TypeBye:
-		s.endSession(h.Session, now, EndBye)
+		if !s.endSession(h.Session, raddr, now, EndBye) {
+			s.Stats.BadPackets.Add(1)
+			return
+		}
 		s.logf("probe: session %d from %v done", h.Session, raddr)
 	default:
 		s.Stats.BadPackets.Add(1)
@@ -404,16 +407,24 @@ func (s *Server) admitSession(id uint64, raddr *net.UDPAddr, now time.Duration) 
 	return ok
 }
 
-// endSession removes a session and spools its summary.
-func (s *Server) endSession(id uint64, now time.Duration, cause string) {
+// endSession removes a session and spools its summary, on behalf of
+// raddr. It returns false, and leaves the session running, when raddr
+// is not the address the session was admitted from: a third party must
+// not end another client's measurement.
+func (s *Server) endSession(id uint64, raddr *net.UDPAddr, now time.Duration, cause string) bool {
 	s.mu.Lock()
 	se, ok := s.sessions[id]
+	if ok && se.addr != addrString(raddr) {
+		s.mu.Unlock()
+		return false
+	}
 	delete(s.sessions, id)
 	s.mu.Unlock()
-	if !ok {
-		return // retransmitted Bye, or already evicted
+	if ok {
+		s.spoolSession(se, now, cause)
 	}
-	s.spoolSession(se, now, cause)
+	// A retransmitted Bye, or one for an evicted session, finds nothing.
+	return true
 }
 
 func (s *Server) spoolSession(se *session, now time.Duration, cause string) {

@@ -122,7 +122,7 @@ func TestAdmitEndSweepStress(t *testing.T) {
 						rejected.Add(1)
 					}
 				case 2:
-					srv.endSession(id, now, EndBye)
+					srv.endSession(id, addr, now, EndBye)
 				case 3:
 					srv.sweepNow(now)
 				}
@@ -218,6 +218,50 @@ func TestConcurrentReadersServeManyClients(t *testing.T) {
 	}
 	if got := srv.ActiveSessions(); got != clients {
 		t.Errorf("active sessions = %d, want %d", got, clients)
+	}
+}
+
+// TestByeFromAnotherAddressIgnored: a Bye carrying a session's id from
+// any address but the one its Hello came from is counted as a bad
+// packet and leaves the session running; the owner's Bye ends it.
+func TestByeFromAnotherAddressIgnored(t *testing.T) {
+	sink := &memSink{}
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	owner := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9998}
+	stranger := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}
+	out := make([]byte, HeaderSize)
+	pkt := make([]byte, HeaderSize)
+	send := func(typ uint8, from *net.UDPAddr) {
+		h := Header{Type: typ, Flags: FlagBusyAware, Session: 42, SendNano: 1}
+		h.Encode(pkt)
+		srv.handleDatagram(pkt, from, out)
+	}
+
+	send(TypeHello, owner)
+	if got := srv.ActiveSessions(); got != 1 {
+		t.Fatalf("active sessions after Hello = %d, want 1", got)
+	}
+	send(TypeBye, stranger)
+	if got := srv.ActiveSessions(); got != 1 {
+		t.Fatalf("a Bye from another address ended the session (active %d)", got)
+	}
+	if got := srv.Stats.BadPackets.Load(); got != 1 {
+		t.Errorf("BadPackets = %d after a foreign Bye, want 1", got)
+	}
+	send(TypeBye, owner)
+	if got := srv.ActiveSessions(); got != 0 {
+		t.Fatalf("the owner's Bye left %d sessions active", got)
+	}
+	if got := sink.causes(); got[EndBye] != 1 || len(got) != 1 {
+		t.Errorf("spooled end causes %v, want one %s", got, EndBye)
+	}
+	if got := srv.Stats.BadPackets.Load(); got != 1 {
+		t.Errorf("BadPackets = %d after the owner's Bye, want 1", got)
 	}
 }
 
