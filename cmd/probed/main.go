@@ -1,7 +1,10 @@
 // Command probed runs the elasticity probe server as a fleet
 // measurement node: concurrent readers over one session table under
 // one lock, per-source and global admission control, a durable results
-// spool in the M-Lab record schema, and a graceful SIGTERM drain.
+// spool in the M-Lab record schema, and a graceful SIGTERM drain. A
+// session starts only with a Hello, every refused Hello gets a Busy
+// reply, and a session answers only to the address its Hello came
+// from (docs/PROBED.md, "Threat model").
 //
 // Usage:
 //
@@ -23,10 +26,11 @@
 // The admin endpoint adds /healthz (full health JSON, always 200 while
 // the process is up), /readyz (200 while accepting sessions, 503 once
 // draining — wire this one into load-balancer checks), /metrics (the
-// whole registry in the Prometheus/OpenMetrics text format, for any
-// standard collector), and /timeseries (recent history rings — every
-// registry metric plus Go runtime series sampled at -record-every,
-// queryable by name and dumpable as JSONL with ?format=jsonl). The
+// server's probe.server.* registry in the Prometheus/OpenMetrics text
+// format, lifetime counts typed as counters, for any standard
+// collector), and /timeseries (recent history rings — every registry
+// metric plus Go runtime series sampled at -record-every, queryable by
+// name and dumpable as JSONL with ?format=jsonl). The
 // admin server is closed gracefully after the drain completes, so a
 // scrape racing shutdown still gets its reply.
 package main
@@ -116,8 +120,7 @@ func run() error {
 	log.Printf("probed: listening on %v", srv.Addr())
 
 	if *admin != "" {
-		reg := obs.NewRegistry()
-		srv.RegisterMetrics(reg)
+		reg := srv.Metrics()
 		rec := timeseries.New(timeseries.Config{
 			Registry: reg,
 			Interval: *recordEvery,
@@ -184,8 +187,8 @@ func run() error {
 		log.Printf("probed: spool flushed (%d records, %d rotations)", st.Appended, st.Rotations)
 	}
 	log.Printf("probed: shut down (sessions=%d data=%d acks=%d drained=%d)",
-		srv.Stats.Sessions.Load(), srv.Stats.DataPackets.Load(),
-		srv.Stats.Acks.Load(), srv.Stats.Drained.Load())
+		srv.Stats.Sessions.Value(), srv.Stats.DataPackets.Value(),
+		srv.Stats.Acks.Value(), srv.Stats.Drained.Value())
 	return nil
 }
 

@@ -181,13 +181,13 @@ func report(w io.Writer, res *load.Result, srv *probe.Server, forced, spooled in
 	if srv != nil {
 		st := &srv.Stats
 		fmt.Fprintf(w, "server         sessions %d, rejected %d, rate-limited %d, shed hello/data %d/%d, evicted %d, oversize %d\n",
-			st.Sessions.Load(), st.Rejected.Load(), st.RateLimited.Load(),
-			st.ShedHello.Load(), st.ShedData.Load(), st.Evicted.Load(), st.Oversize.Load())
+			st.Sessions.Value(), st.Rejected.Value(), st.RateLimited.Value(),
+			st.ShedHello.Value(), st.ShedData.Value(), st.Evicted.Value(), st.Oversize.Value())
 		fmt.Fprintf(w, "drain          forced %d sessions at deadline, %d drained summaries, spool errors %d\n",
-			forced, st.Drained.Load(), st.SpoolErrors.Load())
-		if spooled > 0 || st.Sessions.Load() > 0 {
+			forced, st.Drained.Value(), st.SpoolErrors.Value())
+		if spooled > 0 || st.Sessions.Value() > 0 {
 			fmt.Fprintf(w, "spool          %d records for %d admitted sessions\n",
-				spooled, st.Sessions.Load())
+				spooled, st.Sessions.Value())
 		}
 	}
 	fmt.Fprintf(w, "elapsed        %v\n", res.Elapsed.Round(time.Millisecond))
@@ -223,8 +223,8 @@ func evaluateSLO(res *load.Result, srv *probe.Server, forced, spooled int, slo s
 			res.PeakServerSessions, slo.maxSessions))
 	}
 	if slo.maxShed >= 0 {
-		data := float64(srv.Stats.DataPackets.Load())
-		shed := float64(srv.Stats.ShedData.Load())
+		data := float64(srv.Stats.DataPackets.Value())
+		shed := float64(srv.Stats.ShedData.Value())
 		if total := data + shed; total > 0 && shed/total > slo.maxShed {
 			fails = append(fails, fmt.Sprintf("data shed rate %.2f > %.2f", shed/total, slo.maxShed))
 		}
@@ -232,11 +232,11 @@ func evaluateSLO(res *load.Result, srv *probe.Server, forced, spooled int, slo s
 	if forced > 0 {
 		fails = append(fails, fmt.Sprintf("drain deadline hit with %d sessions live", forced))
 	}
-	if srv.Stats.SpoolErrors.Load() > 0 {
-		fails = append(fails, fmt.Sprintf("%d spool errors", srv.Stats.SpoolErrors.Load()))
+	if srv.Stats.SpoolErrors.Value() > 0 {
+		fails = append(fails, fmt.Sprintf("%d spool errors", srv.Stats.SpoolErrors.Value()))
 	}
 	if spooled > 0 {
-		if want := int(srv.Stats.Sessions.Load()); spooled != want {
+		if want := int(srv.Stats.Sessions.Value()); spooled != want {
 			fails = append(fails, fmt.Sprintf("spool has %d records for %d admitted sessions", spooled, want))
 		}
 	}

@@ -36,14 +36,14 @@ const maxHandshakeTimeout = 2 * time.Second
 // the session's clock origin (SendNano is measured from it) and rng
 // supplies the jitter.
 //
-// The Hello advertises FlagBusyAware, so a server at capacity answers
-// with an explicit Busy instead of silence: the caller then backs off
-// by the server's retry-after hint (jittered, so a synchronized fleet
-// does not thundering-herd a recovering server) rather than burning
-// the timeout schedule, and a draining server fails at once with
-// ErrServerDraining. Exhausting the budget yields ErrServerBusy if any
-// Busy was seen and ErrServerUnresponsive otherwise; a cancelled ctx
-// yields its error.
+// A server that refuses the Hello answers with an explicit Busy (the
+// Hello sets FlagBusyAware for servers that still ask for it): the
+// caller then backs off by the server's retry-after hint (jittered, so
+// a synchronized fleet does not thundering-herd a recovering server)
+// rather than burning the timeout schedule, and a draining server
+// fails at once with ErrServerDraining. Exhausting the budget yields
+// ErrServerBusy if any Busy was seen and ErrServerUnresponsive
+// otherwise; a cancelled ctx yields its error.
 func Handshake(ctx context.Context, conn *net.UDPConn, rng *rand.Rand, session uint64,
 	start time.Time, attempts int, timeout time.Duration) (Header, error) {
 	out := make([]byte, HeaderSize)

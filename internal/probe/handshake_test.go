@@ -77,7 +77,7 @@ func TestHandshake(t *testing.T) {
 		}
 		// Free the only slot as soon as the server has turned us away.
 		go func() {
-			for give := time.Now().Add(5 * time.Second); srv.Stats.BusySent.Load() == 0 && time.Now().Before(give); {
+			for give := time.Now().Add(5 * time.Second); srv.Stats.BusySent.Value() == 0 && time.Now().Before(give); {
 				time.Sleep(time.Millisecond)
 			}
 			bye := Header{Type: TypeBye, Session: 1}
@@ -91,7 +91,7 @@ func TestHandshake(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := srv.Stats.BusySent.Load(); got < 1 {
+		if got := srv.Stats.BusySent.Value(); got < 1 {
 			t.Errorf("server sent %d Busy replies, want >= 1", got)
 		}
 		if took < hint/2 || took > 3*time.Second {
@@ -106,7 +106,7 @@ func TestHandshake(t *testing.T) {
 		if !errors.Is(err, ErrServerDraining) {
 			t.Fatalf("error = %v, want ErrServerDraining", err)
 		}
-		if got := srv.Stats.DrainRejected.Load(); got != 1 || took > 2*time.Second {
+		if got := srv.Stats.DrainRejected.Value(); got != 1 || took > 2*time.Second {
 			t.Errorf("%d Hellos over %v, want one and no retry against a draining node", got, took)
 		}
 	})

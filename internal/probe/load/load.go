@@ -117,8 +117,7 @@ type Result struct {
 	// server's cap for over-admission.
 	PeakServerSessions int
 
-	// Latency is the merged ack-latency sketch (client send to ack
-	// receive).
+	// Latency is the ack-latency sketch (client send to ack receive).
 	Latency *stats.Sketch
 
 	Elapsed time.Duration
@@ -148,19 +147,13 @@ func (r *Result) LatencyQuantile(q float64) time.Duration {
 	return time.Duration(v * float64(time.Millisecond))
 }
 
-// accumulator shards the hot counters and the latency sketch so 2,000
-// clients don't serialize on one lock; sketches merge at the end
-// (order-independent by construction).
-type accumulator struct {
-	mu     sync.Mutex
-	sketch *stats.Sketch
-}
-
-const accShards = 16
-
 // latencyCeilingMs bounds the ack-latency sketch's range: samples above
 // 2 s clamp into the top bin, min/max stay exact.
 const latencyCeilingMs = 2000
+
+// latencyBatch is how many ack latencies a worker holds before adding
+// them to the sketch.
+const latencyBatch = 64
 
 // Run executes the load: one goroutine pair per client, arrivals per
 // the ramp schedule. Cancelling ctx cuts the data phases short but
@@ -175,9 +168,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	accs := make([]accumulator, accShards)
-	for i := range accs {
-		accs[i].sketch = stats.NewSketch(0, latencyCeilingMs, 4096)
+	// One sketch under one lock takes every client's ack latencies,
+	// handed over in batches so a large run's ack readers do not queue
+	// on the lock once per ack.
+	var latMu sync.Mutex
+	latency := stats.NewSketch(0, latencyCeilingMs, 4096)
+	addLatencies := func(ms []float64) {
+		latMu.Lock()
+		for _, v := range ms {
+			latency.Add(v)
+		}
+		latMu.Unlock()
 	}
 
 	var (
@@ -231,11 +232,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				return
 			}
 			w := &worker{
-				cfg:   cfg,
-				rng:   rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed, fmt.Sprintf("probeload/client/%d", i)))),
-				acc:   &accs[i%accShards],
-				enter: func() { bumpPeak(cur.Add(1)) },
-				leave: func() { cur.Add(-1) },
+				cfg:       cfg,
+				rng:       rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed, fmt.Sprintf("probeload/client/%d", i)))),
+				latencies: addLatencies,
+				batch:     make([]float64, 0, latencyBatch),
+				enter:     func() { bumpPeak(cur.Add(1)) },
+				leave:     func() { cur.Add(-1) },
 			}
 			switch w.run(ctx) {
 			case outAdmitted:
@@ -257,12 +259,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	close(sampleQuit)
 	sampleWG.Wait()
 
-	merged := stats.NewSketch(0, latencyCeilingMs, 4096)
-	for i := range accs {
-		if err := merged.Merge(accs[i].sketch); err != nil {
-			return nil, err
-		}
-	}
 	return &Result{
 		Clients:            cfg.Clients,
 		Admitted:           int(admitted.Load()),
@@ -274,7 +270,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Acked:              acked.Load(),
 		PeakConcurrent:     int(peak.Load()),
 		PeakServerSessions: int(peakServer.Load()),
-		Latency:            merged,
+		Latency:            latency,
 		Elapsed:            time.Since(start),
 	}, nil
 }
@@ -334,9 +330,11 @@ const (
 type worker struct {
 	cfg   Config
 	rng   *rand.Rand
-	acc   *accumulator
 	enter func() // data phase entered (concurrency gauge)
 	leave func()
+
+	latencies func(ms []float64) // adds ack latencies to the run's sketch
+	batch     []float64          // ack latencies in ms not yet added
 
 	sent  int64
 	acked int64
@@ -369,11 +367,13 @@ func (w *worker) run(ctx context.Context) outcome {
 		},
 		Ack: func(_ probe.Header, _, rtt time.Duration) {
 			w.acked++
-			w.acc.mu.Lock()
-			w.acc.sketch.Add(float64(rtt) / 1e6)
-			w.acc.mu.Unlock()
+			if w.batch = append(w.batch, float64(rtt)/1e6); len(w.batch) == latencyBatch {
+				w.latencies(w.batch)
+				w.batch = w.batch[:0]
+			}
 		},
 	}).Run(ctx)
+	w.latencies(w.batch)
 	switch {
 	case err == nil:
 		w.leave()

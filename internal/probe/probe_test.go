@@ -92,6 +92,17 @@ func TestServerAcksDataPackets(t *testing.T) {
 	defer conn.Close()
 
 	buf := make([]byte, 1200)
+	resp := make([]byte, 2048)
+	hello := Header{Type: TypeHello, Session: 7, SendNano: 500}
+	hello.Encode(buf)
+	conn.Write(buf[:HeaderSize])
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := conn.Read(resp); err != nil {
+		t.Fatal(err)
+	} else if hi, err := Decode(resp[:n]); err != nil || hi.Type != TypeHi {
+		t.Fatalf("hello answered with %+v (%v), want Hi", hi, err)
+	}
+
 	h := Header{Type: TypeData, Session: 7, Seq: 1, SendNano: 1000, Size: 1200}
 	if _, err := h.Encode(buf); err != nil {
 		t.Fatal(err)
@@ -101,7 +112,6 @@ func TestServerAcksDataPackets(t *testing.T) {
 	}
 
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	resp := make([]byte, 2048)
 	n, err := conn.Read(resp)
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +126,9 @@ func TestServerAcksDataPackets(t *testing.T) {
 	if ack.Size != 1200 {
 		t.Errorf("ack.Size = %d, want the data packet's wire size", ack.Size)
 	}
-	if srv.Stats.DataPackets.Load() != 1 || srv.Stats.Acks.Load() != 1 {
+	if srv.Stats.DataPackets.Value() != 1 || srv.Stats.Acks.Value() != 1 {
 		t.Errorf("server stats: data=%d acks=%d",
-			srv.Stats.DataPackets.Load(), srv.Stats.Acks.Load())
+			srv.Stats.DataPackets.Value(), srv.Stats.Acks.Value())
 	}
 }
 
@@ -156,14 +166,14 @@ func TestServerHandlesHelloAndGarbage(t *testing.T) {
 	}
 	// Allow the garbage counter a moment (same goroutine ordering).
 	deadline := time.Now().Add(time.Second)
-	for srv.Stats.BadPackets.Load() == 0 && time.Now().Before(deadline) {
+	for srv.Stats.BadPackets.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if srv.Stats.BadPackets.Load() != 1 {
-		t.Errorf("bad packets = %d", srv.Stats.BadPackets.Load())
+	if srv.Stats.BadPackets.Value() != 1 {
+		t.Errorf("bad packets = %d", srv.Stats.BadPackets.Value())
 	}
-	if srv.Stats.Sessions.Load() != 1 {
-		t.Errorf("sessions = %d", srv.Stats.Sessions.Load())
+	if srv.Stats.Sessions.Value() != 1 {
+		t.Errorf("sessions = %d", srv.Stats.Sessions.Value())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/nimbus"
-	"repro/internal/obs"
 )
 
 // flakyResponder is a bare UDP endpoint that ignores the first n Hello
@@ -205,7 +204,7 @@ func TestServerCapsSessions(t *testing.T) {
 	if got := srv.ActiveSessions(); got != 2 {
 		t.Errorf("active sessions = %d, want 2", got)
 	}
-	if srv.Stats.Rejected.Load() == 0 {
+	if srv.Stats.Rejected.Value() == 0 {
 		t.Error("rejection not counted")
 	}
 }
@@ -217,8 +216,7 @@ func TestServerEvictsStaleSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	srv.RegisterMetrics(reg)
+	reg := srv.Metrics()
 	go srv.Serve()
 	defer srv.Close()
 
@@ -253,7 +251,7 @@ func TestServerEvictsStaleSessions(t *testing.T) {
 	if !hello(2) {
 		t.Fatal("stale session not evicted to admit a newcomer")
 	}
-	if srv.Stats.Evicted.Load() == 0 {
+	if srv.Stats.Evicted.Value() == 0 {
 		t.Error("eviction not counted")
 	}
 	if got := reg.Counter("probe.server.evicted").Value(); got == 0 {

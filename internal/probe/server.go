@@ -19,8 +19,7 @@ type ServerConfig struct {
 	// Addr is the UDP listen address, e.g. ":4460".
 	Addr string
 	// MaxSessions caps concurrently tracked sessions (default 1024).
-	// A Hello beyond the cap gets a Busy reply when the client
-	// negotiated one (FlagBusyAware), silence otherwise.
+	// A Hello beyond the cap gets a Busy reply.
 	MaxSessions int
 	// SessionTTL evicts sessions with no traffic for this long
 	// (default 2m). Clients that die without a Bye would otherwise
@@ -36,7 +35,7 @@ type ServerConfig struct {
 
 	// PerSourcePPS rate-limits packets per source IP ahead of session
 	// admission (token bucket, burst PerSourceBurst; 0 disables). A
-	// limited Hello gets a Busy|FlagRateLimited reply when negotiated.
+	// limited Hello gets a Busy|FlagRateLimited reply.
 	PerSourcePPS   float64
 	PerSourceBurst float64
 	// GlobalPPS is the server-wide packets-per-second ceiling with
@@ -83,34 +82,40 @@ func (c ServerConfig) norm() ServerConfig {
 	return c
 }
 
-// ServerStats are lifetime counters, safe for concurrent reads.
+// ServerStats are the server's lifetime counters. Each is drawn from
+// the server's metrics registry (Server.Metrics) under the name
+// probe.server.<name> given beside it.
 type ServerStats struct {
-	DataPackets atomic.Int64
-	DataBytes   atomic.Int64
-	Acks        atomic.Int64
-	Sessions    atomic.Int64
-	BadPackets  atomic.Int64
+	DataPackets *obs.Counter // data_packets
+	DataBytes   *obs.Counter // data_bytes
+	Acks        *obs.Counter // acks
+	Sessions    *obs.Counter // sessions_total
+	// BadPackets counts datagrams that changed nothing: undecodable,
+	// oversize or of no request type, a Data for a session not live
+	// under the sender's address, or a Hello or Bye for one live under
+	// another address.
+	BadPackets *obs.Counter // bad_packets
 	// Evicted counts sessions removed by the TTL sweep; Rejected counts
 	// Hellos refused at the MaxSessions cap.
-	Evicted  atomic.Int64
-	Rejected atomic.Int64
+	Evicted  *obs.Counter // evicted
+	Rejected *obs.Counter // rejected
 	// Oversize counts datagrams longer than MaxDatagram (also counted
 	// in BadPackets).
-	Oversize atomic.Int64
-	// RateLimited counts packets refused by the per-source limiter.
-	RateLimited atomic.Int64
+	Oversize *obs.Counter // oversize
+	// RateLimited counts Hellos refused by the per-source limiter.
+	RateLimited *obs.Counter // rate_limited
 	// ShedHello/ShedData count packets dropped at the global ceiling.
-	ShedHello atomic.Int64
-	ShedData  atomic.Int64
-	// BusySent counts explicit Busy rejections sent.
-	BusySent atomic.Int64
+	ShedHello *obs.Counter // shed_hello
+	ShedData  *obs.Counter // shed_data
+	// BusySent counts Busy replies sent.
+	BusySent *obs.Counter // busy_sent
 	// DrainRejected counts Hellos refused because the server is
 	// draining.
-	DrainRejected atomic.Int64
+	DrainRejected *obs.Counter // drain_rejected
 	// Drained counts sessions force-finalized at shutdown.
-	Drained atomic.Int64
+	Drained *obs.Counter // drained
 	// SpoolErrors counts summaries the sink failed to accept.
-	SpoolErrors atomic.Int64
+	SpoolErrors *obs.Counter // spool_errors
 }
 
 // Server acknowledges probe packets: for each data packet it returns
@@ -119,12 +124,13 @@ type ServerStats struct {
 // It is built to survive a fleet's worth of clients: N readers share
 // the socket, one session table under one lock holds the session cap
 // exactly, admission is rate-limited, and overload sheds new work
-// before admitted work.
+// before admitted work. A session is bound to the address its Hello
+// came from: Data, Hello and Bye naming it from any other address are
+// bad packets.
 type Server struct {
-	cfg       ServerConfig
-	conn      *net.UDPConn
-	start     time.Time
-	startWall time.Time
+	cfg   ServerConfig
+	conn  *net.UDPConn
+	start time.Time
 	// sweepEvery is the TTL sweep cadence of both the background
 	// sweeper and the at-cap sweep: TTL/4, clamped to [5ms, 1s].
 	sweepEvery time.Duration
@@ -140,15 +146,9 @@ type Server struct {
 	perSrc *sourceLimiter
 
 	// Stats exposes lifetime counters.
-	Stats ServerStats
-
-	// obs mirrors onto a metrics registry when RegisterMetrics has
-	// been called.
-	obsEvicted  *obs.Counter
-	obsRejected *obs.Counter
-	obsShed     *obs.Counter
-	obsBusy     *obs.Counter
-	obsQDelay   *obs.Histogram
+	Stats  ServerStats
+	reg    *obs.Registry
+	qdelay *obs.Histogram // probe.server.qdelay_ms
 
 	served   atomic.Bool
 	draining atomic.Bool
@@ -167,18 +167,45 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{
+	reg := obs.NewRegistry()
+	c := func(name string) *obs.Counter { return reg.Counter("probe.server." + name) }
+	s := &Server{
 		cfg:        cfg,
 		conn:       conn,
 		start:      time.Now(),
-		startWall:  time.Now(),
 		sweepEvery: min(max(cfg.SessionTTL/4, 5*time.Millisecond), time.Second),
 		sessions:   make(map[uint64]*session),
 		global:     newGlobalLimiter(cfg.GlobalPPS, cfg.GlobalBurst),
 		perSrc:     newSourceLimiter(cfg.PerSourcePPS, cfg.PerSourceBurst, cfg.SessionTTL),
-		done:       make(chan struct{}),
-	}, nil
+		Stats: ServerStats{
+			DataPackets:   c("data_packets"),
+			DataBytes:     c("data_bytes"),
+			Acks:          c("acks"),
+			Sessions:      c("sessions_total"),
+			BadPackets:    c("bad_packets"),
+			Evicted:       c("evicted"),
+			Rejected:      c("rejected"),
+			Oversize:      c("oversize"),
+			RateLimited:   c("rate_limited"),
+			ShedHello:     c("shed_hello"),
+			ShedData:      c("shed_data"),
+			BusySent:      c("busy_sent"),
+			DrainRejected: c("drain_rejected"),
+			Drained:       c("drained"),
+			SpoolErrors:   c("spool_errors"),
+		},
+		reg:    reg,
+		qdelay: reg.Histogram("probe.server.qdelay_ms", "", obs.ExpBuckets(0.1, 2, 16)),
+		done:   make(chan struct{}),
+	}
+	reg.RegisterFunc("probe.server.sessions_active", "", func() float64 { return float64(s.ActiveSessions()) })
+	return s, nil
 }
+
+// Metrics returns the registry holding every probe.server.* metric:
+// the Stats counters, the sessions_active gauge and the qdelay_ms
+// histogram fed from the data path.
+func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Addr returns the bound address (useful with ":0").
 func (s *Server) Addr() net.Addr { return s.conn.LocalAddr() }
@@ -246,13 +273,13 @@ func (s *Server) readLoop() error {
 			}
 			return err
 		}
-		s.handleDatagram(buf[:n], raddr, out)
+		s.handleDatagram(buf[:n], raddr, time.Since(s.start), out)
 	}
 }
 
-// handleDatagram processes one packet. out is the caller's private
-// reply buffer.
-func (s *Server) handleDatagram(pkt []byte, raddr *net.UDPAddr, out []byte) {
+// handleDatagram processes one packet that arrived from raddr at now.
+// out is the caller's private reply buffer.
+func (s *Server) handleDatagram(pkt []byte, raddr *net.UDPAddr, now time.Duration, out []byte) {
 	if len(pkt) > MaxDatagram {
 		// A datagram the Size field cannot describe: reject rather
 		// than wrap uint16(n) to a lie.
@@ -265,7 +292,6 @@ func (s *Server) handleDatagram(pkt []byte, raddr *net.UDPAddr, out []byte) {
 		s.Stats.BadPackets.Add(1)
 		return
 	}
-	now := time.Since(s.start)
 	switch h.Type {
 	case TypeHello:
 		s.handleHello(&h, raddr, now, out)
@@ -282,81 +308,59 @@ func (s *Server) handleDatagram(pkt []byte, raddr *net.UDPAddr, out []byte) {
 	}
 }
 
+// handleHello answers a Hello with Hi when it admits (or refreshes) the
+// session, with Busy and the cause when it refuses, and not at all when
+// the session is live under another address.
 func (s *Server) handleHello(h *Header, raddr *net.UDPAddr, now time.Duration, out []byte) {
-	busyAware := h.Flags&FlagBusyAware != 0
-	if s.draining.Load() {
+	cause, retry := FlagAtCapacity, s.cfg.BusyRetryHint
+	switch {
+	case s.draining.Load():
 		s.Stats.DrainRejected.Add(1)
-		if busyAware {
-			s.sendBusy(h, raddr, now, FlagDraining, 0, out)
-		}
-		return
-	}
-	if !s.perSrc.admit(now, raddr) {
+		cause, retry = FlagDraining, 0
+	case !s.perSrc.admit(now, raddr):
 		s.Stats.RateLimited.Add(1)
-		if busyAware {
-			s.sendBusy(h, raddr, now, FlagRateLimited, 2*s.cfg.BusyRetryHint, out)
-		}
-		return
-	}
-	if !s.global.admit(now, true) {
+		cause, retry = FlagRateLimited, 2*retry
+	case !s.global.admit(now, true):
 		s.Stats.ShedHello.Add(1)
-		if s.obsShed != nil {
-			s.obsShed.Inc()
+	default:
+		switch s.admitSession(h.Session, raddr, now) {
+		case admitOK:
+			reply := Header{Type: TypeHi, Session: h.Session, Seq: h.Seq, EchoNano: h.SendNano, RecvNano: now.Nanoseconds()}
+			s.reply(out, &reply, raddr)
+			return
+		case admitForeign:
+			s.Stats.BadPackets.Add(1)
+			return
 		}
-		if busyAware {
-			s.sendBusy(h, raddr, now, FlagAtCapacity, s.cfg.BusyRetryHint, out)
-		}
-		return
-	}
-	if !s.admitSession(h.Session, raddr, now) {
 		s.Stats.Rejected.Add(1)
-		if s.obsRejected != nil {
-			s.obsRejected.Inc()
-		}
 		s.logf("probe: rejecting session %d: %d sessions at cap", h.Session, s.cfg.MaxSessions)
-		if busyAware {
-			s.sendBusy(h, raddr, now, FlagAtCapacity, s.cfg.BusyRetryHint, out)
-		}
-		return
 	}
-	reply := Header{Type: TypeHi, Session: h.Session, Seq: h.Seq, EchoNano: h.SendNano, RecvNano: now.Nanoseconds()}
-	s.reply(out, &reply, raddr)
+	s.sendBusy(h, raddr, now, cause, retry, out)
 }
 
+// handleData counts a Data packet into its session and acks it, when
+// the session is live under the sender's address; anything else is a
+// bad packet and gets no ack.
 func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n int, out []byte) {
 	if !s.global.admit(now, false) {
 		s.Stats.ShedData.Add(1)
-		if s.obsShed != nil {
-			s.obsShed.Inc()
-		}
 		return
 	}
+	from := addrKey(raddr)
 	s.mu.Lock()
 	se, ok := s.sessions[h.Session]
+	ok = ok && se.from == from
 	var qdelay int64
 	if ok {
 		qdelay = se.noteData(now, n, h.SendNano, s.cfg.SnapshotInterval)
 	}
 	s.mu.Unlock()
 	if !ok {
-		// Auto-register handshake-less (legacy) clients, still behind
-		// admission control: draining, per-source limiting, and the
-		// session cap all apply, so a flood cannot bypass the Hello
-		// path via data packets.
-		if s.draining.Load() || !s.perSrc.admit(now, raddr) || !s.admitSession(h.Session, raddr, now) {
-			return
-		}
-		s.mu.Lock()
-		if se = s.sessions[h.Session]; se != nil {
-			qdelay = se.noteData(now, n, h.SendNano, s.cfg.SnapshotInterval)
-		}
-		s.mu.Unlock()
-		if se == nil {
-			return
-		}
+		s.Stats.BadPackets.Add(1)
+		return
 	}
-	if qdelay >= 0 && s.obsQDelay != nil {
-		s.obsQDelay.Observe(float64(qdelay) / 1e6)
+	if qdelay >= 0 {
+		s.qdelay.Observe(float64(qdelay) / 1e6)
 	}
 	s.Stats.DataPackets.Add(1)
 	s.Stats.DataBytes.Add(int64(n))
@@ -372,17 +376,31 @@ func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n 
 	s.Stats.Acks.Add(1)
 }
 
-// admitSession registers a new session (or refreshes an existing one)
-// in one critical section, so MaxSessions is exact. At the cap it first
-// sweeps idle sessions, at most once per sweep interval, so a Hello
-// flood at capacity cannot turn every rejection into an O(sessions)
-// scan.
-func (s *Server) admitSession(id uint64, raddr *net.UDPAddr, now time.Duration) bool {
+// admission is admitSession's verdict.
+type admission int
+
+const (
+	admitOK      admission = iota // new, or refreshed by its own address
+	admitFull                     // the table is full
+	admitForeign                  // the id is live under another address
+)
+
+// admitSession registers a new session, or refreshes one its own
+// address already holds, in one critical section, so MaxSessions is
+// exact. At the cap it first sweeps idle sessions, at most once per
+// sweep interval, so a Hello flood at capacity cannot turn every
+// rejection into an O(sessions) scan.
+func (s *Server) admitSession(id uint64, raddr *net.UDPAddr, now time.Duration) admission {
+	from := addrKey(raddr)
 	s.mu.Lock()
 	if se, ok := s.sessions[id]; ok {
+		if se.from != from {
+			s.mu.Unlock()
+			return admitForeign
+		}
 		se.last = now
 		s.mu.Unlock()
-		return true
+		return admitOK
 	}
 	var evicted []*session
 	if len(s.sessions) >= s.cfg.MaxSessions && now-s.lastSweep >= s.sweepEvery {
@@ -393,6 +411,7 @@ func (s *Server) admitSession(id uint64, raddr *net.UDPAddr, now time.Duration) 
 		s.sessions[id] = &session{
 			id:     id,
 			addr:   addrString(raddr),
+			from:   from,
 			start:  now,
 			last:   now,
 			snapAt: now,
@@ -400,11 +419,12 @@ func (s *Server) admitSession(id uint64, raddr *net.UDPAddr, now time.Duration) 
 	}
 	s.mu.Unlock()
 	s.retireEvicted(evicted, now)
-	if ok {
-		s.Stats.Sessions.Add(1)
-		s.logf("probe: new session %d", id)
+	if !ok {
+		return admitFull
 	}
-	return ok
+	s.Stats.Sessions.Add(1)
+	s.logf("probe: new session %d", id)
+	return admitOK
 }
 
 // endSession removes a session and spools its summary, on behalf of
@@ -414,7 +434,7 @@ func (s *Server) admitSession(id uint64, raddr *net.UDPAddr, now time.Duration) 
 func (s *Server) endSession(id uint64, raddr *net.UDPAddr, now time.Duration, cause string) bool {
 	s.mu.Lock()
 	se, ok := s.sessions[id]
-	if ok && se.addr != addrString(raddr) {
+	if ok && se.from != addrKey(raddr) {
 		s.mu.Unlock()
 		return false
 	}
@@ -431,7 +451,7 @@ func (s *Server) spoolSession(se *session, now time.Duration, cause string) {
 	if s.cfg.Sink == nil {
 		return
 	}
-	if err := s.cfg.Sink.Append(se.record(now, s.startWall, cause)); err != nil {
+	if err := s.cfg.Sink.Append(se.record(now, s.start, cause)); err != nil {
 		s.Stats.SpoolErrors.Add(1)
 		s.logf("probe: spooling session %d: %v", se.id, err)
 	}
@@ -482,9 +502,6 @@ func (s *Server) evictIdle(now time.Duration) []*session {
 func (s *Server) retireEvicted(evicted []*session, now time.Duration) {
 	for _, se := range evicted {
 		s.Stats.Evicted.Add(1)
-		if s.obsEvicted != nil {
-			s.obsEvicted.Inc()
-		}
 		s.logf("probe: evicted stale session %d (idle %v)", se.id, now-se.last)
 		s.spoolSession(se, now, EndEvicted)
 	}
@@ -554,40 +571,14 @@ func (s *Server) Health() Health {
 		MaxSessions:    s.cfg.MaxSessions,
 		TrackedSources: s.perSrc.size(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
-		SessionsTotal:  s.Stats.Sessions.Load(),
-		Rejected:       s.Stats.Rejected.Load(),
-		RateLimited:    s.Stats.RateLimited.Load(),
-		ShedHello:      s.Stats.ShedHello.Load(),
-		ShedData:       s.Stats.ShedData.Load(),
-		Evicted:        s.Stats.Evicted.Load(),
-		SpoolErrors:    s.Stats.SpoolErrors.Load(),
+		SessionsTotal:  s.Stats.Sessions.Value(),
+		Rejected:       s.Stats.Rejected.Value(),
+		RateLimited:    s.Stats.RateLimited.Value(),
+		ShedHello:      s.Stats.ShedHello.Value(),
+		ShedData:       s.Stats.ShedData.Value(),
+		Evicted:        s.Stats.Evicted.Value(),
+		SpoolErrors:    s.Stats.SpoolErrors.Value(),
 	}
-}
-
-// RegisterMetrics exposes the server's counters on the registry:
-// lifetime packet/session counters as live gauges, eviction/rejection/
-// shed counters that increment as they happen, and a queueing-delay
-// histogram fed from the data path.
-func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.RegisterFunc("probe.server.data_packets", "", func() float64 { return float64(s.Stats.DataPackets.Load()) })
-	reg.RegisterFunc("probe.server.data_bytes", "", func() float64 { return float64(s.Stats.DataBytes.Load()) })
-	reg.RegisterFunc("probe.server.acks", "", func() float64 { return float64(s.Stats.Acks.Load()) })
-	reg.RegisterFunc("probe.server.sessions_total", "", func() float64 { return float64(s.Stats.Sessions.Load()) })
-	reg.RegisterFunc("probe.server.bad_packets", "", func() float64 { return float64(s.Stats.BadPackets.Load()) })
-	reg.RegisterFunc("probe.server.sessions_active", "", func() float64 { return float64(s.ActiveSessions()) })
-	reg.RegisterFunc("probe.server.rate_limited", "", func() float64 { return float64(s.Stats.RateLimited.Load()) })
-	reg.RegisterFunc("probe.server.shed_hello", "", func() float64 { return float64(s.Stats.ShedHello.Load()) })
-	reg.RegisterFunc("probe.server.shed_data", "", func() float64 { return float64(s.Stats.ShedData.Load()) })
-	reg.RegisterFunc("probe.server.drained", "", func() float64 { return float64(s.Stats.Drained.Load()) })
-	reg.RegisterFunc("probe.server.spool_errors", "", func() float64 { return float64(s.Stats.SpoolErrors.Load()) })
-	s.obsEvicted = reg.Counter("probe.server.evicted")
-	s.obsRejected = reg.Counter("probe.server.rejected")
-	s.obsShed = reg.Counter("probe.server.shed")
-	s.obsBusy = reg.Counter("probe.server.busy_sent")
-	s.obsQDelay = reg.Histogram("probe.server.qdelay_ms", "", obs.ExpBuckets(0.1, 2, 16))
 }
 
 func (s *Server) reply(out []byte, h *Header, raddr *net.UDPAddr) {
@@ -619,13 +610,10 @@ func (s *Server) sendBusy(h *Header, raddr *net.UDPAddr, now time.Duration, caus
 	}
 	s.reply(out, &reply, raddr)
 	s.Stats.BusySent.Add(1)
-	if s.obsBusy != nil {
-		s.obsBusy.Inc()
-	}
 }
 
-// BeginDrain stops admitting new sessions: Hellos (and auto-registered
-// data) get Busy|FlagDraining, admitted sessions keep being served.
+// BeginDrain stops admitting new sessions: Hellos get Busy|FlagDraining,
+// admitted sessions keep being served.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Draining reports whether a drain has begun.

@@ -62,7 +62,7 @@ func TestConcurrentAdmissionExactCap(t *testing.T) {
 			defer wg.Done()
 			now := time.Millisecond
 			for id := uint64(1); id <= 512; id++ {
-				if srv.admitSession(id, addr, now) {
+				if srv.admitSession(id, addr, now) == admitOK {
 					admitted.Add(1)
 				}
 			}
@@ -73,7 +73,7 @@ func TestConcurrentAdmissionExactCap(t *testing.T) {
 	if got := srv.ActiveSessions(); got != capN {
 		t.Errorf("active sessions = %d, want exactly %d", got, capN)
 	}
-	if got := srv.Stats.Sessions.Load(); got != capN {
+	if got := srv.Stats.Sessions.Value(); got != capN {
 		t.Errorf("sessions created = %d, want exactly %d", got, capN)
 	}
 	if got := len(srv.Sessions()); got != capN {
@@ -118,7 +118,7 @@ func TestAdmitEndSweepStress(t *testing.T) {
 				id := uint64((i*7 + g) % 24)
 				switch (i + g) % 4 {
 				case 0, 1:
-					if !srv.admitSession(id, addr, now) {
+					if srv.admitSession(id, addr, now) != admitOK {
 						rejected.Add(1)
 					}
 				case 2:
@@ -144,12 +144,12 @@ func TestAdmitEndSweepStress(t *testing.T) {
 	sink.mu.Lock()
 	spooled := len(sink.recs)
 	sink.mu.Unlock()
-	if created := srv.Stats.Sessions.Load(); created != int64(spooled+active) {
+	if created := srv.Stats.Sessions.Value(); created != int64(spooled+active) {
 		t.Errorf("created %d sessions, spooled %d + tracked %d", created, spooled, active)
 	}
-	if srv.Stats.Evicted.Load() == 0 || rejected.Load() == 0 {
+	if srv.Stats.Evicted.Value() == 0 || rejected.Load() == 0 {
 		t.Errorf("evicted %d, rejected %d: the stress never reached the sweep or the cap",
-			srv.Stats.Evicted.Load(), rejected.Load())
+			srv.Stats.Evicted.Value(), rejected.Load())
 	}
 }
 
@@ -239,7 +239,7 @@ func TestByeFromAnotherAddressIgnored(t *testing.T) {
 	send := func(typ uint8, from *net.UDPAddr) {
 		h := Header{Type: typ, Flags: FlagBusyAware, Session: 42, SendNano: 1}
 		h.Encode(pkt)
-		srv.handleDatagram(pkt, from, out)
+		srv.handleDatagram(pkt, from, time.Millisecond, out)
 	}
 
 	send(TypeHello, owner)
@@ -250,7 +250,7 @@ func TestByeFromAnotherAddressIgnored(t *testing.T) {
 	if got := srv.ActiveSessions(); got != 1 {
 		t.Fatalf("a Bye from another address ended the session (active %d)", got)
 	}
-	if got := srv.Stats.BadPackets.Load(); got != 1 {
+	if got := srv.Stats.BadPackets.Value(); got != 1 {
 		t.Errorf("BadPackets = %d after a foreign Bye, want 1", got)
 	}
 	send(TypeBye, owner)
@@ -260,8 +260,142 @@ func TestByeFromAnotherAddressIgnored(t *testing.T) {
 	if got := sink.causes(); got[EndBye] != 1 || len(got) != 1 {
 		t.Errorf("spooled end causes %v, want one %s", got, EndBye)
 	}
-	if got := srv.Stats.BadPackets.Load(); got != 1 {
+	if got := srv.Stats.BadPackets.Value(); got != 1 {
 		t.Errorf("BadPackets = %d after the owner's Bye, want 1", got)
+	}
+}
+
+// TestDataFromAnotherAddressIgnored: a Data packet carrying a live
+// session's id from any address but the one its Hello came from is a
+// bad packet: it is not counted into the session's packets, bytes or
+// spool record, and it is not acked.
+func TestDataFromAnotherAddressIgnored(t *testing.T) {
+	sink := &memSink{}
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	owner := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9998}
+	stranger := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}
+	out := make([]byte, HeaderSize)
+	pkt := make([]byte, 200)
+	send := func(typ uint8, from *net.UDPAddr) {
+		h := Header{Type: typ, Session: 42, SendNano: 1}
+		h.Encode(pkt)
+		srv.handleDatagram(pkt, from, time.Millisecond, out)
+	}
+
+	send(TypeHello, owner)
+	send(TypeData, stranger)
+	if s := srv.Sessions(); len(s) != 1 || s[0].Packets != 0 || s[0].Bytes != 0 {
+		t.Fatalf("a Data from another address was counted into the session: %+v", s)
+	}
+	if d, a, b := srv.Stats.DataPackets.Value(), srv.Stats.Acks.Value(), srv.Stats.BadPackets.Value(); d != 0 || a != 0 || b != 1 {
+		t.Errorf("after a foreign Data: DataPackets %d, Acks %d, BadPackets %d; want 0, 0, 1", d, a, b)
+	}
+	send(TypeData, owner)
+	send(TypeBye, owner)
+	if len(sink.recs) != 1 || sink.recs[0].Probe.Packets != 1 || sink.recs[0].Probe.Bytes != 200 {
+		t.Fatalf("spooled %+v, want one record of the owner's one 200-byte packet", sink.recs)
+	}
+	if got := sink.recs[0].Probe.Addr; got != owner.String() {
+		t.Errorf("spooled addr %q, want %q", got, owner.String())
+	}
+}
+
+// TestHelloFromAnotherAddressDoesNotRefresh: a Hello for a live id from
+// another address gets no Hi and does not refresh the session, so it
+// cannot keep someone else's session alive past its TTL.
+func TestHelloFromAnotherAddressDoesNotRefresh(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	sink := &memSink{}
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", SessionTTL: ttl, Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	owner := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9998}
+	stranger := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 2), Port: 9998}
+	out := make([]byte, HeaderSize)
+	pkt := make([]byte, HeaderSize)
+	hello := func(from *net.UDPAddr, now time.Duration) {
+		h := Header{Type: TypeHello, Session: 42, SendNano: 1}
+		h.Encode(pkt)
+		srv.handleDatagram(pkt, from, now, out)
+	}
+
+	hello(owner, time.Millisecond)
+	hello(stranger, ttl)
+	if got := srv.Stats.BadPackets.Value(); got != 1 {
+		t.Errorf("BadPackets = %d after a foreign Hello, want 1", got)
+	}
+	if got := srv.Stats.Sessions.Value(); got != 1 {
+		t.Errorf("sessions created = %d, want 1", got)
+	}
+	srv.sweepNow(time.Millisecond + ttl + time.Millisecond)
+	if got := srv.ActiveSessions(); got != 0 {
+		t.Fatalf("a foreign Hello kept the session alive past its TTL (active %d)", got)
+	}
+	if got := sink.causes(); got[EndEvicted] != 1 {
+		t.Errorf("spooled end causes %v, want one %s", got, EndEvicted)
+	}
+}
+
+// TestDataWithoutHandshakeNotAcked: a Data packet for a session no
+// Hello admitted creates no session and gets no ack.
+func TestDataWithoutHandshakeNotAcked(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+
+	conn, err := net.Dial("udp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, 256)
+	h := Header{Type: TypeData, Session: 7, Seq: 1, SendNano: 1000}
+	h.Encode(buf)
+	conn.Write(buf)
+	conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+	if n, err := conn.Read(buf); err == nil {
+		t.Fatalf("a Data without a handshake got a %d-byte reply, want none", n)
+	}
+	if got := srv.ActiveSessions(); got != 0 {
+		t.Errorf("a Data without a handshake registered a session (active %d)", got)
+	}
+	if d, b := srv.Stats.DataPackets.Value(), srv.Stats.BadPackets.Value(); d != 0 || b != 1 {
+		t.Errorf("DataPackets %d, BadPackets %d; want 0, 1", d, b)
+	}
+}
+
+// TestDataPathDoesNotAllocate: counting and acking a Data packet,
+// address check included, allocates nothing.
+func TestDataPathDoesNotAllocate(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	owner := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9998}
+	out := make([]byte, HeaderSize)
+	pkt := make([]byte, 256)
+	h := Header{Type: TypeHello, Session: 42, SendNano: 1}
+	h.Encode(pkt)
+	srv.handleDatagram(pkt[:HeaderSize], owner, time.Millisecond, out)
+	h.Type = TypeData
+	h.Encode(pkt)
+	if n := testing.AllocsPerRun(100, func() { srv.handleDatagram(pkt, owner, time.Millisecond, out) }); n != 0 {
+		t.Errorf("a Data packet allocates %.1f times, want 0", n)
+	}
+	if got := srv.Sessions()[0].Packets; got < 100 {
+		t.Errorf("session counted %d packets, want every one", got)
 	}
 }
 
@@ -279,27 +413,30 @@ func TestOversizeDatagramRejected(t *testing.T) {
 	out := make([]byte, HeaderSize)
 
 	pkt := make([]byte, MaxDatagram+1)
+	hello := Header{Type: TypeHello, Session: 7, SendNano: 1}
+	hello.Encode(pkt)
+	srv.handleDatagram(pkt[:HeaderSize], addr, time.Millisecond, out)
 	h := Header{Type: TypeData, Session: 7, SendNano: 1}
 	h.Encode(pkt)
-	srv.handleDatagram(pkt, addr, out)
-	if got := srv.Stats.Oversize.Load(); got != 1 {
+	srv.handleDatagram(pkt, addr, time.Millisecond, out)
+	if got := srv.Stats.Oversize.Value(); got != 1 {
 		t.Errorf("Oversize = %d, want 1", got)
 	}
-	if got := srv.Stats.BadPackets.Load(); got != 1 {
+	if got := srv.Stats.BadPackets.Value(); got != 1 {
 		t.Errorf("BadPackets = %d, want 1", got)
 	}
-	if got := srv.ActiveSessions(); got != 0 {
-		t.Errorf("oversize datagram registered a session")
+	if s := srv.Sessions(); len(s) != 1 || s[0].Packets != 0 {
+		t.Errorf("oversize datagram counted into the session: %+v", s)
 	}
 
 	// Exactly MaxDatagram is describable and must be processed.
 	ok := Header{Type: TypeData, Session: 7, SendNano: 1}
 	ok.Encode(pkt)
-	srv.handleDatagram(pkt[:MaxDatagram], addr, out)
-	if got := srv.Stats.DataPackets.Load(); got != 1 {
+	srv.handleDatagram(pkt[:MaxDatagram], addr, time.Millisecond, out)
+	if got := srv.Stats.DataPackets.Value(); got != 1 {
 		t.Errorf("boundary-size datagram not served (DataPackets = %d)", got)
 	}
-	if got := srv.Stats.Oversize.Load(); got != 1 {
+	if got := srv.Stats.Oversize.Value(); got != 1 {
 		t.Errorf("boundary-size datagram miscounted as oversize")
 	}
 }
@@ -341,7 +478,7 @@ func TestTTLSweepUnderChurn(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if srv.Stats.Evicted.Load() == 0 {
+	if srv.Stats.Evicted.Value() == 0 {
 		t.Error("no evictions despite 40 sessions churning through a cap of 4")
 	}
 	// With TTL 30ms and 10ms spacing the sweep keeps freeing slots, so
@@ -353,7 +490,7 @@ func TestTTLSweepUnderChurn(t *testing.T) {
 
 // TestBusySignalingAtCapacity: at the session cap, a busy-aware Hello
 // gets an explicit Busy reply carrying the cause bit and a retry hint,
-// while a legacy Hello still gets silence.
+// and so does a Hello without FlagBusyAware.
 func TestBusySignalingAtCapacity(t *testing.T) {
 	srv, err := NewServer(ServerConfig{
 		Addr: "127.0.0.1:0", MaxSessions: 1, SessionTTL: time.Hour,
@@ -389,24 +526,28 @@ func TestBusySignalingAtCapacity(t *testing.T) {
 		t.Errorf("Busy retry hint = %dms, want 100", reply.Size)
 	}
 
-	// Legacy client: no FlagBusyAware, so no Busy on the wire.
+	// Without FlagBusyAware: the same Busy on the wire.
 	raddr, _ := net.ResolveUDPAddr("udp", srv.Addr().String())
 	c3, _ := net.DialUDP("udp", nil, raddr)
 	defer c3.Close()
 	h := Header{Type: TypeHello, Session: 3, SendNano: 1}
-	buf := make([]byte, HeaderSize)
+	buf := make([]byte, 2048)
 	h.Encode(buf)
-	c3.Write(buf)
-	c3.SetReadDeadline(time.Now().Add(150 * time.Millisecond))
-	if n, err := c3.Read(make([]byte, 2048)); err == nil {
-		t.Fatalf("legacy hello at capacity got a %d-byte reply, want silence", n)
+	c3.Write(buf[:HeaderSize])
+	c3.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+	n, err := c3.Read(buf)
+	if err != nil {
+		t.Fatalf("hello without FlagBusyAware at capacity got silence (%v), want Busy", err)
+	}
+	if reply, err := Decode(buf[:n]); err != nil || reply.Type != TypeBusy || reply.Flags&FlagAtCapacity == 0 {
+		t.Fatalf("hello without FlagBusyAware at capacity got %+v (%v), want Busy|FlagAtCapacity", reply, err)
 	}
 
-	if srv.Stats.BusySent.Load() == 0 {
+	if srv.Stats.BusySent.Value() == 0 {
 		t.Error("BusySent not counted")
 	}
-	if srv.Stats.Rejected.Load() < 2 {
-		t.Errorf("Rejected = %d, want >= 2", srv.Stats.Rejected.Load())
+	if srv.Stats.Rejected.Value() < 2 {
+		t.Errorf("Rejected = %d, want >= 2", srv.Stats.Rejected.Value())
 	}
 }
 
@@ -438,7 +579,7 @@ func TestPerSourceRateLimitSignalsBusy(t *testing.T) {
 	if reply.Type != TypeBusy || reply.Flags&FlagRateLimited == 0 {
 		t.Fatalf("reply type %d flags %#x, want Busy|FlagRateLimited", reply.Type, reply.Flags)
 	}
-	if srv.Stats.RateLimited.Load() == 0 {
+	if srv.Stats.RateLimited.Value() == 0 {
 		t.Error("RateLimited not counted")
 	}
 	if got := srv.ActiveSessions(); got != 2 {
@@ -474,7 +615,7 @@ func TestGlobalCeilingShedsHellosBeforeData(t *testing.T) {
 	}
 	h7 := Header{Type: TypeHello, Session: 7, SendNano: 1}
 	srv.handleHello(&h7, addr, now, out)
-	if got := srv.Stats.ShedHello.Load(); got != 1 {
+	if got := srv.Stats.ShedHello.Value(); got != 1 {
 		t.Errorf("ShedHello = %d, want 1", got)
 	}
 	if got := srv.ActiveSessions(); got != 6 {
@@ -487,10 +628,10 @@ func TestGlobalCeilingShedsHellosBeforeData(t *testing.T) {
 		d := Header{Type: TypeData, Session: 1, Seq: seq, SendNano: 1}
 		srv.handleData(&d, addr, now, 100, out)
 	}
-	if got := srv.Stats.DataPackets.Load(); got != 2 {
+	if got := srv.Stats.DataPackets.Value(); got != 2 {
 		t.Errorf("DataPackets = %d, want the 2 reserve tokens", got)
 	}
-	if got := srv.Stats.ShedData.Load(); got != 1 {
+	if got := srv.Stats.ShedData.Value(); got != 1 {
 		t.Errorf("ShedData = %d, want 1", got)
 	}
 }
@@ -575,7 +716,7 @@ func TestDrainServesAdmittedRejectsNew(t *testing.T) {
 	if reply.Size != 0 {
 		t.Errorf("draining Busy advertises retry-after %dms, want 0 (do not retry)", reply.Size)
 	}
-	if srv.Stats.DrainRejected.Load() == 0 {
+	if srv.Stats.DrainRejected.Value() == 0 {
 		t.Error("DrainRejected not counted")
 	}
 
@@ -591,7 +732,7 @@ func TestDrainServesAdmittedRejectsNew(t *testing.T) {
 	if causes[EndBye] != 1 || causes[EndDrained] != 2 {
 		t.Errorf("spooled causes = %v, want 1 bye + 2 drained", causes)
 	}
-	if got := srv.Stats.Drained.Load(); got != 2 {
+	if got := srv.Stats.Drained.Value(); got != 2 {
 		t.Errorf("Drained = %d, want 2", got)
 	}
 	if len(sink.recs) != 3 {

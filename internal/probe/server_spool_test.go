@@ -60,7 +60,7 @@ func TestServerSpoolRoundTripThroughMlab(t *testing.T) {
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Stats.SpoolErrors.Load(); got != 0 {
+	if got := srv.Stats.SpoolErrors.Value(); got != 0 {
 		t.Fatalf("SpoolErrors = %d", got)
 	}
 
@@ -161,7 +161,7 @@ func TestEvictionSpoolsSummary(t *testing.T) {
 	for sink.causes()[EndEvicted] == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if srv.Stats.Evicted.Load() == 0 {
+	if srv.Stats.Evicted.Value() == 0 {
 		t.Fatal("session never evicted")
 	}
 	if causes := sink.causes(); causes[EndEvicted] != 1 {
@@ -195,10 +195,10 @@ func TestSpoolErrorCounted(t *testing.T) {
 	bye.Encode(buf)
 	conn.Write(buf)
 	deadline := time.Now().Add(time.Second)
-	for srv.Stats.SpoolErrors.Load() == 0 && time.Now().Before(deadline) {
+	for srv.Stats.SpoolErrors.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := srv.Stats.SpoolErrors.Load(); got != 1 {
+	if got := srv.Stats.SpoolErrors.Value(); got != 1 {
 		t.Errorf("SpoolErrors = %d, want 1", got)
 	}
 	if got := srv.ActiveSessions(); got != 0 {

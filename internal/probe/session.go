@@ -3,6 +3,7 @@ package probe
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"time"
 
 	"repro/internal/mlab"
@@ -53,8 +54,9 @@ type SessionSummary struct {
 // session is one tracked client, guarded by the server's table lock.
 type session struct {
 	id    uint64
-	addr  string
-	start time.Duration // server-monotonic admission time
+	addr  string         // the admitting address as the spool prints it
+	from  netip.AddrPort // the same address, compared per packet
+	start time.Duration  // server-monotonic admission time
 	last  time.Duration
 
 	packets int64
@@ -168,4 +170,12 @@ func addrString(a *net.UDPAddr) string {
 		return ""
 	}
 	return a.String()
+}
+
+// addrKey is a as a comparable value that does not allocate. A 4-in-6
+// address is unmapped, so an IPv4 source compares equal in its 4- and
+// 16-byte forms, as addrString prints both the same.
+func addrKey(a *net.UDPAddr) netip.AddrPort {
+	ap := a.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }

@@ -44,10 +44,9 @@ const (
 	// later" from packet loss, instead of burning its full
 	// handshake-retry budget against a server that answered instantly.
 	//
-	// Negotiation: Busy is only ever sent in response to a Hello whose
-	// Flags carry FlagBusyAware — a legacy (pre-Busy) client never sets
-	// the flag and keeps the historical behavior (silence at capacity,
-	// surfaced by its retry loop), so the wire Version stays 1.
+	// Every refused Hello gets a Busy; servers ignore FlagBusyAware. A
+	// client that predates Busy drops the unknown type and retries as
+	// it did on silence, so the wire Version stays 1.
 	//
 	// Field reuse in a Busy reply: Session/Seq echo the Hello,
 	// EchoNano echoes the Hello's SendNano, RecvNano is the server's
@@ -60,7 +59,9 @@ const (
 // Header flag bits.
 const (
 	// FlagBusyAware on a Hello advertises that the client understands
-	// TypeBusy replies (see TypeBusy for the negotiation contract).
+	// TypeBusy replies. Servers ignore it and send Busy to every
+	// refused Hello; Handshake still sets it, so a server that only
+	// answered flagged Hellos with Busy answers this client too.
 	FlagBusyAware uint8 = 1 << 0
 	// FlagDraining on a Busy reply means the server is shutting down:
 	// retrying this server is pointless, pick another node.

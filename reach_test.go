@@ -209,9 +209,6 @@ var fieldAllow = map[string]string{
 	"probe.ServerConfig.SnapshotInterval": "the spool test shrinks it so a sub-second loopback session yields a multi-snapshot record",
 	"load.Config.HandshakeAttempts":       "the unresponsive-server and refused-socket tests shrink the retry budget to reach those paths in test time",
 	"load.Config.HandshakeTimeout":        "the unresponsive-server and refused-socket tests shrink the retry budget to reach those paths in test time",
-
-	"probe.ServerStats.BusySent":      "live counter the busy and overload tests observe; the registry exports the same count as probe.server.busy_sent",
-	"probe.ServerStats.DrainRejected": "live counter the drain tests observe (Hellos refused while draining)",
 }
 
 // TestExportedFieldsAreSupplied is the declaration gate one level down:
