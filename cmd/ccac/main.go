@@ -46,6 +46,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -237,21 +238,21 @@ func cmdRun(args []string) {
 	sc, finish, err := buildScope(sp, o.tracePath, o.traceSample, o.metricsOut)
 	fail(err)
 
-	res, err := exp.Run(signalContext(), sp, sc)
-	fail(err)
-	fail(finish(res))
+	r := &scenario.Runner{NewScope: func(scenario.Spec) *obs.Scope { return sc }}
+	res := r.Run(signalContext(), sp)
+	if res.Err != "" {
+		fail(errors.New(res.Err))
+	}
+	fail(finish(res.Value()))
 
 	if o.asJSON {
-		raw, err := scenario.CanonicalJSON(res)
-		fail(err)
-		rec := scenario.RunResult{Spec: sp, Hash: sp.Hash(), Result: raw}
-		b, err := scenario.CanonicalJSON(rec)
+		b, err := scenario.CanonicalJSON(res)
 		fail(err)
 		fmt.Println(string(b))
 		return
 	}
 	if exp.Table != nil {
-		exp.Table(os.Stdout, res)
+		exp.Table(os.Stdout, res.Value())
 	}
 }
 

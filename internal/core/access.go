@@ -18,13 +18,14 @@ import (
 // (ISPs keep utilization under 60-70%, §2.1), so the *only* place the
 // paper's three contention prerequisites can all hold is the access
 // link — and only between one user's own flows.
+// accessCoreRateBps is the shared core/peering link rate: 1 Gbit/s,
+// provisioned for many subscribers.
+const accessCoreRateBps = 1e9
+
 type AccessConfig struct {
 	// AccessRateBps is each subscriber's access rate (default
 	// 50 Mbit/s).
 	AccessRateBps float64
-	// CoreRateBps is the shared core/peering link rate (default
-	// 1 Gbit/s — provisioned for many subscribers).
-	CoreRateBps float64
 	// Users is the number of subscribers, two flows each (default 4).
 	Users int
 	// Duration is the run length (default 30s).
@@ -37,9 +38,6 @@ type AccessConfig struct {
 func (c AccessConfig) norm() AccessConfig {
 	if c.AccessRateBps <= 0 {
 		c.AccessRateBps = 50e6
-	}
-	if c.CoreRateBps <= 0 {
-		c.CoreRateBps = 1e9
 	}
 	if c.Users <= 0 {
 		c.Users = 4
@@ -75,8 +73,8 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 	eng := newEngine()
 	defer releaseEngine(eng, cfg.Obs)
 
-	core := sim.NewLink(eng, "core", cfg.CoreRateBps, 5*time.Millisecond,
-		qdisc.NewDropTailBDP(cfg.CoreRateBps, 30*time.Millisecond, 1))
+	core := sim.NewLink(eng, "core", accessCoreRateBps, 5*time.Millisecond,
+		qdisc.NewDropTailBDP(accessCoreRateBps, 30*time.Millisecond, 1))
 	wireObs(cfg.Obs, eng, core)
 
 	type flowInfo struct {
@@ -148,7 +146,7 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 // WriteTable renders the outcome.
 func (r *AccessResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "exp-access (§2.2): %d users x 2 backlogged flows, %s access links behind a %s core\n",
-		r.Config.Users, FmtBps(r.Config.AccessRateBps), FmtBps(r.Config.CoreRateBps))
+		r.Config.Users, FmtBps(r.Config.AccessRateBps), FmtBps(accessCoreRateBps))
 	fmt.Fprintf(w, "core utilization:                  %5.1f%% (provisioned, never a bottleneck)\n",
 		100*r.CoreUtilization)
 	fmt.Fprintf(w, "flow pairs sharing the core:       %d\n", r.PairsSharingCore)

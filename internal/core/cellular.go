@@ -19,11 +19,13 @@ import (
 // not fairness but the throughput/self-inflicted-delay trade-off on a
 // variable link. This experiment runs each CCA alone on a fading
 // cellular link and reports utilization and delay percentiles.
+// cellularSigma is the fading random walk's step size per 100ms rate
+// update.
+const cellularSigma = 0.15
+
 type CellularConfig struct {
 	// MeanRateBps is the link's mean rate (default 20 Mbit/s).
 	MeanRateBps float64
-	// Sigma is the random-walk step size (default 0.15 per 100ms).
-	Sigma float64
 	// OneWayDelay is the propagation delay (default 25ms).
 	OneWayDelay time.Duration
 	// Duration is the run length (default 60s).
@@ -41,9 +43,6 @@ type CellularConfig struct {
 func (c CellularConfig) norm() CellularConfig {
 	if c.MeanRateBps <= 0 {
 		c.MeanRateBps = 20e6
-	}
-	if c.Sigma <= 0 {
-		c.Sigma = 0.15
 	}
 	if c.OneWayDelay <= 0 {
 		c.OneWayDelay = 25 * time.Millisecond
@@ -100,7 +99,7 @@ func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
 	link := sim.NewLink(eng, "cell", cfg.MeanRateBps, cfg.OneWayDelay, qdisc.NewDropTail(buf))
 	wireObs(cfg.Obs, eng, link)
 	rng := eng.Rand(cfg.Seed + 17)
-	driver := sim.DriveRate(eng, link, 100*time.Millisecond, sim.CellularTrace(rng, cfg.MeanRateBps, cfg.Sigma))
+	driver := sim.DriveRate(eng, link, 100*time.Millisecond, sim.CellularTrace(rng, cfg.MeanRateBps, cellularSigma))
 
 	var cc transport.CCA
 	if name == "nimbus" {

@@ -15,6 +15,10 @@ import (
 // chosen queue discipline, optionally through a fault profile. Figure
 // 1 is a grid of these cells on a clean link; the CCA x queue x fault
 // sweeps extend the same cell across impaired paths.
+// duelWarmupFrac is the initial fraction of a duel left out of
+// throughput averaging.
+const duelWarmupFrac = 1.0 / 3
+
 type DuelConfig struct {
 	// CCA1 and CCA2 name the contenders (see cca.New).
 	CCA1, CCA2 string
@@ -27,14 +31,8 @@ type DuelConfig struct {
 	// BufferBDP sizes the buffer (default 2, a bufferbloated access
 	// link).
 	BufferBDP float64
-	// ShapeRateBps is the per-user/shaper rate where the discipline
-	// uses one (default half the link).
-	ShapeRateBps float64
 	// Duration is the scenario length (default 30s).
 	Duration time.Duration
-	// WarmupFrac excludes the initial fraction from throughput
-	// averaging (default 1/3).
-	WarmupFrac float64
 	// FaultProfile, when non-empty, names a registered fault profile
 	// to impose on the bottleneck; FaultSeed drives its injectors.
 	FaultProfile string
@@ -59,9 +57,6 @@ func (c DuelConfig) norm() DuelConfig {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
-	}
-	if c.WarmupFrac <= 0 || c.WarmupFrac >= 1 {
-		c.WarmupFrac = 1.0 / 3
 	}
 	return c
 }
@@ -96,19 +91,18 @@ func RunDuel(cfg DuelConfig) (*DuelResult, error) {
 		return nil, fmt.Errorf("core: duel: %w", err)
 	}
 	d := NewDumbbell(LinkSpec{
-		RateBps:      cfg.RateBps,
-		OneWayDelay:  cfg.OneWayDelay,
-		Queue:        cfg.Queue,
-		BufferBDP:    cfg.BufferBDP,
-		ShapeRateBps: cfg.ShapeRateBps,
-		Faults:       profile,
-		FaultSeed:    cfg.FaultSeed,
-		Obs:          cfg.Obs,
+		RateBps:     cfg.RateBps,
+		OneWayDelay: cfg.OneWayDelay,
+		Queue:       cfg.Queue,
+		BufferBDP:   cfg.BufferBDP,
+		Faults:      profile,
+		FaultSeed:   cfg.FaultSeed,
+		Obs:         cfg.Obs,
 	})
 	defer d.release()
 	f1 := d.AddBulk(1, 1, cc1)
 	f2 := d.AddBulk(2, 2, cc2)
-	from := time.Duration(cfg.WarmupFrac * float64(cfg.Duration))
+	from := time.Duration(duelWarmupFrac * float64(cfg.Duration))
 	f1.Watch(from, cfg.Duration)
 	f2.Watch(from, cfg.Duration)
 	d.Run(cfg.Duration)

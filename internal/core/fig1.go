@@ -19,9 +19,6 @@ type Fig1Config struct {
 	OneWayDelay time.Duration
 	// Duration is the scenario length (default 60s).
 	Duration time.Duration
-	// WarmupFrac excludes the initial fraction from throughput
-	// averaging (default 1/3).
-	WarmupFrac float64
 	// Pairs lists CCA name pairs (default the paper-motivated set).
 	Pairs [][2]string
 	// Queues lists disciplines to compare (default FIFO, FQ,
@@ -44,9 +41,6 @@ func (c Fig1Config) norm() Fig1Config {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 60 * time.Second
-	}
-	if c.WarmupFrac <= 0 || c.WarmupFrac >= 1 {
-		c.WarmupFrac = 1.0 / 3
 	}
 	if len(c.Pairs) == 0 {
 		c.Pairs = [][2]string{
@@ -116,14 +110,11 @@ func runFig1Cell(cfg Fig1Config, pair [2]string, q QueueKind) (Fig1Row, error) {
 		Queue:       q,
 		BufferBDP:   cfg.BufferBDP,
 		Duration:    cfg.Duration,
-		WarmupFrac:  cfg.WarmupFrac,
 		Obs:         cfg.Obs,
 	}
-	if q == QueueUserIso {
-		// Each flow is a distinct subscriber capped at half the link:
-		// throttling to the purchased rate plus isolation.
-		dc.ShapeRateBps = cfg.RateBps / 2
-	}
+	// Under QueueUserIso each flow is a distinct subscriber capped at
+	// half the link (LinkSpec's default shaper rate): throttling to the
+	// purchased rate plus isolation.
 	res, err := RunDuel(dc)
 	if err != nil {
 		return Fig1Row{}, err

@@ -65,8 +65,8 @@ func (c Fig3Config) norm() Fig3Config {
 	if c.Nimbus.PulseFreq <= 0 {
 		c.Nimbus.PulseFreq = paper.PulseFreq
 	}
-	// TargetQDelay is left zero: the controller adapts the standing
-	// queue to 0.4x the observed minRTT (40ms on this link), which
+	// The delay-mode controller adapts the standing queue to 0.4x
+	// the observed minRTT (40ms on this link), which
 	// absorbs the pulse troughs (trough deficit = A*mu*T/pi ~= 40ms at
 	// 2 Hz with A=0.25) and keeps the cross-traffic estimate truthful
 	// when the link would otherwise drain.

@@ -18,7 +18,7 @@ func TestFig3TracedRunLog(t *testing.T) {
 		Seed:          3,
 	}
 
-	want := obs.Manifest{Tool: "ccac/fig3", Seed: cfg.Seed, CCA: "nimbus",
+	want := obs.Manifest{Tool: "ccac/fig3", Seed: cfg.Seed,
 		RateBps: 48e6, Phases: cfg.Phases, PulseFreqHz: 2}
 	var buf bytes.Buffer
 	w, err := obs.NewRunLogWriter(&buf, want)

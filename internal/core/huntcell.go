@@ -14,6 +14,10 @@ import (
 	"repro/internal/transport"
 )
 
+// huntCellWarmupFrac is the initial fraction of the run left out of
+// whole-run throughput averaging.
+const huntCellWarmupFrac = 0.15
+
 // HuntCellConfig parameterizes the adversarial-search cell: one main
 // flow — a victim bulk transfer, or in probe mode a Nimbus elasticity
 // probe — on a bottleneck whose impairments come from an *inline*
@@ -41,9 +45,6 @@ type HuntCellConfig struct {
 	Queue QueueKind
 	// BufferBDP sizes the buffer (default 1).
 	BufferBDP float64
-	// WarmupFrac excludes the initial fraction from whole-run
-	// throughput averaging (default 0.15).
-	WarmupFrac float64
 	// Seed drives workload randomness (short-flow arrivals and sizes).
 	Seed int64
 	// Fault, when non-nil, imposes the inline impairment chain plus
@@ -73,9 +74,6 @@ func (c HuntCellConfig) norm() HuntCellConfig {
 	}
 	if c.BufferBDP <= 0 {
 		c.BufferBDP = 1
-	}
-	if c.WarmupFrac <= 0 || c.WarmupFrac >= 1 {
-		c.WarmupFrac = 0.15
 	}
 	return c
 }
@@ -172,7 +170,7 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 		mainCC = cc
 	}
 	main := d.AddBulk(1, 1, mainCC)
-	warmup := time.Duration(cfg.WarmupFrac * float64(total))
+	warmup := time.Duration(huntCellWarmupFrac * float64(total))
 	main.Watch(warmup, total)
 
 	spans := make([]phaseSpan, len(cfg.Cross))

@@ -21,6 +21,10 @@ import (
 // victim pair occupies users 1 and 2.
 const manyFlowUserBase = 10
 
+// manyFlowWarmupFrac is the initial fraction of the cell left out of
+// the victim pair's averages.
+const manyFlowWarmupFrac = 0.25
+
 // ManyFlowConfig parameterizes the population-scale contention cell: a
 // fig1-style victim pair (two backlogged flows under different CCAs,
 // each its own subscriber) embedded among N background subscribers
@@ -38,18 +42,13 @@ type ManyFlowConfig struct {
 	// RateBps is the bottleneck rate. Default scales with population:
 	// 2 Mbit/s of fair share per subscriber.
 	RateBps float64
-	// PerUserRateBps is every subscriber's plan cap (default 4x the
-	// fair share).
-	PerUserRateBps float64
 	// OneWayDelay is the propagation delay (default 10ms -> 20ms RTT).
 	OneWayDelay time.Duration
 	// BufferBDP sizes each subscriber's queue in plan-rate
 	// bandwidth-delay products (default 2).
 	BufferBDP float64
-	// Duration is the cell length (default 30s); WarmupFrac excludes
-	// the initial fraction from victim averaging (default 0.25).
-	Duration   time.Duration
-	WarmupFrac float64
+	// Duration is the cell length (default 30s).
+	Duration time.Duration
 	// ChurnThink is the mean think time between a background user's
 	// transfers (default 1s); LongFrac the long-transfer probability
 	// (default 0.1).
@@ -87,9 +86,6 @@ func (c ManyFlowConfig) norm() ManyFlowConfig {
 	if c.RateBps <= 0 {
 		c.RateBps = 2e6 * float64(c.Users+2)
 	}
-	if c.PerUserRateBps <= 0 {
-		c.PerUserRateBps = 4 * c.RateBps / float64(c.Users+2)
-	}
 	if c.OneWayDelay <= 0 {
 		c.OneWayDelay = 10 * time.Millisecond
 	}
@@ -98,9 +94,6 @@ func (c ManyFlowConfig) norm() ManyFlowConfig {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
-	}
-	if c.WarmupFrac <= 0 || c.WarmupFrac >= 1 {
-		c.WarmupFrac = 0.25
 	}
 	if c.ChurnThink <= 0 {
 		c.ChurnThink = time.Second
@@ -112,6 +105,11 @@ func (c ManyFlowConfig) norm() ManyFlowConfig {
 		c.FluidAbove = 0
 	}
 	return c
+}
+
+// perUserRateBps is every subscriber's plan cap: 4x the fair share.
+func (c ManyFlowConfig) perUserRateBps() float64 {
+	return 4 * c.RateBps / float64(c.Users+2)
 }
 
 // ManyFlowResult is the cell's outcome.
@@ -201,7 +199,7 @@ func newFluidAggregate(eng *sim.Engine, link *sim.Link, cfg ManyFlowConfig) *flu
 	f := &fluidAggregate{
 		eng:        eng,
 		path:       []*sim.Link{link},
-		perUserBps: cfg.PerUserRateBps,
+		perUserBps: cfg.perUserRateBps(),
 		maxBps:     1.2 * cfg.RateBps,
 		think:      cfg.ChurnThink,
 		longFrac:   cfg.LongFrac,
@@ -322,11 +320,11 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 	// link BDP: at thousands of users a shared-BDP queue per user
 	// would let the aggregate backlog dwarf the link's own buffering.
 	rtt := 2 * cfg.OneWayDelay
-	perUserCap := int(cfg.BufferBDP * cfg.PerUserRateBps / 8 * rtt.Seconds())
+	perUserCap := int(cfg.BufferBDP * cfg.perUserRateBps() / 8 * rtt.Seconds())
 	if perUserCap < 8*sim.MSS {
 		perUserCap = 8 * sim.MSS
 	}
-	iso := qdisc.NewUserIsolation(cfg.PerUserRateBps, 16*sim.MSS, perUserCap)
+	iso := qdisc.NewUserIsolation(cfg.perUserRateBps(), 16*sim.MSS, perUserCap)
 	link := sim.NewLink(eng, "bottleneck", cfg.RateBps, cfg.OneWayDelay, iso)
 	wireObs(cfg.Obs, eng, link)
 	if ck != nil {
@@ -335,11 +333,11 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 
 	d := &Dumbbell{Eng: eng, Link: link, path: []*sim.Link{link}, Spec: LinkSpec{
 		RateBps: cfg.RateBps, OneWayDelay: cfg.OneWayDelay, Queue: QueueUserIso,
-		BufferBDP: cfg.BufferBDP, ShapeRateBps: cfg.PerUserRateBps, Obs: cfg.Obs,
+		BufferBDP: cfg.BufferBDP, ShapeRateBps: cfg.perUserRateBps(), Obs: cfg.Obs,
 	}}
 	victim1 := d.AddBulk(1, 1, cc1)
 	victim2 := d.AddBulk(2, 2, cc2)
-	warmup := time.Duration(cfg.WarmupFrac * float64(cfg.Duration))
+	warmup := time.Duration(manyFlowWarmupFrac * float64(cfg.Duration))
 	victim1.Watch(warmup, cfg.Duration)
 	victim2.Watch(warmup, cfg.Duration)
 
@@ -425,7 +423,7 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 func (r *ManyFlowResult) WriteTable(w io.Writer) {
 	c := r.Config
 	fmt.Fprintf(w, "manyflow: %s/%s victim pair among %d background users on a %s link (%v RTT), plan %s\n",
-		c.CCA1, c.CCA2, c.Users, FmtBps(c.RateBps), 2*c.OneWayDelay, FmtBps(c.PerUserRateBps))
+		c.CCA1, c.CCA2, c.Users, FmtBps(c.RateBps), 2*c.OneWayDelay, FmtBps(c.perUserRateBps()))
 	if r.FluidUsers > 0 {
 		fmt.Fprintf(w, "hybrid fidelity: %d packet-level users, %d fluid (final offered %s)\n",
 			c.Users-r.FluidUsers, r.FluidUsers, FmtBps(r.FluidRateBps))

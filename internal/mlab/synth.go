@@ -12,8 +12,8 @@ import (
 	"repro/internal/tcpinfo"
 )
 
-// Mixture sets the fraction of flows generated with each ground-truth
-// label. Fractions are normalized; zero values are allowed.
+// Mixture is the fraction of flows generated with each ground-truth
+// label.
 type Mixture struct {
 	AppLimited  float64
 	RWndLimited float64
@@ -42,36 +42,21 @@ func DefaultMixture() Mixture {
 	}
 }
 
-func (m Mixture) normalized() Mixture {
-	total := m.AppLimited + m.RWndLimited + m.Cellular + m.Steady + m.Contending + m.Policed + m.Short
-	if total <= 0 {
-		return DefaultMixture()
-	}
-	m.AppLimited /= total
-	m.RWndLimited /= total
-	m.Cellular /= total
-	m.Steady /= total
-	m.Contending /= total
-	m.Policed /= total
-	m.Short /= total
-	return m
-}
+// ndtTestDuration is the nominal NDT test length: 10s, the NDT7
+// standard.
+const ndtTestDuration = 10 * time.Second
+
+// baseTime stamps the first record: 2023-06-01, the paper's
+// measurement month.
+var baseTime = time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
 
 // GeneratorConfig parameterizes the synthetic NDT dataset.
 type GeneratorConfig struct {
 	// Flows is the number of records to generate (the paper's June
 	// 2023 query returned 9,984).
 	Flows int
-	// Mix is the label mixture (default DefaultMixture).
-	Mix Mixture
 	// SnapshotInterval spaces the TCP_INFO snapshots (default 100ms).
 	SnapshotInterval time.Duration
-	// TestDuration is the nominal NDT test length (default 10s, the
-	// NDT7 standard).
-	TestDuration time.Duration
-	// BaseTime stamps the records (defaults to 2023-06-01, the paper's
-	// measurement month).
-	BaseTime time.Time
 	// Seed drives all randomness.
 	Seed int64
 	// ShardSize switches the generator to sharded seeding: every
@@ -89,18 +74,6 @@ func (c GeneratorConfig) norm() GeneratorConfig {
 	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 100 * time.Millisecond
-	}
-	if c.TestDuration <= 0 {
-		c.TestDuration = 10 * time.Second
-	}
-	if c.BaseTime.IsZero() {
-		c.BaseTime = time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
-	}
-	z := Mixture{}
-	if c.Mix == z {
-		c.Mix = DefaultMixture()
-	} else {
-		c.Mix = c.Mix.normalized()
 	}
 	return c
 }
@@ -164,13 +137,14 @@ func (g *GenSource) Next(rec *Record) error {
 	if g.cfg.ShardSize > 0 && (g.rng == nil || g.i%g.cfg.ShardSize == 0) {
 		g.rng = rand.New(rand.NewSource(shardSeed(g.cfg.Seed, g.i/g.cfg.ShardSize)))
 	}
-	label := drawLabel(g.rng, g.cfg.Mix)
+	label := drawLabel(g.rng)
 	synthesizeInto(g.rng, g.cfg, g.i, label, rec, &g.trace)
 	g.i++
 	return nil
 }
 
-func drawLabel(rng *rand.Rand, m Mixture) Label {
+func drawLabel(rng *rand.Rand) Label {
+	m := DefaultMixture()
 	u := rng.Float64()
 	for _, e := range []struct {
 		p float64
@@ -230,7 +204,7 @@ func growSnaps(s []tcpinfo.Snapshot, n int) []tcpinfo.Snapshot {
 // so datasets are byte-for-byte stable across refactors.
 func synthesizeInto(rng *rand.Rand, cfg GeneratorConfig, idx int, label Label, rec *Record, traceBuf *[]float64) {
 	interval := cfg.SnapshotInterval
-	dur := cfg.TestDuration
+	dur := ndtTestDuration
 	access := AccessWifi
 	if rng.Float64() < 0.35 {
 		access = AccessEthernet
@@ -381,7 +355,7 @@ func synthesizeInto(rng *rand.Rand, cfg GeneratorConfig, idx int, label Label, r
 		mean /= float64(n)
 	}
 	rec.ID = fmt.Sprintf("ndt-%06d", idx)
-	rec.Start = cfg.BaseTime.Add(time.Duration(idx) * time.Minute)
+	rec.Start = baseTime.Add(time.Duration(idx) * time.Minute)
 	rec.Duration = time.Duration(n) * interval
 	rec.Access = access
 	rec.MeanThroughputBps = mean

@@ -66,13 +66,11 @@ func (n *CCA) ensureStarted(now time.Duration) {
 	n.started = true
 	mu := n.Est.Mu(now)
 	if mu > 0 {
-		n.base = n.cfgMinRate(mu)
+		n.base = minRateFrac * mu
 	} else {
 		n.base = 8 * 10 * sim.MSS / 0.1 // nominal until mu is learned
 	}
 }
-
-func (n *CCA) cfgMinRate(mu float64) float64 { return n.Est.cfg.MinRateFrac * mu }
 
 // updateBase runs the delay-mode rate controller: additively increase
 // while the queueing delay is below target, multiplicatively back off
@@ -84,7 +82,7 @@ func (n *CCA) updateBase(a transport.AckInfo) {
 		n.base *= 1.01
 		return
 	}
-	target := n.Est.cfg.EffectiveTargetQDelay(a.MinRTT)
+	target := targetQDelay(a.MinRTT)
 	qdel := a.RTT - a.MinRTT
 	// Per-ack step scaled so the aggregate adjustment per RTT is a few
 	// percent of mu.
@@ -98,7 +96,7 @@ func (n *CCA) updateBase(a transport.AckInfo) {
 		}
 		n.base -= 2 * step * excess
 	}
-	if min := n.cfgMinRate(mu); n.base < min {
+	if min := minRateFrac * mu; n.base < min {
 		n.base = min
 	}
 	if n.base > mu {
@@ -120,7 +118,7 @@ func (n *CCA) OnLoss(transport.LossInfo) {}
 func (n *CCA) OnTimeout(now time.Duration) {
 	mu := n.Est.Mu(now)
 	if mu > 0 {
-		n.base = n.cfgMinRate(mu)
+		n.base = minRateFrac * mu
 	}
 }
 

@@ -22,6 +22,24 @@ import (
 	"repro/internal/stats"
 )
 
+// The estimator's sampling, classification and smoothing constants,
+// from the Nimbus design (Goyal et al., SIGCOMM '22).
+const (
+	// sampleInterval is the cross-traffic sampling period; it divides
+	// the pulse period several times over.
+	sampleInterval = 10 * time.Millisecond
+	// EtaThreshold classifies a window as elastic when eta reaches it.
+	EtaThreshold = 0.5
+	// minRateFrac floors the base sending rate at this fraction of Mu
+	// so the pulses remain observable even when cross traffic is
+	// aggressive (the measurement tool is a speedtest and is entitled
+	// to push).
+	minRateFrac = 0.3
+	// rateSmoothing is the EWMA factor of the send and delivery rate
+	// estimates.
+	rateSmoothing = 0.3
+)
+
 // Config parameterizes the estimator and controller. The zero value is
 // usable: defaults are filled in by Norm.
 type Config struct {
@@ -36,42 +54,19 @@ type Config struct {
 	// PulseAmp is the pulse amplitude as a fraction of Mu (default
 	// 0.25).
 	PulseAmp float64
-	// SampleInterval is the cross-traffic sampling period (default
-	// 10ms; must divide the pulse period several times over).
-	SampleInterval time.Duration
 	// WindowSamples is the FFT window length in samples (default 512,
 	// i.e. ~5.1s at 10ms — matching Nimbus's 5-second windows).
 	WindowSamples int
 	// SlideInterval is how often a new elasticity value is emitted
 	// (default 1s).
 	SlideInterval time.Duration
-	// EtaThreshold classifies a window as elastic when eta exceeds it
-	// (default 0.5).
-	EtaThreshold float64
-	// TargetQDelay is the delay-mode controller's queueing-delay
-	// target. Zero (the default) selects an adaptive target of 0.4x
-	// the observed minimum RTT, clamped to [5ms, 50ms]: the standing
-	// queue must absorb the pulse troughs without the probe itself
-	// pinning the bottleneck buffer (see EffectiveTargetQDelay).
-	TargetQDelay time.Duration
-	// MinRateFrac floors the base sending rate at this fraction of Mu
-	// so the pulses remain observable even when cross traffic is
-	// aggressive (default 0.3; the measurement tool is a speedtest and
-	// is entitled to push).
-	MinRateFrac float64
-	// RinSmoothing and RoutSmoothing are EWMA factors for the send and
-	// delivery rate estimates (default 0.3).
-	RinSmoothing  float64
-	RoutSmoothing float64
 }
 
-// EffectiveTargetQDelay resolves the delay-mode queueing-delay target:
-// the configured value if set, otherwise 0.4 x minRTT clamped to
-// [5ms, 50ms] (15ms before the first RTT sample).
-func (cfg Config) EffectiveTargetQDelay(minRTT time.Duration) time.Duration {
-	if cfg.TargetQDelay > 0 {
-		return cfg.TargetQDelay
-	}
+// targetQDelay is the delay-mode controller's queueing-delay target:
+// 0.4 x minRTT clamped to [5ms, 50ms] (15ms before the first RTT
+// sample). The standing queue must absorb the pulse troughs without
+// the probe itself pinning the bottleneck buffer.
+func targetQDelay(minRTT time.Duration) time.Duration {
 	if minRTT <= 0 {
 		return 15 * time.Millisecond
 	}
@@ -93,9 +88,6 @@ func (cfg Config) Norm() Config {
 	if cfg.PulseAmp <= 0 {
 		cfg.PulseAmp = 0.25
 	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = 10 * time.Millisecond
-	}
 	if cfg.WindowSamples <= 0 {
 		cfg.WindowSamples = 512
 	}
@@ -104,18 +96,6 @@ func (cfg Config) Norm() Config {
 	}
 	if cfg.SlideInterval <= 0 {
 		cfg.SlideInterval = time.Second
-	}
-	if cfg.EtaThreshold <= 0 {
-		cfg.EtaThreshold = 0.5
-	}
-	if cfg.MinRateFrac <= 0 {
-		cfg.MinRateFrac = 0.3
-	}
-	if cfg.RinSmoothing <= 0 {
-		cfg.RinSmoothing = 0.3
-	}
-	if cfg.RoutSmoothing <= 0 {
-		cfg.RoutSmoothing = 0.3
 	}
 	return cfg
 }
@@ -178,8 +158,8 @@ func NewEstimator(cfg Config) *Estimator {
 	cfg = cfg.Norm()
 	return &Estimator{
 		cfg:      cfg,
-		rinEWMA:  stats.NewEWMA(cfg.RinSmoothing),
-		routEWMA: stats.NewEWMA(cfg.RoutSmoothing),
+		rinEWMA:  stats.NewEWMA(rateSmoothing),
+		routEWMA: stats.NewEWMA(rateSmoothing),
 		muFilter: stats.NewMaxFilter(30 * time.Second),
 		zbuf:     make([]float64, cfg.WindowSamples),
 		rbuf:     make([]float64, cfg.WindowSamples),
@@ -241,16 +221,16 @@ func (e *Estimator) ensureStarted(now time.Duration) {
 // the intervening silence carries no signal, so the clock snaps
 // forward instead of spinning through millions of empty intervals.
 func (e *Estimator) maybeTick(now time.Duration) {
-	if maxLag := time.Duration(4*e.cfg.WindowSamples) * e.cfg.SampleInterval; now-e.tickStart > maxLag {
+	if maxLag := time.Duration(4*e.cfg.WindowSamples) * sampleInterval; now-e.tickStart > maxLag {
 		e.tickStart = now - maxLag
 	}
-	for now-e.tickStart >= e.cfg.SampleInterval {
-		e.closeInterval(e.tickStart + e.cfg.SampleInterval)
+	for now-e.tickStart >= sampleInterval {
+		e.closeInterval(e.tickStart + sampleInterval)
 	}
 }
 
 func (e *Estimator) closeInterval(end time.Duration) {
-	dt := e.cfg.SampleInterval.Seconds()
+	dt := sampleInterval.Seconds()
 	rin := float64(e.sentBytes) * 8 / dt
 	rout := float64(e.ackedBytes) * 8 / dt
 	e.sentBytes = 0
@@ -270,7 +250,7 @@ func (e *Estimator) closeInterval(end time.Duration) {
 	}
 	lag := 0
 	if e.srtt > 0 {
-		lag = int(e.srtt / e.cfg.SampleInterval)
+		lag = int(e.srtt / sampleInterval)
 	}
 	idx := len(e.rinHist) - 1 - lag
 	if idx < 0 {
@@ -350,7 +330,7 @@ func (e *Estimator) window(buf []float64) []float64 {
 func (e *Estimator) pulseAmp(x []float64) float64 {
 	dsp.Detrend(x)
 	dsp.ApplyWindow(x, e.hann)
-	e.spec.Compute(x, 1/e.cfg.SampleInterval.Seconds())
+	e.spec.Compute(x, 1/sampleInterval.Seconds())
 	return e.spec.AmplitudeAt(e.cfg.PulseFreq, 1)
 }
 
@@ -372,7 +352,7 @@ func (e *Estimator) computeEta(now time.Duration, mu float64) {
 	if len(qs) > 0 {
 		qmean /= float64(len(qs))
 	}
-	gate := 0.2 * e.cfg.EffectiveTargetQDelay(e.minRTT).Seconds()
+	gate := 0.2 * targetQDelay(e.minRTT).Seconds()
 	if gate < 1e-3 {
 		gate = 1e-3
 	}
@@ -445,7 +425,7 @@ func (e *Estimator) Eta() (eta float64, ok bool) { return e.etaLast, e.etaOK }
 
 // Elastic reports whether the most recent window was classified
 // elastic.
-func (e *Estimator) Elastic() bool { return e.etaOK && e.etaLast >= e.cfg.EtaThreshold }
+func (e *Estimator) Elastic() bool { return e.etaOK && e.etaLast >= EtaThreshold }
 
 // Pulse evaluates the mean-zero rate pulse at time t as a fraction of
 // Mu: PulseAmp * sin(2*pi*f*t).

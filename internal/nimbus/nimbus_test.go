@@ -11,8 +11,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.PulseFreq != 5 || cfg.PulseAmp != 0.25 {
 		t.Errorf("pulse defaults = %v/%v", cfg.PulseFreq, cfg.PulseAmp)
 	}
-	if cfg.SampleInterval != 10*time.Millisecond || cfg.WindowSamples != 512 {
-		t.Errorf("sampling defaults = %v/%v", cfg.SampleInterval, cfg.WindowSamples)
+	if cfg.WindowSamples != 512 {
+		t.Errorf("window default = %v", cfg.WindowSamples)
 	}
 	// Non-power-of-two windows round up.
 	cfg = Config{WindowSamples: 300}.Norm()

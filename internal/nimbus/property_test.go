@@ -80,9 +80,8 @@ func TestPulseBoundedProperty(t *testing.T) {
 	}
 }
 
-// EffectiveTargetQDelay clamping.
+// targetQDelay clamping.
 func TestEffectiveTargetQDelay(t *testing.T) {
-	cfg := Config{}.Norm()
 	cases := []struct {
 		min  time.Duration
 		want time.Duration
@@ -93,13 +92,8 @@ func TestEffectiveTargetQDelay(t *testing.T) {
 		{300 * time.Millisecond, 50 * time.Millisecond}, // clamped down
 	}
 	for _, c := range cases {
-		if got := cfg.EffectiveTargetQDelay(c.min); got != c.want {
-			t.Errorf("EffectiveTargetQDelay(%v) = %v, want %v", c.min, got, c.want)
+		if got := targetQDelay(c.min); got != c.want {
+			t.Errorf("targetQDelay(%v) = %v, want %v", c.min, got, c.want)
 		}
-	}
-	// Explicit override wins.
-	cfg.TargetQDelay = 33 * time.Millisecond
-	if got := cfg.EffectiveTargetQDelay(time.Second); got != 33*time.Millisecond {
-		t.Errorf("override = %v", got)
 	}
 }

@@ -29,7 +29,7 @@ func (e *Estimator) Verdict(from, to time.Duration) Verdict {
 	v.Max, _ = stats.Max(etas)
 	elastic := 0
 	for _, eta := range etas {
-		if eta >= e.cfg.EtaThreshold {
+		if eta >= EtaThreshold {
 			elastic++
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // TestVerdict pins the shared verdict's edges. Windows sit at 1 s, 2 s,
 // ... in the order given.
 func TestVerdict(t *testing.T) {
-	th := Config{}.Norm().EtaThreshold
+	const th = EtaThreshold
 	cases := []struct {
 		name     string
 		etas     []float64

@@ -15,8 +15,8 @@ import (
 // tracing. Emit is lock-free — one atomic add plus a slot store — and
 // never allocates.
 //
-// Concurrency: any number of goroutines may Emit. Reads (Events,
-// WriteJSONL, DumpRunLog) are meant for after the instrumented code
+// Concurrency: any number of goroutines may Emit. Reads (DumpRunLog,
+// DumpFile) are meant for after the instrumented code
 // has stopped — the failure/panic/shutdown paths — where they see a
 // consistent ring. A dump taken while writers are still live (the
 // SIGQUIT path) is best-effort: it may contain a small number of torn
@@ -58,55 +58,6 @@ func (f *FlightRecorder) Emit(ev Event) {
 // Total returns how many events have been emitted over the recorder's
 // lifetime (retained or overwritten).
 func (f *FlightRecorder) Total() uint64 { return f.next.Load() }
-
-// Len returns how many events are currently retained.
-func (f *FlightRecorder) Len() int {
-	n := f.next.Load()
-	if n > uint64(len(f.buf)) {
-		return len(f.buf)
-	}
-	return int(n)
-}
-
-// Events returns the retained events oldest-first.
-func (f *FlightRecorder) Events() []Event {
-	n := f.next.Load()
-	out := make([]Event, 0, f.Len())
-	start := uint64(0)
-	if n > uint64(len(f.buf)) {
-		start = n - uint64(len(f.buf))
-	}
-	for i := start; i < n; i++ {
-		out = append(out, f.buf[i&f.mask])
-	}
-	return out
-}
-
-// Reset discards all retained events.
-func (f *FlightRecorder) Reset() {
-	f.next.Store(0)
-	for i := range f.buf {
-		f.buf[i] = Event{}
-	}
-}
-
-// WriteJSONL writes the retained events oldest-first, one run-log
-// event line each.
-func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<15)
-	n := f.next.Load()
-	start := uint64(0)
-	if n > uint64(len(f.buf)) {
-		start = n - uint64(len(f.buf))
-	}
-	for i := start; i < n; i++ {
-		ev := f.buf[i&f.mask]
-		if err := writeEventJSON(bw, &ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
 
 // DumpRunLog writes a complete, ReadRunLog-compatible post-mortem
 // artifact: a manifest line, the retained tail of the event stream,

@@ -18,15 +18,29 @@ func flightEvent(i int) Event {
 	}
 }
 
+// retained reads f's retained events back through its run-log dump.
+func retained(t *testing.T, f *FlightRecorder) []Event {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := f.DumpRunLog(&buf, Manifest{Tool: "t"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	log, err := ReadRunLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log.Events
+}
+
 func TestFlightRecorderRetainsTail(t *testing.T) {
 	f := NewFlightRecorder(8)
 	for i := 0; i < 5; i++ {
 		f.Emit(flightEvent(i))
 	}
-	if f.Len() != 5 || f.Total() != 5 {
-		t.Fatalf("len=%d total=%d, want 5/5", f.Len(), f.Total())
+	evs := retained(t, f)
+	if len(evs) != 5 || f.Total() != 5 {
+		t.Fatalf("len=%d total=%d, want 5/5", len(evs), f.Total())
 	}
-	evs := f.Events()
 	for i, ev := range evs {
 		if ev.Seq != int64(i) {
 			t.Fatalf("event %d has seq %d", i, ev.Seq)
@@ -40,13 +54,10 @@ func TestFlightRecorderWraps(t *testing.T) {
 	for i := 0; i < total; i++ {
 		f.Emit(flightEvent(i))
 	}
-	if f.Len() != 8 {
-		t.Fatalf("len=%d, want ring capacity 8", f.Len())
-	}
 	if f.Total() != total {
 		t.Fatalf("total=%d, want %d", f.Total(), total)
 	}
-	evs := f.Events()
+	evs := retained(t, f)
 	if len(evs) != 8 {
 		t.Fatalf("%d events retained", len(evs))
 	}
@@ -67,17 +78,6 @@ func TestFlightRecorderCapacityRounding(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderReset(t *testing.T) {
-	f := NewFlightRecorder(4)
-	for i := 0; i < 10; i++ {
-		f.Emit(flightEvent(i))
-	}
-	f.Reset()
-	if f.Len() != 0 || f.Total() != 0 || len(f.Events()) != 0 {
-		t.Fatalf("reset left state: len=%d total=%d", f.Len(), f.Total())
-	}
-}
-
 func TestFlightDumpRunLogRoundTrip(t *testing.T) {
 	f := NewFlightRecorder(8)
 	const total = 12
@@ -86,7 +86,7 @@ func TestFlightDumpRunLogRoundTrip(t *testing.T) {
 	}
 	f.Emit(Event{At: time.Second, Type: EvState, Src: "cca", Note: "loss_recovery"})
 
-	m := Manifest{Tool: "ccac/test", Seed: 42, CCA: "reno",
+	m := Manifest{Tool: "ccac/test", Seed: 42,
 		Extra: map[string]string{"artifact": "flight"}}
 	var buf bytes.Buffer
 	if err := f.DumpRunLog(&buf, m, "deliberate failure"); err != nil {
@@ -145,21 +145,24 @@ func TestFlightDumpFile(t *testing.T) {
 	}
 }
 
+// TestFlightWriteJSONL checks the raw event lines of a dump after the
+// ring wraps: one JSON line per retained event, oldest overwritten.
 func TestFlightWriteJSONL(t *testing.T) {
 	f := NewFlightRecorder(4)
 	for i := 0; i < 6; i++ {
 		f.Emit(flightEvent(i))
 	}
 	var buf bytes.Buffer
-	if err := f.WriteJSONL(&buf); err != nil {
+	if err := f.DumpRunLog(&buf, Manifest{Tool: "t"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Count(buf.String(), "\n")
-	if lines != 4 {
-		t.Fatalf("%d lines, want 4:\n%s", lines, buf.String())
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("%d lines, want manifest + 4 events + summary:\n%s", len(lines), buf.String())
 	}
-	if !strings.Contains(buf.String(), `"seq":5`) || strings.Contains(buf.String(), `"seq":1,`) {
-		t.Errorf("wrong tail retained:\n%s", buf.String())
+	events := strings.Join(lines[1:5], "\n") + "\n"
+	if !strings.Contains(events, `"seq":5`) || strings.Contains(events, `"seq":1,`) {
+		t.Errorf("wrong tail retained:\n%s", events)
 	}
 }
 

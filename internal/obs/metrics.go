@@ -40,8 +40,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge is an atomically updated float64 value.
 type Gauge struct {
 	bits atomic.Uint64
@@ -63,8 +61,6 @@ func (g *Gauge) Add(d float64) {
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) reset() { g.bits.Store(0) }
 
 // Histogram is a fixed-bucket histogram with atomic bucket counts.
 // Bounds are the inclusive upper edges of each bucket; a final
@@ -126,14 +122,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.sum.reset()
-	h.n.Store(0)
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
@@ -240,26 +228,6 @@ func (r *Registry) RegisterFunc(name, label string, fn func() float64) {
 	r.funcs[metricKey{name, label}] = fn
 }
 
-// CounterFamily is a labeled family of counters sharing one name,
-// e.g. per-flow or per-CCA variants.
-type CounterFamily struct {
-	r        *Registry
-	name     string
-	labelKey string
-}
-
-// CounterFamily returns a family handle; With(v) yields the counter
-// labeled labelKey=v.
-func (r *Registry) CounterFamily(name, labelKey string) CounterFamily {
-	return CounterFamily{r: r, name: name, labelKey: labelKey}
-}
-
-// With returns the family member for the given label value. Hot paths
-// should cache the returned counter.
-func (f CounterFamily) With(value string) *Counter {
-	return f.r.CounterL(f.name, f.labelKey+"="+value)
-}
-
 // GaugeFamily is a labeled family of gauges.
 type GaugeFamily struct {
 	r        *Registry
@@ -315,22 +283,6 @@ func (r *Registry) Snapshot() []Point {
 		return pts[i].Label < pts[j].Label
 	})
 	return pts
-}
-
-// Reset zeroes all counters, gauges, and histograms. Registered funcs
-// are live views and are left in place.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.reset()
-	}
-	for _, g := range r.gauges {
-		g.reset()
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
 }
 
 // WriteJSONL writes one JSON object per point.

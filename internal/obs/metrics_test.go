@@ -118,12 +118,12 @@ func TestConcurrentCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("shared")
-			fam := r.CounterFamily("fam", "k")
+			fam := r.CounterL("fam", "k=a")
 			h := r.Histogram("hist", "", []float64{0.5})
 			gg := r.Gauge("g")
 			for i := 0; i < perG; i++ {
 				c.Inc()
-				fam.With("a").Inc()
+				fam.Inc()
 				h.Observe(float64(i % 2))
 				gg.Add(1)
 			}
@@ -133,29 +133,14 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := r.Counter("shared").Value(); got != goroutines*perG {
 		t.Errorf("shared counter %d want %d", got, goroutines*perG)
 	}
-	if got := r.CounterFamily("fam", "k").With("a").Value(); got != goroutines*perG {
-		t.Errorf("family counter %d want %d", got, goroutines*perG)
+	if got := r.CounterL("fam", "k=a").Value(); got != goroutines*perG {
+		t.Errorf("labeled counter %d want %d", got, goroutines*perG)
 	}
 	if got := r.Histogram("hist", "", nil).Count(); got != goroutines*perG {
 		t.Errorf("histogram count %d want %d", got, goroutines*perG)
 	}
 	if got := r.Gauge("g").Value(); got != goroutines*perG {
 		t.Errorf("gauge %v want %d", got, goroutines*perG)
-	}
-}
-
-func TestSnapshotReset(t *testing.T) {
-	r := fixedRegistry()
-	r.Reset()
-	for _, p := range r.Snapshot() {
-		switch p.Kind {
-		case "func":
-			// Live views survive reset.
-		default:
-			if p.Value != 0 {
-				t.Errorf("%s{%s} not reset: %v", p.Name, p.Label, p.Value)
-			}
-		}
 	}
 }
 

@@ -18,8 +18,6 @@ type Manifest struct {
 	// Seed and FaultSeed are the workload and fault-injector seeds.
 	Seed      int64 `json:"seed"`
 	FaultSeed int64 `json:"fault_seed,omitempty"`
-	// CCA names the controller under test.
-	CCA string `json:"cca,omitempty"`
 	// Profile names the fault profile, if any.
 	Profile string `json:"profile,omitempty"`
 	// RateBps, RTTSeconds, Queue, and BufferBDP describe the bottleneck.

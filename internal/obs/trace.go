@@ -115,14 +115,6 @@ type Tracer interface {
 	Emit(ev Event)
 }
 
-// Emit forwards ev to t if t is non-nil. It is the canonical disabled
-// path: one branch, zero allocations.
-func Emit(t Tracer, ev Event) {
-	if t != nil {
-		t.Emit(ev)
-	}
-}
-
 // Stream is a sampling-aware tracer that writes each event immediately
 // as a JSONL line (buffered). It retains nothing in memory, so it suits
 // long runs; call Flush (or RunLogWriter.Close) before reading the

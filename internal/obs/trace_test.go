@@ -72,7 +72,7 @@ func TestStreamJSONLRoundTrip(t *testing.T) {
 
 func TestRunLogWriterSummary(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewRunLogWriter(&buf, Manifest{Tool: "unit", Seed: 1, CCA: "nimbus"})
+	w, err := NewRunLogWriter(&buf, Manifest{Tool: "unit", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestConcurrentRingEmit(t *testing.T) {
 func TestDisabledTracerZeroAlloc(t *testing.T) {
 	var tr Tracer // disabled
 	ev := Event{At: time.Second, Type: EvEnqueue, Src: "bottleneck", Flow: 1, Seq: 9, V1: 1500}
-	if allocs := testing.AllocsPerRun(1000, func() { Emit(tr, ev) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { emit(tr, ev) }); allocs != 0 {
 		t.Errorf("disabled tracer path allocates %v bytes/event, want 0", allocs)
 	}
 	tr = NewFlightRecorder(1 << 10)
-	if allocs := testing.AllocsPerRun(1000, func() { Emit(tr, ev) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { emit(tr, ev) }); allocs != 0 {
 		t.Errorf("enabled ring path allocates %v allocs/event, want 0", allocs)
 	}
 }
@@ -156,6 +156,13 @@ func BenchmarkEmitDisabled(b *testing.B) {
 	ev := Event{At: time.Second, Type: EvSend, Src: "l", Flow: 1, V1: 1500}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Emit(tr, ev)
+		emit(tr, ev)
+	}
+}
+
+// emit is the guard instrumented code writes before each event.
+func emit(tr Tracer, ev Event) {
+	if tr != nil {
+		tr.Emit(ev)
 	}
 }

@@ -60,8 +60,9 @@ func fuzzOp(kind, src, sess int, advanceMs, seq, payload, send byte) []byte {
 // tracked and the table holds exactly the model's sessions; a Data or
 // Hello from a foreign source, a Data for an unknown id and a datagram
 // of no session type change no session; each spooled record counts
-// exactly the Data its admitting source sent, encodes, and reads back
-// through mlab's decoder.
+// exactly the Data its admitting source sent, keeps its queueing delays
+// within its own age, encodes, and reads back through mlab's
+// decoder.
 func FuzzServerDatagrams(f *testing.F) {
 	cat := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
 	f.Add(cat( // the handshaking client, and a stranger naming its id
@@ -118,11 +119,13 @@ func FuzzServerDatagrams(f *testing.F) {
 		srv.conn.Close()
 
 		type owner struct {
-			addr string
-			data int64
+			addr  string
+			data  int64
+			start time.Duration
 		}
 		live := map[uint64]*owner{}
 		spooled := 0
+		var now time.Duration // the virtual clock the operations advance
 		snapshot := func() map[uint64]session {
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
@@ -151,6 +154,13 @@ func FuzzServerDatagrams(f *testing.F) {
 				if r.Probe.Addr != o.addr || r.Probe.Packets != o.data {
 					t.Fatalf("step %d: session %x spooled addr %s, %d packets; its source %s sent %d",
 						step, id, r.Probe.Addr, r.Probe.Packets, o.addr, o.data)
+				}
+				// Close spools on the wall clock, so the session's age is
+				// bounded on the virtual one.
+				if ms := (now - o.start).Seconds() * 1e3; r.Probe.DelayMeanMs < 0 || r.Probe.DelayMeanMs > ms ||
+					r.Probe.DelayMaxMs < 0 || r.Probe.DelayMaxMs > ms {
+					t.Fatalf("step %d: session %x spooled delay mean %v ms, max %v ms; it is %v ms old",
+						step, id, r.Probe.DelayMeanMs, r.Probe.DelayMaxMs, ms)
 				}
 				delete(live, id)
 				line, err := json.Marshal(r)
@@ -185,7 +195,6 @@ func FuzzServerDatagrams(f *testing.F) {
 
 		out := make([]byte, HeaderSize)
 		pkt := make([]byte, MaxDatagram+1)
-		var now time.Duration
 		for step := 0; len(ops) >= 5; step++ {
 			op := ops[:5]
 			ops = ops[5:]
@@ -257,7 +266,7 @@ func FuzzServerDatagrams(f *testing.F) {
 						t.Fatalf("step %d: admitted session %x from %s at %v, Hello from %s at %v",
 							step, id, se.addr, se.start, from, now)
 					}
-					live[id] = &owner{addr: se.addr}
+					live[id] = &owner{addr: se.addr, start: now}
 				} else if ok && se.last != now {
 					t.Fatalf("step %d: the owner's Hello did not refresh session %x", step, id)
 				}

@@ -224,7 +224,7 @@ func TestClientMeasuresLoopback(t *testing.T) {
 func TestReportVerdictIsSharedSummary(t *testing.T) {
 	const duration = 8 * time.Second
 	c := NewClient(ClientConfig{Server: "unused", Duration: duration, Seed: 1})
-	th := c.cc.Est.Config().EtaThreshold
+	const th = nimbus.EtaThreshold
 	for i, eta := range []float64{9, 9, th, 0, 2 * th, 0.1} { // at 1s, 2s (the bound), 3s, ...
 		c.cc.Est.Elasticity.Append(time.Duration(i+1)*time.Second, eta)
 	}

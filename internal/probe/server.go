@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"log"
+	"math"
 	"net"
 	"runtime"
 	"sort"
@@ -342,21 +343,25 @@ func (s *Server) handleHello(h *Header, raddr *net.UDPAddr, now time.Duration, o
 // the session is live under the sender's address; anything else is a
 // bad packet and gets no ack.
 func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n int, out []byte) {
-	if !s.global.admit(now, false) {
-		s.Stats.ShedData.Add(1)
-		return
-	}
 	from := addrKey(raddr)
 	s.mu.Lock()
 	se, ok := s.sessions[h.Session]
 	ok = ok && se.from == from
+	// Only a Data its session's own address sent spends a global token,
+	// so a stranger cannot drain the reserve admitted sessions share.
+	// The limiter's lock is only ever taken inside the table lock.
+	shed := ok && !s.global.admit(now, false)
 	var qdelay int64
-	if ok {
+	if ok && !shed {
 		qdelay = se.noteData(now, n, h.SendNano, s.cfg.SnapshotInterval)
 	}
 	s.mu.Unlock()
 	if !ok {
 		s.Stats.BadPackets.Add(1)
+		return
+	}
+	if shed {
+		s.Stats.ShedData.Add(1)
 		return
 	}
 	if qdelay >= 0 {
@@ -414,6 +419,7 @@ func (s *Server) admitSession(id uint64, raddr *net.UDPAddr, now time.Duration) 
 			from:   from,
 			start:  now,
 			last:   now,
+			owdMin: math.MaxInt64,
 			snapAt: now,
 		}
 	}

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"context"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -372,6 +373,81 @@ func TestDataWithoutHandshakeNotAcked(t *testing.T) {
 	}
 	if d, b := srv.Stats.DataPackets.Value(), srv.Stats.BadPackets.Value(); d != 0 || b != 1 {
 		t.Errorf("DataPackets %d, BadPackets %d; want 0, 1", d, b)
+	}
+}
+
+// TestStrangerDataSpendsNoGlobalToken: a Data from an address that
+// does not own the session it names is a bad packet before it reaches
+// the global limiter, so a stranger cannot drain the tokens the owner's
+// Data draw on.
+func TestStrangerDataSpendsNoGlobalToken(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", GlobalPPS: 10, GlobalBurst: 8, Sink: &memSink{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	owner := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9998}
+	stranger := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}
+	out := make([]byte, HeaderSize)
+	pkt := make([]byte, 200)
+	send := func(typ uint8, from *net.UDPAddr) {
+		h := Header{Type: typ, Session: 42, SendNano: 1}
+		h.Encode(pkt)
+		srv.handleDatagram(pkt, from, time.Millisecond, out)
+	}
+
+	send(TypeHello, owner)
+	for i := 0; i < 10; i++ {
+		send(TypeData, stranger)
+	}
+	if shed, bad := srv.Stats.ShedData.Value(), srv.Stats.BadPackets.Value(); shed != 0 || bad != 10 {
+		t.Errorf("after ten foreign Data: ShedData %d, BadPackets %d; want 0, 10", shed, bad)
+	}
+	send(TypeData, owner)
+	if a := srv.Stats.Acks.Value(); a != 1 {
+		t.Errorf("the owner's Data after the stranger's got %d acks, want 1", a)
+	}
+}
+
+// TestForgedSendStampsStayWithinSessionAge: a Data stamped at either
+// int64 extreme, between honest ones, neither wraps the one-way-delay arithmetic nor leaves a
+// queueing delay longer than the session in its spool record.
+func TestForgedSendStampsStayWithinSessionAge(t *testing.T) {
+	sink := &memSink{}
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	owner := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9998}
+	out := make([]byte, HeaderSize)
+	pkt := make([]byte, 200)
+	now := time.Millisecond
+	send := func(typ uint8, stamp int64) {
+		h := Header{Type: typ, Session: 42, SendNano: stamp}
+		h.Encode(pkt)
+		srv.handleDatagram(pkt, owner, now, out)
+		now += time.Millisecond
+	}
+
+	send(TypeHello, 0)
+	send(TypeData, 0)
+	send(TypeData, math.MinInt64)
+	send(TypeData, math.MaxInt64)
+	send(TypeData, 0)
+	send(TypeBye, 0)
+	if len(sink.recs) != 1 {
+		t.Fatalf("spooled %d records, want 1", len(sink.recs))
+	}
+	r := sink.recs[0]
+	if r.Probe.Packets != 4 {
+		t.Errorf("spooled %d packets, want 4: forged Data are counted", r.Probe.Packets)
+	}
+	if ms := r.Duration.Seconds() * 1e3; r.Probe.DelayMeanMs < 0 || r.Probe.DelayMeanMs > ms ||
+		r.Probe.DelayMaxMs < 0 || r.Probe.DelayMaxMs > ms {
+		t.Errorf("spooled delay mean %v ms, max %v ms over a %v ms session", r.Probe.DelayMeanMs, r.Probe.DelayMaxMs, ms)
 	}
 }
 

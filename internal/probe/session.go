@@ -65,7 +65,7 @@ type session struct {
 	// One-way delay proxy: recv(server mono) - send(client mono) has an
 	// unknown constant offset; tracking the minimum and the deviation
 	// above it yields queueing delay without synchronized clocks.
-	owdMin     int64 // nanos; valid once packets > 0
+	owdMin     int64 // nanos; MaxInt64 until the first sample
 	qdelayEWMA float64
 	qdelayMax  float64
 
@@ -88,27 +88,35 @@ func (se *session) noteData(now time.Duration, n int, sendNano int64, interval t
 	se.last = now
 	se.packets++
 	se.bytes += int64(n)
-	owd := now.Nanoseconds() - sendNano
 	qdelay := int64(-1)
-	if se.packets == 1 || owd < se.owdMin {
-		se.owdMin = owd
-	}
-	if owd >= se.owdMin {
-		qdelay = owd - se.owdMin
-		q := float64(qdelay)
-		if se.qdelayEWMA == 0 {
-			se.qdelayEWMA = q
-		} else {
-			se.qdelayEWMA += (q - se.qdelayEWMA) / 8
-		}
-		if q > se.qdelayMax {
-			se.qdelayMax = q
+	if owd, ok := sub64(now.Nanoseconds(), sendNano); ok {
+		se.owdMin = min(se.owdMin, owd)
+		// With a client clock that only moves forward, owd - owdMin is
+		// at most the time since the minimum's packet, so a delay longer
+		// than the session's age comes from a forged or wrapped stamp.
+		if d, ok := sub64(owd, se.owdMin); ok && d <= int64(now-se.start) {
+			qdelay = d
+			q := float64(d)
+			if se.qdelayEWMA == 0 {
+				se.qdelayEWMA = q
+			} else {
+				se.qdelayEWMA += (q - se.qdelayEWMA) / 8
+			}
+			if q > se.qdelayMax {
+				se.qdelayMax = q
+			}
 		}
 	}
 	if now-se.snapAt >= interval && len(se.snaps) < maxSnapshots {
 		se.appendSnapshot(now)
 	}
 	return qdelay
+}
+
+// sub64 returns a - b and whether it did not overflow int64.
+func sub64(a, b int64) (int64, bool) {
+	d := a - b
+	return d, (a^b)&(a^d) >= 0
 }
 
 // appendSnapshot closes the current accounting interval. Caller holds

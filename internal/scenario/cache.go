@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -89,19 +88,4 @@ func (c *Cache) Put(sp Spec, hash string, result json.RawMessage) error {
 		return fmt.Errorf("scenario: cache: %w", err)
 	}
 	return nil
-}
-
-// Len counts stored entries (for tests and `ccac list` diagnostics).
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	filepath.WalkDir(c.Dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mlab"
+	"repro/internal/nimbus"
 	"repro/internal/obs"
 	"repro/internal/traffic"
 )
@@ -89,19 +90,18 @@ func init() {
 			Phases:         []string{"reno", "bbr", "video", "short", "cbr"},
 		},
 		Run: run(func(sp Spec, sc *obs.Scope) (*core.Fig3Result, error) {
-			cfg := core.Fig3Config{
+			return core.RunFig3(core.Fig3Config{
 				RateBps:       sp.RateBps,
 				OneWayDelay:   sp.RTT() / 2,
 				PhaseDuration: time.Duration(sp.PhaseDurationS * float64(time.Second)),
 				Phases:        sp.Phases,
 				Seed:          sp.Seed,
 				BufferBDP:     sp.BufferBDP,
+				Nimbus:        nimbus.Config{PulseFreq: sp.PulseFreqHz},
 				FaultProfile:  sp.FaultProfile,
 				FaultSeed:     sp.FaultSeed,
 				Obs:           sc,
-			}
-			cfg.Nimbus.PulseFreq = sp.PulseFreqHz
-			return core.RunFig3(cfg)
+			})
 		}),
 		Table: table[*core.Fig3Result](),
 	})

@@ -540,7 +540,7 @@ func TestFlightDumpMergesWithScopeTracer(t *testing.T) {
 	if results[0].FlightDump == "" {
 		t.Fatal("no flight dump")
 	}
-	if got := ring.Len(); got != 6 {
+	if got := ring.Total(); got != 6 {
 		t.Errorf("scope tracer saw %d events, want 6", got)
 	}
 }

@@ -241,8 +241,10 @@ func TestSweepCacheSkipsExecution(t *testing.T) {
 	if got := testRunCount.Load(); got != int64(len(specs)) {
 		t.Fatalf("first sweep executed %d runs, want %d", got, len(specs))
 	}
-	if cache.Len() != len(specs) {
-		t.Fatalf("cache holds %d entries, want %d", cache.Len(), len(specs))
+	for _, sp := range specs {
+		if _, ok := cache.Get(sp.Hash()); !ok {
+			t.Fatalf("cache holds no entry for seed %d", sp.Seed)
+		}
 	}
 
 	second, err := r.Sweep(context.Background(), specs)

@@ -13,9 +13,9 @@ import (
 // determinism.
 func traceRun(seed int64) []obs.Event {
 	eng := &Engine{}
-	ring := obs.NewFlightRecorder(1 << 14)
+	log := &eventLog{}
 	link := NewLink(eng, "bottleneck", 8e6, 2*time.Millisecond, &testQueue{})
-	link.Trace = ring
+	link.Trace = log
 	rng := rand.New(rand.NewSource(seed))
 	DriveRate(eng, link, 10*time.Millisecond, CellularTrace(rng, 8e6, 0.2))
 	dest := ReceiverFunc(func(*Packet) {})
@@ -27,8 +27,13 @@ func traceRun(seed int64) []obs.Event {
 		})
 	}
 	eng.Run(100 * time.Millisecond)
-	return ring.Events()
+	return log.evs
 }
+
+// eventLog keeps every event it is given, in order.
+type eventLog struct{ evs []obs.Event }
+
+func (l *eventLog) Emit(ev obs.Event) { l.evs = append(l.evs, ev) }
 
 // TestTraceTimestampsAreSimTime asserts every event the sim layer emits
 // is stamped with the engine's virtual clock: timestamps are monotone
@@ -90,12 +95,12 @@ func TestTraceEventKinds(t *testing.T) {
 
 	// Drops are traced with the refusing link as Src.
 	eng := &Engine{}
-	ring := obs.NewFlightRecorder(16)
+	log := &eventLog{}
 	link := NewLink(eng, "tiny", 8e6, 0, &rejectQueue{})
-	link.Trace = ring
+	link.Trace = log
 	Inject(&Packet{Size: 1000, Seq: 5, Path: []*Link{link}})
 	eng.Run(time.Millisecond)
-	drops := ring.Events()
+	drops := log.evs
 	if len(drops) != 1 || drops[0].Type != obs.EvDrop || drops[0].Src != "tiny" || drops[0].Seq != 5 {
 		t.Errorf("drop trace: %+v", drops)
 	}

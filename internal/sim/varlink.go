@@ -14,9 +14,6 @@ import (
 // finishes at the rate it started with, matching how a fading radio
 // link drains its current frame.
 type RateDriver struct {
-	eng  *Engine
-	link *Link
-	stop bool
 	// Trace records the applied (time, rate) steps for analysis.
 	Trace []RatePoint
 }
@@ -27,18 +24,14 @@ type RatePoint struct {
 	Bps float64
 }
 
-// DriveRate applies rate(t) to the link every interval. The returned
-// driver can be stopped.
+// DriveRate applies rate(t) to the link every interval.
 func DriveRate(eng *Engine, link *Link, interval time.Duration, rate func(t time.Duration) float64) *RateDriver {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
-	d := &RateDriver{eng: eng, link: link}
+	d := &RateDriver{}
 	var tick func()
 	tick = func() {
-		if d.stop {
-			return
-		}
 		r := rate(eng.Now())
 		if r < 1e3 {
 			r = 1e3 // never zero: the emulator needs a positive rate
@@ -54,9 +47,6 @@ func DriveRate(eng *Engine, link *Link, interval time.Duration, rate func(t time
 	tick()
 	return d
 }
-
-// Stop freezes the link at its current rate.
-func (d *RateDriver) Stop() { d.stop = true }
 
 // CellularTrace returns a rate function modelling a fading cellular
 // link: a mean-reverting random walk around mean with step size sigma,

@@ -34,13 +34,6 @@ func TestDriveRateAppliesSteps(t *testing.T) {
 	if len(d.Trace) == 0 {
 		t.Error("trace not recorded")
 	}
-	d.Stop()
-	eng.Run(5 * time.Second)
-	n := len(d.Trace)
-	eng.Run(10 * time.Second)
-	if len(d.Trace) != n {
-		t.Error("driver kept running after Stop")
-	}
 }
 
 func TestDriveRateFloorsAtPositive(t *testing.T) {

@@ -36,22 +36,6 @@ func (c *CDF) sort() {
 	}
 }
 
-// At returns the empirical CDF evaluated at x: the fraction of samples
-// <= x. An empty CDF evaluates to 0 everywhere.
-func (c *CDF) At(x float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.sort()
-	i := sort.SearchFloat64s(c.samples, x)
-	// SearchFloat64s returns the first index with samples[i] >= x; move
-	// past duplicates equal to x so the result counts samples <= x.
-	for i < len(c.samples) && c.samples[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.samples))
-}
-
 // Quantile returns the q-quantile of the sample set. It returns
 // ErrEmpty when no samples have been added.
 func (c *CDF) Quantile(q float64) (float64, error) {

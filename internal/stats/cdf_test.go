@@ -8,9 +8,6 @@ import (
 
 func TestCDFEmpty(t *testing.T) {
 	var c CDF
-	if c.At(5) != 0 {
-		t.Error("empty CDF should evaluate to 0")
-	}
 	if _, err := c.Quantile(0.5); err != ErrEmpty {
 		t.Errorf("Quantile on empty = %v, want ErrEmpty", err)
 	}
@@ -19,18 +16,6 @@ func TestCDFEmpty(t *testing.T) {
 	}
 	if s := c.String(); s != "CDF(empty)" {
 		t.Errorf("String = %q", s)
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, cse := range cases {
-		if got := c.At(cse.x); got != cse.want {
-			t.Errorf("At(%v) = %v, want %v", cse.x, got, cse.want)
-		}
 	}
 }
 
@@ -75,10 +60,10 @@ func TestCDFString(t *testing.T) {
 	}
 }
 
-// Property: At is a valid CDF — monotone non-decreasing, 0 at -inf
-// side, 1 at max.
+// Property: Points is a valid CDF — values and fractions monotone
+// non-decreasing, ending at (max, 1).
 func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(vals []float64, probe1, probe2 float64) bool {
+	f := func(vals []float64, n uint8) bool {
 		clean := make([]float64, 0, len(vals))
 		for _, v := range vals {
 			if v == v && v < 1e18 && v > -1e18 { // filter NaN/huge
@@ -88,17 +73,15 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
-		c := NewCDF(clean)
-		a, b := probe1, probe2
-		if a > b {
-			a, b = b, a
+		pts := NewCDF(clean).Points(int(n%16) + 2)
+		for i := 1; i < len(pts); i++ {
+			if pts[i][0] < pts[i-1][0] || pts[i][1] < pts[i-1][1] {
+				return false
+			}
 		}
-		if a != a || b != b {
-			return true
-		}
-		fa, fb := c.At(a), c.At(b)
 		mx, _ := Max(clean)
-		return fa <= fb && fa >= 0 && fb <= 1 && c.At(mx) == 1
+		last := pts[len(pts)-1]
+		return pts[0][1] >= 0 && last == [2]float64{mx, 1}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -62,14 +62,6 @@ func (s *Sketch) bin(x float64) int {
 	return b
 }
 
-// Len returns the number of samples added (int-clamped).
-func (s *Sketch) Len() int {
-	if s.n > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int(s.n)
-}
-
 // N returns the exact sample count.
 func (s *Sketch) N() uint64 { return s.n }
 
@@ -134,24 +126,6 @@ func (s *Sketch) Quantile(q float64) (float64, error) {
 		cum += fc
 	}
 	return s.max, nil
-}
-
-// Points returns n evenly spaced (value, cumulative fraction) points
-// suitable for plotting, mirroring CDF.Points.
-func (s *Sketch) Points(n int) [][2]float64 {
-	if s.n == 0 || n <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return [][2]float64{{s.max, 1}}
-	}
-	pts := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		v, _ := s.Quantile(q)
-		pts = append(pts, [2]float64{v, q})
-	}
-	return pts
 }
 
 // sketchJSON is the wire form of a Sketch. Counts are stored sparsely

@@ -29,20 +29,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Min returns the minimum of xs. It returns ErrEmpty for empty input.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Max returns the maximum of xs. It returns ErrEmpty for empty input.
 func Max(xs []float64) (float64, error) {
 	if len(xs) == 0 {

@@ -53,7 +53,6 @@ type Churn struct {
 
 	active    *transport.Flow
 	doneBytes int64
-	stopped   bool
 }
 
 // NewChurn starts the process; the first arrival lands after one think
@@ -70,9 +69,6 @@ func NewChurn(eng *sim.Engine, cfg ChurnConfig) *Churn {
 	return c
 }
 
-// Stop ceases new arrivals; a running transfer completes naturally.
-func (c *Churn) Stop() { c.stopped = true }
-
 // Active reports whether a transfer is currently running.
 func (c *Churn) Active() bool { return c.active != nil }
 
@@ -87,17 +83,11 @@ func (c *Churn) AckedBytes() int64 {
 }
 
 func (c *Churn) scheduleNext() {
-	if c.stopped {
-		return
-	}
 	gap := time.Duration(c.cfg.Rand.ExpFloat64() * float64(c.cfg.MeanThink))
 	c.eng.Schedule(gap, c.arrive)
 }
 
 func (c *Churn) arrive() {
-	if c.stopped {
-		return
-	}
 	long := c.cfg.Rand.Float64() < c.cfg.LongFrac
 	var size int64
 	if long {

@@ -84,29 +84,3 @@ func TestChurnClosedLoop(t *testing.T) {
 		t.Error("no bytes delivered")
 	}
 }
-
-// TestChurnStop: after Stop, no further arrivals occur.
-func TestChurnStop(t *testing.T) {
-	eng := &sim.Engine{}
-	link := sim.NewLink(eng, "l", 10e6, 5*time.Millisecond, qdisc.NewDropTail(64*1500))
-	c := NewChurn(eng, ChurnConfig{
-		MeanThink:   100 * time.Millisecond,
-		NewCC:       func() transport.CCA { return cca.NewRenoCC() },
-		Path:        []*sim.Link{link},
-		ReturnDelay: 5 * time.Millisecond,
-		UserID:      1,
-		Rand:        rand.New(rand.NewSource(1)),
-	})
-	eng.Schedule(2*time.Second, c.Stop)
-	eng.Run(10 * time.Second)
-	started := c.Started
-	if started == 0 {
-		t.Fatal("no arrivals before Stop")
-	}
-	if c.Active() {
-		t.Error("transfer still active 8s after Stop with a 10 Mbit/s link")
-	}
-	if c.Started != c.Completed {
-		t.Errorf("%d started but %d completed after quiescence", c.Started, c.Completed)
-	}
-}

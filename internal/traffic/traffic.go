@@ -173,8 +173,6 @@ type OnOff struct {
 	Flow *transport.Flow
 	cfg  OnOffConfig
 	eng  *sim.Engine
-	on   bool
-	stop bool
 }
 
 // NewOnOff creates the flow and starts in the On state.
@@ -191,23 +189,12 @@ func NewOnOff(eng *sim.Engine, fcfg transport.FlowConfig, cfg OnOffConfig) *OnOf
 	return o
 }
 
-// Stop freezes the source in its current state.
-func (o *OnOff) Stop() { o.stop = true }
-
 func (o *OnOff) turnOn() {
-	if o.stop {
-		return
-	}
-	o.on = true
 	o.Flow.Sender.SetBacklogged(true)
 	o.eng.Schedule(o.cfg.On, o.turnOff)
 }
 
 func (o *OnOff) turnOff() {
-	if o.stop {
-		return
-	}
-	o.on = false
 	o.Flow.Sender.SetBacklogged(false)
 	o.eng.Schedule(o.cfg.Off, o.turnOn)
 }

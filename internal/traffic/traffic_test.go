@@ -176,13 +176,19 @@ func TestVideoBufferBounded(t *testing.T) {
 	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()))
 	for at := time.Second; at <= 120*time.Second; at += time.Second {
 		eng.Run(at)
-		if b := v.Buffer(); b > videoBufferHigh+videoChunk+time.Second { // high watermark + one chunk of slack
+		if b := buffered(v); b > videoBufferHigh+videoChunk+time.Second { // high watermark + one chunk of slack
 			t.Fatalf("buffer exceeded bound at %v: %v", at, b)
 		}
 	}
-	if v.Buffer() <= 0 {
+	if buffered(v) <= 0 {
 		t.Error("buffer should be positive at steady state")
 	}
+}
+
+// buffered is v's playback buffer level now.
+func buffered(v *Video) time.Duration {
+	v.advancePlayback()
+	return v.buffer
 }
 
 func TestVideoStopCeasesTraffic(t *testing.T) {
@@ -210,12 +216,6 @@ func TestOnOffAlternates(t *testing.T) {
 	if tput < 2e6 || tput > 8e6 {
 		t.Errorf("on-off throughput = %.1f Mbit/s, want roughly half of 10", tput/1e6)
 	}
-	o.Stop()
-	acked := o.Flow.Sender.BytesAcked()
-	eng.Run(15 * time.Second)
-	// After Stop in whatever state, no state flips occur; if stopped
-	// during Off, nothing more is sent.
-	_ = acked
 }
 
 func TestShortFlowsDeterministicWithSeed(t *testing.T) {

@@ -79,12 +79,6 @@ func (v *Video) Stop() { v.stopped = true }
 // Bitrate returns the currently selected bitrate in bits/s.
 func (v *Video) Bitrate() float64 { return videoLadder[v.bitrateIdx] }
 
-// Buffer returns the current playback buffer level.
-func (v *Video) Buffer() time.Duration {
-	v.advancePlayback()
-	return v.buffer
-}
-
 // advancePlayback drains the buffer for elapsed playback time and
 // tracks rebuffering.
 func (v *Video) advancePlayback() {

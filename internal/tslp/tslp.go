@@ -33,7 +33,6 @@ const (
 type Prober struct {
 	eng  *sim.Engine
 	link *sim.Link
-	stop bool
 
 	flowID int
 	nextID int64
@@ -83,13 +82,7 @@ func (p *Prober) receive(pkt *sim.Packet) {
 	pkt.Release()
 }
 
-// Stop ends the session.
-func (p *Prober) Stop() { p.stop = true }
-
 func (p *Prober) tick() {
-	if p.stop {
-		return
-	}
 	sent := p.eng.Now()
 	p.Sent++
 	p.nextID++

@@ -48,19 +48,6 @@ func TestProberDetectsCongestedLink(t *testing.T) {
 	}
 }
 
-func TestProberStop(t *testing.T) {
-	eng := &sim.Engine{}
-	link := sim.NewLink(eng, "l", 10e6, time.Millisecond, qdisc.NewDropTail(1<<20))
-	p := NewProber(eng, link, 1)
-	eng.Run(time.Second)
-	p.Stop()
-	sent := p.Sent
-	eng.Run(2 * time.Second)
-	if p.Sent != sent {
-		t.Errorf("probes continued after Stop: %d -> %d", sent, p.Sent)
-	}
-}
-
 func TestVerdictEmptyWindow(t *testing.T) {
 	eng := &sim.Engine{}
 	link := sim.NewLink(eng, "l", 10e6, time.Millisecond, qdisc.NewDropTail(1<<20))

@@ -2,17 +2,21 @@ package repro_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // reachAllow names the exported declarations under internal/ that no
-// shipped code names and that stay anyway. Keys are "pkg.Name" or
+// shipped code uses and that stay anyway. Keys are "pkg.Name" or
 // "pkg.Recv.Name"; a bare "pkg" covers the whole package. At most 8.
 var reachAllow = map[string]string{
 	"obs.ReadRunLog":  "the run-log artifact format's reader; every -trace and flight-dump test parses through it",
@@ -21,80 +25,98 @@ var reachAllow = map[string]string{
 	"qdisc.UserIsolation.SetUserRate":   "per-user plan changes; FuzzUserIsolationSchedule's oracle drives it (PR 16)",
 	"qdisc.UserIsolation.SetUserWeight": "per-user plan changes; FuzzUserIsolationSchedule's oracle drives it (PR 16)",
 	"qdisc.UserIsolation.ActiveUsers":   "read accessor over live state (parked + eligible users) that tests observe",
+
+	"hunt.Genome.Validate": "the oracle the genome, hunt and corpus tests hold every mutated, crossed and loaded genome to",
+	"spool.Writer.Sync":    "a durability flush: forces the active file to stable storage between Append's periodic fsyncs",
+	"stats.Series.Rate":    "the reference the throughput-window tests compare Flow.Throughput against",
 }
 
-// ifaceMethods are method names that standard-library interfaces call
-// (fmt, encoding, sort, container/heap, io, net/http, flag, errors), so
-// no caller in this tree has to spell them.
-var ifaceMethods = map[string]bool{
-	"String": true, "Error": true, "Format": true, "GoString": true, "Unwrap": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"MarshalBinary": true, "UnmarshalBinary": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"Read": true, "Write": true, "Close": true, "ServeHTTP": true, "Set": true,
-}
-
-type reachDecl struct {
-	key  string
-	name string
-	pos  token.Pos
+// stdIfaces are the standard-library interfaces whose methods the
+// standard library calls (fmt, encoding, sort, container/heap, io,
+// net/http, flag), so no caller in this tree has to spell them.
+var stdIfaces = [][2]string{
+	{"fmt", "Stringer"}, {"fmt", "Formatter"}, {"fmt", "GoStringer"},
+	{"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+	{"encoding", "TextMarshaler"}, {"encoding", "TextUnmarshaler"},
+	{"encoding", "BinaryMarshaler"}, {"encoding", "BinaryUnmarshaler"},
+	{"sort", "Interface"}, {"container/heap", "Interface"},
+	{"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
+	{"net/http", "Handler"}, {"flag", "Value"},
 }
 
 // TestExportedSurfaceIsReachable keeps test-only mechanisms from
 // growing back: every exported top-level func, method or type declared
-// in a non-test file under internal/ must be named by at least one
-// non-test .go file under cmd/, internal/ or ledger/ other
-// than at its own declaration. The match is by identifier, so it is a
-// lower bound on dead code, not a call graph. Exempt by rule: methods
-// whose body is a single return (read accessors tests observe) and
-// methods the standard library's interfaces name.
+// in a non-test file under internal/ must be used by at least one
+// non-test .go file under cmd/, internal/ or ledger/ other than at its
+// own declaration or as a method's receiver type. Uses are resolved by
+// go/types, so a method is not kept alive by a same-named method of
+// another type. Exempt by rule: read accessors (no arguments, a body
+// of one return statement), and methods of a type that
+// implements an interface whose same-named method is called — a
+// standard-library interface the standard library calls, or any
+// interface, interface literal or type-parameter constraint a shipped
+// call goes through.
 func TestExportedSurfaceIsReachable(t *testing.T) {
 	fset := token.NewFileSet()
-	var decls []reachDecl
-	skip := map[token.Pos]bool{} // declaring idents and receiver types
-	uses := map[string][]token.Pos{}
+	files := parseShipped(t, fset)
+	im := typeCheckShipped(t, fset, files)
+	info := im.info
 
-	eachShippedFile(t, fset, func(root string, f *ast.File) {
-		if root == "internal" {
-			decls = append(decls, exportedDecls(f, skip)...)
+	skip := map[token.Pos]bool{} // receiver type names do not count as a use
+	var decls []types.Object
+	for _, sf := range files {
+		if sf.root == "internal" {
+			decls = append(decls, exportedDecls(sf.f, info, skip)...)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name] = append(uses[id.Name], id.Pos())
-			}
-			return true
-		})
-	})
+	}
 	if len(decls) < 200 {
 		t.Fatalf("scanned only %d exported declarations; run from the repo root", len(decls))
+	}
+	used := map[types.Object]bool{}
+	var called []*types.Func // interface methods some shipped code calls
+	for id, obj := range info.Uses {
+		if skip[id.Pos()] {
+			continue
+		}
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called = append(called, fn)
+			}
+		}
+		used[obj] = true
+	}
+	for _, p := range stdIfaces {
+		pkg, err := im.Import(p[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		iface := pkg.Scope().Lookup(p[1]).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			called = append(called, iface.Method(i))
+		}
 	}
 
 	var dead []string
 	excused := map[string]bool{}
-	for _, d := range decls {
-		named := false
-		for _, p := range uses[d.name] {
-			if !skip[p] {
-				named = true
-				break
-			}
-		}
-		if named {
+	for _, obj := range decls {
+		if used[obj] || viaInterface(obj, called) {
 			continue
 		}
-		pkg, _, _ := strings.Cut(d.key, ".")
+		key := declKey(obj)
+		pkg, _, _ := strings.Cut(key, ".")
 		switch {
-		case reachAllow[d.key] != "":
-			excused[d.key] = true
+		case reachAllow[key] != "":
+			excused[key] = true
 		case reachAllow[pkg] != "":
 			excused[pkg] = true
 		default:
-			dead = append(dead, d.key+"  ("+fset.Position(d.pos).String()+")")
+			dead = append(dead, key+"  ("+fset.Position(obj.Pos()).String()+")")
 		}
 	}
 	sort.Strings(dead)
 	if len(dead) > 0 {
-		t.Errorf("%d exported declarations under internal/ are named by no shipped code "+
+		t.Errorf("%d exported declarations under internal/ are used by no shipped code "+
 			"(delete them, or add a reasoned reachAllow entry):\n  %s", len(dead), strings.Join(dead, "\n  "))
 	}
 	if len(reachAllow) > 8 {
@@ -107,10 +129,16 @@ func TestExportedSurfaceIsReachable(t *testing.T) {
 	}
 }
 
-// eachShippedFile parses every non-test .go file under cmd/, internal/
-// and ledger/ and hands it to visit with the root it is under.
-func eachShippedFile(t *testing.T, fset *token.FileSet, visit func(root string, f *ast.File)) {
+type shippedFile struct {
+	root, dir string
+	f         *ast.File
+}
+
+// parseShipped parses every non-test .go file under cmd/, internal/
+// and ledger/.
+func parseShipped(t *testing.T, fset *token.FileSet) []shippedFile {
 	t.Helper()
+	var out []shippedFile
 	for _, root := range []string{"cmd", "internal", "ledger"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -123,52 +151,141 @@ func eachShippedFile(t *testing.T, fset *token.FileSet, visit func(root string, 
 			if err != nil {
 				return err
 			}
-			visit(root, f)
+			out = append(out, shippedFile{root, filepath.Dir(path), f})
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	return out
+}
+
+// typeCheckShipped type-checks the shipped packages, each against the
+// others and against the standard library's export data, and returns
+// the importer holding what the checker resolved.
+func typeCheckShipped(t *testing.T, fset *token.FileSet, files []shippedFile) *shippedImporter {
+	t.Helper()
+	im := &shippedImporter{
+		fset: fset,
+		std:  importer.Default(),
+		pkgs: map[string][]*ast.File{},
+		done: map[string]*types.Package{},
+		info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		},
+	}
+	var paths []string
+	for _, sf := range files {
+		path := "repro/" + filepath.ToSlash(sf.dir)
+		if im.pkgs[path] == nil {
+			paths = append(paths, path)
+		}
+		im.pkgs[path] = append(im.pkgs[path], sf.f)
+	}
+	for _, path := range paths {
+		if _, err := im.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return im
+}
+
+// shippedImporter checks a package of this module from its parsed
+// files the first time something imports it; every other path comes
+// from the standard library.
+type shippedImporter struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string][]*ast.File
+	done map[string]*types.Package
+	info *types.Info
+}
+
+func (im *shippedImporter) Import(path string) (*types.Package, error) {
+	if p, ok := im.done[path]; ok {
+		return p, nil
+	}
+	files, ok := im.pkgs[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	conf := types.Config{Importer: im}
+	p, err := conf.Check(path, im.fset, files, im.info)
+	im.done[path] = p
+	return p, err
 }
 
 // exportedDecls lists f's exported funcs, methods and types that no
-// rule exempts, and records in skip the identifier positions that do
-// not count as a use: the declared name itself and, for a method, its
-// receiver's type name.
-func exportedDecls(f *ast.File, skip map[token.Pos]bool) []reachDecl {
-	pkg := f.Name.Name
-	var out []reachDecl
+// rule exempts, and records in skip the positions of method receiver
+// type names.
+func exportedDecls(f *ast.File, info *types.Info, skip map[token.Pos]bool) []types.Object {
+	var out []types.Object
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			skip[d.Name.Pos()] = true
-			key := pkg + "." + d.Name.Name
 			if d.Recv != nil {
-				recv := recvIdent(d.Recv.List[0].Type)
-				skip[recv.Pos()] = true
-				key = pkg + "." + recv.Name + "." + d.Name.Name
-				if ifaceMethods[d.Name.Name] || singleReturn(d.Body) {
+				skip[recvIdent(d.Recv.List[0].Type).Pos()] = true
+				if accessor(d) {
 					continue
 				}
 			}
 			if d.Name.IsExported() {
-				out = append(out, reachDecl{key, d.Name.Name, d.Name.Pos()})
+				out = append(out, info.Defs[d.Name])
 			}
 		case *ast.GenDecl:
 			if d.Tok != token.TYPE {
 				continue
 			}
 			for _, s := range d.Specs {
-				ts := s.(*ast.TypeSpec)
-				skip[ts.Name.Pos()] = true
-				if ts.Name.IsExported() {
-					out = append(out, reachDecl{pkg + "." + ts.Name.Name, ts.Name.Name, ts.Name.Pos()})
+				if ts := s.(*ast.TypeSpec); ts.Name.IsExported() {
+					out = append(out, info.Defs[ts.Name])
 				}
 			}
 		}
 	}
 	return out
+}
+
+// viaInterface reports whether obj is a method of a type that
+// implements an interface whose method of the same name is called.
+func viaInterface(obj types.Object, called []*types.Func) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	ptr := types.NewPointer(recv)
+	for _, m := range called {
+		if m.Name() != fn.Name() {
+			continue
+		}
+		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if types.Implements(recv, iface) || types.Implements(ptr, iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// declKey is "pkg.Name" for a func or type and "pkg.Recv.Name" for a
+// method.
+func declKey(obj types.Object) string {
+	key := obj.Pkg().Name() + "."
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			key += t.(*types.Named).Obj().Name() + "."
+		}
+	}
+	return key + obj.Name()
 }
 
 func recvIdent(e ast.Expr) *ast.Ident {
@@ -188,11 +305,13 @@ func recvIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-func singleReturn(b *ast.BlockStmt) bool {
-	if b == nil || len(b.List) != 1 {
+// accessor reports whether d takes no arguments and its body is one
+// return statement: a read accessor tests observe.
+func accessor(d *ast.FuncDecl) bool {
+	if d.Type.Params.NumFields() != 0 || d.Body == nil || len(d.Body.List) != 1 {
 		return false
 	}
-	_, ok := b.List[0].(*ast.ReturnStmt)
+	_, ok := d.Body.List[0].(*ast.ReturnStmt)
 	return ok
 }
 
@@ -200,8 +319,9 @@ func singleReturn(b *ast.BlockStmt) bool {
 // code supplies and that stay anyway. Keys are "pkg.Type.Field" or
 // "pkg.Type". At most 10.
 var fieldAllow = map[string]string{
-	"nimbus.Config":       "serialized inside Fig3Result and the probe report; experiments.golden pins its bytes, so a never-set field cannot go without moving them",
-	"mlab.AnalysisConfig": "serialized inside the fig2 result that experiments.golden pins",
+	"mlab.AnalysisConfig":         "serialized inside the fig2 result that experiments.golden pins",
+	"nimbus.Config.WindowSamples": "the probe and estimator tests shrink the FFT window so a seconds-long run yields eta windows; the ledger sizes its FFT probe by the default",
+	"nimbus.Config.SlideInterval": "the probe and estimator tests shrink the slide with the window so a seconds-long run yields several eta windows",
 
 	"probe.ServerConfig.BusyRetryHint":    "the busy-reply tests shrink it to reach the client's retry-after path in test time",
 	"probe.ServerConfig.GlobalBurst":      "the overload and shedding tests shrink it to reach the global limiter's safety path",
@@ -214,12 +334,13 @@ var fieldAllow = map[string]string{
 // TestExportedFieldsAreSupplied is the declaration gate one level down:
 // a switch nobody flips selects code nobody runs. Every exported field
 // of an exported struct declared in a non-test file under internal/ —
-// structs with a json-tagged field are wire or result formats and are
-// skipped — must be supplied by at least one non-test .go file under
-// cmd/, internal/ or ledger/: as a composite-literal key of its type,
-// or as the target of an assignment, ++/--, & or range
-// clause. Writes inside a method named norm do not count (a default is
-// not a second value). An accumulator filled
+// structs with a field serialized under a json tag are wire or result
+// formats and are skipped; json:"-" alone does not skip — must be
+// supplied by at least one non-test .go file under cmd/, internal/ or
+// ledger/: as a composite-literal key of its type, or as the target of
+// an assignment, ++/--, & or range clause. Writes inside a method named
+// norm or Norm do not count (a default is not a second value). An
+// accumulator filled
 // only through its own methods (x.F.Append(...) as a statement) counts
 // as supplied if something also reads it: the field is named somewhere
 // other than such a statement. Composite keys match by (type name,
@@ -238,9 +359,10 @@ func TestExportedFieldsAreSupplied(t *testing.T) {
 	selected := map[string]int{}       // field name -> x.F occurrences
 	callStmts := map[string]int{}      // field name -> x.F.M(...) statements
 
-	eachShippedFile(t, fset, func(root string, f *ast.File) {
+	for _, sf := range parseShipped(t, fset) {
+		f := sf.f
 		for _, d := range f.Decls {
-			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE && root == "internal" {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE && sf.root == "internal" {
 				for _, s := range gd.Specs {
 					ts := s.(*ast.TypeSpec)
 					st, ok := ts.Type.(*ast.StructType)
@@ -257,7 +379,7 @@ func TestExportedFieldsAreSupplied(t *testing.T) {
 				}
 			}
 			normOf := ""
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "norm" {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && strings.EqualFold(fd.Name.Name, "norm") {
 				normOf = recvIdent(fd.Recv.List[0].Type).Name
 			}
 			write := func(e ast.Expr) {
@@ -300,7 +422,7 @@ func TestExportedFieldsAreSupplied(t *testing.T) {
 				return true
 			})
 		}
-	})
+	}
 	if len(fields) < 100 {
 		t.Fatalf("scanned only %d exported fields; run from the repo root", len(fields))
 	}
@@ -346,9 +468,15 @@ func TestExportedFieldsAreSupplied(t *testing.T) {
 	}
 }
 
+// hasJSONTag reports whether a field of st is serialized under a json
+// tag; json:"-" only keeps a field out of the encoding.
 func hasJSONTag(st *ast.StructType) bool {
 	for _, fl := range st.Fields.List {
-		if fl.Tag != nil && strings.Contains(fl.Tag.Value, `json:"`) {
+		if fl.Tag == nil {
+			continue
+		}
+		tag, _ := strconv.Unquote(fl.Tag.Value)
+		if name, ok := reflect.StructTag(tag).Lookup("json"); ok && name != "-" {
 			return true
 		}
 	}
