@@ -21,7 +21,7 @@ func FuzzRecordStream(f *testing.F) {
 	// new coverage, in time quadratic in its length. Five snapshots a
 	// flow keep a generated line near 1.5 KB.
 	var gen bytes.Buffer
-	cfg := GeneratorConfig{Flows: 3, Seed: 1, SnapshotInterval: 2 * time.Second}
+	cfg := GeneratorConfig{Flows: 3, Seed: 1, snapshotInterval: 2 * time.Second}
 	if _, err := GenerateJSONL(&gen, cfg, 1, false); err != nil {
 		f.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	// Seeds stay a few hundred bytes to a few KB, as in
 	// FuzzRecordStream: minimisation is quadratic in input length.
 	var gen bytes.Buffer
-	cfg := GeneratorConfig{Flows: 1, Seed: 1, SnapshotInterval: 2 * time.Second}
+	cfg := GeneratorConfig{Flows: 1, Seed: 1, snapshotInterval: 2 * time.Second}
 	if _, err := GenerateJSONL(&gen, cfg, 1, false); err != nil {
 		f.Fatal(err)
 	}

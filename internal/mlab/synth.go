@@ -55,8 +55,9 @@ type GeneratorConfig struct {
 	// Flows is the number of records to generate (the paper's June
 	// 2023 query returned 9,984).
 	Flows int
-	// SnapshotInterval spaces the TCP_INFO snapshots (default 100ms).
-	SnapshotInterval time.Duration
+	// snapshotInterval spaces the TCP_INFO snapshots (default 100ms).
+	// Only tests change it.
+	snapshotInterval time.Duration
 	// Seed drives all randomness.
 	Seed int64
 	// ShardSize switches the generator to sharded seeding: every
@@ -72,8 +73,8 @@ func (c GeneratorConfig) norm() GeneratorConfig {
 	if c.Flows <= 0 {
 		c.Flows = 9984
 	}
-	if c.SnapshotInterval <= 0 {
-		c.SnapshotInterval = 100 * time.Millisecond
+	if c.snapshotInterval <= 0 {
+		c.snapshotInterval = 100 * time.Millisecond
 	}
 	return c
 }
@@ -203,7 +204,7 @@ func growSnaps(s []tcpinfo.Snapshot, n int) []tcpinfo.Snapshot {
 // sequence is identical to the original record-at-a-time generator,
 // so datasets are byte-for-byte stable across refactors.
 func synthesizeInto(rng *rand.Rand, cfg GeneratorConfig, idx int, label Label, rec *Record, traceBuf *[]float64) {
-	interval := cfg.SnapshotInterval
+	interval := cfg.snapshotInterval
 	dur := ndtTestDuration
 	access := AccessWifi
 	if rng.Float64() < 0.35 {

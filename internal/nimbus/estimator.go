@@ -419,10 +419,6 @@ func (e *Estimator) Mu(now time.Duration) float64 {
 // CrossRate returns the latest cross-traffic rate estimate in bits/s.
 func (e *Estimator) CrossRate() float64 { return e.zLast }
 
-// Eta returns the most recent elasticity value; ok is false until a
-// full window has been observed.
-func (e *Estimator) Eta() (eta float64, ok bool) { return e.etaLast, e.etaOK }
-
 // Elastic reports whether the most recent window was classified
 // elastic.
 func (e *Estimator) Elastic() bool { return e.etaOK && e.etaLast >= EtaThreshold }

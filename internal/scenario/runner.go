@@ -134,9 +134,18 @@ func (r *Runner) Sweep(ctx context.Context, specs []Spec) ([]RunResult, error) {
 	return results, err
 }
 
+// heldPerWorker bounds, per worker, the finished results SweepStream
+// holds while an earlier spec still runs. A census or hunt cell's
+// result is under a kilobyte of JSON, so the bound holds tens of
+// kilobytes per worker, while a head-of-line cell up to heldPerWorker
+// times longer than its neighbours no longer stalls the pool behind
+// it.
+const heldPerWorker = 16
+
 // streamJob pairs a spec with the channel its result will arrive on.
-// The yield loop holds jobs in dispatch order, so results come back in
-// input order no matter which worker finishes first.
+// The yield loop holds the result channels in dispatch order, so
+// results come back in input order no matter which worker finishes
+// first.
 type streamJob struct {
 	index int
 	spec  Spec
@@ -145,9 +154,9 @@ type streamJob struct {
 
 // SweepStream executes every spec src yields across the worker pool,
 // delivering results through yield strictly in input order. At most
-// O(workers) specs exist in memory at once — the source is pulled only
-// as workers and the yield callback make room — so a 10⁶-spec census
-// streams at constant memory.
+// heldPerWorker×workers results wait behind a slower earlier spec, and
+// the source is pulled only as workers and the yield callback make
+// room, so a 10⁶-spec census streams at constant memory.
 //
 // Failing or panicking runs record their error in their RunResult and
 // do not stop the stream. A mid-stream source error stops dispatch;
@@ -169,9 +178,12 @@ func (r *Runner) SweepStream(ctx context.Context, src SpecSource, yield func(Run
 
 	workers := r.workers()
 	jobs := make(chan streamJob)
-	// order bounds the in-flight window: the dispatcher blocks here
-	// when the yield side lags, capping buffered specs at O(workers).
-	order := make(chan streamJob, workers)
+	// order holds the result channels of the jobs dispatched and not
+	// yet yielded, in input order; its capacity bounds the results held
+	// behind the head of line. The dispatcher blocks here once that
+	// many wait, so a long head-of-line spec idles the pool only after
+	// the others have run heldPerWorker specs each past it.
+	order := make(chan chan RunResult, heldPerWorker*workers)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -205,7 +217,7 @@ func (r *Runner) SweepStream(ctx context.Context, src SpecSource, yield func(Run
 			}
 			j := streamJob{index: i, spec: sp, done: make(chan RunResult, 1)}
 			select {
-			case order <- j:
+			case order <- j.done:
 			case <-sctx.Done():
 				return
 			}
@@ -222,8 +234,8 @@ func (r *Runner) SweepStream(ctx context.Context, src SpecSource, yield func(Run
 	}()
 
 	var yieldErr error
-	for j := range order {
-		res := <-j.done
+	for done := range order {
+		res := <-done
 		if yieldErr != nil {
 			continue // draining after a failed yield
 		}

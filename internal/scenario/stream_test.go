@@ -264,7 +264,9 @@ func TestSweepStreamWorkerDeterminism(t *testing.T) {
 
 // TestSweepStreamBoundedBuffering pins the O(workers) in-flight
 // contract: with gated runs occupying every worker, the dispatcher may
-// buffer at most the ordering window beyond them before blocking.
+// pull only the one spec it holds while blocked on the jobs send. The
+// ordering window bounds the results held behind a slow head, not the
+// specs pulled.
 func TestSweepStreamBoundedBuffering(t *testing.T) {
 	const workers = 2
 	var specs []Spec
@@ -284,9 +286,9 @@ func TestSweepStreamBoundedBuffering(t *testing.T) {
 	// Workers are all blocked; give the dispatcher time to fill its
 	// window, then check the pull stalled at O(workers), not O(specs).
 	time.Sleep(100 * time.Millisecond)
-	// In flight: `workers` running + `workers` in the order window + 1
-	// the dispatcher holds while blocked on the jobs send.
-	if pulled := int(src.pulls.Load()); pulled > 2*workers+1 {
+	// In flight: `workers` running + 1 the dispatcher holds while
+	// blocked on the jobs send.
+	if pulled := int(src.pulls.Load()); pulled > workers+1 {
 		t.Fatalf("dispatcher pulled %d specs with all workers blocked; in-flight window is not O(workers)", pulled)
 	}
 	// Seeds are spec indices: each release must open run i, the head of
@@ -301,6 +303,57 @@ func TestSweepStreamBoundedBuffering(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestSweepStreamSlowHeadDoesNotIdlePool: while the first spec runs,
+// the other worker must go on to finish more specs behind it than
+// there are workers, holding their results for the yield that follows
+// the head's.
+func TestSweepStreamSlowHeadDoesNotIdlePool(t *testing.T) {
+	const workers, behind = 2, 4 * 2
+	specs := []Spec{{Experiment: "test-gate", Seed: 0}}
+	for i := 1; i <= behind; i++ {
+		specs = append(specs, Spec{Experiment: "test-ok", Seed: int64(i)})
+	}
+	finished := make(chan struct{}, len(specs))
+	r := &Runner{Workers: workers, ProgressFunc: func(ev ProgressEvent) {
+		if ev.Kind == RunFinished {
+			finished <- struct{}{}
+		}
+	}}
+	var got []int64
+	done := make(chan error, 1)
+	go func() {
+		done <- r.SweepStream(context.Background(), SliceSource(specs), func(res RunResult) error {
+			got = append(got, res.Spec.Seed)
+			return nil
+		})
+	}()
+	<-testStarted
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < behind; i++ {
+		select {
+		case <-finished:
+		case <-timeout:
+			testGate.release()
+			<-done
+			t.Fatalf("%d of the %d specs behind a running head finished; the pool idled behind it", i, behind)
+		}
+	}
+	if seed := testGate.release(); seed != 0 {
+		t.Fatalf("released run %d, want the head", seed)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range got {
+		if seed != int64(i) {
+			t.Fatalf("yields out of input order: %v", got)
+		}
+	}
+	if len(got) != len(specs) {
+		t.Fatalf("yielded %d of %d specs", len(got), len(specs))
+	}
 }
 
 // TestSweepEquivalence: the rebased Sweep still fills every slot on a

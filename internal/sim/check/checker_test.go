@@ -13,12 +13,35 @@ import (
 	"repro/internal/transport"
 )
 
+// poolCount is the engine's hook in runCheckedDuel: it passes every
+// transition on to the checker and counts packets handed out, the
+// distinct packets among them, and releases.
+type poolCount struct {
+	*check.Checker
+	allocs, frees int64
+	seen          map[*sim.Packet]bool
+}
+
+func (h *poolCount) OnAlloc(p *sim.Packet) {
+	h.allocs++
+	h.seen[p] = true
+	h.Checker.OnAlloc(p)
+}
+
+func (h *poolCount) OnFree(p *sim.Packet) {
+	h.frees++
+	h.Checker.OnFree(p)
+}
+
 // runCheckedDuel runs a two-flow contention scenario with the invariant
-// checker attached and returns the checker and engine for inspection.
-func runCheckedDuel(t *testing.T, wrap func(sim.Qdisc) sim.Qdisc) (*check.Checker, *sim.Engine) {
+// checker attached and returns the checker and the pool counts for
+// inspection.
+func runCheckedDuel(t *testing.T, wrap func(sim.Qdisc) sim.Qdisc) (*check.Checker, *poolCount) {
 	t.Helper()
 	eng := &sim.Engine{}
 	ck := check.Attach(eng)
+	pc := &poolCount{Checker: ck, seen: map[*sim.Packet]bool{}}
+	eng.SetHook(pc)
 
 	const capBytes = 64 * sim.MSS
 	fq := qdisc.NewFQCoDel(qdisc.ByFlow, capBytes)
@@ -45,18 +68,19 @@ func runCheckedDuel(t *testing.T, wrap func(sim.Qdisc) sim.Qdisc) (*check.Checke
 	}
 	eng.Run(3 * time.Second)
 	ck.VerifyLinks()
-	return ck, eng
+	return ck, pc
 }
 
 // TestCheckedContentionRun drives a real two-CCA contention scenario
 // through fq_codel with every invariant check armed: monotone clock,
 // FIFO order, pool hygiene, link conservation, occupancy bounds.
 func TestCheckedContentionRun(t *testing.T) {
-	ck, eng := runCheckedDuel(t, nil)
+	ck, pc := runCheckedDuel(t, nil)
 	if err := ck.Err(); err != nil {
 		t.Fatalf("invariant violations:\n%v", err)
 	}
-	allocs, reuses, frees := eng.PoolStats()
+	allocs, frees := int64(len(pc.seen)), pc.frees
+	reuses := pc.allocs - allocs
 	if allocs == 0 || frees == 0 {
 		t.Fatalf("pool never exercised: allocs=%d frees=%d", allocs, frees)
 	}

@@ -15,18 +15,21 @@
 // 4-ary heap of plain structs (no container/heap interface boxing),
 // near-future events wait unsorted in a timer wheel threaded through
 // the slot table until the clock nears their tick (see wheel.go),
-// event payloads sit in that recycled slot table, timers are
-// generation-checked indices rather than per-schedule allocations, a
-// re-armed timer moves in place (Timer.Postpone) instead of leaving a
-// cancelled copy queued behind it, and packets cycle through a
-// per-engine free list (see NewPacket/Release).
+// packets in propagation or on their way back as acks wait in
+// per-delay lines of which only the front packet is queued (see
+// delayline.go), event payloads sit in that recycled slot table,
+// timers are generation-checked indices rather than per-schedule
+// allocations, a re-armed timer moves in place (Timer.Postpone)
+// instead of leaving a cancelled copy queued behind it, and packets
+// cycle through a per-engine free list (see NewPacket/Release).
 //
 // An engine is also its run's arena: Reset hands back everything a run
 // grew to its peak — the slot table, heap and wheel, every packet
 // (delivered, queued in a qdisc the run left behind, or still in
 // flight), the random generators Rand handed out, and the buffers
-// taken from Slices — so a sweep that runs cell after cell on one
-// engine stops paying each cell's set-up in allocations. See
+// taken from Slices, delay-line rings among them — so a sweep that
+// runs cell after cell on one engine stops paying each cell's set-up
+// in allocations. See
 // docs/PERFORMANCE.md for the design and internal/sim/check for the
 // invariant checker and golden-trace corpus that gate changes here.
 package sim
@@ -62,8 +65,10 @@ type Hook interface {
 // One indexed 4-ary min-heap keyed by (time, schedule order) is the
 // only ordered structure: every event fires from its root. The wheel
 // only stages near-future events, unsorted, and hands each tick's
-// worth to the heap before the heap's root could pass it. Heap nodes
-// and wheel lists both hold indices into a recycled slot table, so
+// worth to the heap before the heap's root could pass it. A delay
+// line's packets are already in order, so the line queues them itself
+// and only its front packet holds a slot in the heap or wheel. Heap
+// nodes and wheel lists both hold indices into a recycled slot table, so
 // steady-state scheduling allocates nothing. A postponed event keeps
 // its one seat, under its old key, until that key reaches the root;
 // it is then requeued under the key Postpone gave it. Engines are
@@ -73,6 +78,9 @@ type Engine struct {
 	seq int64
 	// Processed counts events executed, for tests and runaway guards.
 	Processed int64
+	// lined counts the packets waiting in delay lines behind their
+	// lines' fronts: queued events that hold no slot.
+	lined int
 
 	heap  []heapNode  // 4-ary min-heap every event fires from
 	wheel wheel       // unsorted staging area for near-horizon events
@@ -89,6 +97,11 @@ type Engine struct {
 	// to the current run, the rest wait to be re-seeded.
 	rands []*rand.Rand
 	nrand int
+	// lines holds the delay lines DelayLine handed out, one per delay:
+	// the first nline belong to the current run, the rest wait to be
+	// reused.
+	lines []*DelayLine
+	nline int
 	// slices holds one *Slices[T] per element type, keyed by a typed
 	// nil *Slices[T].
 	slices map[any]reclaimer
@@ -110,14 +123,16 @@ type heapNode struct {
 // dropped by Reset) can never touch a recycled slot's new occupant.
 // dueSeq says what happens when the queued key reaches the heap root:
 // 0, the event fires; cancelledSeq, it is dropped; a sequence number,
-// Postpone moved it and it is requeued under (dueAt, dueSeq).
+// Postpone moved it and it is requeued under (dueAt, dueSeq). A slot
+// held by a delay line runs no fn: it is queued under the line's front
+// packet's key and fires that packet.
 type eventSlot struct {
 	at     time.Duration
 	seq    int64
 	dueAt  time.Duration
 	dueSeq int64
-	fn     func()  // evFunc payload
-	pkt    *Packet // evPacket payload (advance on fire)
+	fn     func()
+	line   *DelayLine
 	gen    uint32
 	next   int32 // staged only: slot index + 1 of the bucket's next event, 0 ends the list
 }
@@ -150,7 +165,6 @@ func (t Timer) Cancel() {
 	}
 	s.dueSeq = cancelledSeq
 	s.fn = nil
-	s.pkt = nil
 }
 
 // Active reports whether the timer's event is still pending.
@@ -215,20 +229,6 @@ func (e *Engine) ScheduleAt(at time.Duration, fn func()) Timer {
 	return e.push(at, slot)
 }
 
-// SchedulePacket resumes p's journey after delay of virtual time: the
-// packet advances to its next path hop, or is delivered to its Dest
-// when the path is exhausted (links use this for propagation delay;
-// transport uses it for fixed-delay ack return). It exists so the
-// per-packet hot path needs no closure allocation.
-func (e *Engine) SchedulePacket(delay time.Duration, p *Packet) Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	slot := e.allocSlot()
-	e.slots[slot].pkt = p
-	return e.push(e.now+delay, slot)
-}
-
 // allocSlot returns a free payload slot, growing the table only when
 // the free list is empty (steady state recycles).
 func (e *Engine) allocSlot() int32 {
@@ -248,7 +248,7 @@ func (e *Engine) freeSlot(slot int32) {
 	s.gen++
 	s.dueSeq = 0
 	s.fn = nil
-	s.pkt = nil
+	s.line = nil
 	e.free = append(e.free, slot)
 }
 
@@ -363,18 +363,23 @@ func (e *Engine) peekAt() (time.Duration, bool) {
 		case cancelledSeq:
 			e.popMin()
 			e.freeSlot(root.slot)
-		default:
-			// Postponed. Off the wheel the root is re-keyed in place:
-			// one sift where pop and push would be two.
-			if e.rekey(s.dueAt, s.dueSeq, root.slot) {
-				e.popMin()
-			} else {
-				e.heap[0].at, e.heap[0].seq = s.at, s.seq
-				e.siftDown(0)
-			}
+		default: // postponed
+			e.requeueRoot(s.dueAt, s.dueSeq)
 			s.dueSeq = 0
 		}
 	}
+}
+
+// requeueRoot queues the heap root's slot under (at, seq), which is
+// never earlier than its current key. Off the wheel the root is
+// re-keyed in place: one sift where pop and push would be two.
+func (e *Engine) requeueRoot(at time.Duration, seq int64) {
+	if e.rekey(at, seq, e.heap[0].slot) {
+		e.popMin()
+		return
+	}
+	e.heap[0].at, e.heap[0].seq = at, seq
+	e.siftDown(0)
 }
 
 // Step executes the next pending event, advancing the clock. It returns
@@ -387,26 +392,38 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// fireRoot pops the heap root, which peekAt has just resolved to an
-// event due to fire, and runs it.
+// fireRoot runs the heap root, which peekAt has just resolved to an
+// event due to fire. A delay line's slot fires the line's front packet
+// and is requeued under the next packet's key, as peekAt requeues a
+// postponed root; any other slot is popped.
 func (e *Engine) fireRoot() {
-	node := e.popMin()
+	node := e.heap[0]
 	s := &e.slots[node.slot]
-	fn, pkt := s.fn, s.pkt
-	// Free before running: the handler may schedule (recycling this
-	// slot under a new generation), and the fired event's own Timer
-	// must already be inert.
-	e.freeSlot(node.slot)
 	e.now = node.at
 	e.Processed++
 	if e.hook != nil {
 		e.hook.OnFire(node.at, node.seq)
 	}
-	if pkt != nil {
-		advance(pkt)
-	} else {
-		fn()
+	if l := s.line; l != nil {
+		p := l.pop()
+		if l.n == 0 {
+			e.popMin()
+			e.freeSlot(node.slot)
+		} else {
+			e.lined--
+			f := l.front()
+			e.requeueRoot(f.at, f.seq)
+		}
+		advance(p)
+		return
 	}
+	e.popMin()
+	fn := s.fn
+	// Free before running: the handler may schedule (recycling this
+	// slot under a new generation), and the fired event's own Timer
+	// must already be inert.
+	e.freeSlot(node.slot)
+	fn()
 }
 
 // Run executes, in order, every event due at or before until,
@@ -429,9 +446,9 @@ func (e *Engine) Run(until time.Duration) {
 }
 
 // Pending returns the number of events currently queued, including
-// cancelled-but-unreaped ones. A postponed event is queued once, however
-// often it was postponed.
-func (e *Engine) Pending() int { return len(e.heap) + e.wheel.count }
+// cancelled-but-unreaped ones and every packet in a delay line. A
+// postponed event is queued once, however often it was postponed.
+func (e *Engine) Pending() int { return len(e.heap) + e.wheel.count + e.lined }
 
 // Reset discards every pending event and rewinds the clock and
 // Processed, leaving the engine ready for a fresh run that cannot tell
@@ -441,22 +458,26 @@ func (e *Engine) Pending() int { return len(e.heap) + e.wheel.count }
 //   - the slot table, heap and wheel. Slot generations are bumped, so
 //     Timer handles that outlive the reset are inert: cancelling one
 //     can never touch an event scheduled after the reset, even when
-//     its slot has been recycled.
+//     its slot has been recycled. Packets waiting in delay lines are
+//     dropped with them.
 //   - every packet NewPacket allocated, including packets still
 //     queued or in flight: each one not yet released is released
 //     (the hook sees OnFree) and goes back on the free list.
-//   - every generator Rand handed out, re-seeded by the next calls.
-//   - every buffer a Slices handed out.
+//   - every generator Rand handed out, re-seeded by the next calls,
+//     and every line DelayLine handed out.
+//   - every buffer a Slices handed out, delay-line rings included.
 //
 // Nothing from before the reset may be used after it: a packet, a
-// generator or a buffer may belong to the next run. The hook stays
-// installed; the pool counters (PoolStats) keep counting.
+// generator, a buffer or a delay line may belong to the next run. The
+// hook stays installed.
 func (e *Engine) Reset() {
 	for _, node := range e.heap {
 		e.freeSlot(node.slot)
 	}
 	e.heap = e.heap[:0]
 	e.resetWheel()
+	e.lined = 0
+	e.nline = 0
 	for _, p := range e.pool.all {
 		if p.live {
 			p.Release()
@@ -491,6 +512,7 @@ func (e *Engine) Rand(seed int64) *rand.Rand {
 // when the structure is sound.
 func (e *Engine) verifyHeap() error {
 	seen := make(map[int32]bool, len(e.heap)+e.wheel.count)
+	lined := 0
 	checkSlot := func(slot int32) error {
 		if slot < 0 || int(slot) >= len(e.slots) {
 			return fmt.Errorf("node references slot %d outside table of %d", slot, len(e.slots))
@@ -499,9 +521,14 @@ func (e *Engine) verifyHeap() error {
 			return fmt.Errorf("slot %d referenced by two pending nodes", slot)
 		}
 		seen[slot] = true
-		if s := &e.slots[slot]; s.dueSeq > 0 && (s.dueAt < s.at || s.dueSeq <= s.seq) {
+		s := &e.slots[slot]
+		if s.dueSeq > 0 && (s.dueAt < s.at || s.dueSeq <= s.seq) {
 			return fmt.Errorf("slot %d postponed to (%v, %d), before its queued key (%v, %d)",
 				slot, s.dueAt, s.dueSeq, s.at, s.seq)
+		}
+		if s.line != nil {
+			lined += s.line.n - 1
+			return verifyLine(slot, s)
 		}
 		return nil
 	}
@@ -532,6 +559,30 @@ func (e *Engine) verifyHeap() error {
 	if len(seen)+len(e.free) != len(e.slots) {
 		return fmt.Errorf("slot accounting: %d pending + %d free != %d total",
 			len(seen), len(e.free), len(e.slots))
+	}
+	if lined != e.lined {
+		return fmt.Errorf("delay lines hold %d packets behind their fronts, engine counts %d", lined, e.lined)
+	}
+	return nil
+}
+
+// verifyLine checks a delay line's slot: the line is not empty, the
+// slot is queued under the front packet's key and cannot be cancelled
+// or postponed, and the packets are in strict (at, seq) order.
+func verifyLine(slot int32, s *eventSlot) error {
+	l := s.line
+	if l.n < 1 || l.n > len(l.ring) {
+		return fmt.Errorf("slot %d holds a delay line of %d packets in a ring of %d", slot, l.n, len(l.ring))
+	}
+	if f := l.front(); s.at != f.at || s.seq != f.seq || s.dueSeq != 0 {
+		return fmt.Errorf("delay-line slot %d queued under (%v, %d) due %d, front packet is (%v, %d)",
+			slot, s.at, s.seq, s.dueSeq, f.at, f.seq)
+	}
+	for i := 1; i < l.n; i++ {
+		a, b := l.ring[(l.head+i-1)&(len(l.ring)-1)], l.ring[(l.head+i)&(len(l.ring)-1)]
+		if !nodeLess(heapNode{at: a.at, seq: a.seq}, heapNode{at: b.at, seq: b.seq}) {
+			return fmt.Errorf("delay line of slot %d out of order: (%v, %d) before (%v, %d)", slot, a.at, a.seq, b.at, b.seq)
+		}
 	}
 	return nil
 }

@@ -1,29 +1,33 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
 
 // FuzzEngineSchedule drives the engine through adversarial
 // interleavings of schedule, cancel, postpone, step, run, reset, and
-// pooled packets delivered through the event queue or orphaned (never
-// released, as in a qdisc the run leaves behind), re-verifying the
-// indexed-heap and timer-wheel structures after every operation and
-// the (time, seq) fire order throughout. Every operation is mirrored
-// onto a heap-pure shadow engine (wheelOff=true), so the hashed
-// hierarchical wheel is fuzz-checked for exact pop-order equivalence
-// against the reference heap, and onto a reference engine on which
-// every postpone is Cancel + ScheduleAt and which a reset replaces
-// with a new engine, so Postpone and Reset are fuzz-checked for
-// identical schedule and fire streams, processed counts and handlers
-// run. Reset must also take back every packet, queued, in flight or
-// orphaned, and no packet may be handed out twice while live. The
-// input is consumed as (opcode, argument) byte pairs; the opcode
-// byte's quotient by 7 is a sub-tick offset (0–252µs) added to
-// relative schedules, postpones and bounded runs, so events and parked
-// clocks can share a wheel tick without sharing an instant. Its parity
-// splits op 2 into cancel (even) and postpone (odd).
+// pooled packets pushed down two delay lines of different fixed
+// delays or orphaned (never released, as in a qdisc the run leaves
+// behind), re-verifying the indexed-heap, timer-wheel and delay-line
+// structures after every operation and the (time, seq) fire order
+// throughout. Every operation is mirrored onto a heap-pure shadow
+// engine (wheelOff=true), so the hashed hierarchical wheel is
+// fuzz-checked for exact pop-order equivalence against the reference
+// heap, and onto a reference engine on which every postpone is
+// Cancel + ScheduleAt, every delay-line push is one event of its own,
+// and which a reset replaces with a new engine, so Postpone, delay
+// lines and Reset are fuzz-checked for identical schedule and fire
+// streams, processed counts, events still to fire (packets waiting in
+// a line included) and handlers run. Reset must also take back every
+// packet, queued, in flight or orphaned, and no packet may be handed
+// out twice while live. The input is consumed as (opcode, argument)
+// byte pairs; the opcode byte's quotient by 7 is a sub-tick offset
+// (0–252µs) added to relative schedules, postpones and bounded runs,
+// so events and parked clocks can share a wheel tick without sharing
+// an instant. Its parity splits op 2 into cancel (even) and postpone
+// (odd).
 func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 5, 6, 0, 6, 0, 8, 20})
 	f.Add([]byte{0, 3, 2, 0, 0, 3, 4, 0, 10, 0, 0, 1, 2, 1, 8, 255})
@@ -34,14 +38,25 @@ func FuzzEngineSchedule(f *testing.F) {
 	// heap, interleaved with near ones and steps across the boundary.
 	f.Add([]byte{6, 200, 0, 10, 6, 90, 0, 1, 3, 0, 4, 255, 4, 255, 3, 0})
 	// Postpones (opcode 9): refused (before the queued time), accepted,
-	// repeated on one handle, of a packet, and across a bounded run that
-	// stops between the queued and the due time.
+	// repeated on one handle, around a delay-line packet, and across a
+	// bounded run that stops between the queued and the due time.
 	f.Add([]byte{0, 10, 0, 20, 9, 0, 9, 30, 9, 41, 4, 15, 9, 60, 5, 1, 9, 5, 3, 0, 4, 255})
 	// Resets (op 5, arg 0) with packets delivered, in flight and
 	// orphaned (op 5, arg 3 mod 4), each followed by a replayed
 	// schedule that reuses the reclaimed packets and slots.
 	f.Add([]byte{0, 10, 5, 1, 5, 3, 5, 9, 4, 4, 5, 0, 0, 10, 5, 1, 5, 3, 5, 9, 4, 4, 5, 0, 0, 10, 5, 1, 4, 255})
 	f.Add([]byte{6, 90, 0, 3, 5, 7, 5, 5, 9, 2, 3, 0, 5, 0, 6, 90, 0, 3, 5, 7, 5, 5, 9, 2, 4, 255})
+	// Delay-line pushes (op 5, arg 1 or 2 mod 4; arg>>2 mod 4 more at
+	// the same instant) on both lines, with schedules at the instants
+	// the packets arrive, steps and runs that stop between two of a
+	// line's packets, and resets that drop packets still in a line.
+	f.Add([]byte{5, 13, 5, 2, 3, 0, 5, 1, 1, 0, 4, 1, 5, 6, 3, 0, 3, 0, 5, 0, 5, 9, 5, 14, 4, 255})
+	f.Add([]byte{5, 1, 0, 0, 5, 5, 4, 0, 5, 2, 5, 1, 7, 0, 5, 10, 3, 0, 4, 90, 5, 0, 5, 2, 3, 0, 4, 255})
+	// The same with the wheel engaged: far-horizon schedules fill the
+	// heap past wheelMinPop, so line slots are staged and re-keyed
+	// into buckets.
+	engaged := bytes.Repeat([]byte{6, 200}, wheelMinPop+2)
+	f.Add(append(engaged, 5, 13, 5, 14, 3, 0, 4, 1, 5, 5, 3, 0, 5, 2, 4, 100, 5, 0, 5, 13, 4, 1, 3, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newMirror(t)
 		eng, shadow, ref := m.eng, m.shadow, m.ref
@@ -50,6 +65,7 @@ func FuzzEngineSchedule(f *testing.F) {
 		// index in the timer slices, or a packet's Seq. The first
 		// compared entries agree.
 		var ran, sran, rran []int
+		var pushed int64 // delay-line packets so far: packet k logs id -k
 		compared := 0
 		lastFire := time.Duration(-1)
 		handler := func(id int) func() {
@@ -152,18 +168,11 @@ func FuzzEngineSchedule(f *testing.F) {
 					eng.NewPacket()
 					shadow.NewPacket()
 					ref.NewPacket()
-				default: // pooled packet delivery through the event queue
-					d := time.Duration(arg) * time.Millisecond
-					id := len(timers)
-					for _, e := range []struct {
-						eng    *Engine
-						sink   Receiver
-						timers *[]Timer
-					}{{eng, sink, &timers}, {shadow, shadowSink, &shadowTimers}, {ref, refSink, &refTimers}} {
-						p := e.eng.NewPacket()
-						p.Seq = int64(id)
-						p.Dest = e.sink
-						*e.timers = append(*e.timers, e.eng.SchedulePacket(d, p))
+				default: // pooled packets down a delay line, numbered below the timers
+					k := int(arg%4) - 1
+					for n := 1 + int(arg>>2)%4; n > 0; n-- {
+						pushed++
+						m.push(k, -pushed, [3]Receiver{sink, shadowSink, refSink})
 					}
 				}
 			case 6: // far-horizon schedule: overflows the wheel into the heap

@@ -44,8 +44,6 @@ type Link struct {
 	Name string
 	// Rate is the serialization rate in bits per second.
 	Rate float64
-	// Delay is the one-way propagation delay.
-	Delay time.Duration
 	// Q is the egress queue discipline.
 	Q Qdisc
 
@@ -55,6 +53,7 @@ type Link struct {
 	Trace obs.Tracer
 
 	eng      *Engine
+	prop     *DelayLine // propagation, at the delay the link was built with
 	busy     bool
 	retry    Timer
 	stats    LinkStats
@@ -72,7 +71,9 @@ type Link struct {
 }
 
 // NewLink returns a link bound to the engine. rate is in bits/s and
-// must be positive; q must be non-nil.
+// must be positive; q must be non-nil. The propagation delay is fixed
+// for the link's life (a negative one is zero), so packets leave it in
+// the order they finished serializing.
 func NewLink(eng *Engine, name string, rate float64, delay time.Duration, q Qdisc) *Link {
 	if rate <= 0 {
 		panic(fmt.Sprintf("sim: link %q: non-positive rate %v", name, rate))
@@ -80,11 +81,14 @@ func NewLink(eng *Engine, name string, rate float64, delay time.Duration, q Qdis
 	if q == nil {
 		panic(fmt.Sprintf("sim: link %q: nil qdisc", name))
 	}
-	l := &Link{Name: name, Rate: rate, Delay: delay, Q: q, eng: eng}
+	l := &Link{Name: name, Rate: rate, Q: q, eng: eng, prop: eng.DelayLine(delay)}
 	l.kickFn = l.kick
 	l.finishFn = l.finish
 	return l
 }
+
+// Delay returns the one-way propagation delay.
+func (l *Link) Delay() time.Duration { return l.prop.delay }
 
 // Stats returns a copy of the link's counters.
 func (l *Link) Stats() LinkStats { return l.stats }
@@ -164,7 +168,7 @@ func (l *Link) finish() {
 	l.stats.SentBytes += int64(p.Size)
 	l.stats.BusyTime += tx
 	// Propagate, then continue along the path.
-	l.eng.SchedulePacket(l.Delay, p)
+	l.prop.Push(p)
 	l.kick()
 }
 

@@ -60,16 +60,6 @@ type packetPool struct {
 	// all is every packet the engine allocated, so Reset can take back
 	// the ones the run never released.
 	all []*Packet
-	// Allocs counts fresh heap allocations; Reuses counts free-list
-	// hits; Frees counts releases. Exposed through PoolStats.
-	allocs, reuses, frees int64
-}
-
-// PoolStats reports the engine's packet pool counters: fresh heap
-// allocations, free-list reuses, and releases. In steady state a
-// saturated scenario should see reuses dwarf allocs.
-func (e *Engine) PoolStats() (allocs, reuses, frees int64) {
-	return e.pool.allocs, e.pool.reuses, e.pool.frees
 }
 
 // NewPacket returns a zeroed packet from the engine's free list,
@@ -83,11 +73,9 @@ func (e *Engine) NewPacket() *Packet {
 		e.pool.free[n-1] = nil
 		e.pool.free = e.pool.free[:n-1]
 		*p = Packet{owner: e, gen: p.gen, live: true}
-		e.pool.reuses++
 	} else {
 		p = &Packet{owner: e, live: true}
 		e.pool.all = append(e.pool.all, p)
-		e.pool.allocs++
 	}
 	if e.hook != nil {
 		e.hook.OnAlloc(p)
@@ -117,7 +105,6 @@ func (p *Packet) Release() {
 	p.gen++
 	p.Path = nil
 	p.Dest = nil
-	e.pool.frees++
 	e.pool.free = append(e.pool.free, p)
 }
 

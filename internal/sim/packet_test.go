@@ -5,8 +5,32 @@ import (
 	"time"
 )
 
+// poolCount is a Hook that counts the packets an engine hands out and
+// the releases.
+type poolCount struct{ handed, frees int64 }
+
+func (c *poolCount) OnSchedule(time.Duration, int64) {}
+func (c *poolCount) OnFire(time.Duration, int64)     {}
+func (c *poolCount) OnAlloc(*Packet)                 { c.handed++ }
+func (c *poolCount) OnFree(*Packet)                  { c.frees++ }
+
+// countPool installs a poolCount on eng.
+func countPool(eng *Engine) *poolCount {
+	c := &poolCount{}
+	eng.SetHook(c)
+	return c
+}
+
+// stats returns eng's fresh packet allocations, its free-list reuses
+// and its releases since countPool.
+func (c *poolCount) stats(eng *Engine) (allocs, reuses, frees int64) {
+	allocs = int64(len(eng.pool.all))
+	return allocs, c.handed - allocs, c.frees
+}
+
 func TestPacketPoolRecycles(t *testing.T) {
 	eng := &Engine{}
+	pc := countPool(eng)
 	p1 := eng.NewPacket()
 	p1.Seq = 42
 	p1.Retx = true
@@ -21,7 +45,7 @@ func TestPacketPoolRecycles(t *testing.T) {
 	if !p2.Pooled() {
 		t.Error("pooled packet must report Pooled")
 	}
-	allocs, reuses, frees := eng.PoolStats()
+	allocs, reuses, frees := pc.stats(eng)
 	if allocs != 1 || reuses != 1 || frees != 1 {
 		t.Errorf("stats = %d/%d/%d, want 1/1/1", allocs, reuses, frees)
 	}
@@ -64,6 +88,7 @@ func TestLiteralPacketReleaseIsNoop(t *testing.T) {
 
 func TestPacketCloneIsDetached(t *testing.T) {
 	eng := &Engine{}
+	pc := countPool(eng)
 	p := eng.NewPacket()
 	p.Seq = 9
 	cp := p.Clone()
@@ -75,8 +100,8 @@ func TestPacketCloneIsDetached(t *testing.T) {
 	}
 	cp.Release() // no-op
 	p.Release()
-	if _, _, frees := eng.PoolStats(); frees != 1 {
-		t.Errorf("frees = %d, want 1 (clone release must not reach the pool)", frees)
+	if pc.frees != 1 {
+		t.Errorf("frees = %d, want 1 (clone release must not reach the pool)", pc.frees)
 	}
 }
 
@@ -86,17 +111,22 @@ func TestPacketCloneIsDetached(t *testing.T) {
 func TestPoolReuseDeterministic(t *testing.T) {
 	run := func() (allocs, reuses int64) {
 		eng := &Engine{}
+		pc := countPool(eng)
 		sink := ReceiverFunc(func(p *Packet) { p.Release() })
+		var lines [5]*DelayLine
+		for i := range lines {
+			lines[i] = eng.DelayLine(time.Duration(i) * time.Millisecond)
+		}
 		for i := 0; i < 50; i++ {
 			p := eng.NewPacket()
 			p.Dest = sink
-			eng.SchedulePacket(time.Duration(i%5)*time.Millisecond, p)
+			lines[i%5].Push(p)
 			if i%3 == 0 {
 				eng.Run(eng.Now() + 2*time.Millisecond)
 			}
 		}
 		eng.Run(time.Second)
-		a, r, _ := eng.PoolStats()
+		a, r, _ := pc.stats(eng)
 		return a, r
 	}
 	a1, r1 := run()

@@ -11,8 +11,10 @@ import (
 //
 // Thousands of transport senders create a dense population of
 // near-future timers (pacing releases, serialization completions,
-// propagation arrivals, RTOs) that all live within a few RTTs of the
-// clock. A comparison heap pays O(log n) per insert against the whole
+// RTOs, and one front packet per busy delay line — propagation
+// arrivals and returning acks are not staged one by one, their delay
+// lines queue them; see delayline.go) that all live within a few RTTs
+// of the clock. A comparison heap pays O(log n) per insert against the whole
 // population. The wheel keeps that population out of the heap until it
 // is about to fire: a near-future event is hashed into a time-slot
 // bucket and waits there unsorted, and the engine moves one bucket at
@@ -42,7 +44,9 @@ import (
 // postponed event keeps its seat and moves to the heap with its bucket.
 // At the heap root a cancelled event is reaped; a postponed one is
 // requeued under its due key, which is never earlier than its seat's,
-// so it may be staged again.
+// so it may be staged again. A delay line's slot is requeued the same
+// way when it fires with packets behind it, under the next packet's
+// key.
 const (
 	// wheelBits is the log2 bucket count per level.
 	wheelBits  = 8

@@ -49,26 +49,85 @@ func (l *keyLog) reset() { l.sched, l.fired = l.sched[:0], l.fired[:0] }
 
 // mirror drives a wheel-enabled engine, a heap-pure shadow and a
 // reference engine through the same calls. Postpone on the first two
-// is Cancel + ScheduleAt on the reference, and reset replaces the
-// reference with a new engine where the other two are Reset. agree
-// fails the test as soon as the engines differ in anything an observer
-// can see — schedule stream, fire order, clock, processed count, and
-// between the first two the pending depth — or any engine's structure
-// is unsound, or any engine's packet pool hands out a live packet.
+// is Cancel + ScheduleAt on the reference, a delay-line push is one
+// event per packet there, and reset replaces the reference with a new
+// engine where the other two are Reset. agree fails the test as soon
+// as the engines differ in anything an observer can see — schedule
+// stream, fire order, clock, processed count, the events still to
+// fire, and between the first two the pending depth — or any engine's
+// structure is unsound, or any engine's packet pool hands out a live
+// packet.
 type mirror struct {
 	t                testing.TB
 	eng, shadow, ref *Engine
 	log, slog, rlog  keyLog
 	sched, fired     int // log entries already compared
 	tm, stm, rtm     []Timer
+	// lines and slines are the wheel engine's and the shadow's delay
+	// lines, one per lineDelays entry.
+	lines, slines [len(lineDelays)]*DelayLine
 }
+
+// lineDelays are the mirror's delay lines' fixed delays: just over a
+// wheel tick, and far enough out to stage at the wheel's level 1.
+var lineDelays = [...]time.Duration{300 * time.Microsecond, 90 * time.Millisecond}
 
 func newMirror(t testing.TB) *mirror {
 	m := &mirror{t: t, eng: &Engine{}, shadow: &Engine{wheelOff: true}, ref: &Engine{}}
 	m.eng.SetHook(&m.log)
 	m.shadow.SetHook(&m.slog)
 	m.ref.SetHook(&m.rlog)
+	m.initLines()
 	return m
+}
+
+func (m *mirror) initLines() {
+	for k, d := range lineDelays {
+		m.lines[k] = m.eng.DelayLine(d)
+		m.slines[k] = m.shadow.DelayLine(d)
+	}
+}
+
+// push sends a pooled packet numbered seq down delay line k on the
+// wheel engine and the shadow, and as one event per packet on the
+// reference; sinks are the three engines' destinations, in that order.
+func (m *mirror) push(k int, seq int64, sinks [3]Receiver) {
+	for i, e := range [...]*Engine{m.eng, m.shadow, m.ref} {
+		p := e.NewPacket()
+		p.Seq, p.Dest = seq, sinks[i]
+		switch i {
+		case 0:
+			m.lines[k].Push(p)
+		case 1:
+			m.slines[k].Push(p)
+		default:
+			schedulePacket(e, lineDelays[k], p)
+		}
+	}
+}
+
+// livePending is Pending less the cancelled events still queued: the
+// events and delay-line packets that will fire, which an engine that
+// cancels and reschedules instead of postponing, and schedules one
+// event per packet instead of using lines, must agree on.
+func livePending(e *Engine) int {
+	n := e.Pending()
+	dead := func(slot int32) {
+		if e.slots[slot].dueSeq == cancelledSeq {
+			n--
+		}
+	}
+	for _, node := range e.heap {
+		dead(node.slot)
+	}
+	for l := range e.wheel.levels {
+		for _, head := range e.wheel.levels[l].head {
+			for i := head; i != 0; i = e.slots[i-1].next {
+				dead(i - 1)
+			}
+		}
+	}
+	return n
 }
 
 func (m *mirror) schedule(d time.Duration) {
@@ -132,6 +191,7 @@ func (m *mirror) step() bool {
 func (m *mirror) reset() {
 	m.eng.Reset()
 	m.shadow.Reset()
+	m.initLines()
 	m.ref = &Engine{}
 	m.rlog = keyLog{}
 	m.ref.SetHook(&m.rlog)
@@ -168,6 +228,9 @@ func (m *mirror) agree(ctx string) {
 	}
 	if m.eng.Pending() != m.shadow.Pending() {
 		m.t.Fatalf("%s: wheel engine pending %d, heap shadow pending %d", ctx, m.eng.Pending(), m.shadow.Pending())
+	}
+	if a, b, c := livePending(m.eng), livePending(m.shadow), livePending(m.ref); a != b || a != c {
+		m.t.Fatalf("%s: events still to fire: wheel engine %d, heap shadow %d, reference %d", ctx, a, b, c)
 	}
 }
 

@@ -81,7 +81,7 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig) *Flow {
 	if cfg.Metrics != nil {
 		s.RegisterMetrics(cfg.Metrics)
 	}
-	r := &Receiver{eng: eng, sender: s, returnDelay: cfg.ReturnDelay}
+	r := &Receiver{eng: eng, sender: s, ret: eng.DelayLine(cfg.ReturnDelay)}
 	s.dest = r
 	f := &Flow{Sender: s, Receiver: r}
 	if cfg.Backlogged {

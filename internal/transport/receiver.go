@@ -1,18 +1,15 @@
 package transport
 
-import (
-	"time"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Receiver is the receiving endpoint of a Flow. It acknowledges every
 // data packet after a fixed return delay; its buffer is unbounded, so
 // it never advertises a window.
 type Receiver struct {
-	eng         *sim.Engine
-	sender      *Sender
-	returnDelay time.Duration
+	eng    *sim.Engine
+	sender *Sender
+	// ret carries acknowledgments back to the sender.
+	ret *sim.DelayLine
 }
 
 // Receive implements sim.Receiver for data packets. The receiver is
@@ -31,8 +28,7 @@ func (r *Receiver) Receive(p *sim.Packet) {
 	ack.SentAt = r.eng.Now()
 	ack.Ack = true
 	p.Release()
-	// Deliver straight to the sender after returnDelay without a
-	// per-ack closure.
+	// Deliver straight to the sender after the return delay.
 	ack.Dest = r.sender
-	r.eng.SchedulePacket(r.returnDelay, ack)
+	r.ret.Push(ack)
 }

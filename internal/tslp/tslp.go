@@ -73,7 +73,7 @@ func (p *Prober) receive(pkt *sim.Packet) {
 	// differential, exactly what the TTL-expiry pair achieves in the
 	// real technique.
 	oneWay := p.eng.Now() - pkt.SentAt
-	base := p.link.Delay + p.link.TransmissionTime(pkt.Size)
+	base := p.link.Delay() + p.link.TransmissionTime(pkt.Size)
 	diff := oneWay - base
 	if diff < 0 {
 		diff = 0
