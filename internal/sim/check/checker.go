@@ -43,8 +43,11 @@ type Checker struct {
 	lastSeq      int64
 	lastSchedule time.Duration
 
-	// Pool state.
-	live     map[*sim.Packet]uint32
+	// Pool state. live is indexed by Packet.PoolIndex: the generation
+	// a live packet was allocated under plus one, or 0 when it is not
+	// live. Only the owner engine's hook sees a packet, so the index
+	// names one packet.
+	live     []uint32
 	allocs   int64
 	frees    int64
 	maxLive  int
@@ -65,7 +68,7 @@ type linkWatch struct {
 // Attach installs a fresh Checker as the engine's hook and returns it.
 // The previous hook, if any, is replaced.
 func Attach(eng *sim.Engine) *Checker {
-	c := &Checker{live: make(map[*sim.Packet]uint32)}
+	c := &Checker{}
 	eng.SetHook(c)
 	return c
 }
@@ -128,10 +131,14 @@ func (c *Checker) OnFire(at time.Duration, seq int64) {
 // OnAlloc implements sim.Hook.
 func (c *Checker) OnAlloc(p *sim.Packet) {
 	c.allocs++
-	if _, ok := c.live[p]; ok {
+	i := p.PoolIndex()
+	for i >= len(c.live) {
+		c.live = append(c.live, 0)
+	}
+	if c.live[i] != 0 {
 		c.violate("packet %p handed out twice without an intervening Release (gen %d)", p, p.Generation())
 	}
-	c.live[p] = p.Generation()
+	c.live[i] = p.Generation() + 1
 	c.liveNow++
 	if c.liveNow > c.maxLive {
 		c.maxLive = c.liveNow
@@ -141,16 +148,16 @@ func (c *Checker) OnAlloc(p *sim.Packet) {
 // OnFree implements sim.Hook.
 func (c *Checker) OnFree(p *sim.Packet) {
 	c.frees++
-	gen, ok := c.live[p]
-	if !ok {
+	i := p.PoolIndex()
+	if i >= len(c.live) || c.live[i] == 0 {
 		c.violate("packet %p released while not live (gen %d): double free or foreign packet", p, p.Generation())
 		return
 	}
-	if gen != p.Generation() {
+	if gen := c.live[i] - 1; gen != p.Generation() {
 		c.violate("packet %p released under gen %d but allocated under gen %d: use-after-free of a recycled packet",
 			p, p.Generation(), gen)
 	}
-	delete(c.live, p)
+	c.live[i] = 0
 	c.liveNow--
 }
 

@@ -148,6 +148,46 @@ func TestCheckerDetectsForeignFree(t *testing.T) {
 	}
 }
 
+// TestCheckerDetectsDoubleAlloc hands out a packet the checker still
+// holds live: its release happened with the hook off, so the next
+// NewPacket recycles it behind the checker's back.
+func TestCheckerDetectsDoubleAlloc(t *testing.T) {
+	eng := &sim.Engine{}
+	ck := check.Attach(eng)
+	p := eng.NewPacket()
+	eng.SetHook(nil)
+	p.Release()
+	eng.SetHook(ck)
+	if q := eng.NewPacket(); q != p {
+		t.Fatalf("the free list did not recycle the released packet")
+	}
+	err := ck.Err()
+	if err == nil || !strings.Contains(err.Error(), "handed out twice") {
+		t.Fatalf("expected double-alloc violation, got %v", err)
+	}
+}
+
+// TestCheckerDetectsRecycledFree releases a packet under a generation
+// other than the one the checker saw it allocated with: with the hook
+// off it was released and handed out again, as a stale reference to a
+// recycled packet would see it.
+func TestCheckerDetectsRecycledFree(t *testing.T) {
+	eng := &sim.Engine{}
+	ck := check.Attach(eng)
+	p := eng.NewPacket()
+	eng.SetHook(nil)
+	p.Release()
+	if q := eng.NewPacket(); q != p {
+		t.Fatalf("the free list did not recycle the released packet")
+	}
+	eng.SetHook(ck)
+	p.Release()
+	err := ck.Err()
+	if err == nil || !strings.Contains(err.Error(), "use-after-free of a recycled packet") {
+		t.Fatalf("expected generation-mismatch violation, got %v", err)
+	}
+}
+
 // TestCheckerDetectsConservationViolation watches a link whose qdisc
 // loses a packet without accounting for it.
 func TestCheckerDetectsConservationViolation(t *testing.T) {

@@ -34,6 +34,9 @@ type Packet struct {
 	Retx bool
 	// Ack marks acknowledgment packets.
 	Ack bool
+	// live is pool bookkeeping (see owner below), kept in the padding
+	// after the flags so the struct stays 112 bytes.
+	live bool
 
 	// Path is the ordered list of links the packet traverses; Dest
 	// receives it after the final hop. An empty Path delivers directly.
@@ -44,11 +47,12 @@ type Packet struct {
 	// Pool bookkeeping. owner is the engine whose free list the packet
 	// belongs to (nil for literal-built packets); gen increments on
 	// every Release, so validation layers can detect a packet that was
-	// recycled while a stale reference still points at it; live guards
-	// against double release.
+	// recycled while a stale reference still points at it; index is the
+	// packet's position in its engine's pool.all, fixed when it is
+	// first allocated; live guards against double release.
 	owner *Engine
 	gen   uint32
-	live  bool
+	index int32
 }
 
 // packetPool is a per-engine LIFO free list. Engines are
@@ -72,9 +76,9 @@ func (e *Engine) NewPacket() *Packet {
 		p = e.pool.free[n-1]
 		e.pool.free[n-1] = nil
 		e.pool.free = e.pool.free[:n-1]
-		*p = Packet{owner: e, gen: p.gen, live: true}
+		*p = Packet{owner: e, gen: p.gen, index: p.index, live: true}
 	} else {
-		p = &Packet{owner: e, live: true}
+		p = &Packet{owner: e, index: int32(len(e.pool.all)), live: true}
 		e.pool.all = append(e.pool.all, p)
 	}
 	if e.hook != nil {
@@ -117,6 +121,7 @@ func (p *Packet) Clone() *Packet {
 	cp.owner = nil
 	cp.live = false
 	cp.gen = 0
+	cp.index = 0
 	return &cp
 }
 
@@ -125,6 +130,12 @@ func (p *Packet) Clone() *Packet {
 // reference can detect reuse. Validation layers (internal/sim/check)
 // pair it with engine hooks to prove the absence of use-after-free.
 func (p *Packet) Generation() uint32 { return p.gen }
+
+// PoolIndex returns the packet's position among the packets its engine
+// ever allocated: dense from 0 and fixed for the packet's life, so a
+// validation layer can keep per-packet state in a slice instead of a
+// map. It is 0 for a packet that is not Pooled.
+func (p *Packet) PoolIndex() int { return int(p.index) }
 
 // Pooled reports whether the packet belongs to an engine's free list.
 func (p *Packet) Pooled() bool { return p.owner != nil }

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // poolCount is a Hook that counts the packets an engine hands out and
@@ -136,5 +137,13 @@ func TestPoolReuseDeterministic(t *testing.T) {
 	}
 	if r1 == 0 {
 		t.Error("scenario should exercise reuse")
+	}
+}
+
+// TestPacketSize pins the packet at 112 bytes, a malloc size class:
+// one more word puts every fresh packet in the 128-byte class.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 112 {
+		t.Fatalf("sim.Packet is %d bytes, want at most 112", n)
 	}
 }

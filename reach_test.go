@@ -33,7 +33,8 @@ var reachAllow = map[string]string{
 
 // stdIfaces are the standard-library interfaces whose methods the
 // standard library calls (fmt, encoding, sort, container/heap, io,
-// net/http, flag), so no caller in this tree has to spell them.
+// net/http, flag, math/rand's Rand on its Source), so no caller in this
+// tree has to spell them.
 var stdIfaces = [][2]string{
 	{"fmt", "Stringer"}, {"fmt", "Formatter"}, {"fmt", "GoStringer"},
 	{"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
@@ -42,6 +43,7 @@ var stdIfaces = [][2]string{
 	{"sort", "Interface"}, {"container/heap", "Interface"},
 	{"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
 	{"net/http", "Handler"}, {"flag", "Value"},
+	{"math/rand", "Source"}, {"math/rand", "Source64"},
 }
 
 // TestExportedSurfaceIsReachable keeps test-only mechanisms from
