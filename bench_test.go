@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,42 +101,25 @@ func BenchmarkFig3Elasticity(b *testing.B) {
 func BenchmarkFig3ElasticityTraced(b *testing.B) {
 	var events int64
 	for i := 0; i < b.N; i++ {
-		ring := obs.NewFlightRecorder(1 << 16)
+		var count eventCounter
 		res, err := core.RunFig3(core.Fig3Config{
 			PhaseDuration: 25 * time.Second,
 			Seed:          1,
-			Obs:           &obs.Scope{Reg: obs.NewRegistry(), Tracer: ring},
+			Obs:           &obs.Scope{Reg: obs.NewRegistry(), Tracer: &count},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		_ = res
-		events = int64(ring.Total())
+		events = count.n.Load()
 	}
 	b.ReportMetric(float64(events), "events")
 }
 
-// BenchmarkAblationPulse sweeps the probe's pulse frequency and
-// amplitude (abl-pulse): the design choice behind the RTT-matched
-// pulse period. Reported metric: the best separation achieved.
-func BenchmarkAblationPulse(b *testing.B) {
-	var best float64
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunPulseSweep(core.PulseSweepConfig{
-			Freqs: []float64{1, 2, 5}, Amps: []float64{0.25}, Duration: 20 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		best = 0
-		for _, r := range res.Rows {
-			if r.Separation > best {
-				best = r.Separation
-			}
-		}
-	}
-	b.ReportMetric(best, "best-separation")
-}
+// eventCounter is a tracer that only counts the events emitted to it.
+type eventCounter struct{ n atomic.Int64 }
+
+func (c *eventCounter) Emit(obs.Event) { c.n.Add(1) }
 
 // BenchmarkAblationOracle scores the elasticity probe against the
 // simulator's ground-truth contention oracle (abl-oracle). Reported
@@ -152,23 +136,6 @@ func BenchmarkAblationOracle(b *testing.B) {
 	}
 	b.ReportMetric(acc, "accuracy")
 	b.ReportMetric(f1, "f1")
-}
-
-// BenchmarkAblationSubPacket reproduces the §2.3 sub-packet-BDP regime
-// (Chen et al.): fairness collapses on very thin links. Reported
-// metric: Jain index on the thinnest link.
-func BenchmarkAblationSubPacket(b *testing.B) {
-	var jain float64
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunSubPacket(core.SubPacketConfig{
-			Rates: []float64{256e3, 2e6}, Flows: 8, Duration: 20 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		jain = res.Rows[0].Jain
-	}
-	b.ReportMetric(jain, "jain-256kbps")
 }
 
 // BenchmarkAblationJitter reproduces §5.2: contention on jitter under
@@ -253,20 +220,4 @@ func BenchmarkExpAccess(b *testing.B) {
 	}
 	b.ReportMetric(intra, "intra-user-pairs")
 	b.ReportMetric(inter, "inter-user-pairs")
-}
-
-// BenchmarkAblationBuffer sweeps the bottleneck buffer depth
-// (abl-buffer): the probe needs at least ~1 BDP of buffer to hold its
-// standing queue plus the pulse swing. Reported metric: separation at
-// 1 BDP.
-func BenchmarkAblationBuffer(b *testing.B) {
-	var sep float64
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunBufferSweep(core.BufferSweepConfig{BDPs: []float64{1}, Duration: 25 * time.Second})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sep = res.Rows[0].Separation
-	}
-	b.ReportMetric(sep, "separation-1bdp")
 }

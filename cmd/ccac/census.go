@@ -5,9 +5,9 @@ package main
 // rate/RTT/buffer distributions, fault prevalence), and the subcommands
 // sample, execute, classify, and aggregate duel cells over it.
 //
-//	ccac census gen   [-model FILE|-] [-samples N] [-json]
-//	ccac census run   [-model FILE|-] [-n N] [-seed N] [-shard k/M]
-//	                  [-workers N] [-cache DIR] [-progress] [-out FILE]
+//	ccac census gen   [-model FILE|-] [-json]
+//	ccac census run   [-model FILE|-] [-n N] [-shard k/M]
+//	                  [-workers N] [-cache DIR] [-out FILE]
 //	ccac census merge [-out FILE] <partial.json ...>
 //
 // `run` with -shard k/M executes one index slice of the population and
@@ -54,10 +54,9 @@ func cmdCensus(args []string) {
 
 func censusUsage(w io.Writer) {
 	fmt.Fprintln(w, "usage:")
-	fmt.Fprintln(w, "  ccac census gen [-model FILE|-] [-samples N] [-json]   print a model's expansion stats")
-	fmt.Fprintln(w, "  ccac census run [-model FILE|-] [-n N] [-seed N]")
-	fmt.Fprintln(w, "                  [-shard k/M] [-workers N]")
-	fmt.Fprintln(w, "                  [-cache DIR] [-progress] [-out FILE]   run a census (or one shard of it)")
+	fmt.Fprintln(w, "  ccac census gen [-model FILE|-] [-json]   print a model's expansion stats")
+	fmt.Fprintln(w, "  ccac census run [-model FILE|-] [-n N] [-shard k/M]")
+	fmt.Fprintln(w, "                  [-workers N] [-cache DIR] [-out FILE]  run a census (or one shard of it)")
 	fmt.Fprintln(w, "  ccac census merge [-out FILE] <partial.json ...>       fold shard partials into the report")
 	fmt.Fprintln(w, "run 'ccac census <sub> -h' for flags; no -model uses the built-in default population")
 }
@@ -67,7 +66,6 @@ func censusUsage(w io.Writer) {
 func censusModelFlags(fs *flag.FlagSet) func() census.Model {
 	modelPath := fs.String("model", "", "population model JSON file ('-' for stdin; empty = built-in default)")
 	n := fs.Int("n", 0, "override the model's population size")
-	seed := fs.Int64("seed", 0, "override the model's base seed")
 	return func() census.Model {
 		var m census.Model
 		if *modelPath == "" {
@@ -79,11 +77,8 @@ func censusModelFlags(fs *flag.FlagSet) func() census.Model {
 			fail(err)
 		}
 		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "n":
+			if f.Name == "n" {
 				m.N = *n
-			case "seed":
-				m.Seed = *seed
 			}
 		})
 		fail(m.Validate())
@@ -92,15 +87,17 @@ func censusModelFlags(fs *flag.FlagSet) func() census.Model {
 }
 
 type censusGenOpts struct {
-	model   func() census.Model
-	samples int
-	asJSON  bool
+	model  func() census.Model
+	asJSON bool
 }
+
+// censusGenSamples is how many sampled specs census gen prints as a
+// spot check.
+const censusGenSamples = 3
 
 func censusGenFlags() (*flag.FlagSet, *censusGenOpts) {
 	fs := flag.NewFlagSet("ccac census gen", flag.ExitOnError)
 	o := &censusGenOpts{model: censusModelFlags(fs)}
-	fs.IntVar(&o.samples, "samples", 3, "sample specs to include as a spot check")
 	fs.BoolVar(&o.asJSON, "json", false, "print the canonical expansion record instead of a summary")
 	return fs, o
 }
@@ -109,7 +106,7 @@ func cmdCensusGen(args []string) {
 	fs, o := censusGenFlags()
 	fs.Parse(args)
 	m := o.model()
-	st := m.Expansion(o.samples)
+	st := m.Expansion(censusGenSamples)
 	if o.asJSON {
 		b, err := scenario.CanonicalJSON(st)
 		fail(err)
@@ -132,7 +129,6 @@ type censusRunOpts struct {
 	model                func() census.Model
 	shard, cacheDir, out string
 	workers              int
-	progress             bool
 }
 
 func censusRunFlags() (*flag.FlagSet, *censusRunOpts) {
@@ -141,7 +137,6 @@ func censusRunFlags() (*flag.FlagSet, *censusRunOpts) {
 	fs.StringVar(&o.shard, "shard", "", "run only index slice k/M of the population and emit a mergeable partial")
 	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed result cache directory (shared across shards)")
-	fs.BoolVar(&o.progress, "progress", false, "render a live one-line status to stderr")
 	fs.StringVar(&o.out, "out", "", "write the partial/report here (default stdout)")
 	return fs, o
 }
@@ -163,15 +158,10 @@ func cmdCensusRun(args []string) {
 	}
 
 	runner := newRunner(o.workers, o.cacheDir, "")
-	rep, closeRep := attachReporter(runner, o.progress, "")
 
 	start := time.Now()
 	p, err := census.RunShard(signalContext(), runner, m, lo, hi)
 	fail(err)
-	fail(closeRep())
-	if o.progress {
-		rep.Summarize(os.Stderr)
-	}
 
 	if o.shard != "" {
 		b, err := p.Encode()

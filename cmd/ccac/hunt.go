@@ -4,13 +4,12 @@ package main
 // algorithm over fault-profile + cross-traffic genomes, maximizing a
 // chosen pathology objective through the scenario runner.
 //
-//	ccac hunt <objective> [-budget N] [-pop N] [-seed N]
+//	ccac hunt <objective> [-budget N] [-pop N]
 //	          [-workers N] [-cache DIR]
-//	          [-rate BPS] [-rtt DUR] [-queue Q] [-buffer BDP] [-victim CCA]
-//	          [-random N] [-out DIR] [-corpus DIR] [-fuzz-seeds DIR]
-//	          [-progress] [-progress-jsonl FILE] [-json]
+//	          [-random N] [-out DIR] [-corpus DIR] [-fuzz-seeds DIR] [-json]
 //
-// The hunt is deterministic and replayable from its seed: any worker
+// The hunt attacks the huntcell path (16 Mbit/s, 30 ms, one BDP of
+// droptail, a Reno victim) from seed 1 and is deterministic: any worker
 // count, cache-cold or cache-warm, produces a byte-identical result
 // record. -out writes the worst scenario's spec and golden trace;
 // -random runs an undirected baseline of N random genomes for
@@ -38,35 +37,25 @@ func huntUsage(w io.Writer) {
 }
 
 type huntOpts struct {
-	budget, pop, workers, random int
-	seed                         int64
-	rate, buffer                 float64
-	rtt                          time.Duration
-	cacheDir, queue, victim      string
-	outDir, corpusDir, fuzzSeeds string
-	progressJSONL                string
-	progress, asJSON             bool
+	budget, pop, workers, random           int
+	cacheDir, outDir, corpusDir, fuzzSeeds string
+	asJSON                                 bool
 }
+
+// huntSeed is the seed every CLI hunt derives from.
+const huntSeed = 1
 
 func huntFlags() (*flag.FlagSet, *huntOpts) {
 	o := &huntOpts{}
 	fs := flag.NewFlagSet("ccac hunt", flag.ExitOnError)
 	fs.IntVar(&o.budget, "budget", 200, "genome evaluation budget")
 	fs.IntVar(&o.pop, "pop", 24, "GA population size")
-	fs.Int64Var(&o.seed, "seed", 1, "hunt model seed (the whole hunt derives from it)")
 	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed result cache directory")
-	fs.Float64Var(&o.rate, "rate", 0, "bottleneck rate in bits/s (0 = 16 Mbit/s default)")
-	fs.DurationVar(&o.rtt, "rtt", 0, "base round-trip time (0 = 30ms default)")
-	fs.StringVar(&o.queue, "queue", "", "bottleneck queue discipline (default droptail)")
-	fs.Float64Var(&o.buffer, "buffer", 0, "bottleneck buffer in BDPs (0 = 1)")
-	fs.StringVar(&o.victim, "victim", "", "victim flow CCA for the victim-mode objectives (default reno)")
 	fs.IntVar(&o.random, "random", 0, "also evaluate N random genomes as an undirected baseline")
 	fs.StringVar(&o.outDir, "out", "", "write the worst scenario's spec + golden trace under this directory")
 	fs.StringVar(&o.corpusDir, "corpus", "", "package the best genome as a corpus entry under this directory")
 	fs.StringVar(&o.fuzzSeeds, "fuzz-seeds", "", "also export the corpus entry as fuzz seeds under this repo root (needs -corpus)")
-	fs.BoolVar(&o.progress, "progress", false, "render a live sweep status line to stderr")
-	fs.StringVar(&o.progressJSONL, "progress-jsonl", "", "stream sweep progress events as JSONL to this file")
 	fs.BoolVar(&o.asJSON, "json", false, "print the canonical hunt result record instead of the summary")
 	fs.Usage = func() {
 		huntUsage(fs.Output())
@@ -89,21 +78,12 @@ func cmdHunt(args []string) {
 	}
 
 	runner := newRunner(o.workers, o.cacheDir, "")
-	rep, closeRep := attachReporter(runner, o.progress, o.progressJSONL)
-
 	cfg := hunt.Config{
 		Objective: obj,
-		Params: hunt.Params{
-			RateBps:   o.rate,
-			RTTMs:     float64(o.rtt) / float64(time.Millisecond),
-			Queue:     o.queue,
-			BufferBDP: o.buffer,
-			Victim:    o.victim,
-		},
-		Budget: o.budget,
-		Pop:    o.pop,
-		Seed:   o.seed,
-		Runner: runner,
+		Budget:    o.budget,
+		Pop:       o.pop,
+		Seed:      huntSeed,
+		Runner:    runner,
 	}
 	if !o.asJSON {
 		cfg.Log = func(format string, a ...any) {
@@ -120,10 +100,6 @@ func cmdHunt(args []string) {
 		fail(err)
 	}
 	elapsed := time.Since(start)
-	fail(closeRep())
-	if o.progress || o.progressJSONL != "" {
-		rep.Summarize(os.Stderr)
-	}
 
 	if o.outDir != "" {
 		specPath, tracePath, err := hunt.WriteArtifacts(ctx, o.outDir, res)

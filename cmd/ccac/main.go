@@ -6,10 +6,10 @@
 // Usage:
 //
 //	ccac list
-//	ccac run <experiment> [-seed N] [-duration 30s] [-rate 48e6] [-rtt 100ms]
+//	ccac run <experiment> [-seed N] [-duration 30s] [-rtt 100ms]
 //	         [-queue fq] [-buffer 2] [-ccas reno,bbr] [-phases reno,cbr]
-//	         [-faults wifi-bursty] [-fault-seed N] [-trials N] [-flows N]
-//	         [-users N] [-pulse HZ] [-phase 45s] [-json]
+//	         [-faults wifi-bursty] [-trials N] [-flows N]
+//	         [-fluid-above N] [-phase 45s] [-json]
 //	         [-trace run.jsonl] [-trace-sample N] [-metrics-out metrics.jsonl]
 //	ccac sweep [-workers N] [-cache DIR] [-out results.json]
 //	           [-progress] [-progress-jsonl events.jsonl] [-flight DIR]
@@ -43,9 +43,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -117,23 +115,17 @@ func cmdList(w io.Writer) {
 // closure that overlays the explicitly set ones onto a spec.
 func specFlags(fs *flag.FlagSet) func(*scenario.Spec) {
 	seed := fs.Int64("seed", 0, "workload random seed")
-	faultSeed := fs.Int64("fault-seed", 0, "fault injector random seed")
 	faultProfile := fs.String("faults", "",
 		"impair the bottleneck with a named fault profile ("+strings.Join(faults.Names(), ", ")+")")
 	duration := fs.Duration("duration", 0, "scenario duration (0 = experiment default)")
-	rate := fs.Float64("rate", 0, "link rate in bits/s")
 	rtt := fs.Duration("rtt", 0, "base round-trip time")
 	queue := fs.String("queue", "", "bottleneck queue discipline")
 	buffer := fs.Float64("buffer", 0, "bottleneck buffer in BDPs")
 	ccas := fs.String("ccas", "", "comma-separated CCA list")
 	phases := fs.String("phases", "", "comma-separated phase list (fig3)")
 	phase := fs.Duration("phase", 0, "per-phase duration (fig3)")
-	pulse := fs.Float64("pulse", 0, "pulse frequency in Hz (fig3; 0 = RTT-matched default)")
 	trials := fs.Int("trials", 0, "randomized trial count (oracle)")
 	flows := fs.Int("flows", 0, "flow count (subpkt) or dataset size (fig2)")
-	users := fs.Int("users", 0, "subscriber count (access)")
-	think := fs.Duration("think", 0, "mean churn think time between transfers (manyflow)")
-	longFrac := fs.Float64("long-frac", 0, "long-transfer probability (manyflow)")
 	fluidAbove := fs.Int("fluid-above", 0,
 		"model background users with index >= N as the fluid aggregate (manyflow; 0 = all packet-level)")
 
@@ -142,14 +134,10 @@ func specFlags(fs *flag.FlagSet) func(*scenario.Spec) {
 			switch f.Name {
 			case "seed":
 				sp.Seed = *seed
-			case "fault-seed":
-				sp.FaultSeed = *faultSeed
 			case "faults":
 				sp.FaultProfile = *faultProfile
 			case "duration":
 				sp.DurationS = duration.Seconds()
-			case "rate":
-				sp.RateBps = *rate
 			case "rtt":
 				sp.RTTMs = float64(*rtt) / float64(time.Millisecond)
 			case "queue":
@@ -162,18 +150,10 @@ func specFlags(fs *flag.FlagSet) func(*scenario.Spec) {
 				sp.Phases = splitList(*phases)
 			case "phase":
 				sp.PhaseDurationS = phase.Seconds()
-			case "pulse":
-				sp.PulseFreqHz = *pulse
 			case "trials":
 				sp.Trials = *trials
 			case "flows":
 				sp.Flows = *flows
-			case "users":
-				sp.Users = *users
-			case "think":
-				sp.ChurnThinkS = think.Seconds()
-			case "long-frac":
-				sp.LongFrac = *longFrac
 			case "fluid-above":
 				sp.FluidAbove = *fluidAbove
 			}
@@ -411,10 +391,8 @@ func cmdSweep(args []string) {
 func loadSpec(path string) scenario.Spec {
 	b, err := readInput(path)
 	fail(err)
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	var sp scenario.Spec
-	if err := dec.Decode(&sp); err != nil {
+	sp, err := scenario.ParseSpec(b)
+	if err != nil {
 		fail(fmt.Errorf("run: spec %s: %w", path, err))
 	}
 	return sp

@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	mlabanalyze [-minshift 0.2] [-workers 8] [-cdf] [dataset.jsonl[.gz]]
+//	mlabanalyze [-workers 8] [-cdf] [dataset.jsonl[.gz]]
 //	mlabgen | mlabanalyze
 package main
 
@@ -38,7 +38,6 @@ func main() {
 }
 
 func run() error {
-	minShift := flag.Float64("minshift", 0.2, "minimum relative level shift to count")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "analysis goroutines (output is identical for any count)")
 	maxRecords := flag.Int("max-records", 0, "abort past this many records (0 = unlimited)")
 	maxRecordBytes := flag.Int("max-record-bytes", mlab.DefaultMaxRecordBytes, "abort on a longer JSONL line (<0 = unlimited)")
@@ -64,10 +63,7 @@ func run() error {
 	}
 	defer src.Close()
 
-	res, err := core.AnalyzeFig2Stream(src, core.Fig2Config{
-		Analysis: mlab.AnalysisConfig{MinShiftFrac: *minShift},
-		Workers:  *workers,
-	})
+	res, err := core.AnalyzeFig2Stream(src, core.Fig2Config{Workers: *workers})
 	if err != nil {
 		return err
 	}

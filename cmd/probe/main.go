@@ -4,10 +4,12 @@
 // oscillations running, and reports the measured elasticity of the
 // path's cross traffic — the speedtest-style study §3.2 proposes.
 //
+// A run lasts 30 s and paces 1200-byte packets pulsed at 5 Hz; it ends
+// early, truncated, when no ack arrives for 3 s.
+//
 // Usage:
 //
-//	probe -server host:4460 [-duration 30s] [-mu 48e6] [-maxrate 100e6]
-//	      [-admin 127.0.0.1:6061]
+//	probe -server host:4460 [-mu 48e6] [-handshake-timeout 250ms]
 package main
 
 import (
@@ -17,45 +19,20 @@ import (
 	"time"
 
 	"repro/internal/nimbus"
-	"repro/internal/obs"
 	"repro/internal/probe"
 )
 
 func main() {
 	server := flag.String("server", "127.0.0.1:4460", "probe server address")
-	duration := flag.Duration("duration", 30*time.Second, "measurement duration")
 	mu := flag.Float64("mu", 0, "known bottleneck rate in bits/s (0 = auto-track)")
-	maxRate := flag.Float64("maxrate", 100e6, "hard cap on probe sending rate (bits/s)")
-	pulse := flag.Float64("pulse", 5, "pulse frequency in Hz")
-	size := flag.Int("size", 1200, "probe packet size in bytes")
-	series := flag.Bool("series", false, "print the elasticity time series")
-	hsRetries := flag.Int("handshake-retries", 5, "handshake attempts before giving up")
 	hsTimeout := flag.Duration("handshake-timeout", 250*time.Millisecond,
 		"first handshake reply deadline (doubles per retry)")
-	stall := flag.Duration("stall-timeout", 3*time.Second,
-		"abort the run when no ack arrives for this long")
-	admin := flag.String("admin", "",
-		"serve an HTTP admin endpoint (expvar, pprof) on this address for the run's duration")
 	flag.Parse()
 
-	if *admin != "" {
-		adm, err := obs.ServeAdmin(*admin, obs.AdminMux(nil))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "probe: admin:", err)
-			os.Exit(1)
-		}
-		defer adm.Close()
-	}
-
 	c := probe.NewClient(probe.ClientConfig{
-		Server:            *server,
-		Duration:          *duration,
-		PacketSize:        *size,
-		MaxRateBps:        *maxRate,
-		Nimbus:            nimbus.Config{Mu: *mu, PulseFreq: *pulse},
-		HandshakeAttempts: *hsRetries,
-		HandshakeTimeout:  *hsTimeout,
-		StallTimeout:      *stall,
+		Server:           *server,
+		Nimbus:           nimbus.Config{Mu: *mu},
+		HandshakeTimeout: *hsTimeout,
 	})
 	rep, err := c.Run()
 	if err != nil {
@@ -74,15 +51,9 @@ func main() {
 	fmt.Printf("confidence     %.2f\n", rep.Confidence)
 	switch v := rep.Verdict(); v {
 	case "inconclusive":
-		fmt.Printf("verdict        inconclusive (low confidence; rerun or extend -duration)\n")
+		fmt.Printf("verdict        inconclusive (low confidence; rerun)\n")
 	default:
 		fmt.Printf("verdict        %s (CCA contention %s)\n", v,
 			map[bool]string{true: "detected", false: "not detected"}[rep.Elastic])
-	}
-	if *series {
-		fmt.Println("# time_s eta")
-		for _, s := range rep.Eta {
-			fmt.Printf("%.2f %.4f\n", s.At.Seconds(), s.Value)
-		}
 	}
 }

@@ -12,7 +12,9 @@
 //	       [-max-sessions 1024] [-session-ttl 2m]
 //	       [-per-source-pps 0] [-global-pps 0]
 //	       [-spool DIR] [-spool-max-bytes 64Mi] [-fsync-every 0]
-//	       [-drain-timeout 10s] [-admin 127.0.0.1:6060] [-v]
+//	       [-drain-timeout 10s] [-admin 127.0.0.1:6060]
+//
+// The node logs each session's start and end.
 //
 // On SIGTERM or SIGINT the node stops admitting sessions (new Hellos
 // get Busy|FlagDraining replies), waits up to -drain-timeout for
@@ -61,7 +63,6 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":4460", "UDP listen address")
-	verbose := flag.Bool("v", false, "log sessions")
 	readers := flag.Int("readers", 0, "reader goroutines sharing the socket (0 = min(4, GOMAXPROCS))")
 	maxSessions := flag.Int("max-sessions", 1024, "concurrent session cap")
 	sessionTTL := flag.Duration("session-ttl", 2*time.Minute,
@@ -82,8 +83,6 @@ func run() error {
 		"serve an HTTP admin endpoint (expvar, pprof, /sessions, /healthz, /readyz, /metrics, /timeseries) on this address")
 	recordEvery := flag.Duration("record-every", time.Second,
 		"timeseries recorder sampling cadence (with -admin)")
-	recordSamples := flag.Int("record-samples", 600,
-		"timeseries recorder retention, in samples per series (with -admin)")
 	flag.Parse()
 
 	cfg := probe.ServerConfig{
@@ -93,9 +92,7 @@ func run() error {
 		Readers:      *readers,
 		PerSourcePPS: *perSourcePPS,
 		GlobalPPS:    *globalPPS,
-	}
-	if *verbose {
-		cfg.Logf = log.Printf
+		Logf:         log.Printf,
 	}
 
 	var sp *spool.Writer
@@ -124,7 +121,6 @@ func run() error {
 		rec := timeseries.New(timeseries.Config{
 			Registry: reg,
 			Interval: *recordEvery,
-			Samples:  *recordSamples,
 			Runtime:  true,
 		})
 		recCtx, recStop := context.WithCancel(context.Background())

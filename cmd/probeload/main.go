@@ -1,9 +1,8 @@
 // Command probeload is the fleet-node load harness: it replays
 // thousands of concurrent simulated probe clients against a probe
-// server — ramped arrivals, fixed-rate pacing, optional client-side
-// loss/jitter — and reports the session ceiling, admission outcomes,
-// shed rates, and ack-latency quantiles, with a pass/fail SLO line
-// usable in CI (exit 1 on FAIL).
+// server — evenly ramped arrivals, fixed-rate pacing — and reports
+// the session ceiling, admission outcomes and ack-latency quantiles,
+// with a pass/fail SLO line usable in CI (exit 1 on FAIL).
 //
 // By default it self-hosts the server in-process (so it can also
 // verify over-admission, shedding accounting, graceful drain, and
@@ -12,11 +11,12 @@
 // Usage:
 //
 //	probeload [-clients 2000] [-ramp 2s] [-duration 10s] [-rate 128e3]
-//	          [-size 256] [-arrivals uniform|poisson] [-loss 0] [-jitter 0]
-//	          [-max-sessions 4096] [-session-ttl 30s] [-readers 4]
-//	          [-per-source-pps 0] [-global-pps 0] [-spool DIR]
-//	          [-drain-timeout 5s] [-slo-p99 250ms] [-slo-max-shed 0.5]
+//	          [-max-sessions 4096] [-readers 4] [-spool DIR]
+//	          [-drain-timeout 5s] [-slo-p99 250ms]
 //	          [-slo-min-admitted 0] [-server host:port]
+//
+// Clients send 256-byte packets from seed 1; the self-hosted server
+// evicts idle sessions after 30 s and runs no rate limiter.
 //
 // SIGINT/SIGTERM mid-run cuts the load short and still drains the
 // self-hosted server gracefully — the drain path is part of what the
@@ -40,6 +40,9 @@ import (
 	"repro/internal/probe/spool"
 )
 
+// selfHostTTL is the self-hosted server's idle-session eviction age.
+const selfHostTTL = 30 * time.Second
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "probeload:", err)
@@ -52,26 +55,17 @@ func run() error {
 	server := flag.String("server", "", "external probe server address (default: self-host in-process)")
 	clients := flag.Int("clients", 2000, "concurrent simulated probe clients")
 	ramp := flag.Duration("ramp", 2*time.Second, "spread client arrivals over this window")
-	arrivals := flag.String("arrivals", "uniform", "arrival schedule: uniform or poisson")
 	duration := flag.Duration("duration", 10*time.Second, "per-client data phase length")
 	rate := flag.Float64("rate", 128e3, "per-client sending rate (bits/s)")
-	size := flag.Int("size", 256, "data packet wire size (bytes)")
-	seed := flag.Int64("seed", 1, "run seed (per-client seeds derive from it)")
-	loss := flag.Float64("loss", 0, "client-side send drop probability")
-	jitter := flag.Duration("jitter", 0, "client-side max per-send delay (uniform)")
 
 	// Self-hosted server shape.
 	maxSessions := flag.Int("max-sessions", 4096, "self-hosted server session cap")
-	sessionTTL := flag.Duration("session-ttl", 30*time.Second, "self-hosted server session TTL")
 	readers := flag.Int("readers", 0, "self-hosted server reader goroutines (0 = default)")
-	perSourcePPS := flag.Float64("per-source-pps", 0, "self-hosted per-source-IP packet rate limit (0 = off)")
-	globalPPS := flag.Float64("global-pps", 0, "self-hosted global packet ceiling (0 = off)")
 	spoolDir := flag.String("spool", "", "self-hosted server spool directory (verified after the drain)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful drain deadline after the load completes")
 
 	// SLO.
 	sloP99 := flag.Duration("slo-p99", 250*time.Millisecond, "ack-latency p99 bound (0 = skip)")
-	sloMaxShed := flag.Float64("slo-max-shed", 0.5, "max tolerated data shed fraction (self-host; <0 = skip)")
 	sloMinAdmitted := flag.Int("slo-min-admitted", 0, "minimum admitted clients (0 = skip)")
 	flag.Parse()
 
@@ -79,16 +73,11 @@ func run() error {
 	defer stopSig()
 
 	cfg := load.Config{
-		Server:     *server,
-		Clients:    *clients,
-		Ramp:       *ramp,
-		Arrivals:   *arrivals,
-		Duration:   *duration,
-		RateBps:    *rate,
-		PacketSize: *size,
-		Seed:       *seed,
-		Loss:       *loss,
-		JitterMax:  *jitter,
+		Server:   *server,
+		Clients:  *clients,
+		Ramp:     *ramp,
+		Duration: *duration,
+		RateBps:  *rate,
 	}
 
 	// Self-host unless an external target was named.
@@ -106,13 +95,11 @@ func run() error {
 		}
 		var err error
 		srv, err = probe.NewServer(probe.ServerConfig{
-			Addr:         "127.0.0.1:0",
-			MaxSessions:  *maxSessions,
-			SessionTTL:   *sessionTTL,
-			Readers:      *readers,
-			PerSourcePPS: *perSourcePPS,
-			GlobalPPS:    *globalPPS,
-			Sink:         sink,
+			Addr:        "127.0.0.1:0",
+			MaxSessions: *maxSessions,
+			SessionTTL:  selfHostTTL,
+			Readers:     *readers,
+			Sink:        sink,
 		})
 		if err != nil {
 			return err
@@ -121,7 +108,7 @@ func run() error {
 		cfg.Server = srv.Addr().String()
 		cfg.SampleActive = srv.ActiveSessions
 		fmt.Printf("probeload: self-hosted server on %v (cap %d, ttl %v)\n",
-			srv.Addr(), *maxSessions, *sessionTTL)
+			srv.Addr(), *maxSessions, selfHostTTL)
 	}
 
 	res, err := load.Run(ctx, cfg)
@@ -151,7 +138,6 @@ func run() error {
 	report(os.Stdout, res, srv, forced, spooled)
 	failures := evaluateSLO(res, srv, forced, spooled, sloSpec{
 		p99:         *sloP99,
-		maxShed:     *sloMaxShed,
 		minAdmitted: *sloMinAdmitted,
 		maxSessions: *maxSessions,
 	})
@@ -180,9 +166,8 @@ func report(w io.Writer, res *load.Result, srv *probe.Server, forced, spooled in
 		res.LatencyQuantile(1).Round(10*time.Microsecond))
 	if srv != nil {
 		st := &srv.Stats
-		fmt.Fprintf(w, "server         sessions %d, rejected %d, rate-limited %d, shed hello/data %d/%d, evicted %d, oversize %d\n",
-			st.Sessions.Value(), st.Rejected.Value(), st.RateLimited.Value(),
-			st.ShedHello.Value(), st.ShedData.Value(), st.Evicted.Value(), st.Oversize.Value())
+		fmt.Fprintf(w, "server         sessions %d, rejected %d, evicted %d, oversize %d\n",
+			st.Sessions.Value(), st.Rejected.Value(), st.Evicted.Value(), st.Oversize.Value())
 		fmt.Fprintf(w, "drain          forced %d sessions at deadline, %d drained summaries, spool errors %d\n",
 			forced, st.Drained.Value(), st.SpoolErrors.Value())
 		if spooled > 0 || st.Sessions.Value() > 0 {
@@ -195,7 +180,6 @@ func report(w io.Writer, res *load.Result, srv *probe.Server, forced, spooled in
 
 type sloSpec struct {
 	p99         time.Duration
-	maxShed     float64
 	minAdmitted int
 	maxSessions int
 }
@@ -221,13 +205,6 @@ func evaluateSLO(res *load.Result, srv *probe.Server, forced, spooled int, slo s
 	if res.PeakServerSessions > slo.maxSessions {
 		fails = append(fails, fmt.Sprintf("over-admission: peak %d sessions > cap %d",
 			res.PeakServerSessions, slo.maxSessions))
-	}
-	if slo.maxShed >= 0 {
-		data := float64(srv.Stats.DataPackets.Value())
-		shed := float64(srv.Stats.ShedData.Value())
-		if total := data + shed; total > 0 && shed/total > slo.maxShed {
-			fails = append(fails, fmt.Sprintf("data shed rate %.2f > %.2f", shed/total, slo.maxShed))
-		}
 	}
 	if forced > 0 {
 		fails = append(fails, fmt.Sprintf("drain deadline hit with %d sessions live", forced))

@@ -1,7 +1,6 @@
 package cca
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -33,9 +32,6 @@ func NewAIMD(incrBytes float64, decr float64) *AIMD {
 	}
 	return &AIMD{mss: sim.MSS, cwnd: 10 * sim.MSS, ssthresh: 1 << 30, incr: incrBytes, decr: decr}
 }
-
-// Name implements transport.CCA.
-func (a *AIMD) Name() string { return fmt.Sprintf("aimd(%g,%g)", a.incr, a.decr) }
 
 // OnAck implements transport.CCA.
 func (a *AIMD) OnAck(ai transport.AckInfo) {
@@ -82,9 +78,6 @@ type CBR struct {
 
 // NewCBR returns a constant-bit-rate controller at rateBits bits/s.
 func NewCBR(rateBits float64) *CBR { return &CBR{rate: rateBits} }
-
-// Name implements transport.CCA.
-func (c *CBR) Name() string { return "cbr" }
 
 // OnAck implements transport.CCA.
 func (c *CBR) OnAck(transport.AckInfo) {}

@@ -106,9 +106,6 @@ func NewBBRCC() *BBR {
 	}
 }
 
-// Name implements transport.CCA.
-func (b *BBR) Name() string { return "bbr" }
-
 func (b *BBR) bdpBytes(gain float64) float64 {
 	bw := b.btlBwEstimate()
 	rt := b.rtProp

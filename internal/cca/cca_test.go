@@ -300,9 +300,8 @@ func TestAIMDParameters(t *testing.T) {
 		t.Errorf("decrease = %.2f, want 0.8", got/w)
 	}
 	// Invalid params clamp to Reno's.
-	d := NewAIMD(-1, 7)
-	if d.Name() != "aimd(1500,0.5)" {
-		t.Errorf("clamped name = %s", d.Name())
+	if d := NewAIMD(-1, 7); *d != *NewRenoCC() {
+		t.Errorf("clamped = %+v, want Reno's %+v", d, NewRenoCC())
 	}
 }
 

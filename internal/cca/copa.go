@@ -33,9 +33,6 @@ func NewCopaCC() *Copa {
 	return &Copa{mss: sim.MSS, cwnd: 10 * sim.MSS, velocity: 1}
 }
 
-// Name implements transport.CCA.
-func (c *Copa) Name() string { return "copa" }
-
 // OnAck implements transport.CCA.
 func (c *Copa) OnAck(a transport.AckInfo) {
 	c.srtt = a.SRTT

@@ -36,9 +36,6 @@ func NewCubicCC() *Cubic {
 	return &Cubic{mss: sim.MSS, cwnd: 10 * sim.MSS, ssthresh: 1 << 30}
 }
 
-// Name implements transport.CCA.
-func (c *Cubic) Name() string { return "cubic" }
-
 // OnAck implements transport.CCA.
 func (c *Cubic) OnAck(a transport.AckInfo) {
 	c.lastTime = a.Now

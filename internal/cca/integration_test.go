@@ -157,7 +157,7 @@ func TestCopaKeepsQueueShorterThanCubic(t *testing.T) {
 		})
 		f.Start()
 		eng.Run(30 * time.Second)
-		return f.Sender.SRTT()
+		return f.Sender.Snapshot().SRTT
 	}
 	copa := run("copa")
 	cubic := run("cubic")

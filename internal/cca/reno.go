@@ -16,25 +16,19 @@ import (
 	"repro/internal/transport"
 )
 
-// Reno is classic TCP Reno congestion control: slow start, additive
-// increase of one MSS per RTT in congestion avoidance, and a
-// multiplicative decrease to half on each loss event — the AIMD rule at
-// (MSS, 0.5) under its own name.
-type Reno struct{ AIMD }
-
-// NewRenoCC returns a Reno controller with the standard initial window
-// of 10 segments (RFC 6928).
-func NewRenoCC() *Reno { return &Reno{*NewAIMD(sim.MSS, 0.5)} }
-
-// Name implements transport.CCA.
-func (r *Reno) Name() string { return "reno" }
+// NewRenoCC returns classic TCP Reno congestion control — slow start,
+// additive increase of one MSS per RTT in congestion avoidance, and a
+// multiplicative decrease to half on each loss event: the AIMD rule at
+// (MSS, 0.5), with the standard initial window of 10 segments (RFC
+// 6928).
+func NewRenoCC() *AIMD { return NewAIMD(sim.MSS, 0.5) }
 
 // NewReno extends Reno with an explicit recovery point: while
 // recovering from a loss epoch, subsequent loss signals do not reduce
 // the window again, and the window is frozen until recovery completes
 // (approximating RFC 6582 fast recovery with partial-ack handling).
 type NewReno struct {
-	Reno
+	AIMD
 	inRecovery    bool
 	recoveryMark  int64 // CumDelivered that ends recovery
 	lastDelivered int64
@@ -42,11 +36,8 @@ type NewReno struct {
 
 // NewNewRenoCC returns a NewReno controller.
 func NewNewRenoCC() *NewReno {
-	return &NewReno{Reno: *NewRenoCC()}
+	return &NewReno{AIMD: *NewRenoCC()}
 }
-
-// Name implements transport.CCA.
-func (nr *NewReno) Name() string { return "newreno" }
 
 // OnAck implements transport.CCA.
 func (nr *NewReno) OnAck(a transport.AckInfo) {
@@ -58,7 +49,7 @@ func (nr *NewReno) OnAck(a transport.AckInfo) {
 			return // hold the window during recovery
 		}
 	}
-	nr.Reno.OnAck(a)
+	nr.AIMD.OnAck(a)
 }
 
 // OnLoss implements transport.CCA.
@@ -70,11 +61,11 @@ func (nr *NewReno) OnLoss(l transport.LossInfo) {
 	// Recovery ends once everything outstanding at the loss is
 	// delivered.
 	nr.recoveryMark = nr.lastDelivered + int64(l.Inflight)
-	nr.Reno.OnLoss(l)
+	nr.AIMD.OnLoss(l)
 }
 
 // OnTimeout implements transport.CCA.
 func (nr *NewReno) OnTimeout(now time.Duration) {
 	nr.inRecovery = false
-	nr.Reno.OnTimeout(now)
+	nr.AIMD.OnTimeout(now)
 }

@@ -25,9 +25,6 @@ func NewVegasCC() *Vegas {
 	return &Vegas{mss: sim.MSS, cwnd: 10 * sim.MSS, ssthresh: 1 << 30, alpha: 2, beta: 4}
 }
 
-// Name implements transport.CCA.
-func (v *Vegas) Name() string { return "vegas" }
-
 // OnAck implements transport.CCA.
 func (v *Vegas) OnAck(a transport.AckInfo) {
 	base := a.MinRTT.Seconds()

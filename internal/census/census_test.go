@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -530,5 +532,23 @@ func TestExpansionStats(t *testing.T) {
 		if sp.Experiment != "duel" {
 			t.Fatalf("sample spec is not a duel: %+v", sp)
 		}
+	}
+}
+
+// TestLedgerModelHashIsPinned: the benchmark's population model keeps
+// its hash, so every spec the census-cells workload draws from it is
+// the one it drew before.
+func TestLedgerModelHashIsPinned(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("..", "..", "ledger", "specs", "census-model.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ParseModel(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "0fe73ad2cb362b3cdf79f0ec32163bab4acca6236a21cc121b835c9fb753f021"
+	if got := m.Hash(); got != want {
+		t.Errorf("census-model.json hashes to %s, want %s", got, want)
 	}
 }

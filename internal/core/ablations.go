@@ -17,11 +17,6 @@ import (
 
 // PulseSweepConfig parameterizes the abl-pulse ablation.
 type PulseSweepConfig struct {
-	// Freqs lists pulse frequencies in Hz (default 1, 2, 5, 10).
-	Freqs []float64
-	// Amps lists pulse amplitudes as fractions of mu (default 0.1,
-	// 0.25, 0.5).
-	Amps []float64
 	// Duration is each cell's length (default 30s).
 	Duration time.Duration
 	// Obs, when non-nil, receives every cell's trace events and metric
@@ -30,17 +25,17 @@ type PulseSweepConfig struct {
 }
 
 func (c PulseSweepConfig) norm() PulseSweepConfig {
-	if len(c.Freqs) == 0 {
-		c.Freqs = []float64{1, 2, 5, 10}
-	}
-	if len(c.Amps) == 0 {
-		c.Amps = []float64{0.1, 0.25, 0.5}
-	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
 	}
 	return c
 }
+
+// pulseFreqs (Hz) and pulseAmps (fractions of mu) are abl-pulse's grid.
+var (
+	pulseFreqs = []float64{1, 2, 5, 10}
+	pulseAmps  = []float64{0.1, 0.25, 0.5}
+)
 
 // PulseSweepRow holds one (frequency, amplitude) cell of the pulse
 // ablation: elasticity separation between a Reno (elastic) and CBR
@@ -66,20 +61,24 @@ type PulseSweepResult struct {
 func RunPulseSweep(cfg PulseSweepConfig) (*PulseSweepResult, error) {
 	cfg = cfg.norm()
 	res := &PulseSweepResult{Config: cfg}
-	for _, f := range cfg.Freqs {
-		for _, a := range cfg.Amps {
-			probe := paperProbeConfig(fig3RateBps)
-			probe.PulseFreq, probe.PulseAmp = f, a
-			etaR, etaC, err := separation(probe, 1, cfg.Duration, cfg.Obs)
+	for _, f := range pulseFreqs {
+		for _, a := range pulseAmps {
+			row, err := pulseRow(f, a, cfg.Duration, cfg.Obs)
 			if err != nil {
 				return nil, err
 			}
-			res.Rows = append(res.Rows, PulseSweepRow{
-				FreqHz: f, Amp: a, EtaReno: etaR, EtaCBR: etaC, Separation: etaR - etaC,
-			})
+			res.Rows = append(res.Rows, row)
 		}
 	}
 	return res, nil
+}
+
+// pulseRow is one (frequency, amplitude) cell of abl-pulse.
+func pulseRow(f, a float64, dur time.Duration, sc *obs.Scope) (PulseSweepRow, error) {
+	probe := paperProbeConfig(fig3RateBps)
+	probe.PulseFreq, probe.PulseAmp = f, a
+	etaR, etaC, err := separation(probe, 1, dur, sc)
+	return PulseSweepRow{FreqHz: f, Amp: a, EtaReno: etaR, EtaCBR: etaC, Separation: etaR - etaC}, err
 }
 
 // fig3RateBps is the Figure 3 link's rate, which the separation
@@ -117,9 +116,6 @@ func (r *PulseSweepResult) WriteTable(w io.Writer) {
 
 // BufferSweepConfig parameterizes the abl-buffer ablation.
 type BufferSweepConfig struct {
-	// BDPs lists bottleneck buffer depths in bandwidth-delay products
-	// (default 0.5, 1, 2, 4).
-	BDPs []float64
 	// Duration is each cell's length (default 30s).
 	Duration time.Duration
 	// Obs, when non-nil, receives every cell's trace events and metric
@@ -128,14 +124,15 @@ type BufferSweepConfig struct {
 }
 
 func (c BufferSweepConfig) norm() BufferSweepConfig {
-	if len(c.BDPs) == 0 {
-		c.BDPs = []float64{0.5, 1, 2, 4}
-	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
 	}
 	return c
 }
+
+// bufferBDPs are abl-buffer's bottleneck buffer depths in
+// bandwidth-delay products.
+var bufferBDPs = []float64{0.5, 1, 2, 4}
 
 // BufferSweepRow holds one buffer-depth cell of the abl-buffer
 // ablation: detector separation vs bottleneck buffer size.
@@ -159,7 +156,7 @@ type BufferSweepResult struct {
 func RunBufferSweep(cfg BufferSweepConfig) (*BufferSweepResult, error) {
 	cfg = cfg.norm()
 	res := &BufferSweepResult{Config: cfg}
-	for _, bdp := range cfg.BDPs {
+	for _, bdp := range bufferBDPs {
 		etaR, etaC, err := separation(paperProbeConfig(fig3RateBps), bdp, cfg.Duration, cfg.Obs)
 		if err != nil {
 			return nil, err
@@ -182,8 +179,6 @@ func (r *BufferSweepResult) WriteTable(w io.Writer) {
 
 // SubPacketConfig parameterizes the abl-subpkt ablation.
 type SubPacketConfig struct {
-	// Rates lists link rates in bits/s (default 256k, 512k, 1M, 2M).
-	Rates []float64
 	// Flows is the number of competing Reno flows (default 8).
 	Flows int
 	// Duration is each cell's length (default 20s).
@@ -194,9 +189,6 @@ type SubPacketConfig struct {
 }
 
 func (c SubPacketConfig) norm() SubPacketConfig {
-	if len(c.Rates) == 0 {
-		c.Rates = []float64{256e3, 512e3, 1e6, 2e6}
-	}
 	if c.Flows <= 0 {
 		c.Flows = 8
 	}
@@ -205,6 +197,9 @@ func (c SubPacketConfig) norm() SubPacketConfig {
 	}
 	return c
 }
+
+// subPacketRates are abl-subpkt's link rates in bits/s.
+var subPacketRates = []float64{256e3, 512e3, 1e6, 2e6}
 
 // SubPacketRow summarizes the abl-subpkt ablation at one link rate:
 // N Reno flows on a sub-packet-BDP link (Chen et al., SIGMETRICS '11 —
@@ -234,46 +229,51 @@ type SubPacketResult struct {
 func RunSubPacket(cfg SubPacketConfig) (*SubPacketResult, error) {
 	cfg = cfg.norm()
 	res := &SubPacketResult{Config: cfg}
-	for _, rate := range cfg.Rates {
-		eng := newEngine()
-		// 200ms one-way: a long, thin path.
-		link := sim.NewLink(eng, "thin", rate, 100*time.Millisecond, qdisc.NewDropTail(8*sim.MSS))
-		wireObs(cfg.Obs, eng, link)
-		var fl []*transport.Flow
-		for i := 0; i < cfg.Flows; i++ {
-			f := transport.NewFlow(eng, transport.FlowConfig{
-				ID: i + 1, UserID: 1, Path: []*sim.Link{link},
-				ReturnDelay: 100 * time.Millisecond,
-				CC:          cca.NewRenoCC(), Backlogged: true,
-				Trace:   cfg.Obs.T(),
-				Metrics: cfg.Obs.R(),
-			})
-			f.Watch(cfg.Duration/4, cfg.Duration)
-			f.Start()
-			fl = append(fl, f)
-		}
-		eng.Run(cfg.Duration)
-		var tputs []float64
-		var timeouts int64
-		starved := 0
-		fair := rate / float64(cfg.Flows)
-		for _, f := range fl {
-			tp := f.Throughput(cfg.Duration/4, cfg.Duration)
-			tputs = append(tputs, tp)
-			timeouts += f.Sender.LossEvents()
-			if tp < 0.1*fair {
-				starved++
-			}
-		}
-		res.Rows = append(res.Rows, SubPacketRow{
-			RateBps: rate, Flows: cfg.Flows,
-			Jain:         stats.JainIndex(tputs),
-			StarvedFlows: starved,
-			Timeouts:     timeouts,
-		})
-		releaseEngine(eng, cfg.Obs)
+	for _, rate := range subPacketRates {
+		res.Rows = append(res.Rows, subPacketRow(cfg, rate))
 	}
 	return res, nil
+}
+
+// subPacketRow runs cfg's flows on one thin link of the given rate.
+func subPacketRow(cfg SubPacketConfig, rate float64) SubPacketRow {
+	eng := newEngine()
+	defer releaseEngine(eng, cfg.Obs)
+	// 200ms one-way: a long, thin path.
+	link := sim.NewLink(eng, "thin", rate, 100*time.Millisecond, qdisc.NewDropTail(8*sim.MSS))
+	wireObs(cfg.Obs, eng, link)
+	var fl []*transport.Flow
+	for i := 0; i < cfg.Flows; i++ {
+		f := transport.NewFlow(eng, transport.FlowConfig{
+			ID: i + 1, UserID: 1, Path: []*sim.Link{link},
+			ReturnDelay: 100 * time.Millisecond,
+			CC:          cca.NewRenoCC(), Backlogged: true,
+			Trace:   cfg.Obs.T(),
+			Metrics: cfg.Obs.R(),
+		})
+		f.Watch(cfg.Duration/4, cfg.Duration)
+		f.Start()
+		fl = append(fl, f)
+	}
+	eng.Run(cfg.Duration)
+	var tputs []float64
+	var timeouts int64
+	starved := 0
+	fair := rate / float64(cfg.Flows)
+	for _, f := range fl {
+		tp := f.Throughput(cfg.Duration/4, cfg.Duration)
+		tputs = append(tputs, tp)
+		timeouts += f.Sender.LossEvents()
+		if tp < 0.1*fair {
+			starved++
+		}
+	}
+	return SubPacketRow{
+		RateBps: rate, Flows: cfg.Flows,
+		Jain:         stats.JainIndex(tputs),
+		StarvedFlows: starved,
+		Timeouts:     timeouts,
+	}
 }
 
 // WriteTable renders the ablation table.

@@ -22,12 +22,13 @@ import (
 // provisioned for many subscribers.
 const accessCoreRateBps = 1e9
 
+// accessUsers is the number of subscribers, two flows each.
+const accessUsers = 4
+
 type AccessConfig struct {
 	// AccessRateBps is each subscriber's access rate (default
 	// 50 Mbit/s).
 	AccessRateBps float64
-	// Users is the number of subscribers, two flows each (default 4).
-	Users int
 	// Duration is the run length (default 30s).
 	Duration time.Duration
 	// Obs, when non-nil, receives the run's trace events and metric
@@ -38,9 +39,6 @@ type AccessConfig struct {
 func (c AccessConfig) norm() AccessConfig {
 	if c.AccessRateBps <= 0 {
 		c.AccessRateBps = 50e6
-	}
-	if c.Users <= 0 {
-		c.Users = 4
 	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
@@ -84,7 +82,7 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 	}
 	var flows []flowInfo
 	warm := cfg.Duration / 4
-	for u := 0; u < cfg.Users; u++ {
+	for u := 0; u < accessUsers; u++ {
 		access := sim.NewLink(eng, fmt.Sprintf("access-%d", u), cfg.AccessRateBps,
 			10*time.Millisecond, qdisc.NewDropTailBDP(cfg.AccessRateBps, 30*time.Millisecond, 1))
 		wireObs(cfg.Obs, nil, access)
@@ -135,7 +133,7 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 			}
 		}
 	}
-	perUser := make([]float64, cfg.Users)
+	perUser := make([]float64, accessUsers)
 	for _, fi := range flows {
 		perUser[fi.user] += fi.flow.Throughput(warm, cfg.Duration)
 	}
@@ -146,7 +144,7 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 // WriteTable renders the outcome.
 func (r *AccessResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "exp-access (§2.2): %d users x 2 backlogged flows, %s access links behind a %s core\n",
-		r.Config.Users, FmtBps(r.Config.AccessRateBps), FmtBps(accessCoreRateBps))
+		accessUsers, FmtBps(r.Config.AccessRateBps), FmtBps(accessCoreRateBps))
 	fmt.Fprintf(w, "core utilization:                  %5.1f%% (provisioned, never a bottleneck)\n",
 		100*r.CoreUtilization)
 	fmt.Fprintf(w, "flow pairs sharing the core:       %d\n", r.PairsSharingCore)

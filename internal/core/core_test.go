@@ -133,10 +133,7 @@ func TestFig3RejectsUnknownPhase(t *testing.T) {
 }
 
 func TestFig1RejectsUnknownCCA(t *testing.T) {
-	_, err := RunFig1(Fig1Config{
-		Pairs:    [][2]string{{"reno", "quic-magic"}},
-		Duration: time.Second,
-	})
+	_, err := runFig1Cell(Fig1Config{Duration: time.Second}.norm(), [2]string{"reno", "quic-magic"}, QueueDropTail)
 	if err == nil {
 		t.Error("unknown CCA should error")
 	}

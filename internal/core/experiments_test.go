@@ -21,7 +21,7 @@ func TestFig1IsolationShape(t *testing.T) {
 		t.Errorf("BBR FIFO share = %+v, want > 0.6", fifo)
 	}
 	// FQ and per-user isolation: near-perfect fairness for every pair.
-	for _, pair := range res.Config.Pairs {
+	for _, pair := range fig1Pairs {
 		for _, q := range []QueueKind{QueueFQ, QueueUserIso} {
 			row := fig1Row(res, pair[0], pair[1], q)
 			if row == nil {
@@ -96,21 +96,15 @@ func TestPulseSweepShowsFrequencyMatters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := RunPulseSweep(PulseSweepConfig{
-		Freqs: []float64{2, 10}, Amps: []float64{0.25}, Duration: 25 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sep2, sep10 float64
-	for _, r := range res.Rows {
-		if r.FreqHz == 2 {
-			sep2 = r.Separation
+	var sep [2]float64
+	for i, f := range []float64{2, 10} {
+		row, err := pulseRow(f, 0.25, 25*time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.FreqHz == 10 {
-			sep10 = r.Separation
-		}
+		sep[i] = row.Separation
 	}
+	sep2, sep10 := sep[0], sep[1]
 	// 10 Hz pulses are inside the loaded RTT: separation collapses.
 	if sep2 <= sep10 {
 		t.Errorf("separation at 2Hz (%.3f) should beat 10Hz (%.3f)", sep2, sep10)
@@ -124,16 +118,8 @@ func TestSubPacketRegime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := RunSubPacket(SubPacketConfig{
-		Rates: []float64{256e3, 4e6}, Flows: 8, Duration: 20 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatal("missing rows")
-	}
-	thin, fat := res.Rows[0], res.Rows[1]
+	cfg := SubPacketConfig{Flows: 8, Duration: 20 * time.Second}.norm()
+	thin, fat := subPacketRow(cfg, 256e3), subPacketRow(cfg, 4e6)
 	// The sub-packet link is much less fair than the fat one (Chen et
 	// al.'s timeout-driven starvation).
 	if thin.Jain >= fat.Jain {
@@ -209,8 +195,8 @@ func TestAccessOnlyContentionPoint(t *testing.T) {
 	if res.InterUserPairs != 0 {
 		t.Errorf("inter-user contending pairs = %d, want 0 (core is provisioned)", res.InterUserPairs)
 	}
-	if res.IntraUserPairs != res.Config.Users {
-		t.Errorf("intra-user contending pairs = %d, want %d", res.IntraUserPairs, res.Config.Users)
+	if res.IntraUserPairs != accessUsers {
+		t.Errorf("intra-user contending pairs = %d, want %d", res.IntraUserPairs, accessUsers)
 	}
 	if res.CoreUtilization > 0.7 {
 		t.Errorf("core utilization = %.2f, should stay under the 60-70%% planning bound", res.CoreUtilization)

@@ -19,11 +19,6 @@ type Fig1Config struct {
 	OneWayDelay time.Duration
 	// Duration is the scenario length (default 60s).
 	Duration time.Duration
-	// Pairs lists CCA name pairs (default the paper-motivated set).
-	Pairs [][2]string
-	// Queues lists disciplines to compare (default FIFO, FQ,
-	// per-user isolation).
-	Queues []QueueKind
 	// BufferBDP sizes the buffer (default 2 — a bufferbloated access
 	// link, where BBR-vs-Reno asymmetry is pronounced).
 	BufferBDP float64
@@ -42,22 +37,23 @@ func (c Fig1Config) norm() Fig1Config {
 	if c.Duration <= 0 {
 		c.Duration = 60 * time.Second
 	}
-	if len(c.Pairs) == 0 {
-		c.Pairs = [][2]string{
-			{"reno", "reno"},
-			{"reno", "cubic"},
-			{"reno", "bbr"},
-			{"cubic", "bbr"},
-		}
-	}
-	if len(c.Queues) == 0 {
-		c.Queues = []QueueKind{QueueDropTail, QueueFQ, QueueUserIso}
-	}
 	if c.BufferBDP <= 0 {
 		c.BufferBDP = 2
 	}
 	return c
 }
+
+// fig1Pairs and fig1Queues are Figure 1's grid: the paper-motivated
+// CCA pairings against FIFO, fair queueing and per-user isolation.
+var (
+	fig1Pairs = [][2]string{
+		{"reno", "reno"},
+		{"reno", "cubic"},
+		{"reno", "bbr"},
+		{"cubic", "bbr"},
+	}
+	fig1Queues = []QueueKind{QueueDropTail, QueueFQ, QueueUserIso}
+)
 
 // Fig1Row is one (pair, queue) cell of the experiment.
 type Fig1Row struct {
@@ -87,8 +83,8 @@ type Fig1Result struct {
 func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 	cfg = cfg.norm()
 	res := &Fig1Result{Config: cfg}
-	for _, pair := range cfg.Pairs {
-		for _, q := range cfg.Queues {
+	for _, pair := range fig1Pairs {
+		for _, q := range fig1Queues {
 			row, err := runFig1Cell(cfg, pair, q)
 			if err != nil {
 				return nil, err

@@ -12,8 +12,6 @@ type Fig2Config struct {
 	// Generator configures the synthetic NDT dataset (default: 9,984
 	// flows, the paper's June 2023 query size).
 	Generator mlab.GeneratorConfig
-	// Analysis configures the pipeline.
-	Analysis mlab.AnalysisConfig
 	// Workers is the analysis fan-out (default 1: the sweep runner
 	// already parallelizes across scenarios). The outcome is identical
 	// for every worker count, so it is execution detail, not spec.
@@ -42,7 +40,7 @@ func (c Fig2Config) streamOptions(keepResults bool) mlab.StreamOptions {
 // record — the dataset is never materialized.
 func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 	src := mlab.NewGenSource(cfg.Generator)
-	an, err := mlab.AnalyzeStream(src, cfg.Analysis, cfg.streamOptions(true))
+	an, err := mlab.AnalyzeStream(src, mlab.AnalysisConfig{}, cfg.streamOptions(true))
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +51,7 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 // aggregate mode: per-flow results are not retained, so memory is
 // O(cfg.Workers x flow size) plus 8 B per accepted shift magnitude.
 func AnalyzeFig2Stream(src mlab.RecordSource, cfg Fig2Config) (*Fig2Result, error) {
-	an, err := mlab.AnalyzeStream(src, cfg.Analysis, cfg.streamOptions(false))
+	an, err := mlab.AnalyzeStream(src, mlab.AnalysisConfig{}, cfg.streamOptions(false))
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func TestFig3TracedRunLog(t *testing.T) {
 	}
 
 	want := obs.Manifest{Tool: "ccac/fig3", Seed: cfg.Seed,
-		RateBps: 48e6, Phases: cfg.Phases, PulseFreqHz: 2}
+		RateBps: 48e6, Phases: cfg.Phases}
 	var buf bytes.Buffer
 	w, err := obs.NewRunLogWriter(&buf, want)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestFig3TracedRunLog(t *testing.T) {
 
 	// Manifest round-trips the run's configuration.
 	if log.Manifest.Tool != want.Tool || log.Manifest.Seed != want.Seed ||
-		log.Manifest.RateBps != want.RateBps || log.Manifest.PulseFreqHz != want.PulseFreqHz {
+		log.Manifest.RateBps != want.RateBps {
 		t.Errorf("manifest mismatch: got %+v want %+v", log.Manifest, want)
 	}
 	if len(log.Manifest.Phases) != 2 || log.Manifest.Phases[0] != "reno" {

@@ -25,6 +25,13 @@ const manyFlowUserBase = 10
 // the victim pair's averages.
 const manyFlowWarmupFrac = 0.25
 
+// churnThink is a background user's mean think time between transfers,
+// churnLongFrac the probability that a transfer is a long one.
+const (
+	churnThink    = time.Second
+	churnLongFrac = 0.1
+)
+
 // ManyFlowConfig parameterizes the population-scale contention cell: a
 // fig1-style victim pair (two backlogged flows under different CCAs,
 // each its own subscriber) embedded among N background subscribers
@@ -49,11 +56,6 @@ type ManyFlowConfig struct {
 	BufferBDP float64
 	// Duration is the cell length (default 30s).
 	Duration time.Duration
-	// ChurnThink is the mean think time between a background user's
-	// transfers (default 1s); LongFrac the long-transfer probability
-	// (default 0.1).
-	ChurnThink time.Duration
-	LongFrac   float64
 	// Seed drives the churn randomness. Each background user's stream
 	// is derived from it independently, so the population is
 	// byte-replayable.
@@ -94,12 +96,6 @@ func (c ManyFlowConfig) norm() ManyFlowConfig {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
-	}
-	if c.ChurnThink <= 0 {
-		c.ChurnThink = time.Second
-	}
-	if c.LongFrac <= 0 {
-		c.LongFrac = 0.1
 	}
 	if c.FluidAbove < 0 || c.FluidAbove > c.Users {
 		c.FluidAbove = 0
@@ -184,8 +180,6 @@ type fluidAggregate struct {
 	cursor     int
 	perUserBps float64
 	maxBps     float64
-	think      time.Duration
-	longFrac   float64
 	injecting  bool
 
 	// DeliveredBytes counts bytes arriving at the far gate; Started,
@@ -201,8 +195,6 @@ func newFluidAggregate(eng *sim.Engine, link *sim.Link, cfg ManyFlowConfig) *flu
 		path:       []*sim.Link{link},
 		perUserBps: cfg.perUserRateBps(),
 		maxBps:     1.2 * cfg.RateBps,
-		think:      cfg.ChurnThink,
-		longFrac:   cfg.LongFrac,
 	}
 	for i := cfg.FluidAbove; i < cfg.Users; i++ {
 		u := &fluidUser{
@@ -218,12 +210,12 @@ func newFluidAggregate(eng *sim.Engine, link *sim.Link, cfg ManyFlowConfig) *flu
 }
 
 func (f *fluidAggregate) scheduleArrival(u *fluidUser) {
-	gap := time.Duration(u.rng.ExpFloat64() * float64(f.think))
+	gap := time.Duration(u.rng.ExpFloat64() * float64(churnThink))
 	f.eng.Schedule(gap, func() { f.arrive(u) })
 }
 
 func (f *fluidAggregate) arrive(u *fluidUser) {
-	if u.rng.Float64() < f.longFrac {
+	if u.rng.Float64() < churnLongFrac {
 		u.remaining = traffic.LongSizes.Sample(u.rng)
 		f.LongStarted++
 	} else {
@@ -350,8 +342,8 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 		userID := manyFlowUserBase + i
 		rng := eng.Rand(faults.DeriveSeed(cfg.Seed, fmt.Sprintf("manyflow/churn/%d", i)))
 		churns = append(churns, traffic.NewChurn(eng, traffic.ChurnConfig{
-			MeanThink:   cfg.ChurnThink,
-			LongFrac:    cfg.LongFrac,
+			MeanThink:   churnThink,
+			LongFrac:    churnLongFrac,
 			NewCC:       func() transport.CCA { return cca.NewRenoCC() },
 			Path:        d.path,
 			ReturnDelay: cfg.OneWayDelay,

@@ -120,8 +120,8 @@ func TestManyFlowHybridAB(t *testing.T) {
 // same sequence of transfer sizes — same draw order, and the same two
 // distributions (traffic.ShortSizes / traffic.LongSizes).
 func TestFluidDrawsChurnSizes(t *testing.T) {
-	const transfers = 6
-	cfg := ManyFlowConfig{Users: 1, Seed: 11, LongFrac: 0.5, RateBps: 100e9}.norm()
+	const transfers = 20
+	cfg := ManyFlowConfig{Users: 1, Seed: 11, RateBps: 100e9}.norm()
 	fastLink := func() (*sim.Engine, *sim.Link) {
 		eng := &sim.Engine{}
 		return eng, sim.NewLink(eng, "l", cfg.RateBps, time.Microsecond, qdisc.NewDropTail(1<<30))
@@ -129,7 +129,7 @@ func TestFluidDrawsChurnSizes(t *testing.T) {
 
 	eng, link := fastLink()
 	churn := traffic.NewChurn(eng, traffic.ChurnConfig{
-		MeanThink: cfg.ChurnThink, LongFrac: cfg.LongFrac,
+		MeanThink: churnThink, LongFrac: churnLongFrac,
 		NewCC: func() transport.CCA { return cca.NewRenoCC() },
 		Path:  []*sim.Link{link}, ReturnDelay: time.Microsecond,
 		Rand: rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed, "manyflow/churn/0"))),

@@ -14,10 +14,10 @@ import (
 // TestGoldenTraceManifestIsTheSpecs: the hunt's golden trace carries
 // the header every other trace artifact of the spec carries
 // (Spec.Manifest) plus its own two Extra keys; the hand-built copy
-// used to drop the fault profile, phases and pulse frequency.
+// used to drop the fault profile and phases.
 func TestGoldenTraceManifestIsTheSpecs(t *testing.T) {
 	sp := scenario.Spec{Experiment: "huntcell", CCAs: []string{"reno"}, Seed: 3, FaultSeed: 2,
-		FaultProfile: "wifi-bursty", PulseFreqHz: 5, Phases: []string{"idle"},
+		FaultProfile: "wifi-bursty", Phases: []string{"idle"},
 		Cross: []traffic.Phase{{Kind: "idle", DurS: 1}}}
 	res := &Result{Objective: "harm", BestSpec: sp, BestHash: sp.Hash(), BestScore: 0.25}
 	_, tracePath, err := WriteArtifacts(context.Background(), t.TempDir(), res)

@@ -360,17 +360,10 @@ func (g Genome) Validate(b Bounds) error {
 }
 
 // Params fixes everything about a hunt's evaluations that is not part
-// of the genome: the link, the main flow, and the seeds. It is stored
+// of the genome: whether the main flow is the probe, and the seeds.
+// The link and the victim CCA are huntcell's defaults. It is stored
 // alongside each corpus genome so replays are self-contained.
 type Params struct {
-	// RateBps/RTTMs/Queue/BufferBDP describe the bottleneck (zero
-	// values take the huntcell defaults: 16 Mbit/s, 30ms, droptail, 1).
-	RateBps   float64 `json:"rate_bps,omitempty"`
-	RTTMs     float64 `json:"rtt_ms,omitempty"`
-	Queue     string  `json:"queue,omitempty"`
-	BufferBDP float64 `json:"buffer_bdp,omitempty"`
-	// Victim names the main flow's CCA in victim mode.
-	Victim string `json:"victim,omitempty"`
 	// Probe switches the main flow to the Nimbus elasticity probe.
 	Probe bool `json:"probe,omitempty"`
 	// Seed/FaultSeed drive the workload and fault injectors. They are
@@ -387,20 +380,12 @@ func (g Genome) Decode(p Params) scenario.Spec {
 	sp := scenario.Spec{
 		Experiment: "huntcell",
 		Seed:       p.Seed,
-		RateBps:    p.RateBps,
-		RTTMs:      p.RTTMs,
-		Queue:      p.Queue,
-		BufferBDP:  p.BufferBDP,
 		Cross:      append([]traffic.Phase(nil), g.Cross...),
 		Probe:      p.Probe,
 		FaultSeed:  p.FaultSeed,
 	}
 	if !p.Probe {
-		victim := p.Victim
-		if victim == "" {
-			victim = "reno"
-		}
-		sp.CCAs = []string{victim}
+		sp.CCAs = []string{"reno"} // the victim flow
 	}
 	if !g.Fault.IsZero() {
 		f := g.Fault

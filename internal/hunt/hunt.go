@@ -10,16 +10,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // Config parameterizes one hunt.
 type Config struct {
 	// Objective is the fitness function (see LookupObjective).
 	Objective Objective
-	// Params fixes the link, main flow, and evaluation seeds. Zero
-	// Seed/FaultSeed are derived from Seed below so a hunt is fully
-	// specified by (objective, seed, budget, pop).
-	Params Params
 	// Bounds confines the genome space (zero value: the objective's
 	// DefaultBounds).
 	Bounds Bounds
@@ -37,6 +34,11 @@ type Config struct {
 	Runner *scenario.Runner
 	// Log, when non-nil, receives one-line progress narration.
 	Log func(format string, args ...any)
+
+	// params fixes the main flow and the evaluation seeds; norm
+	// derives it from Objective and Seed, so a hunt is fully specified
+	// by (objective, seed, budget, pop).
+	params Params
 }
 
 func (c Config) norm() Config {
@@ -55,13 +57,11 @@ func (c Config) norm() Config {
 	if c.Runner == nil {
 		c.Runner = &scenario.Runner{}
 	}
-	if c.Params.Seed == 0 {
-		c.Params.Seed = faults.DeriveSeed(c.Seed, "hunt/workload-seed")
+	c.params = Params{
+		Probe:     c.Objective.Probe,
+		Seed:      faults.DeriveSeed(c.Seed, "hunt/workload-seed"),
+		FaultSeed: faults.DeriveSeed(c.Seed, "hunt/fault-seed"),
 	}
-	if c.Params.FaultSeed == 0 {
-		c.Params.FaultSeed = faults.DeriveSeed(c.Seed, "hunt/fault-seed")
-	}
-	c.Params.Probe = c.Objective.Probe
 	return c
 }
 
@@ -106,7 +106,7 @@ type hunter struct {
 }
 
 func newHunter(cfg Config) *hunter {
-	return &hunter{cfg: cfg, rng: rand.New(rand.NewSource(0))}
+	return &hunter{cfg: cfg, rng: sim.NewRand(0)}
 }
 
 // dice returns the one rng a (label, generation, index) coordinate is
@@ -131,7 +131,7 @@ func (h *hunter) evaluate(ctx context.Context, genomes []Genome) ([]float64, err
 	}
 	specs := make([]scenario.Spec, 0, len(genomes)*per)
 	for _, g := range genomes {
-		sp := g.Decode(h.cfg.Params)
+		sp := g.Decode(h.cfg.params)
 		specs = append(specs, sp)
 		if h.cfg.Objective.Twin {
 			clean := sp
@@ -192,7 +192,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Objective: cfg.Objective.Name,
 		Seed:      cfg.Seed,
 		Budget:    cfg.Budget,
-		Params:    cfg.Params,
+		Params:    cfg.params,
 		BestScore: math.Inf(-1),
 	}
 
@@ -223,7 +223,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		g := Generation{
 			Gen: gen, Evals: h.evals,
 			Best: scores[order[0]], Mean: sum / float64(len(scores)),
-			BestHash: best.Decode(cfg.Params).Hash(),
+			BestHash: best.Decode(cfg.params).Hash(),
 		}
 		res.History = append(res.History, g)
 		if cfg.Log != nil {
@@ -259,7 +259,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	res.Evaluations = h.evals
-	res.BestSpec = res.Best.Decode(cfg.Params)
+	res.BestSpec = res.Best.Decode(cfg.params)
 	res.BestHash = res.BestSpec.Hash()
 	return res, nil
 }
@@ -297,7 +297,7 @@ func RandomBaseline(ctx context.Context, cfg Config, n int) (*Baseline, error) {
 		sum += s
 		if s > base.Best {
 			base.Best = s
-			base.BestHash = genomes[i].Decode(cfg.Params).Hash()
+			base.BestHash = genomes[i].Decode(cfg.params).Hash()
 		}
 	}
 	if n > 0 {

@@ -6,3 +6,6 @@ func ScanRecord(line []byte, rec *Record) bool {
 	rec.reset()
 	return scanRecord(line, rec)
 }
+
+// Count returns the number of records decoded so far.
+func (s *RecordStream) Count() int { return s.n }

@@ -79,9 +79,6 @@ func NewRecordStream(r io.Reader, lim StreamLimits) (*RecordStream, error) {
 	return s, nil
 }
 
-// Count returns the number of records decoded so far.
-func (s *RecordStream) Count() int { return s.n }
-
 // Close releases the gzip decoder, if any. The underlying reader is
 // the caller's to close.
 func (s *RecordStream) Close() error {
@@ -261,9 +258,6 @@ func (jw *JSONLWriter) WriteRaw(b []byte, records int) error {
 	jw.n += records
 	return nil
 }
-
-// Count returns the number of records written.
-func (jw *JSONLWriter) Count() int { return jw.n }
 
 // Close flushes all layers. It must be called for the output to be
 // complete; the underlying writer is the caller's to close.

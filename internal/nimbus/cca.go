@@ -40,9 +40,6 @@ func NewCCA(cfg Config) *CCA {
 	return &CCA{Est: NewEstimator(cfg), pulseAt: -1}
 }
 
-// Name implements transport.CCA.
-func (n *CCA) Name() string { return "nimbus" }
-
 // OnSend implements transport.SendObserver, feeding the estimator's
 // send-rate accounting.
 func (n *CCA) OnSend(now time.Duration, bytes, inflight int) {

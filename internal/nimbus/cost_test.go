@@ -37,12 +37,12 @@ func TestEtaSlideAllocatesNothing(t *testing.T) {
 	for i := 0; i < 8; i++ { // past the first full window
 		step()
 	}
-	before := e.Elasticity.Len()
+	before := len(e.Elasticity.Samples())
 	if before == 0 {
 		t.Fatal("warm-up emitted no eta")
 	}
 	allocs := testing.AllocsPerRun(20, step)
-	if got := e.Elasticity.Len() - before; got != 21 {
+	if got := len(e.Elasticity.Samples()) - before; got != 21 {
 		t.Fatalf("%d slides in 21 seconds, want 21", got)
 	}
 	if eta, _ := e.Eta(); eta <= 0 {

@@ -419,18 +419,8 @@ func (e *Estimator) Mu(now time.Duration) float64 {
 // CrossRate returns the latest cross-traffic rate estimate in bits/s.
 func (e *Estimator) CrossRate() float64 { return e.zLast }
 
-// Elastic reports whether the most recent window was classified
-// elastic.
-func (e *Estimator) Elastic() bool { return e.etaOK && e.etaLast >= EtaThreshold }
-
 // Pulse evaluates the mean-zero rate pulse at time t as a fraction of
 // Mu: PulseAmp * sin(2*pi*f*t).
 func (e *Estimator) Pulse(t time.Duration) float64 {
 	return e.cfg.PulseAmp * math.Sin(2*math.Pi*e.cfg.PulseFreq*t.Seconds())
 }
-
-// SRTT returns the latest smoothed RTT the estimator has seen.
-func (e *Estimator) SRTT() time.Duration { return e.srtt }
-
-// MinRTT returns the latest minimum RTT the estimator has seen.
-func (e *Estimator) MinRTT() time.Duration { return e.minRTT }

@@ -161,9 +161,6 @@ func TestPulseIsMeanZeroSinusoid(t *testing.T) {
 
 func TestCCADelayModeDefaults(t *testing.T) {
 	c := NewCCA(Config{Mu: 48e6})
-	if c.Name() != "nimbus" {
-		t.Errorf("name = %s", c.Name())
-	}
 	if c.CWnd() <= 0 {
 		t.Error("cwnd must be positive before any acks")
 	}

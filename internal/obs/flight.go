@@ -55,10 +55,6 @@ func (f *FlightRecorder) Emit(ev Event) {
 	f.buf[i&f.mask] = ev
 }
 
-// Total returns how many events have been emitted over the recorder's
-// lifetime (retained or overwritten).
-func (f *FlightRecorder) Total() uint64 { return f.next.Load() }
-
 // DumpRunLog writes a complete, ReadRunLog-compatible post-mortem
 // artifact: a manifest line, the retained tail of the event stream,
 // and a summary line carrying errMsg plus the recorder's accounting

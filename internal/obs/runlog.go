@@ -27,8 +27,6 @@ type Manifest struct {
 	BufferBDP  float64 `json:"buffer_bdp,omitempty"`
 	// Phases lists scenario phases in order, if the run has phases.
 	Phases []string `json:"phases,omitempty"`
-	// PulseFreqHz is the probe's pulse frequency, if pulsing.
-	PulseFreqHz float64 `json:"pulse_freq_hz,omitempty"`
 	// Extra holds tool-specific key/value pairs.
 	Extra map[string]string `json:"extra,omitempty"`
 }

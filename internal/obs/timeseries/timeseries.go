@@ -34,13 +34,14 @@ type Config struct {
 	Registry *obs.Registry
 	// Interval is Run's sampling cadence (default 1s).
 	Interval time.Duration
-	// Samples is each series' ring capacity (default 600 — ten minutes
-	// of history at the default cadence).
-	Samples int
 	// Runtime, when true, also records Go runtime series: goroutine
 	// count, heap bytes/objects, total GC pause seconds, and GC cycles
 	// (names under "go.").
 	Runtime bool
+
+	// capacity is each series' ring capacity (default 600 — ten
+	// minutes of history at the default cadence); tests shrink it.
+	capacity int
 }
 
 func (c Config) interval() time.Duration {
@@ -51,8 +52,8 @@ func (c Config) interval() time.Duration {
 }
 
 func (c Config) samples() int {
-	if c.Samples > 0 {
-		return c.Samples
+	if c.capacity > 0 {
+		return c.capacity
 	}
 	return 600
 }

@@ -19,7 +19,7 @@ func testRecorder() (*Recorder, *obs.Registry) {
 	reg.Counter("sweep.runs_done")
 	reg.GaugeL("flow.goodput_bps", "flow=1")
 	reg.Histogram("run.seconds", "", []float64{1, 10})
-	r := New(Config{Registry: reg, Samples: 4})
+	r := New(Config{Registry: reg, capacity: 4})
 	return r, reg
 }
 
@@ -46,7 +46,7 @@ func TestRecorderSamplesRegistry(t *testing.T) {
 }
 
 func TestRecorderRingRetention(t *testing.T) {
-	r, reg := testRecorder() // Samples: 4
+	r, reg := testRecorder() // capacity: 4
 	c := reg.Counter("sweep.runs_done")
 	for i := 0; i < 10; i++ {
 		c.Inc()
@@ -85,7 +85,7 @@ func TestRecorderHistogramFields(t *testing.T) {
 }
 
 func TestRecorderRuntimeSeries(t *testing.T) {
-	r := New(Config{Runtime: true, Samples: 2})
+	r := New(Config{Runtime: true, capacity: 2})
 	r.Sample(0)
 	for _, name := range []string{
 		"go.goroutines", "go.heap_alloc_bytes", "go.heap_objects",
@@ -232,7 +232,7 @@ func TestHandler(t *testing.T) {
 func TestRunSamplesOnTicker(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("c")
-	r := New(Config{Registry: reg, Interval: 5 * time.Millisecond, Samples: 100})
+	r := New(Config{Registry: reg, Interval: 5 * time.Millisecond, capacity: 100})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
 	r.Run(ctx)
@@ -254,7 +254,7 @@ func BenchmarkRecorderSample(b *testing.B) {
 	for i := 0; i < 100; i++ {
 		h.Observe(float64(i % 10))
 	}
-	r := New(Config{Registry: reg, Runtime: true, Samples: 512})
+	r := New(Config{Registry: reg, Runtime: true, capacity: 512})
 	r.Sample(0) // warmup: create every series
 	b.ReportAllocs()
 	b.ResetTimer()

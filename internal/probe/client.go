@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/nimbus"
-	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
@@ -16,57 +15,53 @@ import (
 type ClientConfig struct {
 	// Server is the probe server address, e.g. "192.0.2.1:4460".
 	Server string
-	// Duration is the measurement length (default 30s).
-	Duration time.Duration
-	// PacketSize is the data packet wire size (default 1200 bytes).
-	PacketSize int
 	// Nimbus configures the controller/estimator. Mu == 0 enables
 	// auto link-rate tracking; the paper's speedtest framing implies
 	// the provisioned rate is often known.
 	Nimbus nimbus.Config
-	// MaxRateBps caps the probe's sending rate regardless of the
-	// controller (safety valve; default 100 Mbit/s).
-	MaxRateBps float64
 	// Seed randomizes the session id.
 	Seed int64
 
-	// HandshakeAttempts is how many Hello packets the client sends
-	// before giving up on an unresponsive server (default 5). Each
-	// attempt waits HandshakeTimeout doubled per retry, capped at 2s —
-	// exponential backoff against a server that is slow rather than
-	// dead.
-	HandshakeAttempts int
-	// HandshakeTimeout is the first attempt's reply deadline (default
-	// 250ms).
+	// HandshakeTimeout is the first Hello's reply deadline (default
+	// 250ms). Each of the handshake's attempts waits it doubled per
+	// retry, capped at 2s — exponential backoff against a server that
+	// is slow rather than dead.
 	HandshakeTimeout time.Duration
-	// StallTimeout aborts the run early when no acknowledgment has
-	// arrived for this long — a server that died mid-run, or a path
-	// that blackholed. The run then returns a Truncated report instead
-	// of hanging until Duration (default 3s).
-	StallTimeout time.Duration
+
+	// duration is the measurement length and handshakeAttempts how
+	// many Hellos the client sends before giving up on an unresponsive
+	// server (defaults 30s and 5). stallTimeout aborts the run early
+	// when no acknowledgment has arrived for this long — a server that
+	// died mid-run, or a path that blackholed; the run then returns a
+	// Truncated report instead of hanging until the measurement ends
+	// (default 3s). Tests shorten all three.
+	duration          time.Duration
+	handshakeAttempts int
+	stallTimeout      time.Duration
 }
 
+// clientPacketSize is the probe's data packet wire size in bytes.
+const clientPacketSize = 1200
+
 func (c ClientConfig) norm() ClientConfig {
-	if c.Duration <= 0 {
-		c.Duration = 30 * time.Second
+	if c.duration <= 0 {
+		c.duration = 30 * time.Second
 	}
-	if c.PacketSize < HeaderSize {
-		c.PacketSize = 1200
-	}
-	if c.MaxRateBps <= 0 {
-		c.MaxRateBps = 100e6
-	}
-	if c.HandshakeAttempts <= 0 {
-		c.HandshakeAttempts = 5
+	if c.handshakeAttempts <= 0 {
+		c.handshakeAttempts = 5
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 250 * time.Millisecond
 	}
-	if c.StallTimeout <= 0 {
-		c.StallTimeout = 3 * time.Second
+	if c.stallTimeout <= 0 {
+		c.stallTimeout = 3 * time.Second
 	}
 	return c
 }
+
+// maxRateBps caps the probe's sending rate whatever the controller
+// asks for: a safety valve.
+const maxRateBps = 100e6
 
 // Report is the outcome of a measurement run.
 type Report struct {
@@ -77,8 +72,6 @@ type Report struct {
 	LossRate float64
 	// MinRTT and MeanRTT summarize RTT samples.
 	MinRTT, MeanRTT time.Duration
-	// Eta is the elasticity time series.
-	Eta []stats.Sample
 	// MeanEta averages the (settled) elasticity windows.
 	MeanEta float64
 	// Elastic is the majority verdict over settled windows: did cross
@@ -167,16 +160,16 @@ func NewClient(cfg ClientConfig) *Client {
 // death mid-run is detected by the stall watchdog and yields a
 // Truncated report rather than an error or a hang.
 func (c *Client) Run() (*Report, error) {
-	size := c.cfg.PacketSize
+	size := clientPacketSize
 	p := &DataPhase{
 		Server:            c.cfg.Server,
 		Session:           c.sessionID,
 		Rand:              c.rng,
-		HandshakeAttempts: c.cfg.HandshakeAttempts,
+		HandshakeAttempts: c.cfg.handshakeAttempts,
 		HandshakeTimeout:  c.cfg.HandshakeTimeout,
-		Duration:          c.cfg.Duration,
-		PacketSize:        size,
-		StallTimeout:      c.cfg.StallTimeout,
+		Duration:          c.cfg.duration,
+		PacketSize:        clientPacketSize,
+		StallTimeout:      c.cfg.stallTimeout,
 		// The Hi reply's RTT seeds the estimator.
 		Admitted: func(hi Header, now time.Duration) {
 			if rtt := now - time.Duration(hi.EchoNano); rtt > 0 {
@@ -186,13 +179,13 @@ func (c *Client) Run() (*Report, error) {
 			}
 		},
 		// Pace at the controller's rate, capped and floored.
-		Paced: func(now time.Duration, _ bool) time.Duration {
+		Paced: func(now time.Duration) time.Duration {
 			c.mu.Lock()
 			c.sent++
 			c.cc.OnSend(now, size, int(c.sent-c.acked)*size)
 			rate := c.cc.PacingRate()
 			c.mu.Unlock()
-			rate = max(min(rate, c.cfg.MaxRateBps), 8*float64(size)) // >= 1 packet/s
+			rate = max(min(rate, maxRateBps), 8*float64(size)) // >= 1 packet/s
 			return time.Duration(float64(size*8) / rate * float64(time.Second))
 		},
 		Ack: c.onAck,
@@ -224,7 +217,7 @@ func (c *Client) onAck(h Header, now, rtt time.Duration) {
 		RTT:          rtt,
 		SRTT:         c.srtt,
 		MinRTT:       c.minRTT,
-		Inflight:     max(int(c.sent-c.acked)*c.cfg.PacketSize, 0),
+		Inflight:     max(int(c.sent-c.acked)*clientPacketSize, 0),
 		DeliveryRate: rate,
 		CumDelivered: c.ackedB,
 	})
@@ -255,7 +248,6 @@ func (c *Client) report() *Report {
 		Sent:            c.sent,
 		Acked:           c.acked,
 		MinRTT:          c.minRTT,
-		Eta:             c.cc.Est.Elasticity.Samples(),
 		Truncated:       c.truncWhy != "",
 		TruncatedReason: c.truncWhy,
 	}
@@ -279,7 +271,7 @@ func (c *Client) report() *Report {
 	r.CrossRateBps = c.cc.Est.CrossRate()
 
 	// Majority verdict over settled windows (skip the first quarter).
-	settle := c.cfg.Duration / 4
+	settle := c.cfg.duration / 4
 	v := c.cc.Est.Verdict(settle, math.MaxInt64)
 	r.Windows, r.MeanEta, r.Elastic = v.Windows, v.Mean, v.Elastic
 
@@ -287,12 +279,12 @@ func (c *Client) report() *Report {
 	// to a 50% discount under heavy loss. A run cut short or starved of
 	// windows degrades to a low-confidence (inconclusive) verdict
 	// instead of a crisp-looking wrong one.
-	completion := float64(r.Elapsed) / float64(c.cfg.Duration)
+	completion := float64(r.Elapsed) / float64(c.cfg.duration)
 	if completion > 1 {
 		completion = 1
 	}
 	slide := c.cc.Est.Config().SlideInterval
-	expected := float64(c.cfg.Duration-settle) / float64(slide)
+	expected := float64(c.cfg.duration-settle) / float64(slide)
 	if expected < 1 {
 		expected = 1
 	}

@@ -89,11 +89,10 @@ func TestClientRetriesAfterBusy(t *testing.T) {
 
 	c := NewClient(ClientConfig{
 		Server:            r.addr(),
-		Duration:          300 * time.Millisecond,
-		MaxRateBps:        2e6,
+		duration:          300 * time.Millisecond,
 		Nimbus:            nimbus.Config{Mu: 2e6, SlideInterval: 100 * time.Millisecond, WindowSamples: 32},
 		Seed:              11,
-		HandshakeAttempts: 5,
+		handshakeAttempts: 5,
 		HandshakeTimeout:  100 * time.Millisecond,
 	})
 	rep, err := c.Run()
@@ -119,8 +118,8 @@ func TestClientSurfacesBusyExhaustion(t *testing.T) {
 
 	c := NewClient(ClientConfig{
 		Server:            r.addr(),
-		Duration:          10 * time.Second,
-		HandshakeAttempts: 3,
+		duration:          10 * time.Second,
+		handshakeAttempts: 3,
 		HandshakeTimeout:  100 * time.Millisecond,
 	})
 	startAt := time.Now()
@@ -143,8 +142,8 @@ func TestClientFailsFastOnDraining(t *testing.T) {
 
 	c := NewClient(ClientConfig{
 		Server:            r.addr(),
-		Duration:          10 * time.Second,
-		HandshakeAttempts: 5,
+		duration:          10 * time.Second,
+		handshakeAttempts: 5,
 		HandshakeTimeout:  500 * time.Millisecond,
 	})
 	startAt := time.Now()
@@ -170,11 +169,10 @@ func TestClientByeRetransmits(t *testing.T) {
 	defer r.stop()
 
 	c := NewClient(ClientConfig{
-		Server:     r.addr(),
-		Duration:   200 * time.Millisecond,
-		MaxRateBps: 1e6,
-		Nimbus:     nimbus.Config{Mu: 1e6, SlideInterval: 100 * time.Millisecond, WindowSamples: 32},
-		Seed:       12,
+		Server:   r.addr(),
+		duration: 200 * time.Millisecond,
+		Nimbus:   nimbus.Config{Mu: 1e6, SlideInterval: 100 * time.Millisecond, WindowSamples: 32},
+		Seed:     12,
 		// byeRetransmits is 2 extra copies -> 3 on the wire.
 	})
 	if _, err := c.Run(); err != nil {

@@ -51,13 +51,9 @@ type DataPhase struct {
 	// Admitted runs once with the server's Hi at session time now,
 	// before the data phase starts.
 	Admitted func(hi Header, now time.Duration)
-	// Impair, when set, runs as each packet falls due: it may delay the
-	// packet, and a false return loses it before the wire.
-	Impair func() bool
-	// Paced runs after each packet's slot at session time now — wire
-	// reports whether the packet was written — and returns the gap to
-	// the next packet.
-	Paced func(now time.Duration, wire bool) time.Duration
+	// Paced runs after each packet is written, at session time now,
+	// and returns the gap to the next packet.
+	Paced func(now time.Duration) time.Duration
 	// Ack runs on the reader goroutine for each ack of this session
 	// whose echoed timestamp gives a positive rtt.
 	Ack func(h Header, now, rtt time.Duration)
@@ -134,10 +130,10 @@ func (p *DataPhase) Run(ctx context.Context) error {
 
 func (p *DataPhase) send(ctx context.Context, conn *net.UDPConn, deadline time.Time) {
 	buf := make([]byte, p.PacketSize)
-	var seq, sent uint64
+	var seq uint64
 	next := time.Now()
 	for time.Now().Before(deadline) && ctx.Err() == nil {
-		if p.StallTimeout > 0 && sent > 0 && p.now()-time.Duration(p.lastAck.Load()) > p.StallTimeout {
+		if p.StallTimeout > 0 && seq > 0 && p.now()-time.Duration(p.lastAck.Load()) > p.StallTimeout {
 			p.Truncated = fmt.Sprintf("no acknowledgment for %v (server dead or path blackholed)", p.StallTimeout)
 			return
 		}
@@ -146,29 +142,25 @@ func (p *DataPhase) send(ctx context.Context, conn *net.UDPConn, deadline time.T
 			time.Sleep(min(next.Sub(now), maxPaceSleep))
 			continue
 		}
-		wire := p.Impair == nil || p.Impair()
-		if wire {
-			h := Header{
-				Type:     TypeData,
-				Session:  p.Session,
-				Seq:      seq,
-				SendNano: int64(p.now()),
-				Size:     uint16(p.PacketSize),
-			}
-			if _, err := h.Encode(buf); err != nil {
-				p.Truncated = fmt.Sprintf("encoding data packet: %v", err)
-				return
-			}
-			if _, err := conn.Write(buf); err != nil {
-				// Connected UDP sockets surface ICMP unreachable as a
-				// write error: the server vanished.
-				p.Truncated = fmt.Sprintf("send failed: %v", err)
-				return
-			}
-			sent++
+		h := Header{
+			Type:     TypeData,
+			Session:  p.Session,
+			Seq:      seq,
+			SendNano: int64(p.now()),
+			Size:     uint16(p.PacketSize),
+		}
+		if _, err := h.Encode(buf); err != nil {
+			p.Truncated = fmt.Sprintf("encoding data packet: %v", err)
+			return
+		}
+		if _, err := conn.Write(buf); err != nil {
+			// Connected UDP sockets surface ICMP unreachable as a
+			// write error: the server vanished.
+			p.Truncated = fmt.Sprintf("send failed: %v", err)
+			return
 		}
 		seq++
-		next = next.Add(p.Paced(p.now(), wire))
+		next = next.Add(p.Paced(p.now()))
 		if behind := time.Now(); next.Before(behind.Add(-maxPacingDebt)) {
 			next = behind // don't accumulate unbounded debt
 		}

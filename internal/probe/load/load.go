@@ -1,9 +1,9 @@
 // Package load is the probe server's load harness: it replays
-// thousands of concurrent simulated probe clients — ramped arrivals,
-// fixed-rate pacing, optional client-side loss/jitter impairment —
-// against one server and reports the session ceiling, admission
-// outcomes, shed rates, and ack-latency quantiles. cmd/probeload wraps
-// it as a CLI with a pass/fail SLO line for CI.
+// thousands of concurrent simulated probe clients — evenly ramped
+// arrivals, fixed-rate pacing — against one server and reports the
+// session ceiling, admission outcomes, shed rates, and ack-latency
+// quantiles. cmd/probeload wraps it as a CLI with a pass/fail SLO line
+// for CI.
 package load
 
 import (
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,41 +26,31 @@ type Config struct {
 	Server string
 	// Clients is the number of simulated probe clients (default 100).
 	Clients int
-	// Ramp spreads client arrivals over this window (default 1s).
+	// Ramp spreads client arrivals evenly over this window (default
+	// 1s).
 	Ramp time.Duration
-	// Arrivals is the ramp schedule: "uniform" (default) spaces
-	// arrivals evenly; "poisson" draws exponential inter-arrivals with
-	// the same mean rate, the bursty open-loop model.
-	Arrivals string
 	// Duration is each client's data phase length (default 10s).
 	Duration time.Duration
 	// RateBps is each client's sending rate (default 128 kbit/s).
 	RateBps float64
-	// PacketSize is the data packet wire size (default 256 bytes —
-	// small packets stress packet-rate, which is what a fleet node
-	// saturates on).
-	PacketSize int
-	// Seed makes the run reproducible: per-client seeds derive from it.
-	Seed int64
 
 	// HandshakeAttempts/HandshakeTimeout mirror the real client's
 	// retry budget (defaults 4 attempts, 200ms first timeout).
 	HandshakeAttempts int
 	HandshakeTimeout  time.Duration
 
-	// Loss drops each outgoing data packet with this probability —
-	// client-side fault injection standing in for an impaired access
-	// link.
-	Loss float64
-	// JitterMax delays each send by uniform [0, JitterMax) — client-
-	// side timing noise.
-	JitterMax time.Duration
-
 	// SampleActive, when non-nil, is polled every 10ms for the
 	// server's tracked-session count (self-host mode wires
 	// Server.ActiveSessions here) to find the observed ceiling and
 	// check for over-admission.
 	SampleActive func() int
+
+	// packetSize is the data packet wire size (default 256 bytes —
+	// small packets stress packet-rate, which is what a fleet node
+	// saturates on) and seed the run's seed, from which per-client
+	// seeds derive (default 1); tests vary both.
+	packetSize int
+	seed       int64
 }
 
 func (c Config) norm() Config {
@@ -71,20 +60,17 @@ func (c Config) norm() Config {
 	if c.Ramp <= 0 {
 		c.Ramp = time.Second
 	}
-	if c.Arrivals == "" {
-		c.Arrivals = "uniform"
-	}
 	if c.Duration <= 0 {
 		c.Duration = 10 * time.Second
 	}
 	if c.RateBps <= 0 {
 		c.RateBps = 128e3
 	}
-	if c.PacketSize < probe.HeaderSize {
-		c.PacketSize = 256
+	if c.packetSize < probe.HeaderSize {
+		c.packetSize = 256
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
+	if c.seed == 0 {
+		c.seed = 1
 	}
 	if c.HandshakeAttempts <= 0 {
 		c.HandshakeAttempts = 4
@@ -163,10 +149,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Server == "" {
 		return nil, fmt.Errorf("probeload: Server is required")
 	}
-	offsets, err := arrivalOffsets(cfg)
-	if err != nil {
-		return nil, err
-	}
 
 	// One sketch under one lock takes every client's ack latencies,
 	// handed over in batches so a large run's ack readers do not queue
@@ -228,12 +210,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if !sleepUntil(ctx, start.Add(offsets[i])) {
+			if !sleepUntil(ctx, start.Add(arrivalOffset(cfg, i))) {
 				return
 			}
 			w := &worker{
 				cfg:       cfg,
-				rng:       rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed, fmt.Sprintf("probeload/client/%d", i)))),
+				rng:       rand.New(rand.NewSource(faults.DeriveSeed(cfg.seed, fmt.Sprintf("probeload/client/%d", i)))),
 				latencies: addLatencies,
 				batch:     make([]float64, 0, latencyBatch),
 				enter:     func() { bumpPeak(cur.Add(1)) },
@@ -275,28 +257,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// arrivalOffsets expands the ramp schedule into per-client start
-// offsets.
-func arrivalOffsets(cfg Config) ([]time.Duration, error) {
-	out := make([]time.Duration, cfg.Clients)
-	switch cfg.Arrivals {
-	case "uniform":
-		for i := range out {
-			out[i] = time.Duration(float64(cfg.Ramp) * float64(i) / float64(cfg.Clients))
-		}
-	case "poisson":
-		rng := rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed, "probeload/arrivals")))
-		mean := float64(cfg.Ramp) / float64(cfg.Clients)
-		var at float64
-		for i := range out {
-			at += rng.ExpFloat64() * mean
-			out[i] = time.Duration(at)
-		}
-	default:
-		return nil, fmt.Errorf("probeload: unknown arrival schedule %q (uniform, poisson)", cfg.Arrivals)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+// arrivalOffset is client i's start offset: arrivals are spaced evenly
+// over the ramp.
+func arrivalOffset(cfg Config, i int) time.Duration {
+	return time.Duration(float64(cfg.Ramp) * float64(i) / float64(cfg.Clients))
 }
 
 func sleepUntil(ctx context.Context, at time.Time) bool {
@@ -341,7 +305,7 @@ type worker struct {
 }
 
 func (w *worker) run(ctx context.Context) outcome {
-	gap := time.Duration(float64(w.cfg.PacketSize*8) / w.cfg.RateBps * float64(time.Second))
+	gap := time.Duration(float64(w.cfg.packetSize*8) / w.cfg.RateBps * float64(time.Second))
 	err := (&probe.DataPhase{
 		Server:            w.cfg.Server,
 		Session:           w.rng.Uint64(),
@@ -349,20 +313,10 @@ func (w *worker) run(ctx context.Context) outcome {
 		HandshakeAttempts: w.cfg.HandshakeAttempts,
 		HandshakeTimeout:  w.cfg.HandshakeTimeout,
 		Duration:          w.cfg.Duration,
-		PacketSize:        w.cfg.PacketSize,
+		PacketSize:        w.cfg.packetSize,
 		Admitted:          func(probe.Header, time.Duration) { w.enter() },
-		// Client-side impairment: jitter delays the packet, loss drops
-		// it before the wire (its sequence number and slot are spent).
-		Impair: func() bool {
-			if w.cfg.JitterMax > 0 {
-				time.Sleep(time.Duration(w.rng.Float64() * float64(w.cfg.JitterMax)))
-			}
-			return w.cfg.Loss <= 0 || w.rng.Float64() >= w.cfg.Loss
-		},
-		Paced: func(_ time.Duration, wire bool) time.Duration {
-			if wire {
-				w.sent++
-			}
+		Paced: func(time.Duration) time.Duration {
+			w.sent++
 			return gap
 		},
 		Ack: func(_ probe.Header, _, rtt time.Duration) {

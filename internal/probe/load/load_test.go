@@ -28,8 +28,8 @@ func TestRunAdmitsAllUnderCapacity(t *testing.T) {
 		Ramp:         100 * time.Millisecond,
 		Duration:     400 * time.Millisecond,
 		RateBps:      64e3,
-		PacketSize:   128,
-		Seed:         7,
+		packetSize:   128,
+		seed:         7,
 		SampleActive: srv.ActiveSessions,
 	})
 	if err != nil {
@@ -81,8 +81,8 @@ func TestRunReportsBusyAtCap(t *testing.T) {
 		Ramp:              50 * time.Millisecond,
 		Duration:          500 * time.Millisecond,
 		RateBps:           64e3,
-		PacketSize:        128,
-		Seed:              8,
+		packetSize:        128,
+		seed:              8,
 		HandshakeAttempts: 1,
 		HandshakeTimeout:  100 * time.Millisecond,
 		SampleActive:      srv.ActiveSessions,
@@ -126,8 +126,8 @@ func TestRunHonorsContextCancel(t *testing.T) {
 		Ramp:       50 * time.Millisecond,
 		Duration:   30 * time.Second,
 		RateBps:    64e3,
-		PacketSize: 128,
-		Seed:       9,
+		packetSize: 128,
+		seed:       9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,36 +213,15 @@ func TestWorkerTimeoutStopsDoublingAtTwoSeconds(t *testing.T) {
 	}
 }
 
-// TestArrivalSchedules: both schedules produce one sorted offset per
-// client, deterministically per seed; uniform stays inside the ramp.
+// TestArrivalSchedules: the ramp gives one offset per client, evenly
+// spaced from 0 and inside the ramp.
 func TestArrivalSchedules(t *testing.T) {
-	for _, kind := range []string{"uniform", "poisson"} {
-		cfg := Config{Clients: 50, Ramp: time.Second, Seed: 3, Arrivals: kind}
-		a, err := arrivalOffsets(cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := Config{Clients: 50, Ramp: time.Second}
+	for i := 0; i < cfg.Clients; i++ {
+		at := arrivalOffset(cfg, i)
+		if want := time.Duration(i) * 20 * time.Millisecond; at != want {
+			t.Errorf("client %d starts at %v, want %v", i, at, want)
 		}
-		b, _ := arrivalOffsets(cfg)
-		if len(a) != 50 {
-			t.Fatalf("%s: %d offsets for 50 clients", kind, len(a))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: schedule not deterministic per seed", kind)
-			}
-			if a[i] < 0 {
-				t.Errorf("%s: negative offset %v", kind, a[i])
-			}
-			if kind == "uniform" && a[i] > time.Second {
-				t.Errorf("uniform offset %v outside the ramp", a[i])
-			}
-			if i > 0 && a[i] < a[i-1] {
-				t.Errorf("%s: offsets not sorted", kind)
-			}
-		}
-	}
-	if _, err := arrivalOffsets(Config{Clients: 1, Ramp: time.Second, Arrivals: "bogus"}); err == nil {
-		t.Error("unknown arrival schedule not rejected")
 	}
 }
 
@@ -291,7 +270,7 @@ func TestLoadWorkerByeRetransmits(t *testing.T) {
 
 	res, err := Run(context.Background(), Config{
 		Server: conn.LocalAddr().String(), Clients: 1, Ramp: time.Millisecond,
-		Duration: 200 * time.Millisecond, RateBps: 64e3, PacketSize: 128,
+		Duration: 200 * time.Millisecond, RateBps: 64e3, packetSize: 128,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -186,11 +186,10 @@ func TestClientMeasuresLoopback(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(ClientConfig{
-		Server:     srv.Addr().String(),
-		Duration:   1500 * time.Millisecond,
-		MaxRateBps: 5e6, // keep the test light
-		Nimbus:     nimbus.Config{Mu: 5e6, SlideInterval: 250 * time.Millisecond, WindowSamples: 64},
-		Seed:       1,
+		Server:   srv.Addr().String(),
+		duration: 1500 * time.Millisecond,
+		Nimbus:   nimbus.Config{Mu: 5e6, SlideInterval: 250 * time.Millisecond, WindowSamples: 64},
+		Seed:     1,
 	})
 	rep, err := c.Run()
 	if err != nil {
@@ -223,7 +222,7 @@ func TestClientMeasuresLoopback(t *testing.T) {
 // before it does not.
 func TestReportVerdictIsSharedSummary(t *testing.T) {
 	const duration = 8 * time.Second
-	c := NewClient(ClientConfig{Server: "unused", Duration: duration, Seed: 1})
+	c := NewClient(ClientConfig{Server: "unused", duration: duration, Seed: 1})
 	const th = nimbus.EtaThreshold
 	for i, eta := range []float64{9, 9, th, 0, 2 * th, 0.1} { // at 1s, 2s (the bound), 3s, ...
 		c.cc.Est.Elasticity.Append(time.Duration(i+1)*time.Second, eta)
@@ -232,7 +231,7 @@ func TestReportVerdictIsSharedSummary(t *testing.T) {
 	rep := c.report()
 
 	ref := nimbus.NewEstimator(c.cfg.Nimbus)
-	for _, s := range rep.Eta {
+	for _, s := range c.cc.Est.Elasticity.Samples() {
 		ref.Elasticity.Append(s.At, s.Value)
 	}
 	want := ref.Verdict(duration/4, math.MaxInt64)

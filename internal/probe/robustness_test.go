@@ -64,11 +64,10 @@ func TestHandshakeRetriesThroughDroppedHellos(t *testing.T) {
 
 	c := NewClient(ClientConfig{
 		Server:            addr,
-		Duration:          500 * time.Millisecond,
-		MaxRateBps:        2e6,
+		duration:          500 * time.Millisecond,
 		Nimbus:            nimbus.Config{Mu: 2e6, SlideInterval: 100 * time.Millisecond, WindowSamples: 32},
 		Seed:              3,
-		HandshakeAttempts: 5,
+		handshakeAttempts: 5,
 		HandshakeTimeout:  50 * time.Millisecond,
 	})
 	rep, err := c.Run()
@@ -91,8 +90,8 @@ func TestHandshakeExhaustionFailsFast(t *testing.T) {
 
 	c := NewClient(ClientConfig{
 		Server:            addr,
-		Duration:          10 * time.Second,
-		HandshakeAttempts: 3,
+		duration:          10 * time.Second,
+		handshakeAttempts: 3,
 		HandshakeTimeout:  40 * time.Millisecond,
 	})
 	startAt := time.Now()
@@ -122,11 +121,10 @@ func TestMidRunServerDeathTruncates(t *testing.T) {
 	const duration = 3 * time.Second
 	c := NewClient(ClientConfig{
 		Server:       srv.Addr().String(),
-		Duration:     duration,
-		MaxRateBps:   2e6,
+		duration:     duration,
 		Nimbus:       nimbus.Config{Mu: 2e6, SlideInterval: 100 * time.Millisecond, WindowSamples: 32},
 		Seed:         4,
-		StallTimeout: 400 * time.Millisecond,
+		stallTimeout: 400 * time.Millisecond,
 	})
 	go func() {
 		time.Sleep(300 * time.Millisecond)

@@ -622,9 +622,6 @@ func (s *Server) sendBusy(h *Header, raddr *net.UDPAddr, now time.Duration, caus
 // admitted sessions keep being served.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether a drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain gracefully shuts the node down: stop admitting, serve admitted
 // sessions until they Bye out, hit the TTL, or ctx expires; then close
 // the socket and finalize whatever remains into the spool as drained.

@@ -79,8 +79,8 @@ func TestCoDelKeepsQueueShortEndToEnd(t *testing.T) {
 	f2.Start()
 	eng2.Run(30 * time.Second)
 
-	rttCoDel := f.Sender.SRTT()
-	rttTail := f2.Sender.SRTT()
+	rttCoDel := f.Sender.Snapshot().SRTT
+	rttTail := f2.Sender.Snapshot().SRTT
 	if rttCoDel >= rttTail {
 		t.Errorf("CoDel SRTT %v should beat droptail %v", rttCoDel, rttTail)
 	}

@@ -108,6 +108,3 @@ func (d *DropTail) Len() int { return len(d.q) - d.head }
 
 // Bytes implements sim.Qdisc.
 func (d *DropTail) Bytes() int { return d.bytes }
-
-// Limit returns the configured byte limit.
-func (d *DropTail) Limit() int { return d.limit }

@@ -81,7 +81,7 @@ func TestFQCoDelIsolatesDelayAndBandwidth(t *testing.T) {
 		})
 		bulk.Start()
 		eng.Run(20 * time.Second)
-		return smooth.Sender.SRTT(), smooth.Throughput(5*time.Second, 20*time.Second)
+		return smooth.Sender.Snapshot().SRTT, smooth.Throughput(5*time.Second, 20*time.Second)
 	}
 	fifoRTT, _ := run(false)
 	fqRTT, fqTput := run(true)

@@ -388,12 +388,3 @@ func (u *UserIsolation) Len() int { return u.pkts }
 
 // Bytes implements sim.Qdisc.
 func (u *UserIsolation) Bytes() int { return u.bytes }
-
-// ActiveUsers returns the number of users with queued packets.
-func (u *UserIsolation) ActiveUsers() int {
-	n := len(u.parked)
-	for _, w := range u.active {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}

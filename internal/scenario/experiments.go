@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mlab"
-	"repro/internal/nimbus"
 	"repro/internal/obs"
 	"repro/internal/traffic"
 )
@@ -47,18 +46,13 @@ func init() {
 		Name:        "fig1",
 		Description: "Figure 1 isolation grid: CCA pairs x queue disciplines on one access link",
 		Run: run(func(sp Spec, sc *obs.Scope) (*core.Fig1Result, error) {
-			cfg := core.Fig1Config{
+			return core.RunFig1(core.Fig1Config{
 				RateBps:     sp.RateBps,
 				OneWayDelay: sp.RTT() / 2,
 				Duration:    sp.Duration(),
 				BufferBDP:   sp.BufferBDP,
-				Pairs:       sp.Pairs,
 				Obs:         sc,
-			}
-			for _, q := range sp.Queues {
-				cfg.Queues = append(cfg.Queues, core.QueueKind(q))
-			}
-			return core.RunFig1(cfg)
+			})
 		}),
 		Table: table[*core.Fig1Result](),
 	})
@@ -97,7 +91,6 @@ func init() {
 				Phases:        sp.Phases,
 				Seed:          sp.Seed,
 				BufferBDP:     sp.BufferBDP,
-				Nimbus:        nimbus.Config{PulseFreq: sp.PulseFreqHz},
 				FaultProfile:  sp.FaultProfile,
 				FaultSeed:     sp.FaultSeed,
 				Obs:           sc,
@@ -184,7 +177,6 @@ func init() {
 		Run: run(func(sp Spec, sc *obs.Scope) (*core.AccessResult, error) {
 			return core.RunAccess(core.AccessConfig{
 				AccessRateBps: sp.RateBps,
-				Users:         sp.Users,
 				Duration:      sp.Duration(),
 				Obs:           sc,
 			})
@@ -218,8 +210,6 @@ func init() {
 		Description: "abl-pulse: elasticity separation vs pulse frequency and amplitude",
 		Run: run(func(sp Spec, sc *obs.Scope) (*core.PulseSweepResult, error) {
 			return core.RunPulseSweep(core.PulseSweepConfig{
-				Freqs:    sp.PulseFreqsHz,
-				Amps:     sp.PulseAmps,
 				Duration: sp.Duration(),
 				Obs:      sc,
 			})
@@ -232,7 +222,6 @@ func init() {
 		Description: "abl-buffer: elasticity separation vs bottleneck buffer depth",
 		Run: run(func(sp Spec, sc *obs.Scope) (*core.BufferSweepResult, error) {
 			return core.RunBufferSweep(core.BufferSweepConfig{
-				BDPs:     sp.BufferBDPs,
 				Duration: sp.Duration(),
 				Obs:      sc,
 			})
@@ -246,7 +235,6 @@ func init() {
 		Defaults:    Spec{Flows: 8},
 		Run: run(func(sp Spec, sc *obs.Scope) (*core.SubPacketResult, error) {
 			return core.RunSubPacket(core.SubPacketConfig{
-				Rates:    sp.RatesBps,
 				Flows:    sp.Flows,
 				Duration: sp.Duration(),
 				Obs:      sc,
@@ -298,8 +286,6 @@ func init() {
 				OneWayDelay: sp.RTT() / 2,
 				BufferBDP:   sp.BufferBDP,
 				Duration:    sp.Duration(),
-				ChurnThink:  time.Duration(sp.ChurnThinkS * float64(time.Second)),
-				LongFrac:    sp.LongFrac,
 				Seed:        sp.Seed,
 				FluidAbove:  sp.FluidAbove,
 				Check:       true,

@@ -44,10 +44,10 @@ var goldenSpecs = []struct {
 	{"cellular", Spec{Experiment: "cellular", DurationS: 3, Seed: 1, CCAs: []string{"cubic", "nimbus"}}},
 	// No other row, trace or corpus entry runs copa.
 	{"cellular-copa", Spec{Experiment: "cellular", DurationS: 3, Seed: 1, CCAs: []string{"copa", "nimbus"}}},
-	{"access", Spec{Experiment: "access", DurationS: 2, Users: 2}},
-	{"pulse", Spec{Experiment: "pulse", DurationS: 12, PulseFreqsHz: []float64{2, 5}, PulseAmps: []float64{0.25}}},
-	{"buffer", Spec{Experiment: "buffer", DurationS: 12, BufferBDPs: []float64{0.5, 2}}},
-	{"subpkt", Spec{Experiment: "subpkt", DurationS: 5, Flows: 4, RatesBps: []float64{256e3, 1e6}}},
+	{"access", Spec{Experiment: "access", DurationS: 2}},
+	{"pulse", Spec{Experiment: "pulse", DurationS: 12}},
+	{"buffer", Spec{Experiment: "buffer", DurationS: 12}},
+	{"subpkt", Spec{Experiment: "subpkt", DurationS: 5, Flows: 4}},
 	{"jitter", Spec{Experiment: "jitter", DurationS: 3}},
 	{"huntcell-victim", Spec{Experiment: "huntcell", CCAs: []string{"cubic"}, Seed: 3, FaultSeed: 2,
 		FaultProfile: "wifi-bursty", Queue: "fq",

@@ -10,16 +10,13 @@ import (
 
 // Grid declares a sweep: a base spec plus axes whose cross product
 // expands into one spec per point. Empty axes leave the base value in
-// place. Expansion order is fixed (pairs/ccas, then queues, then fault
+// place. Expansion order is fixed (pairs, then queues, then fault
 // profiles, then seeds), so the expanded list — and therefore the
 // sweep's result ordering — is stable across runs and machines.
 type Grid struct {
 	// Base is the spec every point starts from; Base.Experiment names
 	// the experiment.
 	Base Spec `json:"base"`
-	// CCAs varies a single controller (sets the point's ccas to [c]).
-	// Mutually exclusive with Pairs.
-	CCAs []string `json:"ccas,omitempty"`
 	// Pairs varies a CCA pairing (sets the point's ccas to the pair).
 	Pairs [][2]string `json:"pairs,omitempty"`
 	// Queues varies the bottleneck discipline.
@@ -65,9 +62,6 @@ func (g Grid) axes() ([4][]choice, error) {
 	if g.Base.Experiment == "" {
 		return [4][]choice{}, fmt.Errorf("scenario: grid has no base.experiment")
 	}
-	if len(g.CCAs) > 0 && len(g.Pairs) > 0 {
-		return [4][]choice{}, fmt.Errorf("scenario: grid sets both ccas and pairs axes")
-	}
 
 	// Each axis contributes a list of (label, mutation) choices; an
 	// empty axis contributes the identity.
@@ -78,17 +72,10 @@ func (g Grid) axes() ([4][]choice, error) {
 		return cs
 	}
 
-	var ccaAxis []choice
-	for _, c := range g.CCAs {
-		c := c
-		ccaAxis = append(ccaAxis, choice{
-			label: "cca=" + c,
-			apply: func(sp *Spec) { sp.CCAs = []string{c} },
-		})
-	}
+	var pairAxis []choice
 	for _, p := range g.Pairs {
 		p := p
-		ccaAxis = append(ccaAxis, choice{
+		pairAxis = append(pairAxis, choice{
 			label: "pair=" + p[0] + "/" + p[1],
 			apply: func(sp *Spec) { sp.CCAs = []string{p[0], p[1]} },
 		})
@@ -124,7 +111,7 @@ func (g Grid) axes() ([4][]choice, error) {
 		})
 	}
 
-	return [4][]choice{axis(ccaAxis), axis(queueAxis), axis(faultAxis), axis(seedAxis)}, nil
+	return [4][]choice{axis(pairAxis), axis(queueAxis), axis(faultAxis), axis(seedAxis)}, nil
 }
 
 // point materializes the spec at one choice tuple.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -475,7 +476,7 @@ func TestFlightDumpOnFailure(t *testing.T) {
 	specs := []Spec{
 		{Experiment: "test-ok", Seed: 1},
 		{Experiment: "test-trace-fail", Seed: 2, FaultSeed: 4, RateBps: 48e6, RTTMs: 100,
-			Queue: "fq", BufferBDP: 2, Phases: []string{"reno", "cbr"}, PulseFreqHz: 5},
+			Queue: "fq", BufferBDP: 2, Phases: []string{"reno", "cbr"}},
 		{Experiment: "test-ok", Seed: 3},
 	}
 	results, err := r.Sweep(context.Background(), specs)
@@ -505,11 +506,10 @@ func TestFlightDumpOnFailure(t *testing.T) {
 		t.Errorf("manifest hash %q, want %q", log.Manifest.Extra["spec_hash"], specs[1].Hash())
 	}
 	// The dump's header is the spec's -trace manifest (Spec.Manifest is
-	// what ccac run -trace writes) but for the artifact tag; the flight
-	// copy used to forget pulse_freq_hz.
+	// what ccac run -trace writes) but for the artifact tag.
 	want := specs[1].Manifest()
 	want.Extra["artifact"] = "flight"
-	if log.Manifest.PulseFreqHz != 5 || !reflect.DeepEqual(log.Manifest, want) {
+	if !reflect.DeepEqual(log.Manifest, want) {
 		t.Errorf("flight manifest %+v\nwant the -trace manifest plus artifact: %+v", log.Manifest, want)
 	}
 	if len(log.Events) != 6 {
@@ -527,11 +527,11 @@ func TestFlightDumpOnFailure(t *testing.T) {
 func TestFlightDumpMergesWithScopeTracer(t *testing.T) {
 	// A run that already has a tracer keeps it: the flight recorder
 	// fans out rather than stealing the seat.
-	ring := obs.NewFlightRecorder(128)
+	var ring countingTracer
 	r := &Runner{
 		Workers:   1,
 		FlightDir: t.TempDir(),
-		NewScope:  func(Spec) *obs.Scope { return &obs.Scope{Reg: obs.NewRegistry(), Tracer: ring} },
+		NewScope:  func(Spec) *obs.Scope { return &obs.Scope{Reg: obs.NewRegistry(), Tracer: &ring} },
 	}
 	results, err := r.Sweep(context.Background(), []Spec{{Experiment: "test-trace-fail", Seed: 7}})
 	if err != nil {
@@ -540,10 +540,15 @@ func TestFlightDumpMergesWithScopeTracer(t *testing.T) {
 	if results[0].FlightDump == "" {
 		t.Fatal("no flight dump")
 	}
-	if got := ring.Total(); got != 6 {
+	if got := ring.n.Load(); got != 6 {
 		t.Errorf("scope tracer saw %d events, want 6", got)
 	}
 }
+
+// countingTracer counts the events emitted to it.
+type countingTracer struct{ n atomic.Int64 }
+
+func (c *countingTracer) Emit(obs.Event) { c.n.Add(1) }
 
 func TestSweepRecoversPanics(t *testing.T) {
 	dir := t.TempDir()

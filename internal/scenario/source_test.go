@@ -104,14 +104,6 @@ func TestGridSourceValidatesUpFront(t *testing.T) {
 	if _, err := (Grid{}).Source(); err == nil {
 		t.Fatal("no error for grid without base.experiment")
 	}
-	g := Grid{
-		Base:  Spec{Experiment: "duel"},
-		CCAs:  []string{"reno"},
-		Pairs: [][2]string{{"reno", "bbr"}},
-	}
-	if _, err := g.Source(); err == nil {
-		t.Fatal("no error for grid with both ccas and pairs")
-	}
 }
 
 func TestSliceSource(t *testing.T) {

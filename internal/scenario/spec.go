@@ -52,29 +52,14 @@ type Spec struct {
 	// CCAs lists congestion controllers: the two contenders for duel,
 	// the comparison set for cellular.
 	CCAs []string `json:"ccas,omitempty"`
-	// Pairs lists CCA pairings (fig1).
-	Pairs [][2]string `json:"pairs,omitempty"`
-	// Queues lists disciplines to compare (fig1).
-	Queues []string `json:"queues,omitempty"`
 	// Phases lists cross-traffic phases in order (fig3);
 	// PhaseDurationS is each phase's length.
 	Phases         []string `json:"phases,omitempty"`
 	PhaseDurationS float64  `json:"phase_duration_s,omitempty"`
-	// PulseFreqHz overrides the probe's pulse frequency (fig3);
-	// PulseFreqsHz/PulseAmps are the abl-pulse sweep axes.
-	PulseFreqHz  float64   `json:"pulse_freq_hz,omitempty"`
-	PulseFreqsHz []float64 `json:"pulse_freqs_hz,omitempty"`
-	PulseAmps    []float64 `json:"pulse_amps,omitempty"`
-	// BufferBDPs is the abl-buffer sweep axis.
-	BufferBDPs []float64 `json:"buffer_bdps,omitempty"`
-	// RatesBps is the abl-subpkt sweep axis.
-	RatesBps []float64 `json:"rates_bps,omitempty"`
 	// Flows is the flow count (abl-subpkt) or dataset size (fig2).
 	Flows int `json:"flows,omitempty"`
 	// Trials is the randomized-trial count (oracle).
 	Trials int `json:"trials,omitempty"`
-	// Users is the subscriber count (access).
-	Users int `json:"users,omitempty"`
 	// FaultProfile names a registered fault profile (faults.Names) to
 	// impose on the bottleneck; FaultSeed drives its injectors.
 	FaultProfile string `json:"fault_profile,omitempty"`
@@ -89,13 +74,21 @@ type Spec struct {
 	// elasticity probe.
 	Cross []traffic.Phase `json:"cross,omitempty"`
 	Probe bool            `json:"probe,omitempty"`
-	// ChurnThinkS is manyflow's mean think time between a background
-	// user's transfers; LongFrac its long-transfer probability.
-	ChurnThinkS float64 `json:"churn_think_s,omitempty"`
-	LongFrac    float64 `json:"long_frac,omitempty"`
 	// FluidAbove switches manyflow background users with index >= the
 	// cutoff to the fluid aggregate (hybrid fidelity); 0 disables.
 	FluidAbove int `json:"fluid_above,omitempty"`
+}
+
+// ParseSpec decodes a spec file, rejecting unknown fields: a typo in
+// a replay must not silently change the scenario.
+func ParseSpec(b []byte) (Spec, error) {
+	var sp Spec
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sp); err != nil {
+		return Spec{}, fmt.Errorf("scenario: parse spec: %w", err)
+	}
+	return sp, nil
 }
 
 // Duration converts DurationS, or returns 0 when unset.
@@ -113,17 +106,16 @@ func (s Spec) RTT() time.Duration {
 // what the writer adds under Extra.
 func (s Spec) Manifest() obs.Manifest {
 	return obs.Manifest{
-		Tool:        "ccac/" + s.Experiment,
-		Seed:        s.Seed,
-		FaultSeed:   s.FaultSeed,
-		Profile:     s.FaultProfile,
-		RateBps:     s.RateBps,
-		RTTSeconds:  s.RTT().Seconds(),
-		Queue:       s.Queue,
-		BufferBDP:   s.BufferBDP,
-		Phases:      s.Phases,
-		PulseFreqHz: s.PulseFreqHz,
-		Extra:       map[string]string{"spec_hash": s.Hash()},
+		Tool:       "ccac/" + s.Experiment,
+		Seed:       s.Seed,
+		FaultSeed:  s.FaultSeed,
+		Profile:    s.FaultProfile,
+		RateBps:    s.RateBps,
+		RTTSeconds: s.RTT().Seconds(),
+		Queue:      s.Queue,
+		BufferBDP:  s.BufferBDP,
+		Phases:     s.Phases,
+		Extra:      map[string]string{"spec_hash": s.Hash()},
 	}
 }
 

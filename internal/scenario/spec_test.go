@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -166,12 +168,26 @@ func TestGridExpandErrors(t *testing.T) {
 	if _, err := (Grid{}).Expand(); err == nil {
 		t.Fatal("grid without base.experiment expanded")
 	}
-	g := Grid{
-		Base:  Spec{Experiment: "duel"},
-		CCAs:  []string{"reno"},
-		Pairs: [][2]string{{"reno", "bbr"}},
-	}
-	if _, err := g.Expand(); err == nil {
-		t.Fatal("grid with both ccas and pairs axes expanded")
+}
+
+// TestLedgerSpecHashesArePinned: the benchmark's spec files keep their
+// hashes, so removing a spec key (omitempty, never set by them) or
+// reshaping Spec cannot move what the ledger runs or caches.
+func TestLedgerSpecHashesArePinned(t *testing.T) {
+	for name, want := range map[string]string{
+		"fig3.json":     "dfd58196438acc618804f3440774a8fbd612d4a2e311201d252f95c3b2844462",
+		"manyflow.json": "6ed68b6a8aca83eeab90e9b74082672bff72220f6a9a2fd89f9c799b42fa628f",
+	} {
+		b, err := os.ReadFile(filepath.Join("..", "..", "ledger", "specs", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := ParseSpec(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := sp.Hash(); got != want {
+			t.Errorf("%s hashes to %s, want %s", name, got, want)
+		}
 	}
 }

@@ -499,9 +499,7 @@ func (e *Engine) Reset() {
 // instead of allocating a new one, so it must not be used past the run.
 func (e *Engine) Rand(seed int64) *rand.Rand {
 	if e.nrand == len(e.rands) {
-		src := new(seedSource)
-		src.Seed(seed)
-		e.rands = append(e.rands, rand.New(src))
+		e.rands = append(e.rands, NewRand(seed))
 	} else {
 		e.rands[e.nrand].Seed(seed)
 	}

@@ -9,3 +9,6 @@ import "time"
 func schedulePacket(e *Engine, delay time.Duration, p *Packet) Timer {
 	return e.Schedule(delay, func() { advance(p) })
 }
+
+// Pooled reports whether the packet belongs to an engine's free list.
+func (p *Packet) Pooled() bool { return p.owner != nil }

@@ -137,9 +137,6 @@ func (p *Packet) Generation() uint32 { return p.gen }
 // map. It is 0 for a packet that is not Pooled.
 func (p *Packet) PoolIndex() int { return int(p.index) }
 
-// Pooled reports whether the packet belongs to an engine's free list.
-func (p *Packet) Pooled() bool { return p.owner != nil }
-
 // Receiver consumes packets at the end of their path. Transport
 // endpoints implement Receiver.
 type Receiver interface {

@@ -1,5 +1,7 @@
 package sim
 
+import "math/rand"
+
 // seedSource is math/rand's generator with an O(1) Seed. The standard
 // library's rngSource is an additive lagged Fibonacci generator over
 // 607 words, vec[feed] += vec[tap], whose Seed fills all 607 words from
@@ -37,6 +39,15 @@ const (
 	rngMask  = 1<<63 - 1
 	int32max = 1<<31 - 1
 )
+
+// NewRand returns a generator that draws the stream
+// rand.New(rand.NewSource(seed)) draws, on a seedSource: seeding it,
+// and re-seeding it through its Seed method, costs O(1).
+func NewRand(seed int64) *rand.Rand {
+	src := new(seedSource)
+	src.Seed(seed)
+	return rand.New(src)
+}
 
 // seedPow[i] holds 48271ⁿ mod (2³¹−1) for the three Lehmer steps n
 // that make word i.

@@ -62,9 +62,6 @@ func (s *Sketch) bin(x float64) int {
 	return b
 }
 
-// N returns the exact sample count.
-func (s *Sketch) N() uint64 { return s.n }
-
 // Merge folds o into s. The two sketches must share a geometry.
 func (s *Sketch) Merge(o *Sketch) error {
 	if o.lo != s.lo || o.hi != s.hi || len(o.counts) != len(s.counts) {

@@ -37,9 +37,6 @@ func (s *Series) Append(at time.Duration, v float64) {
 	s.samples = append(s.samples, Sample{At: at, Value: v})
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.samples) }
-
 // Samples returns the underlying samples. The returned slice is owned by
 // the Series and must not be modified.
 func (s *Series) Samples() []Sample { return s.samples }

@@ -69,9 +69,6 @@ func NewChurn(eng *sim.Engine, cfg ChurnConfig) *Churn {
 	return c
 }
 
-// Active reports whether a transfer is currently running.
-func (c *Churn) Active() bool { return c.active != nil }
-
 // AckedBytes returns the bytes delivered across all of the user's
 // transfers, including the one in progress.
 func (c *Churn) AckedBytes() int64 {

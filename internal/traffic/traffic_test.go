@@ -196,11 +196,11 @@ func TestVideoStopCeasesTraffic(t *testing.T) {
 	v := NewVideo(eng, flowCfg(1, link, 10*time.Millisecond, cca.NewCubicCC()))
 	eng.Run(10 * time.Second)
 	v.Stop()
-	sent := v.Flow.Sender.BytesSent()
+	sent := v.Flow.Sender.Snapshot().BytesSent
 	eng.Run(20 * time.Second)
 	// In-flight chunk may finish but no new chunks should start.
-	if v.Flow.Sender.BytesSent() > sent+8<<20 {
-		t.Errorf("traffic continued after Stop: %d -> %d", sent, v.Flow.Sender.BytesSent())
+	if v.Flow.Sender.Snapshot().BytesSent > sent+8<<20 {
+		t.Errorf("traffic continued after Stop: %d -> %d", sent, v.Flow.Sender.Snapshot().BytesSent)
 	}
 }
 

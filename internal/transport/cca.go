@@ -48,8 +48,6 @@ type LossInfo struct {
 // transmissions. Implementations are single-flow and not safe for
 // concurrent use (the simulator is single-threaded).
 type CCA interface {
-	// Name returns the algorithm's name, e.g. "reno".
-	Name() string
 	// OnAck is invoked for every newly acknowledged packet.
 	OnAck(a AckInfo)
 	// OnLoss is invoked once per loss epoch.

@@ -102,7 +102,7 @@ func TestFaultMatrix(t *testing.T) {
 				if f.Sender.BytesAcked() != total {
 					t.Errorf("acked %d, want %d", f.Sender.BytesAcked(), total)
 				}
-				frac := float64(f.Sender.BytesRetrans()) / float64(total)
+				frac := float64(f.Sender.Snapshot().BytesRetrans) / float64(total)
 				if frac > fc.maxRetransFrac {
 					t.Errorf("%s under %s retransmitted %.1f%% (budget %.0f%%)",
 						name, fc.name, 100*frac, 100*fc.maxRetransFrac)

@@ -144,12 +144,6 @@ type Sender struct {
 	RTTHist *obs.Histogram
 }
 
-// FlowID returns the flow's identifier.
-func (s *Sender) FlowID() int { return s.flowID }
-
-// CC returns the flow's congestion controller.
-func (s *Sender) CC() CCA { return s.cc }
-
 // Supply makes n more bytes of application data available to send.
 func (s *Sender) Supply(n int64) {
 	if n <= 0 {
@@ -169,29 +163,11 @@ func (s *Sender) SetBacklogged(b bool) {
 	}
 }
 
-// Backlogged reports whether the sender is persistently backlogged.
-func (s *Sender) Backlogged() bool { return s.backlogged }
-
 // BytesAcked returns the unique delivered byte count.
 func (s *Sender) BytesAcked() int64 { return s.bytesAcked }
 
-// BytesSent returns all bytes handed to the network.
-func (s *Sender) BytesSent() int64 { return s.bytesSent }
-
-// Inflight returns the outstanding byte count.
-func (s *Sender) Inflight() int { return s.inflightBytes }
-
-// SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (s *Sender) SRTT() time.Duration { return s.srtt }
-
-// MinRTT returns the minimum RTT observed (0 before the first sample).
-func (s *Sender) MinRTT() time.Duration { return s.minRTT }
-
 // LossEvents returns the number of loss epochs detected.
 func (s *Sender) LossEvents() int64 { return s.lossEvents }
-
-// BytesRetrans returns the total retransmitted byte count.
-func (s *Sender) BytesRetrans() int64 { return s.bytesRetrans }
 
 // effectiveWnd returns the current send window in bytes.
 func (s *Sender) effectiveWnd() int {

@@ -164,8 +164,6 @@ func (s *Sender) verifyRing() error {
 // to one MSS.
 type miniReno struct{ cwnd, ssthresh int }
 
-func (*miniReno) Name() string { return "mini-reno" }
-
 func (c *miniReno) OnAck(a AckInfo) {
 	if c.cwnd < c.ssthresh {
 		c.cwnd += a.AckedBytes

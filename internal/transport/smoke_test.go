@@ -35,7 +35,7 @@ func TestSingleRenoFillsLink(t *testing.T) {
 	if f.Sender.LossEvents() == 0 {
 		t.Errorf("expected at least one loss event on a droptail link")
 	}
-	if f.Sender.MinRTT() < 20*time.Millisecond || f.Sender.MinRTT() > 25*time.Millisecond {
-		t.Errorf("minRTT = %v, want ~20ms", f.Sender.MinRTT())
+	if f.Sender.Snapshot().MinRTT < 20*time.Millisecond || f.Sender.Snapshot().MinRTT > 25*time.Millisecond {
+		t.Errorf("minRTT = %v, want ~20ms", f.Sender.Snapshot().MinRTT)
 	}
 }

@@ -136,12 +136,12 @@ func TestRTTEstimation(t *testing.T) {
 	f.Sender.Supply(15000)
 	eng.Run(time.Second)
 	// Base RTT = 50ms + serialization (~0.12ms per packet at 100 Mbit/s).
-	min := f.Sender.MinRTT()
+	min := f.Sender.Snapshot().MinRTT
 	if min < 50*time.Millisecond || min > 55*time.Millisecond {
 		t.Errorf("MinRTT = %v, want ~50ms", min)
 	}
-	if f.Sender.SRTT() < min {
-		t.Errorf("SRTT %v < MinRTT %v", f.Sender.SRTT(), min)
+	if f.Sender.Snapshot().SRTT < min {
+		t.Errorf("SRTT %v < MinRTT %v", f.Sender.Snapshot().SRTT, min)
 	}
 }
 
