@@ -68,7 +68,7 @@ func run() error {
 	sessionTTL := flag.Duration("session-ttl", 2*time.Minute,
 		"evict sessions idle for this long")
 	perSourcePPS := flag.Float64("per-source-pps", 0,
-		"per-source-IP packet rate limit ahead of admission (0 = off)")
+		"per-source-IP Hello rate limit ahead of admission, in Hellos/s (0 = off)")
 	globalPPS := flag.Float64("global-pps", 0,
 		"global packets-per-second ceiling with prioritized shedding (0 = off)")
 	spoolDir := flag.String("spool", "",

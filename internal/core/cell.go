@@ -240,7 +240,7 @@ func wireObs(sc *obs.Scope, eng *sim.Engine, links ...*sim.Link) {
 		return
 	}
 	if eng != nil {
-		eng.RegisterMetrics(sc.R(), "")
+		eng.RegisterMetrics(sc.R())
 	}
 	for _, l := range links {
 		l.Trace = sc.T()

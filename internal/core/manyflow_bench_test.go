@@ -11,12 +11,14 @@ import (
 // sizes. The scaling contract: per-flow wall cost (ns/flow) and
 // allocations per flow stay flat as the population grows 50x — CI's
 // manyflow-smoke job fails when ns/flow at 5,000 users exceeds 3x
-// ns/flow at 100 (measured ~1-1.5x). Both depend on the timer wheel
-// keeping the resident timers off the engine heap until their tick is
-// served (and owning no storage of its own, so allocs/flow cannot
-// grow with it), the isolation scheduler keeping token-throttled users
-// off its dequeue path (a release-time heap; rescanning them on every
-// dequeue read 12.9x here), and the drained-queue array recycling.
+// ns/flow at 100 (measured ~1-1.5x). Both depend on the engine heap
+// holding O(flows) events — packets in flight wait in delay lines
+// behind one queued front packet each, and a re-armed timer moves in
+// place — in storage that is recycled, not allocated per event, so
+// allocs/flow cannot grow with it; on the isolation scheduler keeping
+// token-throttled users off its dequeue path (a release-time heap;
+// rescanning them on every dequeue read 12.9x here); and on the
+// drained-queue array recycling.
 func BenchmarkManyFlow(b *testing.B) {
 	for _, users := range []int{100, 1000, 5000} {
 		b.Run(fmt.Sprint(users), func(b *testing.B) {

@@ -34,9 +34,10 @@ type ServerConfig struct {
 	// feeding the spool's mlab-schema trace (default 500ms).
 	SnapshotInterval time.Duration
 
-	// PerSourcePPS rate-limits packets per source IP ahead of session
-	// admission (token bucket, burst PerSourceBurst; 0 disables). A
-	// limited Hello gets a Busy|FlagRateLimited reply.
+	// PerSourcePPS rate-limits Hellos per source IP ahead of session
+	// admission (token bucket, burst PerSourceBurst; 0 disables); Data
+	// and Bye packets are not charged to it. A limited Hello gets a
+	// Busy|FlagRateLimited reply.
 	PerSourcePPS   float64
 	PerSourceBurst float64
 	// GlobalPPS is the server-wide packets-per-second ceiling with

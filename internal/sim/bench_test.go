@@ -6,9 +6,8 @@ import (
 )
 
 // BenchmarkEngineEvents measures raw event throughput: schedule+run of
-// chained events (each event schedules the next). A single pending
-// timer is the wheel's worst case, so this path stays on the heap via
-// the small-population threshold.
+// chained events (each event schedules the next), one pending at a
+// time.
 func BenchmarkEngineEvents(b *testing.B) {
 	eng := &Engine{}
 	n := 0
@@ -30,31 +29,42 @@ func BenchmarkEngineEvents(b *testing.B) {
 
 // BenchmarkEngineEventsDense measures event throughput with a dense
 // resident timer population (4k outstanding, homogeneous near-future
-// spread) — the workload thousands of transport senders create and
-// the one the hashed timer wheel exists for.
+// spread) — the workload thousands of transport senders create.
 func BenchmarkEngineEventsDense(b *testing.B) {
-	benchDense(b, &Engine{})
-}
-
-// BenchmarkEngineEventsDenseHeap is the same dense workload with the
-// wheel disabled — the pure-heap reference the wheel is measured
-// against.
-func BenchmarkEngineEventsDenseHeap(b *testing.B) {
-	benchDense(b, &Engine{wheelOff: true})
+	eng := &Engine{}
+	const resident = 4096
+	n := 0
+	var next func()
+	next = func() {
+		n++
+		if n < b.N+resident {
+			// Spread rescheduling across ~50ms like per-flow RTT timers.
+			eng.Schedule(time.Duration(1+n%200)*250*time.Microsecond, next)
+		}
+	}
+	for i := 0; i < resident; i++ {
+		eng.Schedule(time.Duration(1+i%200)*250*time.Microsecond, next)
+	}
+	b.ResetTimer()
+	for n < b.N {
+		if !eng.Step() {
+			b.Fatalf("drained early at %d of %d", n, b.N)
+		}
+	}
 }
 
 // coldStart is the engine's share of what every census or hunt cell
-// pays before its first packet moves: a new engine, 1,000 events spread
-// over the heap and both wheel levels, drained.
+// pays before its first packet moves: a new engine, 1,000 events
+// spread from microseconds to tens of seconds ahead, drained.
 func coldStart() int64 {
 	eng := &Engine{}
 	fn := func() {}
 	for i := 0; i < 1000; i++ {
-		d := time.Duration(i) * 60 * time.Microsecond // level 0: 0-60ms
+		d := time.Duration(i) * 60 * time.Microsecond // 0-60ms
 		switch i % 4 {
-		case 2: // level 1: 0.1-10s
+		case 2: // 0.1-10s
 			d = time.Duration(i) * 10 * time.Millisecond
-		case 3: // past the wheel horizon: heap
+		case 3: // 20-21s
 			d = 20*time.Second + time.Duration(i)*time.Millisecond
 		}
 		eng.Schedule(d, fn)
@@ -77,9 +87,9 @@ func BenchmarkEngineColdStart(b *testing.B) {
 
 // TestEngineColdStartAllocs bounds what a fresh engine allocates to
 // the growth of its three arrays — slot table, free list, heap — which
-// is a few dozen append doublings however the events spread over the
-// wheel. Storage owned by wheel buckets (one array per touched bucket:
-// hundreds here) would break the bound.
+// is a few dozen append doublings however the events spread. Storage
+// allocated per event or per distinct time (hundreds here) would break
+// the bound.
 func TestEngineColdStartAllocs(t *testing.T) {
 	const limit = 48
 	if allocs := testing.AllocsPerRun(20, func() { coldStart() }); allocs > limit {
@@ -120,28 +130,6 @@ func BenchmarkTimerRearm(b *testing.B) {
 				eng.Step()
 			}
 		})
-	}
-}
-
-func benchDense(b *testing.B, eng *Engine) {
-	const resident = 4096
-	n := 0
-	var next func()
-	next = func() {
-		n++
-		if n < b.N+resident {
-			// Spread rescheduling across ~50ms like per-flow RTT timers.
-			eng.Schedule(time.Duration(1+n%200)*250*time.Microsecond, next)
-		}
-	}
-	for i := 0; i < resident; i++ {
-		eng.Schedule(time.Duration(1+i%200)*250*time.Microsecond, next)
-	}
-	b.ResetTimer()
-	for n < b.N {
-		if !eng.Step() {
-			b.Fatalf("drained early at %d of %d", n, b.N)
-		}
 	}
 }
 

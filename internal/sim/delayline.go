@@ -8,10 +8,10 @@ import "time"
 // due in push order — the delay never changes and the clock never goes
 // back — and their (at, seq) keys already stand in the engine's global
 // order. The line therefore queues them in a ring and only its front
-// packet holds an event slot in the engine's heap or wheel. When that
-// slot fires, the engine re-keys it in place to the next packet's key
-// (or frees it when the line empties), so the queue orders one event
-// per line instead of one per packet in flight.
+// packet holds an event slot in the engine's heap. When that slot
+// fires, the engine re-keys it in place to the next packet's key (or
+// frees it when the line empties), so the heap orders one event per
+// line instead of one per packet in flight.
 //
 // The order holds for any pushes of one delay, whoever makes them, so
 // an engine keeps one line per delay (Engine.DelayLine): a dumbbell's
@@ -89,9 +89,7 @@ func (l *DelayLine) Push(p *Packet) {
 	}
 	slot := e.allocSlot()
 	e.slots[slot].line = l
-	if !e.rekey(at, e.seq, slot) {
-		e.heapPush(heapNode{at: at, seq: e.seq, slot: slot})
-	}
+	e.heapPush(at, e.seq, slot)
 }
 
 // grow doubles the ring (16 entries the first time), unwrapping the

@@ -12,19 +12,17 @@
 //
 // The engine is the hot path of every experiment and sweep, so its
 // steady state allocates nothing: events are ordered by one indexed
-// 4-ary heap of plain structs (no container/heap interface boxing),
-// near-future events wait unsorted in a timer wheel threaded through
-// the slot table until the clock nears their tick (see wheel.go),
-// packets in propagation or on their way back as acks wait in
-// per-delay lines of which only the front packet is queued (see
-// delayline.go), event payloads sit in that recycled slot table,
-// timers are generation-checked indices rather than per-schedule
-// allocations, a re-armed timer moves in place (Timer.Postpone)
-// instead of leaving a cancelled copy queued behind it, and packets
-// cycle through a per-engine free list (see NewPacket/Release).
+// 4-ary heap of plain structs (no container/heap interface boxing)
+// whose nodes index a recycled slot table of event payloads, packets
+// in propagation or on their way back as acks wait in per-delay lines
+// of which only the front packet is queued (see delayline.go), timers
+// are generation-checked indices rather than per-schedule allocations,
+// a re-armed timer moves in place (Timer.Postpone) instead of leaving
+// a cancelled copy queued behind it, and packets cycle through a
+// per-engine free list (see NewPacket/Release).
 //
 // An engine is also its run's arena: Reset hands back everything a run
-// grew to its peak — the slot table, heap and wheel, every packet
+// grew to its peak — the slot table and heap, every packet
 // (delivered, queued in a qdisc the run left behind, or still in
 // flight), the random generators Rand handed out, and the buffers
 // taken from Slices, delay-line rings among them — so a sweep that
@@ -42,9 +40,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Hook observes engine-internal transitions for validation layers
-// (internal/sim/check). Production runs leave it nil; every hook site
-// costs one branch. Hooks run synchronously on the engine's goroutine.
+// Hook observes engine-internal transitions for validation layers.
+// internal/sim/check's Checker is one: a manyflow cell with Check set,
+// as every shipped manyflow run is, installs it for the whole run.
+// With no hook installed every hook site costs one branch. Hooks run
+// synchronously on the engine's goroutine.
 type Hook interface {
 	// OnSchedule fires when an event is enqueued (after past-time
 	// clamping); seq is the event's global FIFO tie-break number.
@@ -63,16 +63,14 @@ type Hook interface {
 // value is ready for use; the clock starts at 0.
 //
 // One indexed 4-ary min-heap keyed by (time, schedule order) is the
-// only ordered structure: every event fires from its root. The wheel
-// only stages near-future events, unsorted, and hands each tick's
-// worth to the heap before the heap's root could pass it. A delay
+// only ordered structure: every event fires from its root. A delay
 // line's packets are already in order, so the line queues them itself
-// and only its front packet holds a slot in the heap or wheel. Heap
-// nodes and wheel lists both hold indices into a recycled slot table, so
-// steady-state scheduling allocates nothing. A postponed event keeps
-// its one seat, under its old key, until that key reaches the root;
-// it is then requeued under the key Postpone gave it. Engines are
-// single-goroutine; parallel sweeps run one engine per worker.
+// and only its front packet holds a slot in the heap. Heap nodes hold
+// indices into a recycled slot table, so steady-state scheduling
+// allocates nothing. A postponed event keeps its one seat, under its
+// old key, until that key reaches the root; it is then requeued under
+// the key Postpone gave it. Engines are single-goroutine; parallel
+// sweeps run one engine per worker.
 type Engine struct {
 	now time.Duration
 	seq int64
@@ -83,14 +81,8 @@ type Engine struct {
 	lined int
 
 	heap  []heapNode  // 4-ary min-heap every event fires from
-	wheel wheel       // unsorted staging area for near-horizon events
 	slots []eventSlot // stable payload storage indexed by heapNode.slot
 	free  []int32     // recycled slot indices (LIFO)
-
-	// wheelOff forces every event into the heap. Test-only: the
-	// scheduling fuzzer uses it to run a heap-pure shadow engine and
-	// check wheel-vs-heap pop-order equivalence.
-	wheelOff bool
 
 	pool packetPool
 	// rands are the generators Rand handed out; the first nrand belong
@@ -106,6 +98,13 @@ type Engine struct {
 	// nil *Slices[T].
 	slices map[any]reclaimer
 	hook   Hook
+	// The padding makes an Engine whole 64-byte cache lines, so its
+	// allocation size class is too and no engine shares a line with
+	// another object. Sweeps run one engine per worker goroutine; at
+	// 240 bytes two workers' engines shared lines, and the ledger's
+	// two-worker census-cells and hunt-harm ran 19 % and 27 % slower.
+	// TestEngineFillsWholeCacheLines keeps the size a multiple of 64.
+	_ [16]byte
 }
 
 // heapNode is one pending event's ordering key plus the index of its
@@ -117,24 +116,32 @@ type heapNode struct {
 	slot int32
 }
 
-// eventSlot holds an event's payload and the (at, seq) key it is
-// queued under in the heap or the wheel. gen increments every time the
-// slot is released, so stale Timer handles (fired, cancelled, or
-// dropped by Reset) can never touch a recycled slot's new occupant.
-// dueSeq says what happens when the queued key reaches the heap root:
-// 0, the event fires; cancelledSeq, it is dropped; a sequence number,
-// Postpone moved it and it is requeued under (dueAt, dueSeq). A slot
-// held by a delay line runs no fn: it is queued under the line's front
-// packet's key and fires that packet.
+// eventSlot holds an event's payload and the time at which its heap
+// node is queued, which Postpone compares against; the node holds the
+// full (at, seq) key. gen increments every time the slot is released,
+// so stale Timer handles (fired, cancelled, or dropped by Reset) can
+// never touch a recycled slot's new occupant. dueSeq says what happens
+// when the queued key reaches the heap root: 0, the event fires;
+// cancelledSeq, it is dropped; a sequence number, Postpone moved it
+// and it is requeued under (dueAt, dueSeq). A slot held by a delay
+// line runs no fn: it is queued under the line's front packet's key
+// and fires that packet.
 type eventSlot struct {
 	at     time.Duration
-	seq    int64
 	dueAt  time.Duration
 	dueSeq int64
 	fn     func()
 	line   *DelayLine
 	gen    uint32
-	next   int32 // staged only: slot index + 1 of the bucket's next event, 0 ends the list
+}
+
+// nodeLess is the engine-wide event ordering: by time, FIFO by
+// schedule sequence at equal times.
+func nodeLess(a, b heapNode) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // cancelledSeq marks a cancelled event's eventSlot.dueSeq; real
@@ -204,8 +211,10 @@ func (t Timer) Postpone(at time.Duration) bool {
 	return true
 }
 
-// SetHook installs a validation hook (nil disables). Test-only; see
-// internal/sim/check.
+// SetHook installs a validation hook, replacing any installed one; nil
+// removes it. check.Attach installs its Checker through it, and core's
+// engine pool removes a run's hook before the next run gets the
+// engine; Reset leaves the hook installed.
 func (e *Engine) SetHook(h Hook) { e.hook = h }
 
 // Now returns the current virtual time.
@@ -262,27 +271,14 @@ func (e *Engine) push(at time.Duration, slot int32) Timer {
 	if e.hook != nil {
 		e.hook.OnSchedule(at, e.seq)
 	}
-	if !e.rekey(at, e.seq, slot) {
-		e.heapPush(heapNode{at: at, seq: e.seq, slot: slot})
-	}
+	e.heapPush(at, e.seq, slot)
 	return Timer{eng: e, slot: slot, gen: e.slots[slot].gen}
 }
 
-// rekey records (at, seq) as the slot's queued key and stages the
-// event in the timer wheel if it is a near-horizon event of a dense
-// population. It reports false when the event belongs on the heap,
-// where the caller puts it. The split is invisible to callers: pops
-// always come out in global (at, seq) order.
-func (e *Engine) rekey(at time.Duration, seq int64, slot int32) (staged bool) {
-	s := &e.slots[slot]
-	s.at, s.seq = at, seq
-	return !e.wheelOff &&
-		(e.wheel.count > 0 || len(e.heap) >= wheelMinPop) &&
-		e.stage(at, slot)
-}
-
-func (e *Engine) heapPush(n heapNode) {
-	e.heap = append(e.heap, n)
+// heapPush puts the slot on the heap under (at, seq).
+func (e *Engine) heapPush(at time.Duration, seq int64, slot int32) {
+	e.slots[slot].at = at
+	e.heap = append(e.heap, heapNode{at: at, seq: seq, slot: slot})
 	e.siftUp(len(e.heap) - 1)
 }
 
@@ -351,7 +347,6 @@ func (e *Engine) popMin() heapNode {
 // it.
 func (e *Engine) peekAt() (time.Duration, bool) {
 	for {
-		e.settle()
 		if len(e.heap) == 0 {
 			return 0, false
 		}
@@ -370,15 +365,13 @@ func (e *Engine) peekAt() (time.Duration, bool) {
 	}
 }
 
-// requeueRoot queues the heap root's slot under (at, seq), which is
-// never earlier than its current key. Off the wheel the root is
-// re-keyed in place: one sift where pop and push would be two.
+// requeueRoot re-keys the heap root in place to (at, seq), which is
+// never earlier than its current key, and sifts it down: one sift
+// where pop and push would be two.
 func (e *Engine) requeueRoot(at time.Duration, seq int64) {
-	if e.rekey(at, seq, e.heap[0].slot) {
-		e.popMin()
-		return
-	}
-	e.heap[0].at, e.heap[0].seq = at, seq
+	root := &e.heap[0]
+	e.slots[root.slot].at = at
+	root.at, root.seq = at, seq
 	e.siftDown(0)
 }
 
@@ -448,14 +441,14 @@ func (e *Engine) Run(until time.Duration) {
 // Pending returns the number of events currently queued, including
 // cancelled-but-unreaped ones and every packet in a delay line. A
 // postponed event is queued once, however often it was postponed.
-func (e *Engine) Pending() int { return len(e.heap) + e.wheel.count + e.lined }
+func (e *Engine) Pending() int { return len(e.heap) + e.lined }
 
 // Reset discards every pending event and rewinds the clock and
 // Processed, leaving the engine ready for a fresh run that cannot tell
 // it from a new engine. It keeps what the last run grew and hands it
 // back for reuse:
 //
-//   - the slot table, heap and wheel. Slot generations are bumped, so
+//   - the slot table and heap. Slot generations are bumped, so
 //     Timer handles that outlive the reset are inert: cancelling one
 //     can never touch an event scheduled after the reset, even when
 //     its slot has been recycled. Packets waiting in delay lines are
@@ -475,7 +468,6 @@ func (e *Engine) Reset() {
 		e.freeSlot(node.slot)
 	}
 	e.heap = e.heap[:0]
-	e.resetWheel()
 	e.lined = 0
 	e.nline = 0
 	for _, p := range e.pool.all {
@@ -507,32 +499,13 @@ func (e *Engine) Rand(seed int64) *rand.Rand {
 	return e.rands[e.nrand-1]
 }
 
-// verifyHeap checks the 4-ary heap's ordering invariant, the timer
-// wheel's structural ones, and their linkage to the slot table; the
-// scheduling fuzzer calls it after every operation. It returns nil
-// when the structure is sound.
+// verifyHeap checks the 4-ary heap's ordering invariant and its
+// linkage to the slot table, the free list and the delay lines; the
+// scheduling tests call it after every operation. It returns nil when
+// the structure is sound.
 func (e *Engine) verifyHeap() error {
-	seen := make(map[int32]bool, len(e.heap)+e.wheel.count)
+	seen := make(map[int32]bool, len(e.heap))
 	lined := 0
-	checkSlot := func(slot int32) error {
-		if slot < 0 || int(slot) >= len(e.slots) {
-			return fmt.Errorf("node references slot %d outside table of %d", slot, len(e.slots))
-		}
-		if seen[slot] {
-			return fmt.Errorf("slot %d referenced by two pending nodes", slot)
-		}
-		seen[slot] = true
-		s := &e.slots[slot]
-		if s.dueSeq > 0 && (s.dueAt < s.at || s.dueSeq <= s.seq) {
-			return fmt.Errorf("slot %d postponed to (%v, %d), before its queued key (%v, %d)",
-				slot, s.dueAt, s.dueSeq, s.at, s.seq)
-		}
-		if s.line != nil {
-			lined += s.line.n - 1
-			return verifyLine(slot, s)
-		}
-		return nil
-	}
 	for i, n := range e.heap {
 		if i > 0 {
 			parent := (i - 1) / 4
@@ -541,16 +514,27 @@ func (e *Engine) verifyHeap() error {
 					i, n.at, n.seq, e.heap[parent].at, e.heap[parent].seq)
 			}
 		}
-		if err := checkSlot(n.slot); err != nil {
-			return err
+		if n.slot < 0 || int(n.slot) >= len(e.slots) {
+			return fmt.Errorf("node references slot %d outside table of %d", n.slot, len(e.slots))
 		}
-		if s := &e.slots[n.slot]; s.at != n.at || s.seq != n.seq {
-			return fmt.Errorf("heap node (%v, %d) but its slot %d is queued under (%v, %d)",
-				n.at, n.seq, n.slot, s.at, s.seq)
+		if seen[n.slot] {
+			return fmt.Errorf("slot %d referenced by two pending nodes", n.slot)
 		}
-	}
-	if err := e.verifyWheel(checkSlot); err != nil {
-		return err
+		seen[n.slot] = true
+		s := &e.slots[n.slot]
+		if s.at != n.at {
+			return fmt.Errorf("heap node (%v, %d) but its slot %d is queued at %v", n.at, n.seq, n.slot, s.at)
+		}
+		if s.dueSeq > 0 && (s.dueAt < n.at || s.dueSeq <= n.seq) {
+			return fmt.Errorf("slot %d postponed to (%v, %d), before its queued key (%v, %d)",
+				n.slot, s.dueAt, s.dueSeq, n.at, n.seq)
+		}
+		if s.line != nil {
+			lined += s.line.n - 1
+			if err := verifyLine(n, s); err != nil {
+				return err
+			}
+		}
 	}
 	for _, slot := range e.free {
 		if seen[slot] {
@@ -567,40 +551,38 @@ func (e *Engine) verifyHeap() error {
 	return nil
 }
 
-// verifyLine checks a delay line's slot: the line is not empty, the
-// slot is queued under the front packet's key and cannot be cancelled
-// or postponed, and the packets are in strict (at, seq) order.
-func verifyLine(slot int32, s *eventSlot) error {
+// verifyLine checks a delay line's heap node: the line is not empty,
+// the node is queued under the front packet's key and cannot be
+// cancelled or postponed, and the packets are in strict (at, seq)
+// order.
+func verifyLine(n heapNode, s *eventSlot) error {
 	l := s.line
 	if l.n < 1 || l.n > len(l.ring) {
-		return fmt.Errorf("slot %d holds a delay line of %d packets in a ring of %d", slot, l.n, len(l.ring))
+		return fmt.Errorf("slot %d holds a delay line of %d packets in a ring of %d", n.slot, l.n, len(l.ring))
 	}
-	if f := l.front(); s.at != f.at || s.seq != f.seq || s.dueSeq != 0 {
+	if f := l.front(); n.at != f.at || n.seq != f.seq || s.dueSeq != 0 {
 		return fmt.Errorf("delay-line slot %d queued under (%v, %d) due %d, front packet is (%v, %d)",
-			slot, s.at, s.seq, s.dueSeq, f.at, f.seq)
+			n.slot, n.at, n.seq, s.dueSeq, f.at, f.seq)
 	}
 	for i := 1; i < l.n; i++ {
 		a, b := l.ring[(l.head+i-1)&(len(l.ring)-1)], l.ring[(l.head+i)&(len(l.ring)-1)]
 		if !nodeLess(heapNode{at: a.at, seq: a.seq}, heapNode{at: b.at, seq: b.seq}) {
-			return fmt.Errorf("delay line of slot %d out of order: (%v, %d) before (%v, %d)", slot, a.at, a.seq, b.at, b.seq)
+			return fmt.Errorf("delay line of slot %d out of order: (%v, %d) before (%v, %d)", n.slot, a.at, a.seq, b.at, b.seq)
 		}
 	}
 	return nil
 }
 
 // RegisterMetrics exposes the engine's counters on the registry as
-// live (pull-style) gauges under the given name prefix: processed
-// event count, pending queue depth, and the virtual clock in seconds.
-// All timestamps observable through these metrics are sim-time; the
-// engine never reads the wall clock.
-func (e *Engine) RegisterMetrics(reg *obs.Registry, prefix string) {
+// live (pull-style) gauges: processed event count (sim.engine.events),
+// pending queue depth (sim.engine.pending), and the virtual clock in
+// seconds (sim.engine.now_s). All timestamps observable through these
+// metrics are sim-time; the engine never reads the wall clock.
+func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	if prefix == "" {
-		prefix = "sim.engine"
-	}
-	reg.RegisterFunc(prefix+".events", "", func() float64 { return float64(e.Processed) })
-	reg.RegisterFunc(prefix+".pending", "", func() float64 { return float64(e.Pending()) })
-	reg.RegisterFunc(prefix+".now_s", "", func() float64 { return e.Now().Seconds() })
+	reg.RegisterFunc("sim.engine.events", "", func() float64 { return float64(e.Processed) })
+	reg.RegisterFunc("sim.engine.pending", "", func() float64 { return float64(e.Pending()) })
+	reg.RegisterFunc("sim.engine.now_s", "", func() float64 { return e.Now().Seconds() })
 }

@@ -254,3 +254,49 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineResetReclaimsSlots checks Reset drains every pending event
+// and hands its slot back, leaving stale Timer handles inert.
+func TestEngineResetReclaimsSlots(t *testing.T) {
+	eng := &Engine{}
+	var tms []Timer
+	for i := 0; i < 100; i++ {
+		tms = append(tms, eng.Schedule(time.Duration(i)*time.Millisecond, func() { t.Fatal("dropped event fired") }))
+	}
+	eng.Reset()
+	if eng.Pending() != 0 || len(eng.free) != len(eng.slots) {
+		t.Fatalf("Reset left %d pending, %d of %d slots free", eng.Pending(), len(eng.free), len(eng.slots))
+	}
+	if err := eng.verifyHeap(); err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	eng.Schedule(time.Millisecond, func() { fired = true })
+	for _, tm := range tms {
+		tm.Cancel() // stale: must not touch the new event
+	}
+	for eng.Step() {
+	}
+	if !fired {
+		t.Fatal("post-reset event was disturbed by a stale cancel")
+	}
+}
+
+// TestEngineDenseSchedulingAllocs checks that scheduling and draining
+// a dense population (256 events over 77ms) allocates nothing once the
+// slot table and the heap have grown to it.
+func TestEngineDenseSchedulingAllocs(t *testing.T) {
+	eng := &Engine{}
+	fn := func() {}
+	cycle := func() {
+		for i := 0; i < 256; i++ {
+			eng.Schedule(time.Duration(i)*300*time.Microsecond, fn)
+		}
+		for eng.Step() {
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+		t.Fatalf("dense scheduling allocates %.1f times per cycle, want 0", allocs)
+	}
+}

@@ -10,32 +10,29 @@ import (
 // interleavings of schedule, cancel, postpone, step, run, reset, and
 // pooled packets pushed down two delay lines of different fixed
 // delays or orphaned (never released, as in a qdisc the run leaves
-// behind), re-verifying the indexed-heap, timer-wheel and delay-line
-// structures after every operation and the (time, seq) fire order
-// throughout. Every operation is mirrored onto a heap-pure shadow
-// engine (wheelOff=true), so the hashed hierarchical wheel is
-// fuzz-checked for exact pop-order equivalence against the reference
-// heap, and onto a reference engine on which every postpone is
-// Cancel + ScheduleAt, every delay-line push is one event of its own,
-// and which a reset replaces with a new engine, so Postpone, delay
-// lines and Reset are fuzz-checked for identical schedule and fire
-// streams, processed counts, events still to fire (packets waiting in
-// a line included) and handlers run. Reset must also take back every
-// packet, queued, in flight or orphaned, and no packet may be handed
-// out twice while live. The input is consumed as (opcode, argument)
-// byte pairs; the opcode byte's quotient by 7 is a sub-tick offset
-// (0–252µs) added to relative schedules, postpones and bounded runs,
-// so events and parked clocks can share a wheel tick without sharing
-// an instant. Its parity splits op 2 into cancel (even) and postpone
-// (odd).
+// behind), re-verifying the indexed heap and the delay lines after
+// every operation and the (time, seq) fire order throughout. Every
+// operation is mirrored onto a reference engine on which every
+// postpone is Cancel + ScheduleAt, every delay-line push is one event
+// of its own, and which a reset replaces with a new engine, so
+// Postpone, delay lines and Reset are fuzz-checked for identical
+// schedule and fire streams, processed counts, events still to fire
+// (packets waiting in a line included) and handlers run. Reset must
+// also take back every packet, queued, in flight or orphaned, and no
+// packet may be handed out twice while live. The input is consumed as
+// (opcode, argument) byte pairs; the opcode byte's quotient by 7 is a
+// sub-millisecond offset (0–252µs) added to relative schedules,
+// postpones and bounded runs, so events and parked clocks can fall
+// within microseconds of each other without sharing an instant. Its
+// parity splits op 2 into cancel (even) and postpone (odd).
 func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 5, 6, 0, 6, 0, 8, 20})
 	f.Add([]byte{0, 3, 2, 0, 0, 3, 4, 0, 10, 0, 0, 1, 2, 1, 8, 255})
 	f.Add([]byte{1, 200, 1, 100, 1, 0, 6, 0, 6, 0, 6, 0, 10, 0, 0, 7})
 	f.Add([]byte{3, 0, 0, 9, 5, 0, 0, 9, 8, 50, 10, 0, 3, 0})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 2, 0, 2, 1, 2, 2, 6, 0, 6, 0, 6, 0, 6, 0})
-	// Far-horizon schedules (op 6) that overflow the wheel into the
-	// heap, interleaved with near ones and steps across the boundary.
+	// Far schedules (op 6, up to 51s ahead) interleaved with near ones
+	// and steps.
 	f.Add([]byte{6, 200, 0, 10, 6, 90, 0, 1, 3, 0, 4, 255, 4, 255, 3, 0})
 	// Postpones (opcode 9): refused (before the queued time), accepted,
 	// repeated on one handle, around a delay-line packet, and across a
@@ -52,19 +49,18 @@ func FuzzEngineSchedule(f *testing.F) {
 	// line's packets, and resets that drop packets still in a line.
 	f.Add([]byte{5, 13, 5, 2, 3, 0, 5, 1, 1, 0, 4, 1, 5, 6, 3, 0, 3, 0, 5, 0, 5, 9, 5, 14, 4, 255})
 	f.Add([]byte{5, 1, 0, 0, 5, 5, 4, 0, 5, 2, 5, 1, 7, 0, 5, 10, 3, 0, 4, 90, 5, 0, 5, 2, 3, 0, 4, 255})
-	// The same with the wheel engaged: far-horizon schedules fill the
-	// heap past wheelMinPop, so line slots are staged and re-keyed
-	// into buckets.
-	engaged := bytes.Repeat([]byte{6, 200}, wheelMinPop+2)
-	f.Add(append(engaged, 5, 13, 5, 14, 3, 0, 4, 1, 5, 5, 3, 0, 5, 2, 4, 100, 5, 0, 5, 13, 4, 1, 3, 0))
+	// The same in a dense population: 66 far schedules fill the heap,
+	// so line slots are re-keyed and sifted among them.
+	dense := bytes.Repeat([]byte{6, 200}, 66)
+	f.Add(append(dense, 5, 13, 5, 14, 3, 0, 4, 1, 5, 5, 3, 0, 5, 2, 4, 100, 5, 0, 5, 13, 4, 1, 3, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newMirror(t)
-		eng, shadow, ref := m.eng, m.shadow, m.ref
-		var timers, shadowTimers, refTimers []Timer
-		// ran, sran and rran log the id of every handler run: a handle's
-		// index in the timer slices, or a packet's Seq. The first
-		// compared entries agree.
-		var ran, sran, rran []int
+		eng, ref := m.eng, m.ref
+		var timers, refTimers []Timer
+		// ran and rran log the id of every handler run: a handle's index
+		// in the timer slices, or a packet's Seq. The first compared
+		// entries agree.
+		var ran, rran []int
 		var pushed int64 // delay-line packets so far: packet k logs id -k
 		compared := 0
 		lastFire := time.Duration(-1)
@@ -83,31 +79,27 @@ func FuzzEngineSchedule(f *testing.F) {
 			handler(int(p.Seq))()
 			p.Release()
 		})
-		packetSink := func(log *[]int) Receiver {
-			return ReceiverFunc(func(p *Packet) {
-				*log = append(*log, int(p.Seq))
-				p.Release()
-			})
-		}
-		shadowSink, refSink := packetSink(&sran), packetSink(&rran)
+		refSink := ReceiverFunc(func(p *Packet) {
+			rran = append(rran, int(p.Seq))
+			p.Release()
+		})
 		schedule := func(at time.Duration) {
 			id := len(timers)
 			timers = append(timers, eng.ScheduleAt(at, handler(id)))
-			shadowTimers = append(shadowTimers, shadow.ScheduleAt(at, logTo(&sran, id)))
 			refTimers = append(refTimers, ref.ScheduleAt(at, logTo(&rran, id)))
 		}
 
-		// agree fails the fuzz run when any structure is unsound or the
-		// engines have diverged in anything m.agree compares, or in the
-		// handlers they ran.
+		// agree fails the fuzz run when either structure is unsound or
+		// the engines have diverged in anything m.agree compares, or in
+		// the handlers they ran.
 		agree := func(ctx string) {
 			m.agree(ctx)
-			if len(ran) != len(sran) || len(ran) != len(rran) {
-				t.Fatalf("%s: wheel engine ran %d handlers, heap shadow %d, reference %d", ctx, len(ran), len(sran), len(rran))
+			if len(ran) != len(rran) {
+				t.Fatalf("%s: engine ran %d handlers, reference %d", ctx, len(ran), len(rran))
 			}
 			for ; compared < len(ran); compared++ {
-				if i := compared; ran[i] != sran[i] || ran[i] != rran[i] {
-					t.Fatalf("%s: handler %d: wheel engine ran #%d, heap shadow #%d, reference #%d", ctx, i, ran[i], sran[i], rran[i])
+				if i := compared; ran[i] != rran[i] {
+					t.Fatalf("%s: handler %d: engine ran #%d, reference #%d", ctx, i, ran[i], rran[i])
 				}
 			}
 		}
@@ -127,7 +119,6 @@ func FuzzEngineSchedule(f *testing.F) {
 				k := int(arg) % len(timers)
 				if (op/7)%2 == 0 { // cancel an arbitrary previously issued handle
 					timers[k].Cancel()
-					shadowTimers[k].Cancel()
 					refTimers[k].Cancel()
 					break
 				}
@@ -135,15 +126,9 @@ func FuzzEngineSchedule(f *testing.F) {
 				// reschedule it once fired or cancelled, as callers do
 				// when Postpone refuses.
 				at := eng.Now() + time.Duration(arg)*time.Millisecond + sub
-				ok := timers[k].Postpone(at)
-				if sok := shadowTimers[k].Postpone(at); sok != ok {
-					t.Fatalf("Postpone(%v): wheel engine %v, heap shadow %v", at, ok, sok)
-				}
-				if !ok {
+				if !timers[k].Postpone(at) {
 					timers[k].Cancel()
 					timers[k] = eng.ScheduleAt(at, handler(k))
-					shadowTimers[k].Cancel()
-					shadowTimers[k] = shadow.ScheduleAt(at, logTo(&sran, k))
 				}
 				refTimers[k].Cancel()
 				refTimers[k] = ref.ScheduleAt(at, logTo(&rran, k))
@@ -152,8 +137,8 @@ func FuzzEngineSchedule(f *testing.F) {
 			case 4: // bounded run forward
 				until := eng.Now() + time.Duration(arg)*time.Millisecond + sub
 				m.run(until)
-				// The other engines would overshoot exactly as the wheel
-				// engine does, so Run's bound is checked against until.
+				// The reference would overshoot exactly as the engine
+				// does, so Run's bound is checked against until.
 				if lastFire > until || eng.Now() != until {
 					t.Fatalf("Run(%v) overshot: last handler at %v, clock at %v", until, lastFire, eng.Now())
 				}
@@ -162,27 +147,26 @@ func FuzzEngineSchedule(f *testing.F) {
 				case 0: // reset: pending events drop, handles go inert
 					m.reset()
 					ref = m.ref
-					ran, sran, rran, compared = ran[:0], sran[:0], rran[:0], 0
+					ran, rran, compared = ran[:0], rran[:0], 0
 					lastFire = -1
 				case 3: // orphaned packets, never released: only a reset takes them back
 					eng.NewPacket()
-					shadow.NewPacket()
 					ref.NewPacket()
 				default: // pooled packets down a delay line, numbered below the timers
 					k := int(arg%4) - 1
 					for n := 1 + int(arg>>2)%4; n > 0; n-- {
 						pushed++
-						m.push(k, -pushed, [3]Receiver{sink, shadowSink, refSink})
+						m.push(k, -pushed, [2]Receiver{sink, refSink})
 					}
 				}
-			case 6: // far-horizon schedule: overflows the wheel into the heap
+			case 6: // far schedule
 				schedule(eng.Now() + time.Duration(arg)*200*time.Millisecond)
 			}
 			agree("after op")
 		}
 
-		// Drain: everything still pending must fire in order on every
-		// engine, in lockstep, and the structures must end sound and
+		// Drain: everything still pending must fire in order on both
+		// engines, in lockstep, and the structures must end sound and
 		// empty.
 		m.drain()
 		agree("after drain")

@@ -147,3 +147,11 @@ func TestPacketSize(t *testing.T) {
 		t.Fatalf("sim.Packet is %d bytes, want at most 112", n)
 	}
 }
+
+// TestEngineFillsWholeCacheLines pins the Engine's size to a multiple
+// of 64 bytes: adjust its padding when a field changes the size.
+func TestEngineFillsWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Engine{}); n%64 != 0 {
+		t.Fatalf("sim.Engine is %d bytes, want a multiple of 64", n)
+	}
+}

@@ -111,7 +111,7 @@ func TestTraceEventKinds(t *testing.T) {
 func TestEngineRegisterMetrics(t *testing.T) {
 	eng := &Engine{}
 	reg := obs.NewRegistry()
-	eng.RegisterMetrics(reg, "")
+	eng.RegisterMetrics(reg)
 	eng.Schedule(5*time.Millisecond, func() {})
 	eng.Schedule(10*time.Millisecond, func() {})
 	eng.Run(7 * time.Millisecond)
@@ -130,7 +130,7 @@ func TestEngineRegisterMetrics(t *testing.T) {
 		t.Errorf("now_s = %v, want 0.007", got["sim.engine.now_s"])
 	}
 	// Nil registry is a no-op, not a panic.
-	eng.RegisterMetrics(nil, "")
+	eng.RegisterMetrics(nil)
 }
 
 // TestLinkRegisterMetrics checks link gauges are labeled by link name.
