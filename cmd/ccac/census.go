@@ -91,10 +91,6 @@ type censusGenOpts struct {
 	asJSON bool
 }
 
-// censusGenSamples is how many sampled specs census gen prints as a
-// spot check.
-const censusGenSamples = 3
-
 func censusGenFlags() (*flag.FlagSet, *censusGenOpts) {
 	fs := flag.NewFlagSet("ccac census gen", flag.ExitOnError)
 	o := &censusGenOpts{model: censusModelFlags(fs)}
@@ -106,7 +102,7 @@ func cmdCensusGen(args []string) {
 	fs, o := censusGenFlags()
 	fs.Parse(args)
 	m := o.model()
-	st := m.Expansion(censusGenSamples)
+	st := m.Expansion()
 	if o.asJSON {
 		b, err := scenario.CanonicalJSON(st)
 		fail(err)

@@ -108,7 +108,7 @@ func cmdHunt(args []string) {
 	}
 	if o.corpusDir != "" {
 		name := fmt.Sprintf("%s-%s", res.Objective, res.BestHash[:12])
-		entry, err := hunt.NewEntry(ctx, runner, res, name, "")
+		entry, err := hunt.NewEntry(ctx, runner, res, name)
 		fail(err)
 		path, err := hunt.SaveEntry(o.corpusDir, entry)
 		fail(err)

@@ -87,7 +87,7 @@ func run() error {
 	}
 	if *cdf && res.Analysis.ShiftCDF.Len() > 0 {
 		fmt.Println("\n# shift_magnitude cumulative_fraction")
-		for _, pt := range res.Analysis.ShiftCDF.Points(50) {
+		for _, pt := range res.Analysis.ShiftCDF.Points() {
 			fmt.Printf("%.4f %.4f\n", pt[0], pt[1])
 		}
 	}

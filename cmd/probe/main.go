@@ -4,8 +4,9 @@
 // oscillations running, and reports the measured elasticity of the
 // path's cross traffic — the speedtest-style study §3.2 proposes.
 //
-// A run lasts 30 s and paces 1200-byte packets pulsed at 5 Hz; it ends
-// early, truncated, when no ack arrives for 3 s.
+// A run lasts 30 s and paces 1200-byte packets pulsed at 2 Hz, the
+// paper's probe (nimbus.PaperConfig) that every simulated probe cell
+// runs; it ends early, truncated, when no ack arrives for 3 s.
 //
 // Usage:
 //
@@ -29,12 +30,7 @@ func main() {
 		"first handshake reply deadline (doubles per retry)")
 	flag.Parse()
 
-	c := probe.NewClient(probe.ClientConfig{
-		Server:           *server,
-		Nimbus:           nimbus.Config{Mu: *mu},
-		HandshakeTimeout: *hsTimeout,
-	})
-	rep, err := c.Run()
+	rep, err := probe.NewClient(clientConfig(*server, *mu, *hsTimeout)).Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err) // client errors carry the "probe:" prefix
 		os.Exit(1)
@@ -55,5 +51,15 @@ func main() {
 	default:
 		fmt.Printf("verdict        %s (CCA contention %s)\n", v,
 			map[bool]string{true: "detected", false: "not detected"}[rep.Elastic])
+	}
+}
+
+// clientConfig is the client a probe run drives: the paper's probe
+// against server.
+func clientConfig(server string, mu float64, hsTimeout time.Duration) probe.ClientConfig {
+	return probe.ClientConfig{
+		Server:           server,
+		Nimbus:           nimbus.PaperConfig(mu),
+		HandshakeTimeout: hsTimeout,
 	}
 }

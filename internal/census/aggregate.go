@@ -228,9 +228,6 @@ func Merge(parts []Partial) (*Report, error) {
 	return buildReport(m, hash, agg), nil
 }
 
-// WilsonZ is the critical value census reports use: 95% intervals.
-const WilsonZ = 1.96
-
 // StratumReport is one stratum's line in the final report: counts,
 // the contention-dominated fraction with its Wilson interval, and
 // quantiles of the observables.
@@ -241,7 +238,7 @@ type StratumReport struct {
 	Errors  int                    `json:"errors,omitempty"`
 	// ContentionFrac is the point estimate of the
 	// contention-dominated fraction; the CI bounds are its Wilson
-	// score interval at z = WilsonZ.
+	// score interval at z = stats.WilsonZ.
 	ContentionFrac float64 `json:"contention_frac"`
 	ContentionLo   float64 `json:"contention_ci_lo"`
 	ContentionHi   float64 `json:"contention_ci_hi"`
@@ -257,7 +254,7 @@ func cellReport(key string, c *Cell) StratumReport {
 	if c.Total > 0 {
 		sr.ContentionFrac = float64(k) / float64(c.Total)
 	}
-	sr.ContentionLo, sr.ContentionHi = stats.Wilson(k, c.Total, WilsonZ)
+	sr.ContentionLo, sr.ContentionHi = stats.Wilson(k, c.Total)
 	for i, q := range [3]float64{0.1, 0.5, 0.9} {
 		if v, err := c.Jain.Quantile(q); err == nil {
 			sr.JainQ[i] = v
@@ -283,7 +280,7 @@ type Report struct {
 }
 
 func buildReport(m Model, hash string, agg *Aggregate) *Report {
-	r := &Report{ModelHash: hash, ModelName: m.Name, N: m.N, Z: WilsonZ}
+	r := &Report{ModelHash: hash, ModelName: m.Name, N: m.N, Z: stats.WilsonZ}
 	keys := make([]string, 0, len(agg.Strata))
 	for k := range agg.Strata {
 		keys = append(keys, k)

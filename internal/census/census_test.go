@@ -518,7 +518,7 @@ func TestMergeIntoCellWithoutClasses(t *testing.T) {
 
 func TestExpansionStats(t *testing.T) {
 	m := testModel(50)
-	st := m.Expansion(3)
+	st := m.Expansion()
 	if st.N != 50 || st.ModelHash != m.Hash() {
 		t.Fatalf("expansion header wrong: %+v", st)
 	}

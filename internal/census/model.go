@@ -304,12 +304,13 @@ type ExpansionStats struct {
 	SampleSpecs []scenario.Spec `json:"sample_specs"`
 }
 
+// expansionSamples is how many sampled specs Expansion keeps as a spot
+// check.
+const expansionSamples = 3
+
 // Expansion computes a model's expansion stats, sampling the first
-// `samples` specs.
-func (m Model) Expansion(samples int) ExpansionStats {
-	if samples > m.N {
-		samples = m.N
-	}
+// expansionSamples specs.
+func (m Model) Expansion() ExpansionStats {
 	st := ExpansionStats{ModelHash: m.Hash(), Model: m, N: m.N}
 	for _, q := range m.QueueMix {
 		for _, f := range m.FaultMix {
@@ -318,7 +319,7 @@ func (m Model) Expansion(samples int) ExpansionStats {
 	}
 	sort.Strings(st.Strata)
 	h := hashedModel{m: m, hash: st.ModelHash}
-	for i := 0; i < samples; i++ {
+	for i := 0; i < min(expansionSamples, m.N); i++ {
 		st.SampleSpecs = append(st.SampleSpecs, h.specAt(i))
 	}
 	return st

@@ -75,7 +75,7 @@ func RunPulseSweep(cfg PulseSweepConfig) (*PulseSweepResult, error) {
 
 // pulseRow is one (frequency, amplitude) cell of abl-pulse.
 func pulseRow(f, a float64, dur time.Duration, sc *obs.Scope) (PulseSweepRow, error) {
-	probe := paperProbeConfig(fig3RateBps)
+	probe := nimbus.PaperConfig(fig3RateBps)
 	probe.PulseFreq, probe.PulseAmp = f, a
 	etaR, etaC, err := separation(probe, 1, dur, sc)
 	return PulseSweepRow{FreqHz: f, Amp: a, EtaReno: etaR, EtaCBR: etaC, Separation: etaR - etaC}, err
@@ -157,7 +157,7 @@ func RunBufferSweep(cfg BufferSweepConfig) (*BufferSweepResult, error) {
 	cfg = cfg.norm()
 	res := &BufferSweepResult{Config: cfg}
 	for _, bdp := range bufferBDPs {
-		etaR, etaC, err := separation(paperProbeConfig(fig3RateBps), bdp, cfg.Duration, cfg.Obs)
+		etaR, etaC, err := separation(nimbus.PaperConfig(fig3RateBps), bdp, cfg.Duration, cfg.Obs)
 		if err != nil {
 			return nil, err
 		}

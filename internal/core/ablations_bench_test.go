@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/nimbus"
 )
 
 // The ablation benchmarks time a few cells of each sweep rather than
@@ -46,7 +48,7 @@ func BenchmarkAblationSubPacket(b *testing.B) {
 func BenchmarkAblationBuffer(b *testing.B) {
 	var sep float64
 	for i := 0; i < b.N; i++ {
-		etaR, etaC, err := separation(paperProbeConfig(fig3RateBps), 1, 25*time.Second, nil)
+		etaR, etaC, err := separation(nimbus.PaperConfig(fig3RateBps), 1, 25*time.Second, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,10 +19,6 @@ import (
 // not fairness but the throughput/self-inflicted-delay trade-off on a
 // variable link. This experiment runs each CCA alone on a fading
 // cellular link and reports utilization and delay percentiles.
-// cellularSigma is the fading random walk's step size per 100ms rate
-// update.
-const cellularSigma = 0.15
-
 type CellularConfig struct {
 	// MeanRateBps is the link's mean rate (default 20 Mbit/s).
 	MeanRateBps float64
@@ -99,7 +95,7 @@ func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
 	link := sim.NewLink(eng, "cell", cfg.MeanRateBps, cfg.OneWayDelay, qdisc.NewDropTail(buf))
 	wireObs(cfg.Obs, eng, link)
 	rng := eng.Rand(cfg.Seed + 17)
-	driver := sim.DriveRate(eng, link, 100*time.Millisecond, sim.CellularTrace(rng, cfg.MeanRateBps, cellularSigma))
+	driver := sim.DriveRate(eng, link, 100*time.Millisecond, sim.CellularTrace(rng, cfg.MeanRateBps))
 
 	var cc transport.CCA
 	if name == "nimbus" {

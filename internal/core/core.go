@@ -109,13 +109,13 @@ func buildDiscipline(s LinkSpec) sim.Qdisc {
 	case QueueFQCoDel:
 		return qdisc.NewFQCoDel(qdisc.ByFlow, bufBytes)
 	case QueueSFQ:
-		return qdisc.NewSFQ(128, bufBytes, 1)
+		return qdisc.NewSFQ(bufBytes)
 	case QueueUserIso:
 		return qdisc.NewUserIsolation(s.ShapeRateBps, 16*sim.MSS, bufBytes)
 	case QueueShaper:
-		return qdisc.NewTokenBucketShaper(s.ShapeRateBps, 16*sim.MSS, bufBytes)
+		return qdisc.NewTokenBucketShaper(s.ShapeRateBps, bufBytes)
 	case QueuePolicer:
-		return qdisc.NewTokenBucketPolicer(s.ShapeRateBps, 16*sim.MSS)
+		return qdisc.NewTokenBucketPolicer(s.ShapeRateBps)
 	default:
 		return qdisc.NewDropTail(bufBytes)
 	}

@@ -58,7 +58,7 @@ func (c Fig3Config) norm() Fig3Config {
 	if len(c.Phases) == 0 {
 		c.Phases = []string{"reno", "bbr", "video", "short", "cbr"}
 	}
-	paper := paperProbeConfig(c.RateBps)
+	paper := nimbus.PaperConfig(c.RateBps)
 	if c.Nimbus.Mu <= 0 {
 		c.Nimbus.Mu = paper.Mu
 	}

@@ -83,57 +83,66 @@ func TestNewDumbbellDrivesOscillation(t *testing.T) {
 }
 
 // TestPaperProbeIsTheOneLiteral: the paper's probe configuration is
-// written once. No other nimbus.Config literal in this package's
-// non-test files may pin PulseFreq to a constant: abl-pulse overrides
-// the paper's config from its sweep variables, and cellular's empty
-// literal is Nimbus as a CCA under test, not the probe.
+// written once, in nimbus.PaperConfig. No other nimbus.Config literal
+// in the non-test files of this package, of nimbus or of cmd/probe may
+// pin PulseFreq to a constant: abl-pulse overrides the paper's config
+// from its sweep variables, and cellular's empty literal is Nimbus as
+// a CCA under test, not the probe.
 func TestPaperProbeIsTheOneLiteral(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	fset := token.NewFileSet()
 	var sites []string
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
+	for _, dir := range []string{".", "../nimbus", "../../cmd/probe"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
 				continue
 			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				lit, ok := n.(*ast.CompositeLit)
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
 				if !ok {
-					return true
+					continue
 				}
-				sel, ok := lit.Type.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Config" {
-					return true
-				}
-				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "nimbus" {
-					return true
-				}
-				for _, el := range lit.Elts {
-					kv, ok := el.(*ast.KeyValueExpr)
-					if !ok {
-						continue
+				ast.Inspect(fn, func(n ast.Node) bool {
+					lit, ok := n.(*ast.CompositeLit)
+					if !ok || !isNimbusConfig(lit.Type, file.Name.Name) {
+						return true
 					}
-					key, _ := kv.Key.(*ast.Ident)
-					if _, constant := kv.Value.(*ast.BasicLit); constant && key != nil && key.Name == "PulseFreq" {
-						sites = append(sites, fn.Name.Name)
+					for _, el := range lit.Elts {
+						kv, ok := el.(*ast.KeyValueExpr)
+						if !ok {
+							continue
+						}
+						key, _ := kv.Key.(*ast.Ident)
+						if _, constant := kv.Value.(*ast.BasicLit); constant && key != nil && key.Name == "PulseFreq" {
+							sites = append(sites, file.Name.Name+"."+fn.Name.Name)
+						}
 					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	}
-	if len(sites) != 1 || sites[0] != "paperProbeConfig" {
-		t.Errorf("nimbus.Config literals with a constant PulseFreq are in %v, want only paperProbeConfig", sites)
+	if len(sites) != 1 || sites[0] != "nimbus.PaperConfig" {
+		t.Errorf("nimbus.Config literals with a constant PulseFreq are in %v, want only nimbus.PaperConfig", sites)
 	}
+}
+
+// isNimbusConfig reports whether a composite literal's type, written in
+// package pkg, is nimbus.Config.
+func isNimbusConfig(typ ast.Expr, pkg string) bool {
+	switch x := typ.(type) {
+	case *ast.Ident:
+		return pkg == "nimbus" && x.Name == "Config"
+	case *ast.SelectorExpr:
+		id, ok := x.X.(*ast.Ident)
+		return ok && id.Name == "nimbus" && x.Sel.Name == "Config"
+	}
+	return false
 }

@@ -142,7 +142,7 @@ func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 		return row, err
 	}
 	row.TruthContention = truth
-	prober := tslp.NewProber(d1.Eng, d1.Link, 9999)
+	prober := tslp.NewProber(d1.Eng, d1.Link)
 	d1.Run(cfg.Duration)
 	v := prober.Verdict(warm, cfg.Duration)
 	row.TSLPCongested = v.Congested

@@ -109,12 +109,15 @@ func (s *Spectrum) Bin(f float64) int {
 	return i
 }
 
-// AmplitudeAt returns the peak amplitude within +-halfWidth bins around
+// searchBins is AmplitudeAt's half-width in bins.
+const searchBins = 1
+
+// AmplitudeAt returns the peak amplitude within +-searchBins bins around
 // frequency f. A small search window tolerates frequency quantization
 // between the pulse frequency and the FFT bin grid.
-func (s *Spectrum) AmplitudeAt(f float64, halfWidth int) float64 {
+func (s *Spectrum) AmplitudeAt(f float64) float64 {
 	c := s.Bin(f)
-	lo, hi := c-halfWidth, c+halfWidth
+	lo, hi := c-searchBins, c+searchBins
 	if lo < 0 {
 		lo = 0
 	}

@@ -68,7 +68,7 @@ func TestAmplitudeSpectrumSinusoid(t *testing.T) {
 	}
 	var spec Spectrum
 	spec.Compute(x, rate)
-	if got := spec.AmplitudeAt(freq, 0); math.Abs(got-3) > 1e-9 {
+	if got := spec.AmplitudeAt(freq); math.Abs(got-3) > 1e-9 {
 		t.Errorf("amplitude = %v, want 3", got)
 	}
 	if got := spec.Bin(freq); got != 32 {
@@ -88,7 +88,7 @@ func TestAmplitudeSpectrumOffBinSearch(t *testing.T) {
 	}
 	var spec Spectrum
 	spec.Compute(x, rate)
-	got := spec.AmplitudeAt(freq, 1)
+	got := spec.AmplitudeAt(freq)
 	if got < 1.0 || got > 2.2 {
 		t.Errorf("off-bin amplitude = %v, want within [1.0, 2.2]", got)
 	}

@@ -22,7 +22,6 @@ import (
 type CorpusEntry struct {
 	Name      string  `json:"name"`
 	Objective string  `json:"objective"`
-	Note      string  `json:"note,omitempty"`
 	Params    Params  `json:"params"`
 	Genome    Genome  `json:"genome"`
 	SpecHash  string  `json:"spec_hash"`
@@ -122,11 +121,10 @@ func ReplayEntry(ctx context.Context, runner *scenario.Runner, e CorpusEntry) (f
 
 // NewEntry replays a hunt result's best genome and packages it as a
 // corpus entry with its score and classification pinned.
-func NewEntry(ctx context.Context, runner *scenario.Runner, res *Result, name, note string) (CorpusEntry, error) {
+func NewEntry(ctx context.Context, runner *scenario.Runner, res *Result, name string) (CorpusEntry, error) {
 	e := CorpusEntry{
 		Name:      name,
 		Objective: res.Objective,
-		Note:      note,
 		Params:    res.Params,
 		Genome:    res.Best,
 		SpecHash:  res.BestHash,

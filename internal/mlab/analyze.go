@@ -23,36 +23,23 @@ const (
 	CatLevelShift  Category = "level-shift"  // remainder, throughput level changed
 )
 
-// AnalysisConfig tunes the Figure 2 pipeline.
-type AnalysisConfig struct {
-	// MinDuration excludes shorter flows as "short" (default 2s).
-	MinDuration time.Duration
-	// MinShiftFrac is the relative difference between adjacent segment
-	// means required to count a detected breakpoint as a real level
-	// shift (default 0.2).
-	MinShiftFrac float64
-	// MinSegment is the change-point detector's minimum segment length
-	// in snapshots (default 10, i.e. 1s at the NDT cadence).
-	MinSegment int
-	// PenaltyScale scales the BIC penalty (default 1).
-	PenaltyScale float64
-}
+// AnalysisConfig is AnalyzeStream's configuration argument. It has no
+// fields: the pipeline's settings are the constants below. The type
+// stays because the ledger passes AnalysisConfig{}.
+type AnalysisConfig struct{}
 
-func (c AnalysisConfig) norm() AnalysisConfig {
-	if c.MinDuration <= 0 {
-		c.MinDuration = 2 * time.Second
-	}
-	if c.MinShiftFrac <= 0 {
-		c.MinShiftFrac = 0.2
-	}
-	if c.MinSegment <= 0 {
-		c.MinSegment = 10
-	}
-	if c.PenaltyScale <= 0 {
-		c.PenaltyScale = 1
-	}
-	return c
-}
+// The Figure 2 pipeline's settings.
+const (
+	// minDuration excludes shorter flows as "short".
+	minDuration = 2 * time.Second
+	// minShiftFrac is the relative difference between adjacent segment
+	// means required to count a detected breakpoint as a real level
+	// shift.
+	minShiftFrac = 0.2
+	// minSegment is the change-point detector's minimum segment length
+	// in snapshots (1s at the NDT cadence).
+	minSegment = 10
+)
 
 // FlowResult is the pipeline's verdict for one record.
 type FlowResult struct {
@@ -77,7 +64,6 @@ type Analysis struct {
 	// level shifts.
 	ShiftCDF *stats.CDF
 	val      Validation
-	cfg      AnalysisConfig
 }
 
 // scratch carries one worker's reusable buffers: the throughput
@@ -93,11 +79,11 @@ type scratch struct {
 
 // analyzeInto classifies one record. The result's Breakpoints and
 // ShiftMagnitudes alias sc and are valid until the next call.
-func analyzeInto(r *Record, cfg AnalysisConfig, sc *scratch) FlowResult {
+func analyzeInto(r *Record, sc *scratch) FlowResult {
 	res := FlowResult{ID: r.ID, Truth: r.TruthLabel}
 	final := r.FinalSnapshot()
 	switch {
-	case r.Duration < cfg.MinDuration:
+	case r.Duration < minDuration:
 		res.Category = CatShort
 	case final.AppLimited > 0:
 		res.Category = CatAppLimited
@@ -109,11 +95,11 @@ func analyzeInto(r *Record, cfg AnalysisConfig, sc *scratch) FlowResult {
 		res.Category = CatStable
 		sc.trace = r.ThroughputTraceInto(sc.trace)
 		trace := sc.trace
-		pen := cfg.PenaltyScale * changepoint.BICPenalty(len(trace), sc.cp.EstimateNoise(trace)) * float64(cfg.MinSegment)
-		bps := sc.cp.PELT(trace, pen, cfg.MinSegment)
+		pen := changepoint.BICPenalty(len(trace), sc.cp.EstimateNoise(trace)) * minSegment
+		bps := sc.cp.PELT(trace, pen, minSegment)
 		means := sc.cp.SegmentMeans(trace, bps)
 		// Accept a breakpoint only when adjacent segment means differ
-		// by MinShiftFrac relative to the larger one.
+		// by minShiftFrac relative to the larger one.
 		sc.bps = sc.bps[:0]
 		sc.mags = sc.mags[:0]
 		for k, b := range bps {
@@ -126,7 +112,7 @@ func analyzeInto(r *Record, cfg AnalysisConfig, sc *scratch) FlowResult {
 				continue
 			}
 			mag := (hi - lo) / hi
-			if mag >= cfg.MinShiftFrac {
+			if mag >= minShiftFrac {
 				sc.bps = append(sc.bps, b)
 				sc.mags = append(sc.mags, mag)
 			}

@@ -95,18 +95,17 @@ func catIndex(c Category) int {
 // error or a framing or limit error. Memory is 2 x workers pooled
 // records and line buffers (each line at most the stream's
 // MaxRecordBytes) plus the aggregates; the dataset itself is never
-// materialized.
+// materialized. cfg carries no setting.
 func AnalyzeStream(src RecordSource, cfg AnalysisConfig, opt StreamOptions) (*Analysis, error) {
-	cfg = cfg.norm()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	parts, err := analyzeParallel(src, cfg, opt, workers)
+	parts, err := analyzeParallel(src, opt, workers)
 	if err != nil {
 		return nil, err
 	}
-	return mergePartials(parts, cfg, opt), nil
+	return mergePartials(parts, opt), nil
 }
 
 // poolItem is one in-flight record. When the source is a
@@ -146,7 +145,7 @@ func (f *firstFailure) failed() bool {
 	return f.err != nil
 }
 
-func analyzeParallel(src RecordSource, cfg AnalysisConfig, opt StreamOptions, workers int) ([]*partial, error) {
+func analyzeParallel(src RecordSource, opt StreamOptions, workers int) ([]*partial, error) {
 	// The item pool bounds read-but-unprocessed records: the producer
 	// recycles items the workers hand back, so steady state reuses the
 	// same 2 x workers records and line buffers.
@@ -175,7 +174,7 @@ func analyzeParallel(src RecordSource, cfg AnalysisConfig, opt StreamOptions, wo
 				if err != nil {
 					fail.set(j.idx, err)
 				} else {
-					res := analyzeInto(&j.it.rec, cfg, &sc)
+					res := analyzeInto(&j.it.rec, &sc)
 					p.add(&res, j.idx, opt)
 				}
 				free <- j.it
@@ -216,8 +215,8 @@ func analyzeParallel(src RecordSource, cfg AnalysisConfig, opt StreamOptions, wo
 	return parts, fail.err
 }
 
-func mergePartials(parts []*partial, cfg AnalysisConfig, opt StreamOptions) *Analysis {
-	a := &Analysis{ByCat: make(map[Category]int), ShiftCDF: stats.NewCDF(nil), cfg: cfg}
+func mergePartials(parts []*partial, opt StreamOptions) *Analysis {
+	a := &Analysis{ByCat: make(map[Category]int), ShiftCDF: stats.NewCDF(nil)}
 	order := CategoryOrder()
 	nResults := 0
 	for _, p := range parts {

@@ -103,7 +103,6 @@ func sequentialAnalysis(data []byte, lim StreamLimits) (*Analysis, error) {
 		return nil, err
 	}
 	defer s.Close()
-	cfg := AnalysisConfig{}.norm()
 	opt := StreamOptions{KeepResults: true}
 	var p partial
 	var sc scratch
@@ -113,9 +112,9 @@ func sequentialAnalysis(data []byte, lim StreamLimits) (*Analysis, error) {
 			if err != io.EOF {
 				return nil, err
 			}
-			return mergePartials([]*partial{&p}, cfg, opt), nil
+			return mergePartials([]*partial{&p}, opt), nil
 		}
-		res := analyzeInto(&rec, cfg, &sc)
+		res := analyzeInto(&rec, &sc)
 		p.add(&res, idx, opt)
 	}
 }

@@ -548,17 +548,16 @@ func TestAnalyzeStreamZeroAllocSteadyState(t *testing.T) {
 	src := &SliceSource{Recs: recs}
 	var sc scratch
 	var rec Record
-	cfg := AnalysisConfig{}.norm()
 	// Warm up the scratch on the largest flows.
 	for i := 0; i < len(recs); i++ {
 		rec = recs[i]
-		analyzeInto(&rec, cfg, &sc)
+		analyzeInto(&rec, &sc)
 	}
 	src.i = 0
 	i := 0
 	allocs := testing.AllocsPerRun(60, func() {
 		rec = recs[i%len(recs)]
-		analyzeInto(&rec, cfg, &sc)
+		analyzeInto(&rec, &sc)
 		i++
 	})
 	if allocs != 0 {

@@ -62,6 +62,18 @@ type Config struct {
 	SlideInterval time.Duration
 }
 
+// PaperConfig is the paper's elasticity probe on a link of rate mu
+// bits/s (0 = auto-track): Nimbus with mode switching disabled,
+// pulsing at 2 Hz. Nimbus's own default (5 Hz) assumes RTTs well under
+// the pulse period; on the 100 ms Figure 3 link the loaded RTT
+// approaches 200 ms, so elastic cross traffic cannot complete its
+// control loop within a 5 Hz cycle. 2 Hz keeps the pulse period
+// comfortably above the loaded RTT (abl-pulse sweeps this choice).
+// Every simulated probe cell and the socket probe (cmd/probe) run it.
+func PaperConfig(mu float64) Config {
+	return Config{Mu: mu, PulseFreq: 2}
+}
+
 // targetQDelay is the delay-mode controller's queueing-delay target:
 // 0.4 x minRTT clamped to [5ms, 50ms] (15ms before the first RTT
 // sample). The standing queue must absorb the pulse troughs without
@@ -331,7 +343,7 @@ func (e *Estimator) pulseAmp(x []float64) float64 {
 	dsp.Detrend(x)
 	dsp.ApplyWindow(x, e.hann)
 	e.spec.Compute(x, 1/sampleInterval.Seconds())
-	return e.spec.AmplitudeAt(e.cfg.PulseFreq, 1)
+	return e.spec.AmplitudeAt(e.cfg.PulseFreq)
 }
 
 func (e *Estimator) computeEta(now time.Duration, mu float64) {

@@ -27,19 +27,19 @@ type FlightRecorder struct {
 	next atomic.Uint64
 }
 
-// DefaultFlightEvents is the retention used when NewFlightRecorder is
-// given a non-positive capacity: enough tail to reconstruct the last
-// few RTTs of a run at packet granularity, small enough (~300 KiB) to
-// attach to every run of a large sweep.
-const DefaultFlightEvents = 4096
+// flightEvents is a recorder's retention: enough tail to reconstruct
+// the last few RTTs of a run at packet granularity, small enough
+// (~300 KiB) to attach to every run of a large sweep.
+const flightEvents = 4096
 
-// NewFlightRecorder returns a recorder retaining the last capacity
-// events (rounded up to a power of two; <=0 means
-// DefaultFlightEvents).
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightEvents
-	}
+// NewFlightRecorder returns a recorder retaining the last flightEvents
+// events.
+func NewFlightRecorder() *FlightRecorder { return newFlightRecorder(flightEvents) }
+
+// newFlightRecorder returns a recorder retaining the last capacity
+// events, rounded up to a power of two; the tests size small rings
+// with it.
+func newFlightRecorder(capacity int) *FlightRecorder {
 	n := 1
 	for n < capacity {
 		n <<= 1

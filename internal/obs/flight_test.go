@@ -33,7 +33,7 @@ func retained(t *testing.T, f *FlightRecorder) []Event {
 }
 
 func TestFlightRecorderRetainsTail(t *testing.T) {
-	f := NewFlightRecorder(8)
+	f := newFlightRecorder(8)
 	for i := 0; i < 5; i++ {
 		f.Emit(flightEvent(i))
 	}
@@ -49,7 +49,7 @@ func TestFlightRecorderRetainsTail(t *testing.T) {
 }
 
 func TestFlightRecorderWraps(t *testing.T) {
-	f := NewFlightRecorder(8)
+	f := newFlightRecorder(8)
 	const total = 21
 	for i := 0; i < total; i++ {
 		f.Emit(flightEvent(i))
@@ -70,16 +70,16 @@ func TestFlightRecorderWraps(t *testing.T) {
 }
 
 func TestFlightRecorderCapacityRounding(t *testing.T) {
-	if n := NewFlightRecorder(5); len(n.buf) != 8 {
+	if n := newFlightRecorder(5); len(n.buf) != 8 {
 		t.Errorf("capacity 5 rounded to %d, want 8", len(n.buf))
 	}
-	if n := NewFlightRecorder(0); len(n.buf) != DefaultFlightEvents {
-		t.Errorf("capacity 0 gave %d, want default %d", len(n.buf), DefaultFlightEvents)
+	if n := NewFlightRecorder(); len(n.buf) != flightEvents {
+		t.Errorf("NewFlightRecorder holds %d, want %d", len(n.buf), flightEvents)
 	}
 }
 
 func TestFlightDumpRunLogRoundTrip(t *testing.T) {
-	f := NewFlightRecorder(8)
+	f := newFlightRecorder(8)
 	const total = 12
 	for i := 0; i < total; i++ {
 		f.Emit(flightEvent(i))
@@ -125,7 +125,7 @@ func TestFlightDumpRunLogRoundTrip(t *testing.T) {
 }
 
 func TestFlightDumpFile(t *testing.T) {
-	f := NewFlightRecorder(4)
+	f := newFlightRecorder(4)
 	f.Emit(flightEvent(1))
 	path := t.TempDir() + "/run.flight.jsonl"
 	if err := f.DumpFile(path, Manifest{Tool: "t"}, "boom"); err != nil {
@@ -148,7 +148,7 @@ func TestFlightDumpFile(t *testing.T) {
 // TestFlightWriteJSONL checks the raw event lines of a dump after the
 // ring wraps: one JSON line per retained event, oldest overwritten.
 func TestFlightWriteJSONL(t *testing.T) {
-	f := NewFlightRecorder(4)
+	f := newFlightRecorder(4)
 	for i := 0; i < 6; i++ {
 		f.Emit(flightEvent(i))
 	}
@@ -167,7 +167,7 @@ func TestFlightWriteJSONL(t *testing.T) {
 }
 
 func BenchmarkFlightRecorderEmit(b *testing.B) {
-	f := NewFlightRecorder(DefaultFlightEvents)
+	f := newFlightRecorder(flightEvents)
 	ev := flightEvent(7)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -81,13 +81,16 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
 
-// ExpBuckets returns n bounds: start, start*factor, ...
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
+// expBuckets is the number of bounds ExpBuckets returns.
+const expBuckets = 16
+
+// ExpBuckets returns 16 doubling bounds: start, start*2, ...
+func ExpBuckets(start float64) []float64 {
+	out := make([]float64, expBuckets)
 	v := start
 	for i := range out {
 		out[i] = v
-		v *= factor
+		v *= 2
 	}
 	return out
 }
@@ -171,13 +174,10 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter { return r.CounterL(name, "") }
-
-// CounterL returns the named counter with a rendered label, e.g.
-// CounterL("qdisc.drops", "qdisc=codel").
-func (r *Registry) CounterL(name, label string) *Counter {
-	k := metricKey{name, label}
+// Counter returns (creating if needed) the named counter. Counters are
+// unlabeled.
+func (r *Registry) Counter(name string) *Counter {
+	k := metricKey{name: name}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[k]

@@ -19,8 +19,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 func fixedRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("sim.engine.events").Add(1234)
-	r.CounterL("qdisc.drops", "qdisc=codel").Add(7)
-	r.CounterL("qdisc.drops", "qdisc=droptail").Add(3)
+	r.Counter("qdisc.drops").Add(10)
 	r.Gauge("link.rate_bps").Set(48e6)
 	r.GaugeFamily("flow.goodput_bps", "flow").With("1").Set(12.5e6)
 	h := r.Histogram("flow.rtt_ms", "flow=1", []float64{10, 50, 100})
@@ -118,12 +117,12 @@ func TestConcurrentCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("shared")
-			fam := r.CounterL("fam", "k=a")
+			fam := r.GaugeL("fam", "k=a")
 			h := r.Histogram("hist", "", []float64{0.5})
 			gg := r.Gauge("g")
 			for i := 0; i < perG; i++ {
 				c.Inc()
-				fam.Inc()
+				fam.Add(1)
 				h.Observe(float64(i % 2))
 				gg.Add(1)
 			}
@@ -133,8 +132,8 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := r.Counter("shared").Value(); got != goroutines*perG {
 		t.Errorf("shared counter %d want %d", got, goroutines*perG)
 	}
-	if got := r.CounterL("fam", "k=a").Value(); got != goroutines*perG {
-		t.Errorf("labeled counter %d want %d", got, goroutines*perG)
+	if got := r.GaugeL("fam", "k=a").Value(); got != goroutines*perG {
+		t.Errorf("labeled gauge %v want %d", got, goroutines*perG)
 	}
 	if got := r.Histogram("hist", "", nil).Count(); got != goroutines*perG {
 		t.Errorf("histogram count %d want %d", got, goroutines*perG)

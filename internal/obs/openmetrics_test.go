@@ -340,7 +340,7 @@ func TestWriteOpenMetricsValidExposition(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE qdisc_drops_total counter\n",
-		`qdisc_drops_total{qdisc="codel"} 7`,
+		"qdisc_drops_total 10",
 		"# TYPE flow_rtt_ms histogram\n",
 		`flow_rtt_ms_bucket{flow="1",le="+Inf"} 8`,
 		`flow_rtt_ms_count{flow="1"} 8`,
@@ -379,8 +379,9 @@ lat_ms_count 6
 
 func TestWriteOpenMetricsNameAndLabelSanitization(t *testing.T) {
 	r := NewRegistry()
-	r.CounterL("sim.link.sent-packets", "link name=bottleneck/0").Add(3)
+	r.Counter("sim.link.sent-packets").Add(3)
 	r.GaugeL("9weird", "1bad-key=x").Set(1)
+	r.GaugeL("sim.link.queue", "link name=bottleneck/0").Set(2)
 	var buf bytes.Buffer
 	if err := r.WriteOpenMetrics(&buf); err != nil {
 		t.Fatal(err)
@@ -388,7 +389,8 @@ func TestWriteOpenMetricsNameAndLabelSanitization(t *testing.T) {
 	mustValidate(t, buf.Bytes())
 	out := buf.String()
 	for _, want := range []string{
-		`sim_link_sent_packets_total{link_name="bottleneck/0"} 3`,
+		`sim_link_sent_packets_total 3`,
+		`sim_link_queue{link_name="bottleneck/0"} 2`,
 		`_9weird{_1bad_key="x"} 1`,
 	} {
 		if !strings.Contains(out, want) {
@@ -399,13 +401,13 @@ func TestWriteOpenMetricsNameAndLabelSanitization(t *testing.T) {
 
 func TestWriteOpenMetricsLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.CounterL("esc.test", `reason=quote"back\slash`+"\nnewline").Inc()
+	r.GaugeL("esc.test", `reason=quote"back\slash`+"\nnewline").Set(1)
 	var buf bytes.Buffer
 	if err := r.WriteOpenMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	mustValidate(t, buf.Bytes())
-	want := `esc_test_total{reason="quote\"back\\slash\nnewline"} 1`
+	want := `esc_test{reason="quote\"back\\slash\nnewline"} 1`
 	if !strings.Contains(buf.String(), want) {
 		t.Errorf("escaped sample %q missing from:\n%s", want, buf.String())
 	}

@@ -247,7 +247,7 @@ func TestRunSamplesOnTicker(t *testing.T) {
 func BenchmarkRecorderSample(b *testing.B) {
 	reg := obs.NewRegistry()
 	for i := 0; i < 8; i++ {
-		reg.CounterL("bench.counter", "i="+string(rune('a'+i))).Add(int64(i))
+		reg.Counter("bench.counter." + string(rune('a'+i))).Add(int64(i))
 		reg.GaugeL("bench.gauge", "i="+string(rune('a'+i))).Set(float64(i))
 	}
 	h := reg.Histogram("bench.hist", "", []float64{1, 2, 4, 8})

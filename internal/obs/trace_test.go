@@ -113,7 +113,7 @@ func TestReadRunLogErrors(t *testing.T) {
 // (run under -race): the flight ring counts every event, the stream's
 // per-type totals stay exact.
 func TestConcurrentRingEmit(t *testing.T) {
-	ring := NewFlightRecorder(1 << 16) // no wrap: lapped slots are torn by design
+	ring := newFlightRecorder(1 << 16) // no wrap: lapped slots are torn by design
 	stream := NewStream(io.Discard)
 	tr := Multi{ring, stream}
 	var wg sync.WaitGroup
@@ -145,7 +145,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { emit(tr, ev) }); allocs != 0 {
 		t.Errorf("disabled tracer path allocates %v bytes/event, want 0", allocs)
 	}
-	tr = NewFlightRecorder(1 << 10)
+	tr = newFlightRecorder(1 << 10)
 	if allocs := testing.AllocsPerRun(1000, func() { emit(tr, ev) }); allocs != 0 {
 		t.Errorf("enabled ring path allocates %v allocs/event, want 0", allocs)
 	}

@@ -197,7 +197,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			SpoolErrors:   c("spool_errors"),
 		},
 		reg:    reg,
-		qdelay: reg.Histogram("probe.server.qdelay_ms", "", obs.ExpBuckets(0.1, 2, 16)),
+		qdelay: reg.Histogram("probe.server.qdelay_ms", "", obs.ExpBuckets(0.1)),
 		done:   make(chan struct{}),
 	}
 	reg.RegisterFunc("probe.server.sessions_active", "", func() float64 { return float64(s.ActiveSessions()) })

@@ -22,15 +22,15 @@ func BenchmarkDropTail(b *testing.B) { benchQdisc(b, NewDropTail(1<<20)) }
 
 func BenchmarkDRR16Flows(b *testing.B) { benchQdisc(b, NewDRR(ByFlow, sim.MSS, 1<<20)) }
 
-func BenchmarkSFQ(b *testing.B) { benchQdisc(b, NewSFQ(128, 1<<20, 1)) }
+func BenchmarkSFQ(b *testing.B) { benchQdisc(b, NewSFQ(1<<20)) }
 
 func BenchmarkTokenBucketShaper(b *testing.B) {
-	benchQdisc(b, NewTokenBucketShaper(1e12, 1<<20, 1<<20))
+	benchQdisc(b, newTokenBucketShaper(1e12, 1<<20, 1<<20))
 }
 
 func BenchmarkCoDel(b *testing.B) { benchQdisc(b, NewCoDel(1<<20)) }
 
-func BenchmarkUserIsolation(b *testing.B) { benchQdisc(b, NewUserIsolation(0, 0, 1<<20)) }
+func BenchmarkUserIsolation(b *testing.B) { benchQdisc(b, unthrottled(1<<20)) }
 
 // BenchmarkUserIsolationThrottled prices one transmitted packet (its
 // dequeues and the enqueue that replaces it) in the regime the

@@ -4,8 +4,8 @@
 // drop excess, shapers queue it), deficit-round-robin fair queueing
 // (Demers et al. / Shreedhar-Varghese), stochastic fair queueing,
 // CoDel inside FQ-CoDel, and a two-level per-user isolation discipline
-// in the spirit of HTB: users receive fair (or weighted) shares, flows
-// within a user share a FIFO.
+// in the spirit of HTB: users receive fair shares, flows within a
+// user share a FIFO.
 //
 // All disciplines implement sim.Qdisc and are deterministic.
 package qdisc

@@ -17,8 +17,8 @@ func everyDiscipline(limit int) map[string]sim.Qdisc {
 		"codel":    NewCoDel(limit),
 		"drr":      NewDRR(ByFlow, sim.MSS, limit),
 		"fq_codel": NewFQCoDel(ByFlow, limit),
-		"sfq":      NewSFQ(8, limit, 1),
-		"shaper":   NewTokenBucketShaper(1e6, 2*sim.MSS, limit),
+		"sfq":      NewSFQ(limit),
+		"shaper":   newTokenBucketShaper(1e6, 2*sim.MSS, limit),
 		"user-iso": NewUserIsolation(1e6, 2*sim.MSS, limit),
 	}
 }
@@ -27,7 +27,7 @@ func everyDiscipline(limit int) map[string]sim.Qdisc {
 // an empty queue — repeatedly, at any clock value — without panicking.
 func TestDequeueFromEmpty(t *testing.T) {
 	qs := everyDiscipline(10000)
-	qs["policer"] = NewTokenBucketPolicer(1e6, 2*sim.MSS)
+	qs["policer"] = newTokenBucketPolicer(1e6, 2*sim.MSS)
 	for name, q := range qs {
 		for _, now := range []time.Duration{0, time.Millisecond, time.Hour} {
 			if p, _ := q.Dequeue(now); p != nil {

@@ -1,6 +1,7 @@
 package qdisc
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 	"time"
@@ -13,12 +14,9 @@ type userClass struct {
 	pos  int // position in sorted-id order; maintained across inserts
 	b    bucket
 	fifo *DropTail
-	caps bool // whether a rate cap applies
-	// Weighted-DRR state: quantum is the byte grant per round-robin
-	// visit (weight x MSS); deficit carries unspent grant while the
-	// user stays backlogged; granted marks that the current visit's
-	// quantum was already issued.
-	quantum int
+	// DRR state: each round-robin visit grants MSS bytes; deficit
+	// carries unspent grant while the user stays backlogged; granted
+	// marks that the current visit's grant was already issued.
 	deficit int
 	granted bool
 	// Parked state: a backlogged user whose head packet its bucket
@@ -31,12 +29,11 @@ type userClass struct {
 // UserIsolation is a two-level discipline modelling the access-network
 // arrangement Figure 1 of the paper describes: each subscriber (UserID)
 // is throttled to a purchased rate by a token bucket ("operator
-// throttling") and backlogged subscribers share the link by weighted
-// deficit round robin ("isolation", an HTB stand-in: weights model
-// tiered plans sharing one aggregate). Flows within a subscriber share
-// a FIFO, so intra-user CCA contention remains possible while
-// inter-user contention is removed — exactly the asymmetry §2.2
-// discusses.
+// throttling") and backlogged subscribers share the link by deficit
+// round robin ("isolation", an HTB stand-in). Flows within a
+// subscriber share a FIFO, so intra-user CCA contention remains
+// possible while inter-user contention is removed — exactly the
+// asymmetry §2.2 discusses.
 //
 // The discipline is built for many-flow cells with 10k+ subscribers,
 // most of them waiting for tokens most of the time. A backlogged user
@@ -47,10 +44,10 @@ type userClass struct {
 // (its head packet stays, its bucket only fills), so Dequeue never
 // looks at it: a served packet costs O(log users) and "nothing is
 // ready until t" is the heap root, O(1). Len/Bytes return cached
-// aggregates instead of walking the users. With the default weight
-// (1.0, quantum = MSS) and MSS-sized packets the pick sequence is
-// identical to one-packet-per-visit round robin, which the repo's
-// byte-identical determinism contract depends on.
+// aggregates instead of walking the users. With an MSS grant per visit
+// and MSS-sized packets the pick sequence is identical to
+// one-packet-per-visit round robin, which the repo's byte-identical
+// determinism contract depends on.
 type UserIsolation struct {
 	users  map[int]*userClass
 	order  []*userClass // users in sorted-id order
@@ -68,86 +65,37 @@ type UserIsolation struct {
 	// number of dequeues.
 	examined int64
 
-	defRate    float64 // bits/s; 0 = uncapped
-	defBurst   int
+	rate       float64 // every user's plan, bits/s
+	burst      int
 	perUserCap int // bytes of backlog per user
 	// Dropped counts refused packets.
 	Dropped int64
 }
 
-// NewUserIsolation returns the discipline. defaultRateBits caps each
-// user's throughput (0 disables capping); perUserBacklogBytes bounds
+// NewUserIsolation returns the discipline. planRateBits caps each
+// user's throughput and must be positive; perUserBacklogBytes bounds
 // each user's queue.
-func NewUserIsolation(defaultRateBits float64, burstBytes, perUserBacklogBytes int) *UserIsolation {
+func NewUserIsolation(planRateBits float64, burstBytes, perUserBacklogBytes int) *UserIsolation {
+	if !(planRateBits > 0) {
+		panic(fmt.Sprintf("qdisc: user isolation needs a positive plan rate, got %g", planRateBits))
+	}
 	if perUserBacklogBytes <= 0 {
 		perUserBacklogBytes = 256 * sim.MSS
 	}
 	return &UserIsolation{
 		users:      make(map[int]*userClass),
 		visit:      -1,
-		defRate:    defaultRateBits,
-		defBurst:   burstBytes,
+		rate:       planRateBits,
+		burst:      burstBytes,
 		perUserCap: perUserBacklogBytes,
 	}
-}
-
-// SetUserRate overrides the rate cap for one user (0 = uncapped),
-// modelling tiered service plans (Paul et al.: 3–11 plans per ISP).
-// Changing the rate of an already-capped user preserves the bucket's
-// accrual state: accumulated credit is clamped to the new burst and
-// the refill timestamp carries over, so a mid-run plan change does not
-// hand the user a fresh burst it never purchased. A user parked for
-// tokens is re-keyed from that carried state — the new rate applies
-// from its last refill — and released at once if the cap is lifted.
-func (u *UserIsolation) SetUserRate(userID int, rateBits float64, burstBytes int) {
-	c := u.user(userID)
-	switch {
-	case rateBits > 0 && c.caps:
-		old := c.b
-		c.b = newBucket(rateBits, burstBytes)
-		c.b.last = old.last
-		if old.tokens < c.b.tokens {
-			c.b.tokens = old.tokens
-		}
-	case rateBits > 0:
-		c.b = newBucket(rateBits, burstBytes)
-		c.caps = true
-	default:
-		c.b = bucket{}
-		c.caps = false
-	}
-	if c.heapIdx < 0 {
-		return
-	}
-	if !c.caps {
-		u.unpark(c)
-		return
-	}
-	c.readyAt = c.b.timeFor(c.b.last, float64(c.fifo.peek().Size))
-	u.fixHeap(c.heapIdx)
-}
-
-// SetUserWeight sets the user's DRR weight (default 1.0): a user with
-// weight w receives w x MSS bytes of grant per round-robin visit, so
-// backlogged unthrottled users share capacity in proportion to weight.
-func (u *UserIsolation) SetUserWeight(userID int, weight float64) {
-	c := u.user(userID)
-	q := int(weight * sim.MSS)
-	if q < 1 {
-		q = 1
-	}
-	c.quantum = q
 }
 
 func (u *UserIsolation) user(id int) *userClass {
 	if c := u.users[id]; c != nil {
 		return c
 	}
-	c := &userClass{id: id, fifo: NewDropTail(u.perUserCap), quantum: sim.MSS, heapIdx: -1}
-	if u.defRate > 0 {
-		c.b = newBucket(u.defRate, u.defBurst)
-		c.caps = true
-	}
+	c := &userClass{id: id, b: newBucket(u.rate, u.burst), fifo: NewDropTail(u.perUserCap), heapIdx: -1}
 	u.users[id] = c
 	pos := sort.Search(len(u.order), func(i int) bool { return u.order[i].id >= id })
 	u.order = append(u.order, nil)
@@ -277,7 +225,7 @@ func (u *UserIsolation) Enqueue(p *sim.Packet, now time.Duration) bool {
 	return true
 }
 
-// Dequeue implements sim.Qdisc: weighted deficit round robin over
+// Dequeue implements sim.Qdisc: deficit round robin over
 // backlogged users whose head packet conforms to their token bucket.
 // If every backlogged user is waiting for tokens, it reports the
 // earliest ready time.
@@ -288,9 +236,9 @@ func (u *UserIsolation) Dequeue(now time.Duration) (*sim.Packet, time.Duration) 
 	for len(u.parked) > 0 && u.parked[0].readyAt <= now {
 		u.unpark(u.parked[0])
 	}
-	// Each outer round issues at most one quantum per backlogged user.
-	// A user skipped for insufficient deficit gains quantum >= 1 byte
-	// per round, so some user's deficit reaches its head size in
+	// Each outer round issues at most one grant per backlogged user.
+	// A user skipped for insufficient deficit gains MSS bytes per
+	// round, so some user's deficit reaches its head size in
 	// finitely many rounds: the loop terminates with a packet unless
 	// every backlogged user is token-throttled.
 	for {
@@ -339,21 +287,19 @@ func (u *UserIsolation) serveAt(pos int, now time.Duration, deficitSkip *bool) *
 	u.examined++
 	c := u.order[pos]
 	head := c.fifo.peek()
-	if c.caps {
-		c.b.refill(now)
-		need := float64(head.Size)
-		if c.b.tokens < need {
-			c.granted = false
-			if u.visit == pos {
-				u.visit = -1
-			}
-			c.readyAt = c.b.timeFor(now, need)
-			u.park(c)
-			return nil
+	c.b.refill(now)
+	need := float64(head.Size)
+	if c.b.tokens < need {
+		c.granted = false
+		if u.visit == pos {
+			u.visit = -1
 		}
+		c.readyAt = c.b.timeFor(now, need)
+		u.park(c)
+		return nil
 	}
 	if !c.granted {
-		c.deficit += c.quantum
+		c.deficit += sim.MSS
 		c.granted = true
 	}
 	if c.deficit < head.Size {
@@ -364,9 +310,7 @@ func (u *UserIsolation) serveAt(pos int, now time.Duration, deficitSkip *bool) *
 		}
 		return nil
 	}
-	if c.caps {
-		c.b.tokens -= float64(head.Size)
-	}
+	c.b.tokens -= need
 	p, _ := c.fifo.Dequeue(now)
 	c.deficit -= p.Size
 	u.pkts--

@@ -22,8 +22,8 @@ type oracleIsolation struct {
 	rr    int           // never adjusted on insert, like the scheduler's
 	visit int
 
-	defRate    float64
-	defBurst   int
+	rate       float64
+	burst      int
 	perUserCap int
 	dropped    int64
 }
@@ -31,18 +31,16 @@ type oracleIsolation struct {
 type oracleUser struct {
 	id      int
 	b       bucket
-	caps    bool
 	q       []*sim.Packet
 	bytes   int
-	quantum int
 	deficit int
 	granted bool
 	parked  bool
 	readyAt time.Duration
 }
 
-func newOracleIsolation(defaultRateBits float64, burstBytes, perUserBacklogBytes int) *oracleIsolation {
-	return &oracleIsolation{visit: -1, defRate: defaultRateBits, defBurst: burstBytes, perUserCap: perUserBacklogBytes}
+func newOracleIsolation(planRateBits float64, burstBytes, perUserBacklogBytes int) *oracleIsolation {
+	return &oracleIsolation{visit: -1, rate: planRateBits, burst: burstBytes, perUserCap: perUserBacklogBytes}
 }
 
 func (o *oracleIsolation) user(id int) *oracleUser {
@@ -50,11 +48,7 @@ func (o *oracleIsolation) user(id int) *oracleUser {
 	if pos < len(o.users) && o.users[pos].id == id {
 		return o.users[pos]
 	}
-	c := &oracleUser{id: id, quantum: sim.MSS}
-	if o.defRate > 0 {
-		c.b = newBucket(o.defRate, o.defBurst)
-		c.caps = true
-	}
+	c := &oracleUser{id: id, b: newBucket(o.rate, o.burst)}
 	o.users = append(o.users, nil)
 	copy(o.users[pos+1:], o.users[pos:])
 	o.users[pos] = c
@@ -62,39 +56,6 @@ func (o *oracleIsolation) user(id int) *oracleUser {
 		o.visit++
 	}
 	return c
-}
-
-func (o *oracleIsolation) SetUserRate(id int, rateBits float64, burstBytes int) {
-	c := o.user(id)
-	switch {
-	case rateBits > 0 && c.caps:
-		old := c.b
-		c.b = newBucket(rateBits, burstBytes)
-		c.b.last = old.last
-		if old.tokens < c.b.tokens {
-			c.b.tokens = old.tokens
-		}
-	case rateBits > 0:
-		c.b = newBucket(rateBits, burstBytes)
-		c.caps = true
-	default:
-		c.b = bucket{}
-		c.caps = false
-	}
-	if c.parked {
-		c.parked = c.caps
-		if c.parked {
-			c.readyAt = c.b.timeFor(c.b.last, float64(c.q[0].Size))
-		}
-	}
-}
-
-func (o *oracleIsolation) SetUserWeight(id int, weight float64) {
-	q := int(weight * sim.MSS)
-	if q < 1 {
-		q = 1
-	}
-	o.user(id).quantum = q
 }
 
 func (o *oracleIsolation) Enqueue(p *sim.Packet, _ time.Duration) bool {
@@ -134,20 +95,18 @@ func (o *oracleIsolation) Dequeue(now time.Duration) (*sim.Packet, time.Duration
 				continue
 			}
 			head := c.q[0]
-			if c.caps {
-				c.b.refill(now)
-				if need := float64(head.Size); c.b.tokens < need {
-					c.parked = true
-					c.readyAt = c.b.timeFor(now, need)
-					c.granted = false
-					if o.visit == pos {
-						o.visit = -1
-					}
-					continue
+			c.b.refill(now)
+			if need := float64(head.Size); c.b.tokens < need {
+				c.parked = true
+				c.readyAt = c.b.timeFor(now, need)
+				c.granted = false
+				if o.visit == pos {
+					o.visit = -1
 				}
+				continue
 			}
 			if !c.granted {
-				c.deficit += c.quantum
+				c.deficit += sim.MSS
 				c.granted = true
 			}
 			if c.deficit < head.Size {
@@ -158,9 +117,7 @@ func (o *oracleIsolation) Dequeue(now time.Duration) (*sim.Packet, time.Duration
 				}
 				continue
 			}
-			if c.caps {
-				c.b.tokens -= float64(head.Size)
-			}
+			c.b.tokens -= float64(head.Size)
 			c.q = c.q[1:]
 			c.bytes -= head.Size
 			c.deficit -= head.Size
@@ -234,9 +191,6 @@ func (u *UserIsolation) verify() error {
 		if parked && (c.heapIdx >= len(u.parked) || u.parked[c.heapIdx] != c) {
 			return fmt.Errorf("user %d claims heap index %d, which holds someone else", c.id, c.heapIdx)
 		}
-		if parked && !c.caps {
-			return fmt.Errorf("uncapped user %d is parked", c.id)
-		}
 		if c.fifo.Len() > 0 {
 			backlogged++
 			if bit == parked {
@@ -268,20 +222,22 @@ func (u *UserIsolation) verify() error {
 // FuzzUserIsolationSchedule drives UserIsolation and the naive oracle
 // with the same operation stream — enqueues of full-size and short
 // packets (the 4-packet per-user cap overflows often), dequeues, clock
-// advances by a given step or to the last reported ready time, plan
-// and weight changes, and user ids that first appear before and after
-// the round-robin cursor — and requires identical (packet, ready)
-// results, equal aggregates and a sound structure after every
-// operation. The input is consumed as (opcode, argument) byte pairs;
-// the first byte picks the default plan.
+// advances by a given step or to the last reported ready time, and
+// user ids that first appear before and after the round-robin cursor —
+// and requires identical (packet, ready) results, equal aggregates and
+// a sound structure after every operation. The input is consumed as
+// (opcode, argument) byte pairs; the first byte picks every user's
+// plan rate and burst. Opcodes 6 and 7 repeat a dequeue and the retry
+// jump, so inputs written when they changed a user's plan or weight
+// still run.
 func FuzzUserIsolationSchedule(f *testing.F) {
 	// Two capped users drained through the retry timer.
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 2, 0, 2, 3, 0, 3, 0, 5, 0, 3, 0, 5, 0, 3, 0, 5, 0, 3, 0})
 	// Ids arriving on both sides of the cursor while a visit is open.
 	f.Add([]byte{0, 0, 16, 2, 16, 0, 16, 3, 0, 0, 4, 0, 30, 3, 0, 0, 1, 3, 0, 3, 0, 3, 0})
-	// Plan changes on a parked user: up, down, lifted, re-imposed.
+	// Dequeues and retry jumps around a parked user.
 	f.Add([]byte{2, 0, 7, 0, 7, 0, 7, 3, 0, 3, 0, 3, 0, 6, 7 | 1<<5, 3, 0, 6, 7 | 3<<5, 5, 0, 3, 0, 6, 7, 3, 0, 6, 7 | 2<<5, 3, 0})
-	// Weights and short packets: deficit carried across parked spells.
+	// Short packets: deficit carried across parked spells.
 	f.Add([]byte{1, 7, 3 | 2<<5, 2, 3, 2, 3 | 4<<5, 2, 3, 0, 9, 3, 0, 3, 0, 4, 200, 3, 0, 7, 3, 3, 0, 5, 0, 3, 0})
 	// Per-user cap overflow, then a long drain in small clock steps.
 	f.Add([]byte{2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 3, 0, 4, 1, 3, 0, 4, 1, 3, 0, 4, 255, 3, 0, 3, 0, 3, 0})
@@ -292,8 +248,8 @@ func FuzzUserIsolationSchedule(f *testing.F) {
 		if len(data) > 1024 {
 			data = data[:1024] // ~500 ops keep one execution near a millisecond
 		}
-		plans := []float64{0, 1e6, 4e6, 16e6}
-		bursts := []int{0, 1000, 2 * sim.MSS, 16 * sim.MSS}
+		plans := []float64{1e9, 1e6, 4e6, 16e6}
+		bursts := []int{sim.MSS, 1000, 2 * sim.MSS, 16 * sim.MSS}
 		rate, burst := plans[data[0]%4], bursts[(data[0]>>2)%4]
 		u := NewUserIsolation(rate, burst, 4*sim.MSS)
 		o := newOracleIsolation(rate, burst, 4*sim.MSS)
@@ -314,7 +270,7 @@ func FuzzUserIsolationSchedule(f *testing.F) {
 				if got, want := u.Enqueue(p, now), o.Enqueue(p, now); got != want {
 					t.Fatalf("%s: Enqueue = %v, oracle %v", ctx, got, want)
 				}
-			case 3: // dequeue
+			case 3, 6: // dequeue
 				p, ready := u.Dequeue(now)
 				want, wantReady := o.Dequeue(now)
 				if p != want || ready != wantReady {
@@ -330,18 +286,10 @@ func FuzzUserIsolationSchedule(f *testing.F) {
 				} else {
 					now += time.Duration(arg) * 20 * time.Microsecond
 				}
-			case 5: // the link's retry timer: jump to the reported ready time
+			case 5, 7: // the link's retry timer: jump to the reported ready time
 				if lastReady > now {
 					now = lastReady
 				}
-			case 6: // plan change; the high bits pick rate and burst
-				r, b := plans[(arg>>5)%4], bursts[(arg>>7)*2]
-				u.SetUserRate(id, r, b)
-				o.SetUserRate(id, r, b)
-			case 7: // weight change
-				w := []float64{0, 0.25, 1, 3}[(arg>>5)%4]
-				u.SetUserWeight(id, w)
-				o.SetUserWeight(id, w)
 			}
 			if err := u.verify(); err != nil {
 				t.Fatalf("%s: %v", ctx, err)

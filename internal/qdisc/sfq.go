@@ -11,26 +11,24 @@ import (
 // fairness probabilistic, which is why it is "stochastic"; with a
 // perturbed hash it approximates per-flow fair queueing at O(1) state.
 type SFQ struct {
-	drr     *DRR
-	buckets int
-	perturb int
+	drr *DRR
 }
 
-// NewSFQ returns an SFQ with the given number of hash buckets and total
-// byte limit. perturb seeds the hash so tests can exercise collisions
-// deterministically.
-func NewSFQ(buckets, limitBytes, perturb int) *SFQ {
-	if buckets <= 0 {
-		buckets = 128
-	}
-	s := &SFQ{buckets: buckets, perturb: perturb}
+// sfqBuckets is the number of hash buckets.
+const sfqBuckets = 128
+
+// NewSFQ returns an SFQ of sfqBuckets hash buckets with the given total
+// byte limit.
+func NewSFQ(limitBytes int) *SFQ {
+	s := &SFQ{}
 	s.drr = NewDRR(s.classify, sim.MSS, limitBytes)
 	return s
 }
 
+// classify hashes the flow with a fixed perturbation.
 func (s *SFQ) classify(p *sim.Packet) int {
-	h := uint32(p.FlowID)*2654435761 + uint32(s.perturb)*40503
-	return int(h % uint32(s.buckets))
+	h := uint32(p.FlowID)*2654435761 + 40503
+	return int(h % sfqBuckets)
 }
 
 // Enqueue implements sim.Qdisc.

@@ -15,9 +15,6 @@ type bucket struct {
 }
 
 func newBucket(rateBits float64, burstBytes int) bucket {
-	if burstBytes <= 0 {
-		burstBytes = 2 * sim.MSS
-	}
 	return bucket{rate: rateBits / 8, burst: float64(burstBytes), tokens: float64(burstBytes)}
 }
 
@@ -56,9 +53,20 @@ type TokenBucketShaper struct {
 	Dropped int64
 }
 
+// tokenBurst is the shaper's and the policer's burst allowance in
+// bytes.
+const tokenBurst = 16 * sim.MSS
+
 // NewTokenBucketShaper returns a shaper limiting throughput to rateBits
-// bits/s with the given burst allowance and backlog capacity in bytes.
-func NewTokenBucketShaper(rateBits float64, burstBytes, backlogBytes int) *TokenBucketShaper {
+// bits/s with a tokenBurst allowance and the given backlog capacity in
+// bytes.
+func NewTokenBucketShaper(rateBits float64, backlogBytes int) *TokenBucketShaper {
+	return newTokenBucketShaper(rateBits, tokenBurst, backlogBytes)
+}
+
+// newTokenBucketShaper is NewTokenBucketShaper with the burst the
+// tests pick.
+func newTokenBucketShaper(rateBits float64, burstBytes, backlogBytes int) *TokenBucketShaper {
 	return &TokenBucketShaper{b: newBucket(rateBits, burstBytes), fifo: NewDropTail(backlogBytes)}
 }
 
@@ -106,8 +114,14 @@ type TokenBucketPolicer struct {
 }
 
 // NewTokenBucketPolicer returns a policer enforcing rateBits bits/s
-// with the given burst allowance in bytes.
-func NewTokenBucketPolicer(rateBits float64, burstBytes int) *TokenBucketPolicer {
+// with a tokenBurst allowance.
+func NewTokenBucketPolicer(rateBits float64) *TokenBucketPolicer {
+	return newTokenBucketPolicer(rateBits, tokenBurst)
+}
+
+// newTokenBucketPolicer is NewTokenBucketPolicer with the burst the
+// tests pick.
+func newTokenBucketPolicer(rateBits float64, burstBytes int) *TokenBucketPolicer {
 	return &TokenBucketPolicer{b: newBucket(rateBits, burstBytes), fifo: NewDropTail(64 * sim.MSS)}
 }
 

@@ -214,7 +214,7 @@ func (p *SweepReporter) lazyInit() {
 		p.mDone = p.Reg.Counter("sweep.runs_done")
 		p.mFailed = p.Reg.Counter("sweep.runs_failed")
 		p.mCached = p.Reg.Counter("sweep.cache_hits")
-		p.hRunS = p.Reg.Histogram("sweep.run_seconds", "", obs.ExpBuckets(0.01, 2, 16))
+		p.hRunS = p.Reg.Histogram("sweep.run_seconds", "", obs.ExpBuckets(0.01))
 		p.gTotal = p.Reg.Gauge("sweep.runs_total")
 		p.gRate = p.Reg.Gauge("sweep.runs_per_sec")
 		p.gETA = p.Reg.Gauge("sweep.eta_s")

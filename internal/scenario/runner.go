@@ -261,7 +261,7 @@ func (r *Runner) runSwept(ctx context.Context, sp Spec, index, worker int, st *s
 	hash := sp.Hash()
 	var fr *obs.FlightRecorder
 	if r.FlightDir != "" {
-		fr = obs.NewFlightRecorder(obs.DefaultFlightEvents)
+		fr = obs.NewFlightRecorder()
 		r.trackFlight(index, sp, fr)
 		defer r.untrackFlight(index)
 	}

@@ -30,8 +30,8 @@ const maxViolations = 16
 //     and never freed under a generation different from the one it was
 //     allocated with (use-after-free of a recycled packet).
 //   - Link conservation: every packet a link accepted is accounted for
-//     as sent, dropped by the AQM, still queued, or in serialization
-//     (checked by VerifyLinks, at most one packet in service).
+//     as sent, still queued, or in serialization (checked by
+//     VerifyLinks, at most one packet in service).
 //   - Queue occupancy bounds: a watched link's queue never reports
 //     negative occupancy nor exceeds its configured byte bound.
 type Checker struct {
@@ -58,9 +58,6 @@ type Checker struct {
 
 type linkWatch struct {
 	l *sim.Link
-	// aqmDrops reports packets the qdisc consumed internally (CoDel
-	// dequeue drops, DRR head evictions); nil means none possible.
-	aqmDrops func() int64
 	// capBytes bounds Q.Bytes() when positive.
 	capBytes int
 }
@@ -73,14 +70,14 @@ func Attach(eng *sim.Engine) *Checker {
 	return c
 }
 
-// WatchLink adds a link to the conservation and occupancy checks.
-// aqmDrops, when non-nil, must return the cumulative count of packets
-// the link's qdisc consumed internally; capBytes, when positive,
-// bounds the queue's byte occupancy. Conservation assumes the qdisc
-// never injects packets of its own, so links wrapped in a duplicating
-// fault injector cannot be watched.
-func (c *Checker) WatchLink(l *sim.Link, aqmDrops func() int64, capBytes int) {
-	c.links = append(c.links, linkWatch{l: l, aqmDrops: aqmDrops, capBytes: capBytes})
+// WatchLink adds a link to the conservation and occupancy checks;
+// capBytes, when positive, bounds the queue's byte occupancy.
+// Conservation assumes the qdisc neither consumes packets internally
+// (CoDel's dequeue drops, DRR's head evictions) nor injects packets of
+// its own, so links behind such a qdisc, or wrapped in a duplicating
+// fault injector, cannot be watched.
+func (c *Checker) WatchLink(l *sim.Link, capBytes int) {
+	c.links = append(c.links, linkWatch{l: l, capBytes: capBytes})
 	c.checkOcc = true
 }
 
@@ -166,19 +163,15 @@ func (c *Checker) OnFree(p *sim.Packet) {
 func (c *Checker) LivePackets() (now, max int) { return c.liveNow, c.maxLive }
 
 // VerifyLinks runs the end-of-run conservation check on every watched
-// link: accepted == sent + AQM-consumed + queued, with at most one
+// link: accepted == sent + queued, with at most one
 // packet unaccounted (the one in serialization when the clock stopped).
 func (c *Checker) VerifyLinks() {
 	for _, w := range c.links {
 		st := w.l.Stats()
-		var aqm int64
-		if w.aqmDrops != nil {
-			aqm = w.aqmDrops()
-		}
-		slack := st.EnqueuedPackets - st.SentPackets - aqm - int64(w.l.Q.Len())
+		slack := st.EnqueuedPackets - st.SentPackets - int64(w.l.Q.Len())
 		if slack < 0 || slack > 1 {
-			c.violate("link %s: conservation violated: %d enqueued != %d sent + %d aqm-dropped + %d queued (slack %d)",
-				w.l.Name, st.EnqueuedPackets, st.SentPackets, aqm, w.l.Q.Len(), slack)
+			c.violate("link %s: conservation violated: %d enqueued != %d sent + %d queued (slack %d)",
+				w.l.Name, st.EnqueuedPackets, st.SentPackets, w.l.Q.Len(), slack)
 		}
 	}
 }

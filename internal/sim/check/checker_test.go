@@ -44,13 +44,14 @@ func runCheckedDuel(t *testing.T, wrap func(sim.Qdisc) sim.Qdisc) (*check.Checke
 	eng.SetHook(pc)
 
 	const capBytes = 64 * sim.MSS
-	fq := qdisc.NewFQCoDel(qdisc.ByFlow, capBytes)
-	var q sim.Qdisc = fq
+	// Half the bound: a fault chain holds delayed and duplicated
+	// packets on top of the FIFO's own.
+	var q sim.Qdisc = qdisc.NewDropTail(capBytes / 2)
 	if wrap != nil {
 		q = wrap(q)
 	}
 	link := sim.NewLink(eng, "bottleneck", 8e6, 10*time.Millisecond, q)
-	ck.WatchLink(link, func() int64 { return fq.CoDelDropped }, capBytes)
+	ck.WatchLink(link, capBytes)
 
 	for i, name := range []string{"cubic", "bbr"} {
 		cc, err := cca.New(name)
@@ -72,7 +73,7 @@ func runCheckedDuel(t *testing.T, wrap func(sim.Qdisc) sim.Qdisc) (*check.Checke
 }
 
 // TestCheckedContentionRun drives a real two-CCA contention scenario
-// through fq_codel with every invariant check armed: monotone clock,
+// through a droptail FIFO with every invariant check armed: monotone clock,
 // FIFO order, pool hygiene, link conservation, occupancy bounds.
 func TestCheckedContentionRun(t *testing.T) {
 	ck, pc := runCheckedDuel(t, nil)
@@ -195,7 +196,7 @@ func TestCheckerDetectsConservationViolation(t *testing.T) {
 	ck := check.Attach(eng)
 	q := &leakyQueue{inner: qdisc.NewDropTail(1 << 20)}
 	link := sim.NewLink(eng, "leaky", 8e6, time.Millisecond, q)
-	ck.WatchLink(link, nil, 0)
+	ck.WatchLink(link, 0)
 	for i := 0; i < 8; i++ {
 		link.Send(&sim.Packet{Seq: int64(i), Size: sim.MSS})
 	}

@@ -17,7 +17,7 @@ func traceRun(seed int64) []obs.Event {
 	link := NewLink(eng, "bottleneck", 8e6, 2*time.Millisecond, &testQueue{})
 	link.Trace = log
 	rng := rand.New(rand.NewSource(seed))
-	DriveRate(eng, link, 10*time.Millisecond, CellularTrace(rng, 8e6, 0.2))
+	DriveRate(eng, link, 10*time.Millisecond, CellularTrace(rng, 8e6))
 	dest := ReceiverFunc(func(*Packet) {})
 	for i := 0; i < 50; i++ {
 		at := time.Duration(rng.Intn(90)) * time.Millisecond

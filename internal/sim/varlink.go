@@ -48,16 +48,19 @@ func DriveRate(eng *Engine, link *Link, interval time.Duration, rate func(t time
 	return d
 }
 
+// cellularSigma is CellularTrace's step size per sample.
+const cellularSigma = 0.15
+
 // CellularTrace returns a rate function modelling a fading cellular
-// link: a mean-reverting random walk around mean with step size sigma,
-// clamped to [mean/5, 2*mean]. Mean reversion keeps the long-run
-// average near mean (a plain geometric walk drifts into its clamps).
-// The function is stateful and must be sampled at monotonically
-// non-decreasing times (as DriveRate does).
-func CellularTrace(rng *rand.Rand, mean, sigma float64) func(t time.Duration) float64 {
+// link: a mean-reverting random walk around mean with step size
+// cellularSigma, clamped to [mean/5, 2*mean]. Mean reversion keeps the
+// long-run average near mean (a plain geometric walk drifts into its
+// clamps). The function is stateful and must be sampled at
+// monotonically non-decreasing times (as DriveRate does).
+func CellularTrace(rng *rand.Rand, mean float64) func(t time.Duration) float64 {
 	level := 1.0
 	return func(time.Duration) float64 {
-		level += 0.1*(1-level) + sigma*rng.NormFloat64()
+		level += 0.1*(1-level) + cellularSigma*rng.NormFloat64()
 		if level < 0.2 {
 			level = 0.2
 		}

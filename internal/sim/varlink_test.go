@@ -48,7 +48,7 @@ func TestDriveRateFloorsAtPositive(t *testing.T) {
 
 func TestCellularTraceBoundsAndMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	trace := CellularTrace(rng, 20e6, 0.15)
+	trace := CellularTrace(rng, 20e6)
 	var sum float64
 	const n = 10000
 	for i := 0; i < n; i++ {

@@ -52,16 +52,19 @@ func (c *CDF) Quantile(q float64) (float64, error) {
 	return quantileSorted(c.samples, q), nil
 }
 
-// Points returns n evenly spaced (value, cumulative fraction) points
-// suitable for plotting. For n < 2 it returns at most one point.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.samples) == 0 || n <= 0 {
+// cdfPoints is the number of points Points returns.
+const cdfPoints = 50
+
+// Points returns cdfPoints evenly spaced (value, cumulative fraction)
+// points suitable for plotting.
+func (c *CDF) Points() [][2]float64 { return c.points(cdfPoints) }
+
+// points returns n >= 2 evenly spaced points; the tests pick n.
+func (c *CDF) points(n int) [][2]float64 {
+	if len(c.samples) == 0 {
 		return nil
 	}
 	c.sort()
-	if n == 1 {
-		return [][2]float64{{c.samples[len(c.samples)-1], 1}}
-	}
 	pts := make([][2]float64, 0, n)
 	for i := 0; i < n; i++ {
 		q := float64(i) / float64(n-1)

@@ -11,7 +11,7 @@ func TestCDFEmpty(t *testing.T) {
 	if _, err := c.Quantile(0.5); err != ErrEmpty {
 		t.Errorf("Quantile on empty = %v, want ErrEmpty", err)
 	}
-	if got := c.Points(5); got != nil {
+	if got := c.Points(); got != nil {
 		t.Errorf("Points on empty = %v, want nil", got)
 	}
 	if s := c.String(); s != "CDF(empty)" {
@@ -35,7 +35,7 @@ func TestCDFAddAndQuantile(t *testing.T) {
 
 func TestCDFPoints(t *testing.T) {
 	c := NewCDF([]float64{0, 10})
-	pts := c.Points(3)
+	pts := c.points(3)
 	if len(pts) != 3 {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -45,8 +45,8 @@ func TestCDFPoints(t *testing.T) {
 	if pts[1][1] != 0.5 {
 		t.Errorf("middle fraction = %v, want 0.5", pts[1][1])
 	}
-	if got := c.Points(1); len(got) != 1 || got[0][1] != 1 {
-		t.Errorf("Points(1) = %v", got)
+	if got := c.Points(); len(got) != cdfPoints || got[cdfPoints-1] != [2]float64{10, 1} {
+		t.Errorf("Points() = %v", got)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
-		pts := NewCDF(clean).Points(int(n%16) + 2)
+		pts := NewCDF(clean).points(int(n%16) + 2)
 		for i := 1; i < len(pts); i++ {
 			if pts[i][0] < pts[i-1][0] || pts[i][1] < pts[i-1][1] {
 				return false

@@ -7,9 +7,9 @@ import (
 
 func TestWilsonKnownValue(t *testing.T) {
 	// 5/10 at 95%: the textbook Wilson interval is (0.2366, 0.7634).
-	lo, hi := Wilson(5, 10, 1.96)
+	lo, hi := Wilson(5, 10)
 	if math.Abs(lo-0.2366) > 5e-4 || math.Abs(hi-0.7634) > 5e-4 {
-		t.Fatalf("Wilson(5,10,1.96) = (%.4f, %.4f), want ≈(0.2366, 0.7634)", lo, hi)
+		t.Fatalf("Wilson(5,10) = (%.4f, %.4f), want ≈(0.2366, 0.7634)", lo, hi)
 	}
 	if math.Abs((lo+hi)/2-0.5) > 1e-12 {
 		t.Fatalf("interval for p=0.5 is not symmetric about 0.5: (%.6f, %.6f)", lo, hi)
@@ -18,7 +18,7 @@ func TestWilsonKnownValue(t *testing.T) {
 
 func TestWilsonEdges(t *testing.T) {
 	// Zero successes: lo pinned to 0, hi strictly inside (0, 1).
-	lo, hi := Wilson(0, 20, 1.96)
+	lo, hi := Wilson(0, 20)
 	if lo != 0 {
 		t.Fatalf("Wilson(0,20) lo = %g, want 0", lo)
 	}
@@ -26,7 +26,7 @@ func TestWilsonEdges(t *testing.T) {
 		t.Fatalf("Wilson(0,20) hi = %g, want in (0,1)", hi)
 	}
 	// All successes mirror that.
-	lo, hi = Wilson(20, 20, 1.96)
+	lo, hi = Wilson(20, 20)
 	if hi != 1 {
 		t.Fatalf("Wilson(20,20) hi = %g, want 1", hi)
 	}
@@ -34,22 +34,16 @@ func TestWilsonEdges(t *testing.T) {
 		t.Fatalf("Wilson(20,20) lo = %g, want in (0,1)", lo)
 	}
 	// No data: vacuous interval.
-	lo, hi = Wilson(0, 0, 1.96)
+	lo, hi = Wilson(0, 0)
 	if lo != 0 || hi != 1 {
 		t.Fatalf("Wilson(0,0) = (%g, %g), want (0, 1)", lo, hi)
-	}
-	// Non-positive z falls back to 95%.
-	lo1, hi1 := Wilson(5, 10, 0)
-	lo2, hi2 := Wilson(5, 10, 1.96)
-	if lo1 != lo2 || hi1 != hi2 {
-		t.Fatalf("z<=0 default differs from z=1.96: (%g,%g) vs (%g,%g)", lo1, hi1, lo2, hi2)
 	}
 }
 
 func TestWilsonShrinksWithN(t *testing.T) {
 	prev := 1.0
 	for _, n := range []int{10, 100, 1000, 10000} {
-		lo, hi := Wilson(n/2, n, 1.96)
+		lo, hi := Wilson(n/2, n)
 		if w := hi - lo; w >= prev {
 			t.Fatalf("interval width %.5f at n=%d did not shrink (prev %.5f)", w, n, prev)
 		} else {
@@ -61,7 +55,7 @@ func TestWilsonShrinksWithN(t *testing.T) {
 func TestWilsonBounds(t *testing.T) {
 	for n := 1; n <= 30; n++ {
 		for k := 0; k <= n; k++ {
-			lo, hi := Wilson(k, n, 2.58)
+			lo, hi := Wilson(k, n)
 			p := float64(k) / float64(n)
 			if lo < 0 || hi > 1 || lo > hi {
 				t.Fatalf("Wilson(%d,%d) = (%g, %g) escapes [0,1]", k, n, lo, hi)

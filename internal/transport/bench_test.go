@@ -45,5 +45,5 @@ func BenchmarkFlowSecond(b *testing.B) { benchFlow(b, nil) }
 // captured into a flight ring — the upper bound on tracing overhead
 // (run logs sample bulk events down, this keeps all of them).
 func BenchmarkFlowSecondTraced(b *testing.B) {
-	benchFlow(b, obs.NewFlightRecorder(4096))
+	benchFlow(b, obs.NewFlightRecorder())
 }

@@ -34,7 +34,6 @@ type Prober struct {
 	eng  *sim.Engine
 	link *sim.Link
 
-	flowID int
 	nextID int64
 
 	// Bound once at construction so each probe tick reuses the same
@@ -51,12 +50,15 @@ type Prober struct {
 	Sent, Received int64
 }
 
+// probeFlowID is the probes' flow id, distinct from data flows so fair
+// queueing treats probes as their own class.
+const probeFlowID = 9999
+
 // NewProber starts probing the link. Probe packets are 64 bytes and
 // traverse the link's queue like any other traffic (they experience —
-// and measure — its queueing delay). flowID should be distinct from
-// data flows so fair queueing treats probes as their own class.
-func NewProber(eng *sim.Engine, link *sim.Link, flowID int) *Prober {
-	p := &Prober{eng: eng, link: link, flowID: flowID}
+// and measure — its queueing delay).
+func NewProber(eng *sim.Engine, link *sim.Link) *Prober {
+	p := &Prober{eng: eng, link: link}
 	p.path = []*sim.Link{link}
 	p.dest = sim.ReceiverFunc(p.receive)
 	p.tickFn = p.tick
@@ -87,7 +89,7 @@ func (p *Prober) tick() {
 	p.Sent++
 	p.nextID++
 	probe := p.eng.NewPacket()
-	probe.FlowID = p.flowID
+	probe.FlowID = probeFlowID
 	probe.Seq = p.nextID
 	probe.Size = 64
 	probe.SentAt = sent

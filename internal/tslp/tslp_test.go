@@ -13,7 +13,7 @@ import (
 func TestProberQuietOnIdleLink(t *testing.T) {
 	eng := &sim.Engine{}
 	link := sim.NewLink(eng, "l", 10e6, 10*time.Millisecond, qdisc.NewDropTail(1<<20))
-	p := NewProber(eng, link, 1)
+	p := NewProber(eng, link)
 	eng.Run(20 * time.Second)
 	if p.Sent == 0 || p.Received == 0 {
 		t.Fatalf("sent=%d received=%d", p.Sent, p.Received)
@@ -37,7 +37,7 @@ func TestProberDetectsCongestedLink(t *testing.T) {
 		CC: cca.NewCubicCC(), Backlogged: true,
 	})
 	f.Start()
-	p := NewProber(eng, link, 99)
+	p := NewProber(eng, link)
 	eng.Run(20 * time.Second)
 	v := p.Verdict(5*time.Second, 20*time.Second)
 	if !v.Congested {
@@ -51,7 +51,7 @@ func TestProberDetectsCongestedLink(t *testing.T) {
 func TestVerdictEmptyWindow(t *testing.T) {
 	eng := &sim.Engine{}
 	link := sim.NewLink(eng, "l", 10e6, time.Millisecond, qdisc.NewDropTail(1<<20))
-	p := NewProber(eng, link, 1)
+	p := NewProber(eng, link)
 	v := p.Verdict(0, time.Second)
 	if v.Congested || v.P90Ms != 0 {
 		t.Errorf("empty verdict = %+v", v)
@@ -83,7 +83,7 @@ func TestProberCannotDiscriminateCause(t *testing.T) {
 			})
 			f.Start()
 		}
-		p := NewProber(eng, link, 99)
+		p := NewProber(eng, link)
 		eng.Run(15 * time.Second)
 		return p.Verdict(5*time.Second, 15*time.Second)
 	}

@@ -22,13 +22,10 @@ import (
 
 // reachAllow names the exported declarations under internal/ that no
 // shipped code uses and that stay anyway. Keys are "pkg.Name" or
-// "pkg.Recv.Name"; a bare "pkg" covers the whole package. At most 8.
+// "pkg.Recv.Name"; a bare "pkg" covers the whole package. At most 5.
 var reachAllow = map[string]string{
 	"obs.ReadRunLog":  "the run-log artifact format's reader; every -trace and flight-dump test parses through it",
 	"hunt.LoadCorpus": "SaveCorpus's inverse: reads testdata/corpus for the tier-1 replay gate",
-
-	"qdisc.UserIsolation.SetUserRate":   "per-user plan changes; FuzzUserIsolationSchedule's oracle drives it (PR 16)",
-	"qdisc.UserIsolation.SetUserWeight": "per-user plan changes; FuzzUserIsolationSchedule's oracle drives it (PR 16)",
 
 	"hunt.Genome.Validate": "the oracle the genome, hunt and corpus tests hold every mutated, crossed and loaded genome to",
 	"spool.Writer.Sync":    "a durability flush: forces the active file to stable storage between Append's periodic fsyncs",
@@ -79,28 +76,18 @@ func TestExportedSurfaceIsReachable(t *testing.T) {
 		t.Fatalf("scanned only %d exported declarations; run from the repo root", len(decls))
 	}
 	used := map[types.Object]bool{}
-	var called []*types.Func // interface methods some shipped code calls
 	for id, obj := range info.Uses {
 		if skip[id.Pos()] {
 			continue
 		}
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin()
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				called = append(called, fn)
-			}
 		}
 		used[obj] = true
 	}
-	for _, p := range stdIfaces {
-		pkg, err := im.Import(p[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		iface := pkg.Scope().Lookup(p[1]).Type().Underlying().(*types.Interface)
-		for i := 0; i < iface.NumMethods(); i++ {
-			called = append(called, iface.Method(i))
-		}
+	called, err := interfaceCalls(info, im)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var dead []string
@@ -125,8 +112,8 @@ func TestExportedSurfaceIsReachable(t *testing.T) {
 		t.Errorf("%d exported declarations under internal/ are used by no shipped code "+
 			"(delete them, or add a reasoned reachAllow entry):\n  %s", len(dead), strings.Join(dead, "\n  "))
 	}
-	if len(reachAllow) > 8 {
-		t.Errorf("reachAllow has %d entries, cap is 8", len(reachAllow))
+	if len(reachAllow) > 5 {
+		t.Errorf("reachAllow has %d entries, cap is 5", len(reachAllow))
 	}
 	for key := range reachAllow {
 		if !excused[key] {
@@ -319,11 +306,229 @@ func recvIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
+// paramAllow names the parameters that every shipped call passes one
+// value and that stay anyway. Keys are "pkg.Func param" or
+// "pkg.Recv.Method param". At most 6.
+var paramAllow = map[string]string{
+	"qdisc.NewDRR quantum":              "ledger/ passes this value; goes with ROADMAP item 2",
+	"qdisc.NewDropTailBDP mult":         "ledger/ passes this value; goes with ROADMAP item 2",
+	"qdisc.NewUserIsolation burstBytes": "ledger/ passes this value; goes with ROADMAP item 2",
+	"stats.NewSketch lo":                "ledger/ passes this value; goes with ROADMAP item 2",
+	"mlab.AnalyzeStream cfg":            "ledger/ passes this value; goes with ROADMAP item 2",
+	"changepoint.Scratch.PELT minSize":  "ledger/ passes this value; goes with ROADMAP item 2",
+}
+
+// TestParametersVary is the option rule for parameters: every
+// parameter of an exported func or method declared in a non-test file
+// under internal/ must be passed at least two distinct values, or one
+// value that is not a constant, by the calls in non-test files under
+// cmd/, internal/ and ledger/. A constant, nil and a zero-value
+// composite literal (T{} or &T{}) are one value each. Exempt: a func
+// no shipped code calls (the reach gate's concern), a func referenced
+// as a value, and a method of a type that implements an interface whose
+// same-named method shipped code calls, since those calls go through
+// the interface.
+func TestParametersVary(t *testing.T) {
+	fset := token.NewFileSet()
+	files := parseShipped(t, fset)
+	im := typeCheckShipped(t, fset, files)
+	called, err := interfaceCalls(im.info, im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decls, all []*ast.File
+	for _, sf := range files {
+		if sf.root == "internal" {
+			decls = append(decls, sf.f)
+		}
+		all = append(all, sf.f)
+	}
+	scan := scanParams(decls, all, im.info, called)
+	if scan.calls < 1000 {
+		t.Fatalf("read only %d calls to exported funcs; run from the repo root", scan.calls)
+	}
+
+	var fixed []string
+	excused := map[string]bool{}
+	for _, p := range scan.fixed {
+		key := p.fn + " " + p.param.Name()
+		if paramAllow[key] != "" {
+			excused[key] = true
+			continue
+		}
+		fixed = append(fixed, key+" = "+p.value+"  ("+fset.Position(p.param.Pos()).String()+")")
+	}
+	sort.Strings(fixed)
+	if len(fixed) > 0 {
+		t.Errorf("%d parameters of exported funcs under internal/ get one constant value from every shipped call "+
+			"(make each a constant, or add a reasoned paramAllow entry):\n  %s", len(fixed), strings.Join(fixed, "\n  "))
+	}
+	if len(paramAllow) > 6 {
+		t.Errorf("paramAllow has %d entries, cap is 6", len(paramAllow))
+	}
+	for key := range paramAllow {
+		if !excused[key] {
+			t.Errorf("paramAllow entry %q excuses nothing any more; remove it", key)
+		}
+	}
+}
+
+// interfaceCalls lists the interface methods that code in info calls,
+// and the methods of stdIfaces, which the standard library calls.
+func interfaceCalls(info *types.Info, imp types.Importer) ([]*types.Func, error) {
+	var called []*types.Func
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called = append(called, fn)
+			}
+		}
+	}
+	for _, p := range stdIfaces {
+		pkg, err := imp.Import(p[0])
+		if err != nil {
+			return nil, err
+		}
+		iface := pkg.Scope().Lookup(p[1]).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			called = append(called, iface.Method(i))
+		}
+	}
+	return called, nil
+}
+
+// fixedParam is a parameter every call passes the same constant.
+type fixedParam struct {
+	fn    string // "pkg.Func" or "pkg.Recv.Method"
+	param *types.Var
+	value string
+}
+
+type paramScanResult struct {
+	fixed []fixedParam
+	calls int // calls read to the exported funcs of decls
+}
+
+// scanParams reads the calls in files to the exported funcs and
+// methods declared in decls and reports the parameters that get one
+// constant value from all of them (see TestParametersVary).
+func scanParams(decls, files []*ast.File, info *types.Info, called []*types.Func) paramScanResult {
+	var fns []*types.Func
+	for _, f := range decls {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				fns = append(fns, info.Defs[fd.Name].(*types.Func))
+			}
+		}
+	}
+	// values[fn][i] is the set of values fn's parameter i is passed; a
+	// non-constant argument is the value "" and settles it.
+	values := map[*types.Func][]map[string]bool{}
+	for _, fn := range fns {
+		values[fn] = make([]map[string]bool, fn.Type().(*types.Signature).Params().Len())
+	}
+	escapes := map[*types.Func]bool{}
+	var res paramScanResult
+	for _, f := range files {
+		callee := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				id := calleeIdent(ast.Unparen(n.Fun))
+				if ix, ok := ast.Unparen(n.Fun).(*ast.IndexExpr); ok {
+					id = calleeIdent(ix.X) // an explicit instantiation f[T](...)
+				}
+				if id == nil {
+					return true
+				}
+				callee[id] = true
+				fn, ok := info.Uses[id].(*types.Func)
+				if !ok || values[fn.Origin()] == nil {
+					return true
+				}
+				fn = fn.Origin()
+				res.calls++
+				sig := fn.Type().(*types.Signature)
+				for i := 0; i < sig.Params().Len(); i++ {
+					if values[fn][i] == nil {
+						values[fn][i] = map[string]bool{}
+					}
+					values[fn][i][argValue(n, i, sig, info)] = true
+				}
+			case *ast.Ident:
+				if fn, ok := info.Uses[n].(*types.Func); ok && !callee[n] {
+					escapes[fn.Origin()] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, fn := range fns {
+		if escapes[fn] || viaInterface(fn, called) {
+			continue
+		}
+		sig := fn.Type().(*types.Signature)
+		for i, vals := range values[fn] {
+			if len(vals) != 1 || vals[""] {
+				continue
+			}
+			for v := range vals {
+				res.fixed = append(res.fixed, fixedParam{declKey(fn), sig.Params().At(i), v})
+			}
+		}
+	}
+	return res
+}
+
+// argValue is the value call passes parameter i of sig: a constant's
+// text (a float as the float64 it rounds to), "nil", "{}" for a
+// zero-value composite literal, or "" for anything else. A variadic
+// parameter's value is the list of its arguments.
+func argValue(call *ast.CallExpr, i int, sig *types.Signature, info *types.Info) string {
+	one := func(e ast.Expr) string {
+		tv := info.Types[e]
+		switch {
+		case tv.Value != nil && tv.Value.Kind() == constant.Float:
+			f, _ := constant.Float64Val(tv.Value) // the float64 the callee gets
+			return strconv.FormatFloat(f, 'g', -1, 64)
+		case tv.Value != nil:
+			return tv.Value.ExactString()
+		case tv.IsNil():
+			return "nil"
+		}
+		e = ast.Unparen(e)
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e = u.X
+		}
+		if lit, ok := e.(*ast.CompositeLit); ok && len(lit.Elts) == 0 {
+			return "{}"
+		}
+		return ""
+	}
+	if len(call.Args) == 1 && sig.Params().Len() > 1 {
+		return "" // f(g()) spreads one call's results
+	}
+	if !sig.Variadic() || i < sig.Params().Len()-1 {
+		return one(call.Args[i])
+	}
+	if call.Ellipsis.IsValid() {
+		return one(call.Args[i])
+	}
+	var list []string
+	for _, a := range call.Args[i:] {
+		v := one(a)
+		if v == "" {
+			return ""
+		}
+		list = append(list, v)
+	}
+	return "[" + strings.Join(list, ", ") + "]"
+}
+
 // fieldAllow names the exported fields (or whole types) that no shipped
 // code supplies and that stay anyway. Keys are "pkg.Type.Field" or
-// "pkg.Type". At most 10.
+// "pkg.Type". At most 9.
 var fieldAllow = map[string]string{
-	"mlab.AnalysisConfig":         "AnalyzeStream's parameter type, which the ledger passes as mlab.AnalysisConfig{}; it goes when the ledger's next change stops passing one (ROADMAP item 2 (vii))",
 	"core.Fig3Config.Nimbus":      "the fig3 record serializes the probe configuration it ran (norm's Mu and pulse), and the ledger's fig3-cell result digest pins those bytes; it goes with the ledger's next change",
 	"nimbus.Config.WindowSamples": "the probe and estimator tests shrink the FFT window so a seconds-long run yields eta windows; the ledger sizes its FFT probe by the default",
 	"nimbus.Config.SlideInterval": "the probe and estimator tests shrink the slide with the window so a seconds-long run yields several eta windows",
@@ -426,8 +631,8 @@ func TestExportedFieldsAreSupplied(t *testing.T) {
 			"(make each a constant or delete it with the code it selects, or add a reasoned fieldAllow entry):\n  %s",
 			len(dead), strings.Join(dead, "\n  "))
 	}
-	if len(fieldAllow) > 10 {
-		t.Errorf("fieldAllow has %d entries, cap is 10", len(fieldAllow))
+	if len(fieldAllow) > 9 {
+		t.Errorf("fieldAllow has %d entries, cap is 9", len(fieldAllow))
 	}
 	for key := range fieldAllow {
 		if !excused[key] {
@@ -1236,5 +1441,62 @@ func TestFlagGateReadsCommandLines(t *testing.T) {
 		if strings.Join(got, ",") != strings.Join(c.set, ",") {
 			t.Errorf("%q sets %v, want %v", c.line, got, c.set)
 		}
+	}
+}
+
+// TestParamGateReadsCallSites: what the parameter gate flags — a
+// parameter that only ever gets one constant, nil or zero-value
+// literal — and what it passes: a parameter that varies, one that gets
+// a non-constant argument, a func referenced as a value, a method
+// reached through an interface, and an unexported helper.
+func TestParamGateReadsCallSites(t *testing.T) {
+	const src = `package p
+type Shape interface{ Area(scale int) int }
+type Square struct{}
+func (Square) Area(scale int) int { return scale }
+func Fixed(n int, label string) int { return n }
+func Open(n int) int { return n }
+func Escapes(n int) int { return n }
+func Zero(p *int, o struct{ A int }, xs ...int) {}
+func helper(n int) int { return n }
+func use(s Shape, k int) {
+	Fixed(16, "a")
+	Fixed(8+8, "b")
+	Open(3)
+	Open(k)
+	f := Escapes
+	f(1)
+	Escapes(1)
+	Square{}.Area(2)
+	s.Area(k)
+	Zero(nil, struct{ A int }{}, 1, 2)
+	Zero(nil, struct{ A int }{}, 1, 2)
+	helper(1)
+}`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	called, err := interfaceCalls(info, importer.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range scanParams([]*ast.File{f}, []*ast.File{f}, info, called).fixed {
+		got = append(got, p.fn+" "+p.param.Name()+" = "+p.value)
+	}
+	sort.Strings(got)
+	want := []string{"p.Fixed n = 16", "p.Zero o = {}", "p.Zero p = nil", "p.Zero xs = [1, 2]"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Errorf("flagged %q, want %q", got, want)
 	}
 }
