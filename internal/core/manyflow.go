@@ -320,7 +320,7 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 	link := sim.NewLink(eng, "bottleneck", cfg.RateBps, cfg.OneWayDelay, iso)
 	wireObs(cfg.Obs, eng, link)
 	if ck != nil {
-		ck.WatchLink(link, (cfg.Users+2)*perUserCap)
+		ck.WatchLink(link, iso, (cfg.Users+2)*perUserCap)
 	}
 
 	d := &Dumbbell{Eng: eng, Link: link, path: []*sim.Link{link}, Spec: LinkSpec{

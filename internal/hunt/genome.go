@@ -49,34 +49,35 @@ type Bounds struct {
 	MaxPhaseS  float64
 	PhaseStepS float64
 
-	// Per-impairment caps (probabilities and delays).
-	MaxLossProb       float64
-	MaxDupProb        float64
-	MaxReorderProb    float64
-	MaxReorderDelayMs float64
-	MaxJitterMs       float64
+	// MaxLossProb caps the loss probability; the other impairments'
+	// caps are the constants below, the same in every search space.
+	MaxLossProb float64
 
 	// MaxOutages/MaxOutageS cap individual windows; OutageFrac caps
 	// their summed length as a fraction of the schedule duration.
 	MaxOutages int
 	MaxOutageS float64
 	OutageFrac float64
-
-	// Oscillation caps.
-	MaxOscAmp     float64
-	MinOscPeriodS float64
-	MaxOscPeriodS float64
 }
+
+// Caps every search space shares: duplication, reordering and jitter,
+// and the rate oscillation's amplitude and period range.
+const (
+	maxDupProb        = 0.02
+	maxReorderProb    = 0.05
+	maxReorderDelayMs = 40
+	maxJitterMs       = 30
+	maxOscAmp         = 0.6
+	minOscPeriodS     = 0.5
+	maxOscPeriodS     = 8
+)
 
 // VictimBounds is the search space for the victim-flow objectives
 // (harm, unfairness): short phases, a generous impairment palette.
 func VictimBounds() Bounds {
 	return Bounds{
 		MaxPhases: 4, MinPhaseS: 3, MaxPhaseS: 8, PhaseStepS: 0.5,
-		MaxLossProb: 0.05, MaxDupProb: 0.02,
-		MaxReorderProb: 0.05, MaxReorderDelayMs: 40, MaxJitterMs: 30,
-		MaxOutages: 3, MaxOutageS: 2, OutageFrac: 0.15,
-		MaxOscAmp: 0.6, MinOscPeriodS: 0.5, MaxOscPeriodS: 8,
+		MaxLossProb: 0.05, MaxOutages: 3, MaxOutageS: 2, OutageFrac: 0.15,
 	}
 }
 
@@ -87,10 +88,7 @@ func VictimBounds() Bounds {
 func ProbeBounds() Bounds {
 	return Bounds{
 		MaxPhases: 3, MinPhaseS: 12, MaxPhaseS: 18, PhaseStepS: 1,
-		MaxLossProb: 0.03, MaxDupProb: 0.02,
-		MaxReorderProb: 0.05, MaxReorderDelayMs: 40, MaxJitterMs: 30,
-		MaxOutages: 2, MaxOutageS: 1.5, OutageFrac: 0.06,
-		MaxOscAmp: 0.6, MinOscPeriodS: 0.5, MaxOscPeriodS: 8,
+		MaxLossProb: 0.03, MaxOutages: 2, MaxOutageS: 1.5, OutageFrac: 0.06,
 	}
 }
 
@@ -204,13 +202,13 @@ func (g Genome) Canonical(b Bounds) Genome {
 
 	f := &g.Fault
 	f.LossProb = clampQ(f.LossProb, 0, b.MaxLossProb, probStep)
-	f.DupProb = clampQ(f.DupProb, 0, b.MaxDupProb, probStep)
-	f.ReorderProb = clampQ(f.ReorderProb, 0, b.MaxReorderProb, probStep)
-	f.ReorderDelayMs = clampQ(f.ReorderDelayMs, 0, b.MaxReorderDelayMs, msStep)
+	f.DupProb = clampQ(f.DupProb, 0, maxDupProb, probStep)
+	f.ReorderProb = clampQ(f.ReorderProb, 0, maxReorderProb, probStep)
+	f.ReorderDelayMs = clampQ(f.ReorderDelayMs, 0, maxReorderDelayMs, msStep)
 	if f.ReorderProb == 0 {
 		f.ReorderDelayMs = 0
 	}
-	f.JitterMs = clampQ(f.JitterMs, 0, b.MaxJitterMs, msStep)
+	f.JitterMs = clampQ(f.JitterMs, 0, maxJitterMs, msStep)
 	if f.GE != nil {
 		f.GE.PGoodBad = clampQ(f.GE.PGoodBad, 0, maxGEPGoodBad, probStep)
 		f.GE.PBadGood = clampQ(f.GE.PBadGood, minGEPBadGood, maxGEPBadGood, probStep)
@@ -280,8 +278,8 @@ func (g Genome) Canonical(b Bounds) Genome {
 	}
 
 	if f.OscAmp > 0 && f.OscPeriodS > 0 {
-		f.OscAmp = clampQ(f.OscAmp, 0, b.MaxOscAmp, ampStep)
-		f.OscPeriodS = clampQ(f.OscPeriodS, b.MinOscPeriodS, b.MaxOscPeriodS, periodStep)
+		f.OscAmp = clampQ(f.OscAmp, 0, maxOscAmp, ampStep)
+		f.OscPeriodS = clampQ(f.OscPeriodS, minOscPeriodS, maxOscPeriodS, periodStep)
 		f.OscPhase = clampQ(f.OscPhase, 0, 0.95, phaseStep)
 	}
 	// A mutation walk can push amp or period negative (or NaN); any
@@ -321,18 +319,18 @@ func (g Genome) Validate(b Bounds) error {
 		max  float64
 	}{
 		{"loss_prob", f.LossProb, b.MaxLossProb},
-		{"dup_prob", f.DupProb, b.MaxDupProb},
-		{"reorder_prob", f.ReorderProb, b.MaxReorderProb},
-		{"reorder_delay_ms", f.ReorderDelayMs, b.MaxReorderDelayMs},
-		{"jitter_ms", f.JitterMs, b.MaxJitterMs},
-		{"osc_amp", f.OscAmp, b.MaxOscAmp},
+		{"dup_prob", f.DupProb, maxDupProb},
+		{"reorder_prob", f.ReorderProb, maxReorderProb},
+		{"reorder_delay_ms", f.ReorderDelayMs, maxReorderDelayMs},
+		{"jitter_ms", f.JitterMs, maxJitterMs},
+		{"osc_amp", f.OscAmp, maxOscAmp},
 	} {
 		if knob.v > knob.max+eps {
 			return fmt.Errorf("hunt: genome: %s %v exceeds cap %v", knob.name, knob.v, knob.max)
 		}
 	}
-	if f.HasOscillation() && (f.OscPeriodS < b.MinOscPeriodS-eps || f.OscPeriodS > b.MaxOscPeriodS+eps) {
-		return fmt.Errorf("hunt: genome: osc_period_s %v outside [%v, %v]", f.OscPeriodS, b.MinOscPeriodS, b.MaxOscPeriodS)
+	if f.HasOscillation() && (f.OscPeriodS < minOscPeriodS-eps || f.OscPeriodS > maxOscPeriodS+eps) {
+		return fmt.Errorf("hunt: genome: osc_period_s %v outside [%v, %v]", f.OscPeriodS, minOscPeriodS, maxOscPeriodS)
 	}
 	if f.GE != nil && f.GE.PGoodBad+f.GE.PBadGood > 0 {
 		if eff := f.GE.LossBad * f.GE.PGoodBad / (f.GE.PGoodBad + f.GE.PBadGood); eff > maxGEEffLoss+eps {
@@ -425,14 +423,14 @@ func RandomGenome(rng *rand.Rand, b Bounds) Genome {
 		}
 	}
 	if rng.Float64() < 0.25 {
-		g.Fault.DupProb = uniformQ(rng, 0, b.MaxDupProb, probStep)
+		g.Fault.DupProb = uniformQ(rng, 0, maxDupProb, probStep)
 	}
 	if rng.Float64() < 0.3 {
-		g.Fault.ReorderProb = uniformQ(rng, 0, b.MaxReorderProb, probStep)
-		g.Fault.ReorderDelayMs = uniformQ(rng, msStep, b.MaxReorderDelayMs, msStep)
+		g.Fault.ReorderProb = uniformQ(rng, 0, maxReorderProb, probStep)
+		g.Fault.ReorderDelayMs = uniformQ(rng, msStep, maxReorderDelayMs, msStep)
 	}
 	if rng.Float64() < 0.4 {
-		g.Fault.JitterMs = uniformQ(rng, 0, b.MaxJitterMs, msStep)
+		g.Fault.JitterMs = uniformQ(rng, 0, maxJitterMs, msStep)
 	}
 	if b.MaxOutages > 0 && rng.Float64() < 0.5 {
 		dur := g.Duration()
@@ -447,8 +445,8 @@ func RandomGenome(rng *rand.Rand, b Bounds) Genome {
 		g.Fault.DropDuringOutages = rng.Float64() < 0.25
 	}
 	if rng.Float64() < 0.4 {
-		g.Fault.OscAmp = uniformQ(rng, ampStep, b.MaxOscAmp, ampStep)
-		g.Fault.OscPeriodS = uniformQ(rng, b.MinOscPeriodS, b.MaxOscPeriodS, periodStep)
+		g.Fault.OscAmp = uniformQ(rng, ampStep, maxOscAmp, ampStep)
+		g.Fault.OscPeriodS = uniformQ(rng, minOscPeriodS, maxOscPeriodS, periodStep)
 		g.Fault.OscPhase = uniformQ(rng, 0, 0.95, phaseStep)
 	}
 	return g.Canonical(b)
@@ -499,13 +497,13 @@ func (g *Genome) mutateOnce(rng *rand.Rand, b Bounds) {
 		}
 	case 2: // duplication / reordering
 		if rng.Intn(2) == 0 {
-			f.DupProb = gauss(rng, f.DupProb, b.MaxDupProb)
+			f.DupProb = gauss(rng, f.DupProb, maxDupProb)
 		} else {
-			f.ReorderProb = gauss(rng, f.ReorderProb, b.MaxReorderProb)
-			f.ReorderDelayMs = gauss(rng, f.ReorderDelayMs, b.MaxReorderDelayMs)
+			f.ReorderProb = gauss(rng, f.ReorderProb, maxReorderProb)
+			f.ReorderDelayMs = gauss(rng, f.ReorderDelayMs, maxReorderDelayMs)
 		}
 	case 3: // jitter
-		f.JitterMs = gauss(rng, f.JitterMs, b.MaxJitterMs)
+		f.JitterMs = gauss(rng, f.JitterMs, maxJitterMs)
 	case 4: // outage add/drop/jiggle
 		dur := g.Duration()
 		switch {
@@ -532,17 +530,17 @@ func (g *Genome) mutateOnce(rng *rand.Rand, b Bounds) {
 		f.DropDuringOutages = !f.DropDuringOutages
 	case 6: // oscillation: toggle or nudge
 		if !f.HasOscillation() {
-			f.OscAmp = uniformQ(rng, ampStep, b.MaxOscAmp, ampStep)
-			f.OscPeriodS = uniformQ(rng, b.MinOscPeriodS, b.MaxOscPeriodS, periodStep)
+			f.OscAmp = uniformQ(rng, ampStep, maxOscAmp, ampStep)
+			f.OscPeriodS = uniformQ(rng, minOscPeriodS, maxOscPeriodS, periodStep)
 			f.OscPhase = uniformQ(rng, 0, 0.95, phaseStep)
 		} else if rng.Float64() < 0.2 {
 			f.OscAmp, f.OscPeriodS, f.OscPhase = 0, 0, 0
 		} else {
 			switch rng.Intn(3) {
 			case 0:
-				f.OscAmp = gauss(rng, f.OscAmp, b.MaxOscAmp)
+				f.OscAmp = gauss(rng, f.OscAmp, maxOscAmp)
 			case 1:
-				f.OscPeriodS = gauss(rng, f.OscPeriodS, b.MaxOscPeriodS)
+				f.OscPeriodS = gauss(rng, f.OscPeriodS, maxOscPeriodS)
 			case 2:
 				f.OscPhase = math.Mod(f.OscPhase+rng.Float64(), 1)
 			}

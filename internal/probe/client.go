@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/nimbus"
@@ -115,26 +114,16 @@ func (r *Report) Verdict() string {
 	return "inelastic"
 }
 
-// Client runs the active measurement against a probe server.
+// Client runs the active measurement against a probe server. Its
+// callbacks run on the one goroutine that drives its session.
 type Client struct {
 	cfg ClientConfig
-	rng *rand.Rand // handshake jitter; only touched before the data phase
+	p   *DataPhase
+	cc  *nimbus.CCA
+	rtt transport.RTTEstimator
 
-	mu     sync.Mutex
-	cc     *nimbus.CCA
-	srtt   time.Duration
-	rttvar time.Duration
-	minRTT time.Duration
-	hasRTT bool
-
-	sent      int64
-	acked     int64
-	ackedB    int64
-	rttSum    time.Duration
-	truncWhy  string
-	sessionID uint64
-	start     time.Time
-	endedAt   time.Time
+	sent, acked, ackedB int64
+	rttSum              time.Duration
 }
 
 // NewClient prepares a measurement run.
@@ -144,127 +133,90 @@ func NewClient(cfg ClientConfig) *Client {
 		// A fixed default seed would give every client the same session
 		// id; concurrent probes against one server would then alias in
 		// its session table and corrupt each other's accounting.
-		cfg.Seed = time.Now().UnixNano()
+		cfg.Seed = rand.Int63()
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	return &Client{
-		cfg:       cfg,
-		rng:       rng,
-		cc:        nimbus.NewCCA(cfg.Nimbus),
-		sessionID: rng.Uint64(),
+	c := &Client{cfg: cfg, cc: nimbus.NewCCA(cfg.Nimbus)}
+	size := clientPacketSize
+	c.p = &DataPhase{
+		Server:            cfg.Server,
+		Session:           rng.Uint64(),
+		Rand:              rng,
+		HandshakeAttempts: cfg.handshakeAttempts,
+		HandshakeTimeout:  cfg.HandshakeTimeout,
+		Duration:          cfg.duration,
+		PacketSize:        size,
+		StallTimeout:      cfg.stallTimeout,
+		// The Hi reply's RTT seeds the estimator.
+		Admitted: func(hi Header, now time.Duration) {
+			if rtt := echoRTT(hi.EchoNano, now); rtt > 0 {
+				c.rtt.Update(rtt)
+			}
+		},
+		// Pace at the controller's rate, capped and floored.
+		Paced: func(now time.Duration) time.Duration {
+			c.sent++
+			c.cc.OnSend(now, size, int(c.sent-c.acked)*size)
+			rate := max(min(c.cc.PacingRate(), maxRateBps), 8*float64(size)) // >= 1 packet/s
+			return time.Duration(float64(size*8) / rate * float64(time.Second))
+		},
+		Ack: c.onAck,
 	}
+	return c
 }
+
+// Session is the client's session, for a binding to drive: Run binds
+// it to a UDP socket, and Report reads the measurement once it is Done.
+func (c *Client) Session() *DataPhase { return c.p }
 
 // Run performs the measurement and returns the report. It blocks for
 // at most the handshake budget plus the configured duration; a server
 // death mid-run is detected by the stall watchdog and yields a
 // Truncated report rather than an error or a hang.
 func (c *Client) Run() (*Report, error) {
-	size := clientPacketSize
-	p := &DataPhase{
-		Server:            c.cfg.Server,
-		Session:           c.sessionID,
-		Rand:              c.rng,
-		HandshakeAttempts: c.cfg.handshakeAttempts,
-		HandshakeTimeout:  c.cfg.HandshakeTimeout,
-		Duration:          c.cfg.duration,
-		PacketSize:        clientPacketSize,
-		StallTimeout:      c.cfg.stallTimeout,
-		// The Hi reply's RTT seeds the estimator.
-		Admitted: func(hi Header, now time.Duration) {
-			if rtt := now - time.Duration(hi.EchoNano); rtt > 0 {
-				c.mu.Lock()
-				c.updateRTT(rtt)
-				c.mu.Unlock()
-			}
-		},
-		// Pace at the controller's rate, capped and floored.
-		Paced: func(now time.Duration) time.Duration {
-			c.mu.Lock()
-			c.sent++
-			c.cc.OnSend(now, size, int(c.sent-c.acked)*size)
-			rate := c.cc.PacingRate()
-			c.mu.Unlock()
-			rate = max(min(rate, maxRateBps), 8*float64(size)) // >= 1 packet/s
-			return time.Duration(float64(size*8) / rate * float64(time.Second))
-		},
-		Ack: c.onAck,
-	}
-	err := p.Run(context.Background())
-	c.start, c.endedAt, c.truncWhy = p.Start, p.Ended, p.Truncated
-	if err != nil {
+	if err := c.Session().Run(context.Background()); err != nil {
 		return nil, err
 	}
-	return c.report(), nil
+	return c.Report(), nil
 }
 
-// onAck feeds one acknowledgment to the RTT estimate and the
+// onAck feeds one acknowledged packet to the RTT estimate and the
 // controller.
-func (c *Client) onAck(h Header, now, rtt time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Client) onAck(now, rtt time.Duration) {
 	c.acked++
-	c.ackedB += int64(h.Size)
+	c.ackedB += clientPacketSize
 	c.rttSum += rtt
-	c.updateRTT(rtt)
-	var rate float64
-	if now > 0 {
-		rate = float64(c.ackedB) * 8 / now.Seconds()
-	}
+	c.rtt.Update(rtt)
 	c.cc.OnAck(transport.AckInfo{
 		Now:          now,
-		AckedBytes:   int(h.Size),
+		AckedBytes:   clientPacketSize,
 		RTT:          rtt,
-		SRTT:         c.srtt,
-		MinRTT:       c.minRTT,
-		Inflight:     max(int(c.sent-c.acked)*clientPacketSize, 0),
-		DeliveryRate: rate,
+		SRTT:         c.rtt.SRTT,
+		MinRTT:       c.rtt.Min,
+		Inflight:     int(c.sent-c.acked) * clientPacketSize,
+		DeliveryRate: float64(c.ackedB) * 8 / now.Seconds(),
 		CumDelivered: c.ackedB,
 	})
 }
 
-func (c *Client) updateRTT(rtt time.Duration) {
-	if !c.hasRTT {
-		c.srtt, c.rttvar, c.minRTT = rtt, rtt/2, rtt
-		c.hasRTT = true
-		return
-	}
-	if rtt < c.minRTT {
-		c.minRTT = rtt
-	}
-	d := c.srtt - rtt
-	if d < 0 {
-		d = -d
-	}
-	c.rttvar = (3*c.rttvar + d) / 4
-	c.srtt = (7*c.srtt + rtt) / 8
-}
-
-func (c *Client) report() *Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// Report summarizes the measurement so far: after Run, or once a
+// binding has driven the session to Done.
+func (c *Client) Report() *Report {
 	r := &Report{
-		Session:         c.sessionID,
+		Session:         c.p.Session,
 		Sent:            c.sent,
 		Acked:           c.acked,
-		MinRTT:          c.minRTT,
-		Truncated:       c.truncWhy != "",
-		TruncatedReason: c.truncWhy,
+		MinRTT:          c.rtt.Min,
+		Truncated:       c.p.Truncated != "",
+		TruncatedReason: c.p.Truncated,
+		Elapsed:         c.p.Ended,
 	}
 	if c.sent > 0 {
 		r.LossRate = 1 - float64(c.acked)/float64(c.sent)
-		if r.LossRate < 0 {
-			r.LossRate = 0
-		}
 	}
 	if c.acked > 0 {
 		r.MeanRTT = c.rttSum / time.Duration(c.acked)
 	}
-	ended := c.endedAt
-	if ended.IsZero() {
-		ended = time.Now()
-	}
-	r.Elapsed = ended.Sub(c.start)
 	if el := r.Elapsed.Seconds(); el > 0 {
 		r.ThroughputBps = float64(c.ackedB) * 8 / el
 	}
@@ -279,23 +231,10 @@ func (c *Client) report() *Report {
 	// to a 50% discount under heavy loss. A run cut short or starved of
 	// windows degrades to a low-confidence (inconclusive) verdict
 	// instead of a crisp-looking wrong one.
-	completion := float64(r.Elapsed) / float64(c.cfg.duration)
-	if completion > 1 {
-		completion = 1
-	}
+	completion := min(float64(r.Elapsed)/float64(c.cfg.duration), 1)
 	slide := c.cc.Est.Config().SlideInterval
-	expected := float64(c.cfg.duration-settle) / float64(slide)
-	if expected < 1 {
-		expected = 1
-	}
-	windowFrac := float64(r.Windows) / expected
-	if windowFrac > 1 {
-		windowFrac = 1
-	}
-	conf := completion * windowFrac * (1 - 0.5*r.LossRate)
-	if conf < 0 {
-		conf = 0
-	}
-	r.Confidence = conf
+	expected := max(float64(c.cfg.duration-settle)/float64(slide), 1)
+	windowFrac := min(float64(r.Windows)/expected, 1)
+	r.Confidence = completion * windowFrac * (1 - 0.5*r.LossRate)
 	return r
 }

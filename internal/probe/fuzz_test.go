@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/mlab"
+	"repro/internal/nimbus"
 )
 
 // fuzzSources are the senders FuzzServerDatagrams draws from. The first
@@ -235,7 +236,7 @@ func FuzzServerDatagrams(f *testing.F) {
 			if kind == opSweep {
 				srv.sweepNow(now)
 			} else {
-				srv.handleDatagram(pkt[:n], from, now, out)
+				srv.HandleDatagram(pkt[:n], from, now, out)
 			}
 			after := snapshot()
 			o := live[id]
@@ -300,6 +301,109 @@ func FuzzServerDatagrams(f *testing.F) {
 		settle(-1)
 		if len(live) != 0 {
 			t.Fatalf("Close left %d sessions unspooled", len(live))
+		}
+	})
+}
+
+// FuzzClientAcks drives a client's session on a virtual clock: after a
+// clean handshake it delivers datagrams decoded from the input, three
+// bytes an operation: the kind (low three bits), milliseconds to
+// advance the clock first, and a selector. Kinds 0 and 1 ack the sent
+// packet the selector picks, so a repeated pick duplicates an ack and a
+// smaller one reorders it; the others send that ack for another
+// session, truncated, with a forged echo (the int64 extremes among
+// them), for a packet never sent, as a stray Hi or Busy, or with its
+// echo shifted by the selector's milliseconds. After every operation:
+// every RTT fed to the controller, and its smoothed and minimum RTT,
+// lie in (0, session age]; no more packets are acked than sent. At the
+// end the report's Sent counts the data packets sent, Acked ≤ Sent,
+// and LossRate and Confidence lie in [0, 1].
+func FuzzClientAcks(f *testing.F) {
+	f.Add([]byte{0, 20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 30, 5, 1, 0, 2, 2, 0, 1, 3, 1, 40, 4, 0, 1, 5, 0, 0, 6, 1, 1, 7, 0, 3, 0, 200, 1})
+	f.Add([]byte{4, 10, 0, 4, 0, 1, 4, 0, 2, 4, 0, 3, 4, 0, 4, 4, 0, 5, 4, 0, 6, 0, 255, 9, 0, 255, 9})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		c := NewClient(ClientConfig{
+			Server:   "virtual",
+			Seed:     1,
+			duration: time.Second,
+			Nimbus:   nimbus.Config{Mu: 2e6, SlideInterval: 100 * time.Millisecond, WindowSamples: 32},
+		})
+		p := c.Session()
+		var sent []Header // the data packets, as sent
+		var hello Header
+		p.Send = func(b []byte) error {
+			h, err := Decode(b)
+			if err != nil {
+				t.Fatalf("the session sent an undecodable datagram: %v", err)
+			}
+			switch h.Type {
+			case TypeData:
+				sent = append(sent, h)
+			case TypeHello:
+				hello = h
+			}
+			return nil
+		}
+		var now time.Duration
+		advance := func(to time.Duration) {
+			for !p.Done() && p.Next() <= to {
+				now = max(now, p.Next())
+				p.Wake(now)
+			}
+			now = max(now, to)
+		}
+		ack := p.Ack
+		p.Ack = func(at, rtt time.Duration) {
+			if rtt <= 0 || rtt > at {
+				t.Fatalf("rtt %v fed to the controller at session age %v", rtt, at)
+			}
+			ack(at, rtt)
+			if s, m := c.rtt.SRTT, c.rtt.Min; s <= 0 || s > at || m <= 0 || m > at {
+				t.Fatalf("srtt %v, min rtt %v fed to the controller at session age %v", s, m, at)
+			}
+		}
+		buf := make([]byte, HeaderSize)
+		deliver := func(h Header, n int) {
+			h.Encode(buf)
+			p.Receive(buf[:n], now)
+		}
+		advance(10 * time.Millisecond)
+		deliver(Header{Type: TypeHi, Session: p.Session, EchoNano: hello.SendNano}, HeaderSize)
+		for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
+			advance(now + time.Duration(ops[1])*time.Millisecond)
+			sel := ops[2]
+			h, n := Header{Type: TypeAck, Session: p.Session, Size: clientPacketSize}, HeaderSize
+			if len(sent) > 0 {
+				s := sent[int(sel)%len(sent)]
+				h.Seq, h.EchoNano = s.Seq, s.SendNano
+			}
+			switch ops[0] & 7 {
+			case 2:
+				h.Session++
+			case 3:
+				n = int(sel) % HeaderSize
+			case 4:
+				h.EchoNano = []int64{math.MinInt64, math.MaxInt64, -1, 0, int64(now), int64(now) + 1, int64(now) - 1}[int(sel)%7]
+			case 5:
+				h.Seq = []uint64{uint64(len(sent)), uint64(len(sent)) + uint64(sel), math.MaxUint64}[int(sel)%3]
+			case 6:
+				h.Type = []uint8{TypeHi, TypeBusy}[sel%2]
+			case 7:
+				h.EchoNano -= int64(sel) * int64(time.Millisecond)
+			}
+			deliver(h, n)
+			if c.acked > c.sent {
+				t.Fatalf("step %d: %d packets acked of %d sent", step, c.acked, c.sent)
+			}
+		}
+		advance(math.MaxInt64)
+		rep := c.Report()
+		if rep.Sent != int64(len(sent)) || rep.Acked > rep.Sent {
+			t.Fatalf("report sent %d acked %d; %d data packets went out", rep.Sent, rep.Acked, len(sent))
+		}
+		if !(rep.LossRate >= 0 && rep.LossRate <= 1 && rep.Confidence >= 0 && rep.Confidence <= 1) {
+			t.Fatalf("loss rate %v, confidence %v outside [0, 1]", rep.LossRate, rep.Confidence)
 		}
 	})
 }

@@ -31,6 +31,20 @@ func muteSocket(t *testing.T) net.Addr {
 	return mute.LocalAddr()
 }
 
+// Handshake runs a session's handshake alone over conn through the
+// socket adapter and returns the server's Hi. The session stops at the
+// Hi, so the server keeps it. start is unused: the session clock
+// starts with the first Hello.
+func Handshake(ctx context.Context, conn *net.UDPConn, rng *rand.Rand, session uint64,
+	start time.Time, attempts int, timeout time.Duration) (Header, error) {
+	var hi Header
+	p := &DataPhase{Server: conn.RemoteAddr().String(), Session: session, Rand: rng,
+		HandshakeAttempts: attempts, HandshakeTimeout: timeout}
+	p.Admitted = func(h Header, _ time.Duration) { hi = h; p.fail(nil) }
+	err := p.drive(ctx, conn)
+	return hi, err
+}
+
 func startServer(t *testing.T, cfg ServerConfig) *Server {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"

@@ -141,7 +141,7 @@ const latencyCeilingMs = 2000
 // them to the sketch.
 const latencyBatch = 64
 
-// Run executes the load: one goroutine pair per client, arrivals per
+// Run executes the load: one goroutine per client, arrivals per
 // the ramp schedule. Cancelling ctx cuts the data phases short but
 // still reports what was observed.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
@@ -151,7 +151,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// One sketch under one lock takes every client's ack latencies,
-	// handed over in batches so a large run's ack readers do not queue
+	// handed over in batches so a large run's clients do not queue
 	// on the lock once per ack.
 	var latMu sync.Mutex
 	latency := stats.NewSketch(0, latencyCeilingMs, 4096)
@@ -319,7 +319,7 @@ func (w *worker) run(ctx context.Context) outcome {
 			w.sent++
 			return gap
 		},
-		Ack: func(_ probe.Header, _, rtt time.Duration) {
+		Ack: func(_, rtt time.Duration) {
 			w.acked++
 			if w.batch = append(w.batch, float64(rtt)/1e6); len(w.batch) == latencyBatch {
 				w.latencies(w.batch)

@@ -227,8 +227,8 @@ func TestReportVerdictIsSharedSummary(t *testing.T) {
 	for i, eta := range []float64{9, 9, th, 0, 2 * th, 0.1} { // at 1s, 2s (the bound), 3s, ...
 		c.cc.Est.Elasticity.Append(time.Duration(i+1)*time.Second, eta)
 	}
-	c.start = time.Now().Add(-duration)
-	rep := c.report()
+	c.p.Ended = duration
+	rep := c.Report()
 
 	ref := nimbus.NewEstimator(c.cfg.Nimbus)
 	for _, s := range c.cc.Est.Elasticity.Samples() {

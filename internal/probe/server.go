@@ -2,8 +2,6 @@ package probe
 
 import (
 	"context"
-	"errors"
-	"log"
 	"math"
 	"net"
 	"runtime"
@@ -257,63 +255,44 @@ func (s *Server) Serve() error {
 	return first
 }
 
-// readLoop is one reader goroutine: a private read buffer and a
-// private reply buffer, so concurrent readers never share packet
-// memory.
-func (s *Server) readLoop() error {
-	buf := make([]byte, 64*1024)
-	out := make([]byte, HeaderSize)
-	for {
-		n, raddr, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			if s.closed.Load() {
-				return nil
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			return err
-		}
-		s.handleDatagram(buf[:n], raddr, time.Since(s.start), out)
-	}
-}
-
-// handleDatagram processes one packet that arrived from raddr at now.
-// out is the caller's private reply buffer.
-func (s *Server) handleDatagram(pkt []byte, raddr *net.UDPAddr, now time.Duration, out []byte) {
+// HandleDatagram processes one packet that arrived from raddr at
+// server time now and returns the reply to send raddr, written into
+// out (the caller's private buffer, HeaderSize long), or nil. The
+// caller carries the reply: Serve's readers write it to the socket.
+func (s *Server) HandleDatagram(pkt []byte, raddr *net.UDPAddr, now time.Duration, out []byte) []byte {
 	if len(pkt) > MaxDatagram {
 		// A datagram the Size field cannot describe: reject rather
 		// than wrap uint16(n) to a lie.
 		s.Stats.Oversize.Add(1)
 		s.Stats.BadPackets.Add(1)
-		return
+		return nil
 	}
 	h, err := Decode(pkt)
 	if err != nil {
 		s.Stats.BadPackets.Add(1)
-		return
+		return nil
 	}
 	switch h.Type {
 	case TypeHello:
-		s.handleHello(&h, raddr, now, out)
+		return s.handleHello(&h, raddr, now, out)
 	case TypeData:
-		s.handleData(&h, raddr, now, len(pkt), out)
+		return s.handleData(&h, raddr, now, len(pkt), out)
 	case TypeBye:
 		if !s.endSession(h.Session, raddr, now, EndBye) {
 			s.Stats.BadPackets.Add(1)
-			return
+			return nil
 		}
 		s.logf("probe: session %d from %v done", h.Session, raddr)
 	default:
 		s.Stats.BadPackets.Add(1)
 	}
+	return nil
 }
 
 // handleHello answers a Hello with Hi when it admits (or refreshes) the
 // session, with Busy and the cause when it refuses, and not at all when
 // the session is live under another address.
-func (s *Server) handleHello(h *Header, raddr *net.UDPAddr, now time.Duration, out []byte) {
+func (s *Server) handleHello(h *Header, raddr *net.UDPAddr, now time.Duration, out []byte) []byte {
 	cause, retry := FlagAtCapacity, s.cfg.BusyRetryHint
 	switch {
 	case s.draining.Load():
@@ -327,23 +306,25 @@ func (s *Server) handleHello(h *Header, raddr *net.UDPAddr, now time.Duration, o
 	default:
 		switch s.admitSession(h.Session, raddr, now) {
 		case admitOK:
-			reply := Header{Type: TypeHi, Session: h.Session, Seq: h.Seq, EchoNano: h.SendNano, RecvNano: now.Nanoseconds()}
-			s.reply(out, &reply, raddr)
-			return
+			return encode(out, Header{Type: TypeHi, Session: h.Session, Seq: h.Seq, EchoNano: h.SendNano, RecvNano: now.Nanoseconds()})
 		case admitForeign:
 			s.Stats.BadPackets.Add(1)
-			return
+			return nil
 		}
 		s.Stats.Rejected.Add(1)
 		s.logf("probe: rejecting session %d: %d sessions at cap", h.Session, s.cfg.MaxSessions)
 	}
-	s.sendBusy(h, raddr, now, cause, retry, out)
+	// The explicit rejection (see TypeBusy in wire.go): cause flags
+	// plus a retry-after hint in milliseconds.
+	s.Stats.BusySent.Add(1)
+	return encode(out, Header{Type: TypeBusy, Flags: cause, Session: h.Session, Seq: h.Seq,
+		EchoNano: h.SendNano, RecvNano: now.Nanoseconds(), Size: uint16(min(retry.Milliseconds(), 65535))})
 }
 
 // handleData counts a Data packet into its session and acks it, when
 // the session is live under the sender's address; anything else is a
 // bad packet and gets no ack.
-func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n int, out []byte) {
+func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n int, out []byte) []byte {
 	from := addrKey(raddr)
 	s.mu.Lock()
 	se, ok := s.sessions[h.Session]
@@ -359,27 +340,20 @@ func (s *Server) handleData(h *Header, raddr *net.UDPAddr, now time.Duration, n 
 	s.mu.Unlock()
 	if !ok {
 		s.Stats.BadPackets.Add(1)
-		return
+		return nil
 	}
 	if shed {
 		s.Stats.ShedData.Add(1)
-		return
+		return nil
 	}
 	if qdelay >= 0 {
 		s.qdelay.Observe(float64(qdelay) / 1e6)
 	}
 	s.Stats.DataPackets.Add(1)
 	s.Stats.DataBytes.Add(int64(n))
-	ack := Header{
-		Type:     TypeAck,
-		Session:  h.Session,
-		Seq:      h.Seq,
-		EchoNano: h.SendNano,
-		RecvNano: now.Nanoseconds(),
-		Size:     uint16(n),
-	}
-	s.reply(out, &ack, raddr)
 	s.Stats.Acks.Add(1)
+	return encode(out, Header{Type: TypeAck, Session: h.Session, Seq: h.Seq,
+		EchoNano: h.SendNano, RecvNano: now.Nanoseconds(), Size: uint16(n)})
 }
 
 // admission is admitSession's verdict.
@@ -588,35 +562,11 @@ func (s *Server) Health() Health {
 	}
 }
 
-func (s *Server) reply(out []byte, h *Header, raddr *net.UDPAddr) {
-	n, err := h.Encode(out)
-	if err != nil {
-		log.Printf("probe: encode reply: %v", err)
-		return
-	}
-	if _, err := s.conn.WriteToUDP(out[:n], raddr); err != nil && !s.closed.Load() {
-		s.logf("probe: write to %v: %v", raddr, err)
-	}
-}
-
-// sendBusy sends the explicit rejection (see TypeBusy in wire.go):
-// cause flags plus a retry-after hint in milliseconds.
-func (s *Server) sendBusy(h *Header, raddr *net.UDPAddr, now time.Duration, cause uint8, retryAfter time.Duration, out []byte) {
-	ms := retryAfter.Milliseconds()
-	if ms > 65535 {
-		ms = 65535
-	}
-	reply := Header{
-		Type:     TypeBusy,
-		Flags:    cause,
-		Session:  h.Session,
-		Seq:      h.Seq,
-		EchoNano: h.SendNano,
-		RecvNano: now.Nanoseconds(),
-		Size:     uint16(ms),
-	}
-	s.reply(out, &reply, raddr)
-	s.Stats.BusySent.Add(1)
+// encode writes the reply h into out and returns the datagram. Encode
+// fails only on a buffer shorter than HeaderSize, and out is not.
+func encode(out []byte, h Header) []byte {
+	n, _ := h.Encode(out)
+	return out[:n]
 }
 
 // BeginDrain stops admitting new sessions: Hellos get Busy|FlagDraining,

@@ -240,7 +240,7 @@ func TestByeFromAnotherAddressIgnored(t *testing.T) {
 	send := func(typ uint8, from *net.UDPAddr) {
 		h := Header{Type: typ, Flags: FlagBusyAware, Session: 42, SendNano: 1}
 		h.Encode(pkt)
-		srv.handleDatagram(pkt, from, time.Millisecond, out)
+		srv.HandleDatagram(pkt, from, time.Millisecond, out)
 	}
 
 	send(TypeHello, owner)
@@ -285,7 +285,7 @@ func TestDataFromAnotherAddressIgnored(t *testing.T) {
 	send := func(typ uint8, from *net.UDPAddr) {
 		h := Header{Type: typ, Session: 42, SendNano: 1}
 		h.Encode(pkt)
-		srv.handleDatagram(pkt, from, time.Millisecond, out)
+		srv.HandleDatagram(pkt, from, time.Millisecond, out)
 	}
 
 	send(TypeHello, owner)
@@ -325,7 +325,7 @@ func TestHelloFromAnotherAddressDoesNotRefresh(t *testing.T) {
 	hello := func(from *net.UDPAddr, now time.Duration) {
 		h := Header{Type: TypeHello, Session: 42, SendNano: 1}
 		h.Encode(pkt)
-		srv.handleDatagram(pkt, from, now, out)
+		srv.HandleDatagram(pkt, from, now, out)
 	}
 
 	hello(owner, time.Millisecond)
@@ -394,7 +394,7 @@ func TestStrangerDataSpendsNoGlobalToken(t *testing.T) {
 	send := func(typ uint8, from *net.UDPAddr) {
 		h := Header{Type: typ, Session: 42, SendNano: 1}
 		h.Encode(pkt)
-		srv.handleDatagram(pkt, from, time.Millisecond, out)
+		srv.HandleDatagram(pkt, from, time.Millisecond, out)
 	}
 
 	send(TypeHello, owner)
@@ -428,7 +428,7 @@ func TestForgedSendStampsStayWithinSessionAge(t *testing.T) {
 	send := func(typ uint8, stamp int64) {
 		h := Header{Type: typ, Session: 42, SendNano: stamp}
 		h.Encode(pkt)
-		srv.handleDatagram(pkt, owner, now, out)
+		srv.HandleDatagram(pkt, owner, now, out)
 		now += time.Millisecond
 	}
 
@@ -464,10 +464,10 @@ func TestDataPathDoesNotAllocate(t *testing.T) {
 	pkt := make([]byte, 256)
 	h := Header{Type: TypeHello, Session: 42, SendNano: 1}
 	h.Encode(pkt)
-	srv.handleDatagram(pkt[:HeaderSize], owner, time.Millisecond, out)
+	srv.HandleDatagram(pkt[:HeaderSize], owner, time.Millisecond, out)
 	h.Type = TypeData
 	h.Encode(pkt)
-	if n := testing.AllocsPerRun(100, func() { srv.handleDatagram(pkt, owner, time.Millisecond, out) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { srv.HandleDatagram(pkt, owner, time.Millisecond, out) }); n != 0 {
 		t.Errorf("a Data packet allocates %.1f times, want 0", n)
 	}
 	if got := srv.Sessions()[0].Packets; got < 100 {
@@ -491,10 +491,10 @@ func TestOversizeDatagramRejected(t *testing.T) {
 	pkt := make([]byte, MaxDatagram+1)
 	hello := Header{Type: TypeHello, Session: 7, SendNano: 1}
 	hello.Encode(pkt)
-	srv.handleDatagram(pkt[:HeaderSize], addr, time.Millisecond, out)
+	srv.HandleDatagram(pkt[:HeaderSize], addr, time.Millisecond, out)
 	h := Header{Type: TypeData, Session: 7, SendNano: 1}
 	h.Encode(pkt)
-	srv.handleDatagram(pkt, addr, time.Millisecond, out)
+	srv.HandleDatagram(pkt, addr, time.Millisecond, out)
 	if got := srv.Stats.Oversize.Value(); got != 1 {
 		t.Errorf("Oversize = %d, want 1", got)
 	}
@@ -508,7 +508,7 @@ func TestOversizeDatagramRejected(t *testing.T) {
 	// Exactly MaxDatagram is describable and must be processed.
 	ok := Header{Type: TypeData, Session: 7, SendNano: 1}
 	ok.Encode(pkt)
-	srv.handleDatagram(pkt[:MaxDatagram], addr, time.Millisecond, out)
+	srv.HandleDatagram(pkt[:MaxDatagram], addr, time.Millisecond, out)
 	if got := srv.Stats.DataPackets.Value(); got != 1 {
 		t.Errorf("boundary-size datagram not served (DataPackets = %d)", got)
 	}
@@ -666,7 +666,7 @@ func TestPerSourceRateLimitSignalsBusy(t *testing.T) {
 // TestGlobalCeilingShedsHellosBeforeData: once the global bucket drains
 // to its reserve, new Hellos are shed while Data of admitted sessions
 // keeps flowing — overload protects existing work first. Driven through
-// handleDatagram directly so the token arithmetic is deterministic.
+// HandleDatagram directly so the token arithmetic is deterministic.
 func TestGlobalCeilingShedsHellosBeforeData(t *testing.T) {
 	srv, err := NewServer(ServerConfig{
 		Addr: "127.0.0.1:0", MaxSessions: 100, SessionTTL: time.Hour,

@@ -58,7 +58,10 @@ type Checker struct {
 
 type linkWatch struct {
 	l *sim.Link
-	// capBytes bounds Q.Bytes() when positive.
+	// q is the discipline whose occupancy is bounded: the link's own
+	// Q, or the queue inside a fault chain that wraps it.
+	q sim.Qdisc
+	// capBytes bounds q.Bytes() when positive.
 	capBytes int
 }
 
@@ -71,13 +74,16 @@ func Attach(eng *sim.Engine) *Checker {
 }
 
 // WatchLink adds a link to the conservation and occupancy checks;
-// capBytes, when positive, bounds the queue's byte occupancy.
+// capBytes, when positive, bounds the byte occupancy of q, the
+// discipline the link's queue is or wraps. A fault chain's delay and
+// duplication stages hold packets outside the discipline, so its
+// bound would not be the link queue's.
 // Conservation assumes the qdisc neither consumes packets internally
 // (CoDel's dequeue drops, DRR's head evictions) nor injects packets of
 // its own, so links behind such a qdisc, or wrapped in a duplicating
 // fault injector, cannot be watched.
-func (c *Checker) WatchLink(l *sim.Link, capBytes int) {
-	c.links = append(c.links, linkWatch{l: l, capBytes: capBytes})
+func (c *Checker) WatchLink(l *sim.Link, q sim.Qdisc, capBytes int) {
+	c.links = append(c.links, linkWatch{l: l, q: q, capBytes: capBytes})
 	c.checkOcc = true
 }
 
@@ -111,10 +117,10 @@ func (c *Checker) OnFire(at time.Duration, seq int64) {
 	c.lastSeq = seq
 	if c.checkOcc {
 		for _, w := range c.links {
-			if n := w.l.Q.Len(); n < 0 {
+			if n := w.q.Len(); n < 0 {
 				c.violate("link %s: negative queue length %d at %v", w.l.Name, n, at)
 			}
-			b := w.l.Q.Bytes()
+			b := w.q.Bytes()
 			if b < 0 {
 				c.violate("link %s: negative queue bytes %d at %v", w.l.Name, b, at)
 			}

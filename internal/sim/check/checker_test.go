@@ -43,15 +43,16 @@ func runCheckedDuel(t *testing.T, wrap func(sim.Qdisc) sim.Qdisc) (*check.Checke
 	pc := &poolCount{Checker: ck, seen: map[*sim.Packet]bool{}}
 	eng.SetHook(pc)
 
+	// The bound is the FIFO's own limit: the packets a fault chain's
+	// delay and duplication stages hold are not the discipline's.
 	const capBytes = 64 * sim.MSS
-	// Half the bound: a fault chain holds delayed and duplicated
-	// packets on top of the FIFO's own.
-	var q sim.Qdisc = qdisc.NewDropTail(capBytes / 2)
+	fifo := qdisc.NewDropTail(capBytes)
+	var q sim.Qdisc = fifo
 	if wrap != nil {
 		q = wrap(q)
 	}
 	link := sim.NewLink(eng, "bottleneck", 8e6, 10*time.Millisecond, q)
-	ck.WatchLink(link, capBytes)
+	ck.WatchLink(link, fifo, capBytes)
 
 	for i, name := range []string{"cubic", "bbr"} {
 		cc, err := cca.New(name)
@@ -196,7 +197,7 @@ func TestCheckerDetectsConservationViolation(t *testing.T) {
 	ck := check.Attach(eng)
 	q := &leakyQueue{inner: qdisc.NewDropTail(1 << 20)}
 	link := sim.NewLink(eng, "leaky", 8e6, time.Millisecond, q)
-	ck.WatchLink(link, 0)
+	ck.WatchLink(link, q, 0)
 	for i := 0; i < 8; i++ {
 		link.Send(&sim.Packet{Seq: int64(i), Size: sim.MSS})
 	}

@@ -65,7 +65,7 @@ func TestLateAckAfterTimeoutIsIgnored(t *testing.T) {
 				acks++
 			}
 		}
-		return ledger{s.bytesAcked, s.largestAcked, s.inflightBytes, acks, s.srtt, s.rttvar, s.minRTT}
+		return ledger{s.bytesAcked, s.largestAcked, s.inflightBytes, acks, s.rtt.SRTT, s.rtt.rttvar, s.rtt.Min}
 	}
 	before := snap()
 	for seq := int64(1); seq < 16; seq++ {

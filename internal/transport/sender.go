@@ -94,9 +94,7 @@ type Sender struct {
 	// divides it by the number of acks.
 	visited int64
 
-	// RTT estimation.
-	srtt, rttvar, minRTT time.Duration
-	hasRTT               bool
+	rtt RTTEstimator
 
 	// Pacing.
 	nextSendAt time.Duration
@@ -357,7 +355,7 @@ func (s *Sender) onAck(p *sim.Packet) {
 
 	// RTT sample.
 	rtt := now - info.sentAt
-	s.updateRTT(rtt)
+	s.rtt.Update(rtt)
 	if s.TraceRTT {
 		s.RTTs.Append(now, rtt.Seconds())
 	}
@@ -378,8 +376,8 @@ func (s *Sender) onAck(p *sim.Packet) {
 		Now:          now,
 		AckedBytes:   info.size,
 		RTT:          rtt,
-		SRTT:         s.srtt,
-		MinRTT:       s.minRTT,
+		SRTT:         s.rtt.SRTT,
+		MinRTT:       s.rtt.Min,
 		Inflight:     s.inflightBytes,
 		DeliveryRate: rateBps,
 		CumDelivered: s.bytesAcked,
@@ -454,26 +452,34 @@ func (s *Sender) deliveredAt(at time.Duration) int64 {
 	panic(fmt.Sprintf("transport: flow %d: throughput read at %v, an instant never watched", s.flowID, at))
 }
 
-func (s *Sender) updateRTT(rtt time.Duration) {
+// RTTEstimator is RFC 6298's round-trip estimate: the smoothed RTT
+// (gain 1/8), its mean deviation (gain 1/4) and the minimum sample,
+// all seeded by the first sample. The simulator's Sender and the
+// socket probe's client both keep one.
+type RTTEstimator struct {
+	SRTT, Min time.Duration
+	rttvar    time.Duration
+	seeded    bool
+}
+
+// Update folds in one sample; a non-positive one counts as 1µs.
+func (e *RTTEstimator) Update(rtt time.Duration) {
 	if rtt <= 0 {
 		rtt = time.Microsecond
 	}
-	if !s.hasRTT {
-		s.srtt = rtt
-		s.rttvar = rtt / 2
-		s.minRTT = rtt
-		s.hasRTT = true
+	if !e.seeded {
+		e.SRTT, e.rttvar, e.Min, e.seeded = rtt, rtt/2, rtt, true
 		return
 	}
-	if rtt < s.minRTT {
-		s.minRTT = rtt
+	if rtt < e.Min {
+		e.Min = rtt
 	}
-	d := s.srtt - rtt
+	d := e.SRTT - rtt
 	if d < 0 {
 		d = -d
 	}
-	s.rttvar = (3*s.rttvar + d) / 4
-	s.srtt = (7*s.srtt + rtt) / 8
+	e.rttvar = (3*e.rttvar + d) / 4
+	e.SRTT = (7*e.SRTT + rtt) / 8
 }
 
 // detectLosses declares outstanding packets lost once
@@ -519,10 +525,10 @@ func (s *Sender) declareLost(seq int64, e *sentInfo) {
 }
 
 func (s *Sender) rto() time.Duration {
-	if !s.hasRTT {
+	if !s.rtt.seeded {
 		return time.Second
 	}
-	r := s.srtt + 4*s.rttvar
+	r := s.rtt.SRTT + 4*s.rtt.rttvar
 	if r < minRTO {
 		r = minRTO
 	}
@@ -602,8 +608,8 @@ func (s *Sender) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterFunc("flow.inflight_bytes", label, func() float64 { return float64(s.inflightBytes) })
 	reg.RegisterFunc("flow.loss_events", label, func() float64 { return float64(s.lossEvents) })
 	reg.RegisterFunc("flow.lost_packets", label, func() float64 { return float64(s.lostPackets) })
-	reg.RegisterFunc("flow.srtt_ms", label, func() float64 { return float64(s.srtt) / float64(time.Millisecond) })
-	reg.RegisterFunc("flow.min_rtt_ms", label, func() float64 { return float64(s.minRTT) / float64(time.Millisecond) })
+	reg.RegisterFunc("flow.srtt_ms", label, func() float64 { return float64(s.rtt.SRTT) / float64(time.Millisecond) })
+	reg.RegisterFunc("flow.min_rtt_ms", label, func() float64 { return float64(s.rtt.Min) / float64(time.Millisecond) })
 	reg.RegisterFunc("flow.cwnd_bytes", label, func() float64 { return float64(s.cc.CWnd()) })
 	s.RTTHist = reg.Histogram("flow.rtt_ms", label, RTTBucketsMs)
 }
@@ -617,8 +623,8 @@ func (s *Sender) Snapshot() tcpinfo.Snapshot {
 		BytesSent:    s.bytesSent,
 		BytesAcked:   s.bytesAcked,
 		BytesRetrans: s.bytesRetrans,
-		SRTT:         s.srtt,
-		MinRTT:       s.minRTT,
+		SRTT:         s.rtt.SRTT,
+		MinRTT:       s.rtt.Min,
 		CWnd:         s.cc.CWnd(),
 		LostPackets:  s.lostPackets,
 		AppLimited:   s.appLimited,
