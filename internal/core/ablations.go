@@ -8,11 +8,8 @@ import (
 	"repro/internal/cca"
 	"repro/internal/nimbus"
 	"repro/internal/obs"
-	"repro/internal/qdisc"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/traffic"
-	"repro/internal/transport"
 )
 
 // PulseSweepConfig parameterizes the abl-pulse ablation.
@@ -81,22 +78,15 @@ func pulseRow(f, a float64, dur time.Duration, sc *obs.Scope) (PulseSweepRow, er
 	return PulseSweepRow{FreqHz: f, Amp: a, EtaReno: etaR, EtaCBR: etaC, Separation: etaR - etaC}, err
 }
 
-// fig3RateBps is the Figure 3 link's rate, which the separation
-// ablations reuse.
-const fig3RateBps = 48e6
-
 // separation measures the detector's margin in one configuration of
-// the Figure 3 link (48 Mbit/s, 100 ms): the probe's mean elasticity
-// against a backlogged Reno flow and against a 0.4-rate CBR flow, each
-// in its own run, scored after a 10 s settle.
+// the Figure 3 link: the probe's mean elasticity against a backlogged
+// Reno flow and against a 0.4-rate CBR flow, each in its own run,
+// scored after a 10 s settle.
 func separation(probe nimbus.Config, bufferBDP float64, dur time.Duration, sc *obs.Scope) (etaReno, etaCBR float64, err error) {
 	var etas [2]float64
 	for i, kind := range []string{"reno", "cbr"} {
-		d := NewDumbbell(LinkSpec{
-			RateBps: fig3RateBps, OneWayDelay: 50 * time.Millisecond, BufferBDP: bufferBDP, Obs: sc,
-		})
-		v, err := probeAgainst(d, nimbus.NewCCA(probe),
-			crossSpec{kind: kind, flowID: 2, cbrBps: 0.4 * fig3RateBps}, 10*time.Second, dur)
+		v, err := probeAgainst(cellSpec{hops: []hop{{rateBps: fig3RateBps, delay: fig3OneWayDelay, bdp: bufferBDP}}, obs: sc},
+			nimbus.NewCCA(probe), flow{id: 2, user: crossUser, kind: kind, cbrBps: 0.4 * fig3RateBps}, 10*time.Second, dur)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -230,40 +220,38 @@ func RunSubPacket(cfg SubPacketConfig) (*SubPacketResult, error) {
 	cfg = cfg.norm()
 	res := &SubPacketResult{Config: cfg}
 	for _, rate := range subPacketRates {
-		res.Rows = append(res.Rows, subPacketRow(cfg, rate))
+		row, err := subPacketRow(cfg, rate)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
 // subPacketRow runs cfg's flows on one thin link of the given rate.
-func subPacketRow(cfg SubPacketConfig, rate float64) SubPacketRow {
-	eng := newEngine()
-	defer releaseEngine(eng, cfg.Obs)
-	// 200ms one-way: a long, thin path.
-	link := sim.NewLink(eng, "thin", rate, 100*time.Millisecond, qdisc.NewDropTail(8*sim.MSS))
-	wireObs(cfg.Obs, eng, link)
-	var fl []*transport.Flow
-	for i := 0; i < cfg.Flows; i++ {
-		f := transport.NewFlow(eng, transport.FlowConfig{
-			ID: i + 1, UserID: 1, Path: []*sim.Link{link},
-			ReturnDelay: 100 * time.Millisecond,
-			CC:          cca.NewRenoCC(), Backlogged: true,
-			Trace:   cfg.Obs.T(),
-			Metrics: cfg.Obs.R(),
-		})
-		f.Watch(cfg.Duration/4, cfg.Duration)
-		f.Start()
-		fl = append(fl, f)
+func subPacketRow(cfg SubPacketConfig, rate float64) (SubPacketRow, error) {
+	w := [][2]time.Duration{{cfg.Duration / 4, cfg.Duration}}
+	flows := make([]flow, cfg.Flows)
+	for i := range flows {
+		flows[i] = flow{id: i + 1, user: 1, cc: cca.NewRenoCC(), watch: w}
 	}
-	eng.Run(cfg.Duration)
+	// 200ms one-way: a long, thin path.
+	c, err := newCell(cellSpec{hops: []hop{{name: "thin", rateBps: rate, delay: 100 * time.Millisecond, buf: 8 * sim.MSS}},
+		flows: flows, obs: cfg.Obs})
+	if err != nil {
+		return SubPacketRow{}, fmt.Errorf("core: subpkt: %w", err)
+	}
+	defer c.release()
+	c.eng.Run(cfg.Duration)
 	var tputs []float64
 	var timeouts int64
 	starved := 0
 	fair := rate / float64(cfg.Flows)
-	for _, f := range fl {
-		tp := f.Throughput(cfg.Duration/4, cfg.Duration)
+	for _, s := range c.src {
+		tp := s.flow.Throughput(cfg.Duration/4, cfg.Duration)
 		tputs = append(tputs, tp)
-		timeouts += f.Sender.LossEvents()
+		timeouts += s.flow.Sender.LossEvents()
 		if tp < 0.1*fair {
 			starved++
 		}
@@ -273,7 +261,7 @@ func subPacketRow(cfg SubPacketConfig, rate float64) SubPacketRow {
 		Jain:         stats.JainIndex(tputs),
 		StarvedFlows: starved,
 		Timeouts:     timeouts,
-	}
+	}, nil
 }
 
 // WriteTable renders the ablation table.
@@ -326,38 +314,35 @@ func RunJitter(cfg JitterConfig) (*JitterResult, error) {
 	cfg = cfg.norm()
 	res := &JitterResult{Config: cfg}
 	for _, mode := range []string{"fifo", "shaper", "fq"} {
-		const rate = 20e6
-		spec := LinkSpec{RateBps: rate, OneWayDelay: 10 * time.Millisecond, BufferBDP: 4, Obs: cfg.Obs}
+		h := hop{rateBps: 20e6, delay: 10 * time.Millisecond, bdp: 4}
 		switch mode {
 		case "shaper":
-			spec.Queue = QueueShaper
-			// Shape the aggregate to 10 Mbit/s with a deep burst
-			// allowance: the token bucket releases accumulated bursts
-			// at line rate.
-			spec.ShapeRateBps = 10e6
+			// Shape the aggregate to half the rate, 10 Mbit/s, with a
+			// deep burst allowance: the token bucket releases
+			// accumulated bursts at line rate.
+			h.queue = QueueShaper
 		case "fq":
-			spec.Queue = QueueFQ
+			h.queue = QueueFQ
 		}
-		d := NewDumbbell(spec)
-		// Smooth flow: low-rate CBR stream (a live-video-like source).
-		smoothCfg := d.FlowConfig(1, 1, cca.NewCBR(1e6))
-		smoothCfg.Backlogged = true
-		smoothCfg.TraceRTT = true
-		smooth := transport.NewFlow(d.Eng, smoothCfg)
-		smooth.Start()
-		// Bursty flow: on-off Cubic bursts.
-		traffic.NewOnOff(d.Eng, d.FlowConfig(2, 2, cca.NewCubicCC()),
-			traffic.OnOffConfig{On: 500 * time.Millisecond, Off: 500 * time.Millisecond})
-		d.Run(cfg.Duration)
+		c, err := newCell(cellSpec{hops: []hop{h}, flows: []flow{
+			// Smooth flow: low-rate CBR stream (a live-video-like source).
+			{id: 1, user: 1, kind: "cbr", cbrBps: 1e6, traceRTT: true},
+			// Bursty flow: on-off Cubic bursts.
+			{id: 2, user: 2, kind: "onoff"},
+		}, obs: cfg.Obs})
+		if err != nil {
+			return nil, fmt.Errorf("core: jitter: %w", err)
+		}
+		c.eng.Run(cfg.Duration)
 
-		rtts := smooth.Sender.RTTs.Window(cfg.Duration/4, cfg.Duration)
+		rtts := c.src[0].flow.Sender.RTTs.Window(cfg.Duration/4, cfg.Duration)
 		for i := range rtts {
 			rtts[i] *= 1000 // ms
 		}
 		p50, _ := stats.Quantile(rtts, 0.5)
 		p99, _ := stats.Quantile(rtts, 0.99)
 		res.Rows = append(res.Rows, JitterRow{Shaping: mode, P50Ms: p50, P99Ms: p99, JitterMs: p99 - p50})
-		d.release()
+		c.release()
 	}
 	return res, nil
 }

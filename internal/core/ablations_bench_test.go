@@ -36,8 +36,15 @@ func BenchmarkAblationSubPacket(b *testing.B) {
 	cfg := SubPacketConfig{Flows: 8, Duration: 20 * time.Second}.norm()
 	var jain float64
 	for i := 0; i < b.N; i++ {
-		jain = subPacketRow(cfg, 256e3).Jain
-		subPacketRow(cfg, 2e6)
+		for _, rate := range []float64{256e3, 2e6} {
+			row, err := subPacketRow(cfg, rate)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rate == 256e3 {
+				jain = row.Jain
+			}
+		}
 	}
 	b.ReportMetric(jain, "jain-256kbps")
 }

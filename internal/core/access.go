@@ -8,16 +8,8 @@ import (
 	"repro/internal/cca"
 	"repro/internal/contention"
 	"repro/internal/obs"
-	"repro/internal/qdisc"
-	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
-// AccessConfig parameterizes the §2.2 experiment: most paths are
-// short, core/peering links are provisioned well below saturation
-// (ISPs keep utilization under 60-70%, §2.1), so the *only* place the
-// paper's three contention prerequisites can all hold is the access
-// link — and only between one user's own flows.
 // accessCoreRateBps is the shared core/peering link rate: 1 Gbit/s,
 // provisioned for many subscribers.
 const accessCoreRateBps = 1e9
@@ -25,6 +17,15 @@ const accessCoreRateBps = 1e9
 // accessUsers is the number of subscribers, two flows each.
 const accessUsers = 4
 
+// accessRTT is every path's base round trip, access plus core, which
+// each hop's buffer holds one BDP of.
+const accessRTT = 30 * time.Millisecond
+
+// AccessConfig parameterizes the §2.2 experiment: most paths are
+// short, core/peering links are provisioned well below saturation
+// (ISPs keep utilization under 60-70%, §2.1), so the *only* place the
+// paper's three contention prerequisites can all hold is the access
+// link — and only between one user's own flows.
 type AccessConfig struct {
 	// AccessRateBps is each subscriber's access rate (default
 	// 50 Mbit/s).
@@ -68,64 +69,45 @@ type AccessResult struct {
 // registered scenarios.
 func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 	cfg = cfg.norm()
-	eng := newEngine()
-	defer releaseEngine(eng, cfg.Obs)
-
-	core := sim.NewLink(eng, "core", accessCoreRateBps, 5*time.Millisecond,
-		qdisc.NewDropTailBDP(accessCoreRateBps, 30*time.Millisecond, 1))
-	wireObs(cfg.Obs, eng, core)
-
-	type flowInfo struct {
-		flow *transport.Flow
-		info *contention.FlowInfo
-		user int
-	}
-	var flows []flowInfo
 	warm := cfg.Duration / 4
+	w := [][2]time.Duration{{warm, cfg.Duration}}
+	// Hop 0 is the core, hop 1+u user u's access link; user u's flows
+	// are a Cubic and a Reno transfer over its access link and the core.
+	hops := []hop{{name: "core", rateBps: accessCoreRateBps, delay: 5 * time.Millisecond, bufRTT: accessRTT}}
+	var flows []flow
 	for u := 0; u < accessUsers; u++ {
-		access := sim.NewLink(eng, fmt.Sprintf("access-%d", u), cfg.AccessRateBps,
-			10*time.Millisecond, qdisc.NewDropTailBDP(cfg.AccessRateBps, 30*time.Millisecond, 1))
-		wireObs(cfg.Obs, nil, access)
-		for k := 0; k < 2; k++ {
-			id := u*10 + k + 1
-			var cc transport.CCA
-			if k == 0 {
-				cc = cca.NewCubicCC()
-			} else {
-				cc = cca.NewRenoCC()
-			}
-			f := transport.NewFlow(eng, transport.FlowConfig{
-				ID: id, UserID: u,
-				Path:        []*sim.Link{access, core},
-				ReturnDelay: 15 * time.Millisecond,
-				CC:          cc, Backlogged: true,
-				Trace:   cfg.Obs.T(),
-				Metrics: cfg.Obs.R(),
-			})
-			f.Watch(warm, cfg.Duration)
-			f.Start()
-			flows = append(flows, flowInfo{
-				flow: f,
-				user: u,
-				info: &contention.FlowInfo{ID: id, Path: []*sim.Link{access, core}},
-			})
-		}
+		hops = append(hops, hop{name: fmt.Sprintf("access-%d", u), rateBps: cfg.AccessRateBps,
+			delay: 10 * time.Millisecond, bufRTT: accessRTT})
+		path := []int{1 + u, 0}
+		flows = append(flows,
+			flow{id: u*10 + 1, user: u, path: path, cc: cca.NewCubicCC(), watch: w},
+			flow{id: u*10 + 2, user: u, path: path, cc: cca.NewRenoCC(), watch: w})
 	}
-	eng.Run(cfg.Duration)
+	c, err := newCell(cellSpec{hops: hops, flows: flows, obs: cfg.Obs})
+	if err != nil {
+		return nil, fmt.Errorf("core: access: %w", err)
+	}
+	defer c.release()
+	c.eng.Run(cfg.Duration)
 
-	res := &AccessResult{Config: cfg}
-	res.CoreUtilization = core.Utilization(eng.Now())
-	for i := 0; i < len(flows); i++ {
+	res := &AccessResult{Config: cfg, PerUserTputBps: make([]float64, accessUsers)}
+	res.CoreUtilization = c.links[0].Utilization(c.eng.Now())
+	infos := make([]*contention.FlowInfo, len(flows))
+	for i, f := range flows {
+		path, _ := c.route(f.path)
+		infos[i] = &contention.FlowInfo{ID: f.id, Path: path}
+		res.PerUserTputBps[f.user] += c.src[i].flow.Throughput(warm, cfg.Duration)
+	}
+	for i := range flows {
 		for j := i + 1; j < len(flows); j++ {
-			a, b := flows[i], flows[j]
 			// Every path ends at the core, so a pair that shares any
 			// link shares the core.
-			shared, _, contend := contention.Prerequisites(a.info, b.info)
+			shared, _, contend := contention.Prerequisites(infos[i], infos[j])
 			if shared {
 				res.PairsSharingCore++
 			}
 			if contend {
-				if a.user == b.user {
+				if flows[i].user == flows[j].user {
 					res.IntraUserPairs++
 				} else {
 					res.InterUserPairs++
@@ -133,11 +115,6 @@ func RunAccess(cfg AccessConfig) (*AccessResult, error) {
 			}
 		}
 	}
-	perUser := make([]float64, accessUsers)
-	for _, fi := range flows {
-		perUser[fi.user] += fi.flow.Throughput(warm, cfg.Duration)
-	}
-	res.PerUserTputBps = perUser
 	return res, nil
 }
 

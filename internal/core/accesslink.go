@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cca"
 	"repro/internal/obs"
-	"repro/internal/traffic"
 	"repro/internal/transport"
 )
 
@@ -76,25 +75,25 @@ func RunAccessLink(cfg AccessLinkConfig) (*AccessLinkResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: accesslink: %w", err)
 	}
-	d := NewDumbbell(LinkSpec{RateBps: cfg.RateBps, OneWayDelay: cfg.OneWayDelay, Queue: cfg.Queue, Obs: cfg.Obs})
-	defer d.release()
-	video := traffic.NewVideo(d.Eng, d.FlowConfig(1, 1, cca.NewCubicCC()))
-	web := traffic.NewShortFlows(d.Eng, traffic.ShortFlowsConfig{
-		ArrivalRate: 3,
-		Path:        d.path,
-		ReturnDelay: d.Spec.OneWayDelay,
-		UserID:      1,
-		NewCC:       func() transport.CCA { return cca.NewCubicCC() },
-		BaseFlowID:  1000,
-		Rand:        d.Eng.Rand(cfg.Seed),
-	})
-	update := d.AddBulk(2, 1, bulk)
-
 	from := cfg.Duration / 6
-	video.Flow.Watch(from, cfg.Duration)
-	update.Watch(from, cfg.Duration)
-	d.Run(cfg.Duration)
+	w := [][2]time.Duration{{from, cfg.Duration}}
+	c, err := newCell(cellSpec{
+		hops: []hop{{rateBps: cfg.RateBps, delay: cfg.OneWayDelay, queue: cfg.Queue}},
+		flows: []flow{
+			{id: 1, user: 1, kind: "video", watch: w},
+			{id: 1000, user: 1, kind: "short", shortRate: 3, newCC: func() transport.CCA { return cca.NewCubicCC() }},
+			{id: 2, user: 1, cc: bulk, watch: w},
+		},
+		seed: cfg.Seed,
+		obs:  cfg.Obs,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: accesslink: %w", err)
+	}
+	defer c.release()
+	c.eng.Run(cfg.Duration)
 
+	video, web, update := c.src[0].video, c.src[1].short, c.src[2].flow
 	return &AccessLinkResult{
 		Config:          cfg,
 		VideoTputBps:    video.Flow.Throughput(from, cfg.Duration),

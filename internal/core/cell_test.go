@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -61,47 +60,75 @@ func TestEveryPhaseKindRunsInEveryPhasedCell(t *testing.T) {
 	}
 }
 
-// TestInstallCross drives the installer directly: each kind carries
-// traffic while active and none a second after its stop, and a bad
-// kind is refused before anything is scheduled.
+// TestInstallCross adds each cross-traffic kind to a cell directly:
+// each carries traffic while active and none a second after its stop,
+// and a bad kind is refused before anything is scheduled.
 func TestInstallCross(t *testing.T) {
 	const (
 		rate = 48e6
 		end  = 3 * time.Second
 	)
+	spec := cellSpec{hops: []hop{{rateBps: rate, delay: 10 * time.Millisecond}}, seed: 1}
 	for _, kind := range traffic.PhaseKinds() {
-		d := NewDumbbell(LinkSpec{RateBps: rate, OneWayDelay: 10 * time.Millisecond})
-		g, err := d.installCross(crossSpec{
-			kind: kind, flowID: 2, shortBase: 1000, shortRate: 20,
-			rng: rand.New(rand.NewSource(1)), cbrBps: 0.4 * rate,
+		c, err := newCell(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := c.add(&flow{
+			id: 2, user: crossUser, kind: kind, shortRate: 20, cbrBps: 0.4 * rate, stop: end,
+			watch: [][2]time.Duration{{0, end}, {end + time.Second, end + 2*time.Second}},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if (g == nil) != (kind == "idle") {
-			t.Fatalf("%s: generator nil=%v", kind, g == nil)
+		if (s == nil) != (kind == "idle") {
+			t.Fatalf("%s: source nil=%v", kind, s == nil)
 		}
-		g.watch(0, end)
-		g.watch(end+time.Second, end+2*time.Second)
-		g.start()
-		if g != nil {
-			d.Eng.ScheduleAt(end, g.stop)
-		}
-		d.Run(end + 2*time.Second)
-		if got := g.throughput(0, end); (got > 0) != (kind != "idle") {
+		c.eng.Run(end + 2*time.Second)
+		if got := s.throughput(0, end); (got > 0) != (kind != "idle") {
 			t.Errorf("%s: throughput while active = %v", kind, got)
 		}
-		if got := g.throughput(end+time.Second, end+2*time.Second); got != 0 {
+		if got := s.throughput(end+time.Second, end+2*time.Second); got != 0 {
 			t.Errorf("%s: throughput a second after stop = %v, want 0", kind, got)
 		}
+		c.release()
 	}
 
-	d := NewDumbbell(LinkSpec{RateBps: rate, OneWayDelay: 10 * time.Millisecond})
-	pending := d.Eng.Pending()
-	if _, err := d.installCross(crossSpec{kind: "warp-drive"}); err == nil {
+	c, err := newCell(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.release()
+	pending := c.eng.Pending()
+	if _, err := c.add(&flow{kind: "warp-drive"}); err == nil {
 		t.Error("unknown kind installed")
 	}
-	if d.Eng.Pending() != pending {
-		t.Errorf("refused install scheduled events: pending %d -> %d", pending, d.Eng.Pending())
+	if c.eng.Pending() != pending {
+		t.Errorf("refused install scheduled events: pending %d -> %d", pending, c.eng.Pending())
+	}
+	spec.flows = []flow{{kind: "warp-drive"}}
+	if _, err := newCell(spec); err == nil {
+		t.Error("a cell with an unknown kind was built")
+	}
+}
+
+// TestRouteSumsHopDelays: a flow's acks return after the sum of its
+// path's hop delays, and a nil path is hop 0 alone.
+func TestRouteSumsHopDelays(t *testing.T) {
+	c, err := newCell(cellSpec{hops: []hop{
+		{name: "core", rateBps: 1e9, delay: 5 * time.Millisecond},
+		{name: "access", rateBps: 1e7, delay: 10 * time.Millisecond},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.release()
+	links, ret := c.route([]int{1, 0})
+	if len(links) != 2 || links[0].Name != "access" || links[1].Name != "core" || ret != 15*time.Millisecond {
+		t.Errorf("route [1 0] = %v links, return delay %v", links, ret)
+	}
+	links, ret = c.route(nil)
+	if len(links) != 1 || links[0].Name != "core" || ret != 5*time.Millisecond {
+		t.Errorf("route nil = %v links, return delay %v", links, ret)
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"repro/internal/cca"
 	"repro/internal/nimbus"
 	"repro/internal/obs"
-	"repro/internal/qdisc"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
@@ -88,15 +86,6 @@ func RunCellular(cfg CellularConfig) (*CellularResult, error) {
 }
 
 func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
-	eng := newEngine()
-	defer releaseEngine(eng, cfg.Obs)
-	// Deep buffer, as cellular base stations have: 8 mean BDPs.
-	buf := int(cfg.MeanRateBps / 8 * (2 * cfg.OneWayDelay).Seconds() * 8)
-	link := sim.NewLink(eng, "cell", cfg.MeanRateBps, cfg.OneWayDelay, qdisc.NewDropTail(buf))
-	wireObs(cfg.Obs, eng, link)
-	rng := eng.Rand(cfg.Seed + 17)
-	driver := sim.DriveRate(eng, link, 100*time.Millisecond, sim.CellularTrace(rng, cfg.MeanRateBps))
-
 	var cc transport.CCA
 	if name == "nimbus" {
 		cc = nimbus.NewCCA(nimbus.Config{})
@@ -107,17 +96,22 @@ func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
 			return CellularRow{}, err
 		}
 	}
-	f := transport.NewFlow(eng, transport.FlowConfig{
-		ID: 1, Path: []*sim.Link{link}, ReturnDelay: cfg.OneWayDelay,
-		CC: cc, Backlogged: true, TraceRTT: true,
-		Trace:   cfg.Obs.T(),
-		Metrics: cfg.Obs.R(),
-	})
 	warm := cfg.Duration / 4
-	f.Watch(warm, cfg.Duration)
-	f.Start()
-	eng.Run(cfg.Duration)
+	c, err := newCell(cellSpec{
+		// Deep buffer, as cellular base stations have: 8 mean BDPs.
+		hops: []hop{{name: "cell", rateBps: cfg.MeanRateBps, delay: cfg.OneWayDelay,
+			buf: int(cfg.MeanRateBps / 8 * (2 * cfg.OneWayDelay).Seconds() * 8), fading: true}},
+		flows: []flow{{id: 1, cc: cc, traceRTT: true, watch: [][2]time.Duration{{warm, cfg.Duration}}}},
+		seed:  cfg.Seed + 17,
+		obs:   cfg.Obs,
+	})
+	if err != nil {
+		return CellularRow{}, fmt.Errorf("core: cellular: %w", err)
+	}
+	defer c.release()
+	c.eng.Run(cfg.Duration)
 
+	f := c.src[0].flow
 	rtts := f.Sender.RTTs.Window(warm, cfg.Duration)
 	for i := range rtts {
 		rtts[i] *= 1000
@@ -129,7 +123,7 @@ func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
 	// offered during the measurement window, not the nominal mean.
 	var offered float64
 	n := 0
-	for _, pt := range driver.Trace {
+	for _, pt := range c.fading.Trace {
 		if pt.At >= warm {
 			offered += pt.Bps
 			n++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 )
 
 func TestBuildQdiscKinds(t *testing.T) {
-	spec := LinkSpec{RateBps: 48e6, OneWayDelay: 20 * time.Millisecond}
+	h := hop{rateBps: 48e6, delay: 20 * time.Millisecond}
 	cases := []struct {
 		kind QueueKind
 		want interface{}
@@ -26,8 +27,8 @@ func TestBuildQdiscKinds(t *testing.T) {
 		{QueuePolicer, &qdisc.TokenBucketPolicer{}},
 	}
 	for _, c := range cases {
-		spec.Queue = c.kind
-		q := BuildQdisc(new(sim.Engine), spec)
+		h.queue = c.kind
+		q := h.discipline()
 		if q == nil {
 			t.Fatalf("%s: nil qdisc", c.kind)
 		}
@@ -60,16 +61,31 @@ func TestBuildQdiscKinds(t *testing.T) {
 	}
 }
 
-func TestLinkSpecDefaults(t *testing.T) {
-	s := LinkSpec{RateBps: 10e6, OneWayDelay: 5 * time.Millisecond}.norm()
-	if s.Queue != QueueDropTail || s.BufferBDP != 1 {
-		t.Errorf("defaults = %+v", s)
+// TestHopDefaults: a hop's buffer is bdp BDPs (default 1) over its own
+// round trip with a 4-packet floor, one BDP over bufRTT when that is
+// set, or exactly buf bytes; the shaper, policer and per-user rate is
+// half the hop's rate unless shapeBps is set.
+func TestHopDefaults(t *testing.T) {
+	const rate, owd = 12e6, 5 * time.Millisecond // a 15,000-byte BDP
+	cases := []struct {
+		name string
+		h    hop
+		want sim.Qdisc
+	}{
+		{"1 BDP", hop{rateBps: rate, delay: owd}, qdisc.NewDropTail(15000)},
+		{"2 BDP", hop{rateBps: rate, delay: owd, bdp: 2}, qdisc.NewDropTail(30000)},
+		{"4-packet floor", hop{rateBps: 1e6, delay: owd}, qdisc.NewDropTail(4 * sim.MSS)},
+		{"bufRTT", hop{rateBps: rate, delay: owd, bufRTT: 30 * time.Millisecond}, qdisc.NewDropTailBDP(rate, 30*time.Millisecond, 1)},
+		{"buf bytes", hop{rateBps: rate, delay: owd, bdp: 2, buf: 3 * sim.MSS}, qdisc.NewDropTail(3 * sim.MSS)},
+		{"policer at half rate", hop{rateBps: rate, delay: owd, queue: QueuePolicer}, qdisc.NewTokenBucketPolicer(rate / 2)},
+		{"shaper", hop{rateBps: rate, delay: owd, queue: QueueShaper, shapeBps: 2e6}, qdisc.NewTokenBucketShaper(2e6, 15000)},
+		{"per-user", hop{rateBps: rate, delay: owd, queue: QueueUserIso, shapeBps: 1e6, buf: 8 * sim.MSS},
+			qdisc.NewUserIsolation(1e6, 16*sim.MSS, 8*sim.MSS)},
 	}
-	if s.ShapeRateBps != 5e6 {
-		t.Errorf("default shape rate = %v", s.ShapeRateBps)
-	}
-	if s.RTT() != 10*time.Millisecond {
-		t.Errorf("RTT = %v", s.RTT())
+	for _, c := range cases {
+		if got := c.h.discipline(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: got %#v, want %#v", c.name, got, c.want)
+		}
 	}
 }
 
@@ -90,15 +106,20 @@ func TestFmtBps(t *testing.T) {
 	}
 }
 
-func TestDumbbellAddBulk(t *testing.T) {
-	d := NewDumbbell(LinkSpec{RateBps: 10e6, OneWayDelay: 5 * time.Millisecond})
-	f := d.AddBulk(1, 1, mustCC(t, "reno"))
-	f.Watch(time.Second, 5*time.Second)
-	d.Run(5 * time.Second)
-	if f.Throughput(time.Second, 5*time.Second) < 8e6 {
-		t.Error("bulk flow did not fill the dumbbell")
+func TestCellBulkFlowFillsLink(t *testing.T) {
+	c, err := newCell(cellSpec{
+		hops:  []hop{{rateBps: 10e6, delay: 5 * time.Millisecond}},
+		flows: []flow{{id: 1, user: 1, cc: mustCC(t, "reno"), watch: [][2]time.Duration{{time.Second, 5 * time.Second}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d.Link.Stats().SentPackets == 0 {
+	defer c.release()
+	c.eng.Run(5 * time.Second)
+	if c.src[0].flow.Throughput(time.Second, 5*time.Second) < 8e6 {
+		t.Error("bulk flow did not fill the link")
+	}
+	if c.links[0].Stats().SentPackets == 0 {
 		t.Error("no packets crossed the link")
 	}
 }
@@ -109,6 +130,11 @@ func TestDumbbellAddBulk(t *testing.T) {
 func TestThroughputMemoryIsFlat(t *testing.T) {
 	alloc := func(dur time.Duration) uint64 {
 		var before, after runtime.MemStats
+		// Two GC cycles empty the engine pool (sync.Pool keeps an item
+		// through one), so each run builds a fresh engine. With one, a
+		// run found the pooled engine or not depending on the P it ran
+		// on, and a ~190 kB engine landed on one side of the ratio.
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		if _, err := RunDuel(DuelConfig{CCA1: "reno", CCA2: "cubic", Duration: dur}); err != nil {

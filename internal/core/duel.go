@@ -10,15 +10,15 @@ import (
 	"repro/internal/stats"
 )
 
+// duelWarmupFrac is the initial fraction of a duel left out of
+// throughput averaging.
+const duelWarmupFrac = 1.0 / 3
+
 // DuelConfig parameterizes the atomic contention cell every grid sweep
 // is built from: two named CCAs contend on one bottleneck under a
 // chosen queue discipline, optionally through a fault profile. Figure
 // 1 is a grid of these cells on a clean link; the CCA x queue x fault
 // sweeps extend the same cell across impaired paths.
-// duelWarmupFrac is the initial fraction of a duel left out of
-// throughput averaging.
-const duelWarmupFrac = 1.0 / 3
-
 type DuelConfig struct {
 	// CCA1 and CCA2 name the contenders (see cca.New).
 	CCA1, CCA2 string
@@ -64,6 +64,12 @@ func (c DuelConfig) norm() DuelConfig {
 // DuelResult is one cell's outcome.
 type DuelResult struct {
 	Config DuelConfig
+	scores
+}
+
+// scores are a two-flow cell's allocation, which a duel and a Figure 1
+// row both report. Their fields are promoted, to encoding/json too.
+type scores struct {
 	// Tput1Bps and Tput2Bps are the flows' post-warmup throughputs.
 	Tput1Bps, Tput2Bps float64
 	// Share2 is flow 2's fraction of the combined throughput.
@@ -86,36 +92,28 @@ func RunDuel(cfg DuelConfig) (*DuelResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: duel: %w", err)
 	}
-	profile, err := resolveFaults(cfg.FaultProfile, nil)
+	from := time.Duration(duelWarmupFrac * float64(cfg.Duration))
+	w := [][2]time.Duration{{from, cfg.Duration}}
+	c, err := newCell(cellSpec{
+		hops: []hop{{rateBps: cfg.RateBps, delay: cfg.OneWayDelay, queue: cfg.Queue, bdp: cfg.BufferBDP,
+			faultProfile: cfg.FaultProfile, faultSeed: cfg.FaultSeed}},
+		flows: []flow{{id: 1, user: 1, cc: cc1, watch: w}, {id: 2, user: 2, cc: cc2, watch: w}},
+		obs:   cfg.Obs,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: duel: %w", err)
 	}
-	d := NewDumbbell(LinkSpec{
-		RateBps:     cfg.RateBps,
-		OneWayDelay: cfg.OneWayDelay,
-		Queue:       cfg.Queue,
-		BufferBDP:   cfg.BufferBDP,
-		Faults:      profile,
-		FaultSeed:   cfg.FaultSeed,
-		Obs:         cfg.Obs,
-	})
-	defer d.release()
-	f1 := d.AddBulk(1, 1, cc1)
-	f2 := d.AddBulk(2, 2, cc2)
-	from := time.Duration(duelWarmupFrac * float64(cfg.Duration))
-	f1.Watch(from, cfg.Duration)
-	f2.Watch(from, cfg.Duration)
-	d.Run(cfg.Duration)
+	defer c.release()
+	c.eng.Run(cfg.Duration)
 
-	t1 := f1.Throughput(from, cfg.Duration)
-	t2 := f2.Throughput(from, cfg.Duration)
-	res := &DuelResult{
-		Config:   cfg,
+	t1 := c.src[0].flow.Throughput(from, cfg.Duration)
+	t2 := c.src[1].flow.Throughput(from, cfg.Duration)
+	res := &DuelResult{Config: cfg, scores: scores{
 		Tput1Bps: t1,
 		Tput2Bps: t2,
 		Jain:     stats.JainIndex([]float64{t1, t2}),
 		Harm1:    stats.Harm(cfg.RateBps/2, t1),
-	}
+	}}
 	if total := t1 + t2; total > 0 {
 		res.Share2 = t2 / total
 	}

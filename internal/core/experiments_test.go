@@ -119,7 +119,14 @@ func TestSubPacketRegime(t *testing.T) {
 		t.Skip("long simulation")
 	}
 	cfg := SubPacketConfig{Flows: 8, Duration: 20 * time.Second}.norm()
-	thin, fat := subPacketRow(cfg, 256e3), subPacketRow(cfg, 4e6)
+	thin, err := subPacketRow(cfg, 256e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fat, err := subPacketRow(cfg, 4e6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The sub-packet link is much less fair than the fat one (Chen et
 	// al.'s timeout-driven starvation).
 	if thin.Jain >= fat.Jain {

@@ -59,15 +59,7 @@ var (
 type Fig1Row struct {
 	CCA1, CCA2 string
 	Queue      QueueKind
-	Tput1Bps   float64
-	Tput2Bps   float64
-	// Share2 is flow 2's fraction of the combined throughput.
-	Share2 float64
-	// Jain is Jain's fairness index over the two allocations.
-	Jain float64
-	// Harm1 is the harm flow 1 suffers relative to a fair half-link
-	// share.
-	Harm1 float64
+	scores
 }
 
 // Fig1Result is the full grid.
@@ -109,19 +101,13 @@ func runFig1Cell(cfg Fig1Config, pair [2]string, q QueueKind) (Fig1Row, error) {
 		Obs:         cfg.Obs,
 	}
 	// Under QueueUserIso each flow is a distinct subscriber capped at
-	// half the link (LinkSpec's default shaper rate): throttling to the
+	// half the link (a hop's default shaper rate): throttling to the
 	// purchased rate plus isolation.
 	res, err := RunDuel(dc)
 	if err != nil {
 		return Fig1Row{}, err
 	}
-	return Fig1Row{
-		CCA1: pair[0], CCA2: pair[1], Queue: q,
-		Tput1Bps: res.Tput1Bps, Tput2Bps: res.Tput2Bps,
-		Share2: res.Share2,
-		Jain:   res.Jain,
-		Harm1:  res.Harm1,
-	}, nil
+	return Fig1Row{CCA1: pair[0], CCA2: pair[1], Queue: q, scores: res.scores}, nil
 }
 
 // WriteTable renders the grid as the fig1 table.

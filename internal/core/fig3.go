@@ -45,12 +45,20 @@ type Fig3Config struct {
 	Obs *obs.Scope `json:"-"`
 }
 
+// The Figure 3 link: 48 Mbit/s with a 100 ms RTT, the paper's
+// Mahimahi setup. The separation ablations and the socket-probe
+// differential run on it too.
+const (
+	fig3RateBps     = 48e6
+	fig3OneWayDelay = 50 * time.Millisecond
+)
+
 func (c Fig3Config) norm() Fig3Config {
 	if c.RateBps <= 0 {
-		c.RateBps = 48e6
+		c.RateBps = fig3RateBps
 	}
 	if c.OneWayDelay <= 0 {
-		c.OneWayDelay = 50 * time.Millisecond
+		c.OneWayDelay = fig3OneWayDelay
 	}
 	if c.PhaseDuration <= 0 {
 		c.PhaseDuration = 45 * time.Second
@@ -124,27 +132,19 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	if err := traffic.ValidateSchedule(sched); err != nil {
 		return nil, fmt.Errorf("core: unknown fig3 phase: %w", err)
 	}
-	profile, err := resolveFaults(cfg.FaultProfile, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: fig3: %w", err)
-	}
-	d := NewDumbbell(LinkSpec{
-		RateBps:     cfg.RateBps,
-		OneWayDelay: cfg.OneWayDelay,
-		Queue:       QueueDropTail,
-		BufferBDP:   cfg.BufferBDP,
-		Faults:      profile,
-		FaultSeed:   cfg.FaultSeed,
-		Obs:         cfg.Obs,
-	})
-	defer d.release()
 	probeCC := nimbus.NewCCA(cfg.Nimbus)
-	probe := d.AddBulk(1, 1, probeCC)
-
-	measured, err := runPhases(d, probe, probeCC.Est, spans, fig3Settle, d.Eng.Rand(cfg.Seed+1))
+	c, err := newCell(cellSpec{
+		hops: []hop{{rateBps: cfg.RateBps, delay: cfg.OneWayDelay, bdp: cfg.BufferBDP,
+			faultProfile: cfg.FaultProfile, faultSeed: cfg.FaultSeed}},
+		flows: phaseFlows(flow{id: 1, user: 1, cc: probeCC}, spans, fig3Settle, 0.4*cfg.RateBps),
+		seed:  cfg.Seed + 1,
+		obs:   cfg.Obs,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: fig3: %w", err)
 	}
+	defer c.release()
+	measured := c.runPhases(spans, fig3Settle, probeCC.Est)
 
 	res := &Fig3Result{Config: cfg, Eta: probeCC.Est.Elasticity.Samples()}
 	for _, m := range measured {

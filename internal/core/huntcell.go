@@ -142,21 +142,6 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 	}
 	total := traffic.ScheduleDuration(cfg.Cross)
 
-	fault, err := resolveFaults(cfg.FaultProfile, cfg.Fault)
-	if err != nil {
-		return nil, fmt.Errorf("core: huntcell: %w", err)
-	}
-	d := NewDumbbell(LinkSpec{
-		RateBps:     cfg.RateBps,
-		OneWayDelay: cfg.OneWayDelay,
-		Queue:       cfg.Queue,
-		BufferBDP:   cfg.BufferBDP,
-		Faults:      fault,
-		FaultSeed:   cfg.FaultSeed,
-		Obs:         cfg.Obs,
-	})
-	defer d.release()
-
 	var est *nimbus.Estimator // the main flow's, in probe mode
 	var mainCC transport.CCA
 	if cfg.Probe {
@@ -169,20 +154,26 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 		}
 		mainCC = cc
 	}
-	main := d.AddBulk(1, 1, mainCC)
 	warmup := time.Duration(huntCellWarmupFrac * float64(total))
-	main.Watch(warmup, total)
-
 	spans := make([]phaseSpan, len(cfg.Cross))
 	var at time.Duration
 	for i, ph := range cfg.Cross {
 		spans[i] = phaseSpan{kind: ph.Kind, start: at, end: at + ph.Duration()}
 		at = spans[i].end
 	}
-	measured, err := runPhases(d, main, est, spans, settleMargin, d.Eng.Rand(cfg.Seed+1))
+	main := flow{id: 1, user: 1, cc: mainCC, watch: [][2]time.Duration{{warmup, total}}}
+	c, err := newCell(cellSpec{
+		hops: []hop{{rateBps: cfg.RateBps, delay: cfg.OneWayDelay, queue: cfg.Queue, bdp: cfg.BufferBDP,
+			faultProfile: cfg.FaultProfile, fault: cfg.Fault, faultSeed: cfg.FaultSeed}},
+		flows: phaseFlows(main, spans, settleMargin, 0.4*cfg.RateBps),
+		seed:  cfg.Seed + 1,
+		obs:   cfg.Obs,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: huntcell: %w", err)
 	}
+	defer c.release()
+	measured := c.runPhases(spans, settleMargin, est)
 
 	res := &HuntCellResult{Config: cfg, FairShareBps: cfg.RateBps / 2}
 	var crossWeighted float64
@@ -205,7 +196,7 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 		res.Phases = append(res.Phases, ph)
 	}
 
-	res.MainTputBps = main.Throughput(warmup, total)
+	res.MainTputBps = c.src[0].flow.Throughput(warmup, total)
 	res.CrossTputBps = crossWeighted / total.Seconds()
 	res.Harm = stats.Harm(res.FairShareBps, res.MainTputBps)
 	res.Jain = stats.JainIndex([]float64{res.MainTputBps, res.CrossTputBps})

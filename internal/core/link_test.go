@@ -48,37 +48,47 @@ func TestResolveFaults(t *testing.T) {
 	}
 }
 
-// TestNewDumbbellDrivesOscillation: a LinkSpec whose faults oscillate
-// gets its rate driver from NewDumbbell, sampling on the period/32
-// grid; a spec without oscillation schedules nothing extra.
-func TestNewDumbbellDrivesOscillation(t *testing.T) {
+// TestCellDrivesOscillation: a hop whose faults oscillate gets its
+// rate driver from newCell, sampling on the period/32 grid; a hop
+// without oscillation schedules nothing extra.
+func TestCellDrivesOscillation(t *testing.T) {
 	const rate = 12e6
 	f := &faults.Config{OscAmp: 0.3, OscPeriodS: 2}
-	d := NewDumbbell(LinkSpec{RateBps: rate, OneWayDelay: 10 * time.Millisecond, Faults: f})
+	c, err := newCell(cellSpec{hops: []hop{{rateBps: rate, delay: 10 * time.Millisecond, fault: f}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.release()
+	link := c.links[0]
 	want := f.RateFunc(rate)
 	const grid = 62500 * time.Microsecond
 	for k := 1; k <= 20; k++ {
 		// Just short of the next sample the link still carries this one.
-		d.Run(time.Duration(k+1)*grid - time.Microsecond)
-		if got := d.Link.Rate; got != want(time.Duration(k)*grid) {
+		c.eng.Run(time.Duration(k+1)*grid - time.Microsecond)
+		if got := link.Rate; got != want(time.Duration(k)*grid) {
 			t.Fatalf("rate before sample %d = %v, want sample %d's %v", k+1, got, k, want(time.Duration(k)*grid))
 		}
 	}
-	if d.Link.Rate == rate {
+	if link.Rate == rate {
 		t.Error("link rate never left its base")
 	}
-	if d.Eng.Processed != 20 {
-		t.Errorf("driver ran %d ticks in 20 grid steps", d.Eng.Processed)
+	if c.eng.Processed != 20 {
+		t.Errorf("driver ran %d ticks in 20 grid steps", c.eng.Processed)
 	}
 
 	// The event count of a clean 3 s reno-vs-cubic cell, recorded before
-	// NewDumbbell learned to install the driver.
-	clean := NewDumbbell(LinkSpec{RateBps: 48e6, OneWayDelay: 20 * time.Millisecond, BufferBDP: 2})
-	clean.AddBulk(1, 1, cca.NewRenoCC())
-	clean.AddBulk(2, 2, cca.NewCubicCC())
-	clean.Run(3 * time.Second)
-	if clean.Eng.Processed != 34728 {
-		t.Errorf("clean cell processed %d events, want 34728", clean.Eng.Processed)
+	// the oscillation driver was installed with the link.
+	clean, err := newCell(cellSpec{
+		hops:  []hop{{rateBps: 48e6, delay: 20 * time.Millisecond, bdp: 2}},
+		flows: []flow{{id: 1, user: 1, cc: cca.NewRenoCC()}, {id: 2, user: 2, cc: cca.NewCubicCC()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.release()
+	clean.eng.Run(3 * time.Second)
+	if clean.eng.Processed != 34728 {
+		t.Errorf("clean cell processed %d events, want 34728", clean.eng.Processed)
 	}
 }
 

@@ -301,13 +301,6 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 		return nil, fmt.Errorf("core: manyflow: victim 2: %w", err)
 	}
 
-	eng := newEngine()
-	defer releaseEngine(eng, cfg.Obs)
-	var ck *check.Checker
-	if cfg.Check {
-		ck = check.Attach(eng)
-	}
-
 	// Each subscriber's queue is sized to its plan-rate BDP, not the
 	// link BDP: at thousands of users a shared-BDP queue per user
 	// would let the aggregate backlog dwarf the link's own buffering.
@@ -316,22 +309,29 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 	if perUserCap < 8*sim.MSS {
 		perUserCap = 8 * sim.MSS
 	}
-	iso := qdisc.NewUserIsolation(cfg.perUserRateBps(), 16*sim.MSS, perUserCap)
-	link := sim.NewLink(eng, "bottleneck", cfg.RateBps, cfg.OneWayDelay, iso)
-	wireObs(cfg.Obs, eng, link)
-	if ck != nil {
+	c, err := newCell(cellSpec{hops: []hop{{rateBps: cfg.RateBps, delay: cfg.OneWayDelay, queue: QueueUserIso,
+		shapeBps: cfg.perUserRateBps(), buf: perUserCap}}, obs: cfg.Obs})
+	if err != nil {
+		return nil, fmt.Errorf("core: manyflow: %w", err)
+	}
+	defer c.release()
+	eng, link := c.eng, c.links[0]
+	iso := link.Q.(*qdisc.UserIsolation)
+	// The checker sees every packet from the first: it is attached
+	// before the victims start.
+	var ck *check.Checker
+	if cfg.Check {
+		ck = check.Attach(eng)
 		ck.WatchLink(link, iso, (cfg.Users+2)*perUserCap)
 	}
-
-	d := &Dumbbell{Eng: eng, Link: link, path: []*sim.Link{link}, Spec: LinkSpec{
-		RateBps: cfg.RateBps, OneWayDelay: cfg.OneWayDelay, Queue: QueueUserIso,
-		BufferBDP: cfg.BufferBDP, ShapeRateBps: cfg.perUserRateBps(), Obs: cfg.Obs,
-	}}
-	victim1 := d.AddBulk(1, 1, cc1)
-	victim2 := d.AddBulk(2, 2, cc2)
 	warmup := time.Duration(manyFlowWarmupFrac * float64(cfg.Duration))
-	victim1.Watch(warmup, cfg.Duration)
-	victim2.Watch(warmup, cfg.Duration)
+	w := [][2]time.Duration{{warmup, cfg.Duration}}
+	var victims [2]*source
+	for i, cc := range []transport.CCA{cc1, cc2} {
+		if victims[i], err = c.add(&flow{id: i + 1, user: i + 1, cc: cc, watch: w}); err != nil {
+			return nil, fmt.Errorf("core: manyflow: victim %d: %w", i+1, err)
+		}
+	}
 
 	packetUsers := cfg.Users
 	if cfg.FluidAbove > 0 {
@@ -345,7 +345,7 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 			MeanThink:   churnThink,
 			LongFrac:    churnLongFrac,
 			NewCC:       func() transport.CCA { return cca.NewRenoCC() },
-			Path:        d.path,
+			Path:        c.links[:1],
 			ReturnDelay: cfg.OneWayDelay,
 			UserID:      userID,
 			BaseFlowID:  1000 + 10000*i,
@@ -361,8 +361,8 @@ func RunManyFlow(cfg ManyFlowConfig) (*ManyFlowResult, error) {
 	eng.Run(cfg.Duration)
 
 	res := &ManyFlowResult{Config: cfg, Events: eng.Processed, Dropped: iso.Dropped}
-	res.Victim1Bps = victim1.Throughput(warmup, cfg.Duration)
-	res.Victim2Bps = victim2.Throughput(warmup, cfg.Duration)
+	res.Victim1Bps = victims[0].flow.Throughput(warmup, cfg.Duration)
+	res.Victim2Bps = victims[1].flow.Throughput(warmup, cfg.Duration)
 	res.VictimJain = stats.JainIndex([]float64{res.Victim1Bps, res.Victim2Bps})
 	res.Util = link.Utilization(cfg.Duration)
 

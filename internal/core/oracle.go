@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/contention"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -83,18 +84,19 @@ func RunOracle(cfg OracleConfig) (*OracleResult, error) {
 }
 
 func runOracleTrial(cfg OracleConfig, seed int64, kind string, rate float64, owd time.Duration) (OracleTrial, error) {
-	d := NewDumbbell(LinkSpec{RateBps: rate, OneWayDelay: owd, Queue: QueueDropTail, BufferBDP: 1, Obs: cfg.Obs})
-	rng := d.Eng.Rand(seed)
-
-	cross := crossSpec{kind: kind, flowID: 2, shortBase: 1000, shortRate: 4, rng: rng}
+	cross := flow{id: 2, user: crossUser, kind: kind, shortRate: 4}
 	switch kind {
 	case "none":
 		cross.kind = "idle"
+	case "short":
+		cross.id = 1000
 	case "cbr":
-		// Drawn only for this kind: the trial's rng also feeds "short".
-		cross.cbrBps = (0.2 + 0.4*rng.Float64()) * rate
+		// The rate is the first draw of the trial's stream, which the
+		// cell's generator replays for "short" trials.
+		cross.cbrBps = (0.2 + 0.4*sim.NewRand(seed).Float64()) * rate
 	}
-	v, err := probeAgainst(d, paperProbe(rate), cross, 10*time.Second, cfg.Duration)
+	spec := cellSpec{hops: []hop{{rateBps: rate, delay: owd}}, seed: seed, obs: cfg.Obs}
+	v, err := probeAgainst(spec, paperProbe(rate), cross, 10*time.Second, cfg.Duration)
 	if err != nil {
 		return OracleTrial{}, fmt.Errorf("core: oracle: %w", err)
 	}

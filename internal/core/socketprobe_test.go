@@ -23,23 +23,29 @@ var simClientAddr = &net.UDPAddr{IP: net.IPv4(192, 0, 2, 1), Port: 4460}
 
 // socketProbeAgainst is probeAgainst for the shipped socket probe, on
 // the simulator's clock instead of a socket's: a probe.Client's session
-// is flow 1 on d, each datagram it sends crosses the bottleneck as one
-// packet of that flow to a probe.Server, and the server's replies come
-// back over the return delay line, as a Flow's acks do. The client
-// starts first, one cross-traffic generator is started inline after
-// it, and the cell runs until the session is over. It returns the
-// client's report and the session's error, and releases the dumbbell.
-func socketProbeAgainst(t testing.TB, d *Dumbbell, cross crossSpec, seed int64) (*probe.Report, error) {
-	defer d.release()
+// is flow 1 on the cell s describes (its hops; s has no flows), each
+// datagram it sends crosses hop 0 as one packet of that flow to a
+// probe.Server, and the server's replies come back over the return
+// delay line, as a Flow's acks do. The client starts first, cross is
+// added after it, and the cell runs until the session is over. It
+// returns the client's report and the session's error, and releases
+// the cell.
+func socketProbeAgainst(t testing.TB, s cellSpec, cross flow, seed int64) (*probe.Report, error) {
+	cell, err := newCell(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cell.release()
 	srv, err := probe.NewServer(probe.ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := probe.NewClient(probe.ClientConfig{Server: "simulated", Nimbus: nimbus.PaperConfig(d.Spec.RateBps), Seed: seed})
+	c := probe.NewClient(probe.ClientConfig{Server: "simulated", Nimbus: nimbus.PaperConfig(s.hops[0].rateBps), Seed: seed})
 	p := c.Session()
-	eng := d.Eng
-	ret := eng.DelayLine(d.Spec.OneWayDelay)
+	eng := cell.eng
+	path, owd := cell.route(nil)
+	ret := eng.DelayLine(owd)
 
 	// A packet carries its datagram's header as an index into headers
 	// (Packet.Seq), so a duplicating fault stage duplicates the
@@ -84,16 +90,14 @@ func socketProbeAgainst(t testing.TB, d *Dumbbell, cross crossSpec, seed int64) 
 	}
 	p.Send = func(b []byte) error {
 		pkt := carry(b, false)
-		pkt.Path = d.path
+		pkt.Path = path
 		sim.Inject(pkt)
 		return nil
 	}
 	arm()
-	g, err := d.installCross(cross)
-	if err != nil {
+	if _, err := cell.add(&cross); err != nil {
 		t.Fatal(err)
 	}
-	g.start()
 	for !p.Done() && eng.Step() {
 	}
 	return c.Report(), p.Err
@@ -124,18 +128,14 @@ func TestSocketProbeDifferential(t *testing.T) {
 	fmt.Fprintf(&out, "%-16s %-5s | %7s %3s %-9s | %8s %3s %-12s %13s %6s %8s\n",
 		"profile", "cross", "sim-eta", "win", "verdict", "sock-eta", "win", "verdict", "tput", "loss", "mean-rtt")
 	for _, prof := range diffProfiles {
-		f, err := resolveFaults(prof, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := LinkSpec{RateBps: fig3RateBps, OneWayDelay: 50 * time.Millisecond, Faults: f, FaultSeed: 1}
+		spec := cellSpec{hops: []hop{{rateBps: fig3RateBps, delay: fig3OneWayDelay, faultProfile: prof, faultSeed: 1}}}
 		for _, kind := range diffCross {
-			cross := crossSpec{kind: kind, flowID: 2, cbrBps: 0.4 * fig3RateBps}
-			v, err := probeAgainst(NewDumbbell(spec), paperProbe(fig3RateBps), cross, diffDuration/4, diffDuration)
+			cross := flow{id: 2, user: crossUser, kind: kind, cbrBps: 0.4 * fig3RateBps}
+			v, err := probeAgainst(spec, paperProbe(fig3RateBps), cross, diffDuration/4, diffDuration)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := socketProbeAgainst(t, NewDumbbell(spec), cross, 1)
+			rep, err := socketProbeAgainst(t, spec, cross, 1)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", prof, kind, err)
 			}

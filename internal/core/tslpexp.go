@@ -5,10 +5,8 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cca"
 	"repro/internal/obs"
 	"repro/internal/traffic"
-	"repro/internal/transport"
 	"repro/internal/tslp"
 )
 
@@ -87,42 +85,24 @@ func RunTSLP(cfg TSLPConfig) (*TSLPResult, error) {
 	return res, nil
 }
 
-// addTSLPScenarioTraffic installs the scenario's cross traffic on a
-// dumbbell. It returns whether the scenario's ground truth is CCA
-// contention.
-func addTSLPScenarioTraffic(d *Dumbbell, cfg TSLPConfig, scenario string, seed int64) (bool, error) {
-	rng := d.Eng.Rand(seed)
+// tslpTraffic is the scenario's cross traffic and whether its ground
+// truth is CCA contention.
+func tslpTraffic(scenario string) ([]flow, bool, error) {
 	switch scenario {
 	case "contention":
-		for i, kind := range []string{"reno", "cubic"} {
-			g, err := d.installCross(crossSpec{kind: kind, flowID: 2 + i})
-			if err != nil {
-				return false, fmt.Errorf("core: tslp: %w", err)
-			}
-			g.start()
-		}
-		return true, nil
+		return []flow{{id: 2, user: crossUser, kind: "reno"}, {id: 3, user: crossUser, kind: "cubic"}}, true, nil
 	case "aggregate":
 		// A dense aggregate of IW-bound web flows whose offered load
 		// exceeds the link: congestion with no flow long enough for
 		// CCA dynamics to govern its share — the overloaded
-		// peering-link scenario from §1.
-		traffic.NewShortFlows(d.Eng, traffic.ShortFlowsConfig{
-			ArrivalRate: 3600,
-			Sizes:       traffic.FixedSize(3000), // 2 packets: inside IW
-			Path:        d.path,
-			ReturnDelay: cfg.OneWayDelay,
-			UserID:      2,
-			NewCC:       func() transport.CCA { return cca.NewRenoCC() },
-			BaseFlowID:  1000,
-			Rand:        rng,
-			OpenLoop:    true, // fire-and-forget bursts: exogenous load
-		})
-		return false, nil
+		// peering-link scenario from §1. Each flow is two packets,
+		// inside IW, sent fire-and-forget (open loop): exogenous load.
+		return []flow{{id: 1000, user: 2, kind: "short", shortRate: 3600,
+			sizes: traffic.FixedSize(3000), openLoop: true}}, false, nil
 	case "idle":
-		return false, nil
+		return nil, false, nil
 	default:
-		return false, fmt.Errorf("core: unknown tslp scenario %q", scenario)
+		return nil, false, fmt.Errorf("core: unknown tslp scenario %q", scenario)
 	}
 }
 
@@ -133,33 +113,37 @@ func addTSLPScenarioTraffic(d *Dumbbell, cfg TSLPConfig, scenario string, seed i
 func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 	row := TSLPRow{Scenario: scenario}
 	warm := cfg.Duration / 4
-
-	// Instrument 1: TSLP alone with the scenario traffic.
-	d1 := NewDumbbell(LinkSpec{RateBps: cfg.RateBps, OneWayDelay: cfg.OneWayDelay, BufferBDP: 1, Obs: cfg.Obs})
-	defer d1.release()
-	truth, err := addTSLPScenarioTraffic(d1, cfg, scenario, cfg.Seed)
+	cross, truth, err := tslpTraffic(scenario)
 	if err != nil {
 		return row, err
 	}
 	row.TruthContention = truth
-	prober := tslp.NewProber(d1.Eng, d1.Link)
-	d1.Run(cfg.Duration)
+	spec := cellSpec{hops: []hop{{rateBps: cfg.RateBps, delay: cfg.OneWayDelay}}, flows: cross, seed: cfg.Seed, obs: cfg.Obs}
+
+	// Instrument 1: TSLP alone with the scenario traffic.
+	c1, err := newCell(spec)
+	if err != nil {
+		return row, fmt.Errorf("core: tslp: %w", err)
+	}
+	defer c1.release()
+	prober := tslp.NewProber(c1.eng, c1.links[0])
+	c1.eng.Run(cfg.Duration)
 	v := prober.Verdict(warm, cfg.Duration)
 	row.TSLPCongested = v.Congested
 	row.TSLPP90Ms = v.P90Ms
 
-	// Instrument 2: the active elasticity probe with the same traffic.
-	d2 := NewDumbbell(LinkSpec{RateBps: cfg.RateBps, OneWayDelay: cfg.OneWayDelay, BufferBDP: 1, Obs: cfg.Obs})
-	defer d2.release()
-	if _, err := addTSLPScenarioTraffic(d2, cfg, scenario, cfg.Seed); err != nil {
-		return row, err
-	}
-	// The scenario traffic is installed before the probe here, a
-	// different program from probeAgainst under the engine's (at, seq)
-	// order, and the one this experiment's results were recorded with.
+	// Instrument 2: the active elasticity probe with the same traffic,
+	// built after it: a different program from probeAgainst under the
+	// engine's (at, seq) order, and the one this experiment's results
+	// were recorded with.
 	probeCC := paperProbe(cfg.RateBps)
-	d2.AddBulk(1, 1, probeCC)
-	d2.Run(cfg.Duration)
+	spec.flows = append(cross, flow{id: 1, user: 1, cc: probeCC})
+	c2, err := newCell(spec)
+	if err != nil {
+		return row, fmt.Errorf("core: tslp: %w", err)
+	}
+	defer c2.release()
+	c2.eng.Run(cfg.Duration)
 	pv := probeCC.Est.Verdict(warm, cfg.Duration)
 	row.ProbeEta, row.ProbeElastic = pv.Mean, pv.Elastic
 	if probeCC.Est.OverloadFactor() > 1.05 {

@@ -80,6 +80,22 @@ func duelTrace(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// runTrace runs one cell with a sampled tracer on its scope and
+// returns the JSONL event stream.
+func runTrace(t *testing.T, run func(*obs.Scope) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	st := obs.NewStream(&buf)
+	st.SetSampling(goldenSample)
+	if err := run(&obs.Scope{Tracer: st}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	return buf.Bytes()
+}
+
 // compareGolden byte-compares got against the committed fixture,
 // regenerating it under -update. On drift it reports the first
 // differing line so the offending event is immediately visible.
@@ -147,4 +163,36 @@ func TestGoldenTracesAreDeterministic(t *testing.T) {
 	if !bytes.Equal(fig3Trace(t), fig3Trace(t)) {
 		t.Fatal("fig3 trace differs between two runs with identical config")
 	}
+}
+
+// TestGoldenAccessTrace pins the one multi-hop cell: four subscribers'
+// two-hop paths (access-0 … access-3, then core), eight flows whose
+// acks return after the sum of their hops' delays.
+func TestGoldenAccessTrace(t *testing.T) {
+	compareGolden(t, "access.jsonl", runTrace(t, func(sc *obs.Scope) error {
+		_, err := core.RunAccess(core.AccessConfig{AccessRateBps: 4e6, Duration: 3 * time.Second, Obs: sc})
+		return err
+	}))
+}
+
+// TestGoldenCellularTrace pins the rate-driven link: the fading
+// trace's rate steps on "cell" under a loss-based and a delay-based
+// controller.
+func TestGoldenCellularTrace(t *testing.T) {
+	compareGolden(t, "cellular.jsonl", runTrace(t, func(sc *obs.Scope) error {
+		_, err := core.RunCellular(core.CellularConfig{
+			MeanRateBps: 4e6, Duration: 4 * time.Second, CCAs: []string{"cubic", "nimbus"}, Seed: 3, Obs: sc,
+		})
+		return err
+	}))
+}
+
+// TestGoldenJitterTrace pins the jitter ablation's three queues (FIFO,
+// the token-bucket shaper, fair queueing), each carrying a smooth CBR
+// flow beside an on-off Cubic source.
+func TestGoldenJitterTrace(t *testing.T) {
+	compareGolden(t, "jitter.jsonl", runTrace(t, func(sc *obs.Scope) error {
+		_, err := core.RunJitter(core.JitterConfig{Duration: time.Second, Obs: sc})
+		return err
+	}))
 }
