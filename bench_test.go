@@ -1,14 +1,27 @@
 package repro_test
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mlab"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
+
+// runSpec runs one spec through the registry, as `ccac run` does, on
+// the given scope (nil runs it unobserved), and returns its result.
+func runSpec[T any](b *testing.B, sp scenario.Spec, sc *obs.Scope) T {
+	b.Helper()
+	r := &scenario.Runner{NewScope: func(scenario.Spec) *obs.Scope { return sc }}
+	res := r.Run(context.Background(), sp)
+	if res.Err != "" {
+		b.Fatalf("%s: %s", sp.Experiment, res.Err)
+	}
+	return res.Value().(T)
+}
 
 // BenchmarkFig1Isolation regenerates Figure 1's quantitative claim: the
 // full CCA-pair x queue-discipline grid. Reported metrics: BBR's share
@@ -17,10 +30,7 @@ import (
 func BenchmarkFig1Isolation(b *testing.B) {
 	var fifoShare, fqJain float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunFig1(core.Fig1Config{Duration: 20 * time.Second})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runSpec[*core.Fig1Result](b, scenario.Spec{Experiment: "fig1", DurationS: 20}, nil)
 		for _, row := range res.Rows {
 			if row.CCA1 != "reno" || row.CCA2 != "bbr" {
 				continue
@@ -45,12 +55,7 @@ func BenchmarkFig1Isolation(b *testing.B) {
 func BenchmarkFig2MLabPipeline(b *testing.B) {
 	var excluded, shifted float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunFig2(core.Fig2Config{
-			Generator: mlab.GeneratorConfig{Flows: 9984, Seed: 1},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runSpec[*core.Fig2Result](b, scenario.Spec{Experiment: "fig2", Flows: 9984, Seed: 1}, nil)
 		an := res.Analysis
 		cand := an.ByCat[mlab.CatStable] + an.ByCat[mlab.CatLevelShift]
 		excluded = 1 - float64(cand)/float64(an.Total)
@@ -69,13 +74,7 @@ func BenchmarkFig2MLabPipeline(b *testing.B) {
 func BenchmarkFig3Elasticity(b *testing.B) {
 	var etaElastic, etaInelastic float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunFig3(core.Fig3Config{
-			PhaseDuration: 25 * time.Second,
-			Seed:          1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runSpec[*core.Fig3Result](b, scenario.Spec{Experiment: "fig3", PhaseDurationS: 25, Seed: 1}, nil)
 		var el, inel, nel, ninel float64
 		for _, p := range res.Phases {
 			switch p.Name {
@@ -102,15 +101,8 @@ func BenchmarkFig3ElasticityTraced(b *testing.B) {
 	var events int64
 	for i := 0; i < b.N; i++ {
 		var count eventCounter
-		res, err := core.RunFig3(core.Fig3Config{
-			PhaseDuration: 25 * time.Second,
-			Seed:          1,
-			Obs:           &obs.Scope{Reg: obs.NewRegistry(), Tracer: &count},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res
+		runSpec[*core.Fig3Result](b, scenario.Spec{Experiment: "fig3", PhaseDurationS: 25, Seed: 1},
+			&obs.Scope{Reg: obs.NewRegistry(), Tracer: &count})
 		events = count.n.Load()
 	}
 	b.ReportMetric(float64(events), "events")
@@ -127,10 +119,7 @@ func (c *eventCounter) Emit(obs.Event) { c.n.Add(1) }
 func BenchmarkAblationOracle(b *testing.B) {
 	var acc, f1 float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunOracle(core.OracleConfig{Trials: 10, Duration: 30 * time.Second, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runSpec[*core.OracleResult](b, scenario.Spec{Experiment: "oracle", Trials: 10, DurationS: 30, Seed: 3}, nil)
 		acc = res.Score.Accuracy()
 		f1 = res.Score.F1()
 	}
@@ -144,10 +133,7 @@ func BenchmarkAblationOracle(b *testing.B) {
 func BenchmarkAblationJitter(b *testing.B) {
 	var jitter float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunJitter(core.JitterConfig{Duration: 20 * time.Second})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runSpec[*core.JitterResult](b, scenario.Spec{Experiment: "jitter", DurationS: 20}, nil)
 		for _, r := range res.Rows {
 			if r.Shaping == "shaper" {
 				jitter = r.JitterMs
@@ -163,10 +149,7 @@ func BenchmarkAblationJitter(b *testing.B) {
 func BenchmarkExpCellular(b *testing.B) {
 	var cubicDelay, copaDelay float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunCellular(core.CellularConfig{Duration: 30 * time.Second, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runSpec[*core.CellularResult](b, scenario.Spec{Experiment: "cellular", DurationS: 30, Seed: 2}, nil)
 		for _, r := range res.Rows {
 			switch r.CCA {
 			case "cubic":
@@ -187,10 +170,7 @@ func BenchmarkExpCellular(b *testing.B) {
 func BenchmarkExpTSLP(b *testing.B) {
 	var etaContention, etaAggregate float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunTSLP(core.TSLPConfig{Duration: 30 * time.Second})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runSpec[*core.TSLPResult](b, scenario.Spec{Experiment: "tslp", DurationS: 30}, nil)
 		for _, r := range res.Rows {
 			switch r.Scenario {
 			case "contention":
@@ -211,10 +191,7 @@ func BenchmarkExpTSLP(b *testing.B) {
 func BenchmarkExpAccess(b *testing.B) {
 	var intra, inter float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunAccess(core.AccessConfig{Duration: 20 * time.Second})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runSpec[*core.AccessResult](b, scenario.Spec{Experiment: "access", DurationS: 20}, nil)
 		intra = float64(res.IntraUserPairs)
 		inter = float64(res.InterUserPairs)
 	}

@@ -63,7 +63,7 @@ func run() error {
 	}
 	defer src.Close()
 
-	res, err := core.AnalyzeFig2Stream(src, core.Fig2Config{Workers: *workers})
+	res, err := core.AnalyzeFig2Stream(src, *workers)
 	if err != nil {
 		return err
 	}

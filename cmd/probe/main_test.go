@@ -4,22 +4,28 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	_ "repro/internal/core" // registers fig3
+	"repro/internal/nimbus"
+	"repro/internal/scenario"
 )
 
 // TestProbeRunsThePaperProbe: the socket probe pulses as the simulated
-// probe cells do. The Nimbus configuration the client is built with,
-// defaults filled in, must equal the one a one-second fig3 run records
-// for its probe, at that run's link rate and with -mu 0 (auto-track)
-// apart from Mu.
+// probe cells do. Every simulated cell runs nimbus.PaperConfig at its
+// link rate; the Nimbus configuration the client is built with,
+// defaults filled in, must equal it at fig3's default rate, and with
+// -mu 0 (auto-track) apart from Mu.
 func TestProbeRunsThePaperProbe(t *testing.T) {
-	res, err := core.RunFig3(core.Fig3Config{PhaseDuration: time.Second, Phases: []string{"cbr"}})
+	fig3, err := scenario.Lookup("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := res.Config.Nimbus.Norm()
-	if got := clientConfig("127.0.0.1:4460", res.Config.RateBps, time.Second).Nimbus.Norm(); got != cell {
-		t.Errorf("probe -mu %g runs %+v, the simulated probe %+v", res.Config.RateBps, got, cell)
+	rate := fig3.Defaults.RateBps
+	if rate <= 0 {
+		t.Fatalf("fig3 registers no default rate: %+v", fig3.Defaults)
+	}
+	cell := nimbus.PaperConfig(rate).Norm()
+	if got := clientConfig("127.0.0.1:4460", rate, time.Second).Nimbus.Norm(); got != cell {
+		t.Errorf("probe -mu %g runs %+v, the simulated probe %+v", rate, got, cell)
 	}
 	auto := clientConfig("127.0.0.1:4460", 0, time.Second).Nimbus.Norm()
 	auto.Mu = cell.Mu

@@ -188,6 +188,27 @@ func TestParseModelRejects(t *testing.T) {
 	if _, err := ParseModel(b); err == nil {
 		t.Fatal("loguniform from 0 accepted")
 	}
+	// A duel reads a rate, RTT or buffer of 0 as its default, so an axis
+	// that can sample one would run a cell the report misnames.
+	for _, tc := range []struct {
+		name string
+		set  func(*Model)
+	}{
+		{"const 0 rate", func(m *Model) { m.Rate = Dist{Kind: "const", Lo: 0} }},
+		{"kindless 0 rate", func(m *Model) { m.Rate = Dist{} }},
+		{"negative const rtt", func(m *Model) { m.RTT = Dist{Kind: "const", Lo: -5} }},
+		{"uniform rtt from 0", func(m *Model) { m.RTT = Dist{Kind: "uniform", Lo: 0, Hi: 50} }},
+		{"uniform buffer from below 0", func(m *Model) { m.Buffer = Dist{Kind: "uniform", Lo: -1, Hi: 2} }},
+		{"const 0 buffer", func(m *Model) { m.Buffer = Dist{Kind: "const"} }},
+		{"overflowing loguniform rate", func(m *Model) { m.Rate = Dist{Kind: "loguniform", Lo: 1, Hi: math.MaxFloat64} }},
+	} {
+		m = testModel(10)
+		tc.set(&m)
+		b, _ = json.Marshal(m)
+		if _, err := ParseModel(b); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
 	// A valid model round-trips and keeps its hash.
 	m = testModel(10)
 	b, _ = json.Marshal(m)
@@ -201,10 +222,10 @@ func TestParseModelRejects(t *testing.T) {
 }
 
 // duelJSON fabricates a canonical duel result for classifier tests.
-func duelJSON(t *testing.T, queue string, rate, t1, t2, jain float64) json.RawMessage {
+// The link it ran on is the spec's, not the record's.
+func duelJSON(t *testing.T, t1, t2, jain float64) json.RawMessage {
 	t.Helper()
 	b, err := json.Marshal(map[string]any{
-		"Config":   map[string]any{"RateBps": rate, "Queue": queue},
 		"Tput1Bps": t1,
 		"Tput2Bps": t2,
 		"Jain":     jain,
@@ -217,7 +238,7 @@ func duelJSON(t *testing.T, queue string, rate, t1, t2, jain float64) json.RawMe
 
 func TestClassify(t *testing.T) {
 	spec := func(queue, fault string) scenario.Spec {
-		return scenario.Spec{Experiment: "duel", Queue: queue, FaultProfile: fault}
+		return scenario.Spec{Experiment: "duel", Queue: queue, FaultProfile: fault, RateBps: 10e6}
 	}
 	cases := []struct {
 		name string
@@ -235,27 +256,33 @@ func TestClassify(t *testing.T) {
 			want: ClassInconclusive,
 		},
 		{
+			name: "spec without a rate is inconclusive",
+			res: scenario.RunResult{Spec: scenario.Spec{Experiment: "duel", Queue: "droptail"},
+				Result: duelJSON(t, 2e6, 8e6, 0.74)},
+			want: ClassInconclusive,
+		},
+		{
 			name: "isolated queue is self-inflicted",
 			res: scenario.RunResult{Spec: spec("fq", "clean"),
-				Result: duelJSON(t, "fq", 10e6, 2e6, 8e6, 0.7)},
+				Result: duelJSON(t, 2e6, 8e6, 0.7)},
 			want: ClassSelfInflicted,
 		},
 		{
 			name: "underutilized shared queue is self-inflicted",
 			res: scenario.RunResult{Spec: spec("droptail", "satellite-jitter"),
-				Result: duelJSON(t, "droptail", 10e6, 1e6, 1e6, 1.0)},
+				Result: duelJSON(t, 1e6, 1e6, 1.0)},
 			want: ClassSelfInflicted,
 		},
 		{
 			name: "skewed shared queue is contention-dominated",
 			res: scenario.RunResult{Spec: spec("droptail", "clean"),
-				Result: duelJSON(t, "droptail", 10e6, 2e6, 8e6, 0.74)},
+				Result: duelJSON(t, 2e6, 8e6, 0.74)},
 			want: ClassContention,
 		},
 		{
 			name: "fair full shared queue is inconclusive",
 			res: scenario.RunResult{Spec: spec("droptail", "clean"),
-				Result: duelJSON(t, "droptail", 10e6, 4.9e6, 5.1e6, 0.999)},
+				Result: duelJSON(t, 4.9e6, 5.1e6, 0.999)},
 			want: ClassInconclusive,
 		},
 	}

@@ -67,10 +67,12 @@ func isolatedQueue(queue string) bool {
 	}
 }
 
-// Classify labels one census run. The stratum (queue, fault) comes
-// from the spec so even failed runs land in the right cell; the class
-// is read off the cell's own core.DuelResult, decoded from the run's
-// canonical result record.
+// Classify labels one census run. The stratum (queue, fault) and the
+// link come from the spec, so even failed runs land in the right cell;
+// the flows' allocation is read off the cell's own core.DuelResult,
+// decoded from the run's canonical result record. A census spec always
+// carries its rate and queue (Model.Validate rejects an axis that can
+// sample a non-positive value), so the spec names the link the duel ran.
 func Classify(res scenario.RunResult) Obs {
 	o := Obs{Queue: res.Spec.Queue, Fault: res.Spec.FaultProfile}
 	if o.Fault == "" {
@@ -85,7 +87,7 @@ func Classify(res scenario.RunResult) Obs {
 		o.Class, o.Err = ClassInconclusive, "undecodable result: "+err.Error()
 		return o
 	}
-	rate := d.Config.RateBps
+	rate := res.Spec.RateBps
 	t1, t2 := d.Tput1Bps, d.Tput2Bps
 	if !(rate > 0) || math.IsNaN(t1) || math.IsNaN(t2) || t1 < 0 || t2 < 0 {
 		o.Class, o.Err = ClassInconclusive, "non-finite duel outcome"
@@ -100,7 +102,7 @@ func Classify(res scenario.RunResult) Obs {
 	// discipline's call. The fair split is half the link each.
 	solo := rate / 2
 	switch {
-	case isolatedQueue(string(d.Config.Queue)):
+	case isolatedQueue(res.Spec.Queue):
 		// The discipline removed prerequisite (iii): whatever each
 		// flow achieves in its own queue is its own doing.
 		o.Class = ClassSelfInflicted

@@ -55,10 +55,14 @@ func (d Dist) Sample(u float64) float64 {
 	}
 }
 
+// validate checks the shape, and that every sample is positive and
+// finite: the duel reads a rate, RTT or buffer that is not positive as
+// "use my default", so a zero draw would run a cell other than the one
+// the report names. Both shapes are monotone in the draw, so the
+// samples at 0 and 1 bound every other.
 func (d Dist) validate(name string) error {
 	switch d.Kind {
 	case "", "const":
-		return nil
 	case "uniform":
 		if !(d.Hi >= d.Lo) {
 			return fmt.Errorf("census: %s: uniform needs hi >= lo, got [%g, %g]", name, d.Lo, d.Hi)
@@ -69,6 +73,9 @@ func (d Dist) validate(name string) error {
 		}
 	default:
 		return fmt.Errorf("census: %s: unknown distribution kind %q", name, d.Kind)
+	}
+	if lo, hi := d.Sample(0), d.Sample(1); !(lo > 0) || math.IsInf(hi, 0) {
+		return fmt.Errorf("census: %s: samples must be positive and finite, got [%g, %g]", name, lo, hi)
 	}
 	return nil
 }
@@ -138,7 +145,7 @@ func DefaultModel() Model {
 
 // Validate checks the model is well-formed: positive size and
 // duration, non-empty mixes with positive total weight, and sane
-// distributions.
+// distributions that sample only positive, finite values.
 func (m Model) Validate() error {
 	if m.N <= 0 {
 		return fmt.Errorf("census: model population n must be positive, got %d", m.N)

@@ -8,25 +8,44 @@ import (
 	"repro/internal/cca"
 	"repro/internal/nimbus"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// PulseSweepConfig parameterizes the abl-pulse ablation.
-type PulseSweepConfig struct {
-	// Duration is each cell's length (default 30s).
-	Duration time.Duration
-	// Obs, when non-nil, receives every cell's trace events and metric
-	// registrations.
-	Obs *obs.Scope `json:"-"`
+func init() {
+	for _, e := range []scenario.Experiment{{
+		Name:        "pulse",
+		Description: "abl-pulse: elasticity separation vs pulse frequency and amplitude",
+		Run:         run(runPulseSweep),
+		Table:       table[*PulseSweepResult](),
+	}, {
+		Name:        "buffer",
+		Description: "abl-buffer: elasticity separation vs bottleneck buffer depth",
+		Run:         run(runBufferSweep),
+		Table:       table[*BufferSweepResult](),
+	}, {
+		Name:        "subpkt",
+		Description: "abl-subpkt: N Reno flows on sub-packet-BDP links",
+		Defaults:    scenario.Spec{Flows: 8},
+		Run:         run(runSubPacket),
+		Table:       table[*SubPacketResult](),
+	}, {
+		Name:        "jitter",
+		Description: "abl-jitter: delay contention under token-bucket shaping (§5.2)",
+		Run:         run(runJitter),
+		Table:       table[*JitterResult](),
+	}} {
+		scenario.Register(e)
+	}
 }
 
-func (c PulseSweepConfig) norm() PulseSweepConfig {
-	if c.Duration <= 0 {
-		c.Duration = 30 * time.Second
-	}
-	return c
-}
+// Each cell of the pulse, buffer and jitter ablations runs 30 s by
+// default; abl-subpkt runs 8 flows for 20 s.
+var (
+	ablationDefaults  = scenario.Spec{DurationS: 30}
+	subPacketDefaults = scenario.Spec{Flows: 8, DurationS: 20}
+)
 
 // pulseFreqs (Hz) and pulseAmps (fractions of mu) are abl-pulse's grid.
 var (
@@ -47,20 +66,19 @@ type PulseSweepRow struct {
 
 // PulseSweepResult is the full ablation grid.
 type PulseSweepResult struct {
-	Config PulseSweepConfig
-	Rows   []PulseSweepRow
+	Rows []PulseSweepRow
 }
 
-// RunPulseSweep runs the abl-pulse ablation: how the pulse frequency
+// runPulseSweep runs the abl-pulse ablation: how the pulse frequency
 // and amplitude choice affects the probe's ability to separate elastic
 // from inelastic cross traffic on the Figure 3 link. It demonstrates
 // why the pulse period must exceed the loaded RTT.
-func RunPulseSweep(cfg PulseSweepConfig) (*PulseSweepResult, error) {
-	cfg = cfg.norm()
-	res := &PulseSweepResult{Config: cfg}
+func runPulseSweep(sp scenario.Spec, sc *obs.Scope) (*PulseSweepResult, error) {
+	dur := withDefaults(sp, ablationDefaults).Duration()
+	res := &PulseSweepResult{}
 	for _, f := range pulseFreqs {
 		for _, a := range pulseAmps {
-			row, err := pulseRow(f, a, cfg.Duration, cfg.Obs)
+			row, err := pulseRow(f, a, dur, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -104,22 +122,6 @@ func (r *PulseSweepResult) WriteTable(w io.Writer) {
 	}
 }
 
-// BufferSweepConfig parameterizes the abl-buffer ablation.
-type BufferSweepConfig struct {
-	// Duration is each cell's length (default 30s).
-	Duration time.Duration
-	// Obs, when non-nil, receives every cell's trace events and metric
-	// registrations.
-	Obs *obs.Scope `json:"-"`
-}
-
-func (c BufferSweepConfig) norm() BufferSweepConfig {
-	if c.Duration <= 0 {
-		c.Duration = 30 * time.Second
-	}
-	return c
-}
-
 // bufferBDPs are abl-buffer's bottleneck buffer depths in
 // bandwidth-delay products.
 var bufferBDPs = []float64{0.5, 1, 2, 4}
@@ -135,19 +137,18 @@ type BufferSweepRow struct {
 
 // BufferSweepResult is the full ablation sweep.
 type BufferSweepResult struct {
-	Config BufferSweepConfig
-	Rows   []BufferSweepRow
+	Rows []BufferSweepRow
 }
 
-// RunBufferSweep runs the abl-buffer ablation: the probe's pulses
+// runBufferSweep runs the abl-buffer ablation: the probe's pulses
 // work the bottleneck queue, so the buffer depth (relative to the
 // pulse-induced swing) bounds how much elastic response can register.
 // Very shallow buffers clip the oscillation; bufferbloat dilutes it.
-func RunBufferSweep(cfg BufferSweepConfig) (*BufferSweepResult, error) {
-	cfg = cfg.norm()
-	res := &BufferSweepResult{Config: cfg}
+func runBufferSweep(sp scenario.Spec, sc *obs.Scope) (*BufferSweepResult, error) {
+	dur := withDefaults(sp, ablationDefaults).Duration()
+	res := &BufferSweepResult{}
 	for _, bdp := range bufferBDPs {
-		etaR, etaC, err := separation(nimbus.PaperConfig(fig3RateBps), bdp, cfg.Duration, cfg.Obs)
+		etaR, etaC, err := separation(nimbus.PaperConfig(fig3RateBps), bdp, dur, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -165,27 +166,6 @@ func (r *BufferSweepResult) WriteTable(w io.Writer) {
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%5.1fBDP %9.3f %8.3f %11.3f\n", row.BufferBDP, row.EtaReno, row.EtaCBR, row.Separation)
 	}
-}
-
-// SubPacketConfig parameterizes the abl-subpkt ablation.
-type SubPacketConfig struct {
-	// Flows is the number of competing Reno flows (default 8).
-	Flows int
-	// Duration is each cell's length (default 20s).
-	Duration time.Duration
-	// Obs, when non-nil, receives every cell's trace events and metric
-	// registrations.
-	Obs *obs.Scope `json:"-"`
-}
-
-func (c SubPacketConfig) norm() SubPacketConfig {
-	if c.Flows <= 0 {
-		c.Flows = 8
-	}
-	if c.Duration <= 0 {
-		c.Duration = 20 * time.Second
-	}
-	return c
 }
 
 // subPacketRates are abl-subpkt's link rates in bits/s.
@@ -209,18 +189,17 @@ type SubPacketRow struct {
 
 // SubPacketResult is the full ablation sweep.
 type SubPacketResult struct {
-	Config SubPacketConfig
-	Rows   []SubPacketRow
+	Rows []SubPacketRow
 }
 
-// RunSubPacket runs the sub-packet-regime ablation: low-rate links
-// where the per-flow BDP is below one packet produce timeout-driven
-// starvation over short timescales.
-func RunSubPacket(cfg SubPacketConfig) (*SubPacketResult, error) {
-	cfg = cfg.norm()
-	res := &SubPacketResult{Config: cfg}
+// runSubPacket runs the sub-packet-regime ablation: the spec's number
+// of Reno flows on low-rate links where the per-flow BDP is below one
+// packet produce timeout-driven starvation over short timescales.
+func runSubPacket(sp scenario.Spec, sc *obs.Scope) (*SubPacketResult, error) {
+	sp = withDefaults(sp, subPacketDefaults)
+	res := &SubPacketResult{}
 	for _, rate := range subPacketRates {
-		row, err := subPacketRow(cfg, rate)
+		row, err := subPacketRow(sp, sc, rate)
 		if err != nil {
 			return nil, err
 		}
@@ -229,27 +208,29 @@ func RunSubPacket(cfg SubPacketConfig) (*SubPacketResult, error) {
 	return res, nil
 }
 
-// subPacketRow runs cfg's flows on one thin link of the given rate.
-func subPacketRow(cfg SubPacketConfig, rate float64) (SubPacketRow, error) {
-	w := [][2]time.Duration{{cfg.Duration / 4, cfg.Duration}}
-	flows := make([]flow, cfg.Flows)
+// subPacketRow runs the spec's flows on one thin link of the given
+// rate.
+func subPacketRow(sp scenario.Spec, sc *obs.Scope, rate float64) (SubPacketRow, error) {
+	dur := sp.Duration()
+	w := [][2]time.Duration{{dur / 4, dur}}
+	flows := make([]flow, sp.Flows)
 	for i := range flows {
 		flows[i] = flow{id: i + 1, user: 1, cc: cca.NewRenoCC(), watch: w}
 	}
 	// 200ms one-way: a long, thin path.
 	c, err := newCell(cellSpec{hops: []hop{{name: "thin", rateBps: rate, delay: 100 * time.Millisecond, buf: 8 * sim.MSS}},
-		flows: flows, obs: cfg.Obs})
+		flows: flows, obs: sc})
 	if err != nil {
 		return SubPacketRow{}, fmt.Errorf("core: subpkt: %w", err)
 	}
 	defer c.release()
-	c.eng.Run(cfg.Duration)
+	c.eng.Run(dur)
 	var tputs []float64
 	var timeouts int64
 	starved := 0
-	fair := rate / float64(cfg.Flows)
+	fair := rate / float64(sp.Flows)
 	for _, s := range c.src {
-		tp := s.flow.Throughput(cfg.Duration/4, cfg.Duration)
+		tp := s.flow.Throughput(dur/4, dur)
 		tputs = append(tputs, tp)
 		timeouts += s.flow.Sender.LossEvents()
 		if tp < 0.1*fair {
@@ -257,7 +238,7 @@ func subPacketRow(cfg SubPacketConfig, rate float64) (SubPacketRow, error) {
 		}
 	}
 	return SubPacketRow{
-		RateBps: rate, Flows: cfg.Flows,
+		RateBps: rate, Flows: sp.Flows,
 		Jain:         stats.JainIndex(tputs),
 		StarvedFlows: starved,
 		Timeouts:     timeouts,
@@ -273,22 +254,6 @@ func (r *SubPacketResult) WriteTable(w io.Writer) {
 	}
 }
 
-// JitterConfig parameterizes the abl-jitter ablation.
-type JitterConfig struct {
-	// Duration is each cell's length (default 30s).
-	Duration time.Duration
-	// Obs, when non-nil, receives every cell's trace events and metric
-	// registrations.
-	Obs *obs.Scope `json:"-"`
-}
-
-func (c JitterConfig) norm() JitterConfig {
-	if c.Duration <= 0 {
-		c.Duration = 30 * time.Second
-	}
-	return c
-}
-
 // JitterRow summarizes the abl-jitter ablation under one shaping
 // configuration: §5.2's observation that flows still contend on
 // latency/jitter even when bandwidth is isolated.
@@ -302,17 +267,16 @@ type JitterRow struct {
 
 // JitterResult is the full ablation sweep.
 type JitterResult struct {
-	Config JitterConfig
-	Rows   []JitterRow
+	Rows []JitterRow
 }
 
-// RunJitter runs the jitter ablation: a smooth low-rate flow shares a
+// runJitter runs the jitter ablation: a smooth low-rate flow shares a
 // token-bucket-shaped queue (and, for comparison, a plain FIFO and a
 // fair queue) with a bursty on-off flow; even when average bandwidth
 // is protected, token-bucket bursts inflate the smooth flow's delay.
-func RunJitter(cfg JitterConfig) (*JitterResult, error) {
-	cfg = cfg.norm()
-	res := &JitterResult{Config: cfg}
+func runJitter(sp scenario.Spec, sc *obs.Scope) (*JitterResult, error) {
+	dur := withDefaults(sp, ablationDefaults).Duration()
+	res := &JitterResult{}
 	for _, mode := range []string{"fifo", "shaper", "fq"} {
 		h := hop{rateBps: 20e6, delay: 10 * time.Millisecond, bdp: 4}
 		switch mode {
@@ -329,13 +293,13 @@ func RunJitter(cfg JitterConfig) (*JitterResult, error) {
 			{id: 1, user: 1, kind: "cbr", cbrBps: 1e6, traceRTT: true},
 			// Bursty flow: on-off Cubic bursts.
 			{id: 2, user: 2, kind: "onoff"},
-		}, obs: cfg.Obs})
+		}, obs: sc})
 		if err != nil {
 			return nil, fmt.Errorf("core: jitter: %w", err)
 		}
-		c.eng.Run(cfg.Duration)
+		c.eng.Run(dur)
 
-		rtts := c.src[0].flow.Sender.RTTs.Window(cfg.Duration/4, cfg.Duration)
+		rtts := c.src[0].flow.Sender.RTTs.Window(dur/4, dur)
 		for i := range rtts {
 			rtts[i] *= 1000 // ms
 		}

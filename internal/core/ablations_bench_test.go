@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/nimbus"
+	"repro/internal/scenario"
 )
 
 // The ablation benchmarks time a few cells of each sweep rather than
@@ -33,11 +34,11 @@ func BenchmarkAblationPulse(b *testing.B) {
 // fairness collapses on very thin links. Reported metric: Jain index
 // on the thinnest link.
 func BenchmarkAblationSubPacket(b *testing.B) {
-	cfg := SubPacketConfig{Flows: 8, Duration: 20 * time.Second}.norm()
+	sp := scenario.Spec{Flows: 8, DurationS: 20}
 	var jain float64
 	for i := 0; i < b.N; i++ {
 		for _, rate := range []float64{256e3, 2e6} {
-			row, err := subPacketRow(cfg, rate)
+			row, err := subPacketRow(sp, nil, rate)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
 
@@ -33,8 +34,8 @@ func TestEveryPhaseKindRunsInEveryPhasedCell(t *testing.T) {
 	}
 
 	t.Run("fig3", func(t *testing.T) {
-		res, err := RunFig3(Fig3Config{RateBps: 8e6, OneWayDelay: 10 * time.Millisecond,
-			Phases: kinds, PhaseDuration: phase, Seed: 1})
+		res, err := runFig3(scenario.Spec{RateBps: 8e6, RTTMs: 20,
+			Phases: kinds, PhaseDurationS: phase.Seconds(), Seed: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,8 +49,8 @@ func TestEveryPhaseKindRunsInEveryPhasedCell(t *testing.T) {
 			name = "huntcell probe"
 		}
 		t.Run(name, func(t *testing.T) {
-			res, err := RunHuntCell(HuntCellConfig{RateBps: 8e6, OneWayDelay: 10 * time.Millisecond,
-				Cross: sched, Probe: probe, Seed: 1})
+			res, err := runHuntCell(scenario.Spec{RateBps: 8e6, RTTMs: 20,
+				Cross: sched, Probe: probe, Seed: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,47 +8,26 @@ import (
 	"repro/internal/cca"
 	"repro/internal/nimbus"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
-// CellularConfig parameterizes the §5.1 experiment: if flows are
-// isolated (as cellular links already are per-user), the CCA's job is
-// not fairness but the throughput/self-inflicted-delay trade-off on a
-// variable link. This experiment runs each CCA alone on a fading
-// cellular link and reports utilization and delay percentiles.
-type CellularConfig struct {
-	// MeanRateBps is the link's mean rate (default 20 Mbit/s).
-	MeanRateBps float64
-	// OneWayDelay is the propagation delay (default 25ms).
-	OneWayDelay time.Duration
-	// Duration is the run length (default 60s).
-	Duration time.Duration
-	// CCAs lists the controllers to compare (default cubic, bbr,
-	// vegas, copa, nimbus-delay).
-	CCAs []string
-	// Seed drives the fading process (same trace for every CCA).
-	Seed int64
-	// Obs, when non-nil, receives every run's trace events and metric
-	// registrations.
-	Obs *obs.Scope `json:"-"`
+func init() {
+	scenario.Register(scenario.Experiment{
+		Name:        "cellular",
+		Description: "§5.1 trade-off: each CCA alone on a fading, isolated cellular link",
+		Defaults:    scenario.Spec{Seed: 1},
+		Run:         run(runCellular),
+		Table:       table[*CellularResult](),
+	})
 }
 
-func (c CellularConfig) norm() CellularConfig {
-	if c.MeanRateBps <= 0 {
-		c.MeanRateBps = 20e6
-	}
-	if c.OneWayDelay <= 0 {
-		c.OneWayDelay = 25 * time.Millisecond
-	}
-	if c.Duration <= 0 {
-		c.Duration = 60 * time.Second
-	}
-	if len(c.CCAs) == 0 {
-		c.CCAs = []string{"cubic", "bbr", "vegas", "copa", "nimbus"}
-	}
-	return c
-}
+// cellularDefaults are the §5.1 link and comparison set: a 20 Mbit/s
+// mean rate on a 50 ms round trip for 60 s, under cubic, bbr, vegas,
+// copa and the Nimbus delay mode.
+var cellularDefaults = scenario.Spec{RateBps: 20e6, RTTMs: 50, DurationS: 60,
+	CCAs: []string{"cubic", "bbr", "vegas", "copa", "nimbus"}}
 
 // CellularRow is one CCA's outcome on the fading link.
 type CellularRow struct {
@@ -66,17 +45,22 @@ type CellularRow struct {
 
 // CellularResult is the experiment outcome.
 type CellularResult struct {
-	Config CellularConfig
-	Rows   []CellularRow
+	Rows []CellularRow
+	sp   scenario.Spec
 }
 
-// RunCellular executes the experiment: each CCA runs alone (per-user
-// isolation means no competition) on an identical fading-rate trace.
-func RunCellular(cfg CellularConfig) (*CellularResult, error) {
-	cfg = cfg.norm()
-	res := &CellularResult{Config: cfg}
-	for _, name := range cfg.CCAs {
-		row, err := runCellularOne(cfg, name)
+// runCellular executes the §5.1 experiment: if flows are isolated (as
+// cellular links already are per-user), the CCA's job is not fairness
+// but the throughput/self-inflicted-delay trade-off on a variable link.
+// Each of the spec's CCAs runs alone (per-user isolation means no
+// competition) on an identical fading-rate trace around the spec's
+// rate, drawn from its seed, and reports utilization and delay
+// percentiles.
+func runCellular(sp scenario.Spec, sc *obs.Scope) (*CellularResult, error) {
+	sp = withDefaults(sp, cellularDefaults)
+	res := &CellularResult{sp: sp}
+	for _, name := range sp.CCAs {
+		row, err := runCellularOne(sp, sc, name)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +69,7 @@ func RunCellular(cfg CellularConfig) (*CellularResult, error) {
 	return res, nil
 }
 
-func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
+func runCellularOne(sp scenario.Spec, sc *obs.Scope, name string) (CellularRow, error) {
 	var cc transport.CCA
 	if name == "nimbus" {
 		cc = nimbus.NewCCA(nimbus.Config{})
@@ -96,29 +80,30 @@ func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
 			return CellularRow{}, err
 		}
 	}
-	warm := cfg.Duration / 4
+	dur, owd := sp.Duration(), oneWay(sp)
+	warm := dur / 4
 	c, err := newCell(cellSpec{
 		// Deep buffer, as cellular base stations have: 8 mean BDPs.
-		hops: []hop{{name: "cell", rateBps: cfg.MeanRateBps, delay: cfg.OneWayDelay,
-			buf: int(cfg.MeanRateBps / 8 * (2 * cfg.OneWayDelay).Seconds() * 8), fading: true}},
-		flows: []flow{{id: 1, cc: cc, traceRTT: true, watch: [][2]time.Duration{{warm, cfg.Duration}}}},
-		seed:  cfg.Seed + 17,
-		obs:   cfg.Obs,
+		hops: []hop{{name: "cell", rateBps: sp.RateBps, delay: owd,
+			buf: int(sp.RateBps / 8 * (2 * owd).Seconds() * 8), fading: true}},
+		flows: []flow{{id: 1, cc: cc, traceRTT: true, watch: [][2]time.Duration{{warm, dur}}}},
+		seed:  sp.Seed + 17,
+		obs:   sc,
 	})
 	if err != nil {
 		return CellularRow{}, fmt.Errorf("core: cellular: %w", err)
 	}
 	defer c.release()
-	c.eng.Run(cfg.Duration)
+	c.eng.Run(dur)
 
 	f := c.src[0].flow
-	rtts := f.Sender.RTTs.Window(warm, cfg.Duration)
+	rtts := f.Sender.RTTs.Window(warm, dur)
 	for i := range rtts {
 		rtts[i] *= 1000
 	}
 	p50, _ := stats.Quantile(rtts, 0.5)
 	p95, _ := stats.Quantile(rtts, 0.95)
-	base := float64(2*cfg.OneWayDelay) / float64(time.Millisecond)
+	base := float64(2*owd) / float64(time.Millisecond)
 	// Utilization is measured against the rate the link actually
 	// offered during the measurement window, not the nominal mean.
 	var offered float64
@@ -132,11 +117,11 @@ func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
 	if n > 0 {
 		offered /= float64(n)
 	} else {
-		offered = cfg.MeanRateBps
+		offered = sp.RateBps
 	}
 	return CellularRow{
 		CCA:             name,
-		Utilization:     f.Throughput(warm, cfg.Duration) / offered,
+		Utilization:     f.Throughput(warm, dur) / offered,
 		P50DelayMs:      p50,
 		P95DelayMs:      p95,
 		SelfInflictedMs: p95 - base,
@@ -147,7 +132,7 @@ func runCellularOne(cfg CellularConfig, name string) (CellularRow, error) {
 // WriteTable renders the comparison.
 func (r *CellularResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "exp-cellular (§5.1): one flow per CCA on a fading %s link (isolated, no competition)\n",
-		FmtBps(r.Config.MeanRateBps))
+		FmtBps(r.sp.RateBps))
 	fmt.Fprintf(w, "%-8s %6s %9s %9s %14s %8s\n", "cca", "util", "p50-rtt", "p95-rtt", "self-delay-p95", "losses")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-8s %5.1f%% %7.1fms %7.1fms %12.1fms %8d\n",

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cca"
 	"repro/internal/qdisc"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -137,7 +138,7 @@ func TestThroughputMemoryIsFlat(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if _, err := RunDuel(DuelConfig{CCA1: "reno", CCA2: "cubic", Duration: dur}); err != nil {
+		if _, err := runDuel(scenario.Spec{CCAs: []string{"reno", "cubic"}, DurationS: dur.Seconds()}, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -152,14 +153,14 @@ func TestThroughputMemoryIsFlat(t *testing.T) {
 }
 
 func TestFig3RejectsUnknownPhase(t *testing.T) {
-	_, err := RunFig3(Fig3Config{Phases: []string{"warp-drive"}, PhaseDuration: time.Second})
+	_, err := runFig3(scenario.Spec{Phases: []string{"warp-drive"}, PhaseDurationS: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown fig3 phase") {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestFig1RejectsUnknownCCA(t *testing.T) {
-	_, err := runFig1Cell(Fig1Config{Duration: time.Second}.norm(), [2]string{"reno", "quic-magic"}, QueueDropTail)
+	_, err := runFig1Cell(withDefaults(scenario.Spec{DurationS: 1}, fig1Defaults), nil, [2]string{"reno", "quic-magic"}, QueueDropTail)
 	if err == nil {
 		t.Error("unknown CCA should error")
 	}

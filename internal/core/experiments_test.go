@@ -5,13 +5,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 func TestFig1IsolationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := RunFig1(Fig1Config{Duration: 30 * time.Second})
+	res, err := runFig1(scenario.Spec{DurationS: 30}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func fig1Row(r *Fig1Result, cca1, cca2 string, q QueueKind) *Fig1Row {
 }
 
 func TestFig2PipelineShape(t *testing.T) {
-	res, err := RunFig2(Fig2Config{})
+	res, err := runFig2(scenario.Spec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestOracleAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := RunOracle(OracleConfig{Trials: 12, Duration: 30 * time.Second, Seed: 5})
+	res, err := runOracle(scenario.Spec{Trials: 12, DurationS: 30, Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +120,12 @@ func TestSubPacketRegime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	cfg := SubPacketConfig{Flows: 8, Duration: 20 * time.Second}.norm()
-	thin, err := subPacketRow(cfg, 256e3)
+	sp := scenario.Spec{Flows: 8, DurationS: 20}
+	thin, err := subPacketRow(sp, nil, 256e3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fat, err := subPacketRow(cfg, 4e6)
+	fat, err := subPacketRow(sp, nil, 4e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestJitterUnderShaping(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := RunJitter(JitterConfig{Duration: 25 * time.Second})
+	res, err := runJitter(scenario.Spec{DurationS: 25}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestCellularTradeoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := RunCellular(CellularConfig{Duration: 40 * time.Second, Seed: 2})
+	res, err := runCellular(scenario.Spec{DurationS: 40, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +197,7 @@ func TestAccessOnlyContentionPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := RunAccess(AccessConfig{Duration: 20 * time.Second})
+	res, err := runAccess(scenario.Spec{DurationS: 20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestAccessOnlyContentionPoint(t *testing.T) {
 	}
 	// Every user saturates their own access link regardless.
 	for u, tput := range res.PerUserTputBps {
-		if tput < 0.9*res.Config.AccessRateBps {
+		if tput < 0.9*res.sp.RateBps {
 			t.Errorf("user %d aggregate = %.1f Mbit/s", u, tput/1e6)
 		}
 	}
@@ -220,7 +222,7 @@ func TestTSLPComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := RunTSLP(TSLPConfig{Duration: 35 * time.Second})
+	res, err := runTSLP(scenario.Spec{DurationS: 35}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

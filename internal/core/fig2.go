@@ -5,57 +5,56 @@ import (
 	"io"
 
 	"repro/internal/mlab"
+	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
-// Fig2Config parameterizes the M-Lab passive-analysis experiment.
-type Fig2Config struct {
-	// Generator configures the synthetic NDT dataset (default: 9,984
-	// flows, the paper's June 2023 query size).
-	Generator mlab.GeneratorConfig
-	// Workers is the analysis fan-out (default 1: the sweep runner
-	// already parallelizes across scenarios). The outcome is identical
-	// for every worker count, so it is execution detail, not spec.
-	Workers int `json:"-"`
+func init() {
+	scenario.Register(scenario.Experiment{
+		Name:        "fig2",
+		Description: "Figure 2 M-Lab pipeline: synthetic NDT dataset through the passive §3.1 analysis",
+		Run:         run(runFig2),
+		Table: func(w io.Writer, v any) {
+			if r, ok := v.(*Fig2Result); ok {
+				_ = r.WriteReport(w)
+			}
+		},
+	})
 }
 
 // Fig2Result bundles the dataset-level outcome.
 type Fig2Result struct {
-	Config     Fig2Config
 	Analysis   *mlab.Analysis
 	Validation mlab.Validation
 }
 
-func (c Fig2Config) streamOptions(keepResults bool) mlab.StreamOptions {
-	workers := c.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	return mlab.StreamOptions{Workers: workers, KeepResults: keepResults}
+// runFig2 generates the synthetic NDT dataset of the spec's flow count
+// (default 9,984, the paper's June 2023 query size) and seed, and runs
+// the paper's §3.1 pipeline over it: filter application-limited,
+// receiver-limited, and cellular flows, then search the remainder's
+// throughput traces for level shifts. Generation and analysis are
+// pipelined record by record — the dataset is never materialized — on
+// one worker: the sweep runner already parallelizes across scenarios.
+func runFig2(sp scenario.Spec, _ *obs.Scope) (*Fig2Result, error) {
+	src := mlab.NewGenSource(mlab.GeneratorConfig{Flows: sp.Flows, Seed: sp.Seed})
+	return analyzeFig2(src, mlab.StreamOptions{Workers: 1, KeepResults: true})
 }
 
-// RunFig2 generates the synthetic NDT dataset and runs the paper's
-// §3.1 pipeline over it: filter application-limited, receiver-limited,
-// and cellular flows, then search the remainder's throughput traces
-// for level shifts. Generation and analysis are pipelined record by
-// record — the dataset is never materialized.
-func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
-	src := mlab.NewGenSource(cfg.Generator)
-	an, err := mlab.AnalyzeStream(src, mlab.AnalysisConfig{}, cfg.streamOptions(true))
+// AnalyzeFig2Stream runs the pipeline over a record stream on the given
+// number of workers (<= 0 means GOMAXPROCS) in the aggregate mode:
+// per-flow results are not retained, so memory is O(workers x flow
+// size) plus 8 B per accepted shift magnitude. The outcome is identical
+// for every worker count.
+func AnalyzeFig2Stream(src mlab.RecordSource, workers int) (*Fig2Result, error) {
+	return analyzeFig2(src, mlab.StreamOptions{Workers: workers})
+}
+
+func analyzeFig2(src mlab.RecordSource, opts mlab.StreamOptions) (*Fig2Result, error) {
+	an, err := mlab.AnalyzeStream(src, mlab.AnalysisConfig{}, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig2Result{Config: cfg, Analysis: an, Validation: an.Validate()}, nil
-}
-
-// AnalyzeFig2Stream runs the pipeline over a record stream in the
-// aggregate mode: per-flow results are not retained, so memory is
-// O(cfg.Workers x flow size) plus 8 B per accepted shift magnitude.
-func AnalyzeFig2Stream(src mlab.RecordSource, cfg Fig2Config) (*Fig2Result, error) {
-	an, err := mlab.AnalyzeStream(src, mlab.AnalysisConfig{}, cfg.streamOptions(false))
-	if err != nil {
-		return nil, err
-	}
-	return &Fig2Result{Config: cfg, Analysis: an, Validation: an.Validate()}, nil
+	return &Fig2Result{Analysis: an, Validation: an.Validate()}, nil
 }
 
 // WriteReport renders the Figure 2 style report plus the ground-truth

@@ -6,43 +6,20 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/nimbus"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
-// Fig3Config parameterizes the elasticity proof-of-concept (Figure 3):
-// a Nimbus probe with mode switching disabled runs continuously on an
-// emulated 48 Mbit/s, 100 ms link while five kinds of cross traffic
-// take 45-second turns.
-type Fig3Config struct {
-	// RateBps is the emulated link rate (default 48 Mbit/s).
-	RateBps float64
-	// OneWayDelay is the propagation delay (default 50ms → 100ms RTT,
-	// the paper's Mahimahi setup).
-	OneWayDelay time.Duration
-	// PhaseDuration is each cross-traffic phase's length (default 45s).
-	PhaseDuration time.Duration
-	// Phases lists the cross-traffic phases in order (default the
-	// paper's five: reno, bbr, video, short flows, cbr).
-	Phases []string
-	// Nimbus overrides the probe configuration; Mu defaults to
-	// RateBps.
-	Nimbus nimbus.Config
-	// Seed drives workload randomness.
-	Seed int64
-	// BufferBDP sizes the droptail buffer (default 1).
-	BufferBDP float64
-	// FaultProfile, when non-empty, names a registered fault profile to
-	// impose on the bottleneck (see faults.Names): the probe is measured through
-	// an impaired link rather than a clean one. FaultSeed drives the
-	// injectors.
-	FaultProfile string
-	FaultSeed    int64
-	// Obs, when non-nil, receives the run's trace events and metric
-	// registrations (probe flow, cross flows, link, AQM, faults).
-	Obs *obs.Scope `json:"-"`
+func init() {
+	scenario.Register(scenario.Experiment{
+		Name:        "fig3",
+		Description: "Figure 3 elasticity proof-of-concept: Nimbus probe vs five kinds of cross traffic",
+		Defaults:    fig3Defaults,
+		Run:         run(runFig3),
+		Table:       table[*Fig3Result](),
+	})
 }
 
 // The Figure 3 link: 48 Mbit/s with a 100 ms RTT, the paper's
@@ -53,35 +30,17 @@ const (
 	fig3OneWayDelay = 50 * time.Millisecond
 )
 
-func (c Fig3Config) norm() Fig3Config {
-	if c.RateBps <= 0 {
-		c.RateBps = fig3RateBps
-	}
-	if c.OneWayDelay <= 0 {
-		c.OneWayDelay = fig3OneWayDelay
-	}
-	if c.PhaseDuration <= 0 {
-		c.PhaseDuration = 45 * time.Second
-	}
-	if len(c.Phases) == 0 {
-		c.Phases = []string{"reno", "bbr", "video", "short", "cbr"}
-	}
-	paper := nimbus.PaperConfig(c.RateBps)
-	if c.Nimbus.Mu <= 0 {
-		c.Nimbus.Mu = paper.Mu
-	}
-	if c.Nimbus.PulseFreq <= 0 {
-		c.Nimbus.PulseFreq = paper.PulseFreq
-	}
-	// The delay-mode controller adapts the standing queue to 0.4x
-	// the observed minRTT (40ms on this link), which
-	// absorbs the pulse troughs (trough deficit = A*mu*T/pi ~= 40ms at
-	// 2 Hz with A=0.25) and keeps the cross-traffic estimate truthful
-	// when the link would otherwise drain.
-	if c.BufferBDP <= 0 {
-		c.BufferBDP = 1
-	}
-	return c
+// fig3Defaults are the paper's Figure 3: its link, and the five kinds
+// of cross traffic (reno, bbr, video, short flows, cbr) taking
+// 45-second turns. A spec that leaves them out runs them too, on a
+// 1-BDP droptail buffer.
+var fig3Defaults = scenario.Spec{
+	Seed:           1,
+	FaultSeed:      1,
+	RateBps:        fig3RateBps,
+	RTTMs:          float64(2 * fig3OneWayDelay / time.Millisecond),
+	PhaseDurationS: 45,
+	Phases:         []string{"reno", "bbr", "video", "short", "cbr"},
 }
 
 // Fig3Phase is one phase's outcome.
@@ -105,40 +64,49 @@ type Fig3Phase struct {
 
 // Fig3Result is the full proof-of-concept outcome.
 type Fig3Result struct {
-	Config Fig3Config
 	Phases []Fig3Phase
 	// Eta is the complete elasticity time series.
 	Eta []stats.Sample
+	sp  scenario.Spec
 }
 
 // fig3Settle leaves the first 5 s of every phase out of its score:
 // elasticity windows there straddle the transition.
 func fig3Settle(time.Duration) time.Duration { return 5 * time.Second }
 
-// RunFig3 executes the Figure 3 experiment in a single continuous
-// simulation: the probe flow runs throughout; cross traffic starts and
+// runFig3 executes the elasticity proof-of-concept (Figure 3) in a
+// single continuous simulation: the paper's probe, a Nimbus flow with
+// mode switching disabled, runs throughout; cross traffic starts and
 // stops at phase boundaries.
-func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
-	cfg = cfg.norm()
+func runFig3(sp scenario.Spec, sc *obs.Scope) (*Fig3Result, error) {
+	def := fig3Defaults
+	// The delay-mode controller adapts the standing queue to 0.4x the
+	// observed minRTT (40ms on this link), which absorbs the pulse
+	// troughs (trough deficit = A*mu*T/pi ~= 40ms at 2 Hz with A=0.25)
+	// and keeps the cross-traffic estimate truthful when the link would
+	// otherwise drain.
+	def.BufferBDP = 1
+	sp = withDefaults(sp, def)
 	// The phases are a uniform schedule. Its bounds are whole multiples
-	// of PhaseDuration; the float seconds are for validation only.
-	sched := make([]traffic.Phase, len(cfg.Phases))
-	spans := make([]phaseSpan, len(cfg.Phases))
-	for i, kind := range cfg.Phases {
-		sched[i] = traffic.Phase{Kind: kind, DurS: cfg.PhaseDuration.Seconds()}
-		start := time.Duration(i) * cfg.PhaseDuration
-		spans[i] = phaseSpan{kind: kind, start: start, end: start + cfg.PhaseDuration}
+	// of the phase length; the float seconds are for validation only.
+	phase := phaseDuration(sp)
+	sched := make([]traffic.Phase, len(sp.Phases))
+	spans := make([]phaseSpan, len(sp.Phases))
+	for i, kind := range sp.Phases {
+		sched[i] = traffic.Phase{Kind: kind, DurS: phase.Seconds()}
+		start := time.Duration(i) * phase
+		spans[i] = phaseSpan{kind: kind, start: start, end: start + phase}
 	}
 	if err := traffic.ValidateSchedule(sched); err != nil {
 		return nil, fmt.Errorf("core: unknown fig3 phase: %w", err)
 	}
-	probeCC := nimbus.NewCCA(cfg.Nimbus)
+	probeCC := paperProbe(sp.RateBps)
 	c, err := newCell(cellSpec{
-		hops: []hop{{rateBps: cfg.RateBps, delay: cfg.OneWayDelay, bdp: cfg.BufferBDP,
-			faultProfile: cfg.FaultProfile, faultSeed: cfg.FaultSeed}},
-		flows: phaseFlows(flow{id: 1, user: 1, cc: probeCC}, spans, fig3Settle, 0.4*cfg.RateBps),
-		seed:  cfg.Seed + 1,
-		obs:   cfg.Obs,
+		hops: []hop{{rateBps: sp.RateBps, delay: oneWay(sp), bdp: sp.BufferBDP,
+			faultProfile: sp.FaultProfile, faultSeed: sp.FaultSeed}},
+		flows: phaseFlows(flow{id: 1, user: 1, cc: probeCC}, spans, fig3Settle, 0.4*sp.RateBps),
+		seed:  sp.Seed + 1,
+		obs:   sc,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: fig3: %w", err)
@@ -146,7 +114,7 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	defer c.release()
 	measured := c.runPhases(spans, fig3Settle, probeCC.Est)
 
-	res := &Fig3Result{Config: cfg, Eta: probeCC.Est.Elasticity.Samples()}
+	res := &Fig3Result{sp: sp, Eta: probeCC.Est.Elasticity.Samples()}
 	for _, m := range measured {
 		res.Phases = append(res.Phases, Fig3Phase{
 			Name: m.kind, Start: m.start, End: m.end,
@@ -174,7 +142,7 @@ func (r *Fig3Result) Summary() obs.Summary {
 // WriteTable renders the per-phase summary.
 func (r *Fig3Result) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "fig3: Nimbus elasticity probe (mode switching disabled) on a %s, %v-RTT link\n",
-		FmtBps(r.Config.RateBps), 2*r.Config.OneWayDelay)
+		FmtBps(r.sp.RateBps), 2*oneWay(r.sp))
 	fmt.Fprintf(w, "%-8s %8s %8s %8s %9s %12s %12s\n",
 		"phase", "windows", "mean-eta", "max-eta", "elastic?", "cross-tput", "probe-tput")
 	for _, p := range r.Phases {

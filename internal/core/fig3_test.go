@@ -2,7 +2,8 @@ package core
 
 import (
 	"testing"
-	"time"
+
+	"repro/internal/scenario"
 )
 
 // TestFig3Shape verifies the paper's Figure 3 shape: elasticity is
@@ -12,10 +13,7 @@ func TestFig3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := RunFig3(Fig3Config{
-		PhaseDuration: 30 * time.Second,
-		Seed:          7,
-	})
+	res, err := runFig3(scenario.Spec{PhaseDurationS: 30, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

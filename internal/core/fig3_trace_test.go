@@ -6,20 +6,17 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // TestFig3TracedRunLog is the tentpole acceptance check: a traced fig3
 // run produces a JSONL run log (manifest + events + summary) that
 // re-reads cleanly and is consistent with the run's own summary stats.
 func TestFig3TracedRunLog(t *testing.T) {
-	cfg := Fig3Config{
-		PhaseDuration: 10 * time.Second,
-		Phases:        []string{"reno", "cbr"},
-		Seed:          3,
-	}
+	sp := scenario.Spec{PhaseDurationS: 10, Phases: []string{"reno", "cbr"}, Seed: 3}
 
-	want := obs.Manifest{Tool: "ccac/fig3", Seed: cfg.Seed,
-		RateBps: 48e6, Phases: cfg.Phases}
+	want := obs.Manifest{Tool: "ccac/fig3", Seed: sp.Seed,
+		RateBps: 48e6, Phases: sp.Phases}
 	var buf bytes.Buffer
 	w, err := obs.NewRunLogWriter(&buf, want)
 	if err != nil {
@@ -28,9 +25,7 @@ func TestFig3TracedRunLog(t *testing.T) {
 	tr := w.Tracer()
 	tr.SetSampling(16) // keep the log small; control events are unaffected
 	reg := obs.NewRegistry()
-	cfg.Obs = &obs.Scope{Reg: reg, Tracer: tr}
-
-	res, err := RunFig3(cfg)
+	res, err := runFig3(sp, &obs.Scope{Reg: reg, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +55,7 @@ func TestFig3TracedRunLog(t *testing.T) {
 	// engine clock by a few intervals during catch-up, so the merged
 	// stream is only near-sorted globally.)
 	lastBySrc := map[string]time.Duration{}
-	horizon := 2 * cfg.PhaseDuration
+	horizon := 2 * phaseDuration(sp)
 	counts := map[string]int64{}
 	for i, ev := range log.Events {
 		if ev.At < lastBySrc[ev.Src] {

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"repro/internal/cca"
-	"repro/internal/faults"
 	"repro/internal/nimbus"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/internal/transport"
@@ -18,65 +18,22 @@ import (
 // whole-run throughput averaging.
 const huntCellWarmupFrac = 0.15
 
-// HuntCellConfig parameterizes the adversarial-search cell: one main
-// flow — a victim bulk transfer, or in probe mode a Nimbus elasticity
-// probe — on a bottleneck whose impairments come from an *inline*
-// fault config (arbitrary, not just the named registry profiles,
-// including capacity oscillation) while a declarative cross-traffic
-// schedule takes phased turns against it. Every knob the hunt genome
-// encodes lands here, so a decoded genome is an ordinary, replayable
-// experiment config.
-type HuntCellConfig struct {
-	// VictimCCA names the main flow's controller (default "reno").
-	// Ignored in probe mode.
-	VictimCCA string
-	// Probe switches the main flow to a Nimbus elasticity probe whose
-	// per-phase verdicts are scored against the schedule's ground
-	// truth.
-	Probe bool
-	// Cross is the cross-traffic schedule; the cell's duration is the
-	// schedule's total length.
-	Cross []traffic.Phase
-	// RateBps is the bottleneck rate (default 16 Mbit/s).
-	RateBps float64
-	// OneWayDelay is the propagation delay (default 15ms -> 30ms RTT).
-	OneWayDelay time.Duration
-	// Queue selects the discipline (default droptail).
-	Queue QueueKind
-	// BufferBDP sizes the buffer (default 1).
-	BufferBDP float64
-	// Seed drives workload randomness (short-flow arrivals and sizes).
-	Seed int64
-	// Fault, when non-nil, imposes the inline impairment chain plus
-	// any rate oscillation; it takes precedence over FaultProfile.
-	Fault *faults.Config
-	// FaultProfile names a registered profile when Fault is nil.
-	FaultProfile string
-	// FaultSeed drives the fault injectors.
-	FaultSeed int64
-	// Obs, when non-nil, receives the run's trace events and metric
-	// registrations.
-	Obs *obs.Scope `json:"-"`
+func init() {
+	scenario.Register(scenario.Experiment{
+		Name:        "huntcell",
+		Description: "adversarial-search cell: victim or probe flow vs a cross-traffic schedule on an inline-faulted link",
+		Defaults: scenario.Spec{
+			CCAs:  []string{"reno"},
+			Cross: []traffic.Phase{{Kind: "bbr", DurS: 10}, {Kind: "idle", DurS: 5}},
+		},
+		Run:   run(runHuntCell),
+		Table: table[*HuntCellResult](),
+	})
 }
 
-func (c HuntCellConfig) norm() HuntCellConfig {
-	if c.VictimCCA == "" {
-		c.VictimCCA = "reno"
-	}
-	if c.RateBps <= 0 {
-		c.RateBps = 16e6
-	}
-	if c.OneWayDelay <= 0 {
-		c.OneWayDelay = 15 * time.Millisecond
-	}
-	if c.Queue == "" {
-		c.Queue = QueueDropTail
-	}
-	if c.BufferBDP <= 0 {
-		c.BufferBDP = 1
-	}
-	return c
-}
+// huntCellDefaults are the cell's link: 16 Mbit/s on a 30 ms round
+// trip with a 1-BDP droptail buffer, the victim under reno.
+var huntCellDefaults = scenario.Spec{RateBps: 16e6, RTTMs: 30, Queue: string(QueueDropTail), BufferBDP: 1}
 
 // HuntCellPhase is one schedule phase's outcome.
 type HuntCellPhase struct {
@@ -102,7 +59,6 @@ type HuntCellPhase struct {
 // the harm/unfairness objectives and per-phase probe verdicts for the
 // misclassification/flip objectives.
 type HuntCellResult struct {
-	Config HuntCellConfig
 	Phases []HuntCellPhase
 
 	// MainTputBps is the main flow's post-warmup throughput;
@@ -122,6 +78,8 @@ type HuntCellResult struct {
 	// Misclassified those whose verdict contradicts ground truth.
 	Decided       int
 	Misclassified int
+
+	sp scenario.Spec
 }
 
 // settleMargin is how much of a phase's start is excluded from verdict
@@ -134,40 +92,52 @@ func settleMargin(phase time.Duration) time.Duration {
 	return s
 }
 
-// RunHuntCell executes the cell.
-func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
-	cfg = cfg.norm()
-	if err := traffic.ValidateSchedule(cfg.Cross); err != nil {
+// runHuntCell executes the adversarial-search cell: one main flow — a
+// victim bulk transfer under the spec's first CCA, or with Probe set a
+// Nimbus elasticity probe whose per-phase verdicts are scored against
+// the schedule's ground truth — on a bottleneck whose impairments come
+// from an *inline* fault config (arbitrary, not just the named registry
+// profiles, including capacity oscillation; it takes precedence over
+// FaultProfile) while the spec's Cross schedule takes phased turns
+// against it. The cell's duration is the schedule's total length. Every
+// knob the hunt genome encodes is a spec key, so a decoded genome is an
+// ordinary, replayable spec.
+func runHuntCell(sp scenario.Spec, sc *obs.Scope) (*HuntCellResult, error) {
+	sp = withDefaults(sp, huntCellDefaults)
+	if len(sp.CCAs) == 0 || sp.CCAs[0] == "" {
+		sp.CCAs = []string{"reno"}
+	}
+	if err := traffic.ValidateSchedule(sp.Cross); err != nil {
 		return nil, fmt.Errorf("core: huntcell: %w", err)
 	}
-	total := traffic.ScheduleDuration(cfg.Cross)
+	total := traffic.ScheduleDuration(sp.Cross)
 
 	var est *nimbus.Estimator // the main flow's, in probe mode
 	var mainCC transport.CCA
-	if cfg.Probe {
-		probeCC := paperProbe(cfg.RateBps)
+	if sp.Probe {
+		probeCC := paperProbe(sp.RateBps)
 		est, mainCC = probeCC.Est, probeCC
 	} else {
-		cc, err := cca.New(cfg.VictimCCA)
+		cc, err := cca.New(sp.CCAs[0])
 		if err != nil {
 			return nil, fmt.Errorf("core: huntcell: victim: %w", err)
 		}
 		mainCC = cc
 	}
 	warmup := time.Duration(huntCellWarmupFrac * float64(total))
-	spans := make([]phaseSpan, len(cfg.Cross))
+	spans := make([]phaseSpan, len(sp.Cross))
 	var at time.Duration
-	for i, ph := range cfg.Cross {
+	for i, ph := range sp.Cross {
 		spans[i] = phaseSpan{kind: ph.Kind, start: at, end: at + ph.Duration()}
 		at = spans[i].end
 	}
 	main := flow{id: 1, user: 1, cc: mainCC, watch: [][2]time.Duration{{warmup, total}}}
 	c, err := newCell(cellSpec{
-		hops: []hop{{rateBps: cfg.RateBps, delay: cfg.OneWayDelay, queue: cfg.Queue, bdp: cfg.BufferBDP,
-			faultProfile: cfg.FaultProfile, fault: cfg.Fault, faultSeed: cfg.FaultSeed}},
-		flows: phaseFlows(main, spans, settleMargin, 0.4*cfg.RateBps),
-		seed:  cfg.Seed + 1,
-		obs:   cfg.Obs,
+		hops: []hop{{rateBps: sp.RateBps, delay: oneWay(sp), queue: QueueKind(sp.Queue), bdp: sp.BufferBDP,
+			faultProfile: sp.FaultProfile, fault: sp.Fault, faultSeed: sp.FaultSeed}},
+		flows: phaseFlows(main, spans, settleMargin, 0.4*sp.RateBps),
+		seed:  sp.Seed + 1,
+		obs:   sc,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: huntcell: %w", err)
@@ -175,7 +145,7 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 	defer c.release()
 	measured := c.runPhases(spans, settleMargin, est)
 
-	res := &HuntCellResult{Config: cfg, FairShareBps: cfg.RateBps / 2}
+	res := &HuntCellResult{sp: sp, FairShareBps: sp.RateBps / 2}
 	var crossWeighted float64
 	for _, m := range measured {
 		ph := HuntCellPhase{
@@ -200,19 +170,19 @@ func RunHuntCell(cfg HuntCellConfig) (*HuntCellResult, error) {
 	res.CrossTputBps = crossWeighted / total.Seconds()
 	res.Harm = stats.Harm(res.FairShareBps, res.MainTputBps)
 	res.Jain = stats.JainIndex([]float64{res.MainTputBps, res.CrossTputBps})
-	res.Util = (res.MainTputBps + res.CrossTputBps) / cfg.RateBps
+	res.Util = (res.MainTputBps + res.CrossTputBps) / sp.RateBps
 	return res, nil
 }
 
 // WriteTable renders the cell.
 func (r *HuntCellResult) WriteTable(w io.Writer) {
-	c := r.Config
-	mode := "victim=" + c.VictimCCA
+	c := r.sp
+	mode := "victim=" + c.CCAs[0]
 	if c.Probe {
 		mode = "probe=nimbus"
 	}
 	fmt.Fprintf(w, "huntcell: %s on a %s link (%v RTT), queue=%s\n",
-		mode, FmtBps(c.RateBps), 2*c.OneWayDelay, string(c.Queue))
+		mode, FmtBps(c.RateBps), 2*oneWay(c), c.Queue)
 	fmt.Fprintf(w, "%-8s %8s %8s %12s %12s", "phase", "start", "end", "cross-tput", "main-tput")
 	if c.Probe {
 		fmt.Fprintf(w, " %7s %9s %8s", "truth", "verdict", "mean-eta")

@@ -6,24 +6,25 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
 
 // TestHuntCellDeterminism: the cell is the hunt's fitness function, so
-// two runs of the same config — inline faults, oscillating capacity,
+// two runs of the same spec — inline faults, oscillating capacity,
 // short flows and all — must agree to the last bit.
 func TestHuntCellDeterminism(t *testing.T) {
-	cfg := HuntCellConfig{
-		VictimCCA: "reno",
+	sp := scenario.Spec{
+		CCAs: []string{"reno"},
 		Cross: []traffic.Phase{
 			{Kind: "cubic", DurS: 5},
 			{Kind: "short", DurS: 4},
 			{Kind: "idle", DurS: 3},
 		},
-		RateBps:     12e6,
-		OneWayDelay: 10 * time.Millisecond,
-		Seed:        7,
-		FaultSeed:   7,
+		RateBps:   12e6,
+		RTTMs:     20,
+		Seed:      7,
+		FaultSeed: 7,
 		Fault: &faults.Config{
 			GE:         &faults.GESpec{PGoodBad: 0.01, PBadGood: 0.3, LossBad: 0.5},
 			Outages:    []faults.WindowSpec{{StartS: 6, EndS: 6.5}},
@@ -33,9 +34,9 @@ func TestHuntCellDeterminism(t *testing.T) {
 		},
 	}
 	run := func() []byte {
-		res, err := RunHuntCell(cfg)
+		res, err := runHuntCell(sp, nil)
 		if err != nil {
-			t.Fatalf("RunHuntCell: %v", err)
+			t.Fatalf("runHuntCell: %v", err)
 		}
 		b, err := json.Marshal(res)
 		if err != nil {
@@ -52,15 +53,15 @@ func TestHuntCellDeterminism(t *testing.T) {
 // TestHuntCellVictimMetrics checks the victim-mode shape: contiguous
 // phase bounds and aggregates inside their definitional ranges.
 func TestHuntCellVictimMetrics(t *testing.T) {
-	res, err := RunHuntCell(HuntCellConfig{
+	res, err := runHuntCell(scenario.Spec{
 		Cross: []traffic.Phase{
 			{Kind: "bbr", DurS: 8},
 			{Kind: "idle", DurS: 4},
 		},
 		Seed: 1,
-	})
+	}, nil)
 	if err != nil {
-		t.Fatalf("RunHuntCell: %v", err)
+		t.Fatalf("runHuntCell: %v", err)
 	}
 	if len(res.Phases) != 2 {
 		t.Fatalf("phases = %d, want 2", len(res.Phases))
@@ -98,16 +99,16 @@ func TestHuntCellVictimMetrics(t *testing.T) {
 // TestHuntCellProbeVerdicts: probe mode must deliver per-phase verdicts
 // with the schedule's ground truth attached.
 func TestHuntCellProbeVerdicts(t *testing.T) {
-	res, err := RunHuntCell(HuntCellConfig{
+	res, err := runHuntCell(scenario.Spec{
 		Probe: true,
 		Cross: []traffic.Phase{
 			{Kind: "reno", DurS: 15},
 			{Kind: "cbr", DurS: 15},
 		},
 		Seed: 1,
-	})
+	}, nil)
 	if err != nil {
-		t.Fatalf("RunHuntCell: %v", err)
+		t.Fatalf("runHuntCell: %v", err)
 	}
 	if !res.Phases[0].TruthElastic || res.Phases[1].TruthElastic {
 		t.Errorf("ground truth wrong: reno=%v cbr=%v",
@@ -129,11 +130,11 @@ func TestHuntCellProbeVerdicts(t *testing.T) {
 // TestHuntCellInlineFaultPrecedence: a non-nil inline Fault must win
 // over FaultProfile — even a bogus profile name is never looked up.
 func TestHuntCellInlineFaultPrecedence(t *testing.T) {
-	_, err := RunHuntCell(HuntCellConfig{
+	_, err := runHuntCell(scenario.Spec{
 		Cross:        []traffic.Phase{{Kind: "idle", DurS: 2}},
 		Fault:        &faults.Config{LossProb: 0.01},
 		FaultProfile: "no-such-profile",
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("inline fault should shadow the bogus profile name: %v", err)
 	}
@@ -143,22 +144,22 @@ func TestHuntCellInlineFaultPrecedence(t *testing.T) {
 func TestHuntCellErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  HuntCellConfig
+		sp   scenario.Spec
 	}{
-		{"empty schedule", HuntCellConfig{}},
-		{"unknown kind", HuntCellConfig{Cross: []traffic.Phase{{Kind: "warez", DurS: 5}}}},
-		{"bad duration", HuntCellConfig{Cross: []traffic.Phase{{Kind: "reno", DurS: -1}}}},
-		{"bad victim", HuntCellConfig{
-			VictimCCA: "no-such-cca",
-			Cross:     []traffic.Phase{{Kind: "idle", DurS: 2}},
+		{"empty schedule", scenario.Spec{}},
+		{"unknown kind", scenario.Spec{Cross: []traffic.Phase{{Kind: "warez", DurS: 5}}}},
+		{"bad duration", scenario.Spec{Cross: []traffic.Phase{{Kind: "reno", DurS: -1}}}},
+		{"bad victim", scenario.Spec{
+			CCAs:  []string{"no-such-cca"},
+			Cross: []traffic.Phase{{Kind: "idle", DurS: 2}},
 		}},
-		{"bad profile", HuntCellConfig{
+		{"bad profile", scenario.Spec{
 			Cross:        []traffic.Phase{{Kind: "idle", DurS: 2}},
 			FaultProfile: "no-such-profile",
 		}},
 	}
 	for _, tc := range cases {
-		if _, err := RunHuntCell(tc.cfg); err == nil {
+		if _, err := runHuntCell(tc.sp, nil); err == nil {
 			t.Errorf("%s: expected an error", tc.name)
 		}
 	}

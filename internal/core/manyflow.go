@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/qdisc"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sim/check"
 	"repro/internal/stats"
@@ -31,6 +32,45 @@ const (
 	churnThink    = time.Second
 	churnLongFrac = 0.1
 )
+
+func init() {
+	scenario.Register(scenario.Experiment{
+		Name:        "manyflow",
+		Description: "population-scale contention cell: a victim CCA pair among N churning background subscribers behind per-user isolation",
+		Defaults: scenario.Spec{
+			CCAs:  []string{"reno", "cubic"},
+			Flows: 100,
+		},
+		Run:   run(runManyFlowSpec),
+		Table: table[*ManyFlowResult](),
+	})
+}
+
+// runManyFlowSpec is the one spec → config adapter left: the
+// benchmark ledger calls RunManyFlow with a ManyFlowConfig to time the
+// cell with its checker off, so the config keeps its shape until the
+// ledger's next change (ROADMAP item 2 (i)). A registered run always
+// arms the checker.
+func runManyFlowSpec(sp scenario.Spec, sc *obs.Scope) (*ManyFlowResult, error) {
+	cfg := ManyFlowConfig{
+		Users:       sp.Flows,
+		RateBps:     sp.RateBps,
+		OneWayDelay: oneWay(sp),
+		BufferBDP:   sp.BufferBDP,
+		Duration:    sp.Duration(),
+		Seed:        sp.Seed,
+		FluidAbove:  sp.FluidAbove,
+		Check:       true,
+		Obs:         sc,
+	}
+	if len(sp.CCAs) > 0 {
+		cfg.CCA1 = sp.CCAs[0]
+	}
+	if len(sp.CCAs) > 1 {
+		cfg.CCA2 = sp.CCAs[1]
+	}
+	return RunManyFlow(cfg)
+}
 
 // ManyFlowConfig parameterizes the population-scale contention cell: a
 // fig1-style victim pair (two backlogged flows under different CCAs,

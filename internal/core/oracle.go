@@ -8,36 +8,23 @@ import (
 
 	"repro/internal/contention"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
-// OracleConfig parameterizes the probe-accuracy study: a battery of
-// randomized scenarios where the simulator's ground-truth contention
-// oracle scores the elasticity probe's verdicts — the validation the
-// paper's proposed Internet-scale study cannot run, and the reason the
-// emulator exists.
-type OracleConfig struct {
-	// Trials is the number of random scenarios (default 30).
-	Trials int
-	// Duration is each scenario's length (default 40s).
-	Duration time.Duration
-	// Seed drives scenario randomization.
-	Seed int64
-	// Obs, when non-nil, receives every trial's trace events and
-	// metric registrations.
-	Obs *obs.Scope `json:"-"`
+func init() {
+	scenario.Register(scenario.Experiment{
+		Name:        "oracle",
+		Description: "probe-accuracy study: elasticity verdicts scored against the ground-truth oracle",
+		Defaults:    scenario.Spec{Trials: 30, Seed: 1},
+		Run:         run(runOracle),
+		Table:       table[*OracleResult](),
+	})
 }
 
-func (c OracleConfig) norm() OracleConfig {
-	if c.Trials <= 0 {
-		c.Trials = 30
-	}
-	if c.Duration <= 0 {
-		c.Duration = 40 * time.Second
-	}
-	return c
-}
+// oracleDefaults are the study's size: 30 trials of 40 s each.
+var oracleDefaults = scenario.Spec{Trials: 30, DurationS: 40}
 
 // OracleTrial is one scenario's outcome.
 type OracleTrial struct {
@@ -57,23 +44,26 @@ type OracleTrial struct {
 
 // OracleResult is the study outcome.
 type OracleResult struct {
-	Config OracleConfig
 	Trials []OracleTrial
 	Score  contention.Score
 }
 
-// RunOracle executes the study.
-func RunOracle(cfg OracleConfig) (*OracleResult, error) {
-	cfg = cfg.norm()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := &OracleResult{Config: cfg}
+// runOracle executes the probe-accuracy study: a battery of randomized
+// scenarios drawn from the spec's seed, where the simulator's
+// ground-truth contention oracle scores the elasticity probe's verdicts
+// — the validation the paper's proposed Internet-scale study cannot
+// run, and the reason the emulator exists.
+func runOracle(sp scenario.Spec, sc *obs.Scope) (*OracleResult, error) {
+	sp = withDefaults(sp, oracleDefaults)
+	rng := rand.New(rand.NewSource(sp.Seed))
+	res := &OracleResult{}
 
 	kinds := []string{"none", "reno", "cubic", "bbr", "video", "cbr", "short"}
-	for i := 0; i < cfg.Trials; i++ {
+	for i := 0; i < sp.Trials; i++ {
 		kind := kinds[rng.Intn(len(kinds))]
 		rate := []float64{24e6, 48e6, 96e6}[rng.Intn(3)]
 		owd := []time.Duration{20, 35, 50}[rng.Intn(3)] * time.Millisecond
-		trial, err := runOracleTrial(cfg, rng.Int63(), kind, rate, owd)
+		trial, err := runOracleTrial(sc, sp.Duration(), rng.Int63(), kind, rate, owd)
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +73,7 @@ func RunOracle(cfg OracleConfig) (*OracleResult, error) {
 	return res, nil
 }
 
-func runOracleTrial(cfg OracleConfig, seed int64, kind string, rate float64, owd time.Duration) (OracleTrial, error) {
+func runOracleTrial(sc *obs.Scope, dur time.Duration, seed int64, kind string, rate float64, owd time.Duration) (OracleTrial, error) {
 	cross := flow{id: 2, user: crossUser, kind: kind, shortRate: 4}
 	switch kind {
 	case "none":
@@ -95,8 +85,8 @@ func runOracleTrial(cfg OracleConfig, seed int64, kind string, rate float64, owd
 		// cell's generator replays for "short" trials.
 		cross.cbrBps = (0.2 + 0.4*sim.NewRand(seed).Float64()) * rate
 	}
-	spec := cellSpec{hops: []hop{{rateBps: rate, delay: owd}}, seed: seed, obs: cfg.Obs}
-	v, err := probeAgainst(spec, paperProbe(rate), cross, 10*time.Second, cfg.Duration)
+	spec := cellSpec{hops: []hop{{rateBps: rate, delay: owd}}, seed: seed, obs: sc}
+	v, err := probeAgainst(spec, paperProbe(rate), cross, 10*time.Second, dur)
 	if err != nil {
 		return OracleTrial{}, fmt.Errorf("core: oracle: %w", err)
 	}

@@ -3,45 +3,26 @@ package core
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/traffic"
 	"repro/internal/tslp"
 )
 
-// TSLPConfig parameterizes the congestion-vs-contention comparison:
-// the paper's §1 distinction made measurable. Three scenarios load the
-// same link — backlogged CCA flows (contention), an aggregate of short
-// application-limited flows (congestion without contention), and an
-// idle link — and two instruments look at it: TSLP (latency
-// inflation) and the Nimbus elasticity probe.
-type TSLPConfig struct {
-	// RateBps is the link rate (default 48 Mbit/s).
-	RateBps float64
-	// OneWayDelay is the propagation delay (default 25ms).
-	OneWayDelay time.Duration
-	// Duration is each scenario's length (default 40s).
-	Duration time.Duration
-	// Seed drives workload randomness.
-	Seed int64
-	// Obs, when non-nil, receives every scenario's trace events and
-	// metric registrations.
-	Obs *obs.Scope `json:"-"`
+func init() {
+	scenario.Register(scenario.Experiment{
+		Name:        "tslp",
+		Description: "congestion vs contention: TSLP and the elasticity probe on the same scenarios",
+		Defaults:    scenario.Spec{Seed: 1},
+		Run:         run(runTSLP),
+		Table:       table[*TSLPResult](),
+	})
 }
 
-func (c TSLPConfig) norm() TSLPConfig {
-	if c.RateBps <= 0 {
-		c.RateBps = 48e6
-	}
-	if c.OneWayDelay <= 0 {
-		c.OneWayDelay = 25 * time.Millisecond
-	}
-	if c.Duration <= 0 {
-		c.Duration = 40 * time.Second
-	}
-	return c
-}
+// tslpDefaults are the comparison's link and length: 48 Mbit/s with a
+// 50 ms round trip, 40 s per scenario.
+var tslpDefaults = scenario.Spec{RateBps: 48e6, RTTMs: 50, DurationS: 40}
 
 // TSLPRow is one scenario's verdicts.
 type TSLPRow struct {
@@ -67,16 +48,21 @@ type TSLPRow struct {
 
 // TSLPResult is the experiment outcome.
 type TSLPResult struct {
-	Config TSLPConfig
-	Rows   []TSLPRow
+	Rows []TSLPRow
+	sp   scenario.Spec
 }
 
-// RunTSLP executes the comparison.
-func RunTSLP(cfg TSLPConfig) (*TSLPResult, error) {
-	cfg = cfg.norm()
-	res := &TSLPResult{Config: cfg}
-	for _, sc := range []string{"contention", "aggregate", "idle"} {
-		row, err := runTSLPScenario(cfg, sc)
+// runTSLP executes the congestion-vs-contention comparison: the
+// paper's §1 distinction made measurable. Three scenarios load the same
+// link — backlogged CCA flows (contention), an aggregate of short
+// application-limited flows (congestion without contention), and an
+// idle link — and two instruments look at it: TSLP (latency inflation)
+// and the Nimbus elasticity probe.
+func runTSLP(sp scenario.Spec, sc *obs.Scope) (*TSLPResult, error) {
+	sp = withDefaults(sp, tslpDefaults)
+	res := &TSLPResult{sp: sp}
+	for _, name := range []string{"contention", "aggregate", "idle"} {
+		row, err := runTSLPScenario(sp, sc, name)
 		if err != nil {
 			return nil, err
 		}
@@ -87,8 +73,8 @@ func RunTSLP(cfg TSLPConfig) (*TSLPResult, error) {
 
 // tslpTraffic is the scenario's cross traffic and whether its ground
 // truth is CCA contention.
-func tslpTraffic(scenario string) ([]flow, bool, error) {
-	switch scenario {
+func tslpTraffic(name string) ([]flow, bool, error) {
+	switch name {
 	case "contention":
 		return []flow{{id: 2, user: crossUser, kind: "reno"}, {id: 3, user: crossUser, kind: "cubic"}}, true, nil
 	case "aggregate":
@@ -102,7 +88,7 @@ func tslpTraffic(scenario string) ([]flow, bool, error) {
 	case "idle":
 		return nil, false, nil
 	default:
-		return nil, false, fmt.Errorf("core: unknown tslp scenario %q", scenario)
+		return nil, false, fmt.Errorf("core: unknown tslp scenario %q", name)
 	}
 }
 
@@ -110,15 +96,16 @@ func tslpTraffic(scenario string) ([]flow, bool, error) {
 // own simulation: TSLP is a third-party passive observer, while the
 // elasticity probe is an active participant — running them together
 // would have TSLP measuring the probe's own standing queue.
-func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
-	row := TSLPRow{Scenario: scenario}
-	warm := cfg.Duration / 4
-	cross, truth, err := tslpTraffic(scenario)
+func runTSLPScenario(sp scenario.Spec, sc *obs.Scope, name string) (TSLPRow, error) {
+	row := TSLPRow{Scenario: name}
+	dur := sp.Duration()
+	warm := dur / 4
+	cross, truth, err := tslpTraffic(name)
 	if err != nil {
 		return row, err
 	}
 	row.TruthContention = truth
-	spec := cellSpec{hops: []hop{{rateBps: cfg.RateBps, delay: cfg.OneWayDelay}}, flows: cross, seed: cfg.Seed, obs: cfg.Obs}
+	spec := cellSpec{hops: []hop{{rateBps: sp.RateBps, delay: oneWay(sp)}}, flows: cross, seed: sp.Seed, obs: sc}
 
 	// Instrument 1: TSLP alone with the scenario traffic.
 	c1, err := newCell(spec)
@@ -127,8 +114,8 @@ func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 	}
 	defer c1.release()
 	prober := tslp.NewProber(c1.eng, c1.links[0])
-	c1.eng.Run(cfg.Duration)
-	v := prober.Verdict(warm, cfg.Duration)
+	c1.eng.Run(dur)
+	v := prober.Verdict(warm, dur)
 	row.TSLPCongested = v.Congested
 	row.TSLPP90Ms = v.P90Ms
 
@@ -136,15 +123,15 @@ func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 	// built after it: a different program from probeAgainst under the
 	// engine's (at, seq) order, and the one this experiment's results
 	// were recorded with.
-	probeCC := paperProbe(cfg.RateBps)
+	probeCC := paperProbe(sp.RateBps)
 	spec.flows = append(cross, flow{id: 1, user: 1, cc: probeCC})
 	c2, err := newCell(spec)
 	if err != nil {
 		return row, fmt.Errorf("core: tslp: %w", err)
 	}
 	defer c2.release()
-	c2.eng.Run(cfg.Duration)
-	pv := probeCC.Est.Verdict(warm, cfg.Duration)
+	c2.eng.Run(dur)
+	pv := probeCC.Est.Verdict(warm, dur)
 	row.ProbeEta, row.ProbeElastic = pv.Mean, pv.Elastic
 	if probeCC.Est.OverloadFactor() > 1.05 {
 		row.ProbeOverloaded = true
@@ -158,7 +145,7 @@ func runTSLPScenario(cfg TSLPConfig, scenario string) (TSLPRow, error) {
 // CCA contention.
 func (r *TSLPResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "exp-tslp (§4): congestion detection vs contention detection on a %s link\n",
-		FmtBps(r.Config.RateBps))
+		FmtBps(r.sp.RateBps))
 	fmt.Fprintf(w, "%-11s %10s %14s %10s %13s %9s\n",
 		"scenario", "truth", "tslp-verdict", "tslp-p90", "probe-verdict", "mean-eta")
 	for _, row := range r.Rows {

@@ -1,4 +1,4 @@
-package scenario
+package scenario_test
 
 import (
 	"context"
@@ -6,16 +6,18 @@ import (
 	"testing"
 	"time"
 
+	_ "repro/internal/core" // registers fig3
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // fig3Grid is the benchmark workload: a fig3-style seed sweep of the
 // Nimbus elasticity scenario with shortened phases, the shape of grid
 // the paper's sensitivity studies run.
-func fig3Grid(b *testing.B) []Spec {
+func fig3Grid(b *testing.B) []scenario.Spec {
 	b.Helper()
-	g := Grid{
-		Base: Spec{
+	g := scenario.Grid{
+		Base: scenario.Spec{
 			Experiment:     "fig3",
 			RateBps:        48e6,
 			RTTMs:          100,
@@ -43,7 +45,7 @@ func BenchmarkSweep(b *testing.B) {
 	specs := fig3Grid(b)
 	bench := func(workers int) func(*testing.B) {
 		return func(b *testing.B) {
-			r := &Runner{Workers: workers}
+			r := &scenario.Runner{Workers: workers}
 			for i := 0; i < b.N; i++ {
 				results, err := r.Sweep(context.Background(), specs)
 				if err != nil {
@@ -73,10 +75,10 @@ func BenchmarkSweep(b *testing.B) {
 //	go test -bench SweepWithProgress -benchtime 1x ./internal/scenario
 func BenchmarkSweepWithProgress(b *testing.B) {
 	specs := fig3Grid(b)
-	bench := func(setup func(*testing.B, *Runner) func()) func(*testing.B) {
+	bench := func(setup func(*testing.B, *scenario.Runner) func()) func(*testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := &Runner{Workers: 4}
+				r := &scenario.Runner{Workers: 4}
 				finish := setup(b, r)
 				results, err := r.Sweep(context.Background(), specs)
 				if err != nil {
@@ -94,9 +96,9 @@ func BenchmarkSweepWithProgress(b *testing.B) {
 			b.ReportMetric(float64(len(specs)), "runs/sweep")
 		}
 	}
-	b.Run("disabled", bench(func(*testing.B, *Runner) func() { return nil }))
-	b.Run("reporter", bench(func(b *testing.B, r *Runner) func() {
-		rep := &SweepReporter{JSONL: io.Discard, Reg: obs.NewRegistry(), AggregateEvery: time.Second}
+	b.Run("disabled", bench(func(*testing.B, *scenario.Runner) func() { return nil }))
+	b.Run("reporter", bench(func(b *testing.B, r *scenario.Runner) func() {
+		rep := &scenario.SweepReporter{JSONL: io.Discard, Reg: obs.NewRegistry(), AggregateEvery: time.Second}
 		r.ProgressFunc = rep.Func()
 		return func() {
 			if err := rep.Close(); err != nil {
@@ -104,8 +106,8 @@ func BenchmarkSweepWithProgress(b *testing.B) {
 			}
 		}
 	}))
-	b.Run("reporter+flight", bench(func(b *testing.B, r *Runner) func() {
-		rep := &SweepReporter{JSONL: io.Discard, Reg: obs.NewRegistry(), AggregateEvery: time.Second}
+	b.Run("reporter+flight", bench(func(b *testing.B, r *scenario.Runner) func() {
+		rep := &scenario.SweepReporter{JSONL: io.Discard, Reg: obs.NewRegistry(), AggregateEvery: time.Second}
 		r.ProgressFunc = rep.Func()
 		r.FlightDir = b.TempDir()
 		return func() {

@@ -1,20 +1,22 @@
-package scenario
+package scenario_test
 
 import (
 	"bytes"
 	"context"
 	"testing"
 
+	_ "repro/internal/core" // registers the duel
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // duelGrid is the CCA x queue x fault grid the acceptance sweep runs:
 // every point is a real two-flow simulation through the full qdisc and
 // fault stack.
-func duelGrid(t *testing.T) []Spec {
+func duelGrid(t *testing.T) []scenario.Spec {
 	t.Helper()
-	g := Grid{
-		Base:          Spec{Experiment: "duel", DurationS: 2, Seed: 1},
+	g := scenario.Grid{
+		Base:          scenario.Spec{Experiment: "duel", DurationS: 2, Seed: 1},
 		Pairs:         [][2]string{{"reno", "bbr"}, {"reno", "cubic"}},
 		Queues:        []string{"droptail", "fq"},
 		FaultProfiles: []string{"clean", "wifi-bursty"},
@@ -33,12 +35,12 @@ func duelGrid(t *testing.T) []Spec {
 func TestSweepDeterminism(t *testing.T) {
 	specs := duelGrid(t)
 
-	seqR := &Runner{Workers: 1}
+	seqR := &scenario.Runner{Workers: 1}
 	seq, err := seqR.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parR := &Runner{Workers: 4}
+	parR := &scenario.Runner{Workers: 4}
 	par, err := parR.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
@@ -60,11 +62,11 @@ func TestSweepDeterminism(t *testing.T) {
 		}
 	}
 
-	a, err := CanonicalJSON(seq)
+	a, err := scenario.CanonicalJSON(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CanonicalJSON(par)
+	b, err := scenario.CanonicalJSON(par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +82,12 @@ func TestSweepDeterminism(t *testing.T) {
 func TestSweepDeterminismWithScopes(t *testing.T) {
 	specs := duelGrid(t)
 
-	plain := &Runner{Workers: 4}
+	plain := &scenario.Runner{Workers: 4}
 	base, err := plain.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scoped := &Runner{Workers: 4, NewScope: func(Spec) *obs.Scope { return obs.NewScope() }}
+	scoped := &scenario.Runner{Workers: 4, NewScope: func(scenario.Spec) *obs.Scope { return obs.NewScope() }}
 	withObs, err := scoped.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
@@ -94,5 +96,68 @@ func TestSweepDeterminismWithScopes(t *testing.T) {
 		if !bytes.Equal(base[i].Result, withObs[i].Result) {
 			t.Fatalf("run %d: observability changed the result", i)
 		}
+	}
+}
+
+// TestSweepStreamWorkerDeterminism extends the determinism golden to
+// the streaming path: a 1-worker and an 8-worker stream over the duel
+// grid yield byte-identical result sequences, and both match the
+// materialized Sweep of the same grid.
+func TestSweepStreamWorkerDeterminism(t *testing.T) {
+	specs := duelGrid(t)
+
+	stream := func(workers int) []scenario.RunResult {
+		t.Helper()
+		src, err := scenario.Grid{
+			Base:          scenario.Spec{Experiment: "duel", DurationS: 2, Seed: 1},
+			Pairs:         [][2]string{{"reno", "bbr"}, {"reno", "cubic"}},
+			Queues:        []string{"droptail", "fq"},
+			FaultProfiles: []string{"clean", "wifi-bursty"},
+			DeriveSeeds:   true,
+		}.Source()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &scenario.Runner{Workers: workers}
+		var results []scenario.RunResult
+		if err := r.SweepStream(context.Background(), src, func(res scenario.RunResult) error {
+			results = append(results, res)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	w1 := stream(1)
+	w8 := stream(8)
+
+	sweep, err := (&scenario.Runner{Workers: 4}).Sweep(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w1) != len(specs) || len(w8) != len(specs) {
+		t.Fatalf("stream lengths %d/%d, want %d", len(w1), len(w8), len(specs))
+	}
+	for i := range specs {
+		if w1[i].Err != "" || w8[i].Err != "" {
+			t.Fatalf("run %d failed: %q / %q", i, w1[i].Err, w8[i].Err)
+		}
+		if !bytes.Equal(w1[i].Result, w8[i].Result) {
+			t.Errorf("run %d diverged between 1 and 8 workers:\n1: %s\n8: %s", i, w1[i].Result, w8[i].Result)
+		}
+		if !bytes.Equal(w1[i].Result, sweep[i].Result) {
+			t.Errorf("run %d: streamed result diverged from materialized Sweep", i)
+		}
+	}
+	a, err := scenario.CanonicalJSON(w1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := scenario.CanonicalJSON(w8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("streamed result arrays serialize differently across worker counts")
 	}
 }

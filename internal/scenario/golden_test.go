@@ -1,4 +1,4 @@
-package scenario
+package scenario_test
 
 import (
 	"bytes"
@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	_ "repro/internal/core" // registers every experiment
 	"repro/internal/faults"
+	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
 
@@ -29,32 +31,32 @@ var update = flag.Bool("update", false, "regenerate testdata/experiments.golden"
 // enough that every scored elasticity window is non-empty.
 var goldenSpecs = []struct {
 	name string
-	spec Spec
+	spec scenario.Spec
 }{
-	{"fig1", Spec{Experiment: "fig1", DurationS: 2}},
-	{"fig2", Spec{Experiment: "fig2", Flows: 300, Seed: 3}},
-	{"fig3", Spec{Experiment: "fig3", Seed: 1, FaultSeed: 1, RateBps: 48e6, RTTMs: 100,
+	{"fig1", scenario.Spec{Experiment: "fig1", DurationS: 2}},
+	{"fig2", scenario.Spec{Experiment: "fig2", Flows: 300, Seed: 3}},
+	{"fig3", scenario.Spec{Experiment: "fig3", Seed: 1, FaultSeed: 1, RateBps: 48e6, RTTMs: 100,
 		PhaseDurationS: 8, Phases: []string{"reno", "bbr", "video", "short", "cbr"}}},
-	{"fig3-faults", Spec{Experiment: "fig3", Seed: 2, FaultSeed: 5, RateBps: 24e6, RTTMs: 60,
+	{"fig3-faults", scenario.Spec{Experiment: "fig3", Seed: 2, FaultSeed: 5, RateBps: 24e6, RTTMs: 60,
 		PhaseDurationS: 8, Phases: []string{"cubic", "idle", "short"}, FaultProfile: "wifi-bursty"}},
-	{"duel-faults", Spec{Experiment: "duel", CCAs: []string{"reno", "bbr"}, DurationS: 3,
+	{"duel-faults", scenario.Spec{Experiment: "duel", CCAs: []string{"reno", "bbr"}, DurationS: 3,
 		Queue: "fq_codel", FaultProfile: "flaky-cellular", FaultSeed: 4}},
-	{"oracle", Spec{Experiment: "oracle", Trials: 7, DurationS: 14, Seed: 2}},
-	{"tslp", Spec{Experiment: "tslp", DurationS: 8, Seed: 1, RateBps: 24e6}},
-	{"cellular", Spec{Experiment: "cellular", DurationS: 3, Seed: 1, CCAs: []string{"cubic", "nimbus"}}},
+	{"oracle", scenario.Spec{Experiment: "oracle", Trials: 7, DurationS: 14, Seed: 2}},
+	{"tslp", scenario.Spec{Experiment: "tslp", DurationS: 8, Seed: 1, RateBps: 24e6}},
+	{"cellular", scenario.Spec{Experiment: "cellular", DurationS: 3, Seed: 1, CCAs: []string{"cubic", "nimbus"}}},
 	// No other row, trace or corpus entry runs copa.
-	{"cellular-copa", Spec{Experiment: "cellular", DurationS: 3, Seed: 1, CCAs: []string{"copa", "nimbus"}}},
-	{"access", Spec{Experiment: "access", DurationS: 2}},
-	{"pulse", Spec{Experiment: "pulse", DurationS: 12}},
-	{"buffer", Spec{Experiment: "buffer", DurationS: 12}},
-	{"subpkt", Spec{Experiment: "subpkt", DurationS: 5, Flows: 4}},
-	{"jitter", Spec{Experiment: "jitter", DurationS: 3}},
-	{"huntcell-victim", Spec{Experiment: "huntcell", CCAs: []string{"cubic"}, Seed: 3, FaultSeed: 2,
+	{"cellular-copa", scenario.Spec{Experiment: "cellular", DurationS: 3, Seed: 1, CCAs: []string{"copa", "nimbus"}}},
+	{"access", scenario.Spec{Experiment: "access", DurationS: 2}},
+	{"pulse", scenario.Spec{Experiment: "pulse", DurationS: 12}},
+	{"buffer", scenario.Spec{Experiment: "buffer", DurationS: 12}},
+	{"subpkt", scenario.Spec{Experiment: "subpkt", DurationS: 5, Flows: 4}},
+	{"jitter", scenario.Spec{Experiment: "jitter", DurationS: 3}},
+	{"huntcell-victim", scenario.Spec{Experiment: "huntcell", CCAs: []string{"cubic"}, Seed: 3, FaultSeed: 2,
 		FaultProfile: "wifi-bursty", Queue: "fq",
 		Cross: []traffic.Phase{{Kind: "bbr", DurS: 4}, {Kind: "idle", DurS: 2}, {Kind: "cbr", DurS: 3}}}},
-	{"huntcell-probe", Spec{Experiment: "huntcell", Probe: true, Seed: 1,
+	{"huntcell-probe", scenario.Spec{Experiment: "huntcell", Probe: true, Seed: 1,
 		Cross: []traffic.Phase{{Kind: "reno", DurS: 9}, {Kind: "cbr", DurS: 8}, {Kind: "aimd", DurS: 7}}}},
-	{"huntcell-fault", Spec{Experiment: "huntcell", CCAs: []string{"reno"}, Seed: 7, FaultSeed: 7,
+	{"huntcell-fault", scenario.Spec{Experiment: "huntcell", CCAs: []string{"reno"}, Seed: 7, FaultSeed: 7,
 		RateBps: 12e6, RTTMs: 20,
 		Fault: &faults.Config{
 			GE:      &faults.GESpec{PGoodBad: 0.01, PBadGood: 0.3, LossBad: 0.5},
@@ -63,13 +65,13 @@ var goldenSpecs = []struct {
 		},
 		Cross: []traffic.Phase{{Kind: "video", DurS: 4}, {Kind: "short", DurS: 4},
 			{Kind: "vegas", DurS: 3}, {Kind: "short", DurS: 2}}}},
-	{"manyflow", Spec{Experiment: "manyflow", CCAs: []string{"reno", "cubic"}, Flows: 100, DurationS: 2, Seed: 1}},
+	{"manyflow", scenario.Spec{Experiment: "manyflow", CCAs: []string{"reno", "cubic"}, Flows: 100, DurationS: 2, Seed: 1}},
 	// No other row runs these two named profiles.
-	{"duel-dsl-noise", Spec{Experiment: "duel", CCAs: []string{"cubic", "reno"}, DurationS: 3,
+	{"duel-dsl-noise", scenario.Spec{Experiment: "duel", CCAs: []string{"cubic", "reno"}, DurationS: 3,
 		FaultProfile: "dsl-noise", FaultSeed: 6}},
-	{"duel-satellite-jitter", Spec{Experiment: "duel", CCAs: []string{"bbr", "cubic"}, DurationS: 3,
+	{"duel-satellite-jitter", scenario.Spec{Experiment: "duel", CCAs: []string{"bbr", "cubic"}, DurationS: 3,
 		Queue: "fq", FaultProfile: "satellite-jitter", FaultSeed: 8}},
-	{"accesslink", Spec{Experiment: "accesslink", CCAs: []string{"bbr"}, Queue: "fq_codel", DurationS: 12, Seed: 42}},
+	{"accesslink", scenario.Spec{Experiment: "accesslink", CCAs: []string{"bbr"}, Queue: "fq_codel", DurationS: 12, Seed: 42}},
 }
 
 // TestExperimentGoldens pins the bytes every registered experiment
@@ -77,19 +79,19 @@ var goldenSpecs = []struct {
 // so a refactor of the cell builders can be shown to change nothing.
 func TestExperimentGoldens(t *testing.T) {
 	covered := map[string]bool{}
-	specs := make([]Spec, len(goldenSpecs))
+	specs := make([]scenario.Spec, len(goldenSpecs))
 	for i, g := range goldenSpecs {
 		specs[i] = g.spec
 		covered[g.spec.Experiment] = true
 	}
-	for _, name := range Names() {
+	for _, name := range scenario.Names() {
 		// The package's own tests register "test-*" fixtures.
 		if !covered[name] && !strings.HasPrefix(name, "test-") {
 			t.Errorf("registered experiment %q has no golden spec", name)
 		}
 	}
 
-	r := &Runner{Workers: 2}
+	r := &scenario.Runner{Workers: 2}
 	results, err := r.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
@@ -100,11 +102,11 @@ func TestExperimentGoldens(t *testing.T) {
 		if res.Err != "" {
 			t.Fatalf("%s: %s", name, res.Err)
 		}
-		rec, err := CanonicalJSON(res)
+		rec, err := scenario.CanonicalJSON(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp, err := Lookup(res.Spec.Experiment)
+		exp, err := scenario.Lookup(res.Spec.Experiment)
 		if err != nil {
 			t.Fatal(err)
 		}

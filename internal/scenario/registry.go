@@ -11,7 +11,10 @@ import (
 )
 
 // Experiment is a named entry in the scenario registry: a default
-// spec, a run function, and a table renderer. Run functions must be
+// spec, a run function, and a table renderer. internal/core registers
+// every experiment from an init beside the run function that reads its
+// spec, so a program that runs experiments imports that package (this
+// one never does). Run functions must be
 // pure with respect to their inputs — deterministic given the spec's
 // seeds, no shared mutable state — so the Runner can execute them
 // concurrently and cache their results by spec hash.

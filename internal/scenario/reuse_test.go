@@ -27,10 +27,9 @@ type reuseUnit struct {
 // reorderer and in flight, followed by a clean droptail cell that
 // inherits them on a reused engine.
 func reuseUnits(t *testing.T) []reuseUnit {
-	names, specs := scenario.GoldenSpecs()
 	var units []reuseUnit
-	for i, sp := range specs {
-		units = append(units, reuseUnit{names[i], []scenario.Spec{sp}})
+	for _, g := range goldenSpecs {
+		units = append(units, reuseUnit{g.name, []scenario.Spec{g.spec}})
 	}
 	entries, err := hunt.LoadCorpus("../hunt/testdata/corpus")
 	if err != nil {

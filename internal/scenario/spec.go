@@ -28,46 +28,61 @@ import (
 
 // Spec declares one experiment run: which named experiment, on what
 // link, with what flows, traffic phases, faults, duration, and seeds.
-// It is the union of the knobs the registered experiments consume;
-// each experiment documents (and validates) the fields it reads.
-// Unused fields are simply ignored by experiments that have no meaning
-// for them, which keeps grid expansion uniform.
+// It is the union of the knobs the registered experiments consume.
+// Each key's comment names the experiments that read it, as the table
+// in docs/SCENARIOS.md does; an experiment ignores the other keys,
+// which keeps grid expansion uniform, and runs its own default for a
+// key it reads but the spec leaves at zero (seeds excepted: a zero seed
+// is a seed).
 //
 // Durations are expressed in float seconds and rates in bits/s so
 // specs read naturally as JSON.
 type Spec struct {
 	// Experiment names the registered experiment to run (see Names).
 	Experiment string `json:"experiment"`
-	// Seed drives workload randomness.
+	// Seed drives workload randomness: fig2, fig3, oracle, tslp,
+	// cellular, accesslink, huntcell and manyflow.
 	Seed int64 `json:"seed,omitempty"`
-	// DurationS overrides the experiment's scenario duration.
+	// DurationS is the scenario length: fig1, duel, oracle, tslp,
+	// cellular, access, accesslink, pulse, buffer, subpkt, jitter and
+	// manyflow. fig3 runs its phases, huntcell its Cross schedule.
 	DurationS float64 `json:"duration_s,omitempty"`
-	// RateBps and RTTMs describe the bottleneck link.
+	// RateBps is the bottleneck rate: fig1, fig3, duel, tslp, cellular
+	// (the fading link's mean), access (each user's access link),
+	// accesslink, huntcell and manyflow.
 	RateBps float64 `json:"rate_bps,omitempty"`
-	RTTMs   float64 `json:"rtt_ms,omitempty"`
-	// Queue selects the bottleneck discipline (core.QueueKind values).
+	// RTTMs is the base round trip: fig1, fig3, duel, tslp, cellular,
+	// accesslink, huntcell and manyflow.
+	RTTMs float64 `json:"rtt_ms,omitempty"`
+	// Queue selects the bottleneck discipline (core.QueueKind values):
+	// duel, huntcell and accesslink.
 	Queue string `json:"queue,omitempty"`
-	// BufferBDP sizes the bottleneck buffer.
+	// BufferBDP sizes the bottleneck buffer: fig1, fig3, duel, huntcell
+	// and manyflow (each subscriber's queue).
 	BufferBDP float64 `json:"buffer_bdp,omitempty"`
 	// CCAs lists congestion controllers: the two contenders for duel,
-	// the comparison set for cellular.
+	// the comparison set for cellular, the victim pair for manyflow,
+	// and the victim (huntcell) or the bulk update's controller
+	// (accesslink) as CCAs[0].
 	CCAs []string `json:"ccas,omitempty"`
-	// Phases lists cross-traffic phases in order (fig3);
+	// Phases lists fig3's cross-traffic phases in order;
 	// PhaseDurationS is each phase's length.
 	Phases         []string `json:"phases,omitempty"`
 	PhaseDurationS float64  `json:"phase_duration_s,omitempty"`
-	// Flows is the flow count (abl-subpkt) or dataset size (fig2).
+	// Flows is the flow count: subpkt's Reno flows, manyflow's
+	// background users, fig2's dataset size.
 	Flows int `json:"flows,omitempty"`
 	// Trials is the randomized-trial count (oracle).
 	Trials int `json:"trials,omitempty"`
 	// FaultProfile names a registered fault profile (faults.Names) to
-	// impose on the bottleneck; FaultSeed drives its injectors.
+	// impose on the bottleneck; FaultSeed drives its injectors: fig3,
+	// duel and huntcell.
 	FaultProfile string `json:"fault_profile,omitempty"`
 	FaultSeed    int64  `json:"fault_seed,omitempty"`
-	// Fault is an inline fault config for experiments that support it
-	// (huntcell); it takes precedence over FaultProfile and may carry
-	// impairments no named profile has (rate oscillation, arbitrary
-	// outage placement). Hunt genomes decode into this field.
+	// Fault is an inline fault config (huntcell); it takes precedence
+	// over FaultProfile and may carry impairments no named profile has
+	// (rate oscillation, arbitrary outage placement). Hunt genomes
+	// decode into this field.
 	Fault *faults.Config `json:"fault,omitempty"`
 	// Cross is the huntcell cross-traffic schedule; Probe switches the
 	// cell's main flow from a victim bulk transfer to the Nimbus

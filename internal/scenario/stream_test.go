@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -196,69 +195,6 @@ func TestSweepStreamUnknownCountProgress(t *testing.T) {
 	}
 	if finishes != len(specs) {
 		t.Fatalf("%d finish events, want %d", finishes, len(specs))
-	}
-}
-
-// TestSweepStreamWorkerDeterminism extends the determinism golden to
-// the streaming path: a 1-worker and an 8-worker stream over the duel
-// grid yield byte-identical result sequences, and both match the
-// materialized Sweep of the same grid.
-func TestSweepStreamWorkerDeterminism(t *testing.T) {
-	specs := duelGrid(t)
-
-	stream := func(workers int) []RunResult {
-		t.Helper()
-		src, err := Grid{
-			Base:          Spec{Experiment: "duel", DurationS: 2, Seed: 1},
-			Pairs:         [][2]string{{"reno", "bbr"}, {"reno", "cubic"}},
-			Queues:        []string{"droptail", "fq"},
-			FaultProfiles: []string{"clean", "wifi-bursty"},
-			DeriveSeeds:   true,
-		}.Source()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := &Runner{Workers: workers}
-		var results []RunResult
-		if err := r.SweepStream(context.Background(), src, func(res RunResult) error {
-			results = append(results, res)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	w1 := stream(1)
-	w8 := stream(8)
-
-	sweep, err := (&Runner{Workers: 4}).Sweep(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w1) != len(specs) || len(w8) != len(specs) {
-		t.Fatalf("stream lengths %d/%d, want %d", len(w1), len(w8), len(specs))
-	}
-	for i := range specs {
-		if w1[i].Err != "" || w8[i].Err != "" {
-			t.Fatalf("run %d failed: %q / %q", i, w1[i].Err, w8[i].Err)
-		}
-		if !bytes.Equal(w1[i].Result, w8[i].Result) {
-			t.Errorf("run %d diverged between 1 and 8 workers:\n1: %s\n8: %s", i, w1[i].Result, w8[i].Result)
-		}
-		if !bytes.Equal(w1[i].Result, sweep[i].Result) {
-			t.Errorf("run %d: streamed result diverged from materialized Sweep", i)
-		}
-	}
-	a, err := CanonicalJSON(w1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CanonicalJSON(w8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("streamed result arrays serialize differently across worker counts")
 	}
 }
 

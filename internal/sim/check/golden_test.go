@@ -2,15 +2,16 @@ package check_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // -update regenerates the golden trace files from the current
@@ -30,24 +31,7 @@ const goldenSample = 32
 // kind: a CCA phase, video, Poisson short flows, CBR) and returns its
 // full JSONL event stream.
 func fig3Trace(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	st := obs.NewStream(&buf)
-	st.SetSampling(goldenSample)
-	_, err := core.RunFig3(core.Fig3Config{
-		RateBps:       4e6,
-		OneWayDelay:   20 * time.Millisecond,
-		PhaseDuration: 6 * time.Second,
-		Seed:          1,
-		Obs:           &obs.Scope{Tracer: st},
-	})
-	if err != nil {
-		t.Fatalf("RunFig3: %v", err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	return buf.Bytes()
+	return runTrace(t, scenario.Spec{Experiment: "fig3", RateBps: 4e6, RTTMs: 40, PhaseDurationS: 6, Seed: 1})
 }
 
 // duelTrace runs one contention cell chosen to cross as many hot-path
@@ -56,39 +40,21 @@ func fig3Trace(t *testing.T) []byte {
 // Elliott burst loss + jitter, which exercises the link's
 // non-work-conserving retry timer).
 func duelTrace(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	st := obs.NewStream(&buf)
-	st.SetSampling(goldenSample)
-	_, err := core.RunDuel(core.DuelConfig{
-		CCA1:         "cubic",
-		CCA2:         "bbr",
-		RateBps:      8e6,
-		OneWayDelay:  20 * time.Millisecond,
-		Queue:        core.QueueFQCoDel,
-		Duration:     5 * time.Second,
-		FaultProfile: "wifi-bursty",
-		FaultSeed:    7,
-		Obs:          &obs.Scope{Tracer: st},
-	})
-	if err != nil {
-		t.Fatalf("RunDuel: %v", err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	return buf.Bytes()
+	return runTrace(t, scenario.Spec{Experiment: "duel", CCAs: []string{"cubic", "bbr"}, RateBps: 8e6, RTTMs: 40,
+		Queue: string(core.QueueFQCoDel), DurationS: 5, FaultProfile: "wifi-bursty", FaultSeed: 7})
 }
 
-// runTrace runs one cell with a sampled tracer on its scope and
-// returns the JSONL event stream.
-func runTrace(t *testing.T, run func(*obs.Scope) error) []byte {
+// runTrace runs one spec as `ccac run -trace` does, through the
+// registry with a sampled tracer on the run's scope, and returns the
+// JSONL event stream.
+func runTrace(t *testing.T, sp scenario.Spec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	st := obs.NewStream(&buf)
 	st.SetSampling(goldenSample)
-	if err := run(&obs.Scope{Tracer: st}); err != nil {
-		t.Fatal(err)
+	r := &scenario.Runner{NewScope: func(scenario.Spec) *obs.Scope { return &obs.Scope{Tracer: st} }}
+	if res := r.Run(context.Background(), sp); res.Err != "" {
+		t.Fatalf("%s: %s", sp.Experiment, res.Err)
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -169,30 +135,20 @@ func TestGoldenTracesAreDeterministic(t *testing.T) {
 // two-hop paths (access-0 … access-3, then core), eight flows whose
 // acks return after the sum of their hops' delays.
 func TestGoldenAccessTrace(t *testing.T) {
-	compareGolden(t, "access.jsonl", runTrace(t, func(sc *obs.Scope) error {
-		_, err := core.RunAccess(core.AccessConfig{AccessRateBps: 4e6, Duration: 3 * time.Second, Obs: sc})
-		return err
-	}))
+	compareGolden(t, "access.jsonl", runTrace(t, scenario.Spec{Experiment: "access", RateBps: 4e6, DurationS: 3}))
 }
 
 // TestGoldenCellularTrace pins the rate-driven link: the fading
 // trace's rate steps on "cell" under a loss-based and a delay-based
 // controller.
 func TestGoldenCellularTrace(t *testing.T) {
-	compareGolden(t, "cellular.jsonl", runTrace(t, func(sc *obs.Scope) error {
-		_, err := core.RunCellular(core.CellularConfig{
-			MeanRateBps: 4e6, Duration: 4 * time.Second, CCAs: []string{"cubic", "nimbus"}, Seed: 3, Obs: sc,
-		})
-		return err
-	}))
+	compareGolden(t, "cellular.jsonl", runTrace(t, scenario.Spec{Experiment: "cellular", RateBps: 4e6, DurationS: 4,
+		CCAs: []string{"cubic", "nimbus"}, Seed: 3}))
 }
 
 // TestGoldenJitterTrace pins the jitter ablation's three queues (FIFO,
 // the token-bucket shaper, fair queueing), each carrying a smooth CBR
 // flow beside an on-off Cubic source.
 func TestGoldenJitterTrace(t *testing.T) {
-	compareGolden(t, "jitter.jsonl", runTrace(t, func(sc *obs.Scope) error {
-		_, err := core.RunJitter(core.JitterConfig{Duration: time.Second, Obs: sc})
-		return err
-	}))
+	compareGolden(t, "jitter.jsonl", runTrace(t, scenario.Spec{Experiment: "jitter", DurationS: 1}))
 }

@@ -344,7 +344,7 @@ func TestParametersVary(t *testing.T) {
 		all = append(all, sf.f)
 	}
 	scan := scanParams(decls, all, im.info, called)
-	if scan.calls < 1000 {
+	if scan.calls < 900 {
 		t.Fatalf("read only %d calls to exported funcs; run from the repo root", scan.calls)
 	}
 
@@ -527,9 +527,8 @@ func argValue(call *ast.CallExpr, i int, sig *types.Signature, info *types.Info)
 
 // fieldAllow names the exported fields (or whole types) that no shipped
 // code supplies and that stay anyway. Keys are "pkg.Type.Field" or
-// "pkg.Type". At most 9.
+// "pkg.Type". At most 8.
 var fieldAllow = map[string]string{
-	"core.Fig3Config.Nimbus":      "the fig3 record serializes the probe configuration it ran (norm's Mu and pulse), and the ledger's fig3-cell result digest pins those bytes; it goes with the ledger's next change",
 	"nimbus.Config.WindowSamples": "the probe and estimator tests shrink the FFT window so a seconds-long run yields eta windows; the ledger sizes its FFT probe by the default",
 	"nimbus.Config.SlideInterval": "the probe and estimator tests shrink the slide with the window so a seconds-long run yields several eta windows",
 
@@ -631,8 +630,8 @@ func TestExportedFieldsAreSupplied(t *testing.T) {
 			"(make each a constant or delete it with the code it selects, or add a reasoned fieldAllow entry):\n  %s",
 			len(dead), strings.Join(dead, "\n  "))
 	}
-	if len(fieldAllow) > 9 {
-		t.Errorf("fieldAllow has %d entries, cap is 9", len(fieldAllow))
+	if len(fieldAllow) > 8 {
+		t.Errorf("fieldAllow has %d entries, cap is 8", len(fieldAllow))
 	}
 	for key := range fieldAllow {
 		if !excused[key] {
