@@ -48,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -143,6 +144,10 @@ func specFlags(fs *flag.FlagSet) func(*scenario.Spec) {
 			case "queue":
 				sp.Queue = *queue
 			case "buffer":
+				// encoding/json, and so Spec.Hash, has no NaN or Inf.
+				if math.IsNaN(*buffer) || math.IsInf(*buffer, 0) {
+					fail(fmt.Errorf("-buffer %v: not a finite number", *buffer))
+				}
 				sp.BufferBDP = *buffer
 			case "ccas":
 				sp.CCAs = splitList(*ccas)

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"flag"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -265,5 +268,33 @@ func TestSignalContextCancelsOnSIGTERM(t *testing.T) {
 	case <-ctx.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("SIGTERM did not cancel the sweep context")
+	}
+}
+
+// TestRunRejectsUnrunnableSpecs: a spec value the cell cannot run — a
+// round trip under two nanoseconds, a negative one, a buffer that is
+// not a number — exits 1 with one error line, instead of running the
+// default link or panicking in Spec.Hash. Each case runs `ccac run` in
+// a child process, since it exits.
+func TestRunRejectsUnrunnableSpecs(t *testing.T) {
+	if args := os.Getenv("CCAC_RUN_ARGS"); args != "" {
+		cmdRun(strings.Fields(args))
+		os.Exit(0)
+	}
+	for _, args := range []string{
+		"duel -duration 1s -rtt 1ns",
+		"duel -duration 1s -rtt -5ms",
+		"duel -duration 1s -buffer NaN",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRunRejectsUnrunnableSpecs$")
+		cmd.Env = append(os.Environ(), "CCAC_RUN_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("ccac run %s: %v, want exit status 1\n%s", args, err, out)
+		}
+		if !bytes.HasPrefix(out, []byte("ccac: ")) || bytes.Count(out, []byte("\n")) != 1 || bytes.Contains(out, []byte("panic:")) {
+			t.Errorf("ccac run %s printed %q, want one error line", args, out)
+		}
 	}
 }

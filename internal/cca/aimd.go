@@ -8,29 +8,24 @@ import (
 )
 
 // AIMD is the Chiu-Jain additive-increase/multiplicative-decrease rule
-// with configurable parameters: increase a bytes per RTT, decrease by
-// factor b on loss. AIMD(MSS, 0.5) is Reno's congestion-avoidance
-// behaviour; other parameter points model "more aggressive,
-// application-specific CCAs" (§2.1).
+// at Reno's point: slow start, then one MSS per RTT added in congestion
+// avoidance and the window halved on loss. The registry's "reno" and
+// "aimd" both build it (NewRenoCC).
 type AIMD struct {
-	mss      float64
 	cwnd     float64
 	ssthresh float64
-	incr     float64 // bytes per RTT
 	decr     float64 // multiplicative factor in (0,1)
 }
 
-// NewAIMD returns an AIMD controller adding incrBytes per RTT and
-// multiplying by decr on loss. Invalid parameters are clamped to
-// Reno's.
-func NewAIMD(incrBytes float64, decr float64) *AIMD {
-	if incrBytes <= 0 {
-		incrBytes = sim.MSS
-	}
-	if decr <= 0 || decr >= 1 {
-		decr = 0.5
-	}
-	return &AIMD{mss: sim.MSS, cwnd: 10 * sim.MSS, ssthresh: 1 << 30, incr: incrBytes, decr: decr}
+// aimdDecrease is Reno's multiplicative decrease. The package's tests
+// pull the decrease lever to model the "more aggressive,
+// application-specific CCAs" of §2.1.
+const aimdDecrease = 0.5
+
+// newAIMD returns an AIMD controller that multiplies its window by decr
+// on loss, with the standard initial window of 10 segments (RFC 6928).
+func newAIMD(decr float64) *AIMD {
+	return &AIMD{cwnd: 10 * sim.MSS, ssthresh: 1 << 30, decr: decr}
 }
 
 // OnAck implements transport.CCA.
@@ -42,14 +37,14 @@ func (a *AIMD) OnAck(ai transport.AckInfo) {
 		}
 		return
 	}
-	a.cwnd += a.incr * float64(ai.AckedBytes) / a.cwnd
+	a.cwnd += sim.MSS * float64(ai.AckedBytes) / a.cwnd
 }
 
 // OnLoss implements transport.CCA.
 func (a *AIMD) OnLoss(transport.LossInfo) {
 	a.ssthresh = a.cwnd * a.decr
-	if a.ssthresh < 2*a.mss {
-		a.ssthresh = 2 * a.mss
+	if a.ssthresh < 2*sim.MSS {
+		a.ssthresh = 2 * sim.MSS
 	}
 	a.cwnd = a.ssthresh
 }
@@ -57,10 +52,10 @@ func (a *AIMD) OnLoss(transport.LossInfo) {
 // OnTimeout implements transport.CCA.
 func (a *AIMD) OnTimeout(time.Duration) {
 	a.ssthresh = a.cwnd * a.decr
-	if a.ssthresh < 2*a.mss {
-		a.ssthresh = 2 * a.mss
+	if a.ssthresh < 2*sim.MSS {
+		a.ssthresh = 2 * sim.MSS
 	}
-	a.cwnd = a.mss
+	a.cwnd = sim.MSS
 }
 
 // CWnd implements transport.CCA.

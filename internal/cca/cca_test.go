@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/qdisc"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -288,7 +289,7 @@ func TestCopaDirectionalVelocity(t *testing.T) {
 
 func TestAIMDParameters(t *testing.T) {
 	// Decrease factor 0.8 instead of 0.5.
-	a := NewAIMD(sim.MSS, 0.8)
+	a := newAIMD(0.8)
 	a.OnLoss(transport.LossInfo{}) // exit slow start
 	for i := 0; i < 100; i++ {
 		a.OnAck(ack(time.Second, sim.MSS, 50*time.Millisecond))
@@ -299,9 +300,36 @@ func TestAIMDParameters(t *testing.T) {
 	if got < 0.75*w || got > 0.85*w {
 		t.Errorf("decrease = %.2f, want 0.8", got/w)
 	}
-	// Invalid params clamp to Reno's.
-	if d := NewAIMD(-1, 7); *d != *NewRenoCC() {
-		t.Errorf("clamped = %+v, want Reno's %+v", d, NewRenoCC())
+}
+
+// TestAIMDAggressivenessOrdering: a gentler decrease (0.8) beats the
+// standard 0.5 when competing head to head, the "more aggressive
+// custom CCAs win" dynamic from §2.1.
+func TestAIMDAggressivenessOrdering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long simulation")
+	}
+	eng := &sim.Engine{}
+	const rate = 24e6
+	rtt := 40 * time.Millisecond
+	link := sim.NewLink(eng, "l", rate, rtt/2, qdisc.NewDropTailBDP(rate, rtt, 1))
+	gentle := transport.NewFlow(eng, transport.FlowConfig{
+		ID: 1, Path: []*sim.Link{link}, ReturnDelay: rtt / 2,
+		CC: newAIMD(0.8), Backlogged: true,
+	})
+	gentle.Start()
+	standard := transport.NewFlow(eng, transport.FlowConfig{
+		ID: 2, Path: []*sim.Link{link}, ReturnDelay: rtt / 2,
+		CC: NewRenoCC(), Backlogged: true,
+	})
+	standard.Start()
+	gentle.Watch(15*time.Second, 45*time.Second)
+	standard.Watch(15*time.Second, 45*time.Second)
+	eng.Run(45 * time.Second)
+	tg := gentle.Throughput(15*time.Second, 45*time.Second)
+	ts := standard.Throughput(15*time.Second, 45*time.Second)
+	if tg <= ts {
+		t.Errorf("aimd(0.8) %.1f should beat aimd(0.5) %.1f", tg/1e6, ts/1e6)
 	}
 }
 

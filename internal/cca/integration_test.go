@@ -165,34 +165,3 @@ func TestCopaKeepsQueueShorterThanCubic(t *testing.T) {
 		t.Errorf("copa SRTT (%v) should stay below cubic's (%v)", copa, cubic)
 	}
 }
-
-// TestAIMDAggressivenessOrdering: a gentler decrease (0.8) beats the
-// standard 0.5 when competing head to head, the "more aggressive
-// custom CCAs win" dynamic from §2.1.
-func TestAIMDAggressivenessOrdering(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long simulation")
-	}
-	eng := &sim.Engine{}
-	const rate = 24e6
-	rtt := 40 * time.Millisecond
-	link := sim.NewLink(eng, "l", rate, rtt/2, qdisc.NewDropTailBDP(rate, rtt, 1))
-	gentle := transport.NewFlow(eng, transport.FlowConfig{
-		ID: 1, Path: []*sim.Link{link}, ReturnDelay: rtt / 2,
-		CC: cca.NewAIMD(sim.MSS, 0.8), Backlogged: true,
-	})
-	gentle.Start()
-	standard := transport.NewFlow(eng, transport.FlowConfig{
-		ID: 2, Path: []*sim.Link{link}, ReturnDelay: rtt / 2,
-		CC: cca.NewAIMD(sim.MSS, 0.5), Backlogged: true,
-	})
-	standard.Start()
-	gentle.Watch(15*time.Second, 45*time.Second)
-	standard.Watch(15*time.Second, 45*time.Second)
-	eng.Run(45 * time.Second)
-	tg := gentle.Throughput(15*time.Second, 45*time.Second)
-	ts := standard.Throughput(15*time.Second, 45*time.Second)
-	if tg <= ts {
-		t.Errorf("aimd(0.8) %.1f should beat aimd(0.5) %.1f", tg/1e6, ts/1e6)
-	}
-}

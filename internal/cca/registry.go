@@ -17,7 +17,9 @@ var registry = map[string]Factory{
 	"bbr":     func() transport.CCA { return NewBBRCC() },
 	"copa":    func() transport.CCA { return NewCopaCC() },
 	"vegas":   func() transport.CCA { return NewVegasCC() },
-	"aimd":    func() transport.CCA { return NewAIMD(0, 0) },
+	// "aimd" is Reno under its rule's name. The name stays: the order
+	// of traffic.PhaseKinds, which lists it, encodes hunt genomes.
+	"aimd": func() transport.CCA { return NewRenoCC() },
 }
 
 // New returns a fresh controller by name. Names are the lowercase

@@ -2,8 +2,7 @@
 // paper's experiments and discussion: Reno and NewReno (loss-based
 // AIMD), Cubic, BBR (model-based, shown by Ware et al. to take more
 // than its fair share against loss-based CCAs), Copa and Vegas
-// (delay-based), the parameterized AIMD that Reno is one point of, and
-// an unresponsive constant-bit-rate controller.
+// (delay-based), and an unresponsive constant-bit-rate controller.
 //
 // All controllers operate in bytes and implement transport.CCA. They
 // are deterministic and single-flow.
@@ -12,7 +11,6 @@ package cca
 import (
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -21,7 +19,7 @@ import (
 // multiplicative decrease to half on each loss event: the AIMD rule at
 // (MSS, 0.5), with the standard initial window of 10 segments (RFC
 // 6928).
-func NewRenoCC() *AIMD { return NewAIMD(sim.MSS, 0.5) }
+func NewRenoCC() *AIMD { return newAIMD(aimdDecrease) }
 
 // NewReno extends Reno with an explicit recovery point: while
 // recovering from a loss epoch, subsequent loss signals do not reduce

@@ -17,35 +17,31 @@ func init() {
 	for _, e := range []scenario.Experiment{{
 		Name:        "pulse",
 		Description: "abl-pulse: elasticity separation vs pulse frequency and amplitude",
+		Defaults:    scenario.Spec{DurationS: 30},
 		Run:         run(runPulseSweep),
 		Table:       table[*PulseSweepResult](),
 	}, {
 		Name:        "buffer",
 		Description: "abl-buffer: elasticity separation vs bottleneck buffer depth",
+		Defaults:    scenario.Spec{DurationS: 30},
 		Run:         run(runBufferSweep),
 		Table:       table[*BufferSweepResult](),
 	}, {
 		Name:        "subpkt",
 		Description: "abl-subpkt: N Reno flows on sub-packet-BDP links",
-		Defaults:    scenario.Spec{Flows: 8},
+		Defaults:    scenario.Spec{Flows: 8, DurationS: 20},
 		Run:         run(runSubPacket),
 		Table:       table[*SubPacketResult](),
 	}, {
 		Name:        "jitter",
 		Description: "abl-jitter: delay contention under token-bucket shaping (§5.2)",
+		Defaults:    scenario.Spec{DurationS: 30},
 		Run:         run(runJitter),
 		Table:       table[*JitterResult](),
 	}} {
 		scenario.Register(e)
 	}
 }
-
-// Each cell of the pulse, buffer and jitter ablations runs 30 s by
-// default; abl-subpkt runs 8 flows for 20 s.
-var (
-	ablationDefaults  = scenario.Spec{DurationS: 30}
-	subPacketDefaults = scenario.Spec{Flows: 8, DurationS: 20}
-)
 
 // pulseFreqs (Hz) and pulseAmps (fractions of mu) are abl-pulse's grid.
 var (
@@ -74,7 +70,7 @@ type PulseSweepResult struct {
 // from inelastic cross traffic on the Figure 3 link. It demonstrates
 // why the pulse period must exceed the loaded RTT.
 func runPulseSweep(sp scenario.Spec, sc *obs.Scope) (*PulseSweepResult, error) {
-	dur := withDefaults(sp, ablationDefaults).Duration()
+	dur := sp.Duration()
 	res := &PulseSweepResult{}
 	for _, f := range pulseFreqs {
 		for _, a := range pulseAmps {
@@ -145,7 +141,7 @@ type BufferSweepResult struct {
 // pulse-induced swing) bounds how much elastic response can register.
 // Very shallow buffers clip the oscillation; bufferbloat dilutes it.
 func runBufferSweep(sp scenario.Spec, sc *obs.Scope) (*BufferSweepResult, error) {
-	dur := withDefaults(sp, ablationDefaults).Duration()
+	dur := sp.Duration()
 	res := &BufferSweepResult{}
 	for _, bdp := range bufferBDPs {
 		etaR, etaC, err := separation(nimbus.PaperConfig(fig3RateBps), bdp, dur, sc)
@@ -196,7 +192,6 @@ type SubPacketResult struct {
 // of Reno flows on low-rate links where the per-flow BDP is below one
 // packet produce timeout-driven starvation over short timescales.
 func runSubPacket(sp scenario.Spec, sc *obs.Scope) (*SubPacketResult, error) {
-	sp = withDefaults(sp, subPacketDefaults)
 	res := &SubPacketResult{}
 	for _, rate := range subPacketRates {
 		row, err := subPacketRow(sp, sc, rate)
@@ -275,7 +270,7 @@ type JitterResult struct {
 // fair queue) with a bursty on-off flow; even when average bandwidth
 // is protected, token-bucket bursts inflate the smooth flow's delay.
 func runJitter(sp scenario.Spec, sc *obs.Scope) (*JitterResult, error) {
-	dur := withDefaults(sp, ablationDefaults).Duration()
+	dur := sp.Duration()
 	res := &JitterResult{}
 	for _, mode := range []string{"fifo", "shaper", "fq"} {
 		h := hop{rateBps: 20e6, delay: 10 * time.Millisecond, bdp: 4}

@@ -26,14 +26,12 @@ func init() {
 	scenario.Register(scenario.Experiment{
 		Name:        "access",
 		Description: "§2.2 topology: per-user access links behind an overprovisioned core",
-		Run:         run(runAccess),
-		Table:       table[*AccessResult](),
+		// Each subscriber's access rate, 50 Mbit/s, for 30 s.
+		Defaults: scenario.Spec{RateBps: 50e6, DurationS: 30},
+		Run:      run(runAccess),
+		Table:    table[*AccessResult](),
 	})
 }
-
-// accessDefaults are each subscriber's access rate, 50 Mbit/s, and a
-// 30 s run.
-var accessDefaults = scenario.Spec{RateBps: 50e6, DurationS: 30}
 
 // AccessResult is the experiment outcome.
 type AccessResult struct {
@@ -60,7 +58,6 @@ type AccessResult struct {
 // contention), and evaluates the paper's prerequisites over every flow
 // pair plus the realized utilizations.
 func runAccess(sp scenario.Spec, sc *obs.Scope) (*AccessResult, error) {
-	sp = withDefaults(sp, accessDefaults)
 	dur := sp.Duration()
 	warm := dur / 4
 	w := [][2]time.Duration{{warm, dur}}

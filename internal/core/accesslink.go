@@ -15,16 +15,15 @@ func init() {
 	scenario.Register(scenario.Experiment{
 		Name:        "accesslink",
 		Description: "§2.2 access-link mix: ABR video, web short flows and one bulk update on a home link",
-		Defaults:    scenario.Spec{Seed: 42},
-		Run:         run(runAccessLink),
-		Table:       table[*AccessLinkResult](),
+		// The home link and the update's controller: a 100 Mbit/s
+		// droptail link on a 30 ms round trip, for 60 s, the update
+		// under reno.
+		Defaults: scenario.Spec{Seed: 42, RateBps: 100e6, RTTMs: 30, Queue: string(QueueDropTail), DurationS: 60,
+			CCAs: []string{"reno"}},
+		Run:   run(runAccessLink),
+		Table: table[*AccessLinkResult](),
 	})
 }
-
-// accessLinkDefaults are the home link and the update's controller: a
-// 100 Mbit/s droptail link on a 30 ms round trip, for 60 s, the update
-// under reno.
-var accessLinkDefaults = scenario.Spec{RateBps: 100e6, RTTMs: 30, Queue: string(QueueDropTail), DurationS: 60}
 
 // AccessLinkResult is the mix's outcome after warm-up.
 type AccessLinkResult struct {
@@ -50,10 +49,6 @@ type AccessLinkResult struct {
 // update is flow 2, all one user; the first sixth of the run is
 // warm-up.
 func runAccessLink(sp scenario.Spec, sc *obs.Scope) (*AccessLinkResult, error) {
-	sp = withDefaults(sp, accessLinkDefaults)
-	if len(sp.CCAs) == 0 || sp.CCAs[0] == "" {
-		sp.CCAs = []string{"reno"}
-	}
 	bulk, err := cca.New(sp.CCAs[0])
 	if err != nil {
 		return nil, fmt.Errorf("core: accesslink: %w", err)

@@ -24,7 +24,7 @@ func TestAccessLinkReproducesExample(t *testing.T) {
 		{"bbr", QueueDropTail, "1.73 Mbit/s 2.50 Mbit/s 1 4% 95.80 Mbit/s 194/1"},
 		{"bbr", QueueFQCoDel, "6.87 Mbit/s 8.00 Mbit/s 0 6% 90.75 Mbit/s 195/0"},
 	} {
-		r, err := runAccessLink(scenario.Spec{CCAs: []string{tc.cca}, Queue: string(tc.queue), Seed: 42}, nil)
+		r, err := runSpec[*AccessLinkResult](t, "accesslink", scenario.Spec{CCAs: []string{tc.cca}, Queue: string(tc.queue), Seed: 42}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

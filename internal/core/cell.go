@@ -453,8 +453,8 @@ func (c *cell) runPhases(spans []phaseSpan, settle func(phase time.Duration) tim
 	return out
 }
 
-// paperProbe is the controller every probe cell but fig3 (which lets
-// its caller override the configuration) runs as its main flow.
+// paperProbe is the controller every probe cell runs as its main
+// flow: the paper's Nimbus configuration at the cell's rate.
 func paperProbe(rateBps float64) *nimbus.CCA {
 	return nimbus.NewCCA(nimbus.PaperConfig(rateBps))
 }

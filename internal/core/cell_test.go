@@ -34,7 +34,7 @@ func TestEveryPhaseKindRunsInEveryPhasedCell(t *testing.T) {
 	}
 
 	t.Run("fig3", func(t *testing.T) {
-		res, err := runFig3(scenario.Spec{RateBps: 8e6, RTTMs: 20,
+		res, err := runSpec[*Fig3Result](t, "fig3", scenario.Spec{RateBps: 8e6, RTTMs: 20,
 			Phases: kinds, PhaseDurationS: phase.Seconds(), Seed: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +49,7 @@ func TestEveryPhaseKindRunsInEveryPhasedCell(t *testing.T) {
 			name = "huntcell probe"
 		}
 		t.Run(name, func(t *testing.T) {
-			res, err := runHuntCell(scenario.Spec{RateBps: 8e6, RTTMs: 20,
+			res, err := runSpec[*HuntCellResult](t, "huntcell", scenario.Spec{RateBps: 8e6, RTTMs: 20,
 				Cross: sched, Probe: probe, Seed: 1}, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -17,17 +17,15 @@ func init() {
 	scenario.Register(scenario.Experiment{
 		Name:        "cellular",
 		Description: "§5.1 trade-off: each CCA alone on a fading, isolated cellular link",
-		Defaults:    scenario.Spec{Seed: 1},
-		Run:         run(runCellular),
-		Table:       table[*CellularResult](),
+		// The §5.1 link and comparison set: a 20 Mbit/s mean rate on a
+		// 50 ms round trip for 60 s, under cubic, bbr, vegas, copa and
+		// the Nimbus delay mode.
+		Defaults: scenario.Spec{Seed: 1, RateBps: 20e6, RTTMs: 50, DurationS: 60,
+			CCAs: []string{"cubic", "bbr", "vegas", "copa", "nimbus"}},
+		Run:   run(runCellular),
+		Table: table[*CellularResult](),
 	})
 }
-
-// cellularDefaults are the §5.1 link and comparison set: a 20 Mbit/s
-// mean rate on a 50 ms round trip for 60 s, under cubic, bbr, vegas,
-// copa and the Nimbus delay mode.
-var cellularDefaults = scenario.Spec{RateBps: 20e6, RTTMs: 50, DurationS: 60,
-	CCAs: []string{"cubic", "bbr", "vegas", "copa", "nimbus"}}
 
 // CellularRow is one CCA's outcome on the fading link.
 type CellularRow struct {
@@ -57,7 +55,6 @@ type CellularResult struct {
 // rate, drawn from its seed, and reports utilization and delay
 // percentiles.
 func runCellular(sp scenario.Spec, sc *obs.Scope) (*CellularResult, error) {
-	sp = withDefaults(sp, cellularDefaults)
 	res := &CellularResult{sp: sp}
 	for _, name := range sp.CCAs {
 		row, err := runCellularOne(sp, sc, name)

@@ -47,53 +47,8 @@ func FmtBps(b float64) string {
 	}
 }
 
-// withDefaults returns sp with every key it leaves unset taken from
-// def: a duration, rate, round trip, buffer, flow or trial count that
-// is not positive, and an empty queue, CCA list or phase list. Seeds,
-// faults and the cross schedule are never defaulted, since zero is a
-// value there. A run function resolves its spec once, and its table
-// prints the resolved link.
-func withDefaults(sp, def scenario.Spec) scenario.Spec {
-	if sp.Duration() <= 0 {
-		sp.DurationS = def.DurationS
-	}
-	if sp.RateBps <= 0 {
-		sp.RateBps = def.RateBps
-	}
-	if sp.RTT()/2 <= 0 {
-		sp.RTTMs = def.RTTMs
-	}
-	if sp.Queue == "" {
-		sp.Queue = def.Queue
-	}
-	if sp.BufferBDP <= 0 {
-		sp.BufferBDP = def.BufferBDP
-	}
-	if len(sp.CCAs) == 0 {
-		sp.CCAs = def.CCAs
-	}
-	if len(sp.Phases) == 0 {
-		sp.Phases = def.Phases
-	}
-	if phaseDuration(sp) <= 0 {
-		sp.PhaseDurationS = def.PhaseDurationS
-	}
-	if sp.Flows <= 0 {
-		sp.Flows = def.Flows
-	}
-	if sp.Trials <= 0 {
-		sp.Trials = def.Trials
-	}
-	return sp
-}
-
 // oneWay is the spec's one-way propagation delay: half its round trip.
 func oneWay(sp scenario.Spec) time.Duration { return sp.RTT() / 2 }
-
-// phaseDuration is the spec's phase length.
-func phaseDuration(sp scenario.Spec) time.Duration {
-	return time.Duration(sp.PhaseDurationS * float64(time.Second))
-}
 
 // run adapts a typed run function to the registry's signature: a
 // context check up front (simulations are not interruptible mid-run;

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cca"
+	"repro/internal/obs"
 	"repro/internal/qdisc"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -22,7 +25,7 @@ func TestBuildQdiscKinds(t *testing.T) {
 	}{
 		{QueueDropTail, &qdisc.DropTail{}},
 		{QueueFQ, &qdisc.DRR{}},
-		{QueueSFQ, &qdisc.SFQ{}},
+		{QueueSFQ, &qdisc.DRR{}},
 		{QueueUserIso, &qdisc.UserIsolation{}},
 		{QueueShaper, &qdisc.TokenBucketShaper{}},
 		{QueuePolicer, &qdisc.TokenBucketPolicer{}},
@@ -41,10 +44,12 @@ func TestBuildQdiscKinds(t *testing.T) {
 		case QueueFQ:
 			if _, ok := q.(*qdisc.DRR); !ok {
 				t.Errorf("%s: got %T", c.kind, q)
+			} else if sharesBucket(q) {
+				t.Errorf("%s: flows 1 and 129 share a class, want one each", c.kind)
 			}
 		case QueueSFQ:
-			if _, ok := q.(*qdisc.SFQ); !ok {
-				t.Errorf("%s: got %T", c.kind, q)
+			if _, ok := q.(*qdisc.DRR); !ok || !sharesBucket(q) {
+				t.Errorf("%s: flows 1 and 129 take turns, want one hash bucket", c.kind)
 			}
 		case QueueUserIso:
 			if _, ok := q.(*qdisc.UserIsolation); !ok {
@@ -60,6 +65,21 @@ func TestBuildQdiscKinds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sharesBucket reports whether q serves flows 1 and 129 as one class:
+// sfq hashes a flow ID on its low seven bits, so the two share a bucket
+// and its quantum and leave in arrival order, where fq takes turns
+// between them.
+func sharesBucket(q sim.Qdisc) bool {
+	for _, id := range []int{1, 1, 129, 129} {
+		q.Enqueue(&sim.Packet{FlowID: id, Size: sim.MSS}, 0)
+	}
+	var got []int
+	for p, _ := q.Dequeue(0); p != nil; p, _ = q.Dequeue(0) {
+		got = append(got, p.FlowID)
+	}
+	return reflect.DeepEqual(got, []int{1, 1, 129, 129})
 }
 
 // TestHopDefaults: a hop's buffer is bdp BDPs (default 1) over its own
@@ -138,7 +158,7 @@ func TestThroughputMemoryIsFlat(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if _, err := runDuel(scenario.Spec{CCAs: []string{"reno", "cubic"}, DurationS: dur.Seconds()}, nil); err != nil {
+		if _, err := runSpec[*DuelResult](t, "duel", scenario.Spec{CCAs: []string{"reno", "cubic"}, DurationS: dur.Seconds()}, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -153,17 +173,37 @@ func TestThroughputMemoryIsFlat(t *testing.T) {
 }
 
 func TestFig3RejectsUnknownPhase(t *testing.T) {
-	_, err := runFig3(scenario.Spec{Phases: []string{"warp-drive"}, PhaseDurationS: 1}, nil)
+	_, err := runSpec[*Fig3Result](t, "fig3", scenario.Spec{Phases: []string{"warp-drive"}, PhaseDurationS: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown fig3 phase") {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestFig1RejectsUnknownCCA(t *testing.T) {
-	_, err := runFig1Cell(withDefaults(scenario.Spec{DurationS: 1}, fig1Defaults), nil, [2]string{"reno", "quic-magic"}, QueueDropTail)
+	sp := scenario.Spec{RateBps: 48e6, RTTMs: 40, BufferBDP: 2, DurationS: 1}
+	_, err := runFig1Cell(sp, nil, [2]string{"reno", "quic-magic"}, QueueDropTail)
 	if err == nil {
 		t.Error("unknown CCA should error")
 	}
+}
+
+// runSpec runs sp as the named experiment through scenario.Runner,
+// which resolves it against the registration's Defaults as it does for
+// every shipped caller, and returns the live result. sc, when non-nil,
+// is the run's scope.
+func runSpec[T any](t testing.TB, name string, sp scenario.Spec, sc *obs.Scope) (T, error) {
+	t.Helper()
+	sp.Experiment = name
+	r := &scenario.Runner{}
+	if sc != nil {
+		r.NewScope = func(scenario.Spec) *obs.Scope { return sc }
+	}
+	var v T
+	res := r.Run(context.Background(), sp)
+	if res.Err != "" {
+		return v, errors.New(res.Err)
+	}
+	return res.Value().(T), nil
 }
 
 func mustCC(t *testing.T, name string) transport.CCA {

@@ -19,15 +19,14 @@ func init() {
 	scenario.Register(scenario.Experiment{
 		Name:        "duel",
 		Description: "one contention cell: two CCAs on a bottleneck under a queue discipline and fault profile",
-		Defaults:    scenario.Spec{CCAs: []string{"reno", "bbr"}},
-		Run:         run(runDuel),
-		Table:       table[*DuelResult](),
+		// Reno against BBR on 48 Mbit/s, a 40 ms round trip and a
+		// bufferbloated 2-BDP droptail buffer, for 30 s.
+		Defaults: scenario.Spec{CCAs: []string{"reno", "bbr"},
+			RateBps: 48e6, RTTMs: 40, Queue: string(QueueDropTail), BufferBDP: 2, DurationS: 30},
+		Run:   run(runDuel),
+		Table: table[*DuelResult](),
 	})
 }
-
-// duelDefaults are the duel's link and length: 48 Mbit/s, a 40 ms
-// round trip and a bufferbloated 2-BDP droptail buffer, for 30 s.
-var duelDefaults = scenario.Spec{RateBps: 48e6, RTTMs: 40, Queue: string(QueueDropTail), BufferBDP: 2, DurationS: 30}
 
 // DuelResult is one cell's outcome.
 type DuelResult struct {
@@ -58,7 +57,6 @@ func runDuel(sp scenario.Spec, sc *obs.Scope) (*DuelResult, error) {
 	if len(sp.CCAs) != 2 {
 		return nil, fmt.Errorf("core: duel wants exactly 2 ccas, got %v", sp.CCAs)
 	}
-	sp = withDefaults(sp, duelDefaults)
 	cc1, err := cca.New(sp.CCAs[0])
 	if err != nil {
 		return nil, fmt.Errorf("core: duel: %w", err)

@@ -13,7 +13,7 @@ func TestFig1IsolationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := runFig1(scenario.Spec{DurationS: 30}, nil)
+	res, err := runSpec[*Fig1Result](t, "fig1", scenario.Spec{DurationS: 30}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestOracleAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := runOracle(scenario.Spec{Trials: 12, DurationS: 30, Seed: 5}, nil)
+	res, err := runSpec[*OracleResult](t, "oracle", scenario.Spec{Trials: 12, DurationS: 30, Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestJitterUnderShaping(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := runJitter(scenario.Spec{DurationS: 25}, nil)
+	res, err := runSpec[*JitterResult](t, "jitter", scenario.Spec{DurationS: 25}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCellularTradeoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := runCellular(scenario.Spec{DurationS: 40, Seed: 2}, nil)
+	res, err := runSpec[*CellularResult](t, "cellular", scenario.Spec{DurationS: 40, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestAccessOnlyContentionPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := runAccess(scenario.Spec{DurationS: 20}, nil)
+	res, err := runSpec[*AccessResult](t, "access", scenario.Spec{DurationS: 20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestTSLPComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := runTSLP(scenario.Spec{DurationS: 35}, nil)
+	res, err := runSpec[*TSLPResult](t, "tslp", scenario.Spec{DurationS: 35}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,14 @@ func init() {
 	scenario.Register(scenario.Experiment{
 		Name:        "fig1",
 		Description: "Figure 1 isolation grid: CCA pairs x queue disciplines on one access link",
-		Run:         run(runFig1),
-		Table:       table[*Fig1Result](),
+		// Figure 1's access link, Figure 3's rate on a 40 ms round
+		// trip with a bufferbloated 2-BDP buffer, where BBR-vs-Reno
+		// asymmetry is pronounced; each cell runs 60 s.
+		Defaults: scenario.Spec{RateBps: 48e6, RTTMs: 40, BufferBDP: 2, DurationS: 60},
+		Run:      run(runFig1),
+		Table:    table[*Fig1Result](),
 	})
 }
-
-// fig1Defaults are Figure 1's access link, Figure 3's rate on a 40 ms
-// round trip with a bufferbloated 2-BDP buffer, where BBR-vs-Reno
-// asymmetry is pronounced; each cell runs 60 s.
-var fig1Defaults = scenario.Spec{RateBps: 48e6, RTTMs: 40, BufferBDP: 2, DurationS: 60}
 
 // fig1Pairs and fig1Queues are Figure 1's grid: the paper-motivated
 // CCA pairings against FIFO, fair queueing and per-user isolation.
@@ -54,7 +53,6 @@ type Fig1Result struct {
 // identity from bandwidth allocation, while FIFO queues let aggressive
 // CCAs dominate.
 func runFig1(sp scenario.Spec, sc *obs.Scope) (*Fig1Result, error) {
-	sp = withDefaults(sp, fig1Defaults)
 	res := &Fig1Result{sp: sp}
 	for _, pair := range fig1Pairs {
 		for _, q := range fig1Queues {

@@ -16,9 +16,25 @@ func init() {
 	scenario.Register(scenario.Experiment{
 		Name:        "fig3",
 		Description: "Figure 3 elasticity proof-of-concept: Nimbus probe vs five kinds of cross traffic",
-		Defaults:    fig3Defaults,
-		Run:         run(runFig3),
-		Table:       table[*Fig3Result](),
+		// The paper's Figure 3: its link, and the five kinds of cross
+		// traffic (reno, bbr, video, short flows, cbr) taking 45-second
+		// turns. The buffer is one BDP of droptail: the delay-mode
+		// controller adapts the standing queue to 0.4x the observed
+		// minRTT (40ms on this link), which absorbs the pulse troughs
+		// (trough deficit = A*mu*T/pi ~= 40ms at 2 Hz with A=0.25) and
+		// keeps the cross-traffic estimate truthful when the link would
+		// otherwise drain.
+		Defaults: scenario.Spec{
+			Seed:           1,
+			FaultSeed:      1,
+			RateBps:        fig3RateBps,
+			RTTMs:          float64(2 * fig3OneWayDelay / time.Millisecond),
+			BufferBDP:      1,
+			PhaseDurationS: 45,
+			Phases:         []string{"reno", "bbr", "video", "short", "cbr"},
+		},
+		Run:   run(runFig3),
+		Table: table[*Fig3Result](),
 	})
 }
 
@@ -29,19 +45,6 @@ const (
 	fig3RateBps     = 48e6
 	fig3OneWayDelay = 50 * time.Millisecond
 )
-
-// fig3Defaults are the paper's Figure 3: its link, and the five kinds
-// of cross traffic (reno, bbr, video, short flows, cbr) taking
-// 45-second turns. A spec that leaves them out runs them too, on a
-// 1-BDP droptail buffer.
-var fig3Defaults = scenario.Spec{
-	Seed:           1,
-	FaultSeed:      1,
-	RateBps:        fig3RateBps,
-	RTTMs:          float64(2 * fig3OneWayDelay / time.Millisecond),
-	PhaseDurationS: 45,
-	Phases:         []string{"reno", "bbr", "video", "short", "cbr"},
-}
 
 // Fig3Phase is one phase's outcome.
 type Fig3Phase struct {
@@ -79,17 +82,9 @@ func fig3Settle(time.Duration) time.Duration { return 5 * time.Second }
 // mode switching disabled, runs throughout; cross traffic starts and
 // stops at phase boundaries.
 func runFig3(sp scenario.Spec, sc *obs.Scope) (*Fig3Result, error) {
-	def := fig3Defaults
-	// The delay-mode controller adapts the standing queue to 0.4x the
-	// observed minRTT (40ms on this link), which absorbs the pulse
-	// troughs (trough deficit = A*mu*T/pi ~= 40ms at 2 Hz with A=0.25)
-	// and keeps the cross-traffic estimate truthful when the link would
-	// otherwise drain.
-	def.BufferBDP = 1
-	sp = withDefaults(sp, def)
 	// The phases are a uniform schedule. Its bounds are whole multiples
 	// of the phase length; the float seconds are for validation only.
-	phase := phaseDuration(sp)
+	phase := time.Duration(sp.PhaseDurationS * float64(time.Second))
 	sched := make([]traffic.Phase, len(sp.Phases))
 	spans := make([]phaseSpan, len(sp.Phases))
 	for i, kind := range sp.Phases {

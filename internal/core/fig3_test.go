@@ -13,7 +13,7 @@ func TestFig3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")
 	}
-	res, err := runFig3(scenario.Spec{PhaseDurationS: 30, Seed: 7}, nil)
+	res, err := runSpec[*Fig3Result](t, "fig3", scenario.Spec{PhaseDurationS: 30, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

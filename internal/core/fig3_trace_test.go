@@ -25,7 +25,7 @@ func TestFig3TracedRunLog(t *testing.T) {
 	tr := w.Tracer()
 	tr.SetSampling(16) // keep the log small; control events are unaffected
 	reg := obs.NewRegistry()
-	res, err := runFig3(sp, &obs.Scope{Reg: reg, Tracer: tr})
+	res, err := runSpec[*Fig3Result](t, "fig3", sp, &obs.Scope{Reg: reg, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFig3TracedRunLog(t *testing.T) {
 	// engine clock by a few intervals during catch-up, so the merged
 	// stream is only near-sorted globally.)
 	lastBySrc := map[string]time.Duration{}
-	horizon := 2 * phaseDuration(sp)
+	horizon := 20 * time.Second // two 10 s phases
 	counts := map[string]int64{}
 	for i, ev := range log.Events {
 		if ev.At < lastBySrc[ev.Src] {

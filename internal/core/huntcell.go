@@ -22,18 +22,19 @@ func init() {
 	scenario.Register(scenario.Experiment{
 		Name:        "huntcell",
 		Description: "adversarial-search cell: victim or probe flow vs a cross-traffic schedule on an inline-faulted link",
+		// The cell's link, 16 Mbit/s on a 30 ms round trip with a 1-BDP
+		// droptail buffer, the victim under reno; the cross schedule is
+		// `ccac run huntcell`'s alone, since a spec's Cross is never
+		// filled.
 		Defaults: scenario.Spec{
-			CCAs:  []string{"reno"},
+			CCAs:    []string{"reno"},
+			RateBps: 16e6, RTTMs: 30, Queue: string(QueueDropTail), BufferBDP: 1,
 			Cross: []traffic.Phase{{Kind: "bbr", DurS: 10}, {Kind: "idle", DurS: 5}},
 		},
 		Run:   run(runHuntCell),
 		Table: table[*HuntCellResult](),
 	})
 }
-
-// huntCellDefaults are the cell's link: 16 Mbit/s on a 30 ms round
-// trip with a 1-BDP droptail buffer, the victim under reno.
-var huntCellDefaults = scenario.Spec{RateBps: 16e6, RTTMs: 30, Queue: string(QueueDropTail), BufferBDP: 1}
 
 // HuntCellPhase is one schedule phase's outcome.
 type HuntCellPhase struct {
@@ -103,10 +104,6 @@ func settleMargin(phase time.Duration) time.Duration {
 // knob the hunt genome encodes is a spec key, so a decoded genome is an
 // ordinary, replayable spec.
 func runHuntCell(sp scenario.Spec, sc *obs.Scope) (*HuntCellResult, error) {
-	sp = withDefaults(sp, huntCellDefaults)
-	if len(sp.CCAs) == 0 || sp.CCAs[0] == "" {
-		sp.CCAs = []string{"reno"}
-	}
 	if err := traffic.ValidateSchedule(sp.Cross); err != nil {
 		return nil, fmt.Errorf("core: huntcell: %w", err)
 	}

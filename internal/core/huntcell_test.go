@@ -34,7 +34,7 @@ func TestHuntCellDeterminism(t *testing.T) {
 		},
 	}
 	run := func() []byte {
-		res, err := runHuntCell(sp, nil)
+		res, err := runSpec[*HuntCellResult](t, "huntcell", sp, nil)
 		if err != nil {
 			t.Fatalf("runHuntCell: %v", err)
 		}
@@ -53,7 +53,7 @@ func TestHuntCellDeterminism(t *testing.T) {
 // TestHuntCellVictimMetrics checks the victim-mode shape: contiguous
 // phase bounds and aggregates inside their definitional ranges.
 func TestHuntCellVictimMetrics(t *testing.T) {
-	res, err := runHuntCell(scenario.Spec{
+	res, err := runSpec[*HuntCellResult](t, "huntcell", scenario.Spec{
 		Cross: []traffic.Phase{
 			{Kind: "bbr", DurS: 8},
 			{Kind: "idle", DurS: 4},
@@ -99,7 +99,7 @@ func TestHuntCellVictimMetrics(t *testing.T) {
 // TestHuntCellProbeVerdicts: probe mode must deliver per-phase verdicts
 // with the schedule's ground truth attached.
 func TestHuntCellProbeVerdicts(t *testing.T) {
-	res, err := runHuntCell(scenario.Spec{
+	res, err := runSpec[*HuntCellResult](t, "huntcell", scenario.Spec{
 		Probe: true,
 		Cross: []traffic.Phase{
 			{Kind: "reno", DurS: 15},
@@ -130,7 +130,7 @@ func TestHuntCellProbeVerdicts(t *testing.T) {
 // TestHuntCellInlineFaultPrecedence: a non-nil inline Fault must win
 // over FaultProfile — even a bogus profile name is never looked up.
 func TestHuntCellInlineFaultPrecedence(t *testing.T) {
-	_, err := runHuntCell(scenario.Spec{
+	_, err := runSpec[*HuntCellResult](t, "huntcell", scenario.Spec{
 		Cross:        []traffic.Phase{{Kind: "idle", DurS: 2}},
 		Fault:        &faults.Config{LossProb: 0.01},
 		FaultProfile: "no-such-profile",
@@ -159,7 +159,7 @@ func TestHuntCellErrors(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		if _, err := runHuntCell(tc.sp, nil); err == nil {
+		if _, err := runSpec[*HuntCellResult](t, "huntcell", tc.sp, nil); err == nil {
 			t.Errorf("%s: expected an error", tc.name)
 		}
 	}

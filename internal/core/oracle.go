@@ -17,14 +17,11 @@ func init() {
 	scenario.Register(scenario.Experiment{
 		Name:        "oracle",
 		Description: "probe-accuracy study: elasticity verdicts scored against the ground-truth oracle",
-		Defaults:    scenario.Spec{Trials: 30, Seed: 1},
+		Defaults:    scenario.Spec{Trials: 30, Seed: 1, DurationS: 40},
 		Run:         run(runOracle),
 		Table:       table[*OracleResult](),
 	})
 }
-
-// oracleDefaults are the study's size: 30 trials of 40 s each.
-var oracleDefaults = scenario.Spec{Trials: 30, DurationS: 40}
 
 // OracleTrial is one scenario's outcome.
 type OracleTrial struct {
@@ -54,7 +51,6 @@ type OracleResult struct {
 // — the validation the paper's proposed Internet-scale study cannot
 // run, and the reason the emulator exists.
 func runOracle(sp scenario.Spec, sc *obs.Scope) (*OracleResult, error) {
-	sp = withDefaults(sp, oracleDefaults)
 	rng := rand.New(rand.NewSource(sp.Seed))
 	res := &OracleResult{}
 

@@ -14,15 +14,12 @@ func init() {
 	scenario.Register(scenario.Experiment{
 		Name:        "tslp",
 		Description: "congestion vs contention: TSLP and the elasticity probe on the same scenarios",
-		Defaults:    scenario.Spec{Seed: 1},
-		Run:         run(runTSLP),
-		Table:       table[*TSLPResult](),
+		// 48 Mbit/s with a 50 ms round trip, 40 s per scenario.
+		Defaults: scenario.Spec{Seed: 1, RateBps: 48e6, RTTMs: 50, DurationS: 40},
+		Run:      run(runTSLP),
+		Table:    table[*TSLPResult](),
 	})
 }
-
-// tslpDefaults are the comparison's link and length: 48 Mbit/s with a
-// 50 ms round trip, 40 s per scenario.
-var tslpDefaults = scenario.Spec{RateBps: 48e6, RTTMs: 50, DurationS: 40}
 
 // TSLPRow is one scenario's verdicts.
 type TSLPRow struct {
@@ -59,7 +56,6 @@ type TSLPResult struct {
 // idle link — and two instruments look at it: TSLP (latency inflation)
 // and the Nimbus elasticity probe.
 func runTSLP(sp scenario.Spec, sc *obs.Scope) (*TSLPResult, error) {
-	sp = withDefaults(sp, tslpDefaults)
 	res := &TSLPResult{sp: sp}
 	for _, name := range []string{"contention", "aggregate", "idle"} {
 		row, err := runTSLPScenario(sp, sc, name)

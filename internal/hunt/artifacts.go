@@ -47,10 +47,6 @@ func WriteArtifacts(ctx context.Context, dir string, res *Result) (specPath, tra
 const goldenTraceSampling = 32
 
 func writeGoldenTrace(ctx context.Context, path string, sp scenario.Spec, res *Result) error {
-	exp, err := scenario.Lookup(sp.Experiment)
-	if err != nil {
-		return fmt.Errorf("hunt: golden trace: %w", err)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("hunt: golden trace: %w", err)
@@ -65,8 +61,9 @@ func writeGoldenTrace(ctx context.Context, path string, sp scenario.Spec, res *R
 	}
 	tr := log.Tracer()
 	tr.SetSampling(goldenTraceSampling)
-	if _, err := exp.Run(ctx, sp, &obs.Scope{Tracer: tr}); err != nil {
-		return fmt.Errorf("hunt: golden trace: %w", err)
+	r := &scenario.Runner{NewScope: func(scenario.Spec) *obs.Scope { return &obs.Scope{Tracer: tr} }}
+	if run := r.Run(ctx, sp); run.Err != "" {
+		return fmt.Errorf("hunt: golden trace: %s", run.Err)
 	}
 	if err := log.Close(obs.Summary{
 		Metrics: map[string]float64{"best_score": res.BestScore},

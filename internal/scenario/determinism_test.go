@@ -108,19 +108,9 @@ func TestSweepStreamWorkerDeterminism(t *testing.T) {
 
 	stream := func(workers int) []scenario.RunResult {
 		t.Helper()
-		src, err := scenario.Grid{
-			Base:          scenario.Spec{Experiment: "duel", DurationS: 2, Seed: 1},
-			Pairs:         [][2]string{{"reno", "bbr"}, {"reno", "cubic"}},
-			Queues:        []string{"droptail", "fq"},
-			FaultProfiles: []string{"clean", "wifi-bursty"},
-			DeriveSeeds:   true,
-		}.Source()
-		if err != nil {
-			t.Fatal(err)
-		}
 		r := &scenario.Runner{Workers: workers}
 		var results []scenario.RunResult
-		if err := r.SweepStream(context.Background(), src, func(res scenario.RunResult) error {
+		if err := r.SweepStream(context.Background(), scenario.SliceSource(specs), func(res scenario.RunResult) error {
 			results = append(results, res)
 			return nil
 		}); err != nil {

@@ -56,8 +56,7 @@ type choice struct {
 }
 
 // axes validates the grid and builds its choice lists in canonical
-// order. Both the streaming source and the materialized expansion are
-// derived from this single definition, so they cannot drift.
+// order: pairs, queues, fault profiles, seeds.
 func (g Grid) axes() ([4][]choice, error) {
 	if g.Base.Experiment == "" {
 		return [4][]choice{}, fmt.Errorf("scenario: grid has no base.experiment")
@@ -133,64 +132,22 @@ func (g Grid) point(cs [4]choice) Spec {
 	return sp
 }
 
-// gridSource walks the axis cross product odometer-style — innermost
-// axis (seeds) fastest — producing exactly the order the historical
-// nested-loop expansion did, one spec at a time.
-type gridSource struct {
-	g    Grid
-	axes [4][]choice
-	idx  [4]int
-	done bool
-}
-
-// Source returns a streaming SpecSource over the grid's cross product
-// in canonical expansion order. It validates the grid up front, so a
-// bad grid fails before the sweep starts rather than mid-stream.
-func (g Grid) Source() (SpecSource, error) {
+// Expand returns the grid's specs in canonical order: the cross
+// product of its axes, innermost (seeds) fastest.
+func (g Grid) Expand() ([]Spec, error) {
 	axes, err := g.axes()
 	if err != nil {
 		return nil, err
 	}
-	return &gridSource{g: g, axes: axes}, nil
-}
-
-func (s *gridSource) Next() (Spec, bool, error) {
-	if s.done {
-		return Spec{}, false, nil
-	}
-	sp := s.g.point([4]choice{
-		s.axes[0][s.idx[0]], s.axes[1][s.idx[1]], s.axes[2][s.idx[2]], s.axes[3][s.idx[3]],
-	})
-	// Advance the odometer from the innermost axis outward.
-	for i := 3; ; i-- {
-		s.idx[i]++
-		if s.idx[i] < len(s.axes[i]) {
-			break
-		}
-		s.idx[i] = 0
-		if i == 0 {
-			s.done = true
-			break
+	specs := make([]Spec, 0, len(axes[0])*len(axes[1])*len(axes[2])*len(axes[3]))
+	for _, p := range axes[0] {
+		for _, q := range axes[1] {
+			for _, f := range axes[2] {
+				for _, s := range axes[3] {
+					specs = append(specs, g.point([4]choice{p, q, f, s}))
+				}
+			}
 		}
 	}
-	return sp, true, nil
-}
-
-func (s *gridSource) Count() (int, bool) {
-	n := 1
-	for _, axis := range s.axes {
-		n *= len(axis)
-	}
-	return n, true
-}
-
-// Expand returns the grid's specs in canonical order, materialized.
-// It is a thin collect over Source; streaming callers should pull from
-// Source directly and skip the allocation.
-func (g Grid) Expand() ([]Spec, error) {
-	src, err := g.Source()
-	if err != nil {
-		return nil, err
-	}
-	return Collect(src)
+	return specs, nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -23,11 +24,13 @@ type Experiment struct {
 	Name string
 	// Description is a one-line summary for listings.
 	Description string
-	// Defaults is the spec the CLI starts from for `ccac run <name>`;
-	// it pins the historical per-tool defaults (seeds included) so the
-	// unified entrypoint reproduces the old binaries' numbers exactly.
+	// Defaults is the experiment's one default table. The Runner
+	// resolves every spec against it before Run (see resolve), and
+	// `ccac run <name>` starts from it, seeds included, so the spec a
+	// single run prints names the link the cell ran.
 	Defaults Spec
-	// Run executes the experiment. The scope carries the run's private
+	// Run executes the experiment on a resolved spec: every key
+	// Defaults sets is set. The scope carries the run's private
 	// observability plumbing (nil disables it); implementations must
 	// not touch package-global scopes. The returned value must be
 	// canonically JSON-encodable.
@@ -88,4 +91,64 @@ func names() []string {
 	}
 	sort.Strings(ns)
 	return ns
+}
+
+// resolve returns sp with every defaultable key it leaves at zero
+// taken from def: the duration, rate, round trip, queue, buffer, CCA
+// list, phase list, phase length, flow count and trial count. Seeds,
+// faults, Cross, Probe and FluidAbove are never filled, since zero is
+// a value there. A defaultable number that is set must be one the cell
+// can run: positive, and for the duration, the one-way delay (half the
+// round trip) and the phase length at least a nanosecond once
+// converted. Anything else is an error, not the default run in its
+// place. resolve copies sp and allocates nothing unless it fails.
+func resolve(sp, def Spec) (Spec, error) {
+	for _, k := range [...]struct {
+		key  string
+		v    float64
+		runs bool
+	}{
+		{"duration_s", sp.DurationS, sp.Duration() > 0},
+		{"rate_bps", sp.RateBps, sp.RateBps > 0},
+		{"rtt_ms", sp.RTTMs, sp.RTT()/2 > 0},
+		{"buffer_bdp", sp.BufferBDP, sp.BufferBDP > 0},
+		{"phase_duration_s", sp.PhaseDurationS, time.Duration(sp.PhaseDurationS*float64(time.Second)) > 0},
+		{"flows", float64(sp.Flows), sp.Flows > 0},
+		{"trials", float64(sp.Trials), sp.Trials > 0},
+	} {
+		if k.v != 0 && !k.runs {
+			return sp, fmt.Errorf("scenario: %s: %s %v is not positive or rounds to zero", sp.Experiment, k.key, k.v)
+		}
+	}
+	if sp.DurationS == 0 {
+		sp.DurationS = def.DurationS
+	}
+	if sp.RateBps == 0 {
+		sp.RateBps = def.RateBps
+	}
+	if sp.RTTMs == 0 {
+		sp.RTTMs = def.RTTMs
+	}
+	if sp.Queue == "" {
+		sp.Queue = def.Queue
+	}
+	if sp.BufferBDP == 0 {
+		sp.BufferBDP = def.BufferBDP
+	}
+	if len(sp.CCAs) == 0 {
+		sp.CCAs = def.CCAs
+	}
+	if len(sp.Phases) == 0 {
+		sp.Phases = def.Phases
+	}
+	if sp.PhaseDurationS == 0 {
+		sp.PhaseDurationS = def.PhaseDurationS
+	}
+	if sp.Flows == 0 {
+		sp.Flows = def.Flows
+	}
+	if sp.Trials == 0 {
+		sp.Trials = def.Trials
+	}
+	return sp, nil
 }

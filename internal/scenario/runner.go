@@ -365,6 +365,14 @@ func (r *Runner) runOne(ctx context.Context, sp Spec, useCache bool, fr *obs.Fli
 		res.Err = err.Error()
 		return res
 	}
+	// The run sees the spec resolved against its registration's
+	// Defaults; the result, its hash and the cache key keep the spec as
+	// given.
+	resolved, err := resolve(sp, exp.Defaults)
+	if err != nil {
+		res.Err = err.Error()
+		return res
+	}
 	var sc *obs.Scope
 	if r.NewScope != nil {
 		sc = r.NewScope(sp)
@@ -382,7 +390,7 @@ func (r *Runner) runOne(ctx context.Context, sp Spec, useCache bool, fr *obs.Fli
 		}
 	}
 	start := time.Now()
-	v, err := exp.Run(ctx, sp, sc)
+	v, err := exp.Run(ctx, resolved, sc)
 	res.Elapsed = time.Since(start)
 	if err != nil {
 		res.Err = err.Error()

@@ -13,7 +13,7 @@ type SpecSource interface {
 	// exhausted (err nil) or failed mid-stream (err non-nil).
 	Next() (sp Spec, ok bool, err error)
 	// Count returns the total number of specs the source will produce,
-	// when that is knowable up front (grids and index ranges know it;
+	// when that is knowable up front (slices and index ranges know it;
 	// a spec stream read from a pipe does not). Progress renderers use
 	// the hint for percentages and ETAs and must degrade gracefully —
 	// count-only, no ETA — when known=false.
@@ -43,23 +43,3 @@ func (s *sliceSource) Next() (Spec, bool, error) {
 }
 
 func (s *sliceSource) Count() (int, bool) { return len(s.specs), true }
-
-// Collect drains a source into a slice — the bridge back from the
-// streaming world for callers that want the materialized list (and the
-// implementation of Grid.Expand). It pre-sizes from the count hint.
-func Collect(src SpecSource) ([]Spec, error) {
-	var specs []Spec
-	if n, known := src.Count(); known {
-		specs = make([]Spec, 0, n)
-	}
-	for {
-		sp, ok, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return specs, nil
-		}
-		specs = append(specs, sp)
-	}
-}

@@ -1,17 +1,15 @@
 package scenario
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 )
 
-// TestGridSourceMatchesExpand pins the canonical expansion order: the
-// streaming source and the materialized expansion must agree element
-// for element, and the order itself is pinned against a hand-rolled
-// nested loop so a refactor of either cannot silently reorder sweeps
-// (result arrays are compared byte-for-byte downstream).
-func TestGridSourceMatchesExpand(t *testing.T) {
+// TestGridExpandOrder pins the canonical expansion order against a
+// hand-rolled nested loop, so a refactor of Expand cannot silently
+// reorder sweeps (result arrays are compared byte-for-byte
+// downstream).
+func TestGridExpandOrder(t *testing.T) {
 	g := Grid{
 		Base:          Spec{Experiment: "duel", Seed: 3},
 		Pairs:         [][2]string{{"reno", "bbr"}, {"cubic", "copa"}},
@@ -22,20 +20,6 @@ func TestGridSourceMatchesExpand(t *testing.T) {
 	expanded, err := g.Expand()
 	if err != nil {
 		t.Fatal(err)
-	}
-	src, err := g.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, known := src.Count(); !known || n != len(expanded) {
-		t.Fatalf("Count() = %d,%v; want %d,true", n, known, len(expanded))
-	}
-	streamed, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(expanded, streamed) {
-		t.Fatal("streamed specs differ from Expand")
 	}
 
 	// The historical nested-loop order: pairs, then queues, then
@@ -62,10 +46,10 @@ func TestGridSourceMatchesExpand(t *testing.T) {
 	}
 }
 
-// TestGridSourceEmptyAxes checks the identity contribution of empty
+// TestGridExpandEmptyAxes checks the identity contribution of empty
 // axes: a base-only grid is a single spec, and partially empty axes
 // multiply correctly.
-func TestGridSourceEmptyAxes(t *testing.T) {
+func TestGridExpandEmptyAxes(t *testing.T) {
 	g := Grid{Base: Spec{Experiment: "duel", Seed: 7, CCAs: []string{"reno", "bbr"}}}
 	specs, err := g.Expand()
 	if err != nil {
@@ -76,33 +60,17 @@ func TestGridSourceEmptyAxes(t *testing.T) {
 	}
 
 	g.Seeds = []int64{1, 2, 3}
-	src, err := g.Source()
+	specs, err = g.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := src.Count(); n != 3 {
-		t.Fatalf("Count() = %d, want 3", n)
-	}
-	specs, err = Collect(src)
-	if err != nil {
-		t.Fatal(err)
+	if len(specs) != 3 {
+		t.Fatalf("expanded %d specs, want 3", len(specs))
 	}
 	for i, sp := range specs {
 		if sp.Seed != int64(i+1) {
 			t.Fatalf("spec %d seed %d", i, sp.Seed)
 		}
-	}
-	// The source is exhausted for good: further Next calls stay done.
-	if _, ok, _ := src.Next(); ok {
-		t.Fatal("exhausted source yielded another spec")
-	}
-}
-
-// TestGridSourceValidatesUpFront mirrors Expand's error cases on the
-// streaming path: a bad grid must fail before the sweep starts.
-func TestGridSourceValidatesUpFront(t *testing.T) {
-	if _, err := (Grid{}).Source(); err == nil {
-		t.Fatal("no error for grid without base.experiment")
 	}
 }
 
@@ -115,9 +83,16 @@ func TestSliceSource(t *testing.T) {
 	if n, known := src.Count(); !known || n != 2 {
 		t.Fatalf("Count() = %d,%v", n, known)
 	}
-	got, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
+	var got []Spec
+	for {
+		sp, ok, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, sp)
 	}
 	if !reflect.DeepEqual(got, specs) {
 		t.Fatalf("collected %+v", got)
@@ -145,13 +120,6 @@ func (s *errAfterSource) Next() (Spec, bool, error) {
 }
 
 func (s *errAfterSource) Count() (int, bool) { return 0, false }
-
-func TestCollectSurfacesSourceError(t *testing.T) {
-	boom := errors.New("boom")
-	if _, err := Collect(&errAfterSource{n: 2, err: boom}); !errors.Is(err, boom) {
-		t.Fatalf("Collect error = %v, want boom", err)
-	}
-}
 
 // hideCount wraps a source and withholds its count hint, for testing
 // the unknown-total paths against sources that would otherwise know.

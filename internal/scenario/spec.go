@@ -31,9 +31,11 @@ import (
 // It is the union of the knobs the registered experiments consume.
 // Each key's comment names the experiments that read it, as the table
 // in docs/SCENARIOS.md does; an experiment ignores the other keys,
-// which keeps grid expansion uniform, and runs its own default for a
-// key it reads but the spec leaves at zero (seeds excepted: a zero seed
-// is a seed).
+// which keeps grid expansion uniform. The Runner fills a key the spec
+// leaves at zero from the registration's Defaults before the run, and
+// fails a run whose key is negative or rounds to zero (see resolve);
+// seeds, faults, Cross, Probe and FluidAbove are never filled, since
+// zero is a value there.
 //
 // Durations are expressed in float seconds and rates in bits/s so
 // specs read naturally as JSON.
@@ -157,11 +159,14 @@ const specHashDomain = "ccac/spec/v1\n"
 // over a domain-separation tag plus the canonical JSON encoding. Specs
 // that differ only in an omitted-vs-zero field hash identically
 // (omitempty drops both); specs with any semantic difference hash
-// differently.
+// differently. A spec hashes as given, not as the Runner resolves it
+// against its registration's Defaults.
 func (s Spec) Hash() string {
 	b, err := CanonicalJSON(s)
 	if err != nil {
-		// Spec is a plain data struct; canonical encoding cannot fail.
+		// Encoding fails only on a NaN or infinite float, which no spec
+		// read from JSON or ccac's flags holds: JSON has none, and the
+		// flags reject them.
 		panic(err)
 	}
 	sum := sha256.Sum256(append([]byte(specHashDomain), b...))

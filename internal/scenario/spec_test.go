@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/traffic"
 )
 
 func TestCanonicalJSONStable(t *testing.T) {
@@ -189,5 +193,62 @@ func TestLedgerSpecHashesArePinned(t *testing.T) {
 		if got := sp.Hash(); got != want {
 			t.Errorf("%s hashes to %s, want %s", name, got, want)
 		}
+	}
+}
+
+// TestResolve: the resolver fills each defaultable key the spec leaves
+// at zero, keeps the ones it sets, never fills seeds, faults, Cross,
+// Probe or FluidAbove, and refuses a set value the cell cannot run
+// (negative, or a length that converts to zero) instead of running the
+// default in its place.
+func TestResolve(t *testing.T) {
+	def := Spec{DurationS: 30, RateBps: 48e6, RTTMs: 40, Queue: "droptail", BufferBDP: 2,
+		CCAs: []string{"reno", "bbr"}, Phases: []string{"reno", "cbr"}, PhaseDurationS: 45, Flows: 8, Trials: 3,
+		Seed: 1, FaultSeed: 1, FaultProfile: "wifi-bursty", Fault: &faults.Config{LossProb: 0.1},
+		Cross: []traffic.Phase{{Kind: "bbr", DurS: 1}}, Probe: true, FluidAbove: 4}
+	filled := Spec{Experiment: "x", DurationS: 30, RateBps: 48e6, RTTMs: 40, Queue: "droptail", BufferBDP: 2,
+		CCAs: []string{"reno", "bbr"}, Phases: []string{"reno", "cbr"}, PhaseDurationS: 45, Flows: 8, Trials: 3}
+	set := Spec{Experiment: "x", DurationS: 1, RateBps: 1e6, RTTMs: 1e-5, Queue: "fq", BufferBDP: 0.5,
+		CCAs: []string{"cubic"}, Phases: []string{"idle"}, PhaseDurationS: 1e-9, Flows: 1, Trials: 1,
+		Seed: 9, FaultSeed: 9}
+	for _, tc := range []struct {
+		name    string
+		sp      Spec
+		want    Spec
+		wantErr string
+	}{
+		{name: "empty spec", sp: Spec{Experiment: "x"}, want: filled},
+		{name: "every key set", sp: set, want: set},
+		{name: "empty defaults", sp: Spec{Experiment: "x", Seed: 3}, want: Spec{Experiment: "x", Seed: 3}},
+		{name: "negative duration", sp: Spec{DurationS: -1}, wantErr: "duration_s -1"},
+		{name: "duration under 1ns", sp: Spec{DurationS: 1e-10}, wantErr: "duration_s 1e-10"},
+		{name: "negative rate", sp: Spec{RateBps: -48e6}, wantErr: "rate_bps -4.8e+07"},
+		{name: "negative rtt", sp: Spec{RTTMs: -5}, wantErr: "rtt_ms -5"},
+		{name: "rtt of 1ns", sp: Spec{RTTMs: 1e-6}, wantErr: "rtt_ms 1e-06"},
+		{name: "negative buffer", sp: Spec{BufferBDP: -2}, wantErr: "buffer_bdp -2"},
+		{name: "negative phase", sp: Spec{PhaseDurationS: -45}, wantErr: "phase_duration_s -45"},
+		{name: "phase under 1ns", sp: Spec{PhaseDurationS: 1e-10}, wantErr: "phase_duration_s 1e-10"},
+		{name: "negative flows", sp: Spec{Flows: -1}, wantErr: "flows -1"},
+		{name: "negative trials", sp: Spec{Trials: -3}, wantErr: "trials -3"},
+		{name: "overflowing duration", sp: Spec{DurationS: 1e300}, wantErr: "duration_s 1e+300"},
+	} {
+		d := def
+		if tc.name == "empty defaults" {
+			d = Spec{}
+		}
+		got, err := resolve(tc.sp, d)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !reflect.DeepEqual(got, tc.want):
+			t.Errorf("%s: resolved to %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = resolve(Spec{Experiment: "x"}, def) }); n != 0 {
+		t.Errorf("resolve allocates %v times, want 0", n)
 	}
 }
