@@ -11,14 +11,16 @@ import (
 // sizes. The scaling contract: per-flow wall cost (ns/flow) and
 // allocations per flow stay flat as the population grows 50x — CI's
 // manyflow-smoke job fails when ns/flow at 5,000 users exceeds 3x
-// ns/flow at 100 (measured ~1-1.5x). Both depend on the engine heap
-// holding O(flows) events — packets in flight wait in delay lines
-// behind one queued front packet each, and a re-armed timer moves in
-// place — in storage that is recycled, not allocated per event, so
-// allocs/flow cannot grow with it; on the isolation scheduler keeping
-// token-throttled users off its dequeue path (a release-time heap;
-// rescanning them on every dequeue read 12.9x here); and on the
-// drained-queue array recycling.
+// ns/flow at 100 (1.40 for medians of five fresh -benchtime 1x
+// processes on a 2-vCPU Xeon). events/flow is a count, the same on
+// every machine, that moves only when the simulation does. Both costs
+// depend on the engine heap holding O(flows) events — packets in
+// flight wait in delay lines behind one queued front packet each, and
+// a re-armed timer moves in place — in storage that is recycled, not
+// allocated per event, so allocs/flow cannot grow with it; on the
+// isolation scheduler keeping token-throttled users off its dequeue
+// path (a release-time heap; rescanning them on every dequeue read
+// 12.9x here); and on the drained-queue array recycling.
 func BenchmarkManyFlow(b *testing.B) {
 	for _, users := range []int{100, 1000, 5000} {
 		b.Run(fmt.Sprint(users), func(b *testing.B) {
@@ -39,6 +41,7 @@ func BenchmarkManyFlow(b *testing.B) {
 			runtime.ReadMemStats(&ms1)
 			allocs := float64(ms1.Mallocs - ms0.Mallocs)
 			b.ReportMetric(allocs/float64(b.N)/float64(users), "allocs/flow")
+			b.ReportMetric(float64(events)/float64(b.N)/float64(users), "events/flow")
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(users), "ns/flow")
 		})

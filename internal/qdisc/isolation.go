@@ -13,17 +13,22 @@ type userClass struct {
 	id   int
 	pos  int // position in sorted-id order; maintained across inserts
 	b    bucket
-	fifo *DropTail
+	fifo DropTail
 	// DRR state: each round-robin visit grants MSS bytes; deficit
 	// carries unspent grant while the user stays backlogged; granted
 	// marks that the current visit's grant was already issued.
 	deficit int
 	granted bool
-	// Parked state: a backlogged user whose head packet its bucket
-	// cannot cover sits on the release-time heap at index heapIdx (-1
-	// when not parked) until readyAt, the time the tokens accrue.
+	// parked marks a backlogged user whose head packet its bucket cannot
+	// cover: it waits on the release-time heap, not in the bitmap.
+	parked bool
+}
+
+// parkedUser is a release-time heap entry: the key sits beside the
+// user, so sifting compares without dereferencing.
+type parkedUser struct {
 	readyAt time.Duration
-	heapIdx int
+	c       *userClass
 }
 
 // UserIsolation is a two-level discipline modelling the access-network
@@ -36,23 +41,28 @@ type userClass struct {
 // asymmetry §2.2 discusses.
 //
 // The discipline is built for many-flow cells with 10k+ subscribers,
-// most of them waiting for tokens most of the time. A backlogged user
-// is in exactly one of two places: the eligible bitmap over sorted-id
-// positions, which the DRR pass walks, or — once a pass has found its
-// bucket short of its head packet — a min-heap keyed by the time the
-// tokens accrue. Nothing about a parked user changes until that time
-// (its head packet stays, its bucket only fills), so Dequeue never
-// looks at it: a served packet costs O(log users) and "nothing is
-// ready until t" is the heap root, O(1). Len/Bytes return cached
-// aggregates instead of walking the users. With an MSS grant per visit
-// and MSS-sized packets the pick sequence is identical to
-// one-packet-per-visit round robin, which the repo's byte-identical
-// determinism contract depends on.
+// most of them waiting for tokens most of the time. Users are found by
+// id in a slice (ids are small and dense; they must not be negative).
+// A backlogged user is in exactly one of two places: the eligible
+// bitmap over sorted-id positions, which the DRR pass walks hopping
+// over empty words by a summary bitmap, or — once a pass has found its
+// bucket short of its head packet — a min-heap keyed by the first
+// nanosecond its bucket covers that packet. Nothing about a parked
+// user changes until that time (its head packet stays, its bucket only
+// fills), so Dequeue never looks at it, and a user it takes off the
+// heap conforms: a throttled packet costs one link wake-up, a served
+// packet O(log users), and "nothing is ready until t" is the heap
+// root, O(1).
+// Len/Bytes return cached aggregates instead of walking the users.
+// With an MSS grant per visit and MSS-sized packets the pick sequence
+// is identical to one-packet-per-visit round robin, which the repo's
+// byte-identical determinism contract depends on.
 type UserIsolation struct {
-	users  map[int]*userClass
-	order  []*userClass // users in sorted-id order
-	active []uint64     // bit i set <=> order[i] is backlogged and not parked
-	parked []*userClass // backlogged users short of tokens, min-heap on readyAt
+	users   []*userClass // indexed by UserID; nil for an id not seen yet
+	order   []*userClass // users in sorted-id order
+	active  []uint64     // bit i set <=> order[i] is backlogged and not parked
+	summary []uint64     // bit w set <=> active[w] != 0
+	parked  []parkedUser // backlogged users short of tokens, min-heap on readyAt
 	// rr is the scan-start position. It is deliberately NOT adjusted
 	// when a new user id is inserted before it: the original
 	// implementation kept a raw index across insertions, and the
@@ -83,7 +93,6 @@ func NewUserIsolation(planRateBits float64, burstBytes, perUserBacklogBytes int)
 		perUserBacklogBytes = 256 * sim.MSS
 	}
 	return &UserIsolation{
-		users:      make(map[int]*userClass),
 		visit:      -1,
 		rate:       planRateBits,
 		burst:      burstBytes,
@@ -92,10 +101,21 @@ func NewUserIsolation(planRateBits float64, burstBytes, perUserBacklogBytes int)
 }
 
 func (u *UserIsolation) user(id int) *userClass {
-	if c := u.users[id]; c != nil {
-		return c
+	if id >= 0 && id < len(u.users) && u.users[id] != nil {
+		return u.users[id]
 	}
-	c := &userClass{id: id, b: newBucket(u.rate, u.burst), fifo: NewDropTail(u.perUserCap), heapIdx: -1}
+	return u.addUser(id)
+}
+
+// addUser inserts a user at its sorted-id position.
+func (u *UserIsolation) addUser(id int) *userClass {
+	if id < 0 {
+		panic(fmt.Sprintf("qdisc: user isolation needs non-negative user ids, got %d", id))
+	}
+	if id >= len(u.users) {
+		u.users = append(u.users, make([]*userClass, id+1-len(u.users))...)
+	}
+	c := &userClass{id: id, b: newBucket(u.rate, u.burst), fifo: DropTail{limit: u.perUserCap}}
 	u.users[id] = c
 	pos := sort.Search(len(u.order), func(i int) bool { return u.order[i].id >= id })
 	u.order = append(u.order, nil)
@@ -103,6 +123,9 @@ func (u *UserIsolation) user(id int) *userClass {
 	u.order[pos] = c
 	if n := len(u.order); (n+63)/64 > len(u.active) {
 		u.active = append(u.active, 0)
+		if (len(u.active)+63)/64 > len(u.summary) {
+			u.summary = append(u.summary, 0)
+		}
 	}
 	u.insertBit(pos)
 	for i := pos; i < len(u.order); i++ {
@@ -115,7 +138,8 @@ func (u *UserIsolation) user(id int) *userClass {
 }
 
 // insertBit shifts all occupancy bits at positions >= pos up by one,
-// opening a zero bit at pos for a newly inserted (empty) user.
+// opening a zero bit at pos for a newly inserted (empty) user, and
+// recomputes the summary bits of the words it touched.
 func (u *UserIsolation) insertBit(pos int) {
 	w := pos >> 6
 	b := uint(pos & 63)
@@ -128,64 +152,75 @@ func (u *UserIsolation) insertBit(pos int) {
 		u.active[i] = u.active[i]<<1 | carry
 		carry = next
 	}
-}
-
-func (u *UserIsolation) setBit(pos int)   { u.active[pos>>6] |= 1 << uint(pos&63) }
-func (u *UserIsolation) clearBit(pos int) { u.active[pos>>6] &^= 1 << uint(pos&63) }
-
-// park takes the user at c.pos out of the DRR pass until c.readyAt.
-func (u *UserIsolation) park(c *userClass) {
-	u.clearBit(c.pos)
-	c.heapIdx = len(u.parked)
-	u.parked = append(u.parked, c)
-	u.fixHeap(c.heapIdx)
-}
-
-// unpark returns a parked user to the eligible bitmap.
-func (u *UserIsolation) unpark(c *userClass) {
-	i, last := c.heapIdx, len(u.parked)-1
-	moved := u.parked[last]
-	u.parked[last] = nil
-	u.parked = u.parked[:last]
-	c.heapIdx = -1
-	if i != last {
-		u.parked[i] = moved
-		moved.heapIdx = i
-		u.fixHeap(i)
+	for i := w; i < len(u.active); i++ {
+		if u.active[i] != 0 {
+			u.summary[i>>6] |= 1 << uint(i&63)
+		} else {
+			u.summary[i>>6] &^= 1 << uint(i&63)
+		}
 	}
-	u.setBit(c.pos)
 }
 
-// fixHeap restores heap order around index i after its key changed.
-func (u *UserIsolation) fixHeap(i int) {
-	h := u.parked
-	c := h[i]
+func (u *UserIsolation) setBit(pos int) {
+	w := pos >> 6
+	u.active[w] |= 1 << uint(pos&63)
+	u.summary[w>>6] |= 1 << uint(w&63)
+}
+
+func (u *UserIsolation) clearBit(pos int) {
+	w := pos >> 6
+	if u.active[w] &^= 1 << uint(pos&63); u.active[w] == 0 {
+		u.summary[w>>6] &^= 1 << uint(w&63)
+	}
+}
+
+// park takes the user at c.pos out of the DRR pass until readyAt.
+func (u *UserIsolation) park(c *userClass, readyAt time.Duration) {
+	u.clearBit(c.pos)
+	c.parked = true
+	h := append(u.parked, parkedUser{})
+	i := len(h) - 1
 	for i > 0 {
 		up := (i - 1) / 2
-		if h[up].readyAt <= c.readyAt {
+		if h[up].readyAt <= readyAt {
 			break
 		}
 		h[i] = h[up]
-		h[i].heapIdx = i
 		i = up
 	}
-	for {
-		kid := 2*i + 1
-		if kid >= len(h) {
-			break
+	h[i] = parkedUser{readyAt, c}
+	u.parked = h
+}
+
+// unparkRoot returns the heap root's user to the eligible bitmap.
+func (u *UserIsolation) unparkRoot() {
+	h := u.parked
+	c := h[0].c
+	last := len(h) - 1
+	moved := h[last]
+	h[last] = parkedUser{}
+	h = h[:last]
+	if last > 0 {
+		i := 0
+		for {
+			kid := 2*i + 1
+			if kid >= last {
+				break
+			}
+			if r := kid + 1; r < last && h[r].readyAt < h[kid].readyAt {
+				kid = r
+			}
+			if moved.readyAt <= h[kid].readyAt {
+				break
+			}
+			h[i] = h[kid]
+			i = kid
 		}
-		if r := kid + 1; r < len(h) && h[r].readyAt < h[kid].readyAt {
-			kid = r
-		}
-		if c.readyAt <= h[kid].readyAt {
-			break
-		}
-		h[i] = h[kid]
-		h[i].heapIdx = i
-		i = kid
+		h[i] = moved
 	}
-	h[i] = c
-	c.heapIdx = i
+	u.parked = h
+	c.parked = false
+	u.setBit(c.pos)
 }
 
 // nextActive returns the first eligible position >= from, or -1.
@@ -197,17 +232,25 @@ func (u *UserIsolation) nextActive(from int) int {
 	if w >= len(u.active) {
 		return -1
 	}
-	word := u.active[w] >> uint(from&63) << uint(from&63)
-	for {
-		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
-		}
-		w++
-		if w >= len(u.active) {
+	if word := u.active[w] >> uint(from&63) << uint(from&63); word != 0 {
+		return w<<6 + bits.TrailingZeros64(word)
+	}
+	// Hop to the next non-zero word by the summary.
+	w++
+	s := w >> 6
+	if s >= len(u.summary) {
+		return -1
+	}
+	sum := u.summary[s] >> uint(w&63) << uint(w&63)
+	for sum == 0 {
+		s++
+		if s >= len(u.summary) {
 			return -1
 		}
-		word = u.active[w]
+		sum = u.summary[s]
 	}
+	w = s<<6 + bits.TrailingZeros64(sum)
+	return w<<6 + bits.TrailingZeros64(u.active[w])
 }
 
 // Enqueue implements sim.Qdisc.
@@ -234,7 +277,7 @@ func (u *UserIsolation) Dequeue(now time.Duration) (*sim.Packet, time.Duration) 
 		return nil, 0
 	}
 	for len(u.parked) > 0 && u.parked[0].readyAt <= now {
-		u.unpark(u.parked[0])
+		u.unparkRoot()
 	}
 	// Each outer round issues at most one grant per backlogged user.
 	// A user skipped for insufficient deficit gains MSS bytes per
@@ -294,8 +337,7 @@ func (u *UserIsolation) serveAt(pos int, now time.Duration, deficitSkip *bool) *
 		if u.visit == pos {
 			u.visit = -1
 		}
-		c.readyAt = c.b.timeFor(now, need)
-		u.park(c)
+		u.park(c, c.b.timeFor(now, need))
 		return nil
 	}
 	if !c.granted {

@@ -169,46 +169,74 @@ func (o *oracleIsolation) ActiveUsers() (n int) {
 
 // verify checks the scheduler's structure: every backlogged user is in
 // exactly one of {eligible bitmap, release-time heap}, nobody else is in
-// either, positions and heap indices point where they claim to, the
-// heap is ordered, and the cached aggregates match the queues.
+// either, the id index and positions point where they claim to, the
+// parked flags mark exactly the users on the heap, the summary bitmap
+// marks exactly the non-zero words, the heap is ordered, and the cached
+// aggregates match the queues.
 func (u *UserIsolation) verify() error {
-	if len(u.order) != len(u.users) {
-		return fmt.Errorf("order holds %d users, map %d", len(u.order), len(u.users))
+	indexed := 0
+	for id, c := range u.users {
+		if c == nil {
+			continue
+		}
+		indexed++
+		if c.id != id {
+			return fmt.Errorf("index slot %d holds user %d", id, c.id)
+		}
 	}
-	var setBits, pkts, bytes, backlogged int
-	for _, w := range u.active {
-		setBits += bits.OnesCount64(w)
+	if indexed != len(u.order) {
+		return fmt.Errorf("order holds %d users, index %d", len(u.order), indexed)
+	}
+	var setBits, pkts, bytes, backlogged, flagged, nonZero, summaryBits int
+	for w, word := range u.active {
+		setBits += bits.OnesCount64(word)
+		if word != 0 {
+			nonZero++
+		}
+		if sum := u.summary[w>>6]&(1<<uint(w&63)) != 0; sum != (word != 0) {
+			return fmt.Errorf("summary bit %d is %v for active word %#x", w, sum, word)
+		}
+	}
+	for _, sum := range u.summary {
+		summaryBits += bits.OnesCount64(sum)
+	}
+	if summaryBits != nonZero {
+		return fmt.Errorf("summary marks %d words, %d are non-zero", summaryBits, nonZero)
 	}
 	for i, c := range u.order {
-		if c.pos != i || u.users[c.id] != c {
-			return fmt.Errorf("user %d at position %d claims pos %d (mapped: %v)", c.id, i, c.pos, u.users[c.id] == c)
+		if c.pos != i || c.id >= len(u.users) || u.users[c.id] != c {
+			return fmt.Errorf("user %d at position %d claims pos %d (indexed: %v)", c.id, i, c.pos, c.id < len(u.users) && u.users[c.id] == c)
 		}
 		if i > 0 && u.order[i-1].id >= c.id {
 			return fmt.Errorf("order not ascending at position %d", i)
 		}
 		bit := u.active[i>>6]&(1<<uint(i&63)) != 0
-		parked := c.heapIdx >= 0
-		if parked && (c.heapIdx >= len(u.parked) || u.parked[c.heapIdx] != c) {
-			return fmt.Errorf("user %d claims heap index %d, which holds someone else", c.id, c.heapIdx)
+		if c.parked {
+			flagged++
 		}
 		if c.fifo.Len() > 0 {
 			backlogged++
-			if bit == parked {
-				return fmt.Errorf("backlogged user %d: eligible=%v parked=%v, want exactly one", c.id, bit, parked)
+			if bit == c.parked {
+				return fmt.Errorf("backlogged user %d: eligible=%v parked=%v, want exactly one", c.id, bit, c.parked)
 			}
-		} else if bit || parked {
-			return fmt.Errorf("idle user %d: eligible=%v parked=%v", c.id, bit, parked)
+		} else if bit || c.parked {
+			return fmt.Errorf("idle user %d: eligible=%v parked=%v", c.id, bit, c.parked)
 		}
 		pkts += c.fifo.Len()
 		bytes += c.fifo.Bytes()
 	}
-	for i, c := range u.parked {
-		if c.heapIdx != i {
-			return fmt.Errorf("heap slot %d holds user %d with index %d", i, c.id, c.heapIdx)
+	onHeap := make(map[*userClass]bool, len(u.parked))
+	for i, e := range u.parked {
+		if !e.c.parked || onHeap[e.c] || e.c.id >= len(u.users) || u.users[e.c.id] != e.c {
+			return fmt.Errorf("heap slot %d holds user %d (flagged %v, twice %v)", i, e.c.id, e.c.parked, onHeap[e.c])
 		}
-		if i > 0 && u.parked[(i-1)/2].readyAt > c.readyAt {
+		onHeap[e.c] = true
+		if i > 0 && u.parked[(i-1)/2].readyAt > e.readyAt {
 			return fmt.Errorf("heap order broken at slot %d", i)
 		}
+	}
+	if flagged != len(u.parked) {
+		return fmt.Errorf("%d users flagged parked, %d on the heap", flagged, len(u.parked))
 	}
 	if setBits+len(u.parked) != backlogged || u.ActiveUsers() != backlogged {
 		return fmt.Errorf("%d bits + %d parked, ActiveUsers %d, %d backlogged", setBits, len(u.parked), u.ActiveUsers(), backlogged)
@@ -219,17 +247,31 @@ func (u *UserIsolation) verify() error {
 	return nil
 }
 
+// dueConforms reports whether some parked user is due by now and has a
+// head packet its bucket can hold, so a Dequeue at now must serve.
+func (u *UserIsolation) dueConforms(now time.Duration) bool {
+	for _, e := range u.parked {
+		if e.readyAt <= now && e.c.fifo.peek().Size <= u.burst {
+			return true
+		}
+	}
+	return false
+}
+
 // FuzzUserIsolationSchedule drives UserIsolation and the naive oracle
 // with the same operation stream — enqueues of full-size and short
 // packets (the 4-packet per-user cap overflows often), dequeues, clock
 // advances by a given step or to the last reported ready time, and
 // user ids that first appear before and after the round-robin cursor —
 // and requires identical (packet, ready) results, equal aggregates and
-// a sound structure after every operation. The input is consumed as
-// (opcode, argument) byte pairs; the first byte picks every user's
-// plan rate and burst. Opcodes 6 and 7 repeat a dequeue and the retry
-// jump, so inputs written when they changed a user's plan or weight
-// still run.
+// a sound structure after every operation. A reported ready time is
+// never early: a Dequeue serves a packet whenever some parked user is
+// due, so at a time the retry jump took from a Dequeue, unless every
+// due user's head packet is larger than its burst, which never
+// conforms. The input is consumed as (opcode, argument) byte pairs;
+// the first byte picks every user's plan rate and burst. Opcodes 6
+// and 7 repeat a dequeue and the retry jump, so inputs written when
+// they changed a user's plan or weight still run.
 func FuzzUserIsolationSchedule(f *testing.F) {
 	// Two capped users drained through the retry timer.
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 2, 0, 2, 3, 0, 3, 0, 5, 0, 3, 0, 5, 0, 3, 0, 5, 0, 3, 0})
@@ -241,6 +283,9 @@ func FuzzUserIsolationSchedule(f *testing.F) {
 	f.Add([]byte{1, 7, 3 | 2<<5, 2, 3, 2, 3 | 4<<5, 2, 3, 0, 9, 3, 0, 3, 0, 4, 200, 3, 0, 7, 3, 3, 0, 5, 0, 3, 0})
 	// Per-user cap overflow, then a long drain in small clock steps.
 	f.Add([]byte{2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 3, 0, 4, 1, 3, 0, 4, 1, 3, 0, 4, 255, 3, 0, 3, 0, 3, 0})
+	// A 264-byte packet behind a full one, 6 ns off the token grid:
+	// truncating the wait reported a ready time a nanosecond early.
+	f.Add([]byte{1, 0, 6, 2, 6 | 1<<5, 3, 0, 4, 6, 3, 0, 7, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -271,6 +316,7 @@ func FuzzUserIsolationSchedule(f *testing.F) {
 					t.Fatalf("%s: Enqueue = %v, oracle %v", ctx, got, want)
 				}
 			case 3, 6: // dequeue
+				mustServe := u.dueConforms(now)
 				p, ready := u.Dequeue(now)
 				want, wantReady := o.Dequeue(now)
 				if p != want || ready != wantReady {
@@ -278,6 +324,9 @@ func FuzzUserIsolationSchedule(f *testing.F) {
 				}
 				if p == nil && u.Len() > 0 && ready <= now {
 					t.Fatalf("%s: backlog of %d but ready time %v is not ahead", ctx, u.Len(), ready)
+				}
+				if p == nil && mustServe {
+					t.Fatalf("%s: nothing served at a reported ready time", ctx)
 				}
 				lastReady = ready
 			case 4: // advance the clock; small arguments step by nanoseconds
@@ -304,12 +353,16 @@ func FuzzUserIsolationSchedule(f *testing.F) {
 		// head packet larger than its user's burst never conforms, so
 		// the loop is bounded rather than run to empty.
 		for step := 0; u.Len() > 0 && step < 4096; step++ {
+			mustServe := u.dueConforms(now)
 			p, ready := u.Dequeue(now)
 			want, wantReady := o.Dequeue(now)
 			if p != want || ready != wantReady {
 				t.Fatalf("drain at %v: Dequeue = (%v, %v), oracle (%v, %v)", now, p, ready, want, wantReady)
 			}
 			if p == nil {
+				if mustServe {
+					t.Fatalf("drain at %v: nothing served at a reported ready time", now)
+				}
 				if ready <= now {
 					t.Fatalf("drain at %v: backlog of %d but ready time %v is not ahead", now, u.Len(), ready)
 				}

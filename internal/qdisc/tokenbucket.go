@@ -1,6 +1,7 @@
 package qdisc
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/sim"
@@ -28,18 +29,33 @@ func (b *bucket) refill(now time.Duration) {
 	}
 }
 
-// timeFor returns the earliest time at which need bytes of tokens will
-// be available.
+// timeFor returns the first nanosecond at which refill covers need
+// bytes: refill at the returned time leaves at least need tokens, and
+// refill one nanosecond earlier would not, unless the time is now. need
+// must not exceed the burst, or refill never covers it.
 func (b *bucket) timeFor(now time.Duration, need float64) time.Duration {
 	if b.tokens >= need {
 		return now
 	}
-	deficit := need - b.tokens
-	wait := time.Duration(deficit / b.rate * float64(time.Second))
-	if wait < time.Nanosecond {
-		wait = time.Nanosecond
+	// The rounded-up quotient is the answer up to float rounding, which
+	// can leave it a step short of (or, rarely, past) refill's own sum;
+	// settle it there. A wait that lands before now is due now.
+	t := b.last + time.Duration(math.Ceil((need-b.tokens)/b.rate*float64(time.Second)))
+	for !b.covers(t, need) {
+		t++
 	}
-	return now + wait
+	for t-1 > b.last && b.covers(t-1, need) {
+		t--
+	}
+	if t < now {
+		return now
+	}
+	return t
+}
+
+// covers reports whether refill at t, uncapped, would reach need.
+func (b *bucket) covers(t time.Duration, need float64) bool {
+	return t > b.last && b.tokens+b.rate*(t-b.last).Seconds() >= need
 }
 
 // TokenBucketShaper delays packets that exceed the configured rate,
