@@ -7,7 +7,10 @@
 // count runs in constant memory. With -shard-size the records are
 // generated in independently seeded shards on -workers goroutines;
 // sharded output is byte-identical for every worker count (but
-// differs from the default single-stream sequence).
+// differs from the default single-stream sequence). Each record is
+// written by a hand encoder that produces exactly the bytes
+// encoding/json would, about twice as fast; a record it cannot write
+// with certainty goes to encoding/json itself.
 //
 // Usage:
 //

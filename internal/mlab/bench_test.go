@@ -112,6 +112,40 @@ func BenchmarkDecodeRecord(b *testing.B) {
 	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N)/float64(len(lines)), "allocs/flow")
 }
 
+// BenchmarkEncodeRecord is the encode layer alone, the inverse of
+// BenchmarkDecodeRecord: the pipeline benchmarks' records, already in
+// memory, each appended through encodeRecord into one reused line
+// buffer, with no generation and no writer. Its MB/s counts the bytes
+// written; allocs/flow is 0 once the buffer has grown.
+func BenchmarkEncodeRecord(b *testing.B) {
+	recs := benchDataset()
+	var line []byte
+	size := 0
+	for i := range recs {
+		var err error
+		if line, err = encodeRecord(line[:0], &recs[i]); err != nil {
+			b.Fatal(err)
+		}
+		size += len(line)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range recs {
+			var err error
+			if line, err = encodeRecord(line[:0], &recs[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N)/float64(len(recs)), "allocs/flow")
+}
+
 // BenchmarkMLabAnalyzeStoreAll is the historical store-everything
 // path (per-flow results + exact CDF), kept as the memory/alloc
 // comparison point for the streaming aggregate mode.
@@ -128,9 +162,11 @@ func BenchmarkMLabAnalyzeStoreAll(b *testing.B) {
 	}
 }
 
-// BenchmarkMLabGenerate streams record generation (the GenSource path
-// both Generate and GenerateJSONL run on), one reused record at a
-// time.
+// BenchmarkMLabGenerate streams record generation alone (the GenSource
+// path both Generate and GenerateJSONL run on), one reused record at a
+// time, with no encoding: writing the dataset, as mlabgen and the
+// ledger's mlab-pipeline set-up do, adds BenchmarkEncodeRecord's cost
+// per record, which is most of the total.
 func BenchmarkMLabGenerate(b *testing.B) {
 	cfg := GeneratorConfig{Flows: benchFlows, Seed: 1}
 	b.ReportAllocs()

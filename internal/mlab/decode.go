@@ -9,9 +9,12 @@ import (
 )
 
 // scanRecord decodes line into rec, which must be freshly reset, by
-// hand instead of by reflection. It accepts exactly the shape
-// JSONLWriter writes, in any key order, with any JSON whitespace,
-// missing fields and duplicate keys: an object of exact-case known
+// hand instead of by reflection. It is the inverse of appendRecord
+// (encode.go), which writes every JSONLWriter line it does not leave
+// to encoding/json, and it accepts exactly that shape, in any key
+// order, with any JSON whitespace, missing fields and duplicate keys
+// (but not "snapshots":null, which appendRecord writes for nil
+// Snapshots and encoding/json decodes): an object of exact-case known
 // keys whose strings are plain ASCII without escapes and whose numbers
 // follow the JSON grammar and parse as encoding/json would parse them
 // (strconv.ParseInt base 10, strconv.ParseFloat 64 bits; "start"

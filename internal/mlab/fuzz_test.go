@@ -3,12 +3,16 @@ package mlab
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/tcpinfo"
 )
 
 // FuzzRecordStream feeds arbitrary bytes under small stream limits to a
@@ -180,4 +184,182 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzAppendRecord holds appendRecord to json.Encoder. For any record
+// (arbitrary strings, float bits including NaN, ±Inf and subnormals,
+// durations, start times and zone offsets, nil or empty snapshots) it
+// must write exactly encoding/json's line after the bytes already in
+// its buffer, or decline. Either way JSONLWriter.Write must write
+// encoding/json's line or fail with encoding/json's error text. A line
+// it writes must decode back to the record, through the scanner itself
+// unless Snapshots is nil (the scanner leaves "null" to encoding/json).
+func FuzzAppendRecord(f *testing.F) {
+	src := NewGenSource(GeneratorConfig{Flows: 1, Seed: 1, snapshotInterval: 2 * time.Second})
+	var gen Record
+	if err := src.Next(&gen); err != nil {
+		f.Fatal(err)
+	}
+	_, zone := gen.Start.Zone()
+	f.Add(gen.ID, string(gen.Access), string(gen.TruthLabel), gen.Start.Unix(), int64(gen.Start.Nanosecond()), int32(zone),
+		int64(gen.Duration), math.Float64bits(gen.MeanThroughputBps), snapshotBits(gen.Snapshots), false)
+	day := time.Date(2023, 6, 1, 12, 0, 0, 0, time.UTC).Unix()
+	five := snapshotBits(make([]tcpinfo.Snapshot, 5))
+	for _, c := range []struct {
+		id, access, label string
+		sec, nsec         int64
+		zone              int32
+		mean              float64
+		snaps             []byte
+		nilSnaps          bool
+	}{
+		{"a", "wifi", "", day, 1, 0, 0, nil, true},
+		{"a", "wifi", "steady", day, 999_999_999, 23*3600 + 59*60, math.Copysign(0, -1), nil, false},
+		{"a.b-c_d", "cellular", "short", day, 0, -5 * 3600, 1e-7, five, false},
+		{"\x7f", "wifi", "app-limited", day, 0, 30, 5e-324, five, false},
+		{"~", "wifi", "rwnd-limited", day, 0, -30, 1e21, nil, false},
+		{"y", "ethernet", "policed", -62167219200 - 1, 0, 0, 123.456, five, false},
+		{"y", "ethernet", "policed", 253402300800, 0, 0, 1e20, five, false},
+		{"z", "satellite", "steady", day, 0, 24 * 3600, -1e-6, five, false},
+		{"z", "satellite", "steady", day, 0, -100 * 3600, 9.99e-7, five, false},
+		{"n", "wifi", "steady", day, 0, 0, math.NaN(), five, false},
+		{"i", "wifi", "steady", day, 0, 0, math.Inf(-1), five, false},
+	} {
+		f.Add(c.id, c.access, c.label, c.sec, c.nsec, c.zone, int64(3e9), math.Float64bits(c.mean), c.snaps, c.nilSnaps)
+	}
+	// One seed per byte class encoding/json escapes or checks, each in
+	// an otherwise plain record, so every decline rule is exercised alone.
+	for _, v := range []string{"<", ">", "&", "\"", "\\", "\x00", "\n", "\x1f", "é", "\xff", "\u2028"} {
+		f.Add("x"+v, "wifi", "steady", day, int64(0), int32(0), int64(0), uint64(0), five, false)
+		f.Add("x", v, "", day, int64(0), int32(0), int64(0), uint64(0), five, false)
+	}
+	// A NaN throughput in the first snapshot (the fifth field).
+	nan := binary.LittleEndian.AppendUint64(five[:32:32], 0x7ff8000000000001)
+	f.Add("s", "wifi", "steady", day, int64(0), int32(0), int64(-1), uint64(0), nan, false)
+
+	f.Fuzz(func(t *testing.T, id, access, label string, sec, nsec int64, zone int32, dur int64, mean uint64, snaps []byte, nilSnaps bool) {
+		rec := Record{
+			ID:                id,
+			Start:             time.Unix(sec, nsec).In(time.FixedZone("", int(zone))),
+			Duration:          time.Duration(dur),
+			Access:            AccessType(access),
+			MeanThroughputBps: math.Float64frombits(mean),
+			TruthLabel:        Label(label),
+		}
+		if !nilSnaps {
+			rec.Snapshots = snapshotsFromBits(snaps)
+		}
+		var want bytes.Buffer
+		wantErr := json.NewEncoder(&want).Encode(&rec)
+
+		got, ok := appendRecord([]byte("prefix"), &rec)
+		if ok {
+			if wantErr != nil {
+				t.Fatalf("appendRecord wrote %q; encoding/json fails: %v", got, wantErr)
+			}
+			if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], want.Bytes()) {
+				t.Fatalf("appendRecord wrote\n%q\nencoding/json\n%q", got, want.Bytes())
+			}
+			line := bytes.TrimSuffix(got[len("prefix"):], []byte("\n"))
+			var dec Record
+			if rec.Snapshots != nil && !scanRecord(line, &dec) {
+				t.Fatalf("the scanner declined a line appendRecord wrote: %q", line)
+			}
+			if err := decodeRecord(line, &dec, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !sameRecord(&dec, &rec) {
+				t.Fatalf("line %q decoded to %+v, want %+v", line, dec, rec)
+			}
+		}
+
+		var out bytes.Buffer
+		jw := NewJSONLWriter(&out, false)
+		err := jw.Write(&rec)
+		if cerr := jw.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if wantErr != nil {
+			if wantText := "mlab: encoding record 0: " + wantErr.Error(); err == nil || err.Error() != wantText {
+				t.Fatalf("Write error %v, encoding/json: %s", err, wantText)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Write error %v, encoding/json writes the record", err)
+		}
+		if !bytes.Equal(out.Bytes(), want.Bytes()) {
+			t.Fatalf("Write wrote\n%q\nencoding/json\n%q", out.Bytes(), want.Bytes())
+		}
+	})
+}
+
+// snapshotBits and snapshotsFromBits map snapshots to and from the
+// fuzzer's bytes: 8 little-endian bytes a field in field order, the
+// throughput as float bits, and a trailing partial field dropped.
+func snapshotBits(snaps []tcpinfo.Snapshot) []byte {
+	var b []byte
+	for _, p := range snaps {
+		for _, v := range []uint64{uint64(p.At), uint64(p.BytesSent), uint64(p.BytesAcked), uint64(p.BytesRetrans),
+			math.Float64bits(p.ThroughputBps), uint64(p.SRTT), uint64(p.MinRTT), uint64(p.CWnd),
+			uint64(p.LostPackets), uint64(p.AppLimited), uint64(p.RWndLimited), uint64(p.BusyTime)} {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+	}
+	return b
+}
+
+func snapshotsFromBits(b []byte) []tcpinfo.Snapshot {
+	snaps := []tcpinfo.Snapshot{}
+	for k := 0; 8*k+8 <= len(b); k++ {
+		if k%12 == 0 {
+			snaps = append(snaps, tcpinfo.Snapshot{})
+		}
+		v := binary.LittleEndian.Uint64(b[8*k:])
+		p := &snaps[len(snaps)-1]
+		switch k % 12 {
+		case 0:
+			p.At = time.Duration(v)
+		case 1:
+			p.BytesSent = int64(v)
+		case 2:
+			p.BytesAcked = int64(v)
+		case 3:
+			p.BytesRetrans = int64(v)
+		case 4:
+			p.ThroughputBps = math.Float64frombits(v)
+		case 5:
+			p.SRTT = time.Duration(v)
+		case 6:
+			p.MinRTT = time.Duration(v)
+		case 7:
+			p.CWnd = int(v)
+		case 8:
+			p.LostPackets = int64(v)
+		case 9:
+			p.AppLimited = time.Duration(v)
+		case 10:
+			p.RWndLimited = time.Duration(v)
+		case 11:
+			p.BusyTime = time.Duration(v)
+		}
+	}
+	return snaps
+}
+
+// sameRecord reports whether a decoded record is the record that was
+// encoded. RFC 3339 keeps a start time's instant only to the zone
+// offset's whole minutes, so Start is compared as the instant its own
+// line names; nil and empty Snapshots both decode as no snapshots.
+func sameRecord(dec, rec *Record) bool {
+	start, err := time.Parse(time.RFC3339Nano, rec.Start.Format(time.RFC3339Nano))
+	if err != nil || !dec.Start.Equal(start) {
+		return false
+	}
+	a, b := *dec, *rec
+	a.Start, b.Start = time.Time{}, time.Time{}
+	if len(a.Snapshots) == 0 && len(b.Snapshots) == 0 {
+		a.Snapshots, b.Snapshots = nil, nil
+	}
+	return reflect.DeepEqual(a, b)
 }

@@ -2,7 +2,6 @@ package mlab
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -142,8 +141,9 @@ func generateSharded(jw *JSONLWriter, cfg GeneratorConfig, workers int, stats *G
 	return firstErr
 }
 
-// encodeShard generates shard idx and JSON-encodes it into a pooled
-// buffer, reusing rec's storage across records.
+// encodeShard generates shard idx and encodes it into a pooled buffer
+// (each line appended in the buffer's spare capacity), reusing rec's
+// storage across records.
 func encodeShard(cfg GeneratorConfig, idx int, rec *Record, pool *sync.Pool) encShard {
 	start := idx * cfg.ShardSize
 	end := start + cfg.ShardSize
@@ -156,7 +156,6 @@ func encodeShard(cfg GeneratorConfig, idx int, rec *Record, pool *sync.Pool) enc
 		stats: GenStats{ByLabel: make(map[Label]int)},
 	}
 	src := newShardSource(cfg, start, end)
-	enc := json.NewEncoder(sh.buf)
 	for {
 		if err := src.Next(rec); err != nil {
 			if err != io.EOF {
@@ -164,10 +163,12 @@ func encodeShard(cfg GeneratorConfig, idx int, rec *Record, pool *sync.Pool) enc
 			}
 			return sh
 		}
-		if err := enc.Encode(rec); err != nil {
+		line, err := encodeRecord(sh.buf.AvailableBuffer(), rec)
+		if err != nil {
 			sh.err = fmt.Errorf("mlab: encoding record %d: %w", start+sh.stats.Records, err)
 			return sh
 		}
+		sh.buf.Write(line)
 		sh.stats.count(rec.TruthLabel)
 	}
 }

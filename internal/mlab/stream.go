@@ -218,41 +218,57 @@ func (s *SliceSource) Next(rec *Record) error {
 // JSONLWriter encodes records one per line with optional gzip
 // compression, buffering the underlying writer.
 type JSONLWriter struct {
-	bw  *bufio.Writer
-	gz  *gzip.Writer
-	enc *json.Encoder
-	n   int
+	bw   *bufio.Writer
+	gz   *gzip.Writer
+	w    io.Writer // gz when compressing, else bw
+	line []byte    // the line being encoded, reused across records
+	n    int
 }
 
 // NewJSONLWriter wraps w; when compress is set the output is gzipped.
 func NewJSONLWriter(w io.Writer, compress bool) *JSONLWriter {
 	jw := &JSONLWriter{bw: bufio.NewWriterSize(w, 1<<16)}
+	jw.w = jw.bw
 	if compress {
 		jw.gz = gzip.NewWriter(jw.bw)
-		jw.enc = json.NewEncoder(jw.gz)
-	} else {
-		jw.enc = json.NewEncoder(jw.bw)
+		jw.w = jw.gz
 	}
 	return jw
 }
 
 // Write encodes one record.
 func (jw *JSONLWriter) Write(rec *Record) error {
-	if err := jw.enc.Encode(rec); err != nil {
+	line, err := encodeRecord(jw.line[:0], rec)
+	if err == nil {
+		jw.line = line
+		_, err = jw.w.Write(line)
+	}
+	if err != nil {
 		return fmt.Errorf("mlab: encoding record %d: %w", jw.n, err)
 	}
 	jw.n++
 	return nil
 }
 
+// encodeRecord appends rec's JSONL line to b. appendRecord writes
+// every record it can; a record it declines goes to encoding/json,
+// which alone decides what any other record's line is and what its
+// error says.
+func encodeRecord(b []byte, rec *Record) ([]byte, error) {
+	if line, ok := appendRecord(b, rec); ok {
+		return line, nil
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return b, err
+	}
+	return append(append(b, line...), '\n'), nil
+}
+
 // WriteRaw copies pre-encoded JSONL bytes through (the parallel
 // generator encodes shards off the writer goroutine).
 func (jw *JSONLWriter) WriteRaw(b []byte, records int) error {
-	if jw.gz != nil {
-		if _, err := jw.gz.Write(b); err != nil {
-			return fmt.Errorf("mlab: writing record %d: %w", jw.n, err)
-		}
-	} else if _, err := jw.bw.Write(b); err != nil {
+	if _, err := jw.w.Write(b); err != nil {
 		return fmt.Errorf("mlab: writing record %d: %w", jw.n, err)
 	}
 	jw.n += records

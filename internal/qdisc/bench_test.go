@@ -3,6 +3,7 @@ package qdisc
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -24,8 +25,28 @@ func BenchmarkDRR16Flows(b *testing.B) { benchQdisc(b, NewDRR(ByFlow, sim.MSS, 1
 
 func BenchmarkSFQ(b *testing.B) { benchQdisc(b, NewSFQ(1<<20)) }
 
+// BenchmarkTokenBucketShaper prices one shaped packet: its Enqueue,
+// and a Dequeue that refills the bucket and spends the packet's
+// tokens. The clock advances by one packet's transmission time at the
+// shaper's rate per iteration, so the shaper releases every packet it
+// is handed. benchQdisc's clock stays at 0, where the burst runs out
+// after a few hundred packets and every later iteration is a refused
+// Enqueue.
 func BenchmarkTokenBucketShaper(b *testing.B) {
-	benchQdisc(b, newTokenBucketShaper(1e12, 1<<20, 1<<20))
+	const rateBits = 1e9
+	q := newTokenBucketShaper(rateBits, 1<<20, 1<<20)
+	tx := time.Duration(sim.MSS * 8 * float64(time.Second) / rateBits)
+	var now time.Duration
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		now += tx
+		if !q.Enqueue(pkt(i%16, i%4, sim.MSS), now) {
+			b.Fatalf("packet %d refused", i)
+		}
+		if p, _ := q.Dequeue(now); p == nil {
+			b.Fatalf("packet %d held at %v", i, now)
+		}
+	}
 }
 
 func BenchmarkCoDel(b *testing.B) { benchQdisc(b, NewCoDel(1<<20)) }
